@@ -50,20 +50,8 @@ func main() {
 	dissip4 := flag.Bool("dissip4", false, "use pentadiagonal implicit fourth-difference dissipation (cache variant)")
 	saveFile := flag.String("save", "", "write a checkpoint to this file after the run")
 	loadFile := flag.String("load", "", "restart from a checkpoint file instead of -pulse initialization")
-	kernels := flag.String("kernels", "scalar", "inner-loop kernel set: scalar or tuned (cache variant)")
 	hexres := flag.Bool("hexres", false, "print residuals as exact hex floats (for bitwise run-to-run diffs)")
 	flag.Parse()
-
-	var kernelImpl f3d.KernelImpl
-	switch *kernels {
-	case "scalar":
-		kernelImpl = f3d.ScalarKernels
-	case "tuned":
-		kernelImpl = f3d.TunedKernels
-	default:
-		fmt.Fprintf(os.Stderr, "f3d: unknown -kernels %q (want scalar or tuned)\n", *kernels)
-		os.Exit(2)
-	}
 
 	c, err := buildCase(*caseName, *scale, *dims)
 	if err != nil {
@@ -111,7 +99,7 @@ func main() {
 	var prof *profile.Profiler
 	switch *variant {
 	case "cache":
-		opts := f3d.CacheOptions{Merged: *merged, Kernels: kernelImpl}
+		opts := f3d.CacheOptions{Merged: *merged}
 		opts.Phases = f3d.AllPhases()
 		opts.Phases.BC = *parbc
 		if *profileFlag && !*mlp {

@@ -198,7 +198,7 @@ func run(out io.Writer, o options) error {
 		if !o.quiet {
 			log.Printf("serving /metrics /trace /analyze /dash on %s", o.serve)
 		}
-		return http.ListenAndServe(o.serve, sv)
+		return cluster.NewHTTPServer(o.serve, sv).ListenAndServe()
 	}
 	return nil
 }

@@ -77,13 +77,13 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -129,7 +129,7 @@ func main() {
 		schedCfg.Allocator = alloc
 	}
 	s := sched.New(schedCfg)
-	srv := &http.Server{Addr: *addr, Handler: newServer(s, serverConfig{
+	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
 		clock:           simclock.Real{},
 		submitRetries:   *submitRetries,
 		retryBackoff:    *retryBackoff,
@@ -138,7 +138,7 @@ func main() {
 		node:            *node,
 		autopar:         *autopar,
 		autoparSyncCost: *autoparSync,
-	})}
+	}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

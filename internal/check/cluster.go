@@ -16,8 +16,10 @@ import (
 // keep reproducing it when a worker dies mid-solve and the engine
 // fails over. The matrix's team-size axis is reinterpreted as the
 // worker-daemon count; schedules do not apply (the shard plan is the
-// plateau rule), and the f3d solver itself runs serially inside each
-// worker so the only variable under test is the distribution.
+// plateau rule). The shards run the production (tuned) kernels serially
+// inside each worker while the single-node reference runs the scalar
+// kernels, so the cells prove the distributed tuned solve against
+// scalar-serial bits.
 func clusterKernels() []Kernel {
 	ks := []Kernel{}
 	for _, loss := range []bool{false, true} {
@@ -71,7 +73,7 @@ func runClusterSerial(n int) []float64 {
 	c, ifaces, cfg := clusterCase(n)
 	cfg.Case = c
 	cfg.Interfaces = ifaces
-	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
+	s, err := f3d.NewReferenceSolver(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("check: cluster reference solver: %v", err))
 	}

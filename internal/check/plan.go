@@ -1,12 +1,8 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/autopar/pipeline"
-	"repro/internal/euler"
 	"repro/internal/f3d"
-	"repro/internal/grid"
 	"repro/internal/parloop"
 )
 
@@ -63,9 +59,7 @@ func planKernels() []Kernel {
 		sc := sc
 		ks = append(ks, Kernel{
 			Name: sc.name, N: 6, MinN: 3, Steps: f3dSteps,
-			Serial: func(n int) []float64 {
-				return runF3D(n, nil, false, f3d.ScalarKernels, nil)
-			},
+			Serial: runF3DReference,
 			Parallel: func(t *parloop.Team, spec Spec) []float64 {
 				return runF3DShape(spec.N, t, f3d.NewShapeCfg(sc.shape), spec.StepHook)
 			},
@@ -79,9 +73,7 @@ func planKernels() []Kernel {
 	// through both reconfigurations.
 	ks = append(ks, Kernel{
 		Name: "f3d-plan-applied", N: 6, MinN: 3, Steps: f3dSteps,
-		Serial: func(n int) []float64 {
-			return runF3D(n, nil, false, f3d.ScalarKernels, nil)
-		},
+		Serial: runF3DReference,
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			cfg := f3d.NewShapeCfg(f3d.StepShape{RHSJK: true, FissionRHS: true})
 			hook := func(step int) {
@@ -108,33 +100,5 @@ func planKernels() []Kernel {
 // runF3DShape is runF3D with the region structure driven by a shape
 // seam instead of the static Phases/Merged knobs.
 func runF3DShape(n int, team *parloop.Team, shape *f3d.ShapeCfg, hook func(step int)) []float64 {
-	cfg := f3d.DefaultConfig(grid.Single(n+2, n+1, n))
-	opts := f3d.CacheOptions{Team: team, Phases: f3d.AllPhases(), Shape: shape}
-	s, err := f3d.NewCacheSolver(cfg, opts)
-	if err != nil {
-		panic(fmt.Sprintf("check: f3d shaped solver: %v", err))
-	}
-	defer s.Close()
-	f3d.InitPulse(s, 0.01)
-	out := make([]float64, 0, 2*f3dSteps)
-	for i := 0; i < f3dSteps; i++ {
-		if hook != nil {
-			hook(i)
-		}
-		st := s.Step()
-		out = append(out, st.Residual, st.MaxDelta)
-	}
-	var buf [euler.NC]float64
-	for _, zs := range s.Zones() {
-		z := zs.Zone
-		for l := 0; l < z.LMax; l++ {
-			for k := 0; k < z.KMax; k++ {
-				for j := 0; j < z.JMax; j++ {
-					zs.Q.Point(j, k, l, buf[:])
-					out = append(out, buf[:]...)
-				}
-			}
-		}
-	}
-	return out
+	return runF3D(n, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases(), Shape: shape}, hook)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -192,10 +193,12 @@ func (c *HTTPClient) ReleaseShard(req ReleaseRequest) error {
 // shard API. Mount it under /shards/ (cmd/f3dd does).
 type ShardServer struct {
 	host *Host
+	// maxBody caps a request body; always maxShardBody outside tests.
+	maxBody int64
 }
 
 // NewShardServer wraps a host.
-func NewShardServer(h *Host) *ShardServer { return &ShardServer{host: h} }
+func NewShardServer(h *Host) *ShardServer { return &ShardServer{host: h, maxBody: maxShardBody} }
 
 // Host returns the served host.
 func (s *ShardServer) Host() *Host { return s.host }
@@ -209,21 +212,21 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/shards/create":
 		var req CreateShardRequest
-		if !decodeJSON(w, r, &req) {
+		if !s.decodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := s.host.Create(req)
 		writeShardResult(w, resp, err)
 	case "/shards/step":
 		var req StepRequest
-		if !decodeJSON(w, r, &req) {
+		if !s.decodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := s.host.Step(req)
 		writeShardResult(w, resp, err)
 	case "/shards/release":
 		var req ReleaseRequest
-		if !decodeJSON(w, r, &req) {
+		if !s.decodeJSON(w, r, &req) {
 			return
 		}
 		writeShardResult(w, struct{}{}, s.host.Release(req))
@@ -232,13 +235,42 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeJSON parses the request body, answering 400 on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+// maxShardBody caps a shard-API request body. The largest legitimate
+// body is a /shards/create whose Restore carries a snapshot of every
+// zone: 40 bytes per grid point, base64-wrapped (x4/3) — about 3.5 MB
+// for the benchmark's cluster case and 55 MB for the paper's
+// one-million-point case. 256 MiB leaves several times that while
+// still bounding what one request can make the daemon buffer.
+const maxShardBody = 256 << 20
+
+// decodeJSON parses the request body, answering 413 when it exceeds
+// the body cap and 400 on any other failure.
+func (s *ShardServer) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	if err := json.NewDecoder(body).Decode(into); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpJSONError(w, code, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
+}
+
+// readHeaderTimeout bounds how long a daemon waits for a connection to
+// finish sending its request headers, so idle or trickling clients
+// cannot pin connections forever.
+const readHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server both daemons listen with
+// (f3dd, and f3dc -serve). It sets only ReadHeaderTimeout: request
+// bodies are bounded by size (maxShardBody), and a ReadTimeout or
+// WriteTimeout would cut the long-lived SSE /trace/stream and long
+// shard steps.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // writeShardResult answers with the response or maps the host error to

@@ -33,8 +33,8 @@ func BenchmarkStepVariants(b *testing.B) {
 			s.Step()
 		}
 	})
-	b.Run("cache", func(b *testing.B) {
-		s := mustSolver(NewCacheSolver(cfg, CacheOptions{}))
+	b.Run("cache-scalar-reference", func(b *testing.B) {
+		s := mustSolver(NewReferenceSolver(cfg))
 		defer s.Close()
 		InitPulse(s, 0.02)
 		b.ResetTimer()
@@ -42,8 +42,8 @@ func BenchmarkStepVariants(b *testing.B) {
 			s.Step()
 		}
 	})
-	b.Run("cache-tuned", func(b *testing.B) {
-		s := mustSolver(NewCacheSolver(cfg, CacheOptions{Kernels: TunedKernels}))
+	b.Run("cache", func(b *testing.B) {
+		s := mustSolver(NewCacheSolver(cfg, CacheOptions{}))
 		defer s.Close()
 		InitPulse(s, 0.02)
 		b.ResetTimer()
@@ -100,10 +100,13 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 func BenchmarkSweepLineKernels(b *testing.B) {
 	cfg := benchConfig()
 	const n = 64
-	for _, impl := range []KernelImpl{ScalarKernels, TunedKernels} {
-		kern := kernelsFor(impl)
+	for _, impl := range []struct {
+		name string
+		kern *kernelSet
+	}{{"scalar", &scalarKernelSet}, {"tuned", &tunedKernelSet}} {
+		kern := impl.kern
 		for _, dissip4 := range []bool{false, true} {
-			name := impl.String()
+			name := impl.name
 			if dissip4 {
 				name += "-dissip4"
 			}

@@ -53,7 +53,7 @@ type blockScratch struct {
 
 func newBlockScratch(nmax int) *blockScratch {
 	return &blockScratch{
-		cs:  newCacheScratch(nmax, &scalarKernelSet),
+		cs:  newCacheScratch(nmax, &tunedKernelSet),
 		jac: make([]linalg.Mat5, nmax),
 		ba:  make([]linalg.Mat5, nmax),
 		bb:  make([]linalg.Mat5, nmax),

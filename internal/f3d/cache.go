@@ -63,12 +63,6 @@ type CacheOptions struct {
 	// paper's incremental workflow starts from. Not supported together
 	// with ZoneTeams (phases of different zones overlap in time).
 	Profiler *profile.Profiler
-	// Kernels selects the inner-loop kernel implementations: the scalar
-	// reference forms (the zero value) or the tuned batched/unrolled
-	// forms. The tuned kernels restructure loops without changing any
-	// per-element operation order, so results are bitwise identical —
-	// internal/check's matrix verifies the equivalence on every build.
-	Kernels KernelImpl
 	// Shape, when set, overrides Phases and Merged with an atomically
 	// reconfigurable StepShape: the solver loads it once per Step, so a
 	// plan produced from one run (or mid-run, between steps) applies at
@@ -155,12 +149,29 @@ type CacheSolver struct {
 	steps int
 }
 
-// NewCacheSolver builds the cache-tuned solver for cfg.
+// NewCacheSolver builds the cache-tuned solver for cfg. It always runs
+// the tuned inner-loop kernels (kernels_tuned.go): they restructure
+// loops without changing any per-element operation order, so results
+// are bitwise identical to the scalar reference forms — internal/check's
+// matrix verifies the equivalence on every build.
 func NewCacheSolver(cfg Config, opts CacheOptions) (*CacheSolver, error) {
+	return newCacheSolver(cfg, opts, &tunedKernelSet)
+}
+
+// NewReferenceSolver builds the conformance reference: the same solver
+// running the plain scalar kernels of kernels.go, serially. It takes no
+// options — in particular no Team — so a served path cannot end up on
+// the slow kernels by accident; internal/check, benchdump's
+// tuned-vs-scalar ratio series and the tests are its only callers.
+func NewReferenceSolver(cfg Config) (*CacheSolver, error) {
+	return newCacheSolver(cfg, CacheOptions{}, &scalarKernelSet)
+}
+
+func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &CacheSolver{cfg: cfg, opts: opts, team: opts.Team, kern: kernelsFor(opts.Kernels)}
+	s := &CacheSolver{cfg: cfg, opts: opts, team: opts.Team, kern: kern}
 	if len(opts.ZoneTeams) > 0 && len(opts.ZoneTeams) != len(cfg.Case.Zones) {
 		return nil, fmt.Errorf("f3d: ZoneTeams has %d teams for %d zones",
 			len(opts.ZoneTeams), len(cfg.Case.Zones))

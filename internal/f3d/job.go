@@ -19,6 +19,7 @@ type Job struct {
 	steps  int
 	pulse  float64
 	hook   func(step int) error
+	final  func(s Solver)
 	shape  *ShapeCfg
 	prefix string
 
@@ -46,6 +47,16 @@ func NewJob(name string, cfg Config, steps int, pulse float64) (*Job, error) {
 // called once the job is submitted.
 func (j *Job) WithStepHook(hook func(step int) error) *Job {
 	j.hook = hook
+	return j
+}
+
+// WithFinalHook installs a callback invoked on the job's goroutine
+// after the last time step, before the solver is released. The
+// conformance harness reads the final flow state through it, so the
+// served path is checked on more than its residual history; it must not
+// be called once the job is submitted.
+func (j *Job) WithFinalHook(final func(s Solver)) *Job {
+	j.final = final
 	return j
 }
 
@@ -116,6 +127,9 @@ func (j *Job) Run(g *sched.Grant) error {
 		j.hist.Residuals = append(j.hist.Residuals, st.Residual)
 		j.hist.Flops += st.Flops
 		j.mu.Unlock()
+	}
+	if j.final != nil {
+		j.final(s)
 	}
 	return nil
 }

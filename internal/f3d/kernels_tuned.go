@@ -15,32 +15,11 @@ import (
 // tuned results are bitwise identical to the scalar forms; the
 // conformance matrix in internal/check enforces that on every build.
 
-// KernelImpl selects which inner-loop kernel implementations a
-// CacheSolver runs.
-type KernelImpl int
-
-const (
-	// ScalarKernels runs the plain reference kernels (kernels.go) — the
-	// conformance baseline every other implementation is checked against.
-	ScalarKernels KernelImpl = iota
-	// TunedKernels runs the restructured kernels in this file: batched
-	// band solves, hoisted invariants, split geometry loops. Bitwise
-	// identical results, fewer instructions per point.
-	TunedKernels
-)
-
-// String returns the benchmark/series label of the implementation.
-func (k KernelImpl) String() string {
-	if k == TunedKernels {
-		return "tuned"
-	}
-	return "scalar"
-}
-
 // kernelSet is the dispatch seam between the cache solver's loop
 // drivers and the per-line kernels. The drivers (rhsPassJK, rhsPassL,
-// sweepJK, sweepLUpdate) call through the worker's set, so scalar and
-// tuned variants share every line of driver code.
+// sweepJK, sweepLUpdate) call through the worker's set, so the scalar
+// reference and the tuned production kernels share every line of
+// driver code.
 type kernelSet struct {
 	sweepLine func(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool)
 	rhsFlux   func(ax euler.Axis, q []linalg.Vec5, flux []linalg.Vec5, sigma []float64, n int)
@@ -48,17 +27,12 @@ type kernelSet struct {
 }
 
 var (
-	scalarKernelSet = kernelSet{sweepLine: sweepLineMode, rhsFlux: rhsLineFlux, rhsAccum: rhsLineAccum}
+	// tunedKernelSet is what every solver built by NewCacheSolver or
+	// NewBlockSolver runs; scalarKernelSet is the conformance reference,
+	// bound only by NewReferenceSolver.
 	tunedKernelSet  = kernelSet{sweepLine: sweepLineModeTuned, rhsFlux: rhsLineFluxTuned, rhsAccum: rhsLineAccumTuned}
+	scalarKernelSet = kernelSet{sweepLine: sweepLineMode, rhsFlux: rhsLineFlux, rhsAccum: rhsLineAccum}
 )
-
-// kernelsFor maps the option value to its kernel set.
-func kernelsFor(impl KernelImpl) *kernelSet {
-	if impl == TunedKernels {
-		return &tunedKernelSet
-	}
-	return &scalarKernelSet
-}
 
 // The lane-batched solvers are locked to one lane per characteristic
 // field; this fails to compile if the two constants ever diverge.

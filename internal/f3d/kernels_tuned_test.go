@@ -140,16 +140,16 @@ func TestPencilCapacityValidatedUpFront(t *testing.T) {
 
 // TestCacheSolverTunedKernelsBitwise runs full solves — serial,
 // team-parallel, merged regions, stretched viscous, fourth-order
-// implicit dissipation — with TunedKernels and requires the residual
-// history and every conserved value to match the scalar-kernel solver
-// bit for bit.
+// implicit dissipation — on the production (tuned) kernels and requires
+// the residual history and every conserved value to match the serial
+// scalar reference solver bit for bit.
 func TestCacheSolverTunedKernelsBitwise(t *testing.T) {
 	team := parloop.NewTeam(4)
 	defer team.Close()
 	cases := []struct {
 		name string
 		cfg  Config
-		opts CacheOptions // Kernels is overridden per solver
+		opts CacheOptions
 	}{
 		{"serial", testConfig(9, 8, 7), CacheOptions{}},
 		{"team", testConfig(9, 8, 7), CacheOptions{Team: team, Phases: AllPhases()}},
@@ -174,12 +174,12 @@ func TestCacheSolverTunedKernelsBitwise(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			optsScalar := tc.opts
-			optsScalar.Kernels = ScalarKernels
-			optsTuned := tc.opts
-			optsTuned.Kernels = TunedKernels
-			ref := newCache(t, tc.cfg, optsScalar)
-			tun := newCache(t, tc.cfg, optsTuned)
+			ref, err := NewReferenceSolver(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ref.Close)
+			tun := newCache(t, tc.cfg, tc.opts)
 			InitPulse(ref, 0.02)
 			InitPulse(tun, 0.02)
 			for step := 0; step < 4; step++ {

@@ -44,20 +44,59 @@ func lineIndex(ax euler.Axis, i, a, b int) (j, k, l int) {
 	}
 }
 
-// loadLine gathers the n points of a line into dst.
+// lineSpan returns, for a PointMajor field of NC components, the flat
+// offset of the first component of a line's point 0 and the offset
+// step between consecutive points of the line. Both come from
+// Zone.Index, so the zone keeps sole ownership of the point order.
+func lineSpan(z *grid.Zone, ax euler.Axis, a, b int) (base, stride int) {
+	j0, k0, l0 := lineIndex(ax, 0, a, b)
+	j1, k1, l1 := lineIndex(ax, 1, a, b)
+	p0 := z.Index(j0, k0, l0)
+	return p0 * euler.NC, (z.Index(j1, k1, l1) - p0) * euler.NC
+}
+
+// pointMajor5 reports whether f stores whole Vec5 state vectors
+// contiguously, the layout the strided line copies below rely on. The
+// VectorSolver's ComponentMajor fields take the per-point path.
+func pointMajor5(f *grid.StateField) bool {
+	return f.Layout == grid.PointMajor && f.NC == euler.NC
+}
+
+// loadLine gathers the n points of a line into dst. For the PointMajor
+// layout the base offset and stride are computed once per line and each
+// point is one Vec5 copy; the slice expressions keep every access
+// bounds-checked.
 func loadLine(f *grid.StateField, ax euler.Axis, a, b int, dst []linalg.Vec5, n int) {
-	for i := 0; i < n; i++ {
-		j, k, l := lineIndex(ax, i, a, b)
-		f.Point(j, k, l, dst[i][:])
+	if !pointMajor5(f) {
+		for i := 0; i < n; i++ {
+			j, k, l := lineIndex(ax, i, a, b)
+			f.Point(j, k, l, dst[i][:])
+		}
+		return
+	}
+	off, stride := lineSpan(f.Zone, ax, a, b)
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = linalg.Vec5(f.Data[off : off+euler.NC])
+		off += stride
 	}
 }
 
 // storeLineInterior scatters src[1..n-2] back to the field, leaving the
 // line's boundary points untouched.
 func storeLineInterior(f *grid.StateField, ax euler.Axis, a, b int, src []linalg.Vec5, n int) {
-	for i := 1; i <= n-2; i++ {
-		j, k, l := lineIndex(ax, i, a, b)
-		f.SetPoint(j, k, l, src[i][:])
+	if !pointMajor5(f) {
+		for i := 1; i <= n-2; i++ {
+			j, k, l := lineIndex(ax, i, a, b)
+			f.SetPoint(j, k, l, src[i][:])
+		}
+		return
+	}
+	off, stride := lineSpan(f.Zone, ax, a, b)
+	src = src[:n]
+	for i := 1; i < len(src)-1; i++ {
+		off += stride
+		*(*linalg.Vec5)(f.Data[off : off+euler.NC]) = src[i]
 	}
 }
 

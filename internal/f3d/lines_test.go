@@ -40,46 +40,65 @@ func TestLineEnumerationCoversZone(t *testing.T) {
 	}
 }
 
-func TestLoadStoreLineRoundTrip(t *testing.T) {
-	z := grid.NewZone("z", 6, 5, 4)
-	for _, layout := range []grid.Layout{grid.ComponentMajor, grid.PointMajor} {
-		for _, ax := range []euler.Axis{euler.X, euler.Y, euler.Z} {
-			f := grid.NewStateField(&z, euler.NC, layout)
-			for i := range f.Data {
-				f.Data[i] = float64(i + 1)
-			}
-			n := lineLen(&z, ax)
-			buf := make([]linalg.Vec5, n)
-			loadLine(&f, ax, 1, 2, buf, n)
-			// Verify against direct indexing.
-			var want [euler.NC]float64
-			for i := 0; i < n; i++ {
-				j, k, l := lineIndex(ax, i, 1, 2)
-				f.Point(j, k, l, want[:])
-				if [euler.NC]float64(buf[i]) != want {
-					t.Fatalf("%v %v: line point %d mismatch", layout, ax, i)
+// TestLoadStoreLine pins the line layer against per-point access: for
+// every line of zones with three distinct dimensions, on all three axes
+// and in both layouts, loadLine must return exactly what Point returns,
+// and storeLineInterior must write exactly points 1..n-2 of that line —
+// the two boundary points and every other line stay untouched. A wrong
+// base or stride in the PointMajor fast path fails here even on cases
+// symmetric enough to leave the solver's residual checks green.
+func TestLoadStoreLine(t *testing.T) {
+	for _, dims := range [][3]int{{6, 5, 4}, {3, 7, 5}, {4, 3, 9}} {
+		z := grid.NewZone("z", dims[0], dims[1], dims[2])
+		for _, layout := range []grid.Layout{grid.ComponentMajor, grid.PointMajor} {
+			for _, ax := range []euler.Axis{euler.X, euler.Y, euler.Z} {
+				f := grid.NewStateField(&z, euler.NC, layout)
+				for i := range f.Data {
+					f.Data[i] = float64(i + 1)
 				}
-			}
-			// storeLineInterior writes back interior only.
-			for i := range buf {
-				for c := range buf[i] {
-					buf[i][c] = -buf[i][c]
-				}
-			}
-			storeLineInterior(&f, ax, 1, 2, buf, n)
-			var got [euler.NC]float64
-			j, k, l := lineIndex(ax, 0, 1, 2)
-			f.Point(j, k, l, got[:])
-			for c := 0; c < euler.NC; c++ {
-				if got[c] < 0 {
-					t.Fatalf("%v %v: boundary point was overwritten", layout, ax)
-				}
-			}
-			j, k, l = lineIndex(ax, 1, 1, 2)
-			f.Point(j, k, l, got[:])
-			for c := 0; c < euler.NC; c++ {
-				if got[c] > 0 {
-					t.Fatalf("%v %v: interior point not stored", layout, ax)
+				n := lineLen(&z, ax)
+				buf := make([]linalg.Vec5, n)
+				outer, inner := crossDims(&z, ax)
+				for o := 0; o < outer; o++ {
+					for in := 0; in < inner; in++ {
+						a, b := crossIndex(ax, o, in)
+						loadLine(&f, ax, a, b, buf, n)
+						var want [euler.NC]float64
+						for i := 0; i < n; i++ {
+							j, k, l := lineIndex(ax, i, a, b)
+							f.Point(j, k, l, want[:])
+							if [euler.NC]float64(buf[i]) != want {
+								t.Fatalf("%v %v %v line (%d,%d): point %d = %v, want %v",
+									dims, layout, ax, a, b, i, buf[i], want)
+							}
+						}
+
+						// Store the negated line; the expected field is the
+						// original with the interior points negated one by one.
+						wantData := append([]float64(nil), f.Data...)
+						wantField := f
+						wantField.Data = wantData
+						for i := range buf {
+							for c := range buf[i] {
+								buf[i][c] = -buf[i][c]
+							}
+						}
+						for i := 1; i <= n-2; i++ {
+							j, k, l := lineIndex(ax, i, a, b)
+							wantField.SetPoint(j, k, l, buf[i][:])
+						}
+						storeLineInterior(&f, ax, a, b, buf, n)
+						for i := range f.Data {
+							if f.Data[i] != wantData[i] {
+								t.Fatalf("%v %v %v line (%d,%d): Data[%d] = %v after store, want %v",
+									dims, layout, ax, a, b, i, f.Data[i], wantData[i])
+							}
+						}
+						// Restore for the next line.
+						for i := range f.Data {
+							f.Data[i] = float64(i + 1)
+						}
+					}
 				}
 			}
 		}
