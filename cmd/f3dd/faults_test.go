@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strings"
@@ -47,6 +48,39 @@ func TestMalformedBodiesOverHTTP(t *testing.T) {
 	}
 	if m := ts.metrics(); m.Submitted != 0 {
 		t.Errorf("malformed bodies were admitted: submitted = %d", m.Submitted)
+	}
+
+	// The shard endpoints take a binary frame (internal/cluster
+	// frame.go): magic, header length, JSON header, raw blobs. Anything
+	// else — including the JSON bodies they once took — is a 400; a
+	// length field over the 256 MiB cap is a 413 before a byte is
+	// buffered for it.
+	frame := func(header, blobs string) string {
+		b := binary.BigEndian.AppendUint32([]byte{0xf3, 0xd5, 0xf0, 0x01}, uint32(len(header)))
+		return string(b) + header + blobs
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"empty", "", http.StatusBadRequest},
+		{"old JSON body", `{"job":"j","id":"j-1","step":0}`, http.StatusBadRequest},
+		{"bad magic", "\xf3\xd5\xf0\x02" + frame(`{"msg":{}}`, "")[4:], http.StatusBadRequest},
+		{"short header", frame(`{"msg":{}}`, "")[:11], http.StatusBadRequest},
+		{"header not JSON", frame(`{"msg":`, ""), http.StatusBadRequest},
+		{"length past body", frame(`{"msg":{},"planes":[64]}`, "0123456789abcdef"), http.StatusBadRequest},
+		{"length over the cap", frame(`{"msg":{},"planes":[1099511627776]}`, ""), http.StatusRequestEntityTooLarge},
+		{"well-formed, names no shard", frame(`{"msg":{"id":"nope"}}`, ""), http.StatusBadRequest},
+	} {
+		for _, path := range []string{"/shards/create", "/shards/step"} {
+			if code := ts.doRaw("POST", path, tc.body); code != tc.want {
+				t.Errorf("POST %s, %s = %d, want %d", path, tc.name, code, tc.want)
+			}
+		}
+	}
+	var hz healthzReply
+	if code := ts.do("GET", "/healthz", nil, &hz); code != http.StatusOK || hz.Shards != 0 {
+		t.Errorf("malformed frames left %d shards behind (healthz %d)", hz.Shards, code)
 	}
 }
 

@@ -42,7 +42,12 @@
 //	                         new work here
 //	POST   /shards/create    cluster shard API: host one shard of a
 //	POST   /shards/step      sharded multi-zone solve, driven in
-//	POST   /shards/release   lockstep by f3dc (see internal/cluster)
+//	POST   /shards/release   lockstep by f3dc. create and step take and
+//	                         answer a binary frame (JSON header + raw
+//	                         plane/snapshot blobs; layout in
+//	                         internal/cluster/frame.go), capped at
+//	                         256 MiB -> 413, malformed or JSON -> 400;
+//	                         release is plain JSON
 //
 // With -adapt the daemon accepts "adaptive" jobs — ragged loops
 // re-scheduled per step by a live feedback controller (internal/adapt)

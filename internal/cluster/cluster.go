@@ -19,8 +19,12 @@
 //
 // The transport is an interface: LocalWorker runs shards in-process
 // for deterministic tests (with injectable node loss and slow links),
-// HTTPClient/ShardServer carry the same wire types over HTTP between
-// cmd/f3dc and cmd/f3dd. Failover is checkpoint-rollback: the engine
+// HTTPClient/ShardServer carry the same messages over HTTP between
+// cmd/f3dc and cmd/f3dd. Bulk data — boundary planes, checkpoint
+// snapshots — is encoded bytes in every message and crosses HTTP as
+// raw blobs behind a small JSON header in one length-prefixed frame
+// (layout in frame.go), so the per-step sync event costs a memory copy,
+// not a text encoding. Failover is checkpoint-rollback: the engine
 // snapshots all zones every CheckpointEvery steps, and when a worker
 // is lost mid-solve it re-plans over the survivors, restores the last
 // checkpoint and replays — deterministically, so the history a client
@@ -31,7 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -87,7 +90,7 @@ type CreateShardRequest struct {
 	// Restore, when non-empty, overwrites the initial state with
 	// checkpointed zone snapshots (global zone indices) — the failover
 	// path.
-	Restore []SnapshotWire `json:"restore,omitempty"`
+	Restore []SnapshotWire `json:"-"`
 	// Step is the lockstep step the shard starts at (0 for a fresh
 	// solve, the checkpoint step after a failover).
 	Step int `json:"step"`
@@ -105,7 +108,7 @@ type CreateShardResponse struct {
 	ID string `json:"id"`
 	// Planes holds f3d.BoundaryPlane.MarshalBinary payloads addressed
 	// to *global* receiver zones.
-	Planes [][]byte `json:"planes,omitempty"`
+	Planes [][]byte `json:"-"`
 }
 
 // StepRequest advances one shard one time step.
@@ -118,12 +121,17 @@ type StepRequest struct {
 	// Planes are the incoming boundary planes (binary payloads,
 	// global receiver zones) captured by neighbours at the current
 	// time level.
-	Planes [][]byte `json:"planes,omitempty"`
+	Planes [][]byte `json:"-"`
 	// Checkpoint asks for zone snapshots of the post-step state.
 	Checkpoint bool `json:"checkpoint,omitempty"`
 	// Trace is the solve id this lockstep step belongs to (Step is
 	// its epoch); it correlates worker-side spans across the fleet.
 	Trace string `json:"trace,omitempty"`
+	// Reuse offers buffers the callee may fill with the response's
+	// snapshots instead of allocating: the coordinator passes the
+	// checkpoint it is about to drop. The caller must hold no other
+	// reference to them. It never crosses the wire.
+	Reuse [][]byte `json:"-"`
 }
 
 // ZonePart is one zone's contribution to the global step statistics.
@@ -145,10 +153,10 @@ type StepResponse struct {
 	MaxDelta float64 `json:"max_delta"`
 	// Planes are the donor planes captured from the post-step state —
 	// the neighbours' input for the next step.
-	Planes [][]byte `json:"planes,omitempty"`
+	Planes [][]byte `json:"-"`
 	// Snapshots holds the post-step zone checkpoints when the request
 	// asked for them (global zone indices).
-	Snapshots []SnapshotWire `json:"snapshots,omitempty"`
+	Snapshots []SnapshotWire `json:"-"`
 }
 
 // ReleaseRequest frees one shard.
@@ -162,47 +170,15 @@ type ReleaseRequest struct {
 	Epoch int64  `json:"epoch,omitempty"`
 }
 
-// SnapshotWire is the transport form of f3d.ZoneSnapshot: the zone's
-// conserved field as packed IEEE-754 bits, so checkpoints survive the
-// wire bit-exactly just like boundary planes.
+// SnapshotWire is one zone's checkpoint in transport form: the zone's
+// conserved field as packed IEEE-754 bits (f3d.AppendZoneState), so
+// checkpoints survive the wire bit-exactly just like boundary planes.
+// The coordinator never decodes Data; it hands the bits back on a
+// failover Restore.
 type SnapshotWire struct {
-	Zone int    `json:"zone"`
-	Data []byte `json:"data"`
-}
-
-// packFloats encodes values as big-endian IEEE-754 bits.
-func packFloats(vs []float64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		putFloat(out[8*i:], v)
-	}
-	return out
-}
-
-// unpackFloats decodes packFloats output.
-func unpackFloats(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("cluster: packed floats of %d bytes", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = getFloat(b[8*i:])
-	}
-	return out, nil
-}
-
-// wireSnapshot converts a zone snapshot to its wire form.
-func wireSnapshot(s f3d.ZoneSnapshot) SnapshotWire {
-	return SnapshotWire{Zone: s.Zone, Data: packFloats(s.Data)}
-}
-
-// snapshot converts back from the wire form.
-func (w SnapshotWire) snapshot() (f3d.ZoneSnapshot, error) {
-	data, err := unpackFloats(w.Data)
-	if err != nil {
-		return f3d.ZoneSnapshot{}, err
-	}
-	return f3d.ZoneSnapshot{Zone: w.Zone, Data: data}, nil
+	// Zone is the global zone index.
+	Zone int
+	Data []byte
 }
 
 // captureSpec is one donor plane a shard must capture every step: the
@@ -214,14 +190,29 @@ type captureSpec struct {
 	recvGlobal int
 }
 
-// shard is one hosted piece of a sharded solve.
+// shard is one hosted piece of a sharded solve. mu serializes
+// everything that touches the solver: it is held across a whole Step,
+// so a duplicate in-flight step waits and then fails the lockstep
+// check, and a release waits for the running step before closing.
 type shard struct {
 	job      string
 	lo, hi   int
-	solver   *f3d.CacheSolver
 	captures []captureSpec
-	inbox    []f3d.BoundaryPlane // local-addressed, set before each Step
-	step     int
+
+	mu     sync.Mutex
+	solver *f3d.CacheSolver
+	inbox  []f3d.BoundaryPlane // local-addressed, set before each Step
+	step   int
+	closed bool // released while a step was waiting on mu
+}
+
+// close frees the shard's solver once no step is running on it. The
+// caller has already unlinked the shard from the host, so it runs once.
+func (sh *shard) close() {
+	sh.mu.Lock()
+	sh.solver.Close()
+	sh.closed = true
+	sh.mu.Unlock()
 }
 
 // Host runs shards on a worker. It is the worker-side half of every
@@ -259,13 +250,15 @@ func (h *Host) ShardCount() int {
 	return len(h.shards)
 }
 
-// Close releases every shard.
+// Close releases every shard, waiting out any step still running. The
+// host lock is dropped first so a long step never blocks the host.
 func (h *Host) Close() {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for id, sh := range h.shards {
-		sh.solver.Close()
-		delete(h.shards, id)
+	shards := h.shards
+	h.shards = make(map[string]*shard)
+	h.mu.Unlock()
+	for _, sh := range shards {
+		sh.close()
 	}
 }
 
@@ -309,13 +302,7 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	sh.solver = solver
 	f3d.InitPulse(solver, req.PulseAmp)
 	for _, w := range req.Restore {
-		snap, err := w.snapshot()
-		if err != nil {
-			solver.Close()
-			return CreateShardResponse{}, err
-		}
-		snap.Zone -= req.Lo
-		if err := snap.Restore(solver); err != nil {
+		if err := f3d.RestoreZoneState(solver, w.Zone-req.Lo, w.Data); err != nil {
 			solver.Close()
 			return CreateShardResponse{}, fmt.Errorf("cluster: restore: %w", err)
 		}
@@ -392,6 +379,11 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	if !ok {
 		return StepResponse{}, fmt.Errorf("cluster: no shard %q", req.ID)
 	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return StepResponse{}, fmt.Errorf("cluster: no shard %q", req.ID)
+	}
 	traced := tr.Enabled()
 	var t0, tDecoded, tStepped time.Time
 	if traced {
@@ -439,12 +431,11 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	if req.Checkpoint {
 		resp.Snapshots = make([]SnapshotWire, 0, sh.hi-sh.lo)
 		for zi := 0; zi < sh.hi-sh.lo; zi++ {
-			snap, err := f3d.SnapshotZone(sh.solver, zi)
+			data, err := f3d.AppendZoneState(takeBuf(&req.Reuse), sh.solver, zi)
 			if err != nil {
 				return StepResponse{}, err
 			}
-			snap.Zone = sh.lo + zi
-			resp.Snapshots = append(resp.Snapshots, wireSnapshot(snap))
+			resp.Snapshots = append(resp.Snapshots, SnapshotWire{Zone: sh.lo + zi, Data: data})
 		}
 	}
 	if traced {
@@ -464,14 +455,26 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 // bookkeeping bugs surface).
 func (h *Host) Release(req ReleaseRequest) error {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	sh, ok := h.shards[req.ID]
+	delete(h.shards, req.ID)
+	h.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("cluster: no shard %q", req.ID)
 	}
-	sh.solver.Close()
-	delete(h.shards, req.ID)
+	sh.close()
 	return nil
+}
+
+// takeBuf takes the first buffer off a free list, emptied; nil when
+// none is left. Taking in order keeps each zone on the buffer it filled
+// last time, which is the one that fits.
+func takeBuf(free *[][]byte) []byte {
+	if len(*free) == 0 {
+		return nil
+	}
+	b := (*free)[0]
+	*free = (*free)[1:]
+	return b[:0]
 }
 
 // planeReceiver peeks the global receiver zone out of an encoded
@@ -481,7 +484,7 @@ func planeReceiver(b []byte) (int, error) {
 	if len(b) < 8 {
 		return 0, fmt.Errorf("cluster: plane payload of %d bytes", len(b))
 	}
-	return int(getUint32(b[4:])), nil
+	return int(binary.BigEndian.Uint32(b[4:])), nil
 }
 
 // interiorPoints sums the implicit-update interior of the zones, the
@@ -494,9 +497,3 @@ func interiorPoints(zones []grid.Zone) int {
 	}
 	return total
 }
-
-func putFloat(b []byte, v float64) { binary.BigEndian.PutUint64(b, math.Float64bits(v)) }
-
-func getFloat(b []byte) float64 { return math.Float64frombits(binary.BigEndian.Uint64(b)) }
-
-func getUint32(b []byte) uint32 { return binary.BigEndian.Uint32(b) }

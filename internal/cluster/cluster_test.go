@@ -180,6 +180,56 @@ func TestFailoverReproducesHistory(t *testing.T) {
 	}
 }
 
+// snapRecorder notes which buffer each zone's checkpoint came back in,
+// step by step.
+type snapRecorder struct {
+	WorkerClient
+	bufs map[int][]*byte // zone -> first byte of each step's snapshot
+}
+
+func (r *snapRecorder) StepShard(req StepRequest) (StepResponse, error) {
+	resp, err := r.WorkerClient.StepShard(req)
+	for _, s := range resp.Snapshots {
+		r.bufs[s.Zone] = append(r.bufs[s.Zone], &s.Data[0])
+	}
+	return resp, err
+}
+
+// TestCheckpointBuffersAlternate: per-step checkpoints cycle through
+// two buffer sets — a step never writes into the checkpoint a failover
+// would restore (the previous step's), and after the first two steps
+// it allocates no snapshot storage.
+func TestCheckpointBuffersAlternate(t *testing.T) {
+	const steps = 7
+	want, _ := referenceHistory(t, steps)
+	c := New(Config{})
+	rec := &snapRecorder{WorkerClient: NewLocalWorker("solo", nil), bufs: map[int][]*byte{}}
+	if err := c.Register("solo", rec); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	zones, ifaces, cfg, amp := testCase()
+	res, err := c.Solve(SolveSpec{Job: "alt", Zones: zones, Interfaces: ifaces,
+		Config: cfg, PulseAmp: amp, Steps: steps})
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	assertHistoryBitwise(t, res.History, want)
+	for zi := range zones {
+		got := rec.bufs[zi]
+		if len(got) != steps {
+			t.Fatalf("zone %d: %d checkpoints over %d steps", zi, len(got), steps)
+		}
+		for s := 1; s < steps; s++ {
+			if got[s] == got[s-1] {
+				t.Errorf("zone %d: step %d overwrote the live checkpoint's buffer", zi, s)
+			}
+			if s >= 2 && got[s] != got[s-2] {
+				t.Errorf("zone %d: step %d allocated instead of reusing the dropped checkpoint", zi, s)
+			}
+		}
+	}
+}
+
 // TestFailoverWithSparseCheckpoints disables per-step checkpoints so
 // the rollback replays several steps, and also exercises the
 // no-checkpoint-yet path (replay from the initial state).
@@ -464,27 +514,6 @@ func TestHostErrors(t *testing.T) {
 	}
 	if err := h.Release(ReleaseRequest{ID: resp.ID}); err != nil {
 		t.Errorf("release: %v", err)
-	}
-}
-
-// TestSnapshotWireRoundTrip: packed checkpoints are bit-exact.
-func TestSnapshotWireRoundTrip(t *testing.T) {
-	orig := f3d.ZoneSnapshot{Zone: 2, Data: []float64{1.0 / 3, math.Nextafter(1, 2), -0.0, 42}}
-	w := wireSnapshot(orig)
-	back, err := w.snapshot()
-	if err != nil {
-		t.Fatalf("unpack: %v", err)
-	}
-	if back.Zone != orig.Zone || len(back.Data) != len(orig.Data) {
-		t.Fatalf("shape changed: %+v", back)
-	}
-	for i := range orig.Data {
-		if math.Float64bits(back.Data[i]) != math.Float64bits(orig.Data[i]) {
-			t.Fatalf("Data[%d] not bitwise", i)
-		}
-	}
-	if _, err := (SnapshotWire{Data: []byte{1, 2, 3}}).snapshot(); err == nil {
-		t.Error("ragged packed data accepted")
 	}
 }
 

@@ -9,15 +9,18 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // HTTPClient is the WorkerClient a coordinator uses to drive a remote
-// f3dd over its shard API (mounted by ShardServer). Planes and
-// snapshots travel as base64-wrapped binary payloads inside the JSON
-// bodies, so the IEEE-754 bits survive the wire exactly.
+// f3dd over its shard API (mounted by ShardServer). Create and step
+// bodies cross as binary frames (frame.go): planes and snapshots are
+// raw blobs behind a small JSON header, so the IEEE-754 bits survive
+// the wire exactly and nothing bulky is parsed as text. Responses are
+// held to the same maxShardBody cap the worker applies to requests.
 type HTTPClient struct {
 	// BaseURL is the worker daemon's root, e.g. "http://host:8080".
 	BaseURL string
@@ -33,18 +36,14 @@ func (c *HTTPClient) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// post sends a JSON request body and decodes the JSON response into
-// out (out == nil discards the body). Non-2xx responses become errors
-// carrying the server's error text; transport-level failures map to
+// post sends one request body and, on a 2xx answer, hands the response
+// to read (nil discards it). Non-2xx responses become errors carrying
+// the server's error text; transport-level failures map to
 // ErrWorkerDown so the engine's failover treats an unreachable daemon
 // like a dead one.
-func (c *HTTPClient) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("cluster: encode %s request: %w", path, err)
-	}
+func (c *HTTPClient) post(path, contentType string, body []byte, read func(*http.Response) error) error {
 	url := strings.TrimRight(c.BaseURL, "/") + path
-	resp, err := c.httpClient().Post(url, "application/json", bytes.NewReader(body))
+	resp, err := c.httpClient().Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrWorkerDown, err)
 	}
@@ -53,13 +52,35 @@ func (c *HTTPClient) post(path string, in, out any) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if out == nil {
+	if read == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: decode %s response: %w", path, err)
+	return read(resp)
+}
+
+// postJSON sends a small JSON request whose response body nobody needs
+// (release, trace toggle).
+func (c *HTTPClient) postJSON(path string, in any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
-	return nil
+	return c.post(path, "application/json", body, nil)
+}
+
+// postFrame sends in as one frame and decodes the framed response into
+// out, refusing a response larger than maxShardBody.
+func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
+	var body bytes.Buffer
+	if err := writeFrame(&body, in, func(n int64) { body.Grow(int(n)) }); err != nil {
+		return fmt.Errorf("cluster: encode %s request: %w", path, err)
+	}
+	return c.post(path, frameContentType, body.Bytes(), func(resp *http.Response) error {
+		if err := readFrame(resp.Body, maxShardBody, resp.ContentLength, out, reuse); err != nil {
+			return fmt.Errorf("cluster: decode %s response: %w", path, err)
+		}
+		return nil
+	})
 }
 
 // Ping implements WorkerClient via the daemon's readiness endpoint: a
@@ -167,26 +188,26 @@ func (c *HTTPClient) FetchMetrics() (string, error) {
 // coordinator starting a traced solve can switch its workers' rings
 // on first.
 func (c *HTTPClient) SetTrace(enabled, reset bool) error {
-	return c.post("/trace/enable", map[string]bool{"enabled": enabled, "reset": reset}, nil)
+	return c.postJSON("/trace/enable", map[string]bool{"enabled": enabled, "reset": reset})
 }
 
 // CreateShard implements WorkerClient.
 func (c *HTTPClient) CreateShard(req CreateShardRequest) (CreateShardResponse, error) {
 	var resp CreateShardResponse
-	err := c.post("/shards/create", req, &resp)
+	err := c.postFrame("/shards/create", &req, &resp, nil)
 	return resp, err
 }
 
 // StepShard implements WorkerClient.
 func (c *HTTPClient) StepShard(req StepRequest) (StepResponse, error) {
 	var resp StepResponse
-	err := c.post("/shards/step", req, &resp)
+	err := c.postFrame("/shards/step", &req, &resp, req.Reuse)
 	return resp, err
 }
 
 // ReleaseShard implements WorkerClient.
 func (c *HTTPClient) ReleaseShard(req ReleaseRequest) error {
-	return c.post("/shards/release", req, nil)
+	return c.postJSON("/shards/release", req)
 }
 
 // ShardServer exposes a Host over HTTP: the worker-daemon side of the
@@ -195,6 +216,8 @@ type ShardServer struct {
 	host *Host
 	// maxBody caps a request body; always maxShardBody outside tests.
 	maxBody int64
+	// snapBufs holds *[][]byte: snapshot buffers of answered steps.
+	snapBufs sync.Pool
 }
 
 // NewShardServer wraps a host.
@@ -212,51 +235,70 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/shards/create":
 		var req CreateShardRequest
-		if !s.decodeJSON(w, r, &req) {
+		if !s.decodeFrame(w, r, &req) {
 			return
 		}
 		resp, err := s.host.Create(req)
-		writeShardResult(w, resp, err)
+		writeShardResult(w, &resp, err)
 	case "/shards/step":
 		var req StepRequest
-		if !s.decodeJSON(w, r, &req) {
+		if !s.decodeFrame(w, r, &req) {
 			return
 		}
+		// The checkpoint bits are encoded into the buffers an answered
+		// step handed back, not into fresh ones every step.
+		bufs, _ := s.snapBufs.Get().(*[][]byte)
+		if bufs == nil {
+			bufs = new([][]byte)
+		}
+		req.Reuse = *bufs
 		resp, err := s.host.Step(req)
-		writeShardResult(w, resp, err)
+		writeShardResult(w, &resp, err)
+		*bufs = (*bufs)[:0]
+		for i := range resp.Snapshots {
+			*bufs = append(*bufs, resp.Snapshots[i].Data)
+		}
+		s.snapBufs.Put(bufs)
 	case "/shards/release":
-		var req ReleaseRequest
-		if !s.decodeJSON(w, r, &req) {
+		var req ReleaseRequest // tiny: stays plain JSON
+		if !s.decode(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(&req) }) {
 			return
 		}
-		writeShardResult(w, struct{}{}, s.host.Release(req))
+		writeShardResult(w, nil, s.host.Release(req))
 	default:
 		httpJSONError(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %q", r.URL.Path))
 	}
 }
 
-// maxShardBody caps a shard-API request body. The largest legitimate
-// body is a /shards/create whose Restore carries a snapshot of every
-// zone: 40 bytes per grid point, base64-wrapped (x4/3) — about 3.5 MB
-// for the benchmark's cluster case and 55 MB for the paper's
-// one-million-point case. 256 MiB leaves several times that while
-// still bounding what one request can make the daemon buffer.
+// maxShardBody caps a shard-API body, in both directions: requests a
+// worker reads and responses a coordinator reads. The largest
+// legitimate body is a /shards/create whose Restore carries a snapshot
+// of every zone, 40 bytes per grid point — about 2.6 MB for the
+// benchmark's cluster case and 40 MB for the paper's one-million-point
+// case. 256 MiB leaves several times that while still bounding what one
+// body can make a process buffer.
 const maxShardBody = 256 << 20
 
-// decodeJSON parses the request body, answering 413 when it exceeds
-// the body cap and 400 on any other failure.
-func (s *ShardServer) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
+// decode runs parse over the capped request body, answering 413 when
+// the body exceeds the cap and 400 on any other failure.
+func (s *ShardServer) decode(w http.ResponseWriter, r *http.Request, parse func(body io.Reader) error) bool {
+	if err := parse(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.As(err, &tooBig) || errors.Is(err, errFrameTooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		httpJSONError(w, code, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
+}
+
+// decodeFrame parses a framed request body (create, step) into req.
+func (s *ShardServer) decodeFrame(w http.ResponseWriter, r *http.Request, req any) bool {
+	return s.decode(w, r, func(body io.Reader) error {
+		return readFrame(body, s.maxBody, r.ContentLength, req, nil)
+	})
 }
 
 // readHeaderTimeout bounds how long a daemon waits for a connection to
@@ -273,16 +315,32 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
-// writeShardResult answers with the response or maps the host error to
-// a status: unknown shards/endpoints are 404-shaped conflicts (409 for
-// lockstep mismatches would overfit; 400 carries the message fine).
+// writeShardResult answers with the framed response (an empty JSON
+// object when there is none) or maps the host error to a status:
+// unknown shards/endpoints are 404-shaped conflicts (409 for lockstep
+// mismatches would overfit; 400 carries the message fine).
 func writeShardResult(w http.ResponseWriter, resp any, err error) {
 	if err != nil {
 		httpJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	if resp == nil {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, "{}\n")
+		return
+	}
+	started := false
+	err = writeFrame(w, resp, func(n int64) {
+		started = true
+		w.Header().Set("Content-Type", frameContentType)
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	})
+	if err != nil && !started {
+		// The header failed to encode (a NaN residual, say) before a
+		// byte went out. Once started, a write error means the
+		// coordinator hung up; it sees that as a lost worker.
+		httpJSONError(w, http.StatusInternalServerError, err.Error())
+	}
 }
 
 // httpJSONError answers an error as {"error": ...}.

@@ -9,10 +9,10 @@ import (
 )
 
 // LocalWorker is the in-process transport: a WorkerClient wrapping its
-// own Host directly, with injectable faults. It carries the same wire
-// payloads as the HTTP transport — planes and snapshots cross it as
-// encoded bytes — so deterministic tests exercise the full
-// serialization path without sockets.
+// own Host directly, with injectable faults. It carries the same
+// messages as the HTTP transport — planes and snapshots cross it as
+// the encoded bytes the HTTP frame ships as blobs — so deterministic
+// tests exercise the payload encodings without sockets.
 //
 // Fault injection models the two cluster failure modes the chaos soak
 // drives: Fail makes every subsequent call return ErrWorkerDown (node

@@ -108,6 +108,10 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	trace := fmt.Sprintf("%s#%d", spec.Job, c.solveSeq.Add(1))
 	result := SolveResult{Trace: trace, History: make([]StepStat, spec.Steps)}
 	ckpt := checkpoint{step: 0}
+	// spare is the checkpoint before ckpt. Nothing can roll back to it
+	// any more, so its buffers take the next checkpoint: two sets
+	// alternate and a steady-state step allocates no snapshot storage.
+	var spare []SnapshotWire
 
 	shards, err := c.createShards(spec, ckpt, trace)
 	if err != nil {
@@ -142,6 +146,7 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 					Planes:     shards[i].inbox,
 					Checkpoint: wantCkpt,
 					Trace:      trace,
+					Reuse:      snapshotBuffers(spare, shards[i].lo, shards[i].hi),
 				})
 				if traced {
 					rpcDur[i] = c.cfg.Tracer.Now().Sub(t0)
@@ -228,7 +233,7 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 		}
 
 		if wantCkpt {
-			ckpt = checkpoint{step: s + 1, snaps: collectSnapshots(resps)}
+			spare, ckpt = ckpt.snaps, checkpoint{step: s + 1, snaps: collectSnapshots(resps)}
 		}
 		s++
 	}
@@ -406,6 +411,18 @@ func routePlanes(shards []*runShard, resps []StepResponse) error {
 		}
 	}
 	return nil
+}
+
+// snapshotBuffers returns the storage of the snapshots of zones
+// [lo, hi), for reuse.
+func snapshotBuffers(snaps []SnapshotWire, lo, hi int) [][]byte {
+	var out [][]byte
+	for _, s := range snaps {
+		if s.Zone >= lo && s.Zone < hi {
+			out = append(out, s.Data)
+		}
+	}
+	return out
 }
 
 // collectSnapshots merges the checkpoint snapshots of all shards,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/euler"
 )
@@ -210,40 +211,40 @@ func (p *BoundaryPlane) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// ZoneSnapshot is a full copy of one zone's conserved field — the
+// AppendZoneState appends zone zi's conserved field to dst as packed
+// big-endian IEEE-754 bits, in the zone's native storage order — the
 // checkpoint payload the cluster engine ships so a lost worker's zones
-// can be restored on a survivor.
-type ZoneSnapshot struct {
-	// Zone is the zone's index in the owning solver's case.
-	Zone int
-	// Data is a copy of the zone's Q storage in its native layout.
-	Data []float64
-}
-
-// SnapshotZone copies zone zi's conserved state.
-func SnapshotZone(s Solver, zi int) (ZoneSnapshot, error) {
+// can be restored on a survivor. Like the plane encoding it is exact.
+// Appending lets a caller encode every checkpoint into one reused
+// buffer.
+func AppendZoneState(dst []byte, s Solver, zi int) ([]byte, error) {
 	zones := s.Zones()
 	if zi < 0 || zi >= len(zones) {
-		return ZoneSnapshot{}, fmt.Errorf("f3d: SnapshotZone zone %d of %d", zi, len(zones))
+		return dst, fmt.Errorf("f3d: AppendZoneState zone %d of %d", zi, len(zones))
 	}
-	return ZoneSnapshot{
-		Zone: zi,
-		Data: append([]float64(nil), zones[zi].Q.Data...),
-	}, nil
+	q := zones[zi].Q.Data
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(q))[:off+8*len(q)]
+	for i, v := range q {
+		binary.BigEndian.PutUint64(dst[off+8*i:], math.Float64bits(v))
+	}
+	return dst, nil
 }
 
-// Restore writes the snapshot back onto zone s.Zone of the solver. The
-// storage sizes must match exactly.
-func (c *ZoneSnapshot) Restore(s Solver) error {
+// RestoreZoneState writes AppendZoneState bits back onto zone zi of the
+// solver. The payload must match the zone's storage size exactly.
+func RestoreZoneState(s Solver, zi int, b []byte) error {
 	zones := s.Zones()
-	if c.Zone < 0 || c.Zone >= len(zones) {
-		return fmt.Errorf("f3d: snapshot for zone %d of %d", c.Zone, len(zones))
+	if zi < 0 || zi >= len(zones) {
+		return fmt.Errorf("f3d: zone state for zone %d of %d", zi, len(zones))
 	}
-	dst := zones[c.Zone].Q.Data
-	if len(dst) != len(c.Data) {
-		return fmt.Errorf("f3d: snapshot of %d values onto zone %q storage of %d",
-			len(c.Data), zones[c.Zone].Zone.Name, len(dst))
+	dst := zones[zi].Q.Data
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("f3d: zone state of %d bytes onto zone %q storage of %d values",
+			len(b), zones[zi].Zone.Name, len(dst))
 	}
-	copy(dst, c.Data)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package f3d
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +13,7 @@ import (
 
 // exchangeSolver builds a small two-zone coupled solver with a pulse,
 // the substrate for plane capture/apply tests.
-func exchangeSolver(t *testing.T) *CacheSolver {
+func exchangeSolver(t testing.TB) *CacheSolver {
 	t.Helper()
 	c, ifaces := SplitAlongJ("ex", 12, 5, 4, 5)
 	cfg := DefaultConfig(c)
@@ -171,6 +173,48 @@ func TestPlaneSerializationErrors(t *testing.T) {
 	}
 }
 
+// FuzzBoundaryPlaneUnmarshal: plane payloads arrive from another
+// process. Arbitrary bytes must never panic the decoder or make it
+// allocate for dimensions the payload does not back, and whatever it
+// accepts must re-marshal to exactly the bytes it was given — the
+// encoding has one form per plane.
+func FuzzBoundaryPlaneUnmarshal(f *testing.F) {
+	s := exchangeSolver(f)
+	s.Step()
+	for _, face := range []Face{FaceJMin, FaceJMax} {
+		p, err := CapturePlane(s, 1, face)
+		if err != nil {
+			f.Fatalf("capture: %v", err)
+		}
+		p = p.RetargetTo(0)
+		b, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatalf("marshal: %v", err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-3])
+	}
+	// A header claiming a 2^20 x 2^20 plane over no data.
+	huge := binary.BigEndian.AppendUint32(nil, planeMagic)
+	for _, v := range []uint32{0, uint32(FaceJMin), 1 << 20, 1 << 20} {
+		huge = binary.BigEndian.AppendUint32(huge, v)
+	}
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var p BoundaryPlane
+		if err := p.UnmarshalBinary(b); err != nil {
+			return
+		}
+		out, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted payload does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(out, b) {
+			t.Fatalf("re-marshal changed the payload (%d -> %d bytes)", len(b), len(out))
+		}
+	})
+}
+
 func TestPlaneApplyDimensionMismatch(t *testing.T) {
 	s := exchangeSolver(t)
 	z := s.Zones()[0].Zone
@@ -201,17 +245,22 @@ func TestPlaneApplyDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestZoneSnapshotRestore(t *testing.T) {
+func TestZoneStateRestore(t *testing.T) {
 	s := exchangeSolver(t)
 	s.Step()
-	snap, err := SnapshotZone(s, 1)
+	// Appending after a prefix must leave the prefix alone.
+	state, err := AppendZoneState([]byte("pre"), s, 1)
 	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+		t.Fatalf("append: %v", err)
 	}
+	if string(state[:3]) != "pre" {
+		t.Fatalf("prefix overwritten: %q", state[:3])
+	}
+	state = state[3:]
 	before := append([]float64(nil), s.Zones()[1].Q.Data...)
 	s.Step()
 	s.Step()
-	if err := snap.Restore(s); err != nil {
+	if err := RestoreZoneState(s, 1, state); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	after := s.Zones()[1].Q.Data
@@ -221,15 +270,16 @@ func TestZoneSnapshotRestore(t *testing.T) {
 		}
 	}
 	// Error paths: bad zone, wrong storage size.
-	if _, err := SnapshotZone(s, 5); err == nil {
-		t.Error("snapshot of missing zone: no error")
+	if _, err := AppendZoneState(nil, s, 5); err == nil {
+		t.Error("state of missing zone: no error")
 	}
-	bad := ZoneSnapshot{Zone: 0, Data: make([]float64, 3)}
-	if err := bad.Restore(s); err == nil {
+	if err := RestoreZoneState(s, 0, make([]byte, 24)); err == nil {
 		t.Error("restore with wrong size: no error")
 	}
-	bad = ZoneSnapshot{Zone: -1}
-	if err := bad.Restore(s); err == nil {
+	if err := RestoreZoneState(s, 1, state[:len(state)-1]); err == nil {
+		t.Error("restore of ragged bits: no error")
+	}
+	if err := RestoreZoneState(s, -1, nil); err == nil {
 		t.Error("restore of missing zone: no error")
 	}
 }
