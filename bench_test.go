@@ -224,7 +224,7 @@ func BenchmarkParallelSolver(b *testing.B) {
 				team = parloop.NewTeam(w)
 				defer team.Close()
 			}
-			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases()})
+			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -408,13 +408,13 @@ func BenchmarkBCParallelization(b *testing.B) {
 	defer team.Close()
 	for _, parBC := range []bool{false, true} {
 		name := "bc-serial"
-		phases := f3d.AllPhases()
+		shape := f3d.DefaultShape()
 		if parBC {
 			name = "bc-parallel"
-			phases.BC = true
+			shape.BC = true
 		}
 		b.Run(name, func(b *testing.B) {
-			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: phases})
+			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(shape)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -440,11 +440,13 @@ func BenchmarkMergedRegions(b *testing.B) {
 	defer team.Close()
 	for _, merged := range []bool{false, true} {
 		name := "per-phase"
+		shape := f3d.DefaultShape()
 		if merged {
 			name = "merged"
+			shape.Merged = true
 		}
 		b.Run(name, func(b *testing.B) {
-			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases(), Merged: merged})
+			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(shape)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -34,9 +34,7 @@ func runAutoparSeries(short bool, minDur time.Duration, logf func(format string,
 	defer team.Close()
 	team.SetTracer(tr, "autopar")
 	cfg := f3d.DefaultConfig(grid.Single(12, 10, 9))
-	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{
-		Team: team, Phases: f3d.AllPhases(), PhaseTrace: "autopar",
-	})
+	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, PhaseTrace: "autopar"})
 	if err != nil {
 		panic(fmt.Sprintf("benchdump: autopar solver: %v", err))
 	}
@@ -149,9 +147,7 @@ func runAutoparSeries(short bool, minDur time.Duration, logf func(format string,
 	defer ref.Close()
 	f3d.InitPulse(ref, 0.01)
 	shape := f3d.StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, FissionRHS: true}
-	shaped, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{
-		Team: team, Phases: f3d.AllPhases(), Shape: f3d.NewShapeCfg(shape),
-	})
+	shaped, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(shape)})
 	if err != nil {
 		panic(fmt.Sprintf("benchdump: autopar shaped solver: %v", err))
 	}

@@ -242,7 +242,7 @@ func runSuite(short bool, traceOut string, logf func(format string, args ...any)
 	// --- Real solver: sync events per step and step latency.
 	logf("f3d cache solver (scale %.2f):", caseScale)
 	cfg := f3d.DefaultConfig(grid.Scaled(grid.Paper1M(), caseScale))
-	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases()})
+	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team})
 	if err != nil {
 		panic(fmt.Sprintf("benchdump: building solver: %v", err))
 	}

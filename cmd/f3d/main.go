@@ -99,9 +99,9 @@ func main() {
 	var prof *profile.Profiler
 	switch *variant {
 	case "cache":
-		opts := f3d.CacheOptions{Merged: *merged}
-		opts.Phases = f3d.AllPhases()
-		opts.Phases.BC = *parbc
+		shape := f3d.DefaultShape()
+		shape.Merged, shape.BC = *merged, *parbc
+		opts := f3d.CacheOptions{Shape: f3d.NewShapeCfg(shape)}
 		if *profileFlag && !*mlp {
 			prof = profile.New()
 			opts.Profiler = prof
@@ -139,8 +139,7 @@ func main() {
 			team = parloop.NewTeam(*workers)
 			defer team.Close()
 		}
-		phases := f3d.AllPhases()
-		s, err := f3d.NewBlockSolver(cfg, f3d.CacheOptions{Team: team, Phases: phases})
+		s, err := f3d.NewBlockSolver(cfg, f3d.CacheOptions{Team: team})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "f3d:", err)
 			os.Exit(1)

@@ -86,6 +86,15 @@ func TestAdaptiveNeedsFlag(t *testing.T) {
 	}
 }
 
+// scriptedAdaptive stands a pre-driven controller in for a LoopJob's
+// live one: what /adapt reads off the submitted job, made reproducible.
+type scriptedAdaptive struct {
+	sched.Job
+	ctrl *adapt.Controller
+}
+
+func (j scriptedAdaptive) Controller() *adapt.Controller { return j.ctrl }
+
 // TestAdaptGoldenJSON pins the exact GET /jobs/{id}/adapt wire format
 // against testdata/adapt.golden (refresh with -update). The controller
 // is driven by the deterministic simulator, so the body — decision log,
@@ -98,11 +107,18 @@ func TestAdaptGoldenJSON(t *testing.T) {
 	hs := httptest.NewServer(sv)
 	defer hs.Close()
 
-	// A real (trivial) job anchors the ID, name and terminal state.
+	// The loop state comes from a sim-driven controller: genuine policy
+	// decisions, bit-reproducible output.
+	cfg := adapt.Config{Procs: 4, M: 24, Chunks: []int{1, 8}}
+	ctrl := adapt.New("rag-loop", adapt.Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, cfg)
+	adapt.RunSim(adapt.Sim{W: adapt.Ragged(24, 800, 3, 5)}, ctrl, 160)
+
+	// A real (trivial) job anchors the ID, name and terminal state, and
+	// carries the controller the way a LoopJob does.
 	p := model.StepProfile{Loops: []model.LoopClass{{
 		Name: "loop", WorkCycles: 100, Parallelism: 8, SyncEvents: 1,
 	}}}
-	h, err := s.Submit(sched.NewSyntheticJob("golden", p, 1, 1))
+	h, err := s.Submit(scriptedAdaptive{sched.NewSyntheticJob("golden", p, 1, 1), ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +127,6 @@ func TestAdaptGoldenJSON(t *testing.T) {
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	// The loop state comes from a sim-driven controller: genuine policy
-	// decisions, bit-reproducible output.
-	cfg := adapt.Config{Procs: 4, M: 24, Chunks: []int{1, 8}}
-	ctrl := adapt.New("rag-loop", adapt.Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, cfg)
-	adapt.RunSim(adapt.Sim{W: adapt.Ragged(24, 800, 3, 5)}, ctrl, 160)
-	sv.adaptMgr.Register(h.ID(), ctrl)
 
 	resp, err := hs.Client().Get(fmt.Sprintf("%s/jobs/%d/adapt", hs.URL, h.ID()))
 	if err != nil {

@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/adapt"
+	"repro/internal/sched"
+)
+
+// FuzzSubmitRequest: POST /jobs bodies are bytes from another process.
+// For arbitrary input, decoding and job construction — everything
+// handleSubmit does before it touches the queue — must never panic;
+// every failure is an error (which the handler answers with a 400),
+// and anything accepted respects the submission limits. Nothing is
+// submitted, so no job runs.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, seed := range []string{
+		``, `{`, `not json`, `{"kind": 42}`, `{"kind":"synthetic"} trailing`,
+		`{"kind":"synthetic","parallelism":15,"steps":400,"work_cycles":2e6}`,
+		`{"kind":"synthetic","work_scale":-1}`,
+		`{"kind":"f3d","dims":"21x17x13","steps":15,"pulse":0.05}`,
+		`{"kind":"f3d","dims":"129x1x1"}`, `{"kind":"f3d","dims":"128x128x128"}`,
+		`{"kind":"f3d","dims":"3x3"}`, `{"kind":"f3d","dims":"2x2x2"}`,
+		`{"kind":"f3d","plan_from":1}`, `{"kind":"F3D","steps":1000001,"dims":"6x5x4"}`,
+		`{"kind":"euler","points":2048,"steps":30}`, `{"kind":"euler","points":-1}`,
+		`{"kind":"adaptive","parallelism":96,"steps":120,"seed":7}`,
+		`{"kind":"adaptive","parallelism":65537}`, `{"kind":"adaptive","work_scale":1e-300}`,
+		`{"kind":"bogus"}`, `{"kind":"euler","bogus":1}`, `{"timeout_sec":-1,"kind":"euler"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	alloc := adapt.NewMeasuredAllocator()
+	s := sched.New(sched.Config{Procs: 2, Allocator: alloc})
+	f.Cleanup(s.Close)
+	sv := newServer(s, serverConfig{adapt: alloc, autopar: true})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSubmit(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		job, err := sv.buildJob(&req)
+		if err != nil {
+			if job != nil {
+				t.Fatalf("buildJob returned both a job and an error: %v", err)
+			}
+			return
+		}
+		if job == nil {
+			t.Fatal("buildJob returned neither a job nor an error")
+		}
+		if req.Steps < 1 || req.Steps > maxSteps {
+			t.Fatalf("accepted steps %d outside [1, %d]", req.Steps, maxSteps)
+		}
+		if job.Name() == "" {
+			t.Fatal("accepted job has no name")
+		}
+		if m := job.Parallelism(); m < 1 || m > maxPoints {
+			t.Fatalf("accepted job parallelism %d outside [1, %d]", m, maxPoints)
+		}
+	})
+}

@@ -32,7 +32,6 @@
 //	POST   /jobs/{id}/cancel cancel (DELETE /jobs/{id} is equivalent)
 //	GET    /metrics          Prometheus text: counters, gauges, grant
 //	                         histogram, tracer accounting
-//	GET    /metrics.json     legacy JSON metrics snapshot
 //	GET    /trace            sync-event trace ring as JSONL
 //	POST   /trace/enable     toggle tracing ({"enabled":bool,
 //	                         "reset":bool}; empty body enables)

@@ -238,7 +238,7 @@ func TestConcurrentScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				for _, p := range []string{"/metrics", "/metrics.json", "/trace", "/jobs"} {
+				for _, p := range []string{"/metrics", "/healthz", "/trace", "/jobs"} {
 					if code, _ := ts.get(p); code != http.StatusOK {
 						t.Errorf("GET %s = %d", p, code)
 						return

@@ -14,7 +14,6 @@ import (
 //
 //	GET  /metrics       Prometheus text: scheduler counters/gauges,
 //	                    grant-size histogram, tracer accounting
-//	GET  /metrics.json  legacy JSON snapshot (sched.Metrics)
 //	GET  /trace         JSONL dump of the sync-event trace ring;
 //	                    ?since=<seq> resumes from a cursor, and the
 //	                    X-Trace-Dropped / X-Trace-Next headers report
@@ -62,12 +61,6 @@ func (sv *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is drop the connection.
 		return
 	}
-}
-
-// handleMetricsJSON is the pre-Prometheus JSON snapshot, kept for
-// scripted clients and the test helpers.
-func (sv *server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, sv.sched.Metrics())
 }
 
 // handleTrace streams the trace ring as JSONL, oldest event first.

@@ -10,12 +10,27 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs/analyze"
+	"repro/internal/sched"
 )
+
+// planJob is an f3d job submitted under -autopar: the solver job plus
+// the steering state GET /jobs/{id}/plan and plan_from need. It is what
+// the scheduler's job table holds for the ID, so that table bounds this
+// state too — the daemon keeps no map of its own.
+type planJob struct {
+	*f3d.Job
+	// req is the original submission; a plan_from rerun inherits its
+	// case, and its name is the prefix the job's phases are traced under.
+	req submitRequest
+
+	mu   sync.Mutex
+	plan *pipeline.Plan // set by the first successful derivation
+}
 
 // buildF3D constructs an f3d cache-solver job from a submission. Under
 // -autopar the job is phase-traced, so its run leaves per-phase loops
-// in the daemon trace for the planner.
-func (sv *server) buildF3D(req *submitRequest) (*f3d.Job, error) {
+// in the daemon trace for the planner, and wrapped as a planJob.
+func (sv *server) buildF3D(req *submitRequest) (sched.Job, error) {
 	j, k, l, err := parseDims(req.Dims)
 	if err != nil {
 		return nil, err
@@ -25,60 +40,32 @@ func (sv *server) buildF3D(req *submitRequest) (*f3d.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sv.plans != nil {
-		job.WithPhaseTrace(req.Name)
+	if !sv.cfg.autopar {
+		return job, nil
 	}
-	return job, nil
+	job.WithPhaseTrace(req.Name)
+	return &planJob{Job: job, req: *req}, nil
 }
 
-// planState is the daemon's auto-parallelization bookkeeping (the
-// -autopar flag): which f3d jobs were submitted phase-traced, their
-// original submissions (so a plan_from rerun can inherit the case),
-// and the per-job planner state in the pipeline manager.
-type planState struct {
-	mgr  *pipeline.Manager
-	acfg analyze.Config
-
-	mu    sync.Mutex
-	jobs  map[uint64]submitRequest
-	built map[uint64]*f3d.Job
-}
-
-func newPlanState(acfg analyze.Config) *planState {
-	return &planState{
-		mgr:   pipeline.NewManager(),
-		acfg:  acfg,
-		jobs:  map[uint64]submitRequest{},
-		built: map[uint64]*f3d.Job{},
+// planOf returns the job's plan, deriving it from the daemon trace the
+// first time evidence is there. The derived plan is kept on the job — a
+// job's plan is a stable artifact of its traced run, served identically
+// on every later request even after the trace ring has moved on; a
+// failed derivation is not kept, so evidence arriving later still
+// yields a plan.
+func (sv *server) planOf(pj *planJob) (*pipeline.Plan, error) {
+	pj.mu.Lock()
+	defer pj.mu.Unlock()
+	if pj.plan == nil {
+		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.req.Name,
+			pipeline.F3DStructure(pj.req.Name),
+			analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost}, pipeline.Config{})
+		if err != nil {
+			return nil, err
+		}
+		pj.plan = plan
 	}
-}
-
-// register enrolls a freshly submitted phase-traced f3d job. The job
-// itself is retained so conformance checks can compare its recorded
-// residual history against a serial reference.
-func (ps *planState) register(id uint64, req submitRequest, job *f3d.Job) {
-	ps.mgr.Register(id, req.Name, req.Name, pipeline.F3DStructure(req.Name),
-		ps.acfg, pipeline.Config{})
-	ps.mu.Lock()
-	ps.jobs[id] = req
-	ps.built[id] = job
-	ps.mu.Unlock()
-}
-
-// source returns the original submission of a registered job.
-func (ps *planState) source(id uint64) (submitRequest, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	req, ok := ps.jobs[id]
-	return req, ok
-}
-
-// job returns the registered job object itself.
-func (ps *planState) job(id uint64) (*f3d.Job, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	j, ok := ps.built[id]
-	return j, ok
+	return pj.plan, nil
 }
 
 // applyPlanFrom resolves a plan_from submission: derive (or fetch) the
@@ -86,32 +73,32 @@ func (ps *planState) job(id uint64) (*f3d.Job, bool) {
 // job as its step shape. Dims/pulse/steps default to the source
 // job's, so `{"kind":"f3d","plan_from":N}` reruns the same case under
 // the plan.
-func (sv *server) applyPlanFrom(req *submitRequest) (*f3d.Job, error) {
-	if sv.plans == nil {
+func (sv *server) applyPlanFrom(req *submitRequest) (sched.Job, error) {
+	if !sv.cfg.autopar {
 		return nil, fmt.Errorf("plan_from needs the daemon started with -autopar")
 	}
-	src, ok := sv.plans.source(req.PlanFrom)
+	src, ok := sv.sched.Submitted(req.PlanFrom).(*planJob)
 	if !ok {
 		return nil, fmt.Errorf("plan_from: job %d has no plan (not an -autopar f3d job)", req.PlanFrom)
 	}
-	plan, err := sv.plans.mgr.Plan(req.PlanFrom, sv.sched.Tracer().Events())
+	plan, err := sv.planOf(src)
 	if err != nil {
 		return nil, fmt.Errorf("plan_from: job %d: %w", req.PlanFrom, err)
 	}
 	if req.Dims == "" {
-		req.Dims = src.Dims
+		req.Dims = src.req.Dims
 	}
 	if req.Pulse == 0 {
-		req.Pulse = src.Pulse
+		req.Pulse = src.req.Pulse
 	}
-	if req.Steps == 10 && src.Steps != 0 { // caller left the default
-		req.Steps = src.Steps
+	if req.Steps == 10 { // caller left the default
+		req.Steps = src.req.Steps
 	}
 	job, err := sv.buildF3D(req)
 	if err != nil {
 		return nil, err
 	}
-	job.WithShape(pipeline.ShapeFromPlan(plan, src.Name))
+	job.(*planJob).WithShape(pipeline.ShapeFromPlan(plan, src.req.Name))
 	return job, nil
 }
 
@@ -130,11 +117,12 @@ func (sv *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	if sv.plans == nil || !sv.plans.mgr.Registered(id) {
+	pj, ok := sv.sched.Submitted(id).(*planJob)
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("job %d has no auto-parallelization plan", id))
 		return
 	}
-	plan, err := sv.plans.mgr.Plan(id, sv.sched.Tracer().Events())
+	plan, err := sv.planOf(pj)
 	if err != nil {
 		if errors.Is(err, pipeline.ErrNoEvidence) {
 			httpError(w, http.StatusConflict,

@@ -107,7 +107,6 @@ func TestPlanGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv.plans.register(h.ID(), submitRequest{Name: "golden", Dims: "6x5x4", Steps: 1, Pulse: 0.01}, job)
 	if err := h.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +135,9 @@ func TestPlanGoldenJSON(t *testing.T) {
 			}},
 		},
 	}
-	if err := sv.plans.mgr.SetPlan(h.ID(), plan); err != nil {
-		t.Fatal(err)
-	}
+	// Installed as the job's derived plan: the handler serves what the
+	// job carries, never re-deriving once a plan is there.
+	job.(*planJob).plan = plan
 
 	resp, err := hs.Client().Get(fmt.Sprintf("%s/jobs/%d/plan", hs.URL, h.ID()))
 	if err != nil {
@@ -243,11 +242,11 @@ func TestPlanE2E(t *testing.T) {
 	}
 	ts.waitState(st2.ID, sched.StateDone)
 
-	replay, ok := ts.sv.plans.job(st2.ID)
-	if !ok || replay.Shape() == nil {
-		t.Fatal("replay job carries no applied shape")
+	replay, ok := ts.s.Submitted(st2.ID).(*planJob)
+	if !ok {
+		t.Fatal("replay job is not a plan job")
 	}
-	if got, def := replay.Shape().Load(), f3d.ShapeFromPhases(f3d.AllPhases(), false); got == def {
+	if got, def := replay.Shape().Load(), f3d.DefaultShape(); got == def {
 		t.Errorf("applied plan left the default step shape %+v", got)
 	}
 
@@ -255,9 +254,9 @@ func TestPlanE2E(t *testing.T) {
 	// replay reproduce the serial reference bitwise.
 	ref := serialResiduals(t, j, k, l, steps, pulse)
 	for name, id := range map[string]uint64{"probe": st.ID, "replay": st2.ID} {
-		job, ok := ts.sv.plans.job(id)
+		job, ok := ts.s.Submitted(id).(*planJob)
 		if !ok {
-			t.Fatalf("%s job not registered", name)
+			t.Fatalf("%s job is not a plan job", name)
 		}
 		got := job.History().Residuals
 		if len(got) != len(ref) {
@@ -268,5 +267,66 @@ func TestPlanE2E(t *testing.T) {
 				t.Errorf("%s step %d: residual %.17g, serial reference %.17g", name, i, got[i], ref[i])
 			}
 		}
+	}
+}
+
+// TestPlanIsKeptOnTheJob pins the plan-serving guarantees at the HTTP
+// surface: a plan, once derived, is a stable artifact of the
+// job — byte-identical after the trace ring is reset — while a failed
+// derivation is not remembered, so evidence arriving later still yields
+// a plan; and the state is per job, reached only through the
+// scheduler's table.
+func TestPlanIsKeptOnTheJob(t *testing.T) {
+	ts := newTestServer(t, sched.Config{Procs: 2},
+		serverConfig{autopar: true, autoparSyncCost: 1e9})
+	submit := func(body map[string]any) uint64 {
+		t.Helper()
+		var st sched.JobStatus
+		if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {
+			t.Fatalf("submit %v = %d", body, code)
+		}
+		ts.waitState(st.ID, sched.StateDone)
+		return st.ID
+	}
+	probe := map[string]any{"kind": "f3d", "name": "probe", "dims": "8x7x6", "steps": 2, "pulse": 0.01}
+	plan := func(id uint64) (int, string) { return ts.get(fmt.Sprintf("/jobs/%d/plan", id)) }
+
+	// Tracing is off: nothing to plan from yet.
+	first := submit(probe)
+	if code, _ := plan(first); code != http.StatusConflict {
+		t.Fatalf("GET /plan with tracing off = %d, want 409", code)
+	}
+	// Under -autopar, only f3d jobs carry plan state.
+	other := submit(map[string]any{"kind": "euler", "points": 64, "steps": 1})
+	if code, _ := plan(other); code != http.StatusNotFound {
+		t.Fatalf("GET /plan for a euler job = %d, want 404", code)
+	}
+
+	// Evidence under the same phase prefix arrives later: the earlier
+	// 409 was not cached.
+	if code := ts.do("POST", "/trace/enable", nil, nil); code != http.StatusOK {
+		t.Fatalf("POST /trace/enable = %d", code)
+	}
+	second := submit(probe)
+	code, before := plan(first)
+	if code != http.StatusOK {
+		t.Fatalf("GET /plan after evidence = %d: %s", code, before)
+	}
+
+	// Reset the ring: the derived plan survives on the job, byte for
+	// byte; the job whose plan was never derived has lost its evidence.
+	var status traceStatus
+	if code := ts.do("POST", "/trace/enable", map[string]any{"reset": true}, &status); code != http.StatusOK || status.Events != 0 {
+		t.Fatalf("POST /trace/enable reset = %d, %+v", code, status)
+	}
+	if code, after := plan(first); code != http.StatusOK || after != before {
+		t.Fatalf("GET /plan after trace reset = %d, body changed:\n--- before ---\n%s\n--- after ---\n%s", code, before, after)
+	}
+	if code, _ := plan(second); code != http.StatusConflict {
+		t.Fatalf("GET /plan of the underived job after reset = %d, want 409", code)
+	}
+	// plan_from reads the same kept plan.
+	if code := ts.do("POST", "/jobs", map[string]any{"kind": "f3d", "plan_from": first}, nil); code != http.StatusAccepted {
+		t.Fatalf("plan_from the kept plan = %d", code)
 	}
 }

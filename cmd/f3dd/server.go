@@ -14,9 +14,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/cluster"
 	"repro/internal/euler"
-	"repro/internal/f3d"
 	"repro/internal/model"
-	"repro/internal/obs/analyze"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -26,6 +24,7 @@ import (
 // request exhaust the host.
 const (
 	maxSteps       = 1_000_000
+	minDim         = 3 // a zone needs an interior point between two faces
 	maxDim         = 128
 	maxCells       = 1 << 20
 	maxPoints      = 1 << 20
@@ -81,24 +80,18 @@ func (c serverConfig) withDefaults() serverConfig {
 // up inside the process, and terminal job states map to distinct
 // result statuses (200 done, 500 failed, 504 timed out, 409 canceled).
 type server struct {
-	sched    *sched.Scheduler
-	shards   *cluster.ShardServer
-	adaptMgr *adapt.Manager
-	plans    *planState // nil unless -autopar
-	cfg      serverConfig
-	mux      *http.ServeMux
+	sched  *sched.Scheduler
+	shards *cluster.ShardServer
+	cfg    serverConfig
+	mux    *http.ServeMux
 }
 
 func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv := &server{
-		sched:    s,
-		shards:   cluster.NewShardServer(cluster.NewHost()),
-		adaptMgr: adapt.NewManager(),
-		cfg:      cfg.withDefaults(),
-		mux:      http.NewServeMux(),
-	}
-	if sv.cfg.autopar {
-		sv.plans = newPlanState(analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost})
+		sched:  s,
+		shards: cluster.NewShardServer(cluster.NewHost()),
+		cfg:    cfg.withDefaults(),
+		mux:    http.NewServeMux(),
 	}
 	sv.mux.HandleFunc("POST /jobs", sv.handleSubmit)
 	sv.mux.HandleFunc("GET /jobs", sv.handleList)
@@ -109,7 +102,6 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv.mux.HandleFunc("POST /jobs/{id}/cancel", sv.handleCancel)
 	sv.mux.HandleFunc("DELETE /jobs/{id}", sv.handleCancel)
 	sv.mux.HandleFunc("GET /metrics", sv.handleMetrics)
-	sv.mux.HandleFunc("GET /metrics.json", sv.handleMetricsJSON)
 	sv.mux.HandleFunc("GET /trace", sv.handleTrace)
 	sv.mux.HandleFunc("GET /trace/stream", sv.handleTraceStream)
 	sv.mux.HandleFunc("POST /trace/enable", sv.handleTraceEnable)
@@ -270,8 +262,8 @@ func parseDims(s string) (j, k, l int, err error) {
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("dims must be JxKxL, got %q", s)
 		}
-		if d[i] < 1 || d[i] > maxDim {
-			return 0, 0, 0, fmt.Errorf("each dimension must be in [1, %d], got %d", maxDim, d[i])
+		if d[i] < minDim || d[i] > maxDim {
+			return 0, 0, 0, fmt.Errorf("each dimension must be in [%d, %d], got %d", minDim, maxDim, d[i])
 		}
 	}
 	if d[0]*d[1]*d[2] > maxCells {
@@ -280,16 +272,25 @@ func parseDims(s string) (j, k, l int, err error) {
 	return d[0], d[1], d[2], nil
 }
 
-func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit parses a POST /jobs body strictly: one JSON object, no
+// unknown fields, nothing after it.
+func decodeSubmit(body io.Reader) (submitRequest, error) {
 	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+		return req, err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad request body: trailing data after JSON object")
+		return req, errors.New("trailing data after JSON object")
+	}
+	return req, nil
+}
+
+func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	job, err := sv.buildJob(&req)
@@ -320,19 +321,21 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if lj, ok := job.(*adapt.LoopJob); ok {
-		sv.adaptMgr.Register(h.ID(), lj.Controller())
-	}
-	if fj, ok := job.(*f3d.Job); ok && sv.plans != nil {
-		sv.plans.register(h.ID(), req, fj)
-	}
 	writeJSON(w, http.StatusAccepted, h.Status())
+}
+
+// adaptive is a submitted job that steers a loop with a feedback
+// controller: *adapt.LoopJob in production (a test stands in a
+// sim-driven controller to pin the wire format bit for bit).
+type adaptive interface {
+	Controller() *adapt.Controller
 }
 
 // handleAdapt serves a job's adaptive-scheduling state: one controller
 // status (current pick, convergence, decision log) per instrumented
-// loop. Jobs without adaptive loops — or daemons run without -adapt —
-// answer 404, so clients can feature-detect.
+// loop, read off the job object the scheduler holds for the ID. Jobs
+// without adaptive loops — or daemons run without -adapt — answer 404,
+// so clients can feature-detect.
 func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	id, ok := jobID(w, r)
 	if !ok {
@@ -343,7 +346,7 @@ func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	loops, ok := sv.adaptMgr.Snapshot(id)
+	aj, ok := sv.sched.Submitted(id).(adaptive)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("job %d has no adaptive loops", id))
 		return
@@ -352,7 +355,7 @@ func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		ID:    id,
 		Name:  st.Name,
 		State: st.State.String(),
-		Loops: loops,
+		Loops: []adapt.Status{aj.Controller().Status()},
 	})
 }
 

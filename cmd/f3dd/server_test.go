@@ -60,14 +60,7 @@ func (ts *testServer) do(method, path string, body, out any) int {
 	return resp.StatusCode
 }
 
-func (ts *testServer) metrics() sched.Metrics {
-	ts.t.Helper()
-	var m sched.Metrics
-	if code := ts.do("GET", "/metrics.json", nil, &m); code != http.StatusOK {
-		ts.t.Fatalf("GET /metrics.json = %d", code)
-	}
-	return m
-}
+func (ts *testServer) metrics() sched.Metrics { return ts.s.Metrics() }
 
 // waitState polls a job until it reaches the wanted state.
 func (ts *testServer) waitState(id uint64, want sched.State) sched.JobStatus {
@@ -272,6 +265,7 @@ func TestBadRequestsOverHTTP(t *testing.T) {
 		{"missing dims", map[string]any{"kind": "f3d"}},
 		{"malformed dims", map[string]any{"kind": "f3d", "dims": "11x10"}},
 		{"huge zone", map[string]any{"kind": "f3d", "dims": "128x128x128"}},
+		{"zone without an interior", map[string]any{"kind": "f3d", "dims": "9x2x9"}},
 		{"bad points", map[string]any{"kind": "euler", "points": maxPoints + 1}},
 	}
 	for _, tc := range cases {

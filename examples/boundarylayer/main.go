@@ -38,7 +38,7 @@ func main() {
 
 	team := parloop.NewTeam(runtime.GOMAXPROCS(0))
 	defer team.Close()
-	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases()})
+	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team})
 	if err != nil {
 		panic(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	f3d.InitPulse(serial, 0.02)
 	// The phase decomposition (which loop classes exist, and how much of
 	// the step each holds) is independent of what is parallelized.
-	profiled := f3d.StepProfileFor(c, f3d.AllPhases())
+	profiled := f3d.StepProfileFor(c, f3d.DefaultShape())
 	for i := 0; i < steps; i++ {
 		prof.Time("whole-step", func() { serial.Step() })
 	}
@@ -87,16 +87,16 @@ func main() {
 	// Stages 1..3: enable one phase at a time, checking the answer.
 	reference := snapshot(serial)
 	stages := []struct {
-		name   string
-		phases f3d.ParallelPhases
+		name  string
+		shape f3d.StepShape
 	}{
-		{"RHS only", f3d.ParallelPhases{RHS: true}},
-		{"+ J/K sweeps", f3d.ParallelPhases{RHS: true, SweepJK: true}},
-		{"+ L sweep (all)", f3d.AllPhases()},
+		{"RHS only", f3d.StepShape{RHSJK: true, RHSL: true}},
+		{"+ J/K sweeps", f3d.StepShape{RHSJK: true, RHSL: true, SweepJK: true}},
+		{"+ L sweep (all)", f3d.DefaultShape()},
 	}
 	fmt.Printf("\nincremental parallelization (%d workers):\n", workers)
 	for k, st := range stages {
-		s := mustCache(cfg, f3d.CacheOptions{Team: team, Phases: st.phases})
+		s := mustCache(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(st.shape)})
 		f3d.InitPulse(s, 0.02)
 		start := time.Now()
 		for i := 0; i < steps; i++ {

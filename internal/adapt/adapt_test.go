@@ -236,25 +236,6 @@ func TestStatusAndHistory(t *testing.T) {
 	}
 }
 
-// TestManager covers registration and snapshotting by job ID.
-func TestManager(t *testing.T) {
-	m := NewManager()
-	if _, ok := m.Snapshot(1); ok {
-		t.Fatal("empty manager returned a snapshot")
-	}
-	c1 := New("loop-a", Choice{Sched: parloop.Dynamic, Chunk: 8, Workers: 2}, testConfig())
-	c2 := New("loop-b", Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, testConfig())
-	m.Register(7, c1)
-	m.Register(7, c2)
-	sts, ok := m.Snapshot(7)
-	if !ok || len(sts) != 2 {
-		t.Fatalf("Snapshot(7) = %v, %v; want 2 loops", sts, ok)
-	}
-	if sts[0].Label != "loop-a" || sts[1].Label != "loop-b" {
-		t.Fatalf("labels %q, %q", sts[0].Label, sts[1].Label)
-	}
-}
-
 // TestScriptChoicesDeterministic: same seed, same script; different
 // seed, different start; every scripted choice legal.
 func TestScriptChoicesDeterministic(t *testing.T) {

@@ -60,9 +60,20 @@ func NewLoopJob(name string, n, steps int, workScale float64, seed int64, procs 
 	return &LoopJob{name: name, n: n, steps: steps, costs: costs, ctrl: ctrl, clock: clock}, nil
 }
 
-// Controller exposes the job's controller for status endpoints
-// (register it with a Manager under the scheduler's job ID).
+// Controller exposes the job's controller for status endpoints: f3dd
+// reaches the job through the scheduler's table and serves
+// Controller().Status() as GET /jobs/{id}/adapt.
 func (j *LoopJob) Controller() *Controller { return j.ctrl }
+
+// JobAdapt is the wire shape of GET /jobs/{id}/adapt: the job's
+// identity plus every instrumented loop's controller status. tracetool
+// renders it as a decision-log table (tracetool adapt).
+type JobAdapt struct {
+	ID    uint64   `json:"id"`
+	Name  string   `json:"name,omitempty"`
+	State string   `json:"state,omitempty"`
+	Loops []Status `json:"loops"`
+}
 
 // Name implements sched.Job.
 func (j *LoopJob) Name() string { return j.name }

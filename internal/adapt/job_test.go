@@ -26,12 +26,10 @@ func TestLoopJobUnderScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoopJob: %v", err)
 	}
-	m := NewManager()
 	h, err := s.Submit(job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	m.Register(h.ID(), job.Controller())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -39,11 +37,13 @@ func TestLoopJobUnderScheduler(t *testing.T) {
 		t.Fatalf("job failed: %v", err)
 	}
 
-	sts, ok := m.Snapshot(h.ID())
-	if !ok || len(sts) != 1 {
-		t.Fatalf("Snapshot = %v, %v", sts, ok)
+	// The scheduler's table hands back the job, and with it the
+	// controller — the lookup behind GET /jobs/{id}/adapt.
+	got, ok := s.Submitted(h.ID()).(*LoopJob)
+	if !ok || got != job {
+		t.Fatalf("Submitted(%d) = %v, want the submitted LoopJob", h.ID(), got)
 	}
-	st := sts[0]
+	st := got.Controller().Status()
 	if st.Step != 12 {
 		t.Fatalf("controller saw %d steps, want 12", st.Step)
 	}

@@ -33,13 +33,13 @@ func f3dKernels() []Kernel {
 		if merged {
 			name = "f3d-merged-tuned"
 		}
-		merged := merged
+		shape := f3d.DefaultShape()
+		shape.Merged = merged
 		ks = append(ks, Kernel{
 			Name: name, N: 6, MinN: 3, Steps: f3dSteps,
 			Serial: runF3DReference,
 			Parallel: func(t *parloop.Team, spec Spec) []float64 {
-				opts := f3d.CacheOptions{Team: t, Phases: f3d.AllPhases(), Merged: merged}
-				return runF3D(spec.N, opts, spec.StepHook)
+				return runF3D(spec.N, t, f3d.NewShapeCfg(shape), spec.StepHook)
 			},
 		})
 	}
@@ -83,9 +83,9 @@ func runF3DReference(n int) []float64 {
 	return stepF3D(s, nil)
 }
 
-// runF3D runs the production solver under the given options.
-func runF3D(n int, opts f3d.CacheOptions, hook func(step int)) []float64 {
-	s, err := f3d.NewCacheSolver(f3dConfig(n), opts)
+// runF3D runs the production solver on team under the given shape cell.
+func runF3D(n int, team *parloop.Team, shape *f3d.ShapeCfg, hook func(step int)) []float64 {
+	s, err := f3d.NewCacheSolver(f3dConfig(n), f3d.CacheOptions{Team: team, Shape: shape})
 	if err != nil {
 		panic(fmt.Sprintf("check: f3d solver: %v", err))
 	}

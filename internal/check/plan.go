@@ -61,7 +61,7 @@ func planKernels() []Kernel {
 			Name: sc.name, N: 6, MinN: 3, Steps: f3dSteps,
 			Serial: runF3DReference,
 			Parallel: func(t *parloop.Team, spec Spec) []float64 {
-				return runF3DShape(spec.N, t, f3d.NewShapeCfg(sc.shape), spec.StepHook)
+				return runF3D(spec.N, t, f3d.NewShapeCfg(sc.shape), spec.StepHook)
 			},
 		})
 	}
@@ -91,14 +91,8 @@ func planKernels() []Kernel {
 					spec.StepHook(step)
 				}
 			}
-			return runF3DShape(spec.N, t, cfg, hook)
+			return runF3D(spec.N, t, cfg, hook)
 		},
 	})
 	return ks
-}
-
-// runF3DShape is runF3D with the region structure driven by a shape
-// seam instead of the static Phases/Merged knobs.
-func runF3DShape(n int, team *parloop.Team, shape *f3d.ShapeCfg, hook func(step int)) []float64 {
-	return runF3D(n, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases(), Shape: shape}, hook)
 }

@@ -28,7 +28,7 @@ type BlockSolver struct {
 	zones     []*ZoneState
 	team      *parloop.Team
 	ownedTeam bool
-	phases    ParallelPhases
+	shape     StepShape
 	scratch   []*blockScratch
 	ifbufs    []ifaceBuffer
 	steps     int
@@ -63,20 +63,24 @@ func newBlockScratch(nmax int) *blockScratch {
 	}
 }
 
-// NewBlockSolver builds the block-implicit solver. opts.Merged is not
-// supported (the block solver exists for numerical comparison, not
-// synchronization ablations).
+// NewBlockSolver builds the block-implicit solver. It reads opts.Shape
+// once, here (nil: DefaultShape), and executes only the seed region
+// structure — RHS as one region, one region per sweep, serial boundary
+// conditions; a shape asking for anything else is an error (the block
+// solver exists for numerical comparison, not synchronization
+// ablations).
 func NewBlockSolver(cfg Config, opts CacheOptions) (*BlockSolver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Merged {
-		return nil, fmt.Errorf("f3d: BlockSolver does not support merged regions")
+	shape := opts.shapeCell().Load()
+	if shape.Merged || shape.FissionRHS || shape.BC || shape.RHSJK != shape.RHSL {
+		return nil, fmt.Errorf("f3d: BlockSolver cannot execute shape %+v (no merged, fissioned, half-parallel RHS or parallel BC regions)", shape)
 	}
 	if cfg.ImplicitDissip4 {
 		return nil, fmt.Errorf("f3d: BlockSolver does not support ImplicitDissip4 (block-tridiagonal factors)")
 	}
-	s := &BlockSolver{cfg: cfg, team: opts.Team, phases: opts.Phases}
+	s := &BlockSolver{cfg: cfg, team: opts.Team, shape: shape}
 	if s.team == nil {
 		s.team = parloop.NewTeam(1)
 		s.ownedTeam = true
@@ -161,7 +165,7 @@ func (s *BlockSolver) stepZone(zi int) (sumsq float64, n int) {
 		applyInterfacesTo(zi, s.zones, s.cfg.Interfaces, s.ifbufs)
 	}
 
-	if s.phases.RHS && s.team.Workers() > 1 {
+	if s.shape.RHSJK && s.team.Workers() > 1 {
 		s.team.Region(func(ctx *parloop.WorkerCtx) {
 			sc := s.scratch[ctx.ID()].cs
 			lo, hi := ctx.Range(nl)
@@ -178,7 +182,7 @@ func (s *BlockSolver) stepZone(zi int) (sumsq float64, n int) {
 
 	sumsq, n = zs.residualSumSq()
 
-	if s.phases.SweepJK && s.team.Workers() > 1 {
+	if s.shape.SweepJK && s.team.Workers() > 1 {
 		s.team.Region(func(ctx *parloop.WorkerCtx) {
 			lo, hi := ctx.Range(nl)
 			s.blockSweepJK(zs, s.scratch[ctx.ID()], 1+lo, 1+hi)
@@ -186,7 +190,7 @@ func (s *BlockSolver) stepZone(zi int) (sumsq float64, n int) {
 	} else {
 		s.blockSweepJK(zs, s.scratch[0], 1, 1+nl)
 	}
-	if s.phases.SweepL && s.team.Workers() > 1 {
+	if s.shape.SweepL && s.team.Workers() > 1 {
 		s.team.Region(func(ctx *parloop.WorkerCtx) {
 			lo, hi := ctx.Range(nk)
 			s.blockSweepLUpdate(zs, s.scratch[ctx.ID()], 1+lo, 1+hi)

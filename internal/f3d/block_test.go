@@ -88,7 +88,7 @@ func TestBlockSerialParallelAgreeBitwise(t *testing.T) {
 	serial := newBlock(t, cfg, CacheOptions{})
 	team := parloop.NewTeam(3)
 	defer team.Close()
-	par := newBlock(t, cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	par := newBlock(t, cfg, CacheOptions{Team: team})
 	InitPulse(serial, 0.02)
 	InitPulse(par, 0.02)
 	for i := 0; i < 5; i++ {
@@ -117,10 +117,35 @@ func TestBlockViscousStable(t *testing.T) {
 	}
 }
 
-func TestBlockSolverRejectsMerged(t *testing.T) {
+// The block solver runs only the seed region structure; every shape
+// asking for more must be refused at construction, not silently run as
+// something else.
+func TestBlockSolverShapes(t *testing.T) {
 	cfg := testConfig(8, 8, 8)
-	if _, err := NewBlockSolver(cfg, CacheOptions{Merged: true}); err == nil {
-		t.Error("merged regions should be rejected")
+	def := DefaultShape()
+	for _, tc := range []struct {
+		name  string
+		shape *ShapeCfg
+		ok    bool
+	}{
+		{"nil is the default", nil, true},
+		{"default", NewShapeCfg(def), true},
+		{"all serial", NewShapeCfg(StepShape{}), true},
+		{"sweeps only", NewShapeCfg(StepShape{SweepJK: true, SweepL: true}), true},
+		{"rhs only", NewShapeCfg(StepShape{RHSJK: true, RHSL: true}), true},
+		{"merged", mergedCfg(true), false},
+		{"fissioned", NewShapeCfg(StepShape{RHSJK: true, RHSL: true, FissionRHS: true}), false},
+		{"half rhs jk", NewShapeCfg(StepShape{RHSJK: true}), false},
+		{"half rhs l", NewShapeCfg(StepShape{RHSL: true, SweepL: true}), false},
+		{"parallel bc", NewShapeCfg(StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true}), false},
+	} {
+		s, err := NewBlockSolver(cfg, CacheOptions{Shape: tc.shape})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+		if err == nil {
+			s.Close()
+		}
 	}
 	bad := cfg
 	bad.Dt = -1

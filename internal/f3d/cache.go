@@ -11,46 +11,18 @@ import (
 	"repro/internal/profile"
 )
 
-// ParallelPhases selects which phases of the time step run inside
-// parallel regions — the knob behind the paper's incremental
-// parallelization workflow ("parallelize them one (or a few) at a
-// time", §4). Phases left serial still execute, just on the calling
-// goroutine.
-type ParallelPhases struct {
-	// RHS parallelizes the explicit right-hand-side passes.
-	RHS bool
-	// SweepJK parallelizes the J and K implicit sweeps (both are
-	// partitioned over L, so they merge into one region with no internal
-	// barrier — the paper's Example 2).
-	SweepJK bool
-	// SweepL parallelizes the L implicit sweep and the solution update.
-	SweepL bool
-	// BC parallelizes the boundary-condition routines. The paper leaves
-	// these serial because their loops are too cheap to amortize a
-	// synchronization (§3); the default follows suit.
-	BC bool
-}
-
-// AllPhases returns the production setting: everything except boundary
-// conditions parallel.
-func AllPhases() ParallelPhases {
-	return ParallelPhases{RHS: true, SweepJK: true, SweepL: true, BC: false}
-}
-
 // CacheOptions configures a CacheSolver.
 type CacheOptions struct {
 	// Team executes the parallel regions. nil runs everything serially
 	// (a private one-worker team).
 	Team *parloop.Team
-	// Phases selects which phases are parallel. The zero value is fully
-	// serial; use AllPhases() for the production setting.
-	Phases ParallelPhases
-	// Merged runs each zone's whole time step inside a single parallel
-	// region with barriers between phases (the paper's Example 3:
-	// parallelize the parent subroutine), instead of one fork-join per
-	// phase. Results are identical; only synchronization structure
-	// changes.
-	Merged bool
+	// Shape is the cell the solver reads its step structure from: which
+	// phases are parallel, fissioned or merged. It is loaded once per
+	// Step, so a Store from a planner (internal/autopar/pipeline) or a
+	// harness applies at the next step boundary. nil runs DefaultShape.
+	// Shapes change only the synchronization structure; results are
+	// identical under every one.
+	Shape *ShapeCfg
 	// ZoneTeams enables multi-level parallelism (the MLP style of the
 	// paper's §8 related work, Taft's OVERFLOW-MLP): zones advance
 	// concurrently, each on its own team running the loop-level regions.
@@ -63,12 +35,6 @@ type CacheOptions struct {
 	// paper's incremental workflow starts from. Not supported together
 	// with ZoneTeams (phases of different zones overlap in time).
 	Profiler *profile.Profiler
-	// Shape, when set, overrides Phases and Merged with an atomically
-	// reconfigurable StepShape: the solver loads it once per Step, so a
-	// plan produced from one run (or mid-run, between steps) applies at
-	// the next step boundary — the executor seam of the
-	// auto-parallelization pipeline (internal/autopar/pipeline).
-	Shape *ShapeCfg
 	// PhaseTrace, when non-empty, relabels the team's tracer around
 	// each phase as "<PhaseTrace>/<phase>", so a traced run ranks the
 	// step's phases as separate loops — the per-loop evidence the
@@ -88,6 +54,15 @@ type CacheOptions struct {
 	// local data, keeping the distributed step bitwise identical to the
 	// single-node one.
 	BoundaryHook func(zone int)
+}
+
+// shapeCell returns the options' shape cell, or a fresh one holding
+// DefaultShape when none was given.
+func (o CacheOptions) shapeCell() *ShapeCfg {
+	if o.Shape != nil {
+		return o.Shape
+	}
+	return NewShapeCfg(DefaultShape())
 }
 
 // cacheScratch is one worker's private working set: a pencil plus flux
@@ -182,6 +157,7 @@ func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolve
 	if opts.PhaseTrace != "" && len(opts.ZoneTeams) > 0 {
 		return nil, fmt.Errorf("f3d: PhaseTrace is not supported with ZoneTeams (phases overlap)")
 	}
+	s.opts.Shape = opts.shapeCell()
 	if s.team == nil {
 		s.team = parloop.NewTeam(1)
 		s.ownedTeam = true
@@ -267,20 +243,11 @@ type ZoneResidual struct {
 // the slice is reused by the next Step.
 func (s *CacheSolver) ZoneResiduals() []ZoneResidual { return s.zoneRes }
 
-// shape resolves the effective step shape: the reconfigurable Shape
-// seam when set, otherwise the static Phases/Merged translation.
-func (s *CacheSolver) shape() StepShape {
-	if s.opts.Shape != nil {
-		return s.opts.Shape.Load()
-	}
-	return ShapeFromPhases(s.opts.Phases, s.opts.Merged)
-}
-
 // Shape returns the shape the most recent step ran under (before the
 // first step: the shape the next step would load).
 func (s *CacheSolver) Shape() StepShape {
 	if s.steps == 0 {
-		return s.shape()
+		return s.opts.Shape.Load()
 	}
 	return s.curShape
 }
@@ -288,7 +255,7 @@ func (s *CacheSolver) Shape() StepShape {
 // Step implements Solver: one implicit time step over all zones.
 func (s *CacheSolver) Step() StepStats {
 	var stats StepStats
-	s.curShape = s.shape()
+	s.curShape = s.opts.Shape.Load()
 	if s.opts.PhaseTrace != "" {
 		old := s.team.Label()
 		defer s.team.SetLabel(old)

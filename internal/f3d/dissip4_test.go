@@ -45,7 +45,7 @@ func TestDissip4SerialParallelAgreeBitwise(t *testing.T) {
 	serial := newCache(t, cfg, CacheOptions{})
 	team := parloop.NewTeam(3)
 	defer team.Close()
-	par := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	par := newCache(t, cfg, CacheOptions{Team: team})
 	InitPulse(serial, 0.02)
 	InitPulse(par, 0.02)
 	for i := 0; i < 5; i++ {

@@ -22,7 +22,7 @@ func Example() {
 
 	team := parloop.NewTeam(4)
 	defer team.Close()
-	parallel, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Phases: f3d.AllPhases()})
+	parallel, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team})
 	if err != nil {
 		panic(err)
 	}

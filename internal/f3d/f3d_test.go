@@ -25,6 +25,14 @@ func newCache(t *testing.T, cfg Config, opts CacheOptions) *CacheSolver {
 	return s
 }
 
+// mergedCfg returns the production shape, merged into one region per
+// zone step when merged is set.
+func mergedCfg(merged bool) *ShapeCfg {
+	sh := DefaultShape()
+	sh.Merged = merged
+	return NewShapeCfg(sh)
+}
+
 func newVector(t *testing.T, cfg Config) *VectorSolver {
 	t.Helper()
 	s, err := NewVectorSolver(cfg)
@@ -107,7 +115,7 @@ func TestSerialAndParallelAgreeBitwise(t *testing.T) {
 	for _, workers := range []int{2, 3, 5} {
 		for _, merged := range []bool{false, true} {
 			team := parloop.NewTeam(workers)
-			s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Merged: merged})
+			s := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(merged)})
 			InitPulse(s, 0.01)
 			for i := range refStats {
 				st := s.Step()
@@ -137,19 +145,19 @@ func TestIncrementalParallelizationPreservesResults(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ref.Step()
 	}
-	phaseSets := []ParallelPhases{
+	phaseSets := []StepShape{
 		{},
-		{RHS: true},
-		{RHS: true, SweepJK: true},
-		{RHS: true, SweepJK: true, SweepL: true},
-		{RHS: true, SweepJK: true, SweepL: true, BC: true},
+		{RHSJK: true, RHSL: true},
+		{RHSJK: true, RHSL: true, SweepJK: true},
+		DefaultShape(),
+		{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true},
 		{BC: true},
 		{SweepL: true},
 	}
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	for _, ph := range phaseSets {
-		s := newCache(t, cfg, CacheOptions{Team: team, Phases: ph})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(ph)})
 		InitPulse(s, 0.02)
 		for i := 0; i < 4; i++ {
 			s.Step()
@@ -219,7 +227,7 @@ func TestMultiZoneCase(t *testing.T) {
 	team := parloop.NewTeam(4)
 	defer team.Close()
 	serial := newCache(t, cfg, CacheOptions{})
-	par := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	par := newCache(t, cfg, CacheOptions{Team: team})
 	InitPulse(serial, 0.02)
 	InitPulse(par, 0.02)
 	for i := 0; i < 4; i++ {
@@ -332,7 +340,7 @@ func TestSyncEventAccounting(t *testing.T) {
 	team := parloop.NewTeam(2)
 	defer team.Close()
 
-	s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	s := newCache(t, cfg, CacheOptions{Team: team})
 	InitUniform(s)
 	team.ResetSyncEvents()
 	s.Step()
@@ -340,7 +348,7 @@ func TestSyncEventAccounting(t *testing.T) {
 		t.Errorf("per-phase sync events = %d, want 4 (3 regions + 1 barrier)", got)
 	}
 
-	m := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Merged: true})
+	m := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(true)})
 	InitUniform(m)
 	team.ResetSyncEvents()
 	m.Step()

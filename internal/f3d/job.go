@@ -37,7 +37,7 @@ func NewJob(name string, cfg Config, steps int, pulse float64) (*Job, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("f3d: job needs steps >= 1, got %d", steps)
 	}
-	return &Job{name: name, cfg: cfg, steps: steps, pulse: pulse}, nil
+	return &Job{name: name, cfg: cfg, steps: steps, pulse: pulse, shape: NewShapeCfg(DefaultShape())}, nil
 }
 
 // WithStepHook installs a callback invoked after each time step's
@@ -61,18 +61,17 @@ func (j *Job) WithFinalHook(final func(s Solver)) *Job {
 }
 
 // WithShape runs the job's solver under the given step shape instead
-// of the default AllPhases structure: the application half of the
-// auto-parallelization pipeline, where a plan produced from run N's
-// trace reconfigures run N+1. The returned ShapeCfg may be retargeted
-// between steps while the job runs. Must not be called once the job is
-// submitted.
+// of DefaultShape: the application half of the auto-parallelization
+// pipeline, where a plan produced from run N's trace reconfigures run
+// N+1. Must not be called once the job is submitted.
 func (j *Job) WithShape(sh StepShape) *Job {
-	j.shape = NewShapeCfg(sh)
+	j.shape.Store(sh)
 	return j
 }
 
-// Shape returns the job's shape seam, or nil when the job runs the
-// default structure.
+// Shape returns the cell the job's solver reads its step shape from
+// (DefaultShape unless WithShape replaced it). It may be retargeted
+// between steps while the job runs.
 func (j *Job) Shape() *ShapeCfg { return j.shape }
 
 // WithPhaseTrace labels the solver's phases "<prefix>/<phase>" on the
@@ -96,14 +95,7 @@ func (j *Job) Parallelism() int { return j.cfg.Case.MaxDim() }
 
 // Run implements sched.Job.
 func (j *Job) Run(g *sched.Grant) error {
-	opts := CacheOptions{Team: g.Team(), Phases: AllPhases()}
-	if j.shape != nil {
-		opts.Shape = j.shape
-	}
-	if j.prefix != "" {
-		opts.PhaseTrace = j.prefix
-	}
-	s, err := NewCacheSolver(j.cfg, opts)
+	s, err := NewCacheSolver(j.cfg, CacheOptions{Team: g.Team(), Shape: j.shape, PhaseTrace: j.prefix})
 	if err != nil {
 		return err
 	}

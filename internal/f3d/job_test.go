@@ -89,7 +89,7 @@ func TestJobCancelMidRun(t *testing.T) {
 func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 	cfg := DefaultConfig(grid.Single(11, 10, 9))
 
-	ref, err := NewCacheSolver(cfg, CacheOptions{Phases: AllPhases()})
+	ref, err := NewCacheSolver(cfg, CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 
 	team := parloop.NewTeam(1)
 	defer team.Close()
-	s, err := NewCacheSolver(cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	s, err := NewCacheSolver(cfg, CacheOptions{Team: team})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +119,46 @@ func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 			t.Errorf("step %d: resized residual %.17g vs reference %.17g (rel %g)",
 				i, got[i], want[i], rel)
 		}
+	}
+}
+
+// TestJobDefaultShapeCostsFourSyncsPerZoneStep pins the served
+// structure: a job nobody reshaped runs DefaultShape, and on a
+// two-worker grant each zone step is exactly four synchronization
+// events (RHS region + its barrier, two sweep regions) — the
+// benchmark's parloop.sync_events_per_step, held here in tier-1.
+func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
+	const steps = 2
+	c := grid.Scaled(grid.Paper1M(), 0.12)
+	job, err := NewJob("served", DefaultConfig(c), steps, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Shape().Load(); got != DefaultShape() {
+		t.Fatalf("unshaped job reports %+v, want DefaultShape %+v", got, DefaultShape())
+	}
+	var workers int
+	var syncs uint64
+	job.WithFinalHook(func(s Solver) {
+		team := s.(*CacheSolver).Team()
+		workers, syncs = team.Workers(), team.SyncEvents()
+	})
+	s := sched.New(sched.Config{Procs: 2})
+	defer s.Close()
+	h, err := s.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if workers != 2 {
+		t.Fatalf("job ran on %d workers, want the 2-processor grant", workers)
+	}
+	if want := uint64(4 * len(c.Zones) * steps); syncs != want {
+		t.Errorf("%d zones × %d steps cost %d sync events, want %d (4 per zone step)",
+			len(c.Zones), steps, syncs, want)
 	}
 }

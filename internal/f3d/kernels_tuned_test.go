@@ -152,8 +152,8 @@ func TestCacheSolverTunedKernelsBitwise(t *testing.T) {
 		opts CacheOptions
 	}{
 		{"serial", testConfig(9, 8, 7), CacheOptions{}},
-		{"team", testConfig(9, 8, 7), CacheOptions{Team: team, Phases: AllPhases()}},
-		{"merged", testConfig(9, 8, 7), CacheOptions{Team: team, Phases: AllPhases(), Merged: true}},
+		{"team", testConfig(9, 8, 7), CacheOptions{Team: team}},
+		{"merged", testConfig(9, 8, 7), CacheOptions{Team: team, Shape: mergedCfg(true)}},
 		{"stretched", stretchedConfig(), CacheOptions{}},
 	}
 	viscous := testConfig(8, 7, 9)

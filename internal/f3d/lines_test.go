@@ -128,7 +128,7 @@ func TestLineHelpersPanicOnBadAxis(t *testing.T) {
 
 func TestStepProfileForStructure(t *testing.T) {
 	c := grid.Paper1M()
-	full := StepProfileFor(c, AllPhases())
+	full := StepProfileFor(c, DefaultShape())
 	// 4 parallel classes per zone with BC serial.
 	if got, want := len(full.Loops), 4*len(c.Zones); got != want {
 		t.Fatalf("loop classes = %d, want %d", got, want)
@@ -137,7 +137,7 @@ func TestStepProfileForStructure(t *testing.T) {
 		t.Error("BC+residual serial work missing")
 	}
 	// All-serial profile folds everything into SerialCycles.
-	serial := StepProfileFor(c, ParallelPhases{})
+	serial := StepProfileFor(c, StepShape{})
 	if len(serial.Loops) != 0 {
 		t.Errorf("serial profile has %d loop classes", len(serial.Loops))
 	}
@@ -156,7 +156,7 @@ func TestStepProfileForStructure(t *testing.T) {
 		}
 	}
 	// Enabling BC moves its work out of SerialCycles.
-	withBC := AllPhases()
+	withBC := DefaultShape()
 	withBC.BC = true
 	bc := StepProfileFor(c, withBC)
 	if bc.SerialCycles >= full.SerialCycles {

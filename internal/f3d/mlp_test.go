@@ -34,8 +34,7 @@ func TestMLPMatchesSequentialBitwise(t *testing.T) {
 		for _, merged := range []bool{false, true} {
 			mlp := newCache(t, cfg, CacheOptions{
 				ZoneTeams: newZoneTeams(t, len(c.Zones), innerWorkers),
-				Phases:    AllPhases(),
-				Merged:    merged,
+				Shape:     mergedCfg(merged),
 			})
 			InitPulse(mlp, 0.02)
 			for i := range refStats {
@@ -64,7 +63,6 @@ func TestMLPWithZonalInterfaces(t *testing.T) {
 	ref := newCache(t, cfg, CacheOptions{})
 	mlp := newCache(t, cfg, CacheOptions{
 		ZoneTeams: newZoneTeams(t, 2, 2),
-		Phases:    AllPhases(),
 	})
 	initPhysicalPulse(ref, []int{0, 10}, 21, 0.03)
 	initPhysicalPulse(mlp, []int{0, 10}, 21, 0.03)
@@ -95,7 +93,7 @@ func TestMLPSyncStructure(t *testing.T) {
 	c := grid.Scaled(grid.Paper1M(), 0.12)
 	cfg := DefaultConfig(c)
 	teams := newZoneTeams(t, 3, 2)
-	s := newCache(t, cfg, CacheOptions{ZoneTeams: teams, Phases: AllPhases()})
+	s := newCache(t, cfg, CacheOptions{ZoneTeams: teams})
 	InitUniform(s)
 	for _, tm := range teams {
 		tm.ResetSyncEvents()

@@ -8,23 +8,6 @@ import (
 	"repro/internal/parloop"
 )
 
-func TestShapeFromPhasesAndParallel(t *testing.T) {
-	sh := ShapeFromPhases(ParallelPhases{RHS: true, SweepJK: true}, false)
-	want := StepShape{RHSJK: true, RHSL: true, SweepJK: true}
-	if sh != want {
-		t.Fatalf("shape = %+v, want %+v", sh, want)
-	}
-	if !sh.Parallel() {
-		t.Error("shape with regions reported serial")
-	}
-	if (StepShape{}).Parallel() {
-		t.Error("empty shape reported parallel")
-	}
-	if !(StepShape{Merged: true}).Parallel() {
-		t.Error("merged shape reported serial")
-	}
-}
-
 func TestShapeCfgStoreLoad(t *testing.T) {
 	c := NewShapeCfg(StepShape{RHSJK: true})
 	if got := c.Load(); !got.RHSJK || got.RHSL {
@@ -36,10 +19,21 @@ func TestShapeCfgStoreLoad(t *testing.T) {
 	}
 }
 
-// Every plan-expressible shape — fissioned RHS, mixed fission, partial
-// serial phases, merged — must reproduce the serial reference's
-// residual history and flow state bitwise. The check registry proves
-// this across its full matrix; this is the solver-local fast version.
+// shapeFromBits enumerates StepShape: bit i of bits sets the i-th
+// field, so 0..127 covers every value of the type.
+func shapeFromBits(bits int) StepShape {
+	on := func(i int) bool { return bits&(1<<i) != 0 }
+	return StepShape{
+		RHSJK: on(0), RHSL: on(1), SweepJK: on(2), SweepL: on(3),
+		BC: on(4), FissionRHS: on(5), Merged: on(6),
+	}
+}
+
+// Every one of the 2⁷ step shapes — each phase parallel or serial, RHS
+// fissioned or not, merged or not — must reproduce the serial
+// reference's residual history, MaxDelta and flow state bitwise. The
+// check registry proves this for the plan transforms across its full
+// matrix; this is the solver-local exhaustive version.
 func TestShapedStepsMatchSerialBitwise(t *testing.T) {
 	cfg := testConfig(10, 9, 8)
 	ref := newCache(t, cfg, CacheOptions{})
@@ -49,31 +43,24 @@ func TestShapedStepsMatchSerialBitwise(t *testing.T) {
 		refStats[i] = ref.Step()
 	}
 
-	shapes := map[string]StepShape{
-		"fission-both": {RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true, FissionRHS: true},
-		"fission-jk":   {RHSJK: true, SweepJK: true, FissionRHS: true},
-		"fission-l":    {RHSL: true, SweepL: true, FissionRHS: true},
-		"rhs-serial":   {SweepJK: true, SweepL: true, BC: true},
-		"merged":       {Merged: true, RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true},
-		"all-serial":   {},
-	}
-	for name, sh := range shapes {
-		for _, workers := range []int{2, 4} {
-			team := parloop.NewTeam(workers)
-			s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Shape: NewShapeCfg(sh)})
+	for _, workers := range []int{2, 4} {
+		team := parloop.NewTeam(workers)
+		for bits := 0; bits < 1<<7; bits++ {
+			sh := shapeFromBits(bits)
+			s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
 			InitPulse(s, 0.01)
 			for i := range refStats {
 				st := s.Step()
 				if st.Residual != refStats[i].Residual || st.MaxDelta != refStats[i].MaxDelta {
-					t.Fatalf("%s workers=%d step %d: history drifted: %.17g vs %.17g",
-						name, workers, i, st.Residual, refStats[i].Residual)
+					t.Fatalf("%+v workers=%d step %d: history drifted: %.17g vs %.17g",
+						sh, workers, i, st.Residual, refStats[i].Residual)
 				}
 			}
 			if d := MaxPointwiseDiff(s, ref); d != 0 {
-				t.Fatalf("%s workers=%d: final state differs by %g", name, workers, d)
+				t.Fatalf("%+v workers=%d: final state differs by %g", sh, workers, d)
 			}
-			team.Close()
 		}
+		team.Close()
 	}
 }
 
@@ -87,7 +74,7 @@ func TestShapeRetargetMidRunBitwise(t *testing.T) {
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	shc := NewShapeCfg(StepShape{RHSJK: true, FissionRHS: true})
-	s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Shape: shc})
+	s := newCache(t, cfg, CacheOptions{Team: team, Shape: shc})
 	InitPulse(s, 0.01)
 	for i := 0; i < 6; i++ {
 		if i == 2 {
@@ -114,7 +101,7 @@ func TestSolverShapeReportsCurrentStep(t *testing.T) {
 	team := parloop.NewTeam(2)
 	defer team.Close()
 	shc := NewShapeCfg(StepShape{RHSJK: true, RHSL: true})
-	s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Shape: shc})
+	s := newCache(t, cfg, CacheOptions{Team: team, Shape: shc})
 	InitPulse(s, 0.01)
 	if got := s.Shape(); !got.RHSJK {
 		t.Fatalf("pre-step shape = %+v", got)
@@ -140,7 +127,7 @@ func TestPhaseTraceLabelsPhases(t *testing.T) {
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	team.SetTracer(tr, "jobX")
-	s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), PhaseTrace: "jobX"})
+	s := newCache(t, cfg, CacheOptions{Team: team, PhaseTrace: "jobX"})
 	defer s.Close()
 	InitPulse(s, 0.01)
 	for i := 0; i < 2; i++ {
@@ -155,7 +142,7 @@ func TestPhaseTraceLabelsPhases(t *testing.T) {
 			seen[strings.TrimPrefix(e.Name, "jobX/")] = true
 		}
 	}
-	// bc is absent: AllPhases leaves it serial (§3, too cheap to
+	// bc is absent: DefaultShape leaves it serial (§3, too cheap to
 	// amortize a region), and serial phases emit no region events.
 	for _, phase := range []string{"rhs", "sweep-jk", "sweep-l"} {
 		if !seen[phase] {
@@ -173,7 +160,7 @@ func TestPhaseTraceLabelsPhases(t *testing.T) {
 	defer team2.Close()
 	team2.SetTracer(tr2, "jobY")
 	s2 := newCache(t, cfg, CacheOptions{
-		Team: team2, Phases: AllPhases(), PhaseTrace: "jobY",
+		Team: team2, PhaseTrace: "jobY",
 		Shape: NewShapeCfg(StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true, FissionRHS: true}),
 	})
 	defer s2.Close()
@@ -196,7 +183,7 @@ func TestPhaseTraceMergedStep(t *testing.T) {
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	team.SetTracer(tr, "jobZ")
-	s := newCache(t, cfg, CacheOptions{Team: team, Phases: AllPhases(), Merged: true, PhaseTrace: "jobZ"})
+	s := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(true), PhaseTrace: "jobZ"})
 	defer s.Close()
 	InitPulse(s, 0.01)
 	s.Step()

@@ -20,11 +20,13 @@ const (
 )
 
 // StepProfileFor returns the per-time-step execution profile of the
-// cache-tuned solver on the given case with the given phase
-// parallelization, in units of floating-point operations (callers scale
-// to cycles with model.StepProfile.Scale using a machine's cycles per
-// delivered flop). The loop classes mirror the solver's actual parallel
-// regions:
+// cache-tuned solver on the given case under the given step shape, in
+// units of floating-point operations (callers scale to cycles with
+// model.StepProfile.Scale using a machine's cycles per delivered flop).
+// Only the shape's per-phase parallel flags are modelled: the RHS is
+// parallel when both its passes are, and Merged/FissionRHS (which move
+// synchronization, not work) are ignored. The loop classes mirror the
+// solver's actual parallel regions:
 //
 //   - rhs-jk:   J+K RHS passes, partitioned over L     (1 sync/zone)
 //   - rhs-l:    L RHS pass, partitioned over K         (1 sync/zone)
@@ -32,7 +34,7 @@ const (
 //   - sweep-l:  L sweep + update, partitioned over K   (1 sync/zone)
 //   - bc:       boundary conditions (serial by default)
 //   - residual: serial residual accumulation
-func StepProfileFor(c grid.Case, phases ParallelPhases) model.StepProfile {
+func StepProfileFor(c grid.Case, sh StepShape) model.StepProfile {
 	var sp model.StepProfile
 	for i := range c.Zones {
 		z := &c.Zones[i]
@@ -60,11 +62,12 @@ func StepProfileFor(c grid.Case, phases ParallelPhases) model.StepProfile {
 				sp.SerialCycles += work
 			}
 		}
-		add("rhs-jk", rhsJK, parL, phases.RHS)
-		add("rhs-l", rhsL, parK, phases.RHS)
-		add("sweep-jk", sweepJK, parL, phases.SweepJK)
-		add("sweep-l", sweepL, parK, phases.SweepL)
-		add("bc", bc, z.LMax, phases.BC)
+		rhs := sh.RHSJK && sh.RHSL
+		add("rhs-jk", rhsJK, parL, rhs)
+		add("rhs-l", rhsL, parK, rhs)
+		add("sweep-jk", sweepJK, parL, sh.SweepJK)
+		add("sweep-l", sweepL, parK, sh.SweepL)
+		add("bc", bc, z.LMax, sh.BC)
 		sp.SerialCycles += resid
 	}
 	return sp

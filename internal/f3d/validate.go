@@ -77,12 +77,14 @@ func CrossValidate(cfg Config, steps, workers int) (ValidationReport, error) {
 	defer serial.Close()
 	team := parloop.NewTeam(workers)
 	defer team.Close()
-	par, err := NewCacheSolver(cfg, CacheOptions{Team: team, Phases: AllPhases()})
+	par, err := NewCacheSolver(cfg, CacheOptions{Team: team})
 	if err != nil {
 		return rep, err
 	}
 	defer par.Close()
-	merged, err := NewCacheSolver(cfg, CacheOptions{Team: team, Phases: AllPhases(), Merged: true})
+	mergedShape := DefaultShape()
+	mergedShape.Merged = true
+	merged, err := NewCacheSolver(cfg, CacheOptions{Team: team, Shape: NewShapeCfg(mergedShape)})
 	if err != nil {
 		return rep, err
 	}

@@ -156,7 +156,7 @@ func TestZonalSerialParallelAgreeBitwise(t *testing.T) {
 	defer team.Close()
 	offsets := []int{0, 10}
 	for _, merged := range []bool{false, true} {
-		par := newCache(t, split, CacheOptions{Team: team, Phases: AllPhases(), Merged: merged})
+		par := newCache(t, split, CacheOptions{Team: team, Shape: mergedCfg(merged)})
 		initPhysicalPulse(serial, offsets, 21, 0.03)
 		initPhysicalPulse(par, offsets, 21, 0.03)
 		for i := 0; i < 5; i++ {

@@ -582,6 +582,19 @@ func (s *Scheduler) Job(id uint64) (JobStatus, error) {
 	return rec.snapshotLocked(s.clock.Now()), nil
 }
 
+// Submitted returns the job object submitted under the given ID, or nil
+// for an unknown ID. This table is the daemon's only index of jobs by
+// ID: per-job state that outlives a request (an adaptive controller, a
+// cached plan) lives on the job object and is reached through here.
+func (s *Scheduler) Submitted(id uint64) Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, ok := s.jobs[id]; ok {
+		return rec.job
+	}
+	return nil
+}
+
 // Jobs returns snapshots of all jobs in submission order.
 func (s *Scheduler) Jobs() []JobStatus {
 	s.mu.Lock()
