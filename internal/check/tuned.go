@@ -3,6 +3,7 @@ package check
 import (
 	"math"
 
+	"repro/internal/euler"
 	"repro/internal/linalg"
 	"repro/internal/parloop"
 )
@@ -12,10 +13,13 @@ import (
 // — per system they perform the scalar eliminations in the scalar
 // order) and the unrolled slice reductions (ULP-bounded for sums,
 // whose four-accumulator unroll regroups the additions; exact for
-// max). The parallel bodies partition independent solves across the
-// team, so the matrix also proves the tuned forms safe inside regions.
+// max) and the axis-specialised eigensystem (bitwise against the
+// generic one). The parallel bodies partition independent solves across
+// the team, so the matrix also proves the tuned forms safe inside
+// regions.
 func tunedKernels() []Kernel {
 	return []Kernel{
+		eigenAxisKernel(),
 		tridiagBatchKernel(),
 		pentadiagBatchKernel(),
 		planarTunedKernel(),
@@ -23,6 +27,68 @@ func tunedKernels() []Kernel {
 		dotSliceKernel(),
 		maxSliceKernel(),
 	}
+}
+
+// perItemKernel is the shape the next three kernels share: n
+// independent items of per outputs each, item i computed by the scalar
+// reference form in the serial run and by the tuned form, dealt to the
+// team by the schedule, in the parallel one. Bitwise.
+func perItemKernel(name string, n, per int, item func(i int, tuned bool, out []float64)) Kernel {
+	return Kernel{
+		Name: name, N: n, MinN: 1,
+		Schedules: AllSchedules,
+		Serial: func(n int) []float64 {
+			out := make([]float64, n*per)
+			for i := 0; i < n; i++ {
+				item(i, false, out[i*per:])
+			}
+			return out
+		},
+		Parallel: func(t *parloop.Team, spec Spec) []float64 {
+			out := make([]float64, spec.N*per)
+			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					item(i, true, out[i*per:])
+				}
+			})
+			return out
+		},
+	}
+}
+
+// eigenAxisKernel: the tuned sweep's axis-specialised characteristic
+// transforms (euler.AxisEigen) against the dense EigensystemDir +
+// MulVec5 they replace: per state and axis Λ, T⁻¹·r and T·r. States mix
+// ordinary flow with velocity and right-hand-side components that are
+// exactly +0 or −0, where a dropped 0·x term would show.
+func eigenAxisKernel() Kernel {
+	const nc = euler.NC
+	z := [3]float64{1, 0, math.Copysign(0, -1)}
+	return perItemKernel("eigen-axis-tuned", 243, 3*3*nc, func(i int, tuned bool, out []float64) {
+		t := float64(i)
+		uc := euler.Prim{
+			Rho: 1 + 0.3*math.Sin(7*t), P: 1 + 0.25*math.Sin(2*t),
+			U: (0.4 + 0.2*math.Cos(3*t)) * z[i%3], V: 0.3 * math.Sin(5*t) * z[i/3%3], W: -0.2 * math.Cos(11*t) * z[i/9%3],
+		}.Cons()
+		var r linalg.Vec5
+		for c := range r {
+			r[c] = math.Sin(t+1.7*float64(c)) * z[(i+c)%3]
+		}
+		for a, ax := range []euler.Axis{euler.X, euler.Y, euler.Z} {
+			kx, ky, kz := ax.Unit()
+			gen := euler.EigensystemDir(kx, ky, kz, uc)
+			lam, fwd, back := gen.Lambda, linalg.MulVec5(&gen.Tinv, &r), linalg.MulVec5(&gen.T, &r)
+			if tuned {
+				var e euler.AxisEigen
+				fwd = e.Forward(ax, &uc, &r)
+				lam, back = e.Lambda, e.Back(ax, &r)
+			}
+			o := out[a*3*nc:]
+			copy(o, lam[:])
+			copy(o[nc:], fwd[:])
+			copy(o[2*nc:], back[:])
+		}
+	})
 }
 
 // batchOrder is the system order used by the batched-solver kernels.
@@ -71,27 +137,7 @@ func tridiagBatchKernel() Kernel {
 			copy(out[l*batchOrder:], d[l])
 		}
 	}
-	const per = linalg.Lanes * batchOrder
-	return Kernel{
-		Name: "tridiag-batch5", N: 48, MinN: 1,
-		Schedules: AllSchedules,
-		Serial: func(n int) []float64 {
-			out := make([]float64, n*per)
-			for i := 0; i < n; i++ {
-				solve(i, false, out[i*per:])
-			}
-			return out
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			out := make([]float64, spec.N*per)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					solve(i, true, out[i*per:])
-				}
-			})
-			return out
-		},
-	}
+	return perItemKernel("tridiag-batch5", 48, linalg.Lanes*batchOrder, solve)
 }
 
 // pentadiagBands builds one diagonally dominant 5-lane pentadiagonal
@@ -134,27 +180,7 @@ func pentadiagBatchKernel() Kernel {
 			copy(out[l*batchOrder:], d[l])
 		}
 	}
-	const per = linalg.Lanes * batchOrder
-	return Kernel{
-		Name: "pentadiag-batch5", N: 32, MinN: 1,
-		Schedules: AllSchedules,
-		Serial: func(n int) []float64 {
-			out := make([]float64, n*per)
-			for i := 0; i < n; i++ {
-				solve(i, false, out[i*per:])
-			}
-			return out
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			out := make([]float64, spec.N*per)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					solve(i, true, out[i*per:])
-				}
-			})
-			return out
-		},
-	}
+	return perItemKernel("pentadiag-batch5", 32, linalg.Lanes*batchOrder, solve)
 }
 
 // planarTunedKernel: N independent planes of tridiagonal systems in the

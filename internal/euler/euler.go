@@ -226,15 +226,6 @@ func Eigensystem(a Axis, uc linalg.Vec5) Eigen {
 	return EigensystemDir(kx, ky, kz, uc)
 }
 
-// EigensystemInto computes Eigensystem directly into e. The Eigen
-// struct is 55 floats; sweep kernels that fill a line of eigensystems
-// use this to write each one in place instead of copying the by-value
-// return. Every field of e is overwritten.
-func EigensystemInto(e *Eigen, a Axis, uc linalg.Vec5) {
-	kx, ky, kz := a.Unit()
-	EigensystemDirInto(e, kx, ky, kz, uc)
-}
-
 // EigensystemDir returns the Pulliam–Chaussee eigensystem for a general
 // unit direction (kx, ky, kz): the similarity transform that
 // diagonalizes JacobianDir for that direction. The direction must have

@@ -95,22 +95,34 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 }
 
 // BenchmarkSweepLineKernels compares the scalar and tuned implicit
-// sweep kernels on one line — the tuned batch solve plus hoisted band
-// assembly is the step-time lever this layer exists for.
+// sweep kernels on one line — the tuned batch solve, hoisted band
+// assembly and axis-specialised transforms are the step-time lever this
+// layer exists for. Each axis has its own specialised eigensystem, so
+// all three are timed, plus the line the served L sweep of a viscous
+// stretched case runs (viscRe > 0, metric arrays present).
 func BenchmarkSweepLineKernels(b *testing.B) {
 	cfg := benchConfig()
 	const n = 64
+	stretched := newAxisGeom(grid.StretchCoords(n, 1.5))
 	for _, impl := range []struct {
 		name string
 		kern *kernelSet
 	}{{"scalar", &scalarKernelSet}, {"tuned", &tunedKernelSet}} {
 		kern := impl.kern
-		for _, dissip4 := range []bool{false, true} {
-			name := impl.name
-			if dissip4 {
-				name += "-dissip4"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, line := range []struct {
+			name    string
+			ax      euler.Axis
+			viscRe  float64
+			g       *axisGeom
+			dissip4 bool
+		}{
+			{"", euler.X, 0, nil, false},
+			{"-dissip4", euler.X, 0, nil, true},
+			{"-y", euler.Y, 0, nil, false},
+			{"-z", euler.Z, 0, nil, false},
+			{"-z-viscous-stretched", euler.Z, 1200, stretched, false},
+		} {
+			b.Run(impl.name+line.name, func(b *testing.B) {
 				sc := newCacheScratch(n, kern)
 				fs := cfg.Freestream
 				r0 := make([]linalg.Vec5, n)
@@ -125,7 +137,7 @@ func BenchmarkSweepLineKernels(b *testing.B) {
 					// The sweep solves r in place; reload it so every
 					// iteration works on the same, well-scaled data.
 					copy(sc.p.r, r0)
-					kern.sweepLine(sc.p, n, euler.X, 0.01, 0.005, cfg.EpsI, 0, nil, dissip4)
+					kern.sweepLine(sc.p, n, line.ax, 0.01, 0.005, cfg.EpsI, line.viscRe, line.g, line.dissip4)
 				}
 			})
 		}

@@ -280,6 +280,15 @@ func TestStepStatsFlops(t *testing.T) {
 	}
 }
 
+// TestFlopsPerPointFrozen: delivered MFLOPS (cmd/f3d, f3dc, the
+// benchmark's mflops) is this count over wall time, so the count is the
+// algorithm's and does not follow kernel tuning — see the constants.
+func TestFlopsPerPointFrozen(t *testing.T) {
+	if got := FlopsPerPoint(); got != 1148 {
+		t.Errorf("FlopsPerPoint() = %g, want 1148: a sparser kernel is not a cheaper algorithm", got)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := testConfig(5, 5, 5)
 	if err := good.Validate(); err != nil {

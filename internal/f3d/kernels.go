@@ -46,7 +46,7 @@ type pencil struct {
 	n   int                 // points along the line, including boundaries
 	q   []linalg.Vec5       // conserved state
 	r   []linalg.Vec5       // right-hand side / update
-	eig []euler.Eigen       // eigensystem at interior points (index 1..n-2)
+	eig []euler.AxisEigen   // Λ and T's nonzeros at interior points (index 1..n-2)
 	w   [euler.NC][]float64 // characteristic variables, per component
 	ta  [euler.NC][]float64 // tridiagonal sub-diagonal, per component
 	tb  [euler.NC][]float64 // tridiagonal diagonal
@@ -55,6 +55,9 @@ type pencil struct {
 	// dissipation) mode.
 	te [euler.NC][]float64
 	tf [euler.NC][]float64
+	// The scalar reference sweep's dense eigensystems, allocated by
+	// sweepLineMode on first use: a served pencil never carries them.
+	eigRef []euler.Eigen
 }
 
 // newPencil allocates a pencil for lines of up to nmax points. The
@@ -67,7 +70,7 @@ func newPencil(nmax int) *pencil {
 		n:   nmax,
 		q:   make([]linalg.Vec5, nmax),
 		r:   make([]linalg.Vec5, nmax),
-		eig: make([]euler.Eigen, nmax),
+		eig: make([]euler.AxisEigen, nmax),
 	}
 	ar := cachesim.NewArena(cachesim.PencilFloats(nmax, euler.NC))
 	for _, fam := range []*[euler.NC][]float64{&p.w, &p.ta, &p.tb, &p.tc, &p.te, &p.tf} {
@@ -118,12 +121,16 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 		return
 	}
 	p.checkLine(n)
+	if p.eigRef == nil {
+		p.eigRef = make([]euler.Eigen, p.n)
+	}
+	eig := p.eigRef
 	nu := dt / (2 * h)
 	muScale := epsI * dt / h
 	// Eigensystems and characteristic-variable RHS at interior points.
 	for i := 1; i <= ni; i++ {
-		p.eig[i] = euler.Eigensystem(ax, p.q[i])
-		w := linalg.MulVec5(&p.eig[i].Tinv, &p.r[i])
+		eig[i] = euler.Eigensystem(ax, p.q[i])
+		w := linalg.MulVec5(&eig[i].Tinv, &p.r[i])
 		for c := 0; c < euler.NC; c++ {
 			p.w[c][i-1] = w[c]
 		}
@@ -132,7 +139,7 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 	viscous := viscRe > 0 && ax == euler.Z
 	for c := 0; c < euler.NC; c++ {
 		for i := 1; i <= ni; i++ {
-			sig := sigmaFromLambda(&p.eig[i].Lambda)
+			sig := sigmaFromLambda(&eig[i].Lambda)
 			nui, mu := nu, muScale*sig
 			if g != nil {
 				nui = dt * g.inv2h[i]
@@ -140,10 +147,10 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 			}
 			lamPrev, lamNext := 0.0, 0.0
 			if i > 1 {
-				lamPrev = p.eig[i-1].Lambda[c]
+				lamPrev = eig[i-1].Lambda[c]
 			}
 			if i < ni {
-				lamNext = p.eig[i+1].Lambda[c]
+				lamNext = eig[i+1].Lambda[c]
 			}
 			var a, b, cc float64
 			if dissip4 {
@@ -193,7 +200,7 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 		for c := 0; c < euler.NC; c++ {
 			w[c] = p.w[c][i-1]
 		}
-		p.r[i] = linalg.MulVec5(&p.eig[i].T, &w)
+		p.r[i] = linalg.MulVec5(&eig[i].T, &w)
 	}
 	p.r[0] = linalg.Vec5{}
 	p.r[n-1] = linalg.Vec5{}
@@ -251,8 +258,12 @@ func rhsLineAccum(q []linalg.Vec5, flux []linalg.Vec5, sigma []float64, r []lina
 }
 
 // Flop-count estimates per interior grid point, used for MFLOPS
-// reporting. They are analytic operation counts of the kernels above
-// (counted on the source, ±a few percent), not measurements.
+// reporting. They are analytic operation counts of the scalar kernels
+// above (counted on the source, ±a few percent), not measurements, and
+// they count the algorithm, not the implementation (the paper's Table 4
+// convention): f3dc and the benchmark derive delivered MFLOPS from
+// them, so recounting a tuned kernel that skips operations would report
+// a faster solve as a slower one. TestFlopsPerPointFrozen pins the sum.
 const (
 	// flopsRHSPerPoint covers three directions of flux evaluation,
 	// spectral radii, central differences and dissipation.

@@ -5,15 +5,18 @@ import (
 	"repro/internal/linalg"
 )
 
-// Tuned inner-loop kernels for the cache solver: the same arithmetic as
-// the scalar reference kernels in kernels.go, restructured the way the
-// paper's §4 serial tuning restructured the vector code — invariant
-// subexpressions hoisted out of the component loop, the five
-// characteristic systems solved as one lane batch so their recurrences
-// overlap, and the geometry branch lifted out of the inner loop. Every
-// per-element floating-point operation keeps its value and order, so
-// tuned results are bitwise identical to the scalar forms; the
-// conformance matrix in internal/check enforces that on every build.
+// Tuned inner-loop kernels for the cache solver: the scalar reference
+// kernels of kernels.go restructured the way the paper's §4 serial
+// tuning restructured the vector code — invariant subexpressions
+// hoisted out of the component loop, the five characteristic systems
+// solved as one lane batch so their recurrences overlap, the geometry
+// branch lifted out of the inner loop, the characteristic transforms
+// specialised to the sweep's axis (euler.AxisEigen). Every operation
+// kept has the scalar form's operands and order; the only ones dropped
+// are products with a direction cosine that is exactly 0, whose ±0
+// terms cannot change a sum that starts from +0 (DESIGN.md §8). So
+// tuned results are bitwise identical to the scalar forms while the
+// solve is finite; internal/check enforces that on every build.
 
 // kernelSet is the dispatch seam between the cache solver's loop
 // drivers and the per-line kernels. The drivers (rhsPassJK, rhsPassL,
@@ -44,7 +47,8 @@ var _ [linalg.Lanes][]float64 = [euler.NC][]float64{}
 // per (component, point), and the five per-component band systems are
 // solved as one linalg lane batch. Per component the assembled
 // coefficients and the elimination order are exactly those of the
-// scalar path, so the results match bitwise.
+// scalar path, and euler.AxisEigen reproduces the dense transforms'
+// products, so the results match bitwise.
 func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
@@ -53,12 +57,10 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	p.checkLine(n)
 	nu := dt / (2 * h)
 	muScale := epsI * dt / h
-	// Eigensystems and characteristic-variable RHS at interior points.
-	// EigensystemInto writes the 55-float transform in place instead of
-	// copying a by-value return — same values, no duffcopy.
+	// Axis-specialised eigensystems and characteristic-variable RHS at
+	// interior points: T⁻¹ is applied as it is built and never stored.
 	for i := 1; i <= ni; i++ {
-		euler.EigensystemInto(&p.eig[i], ax, p.q[i])
-		w := linalg.MulVec5(&p.eig[i].Tinv, &p.r[i])
+		w := p.eig[i].Forward(ax, &p.q[i], &p.r[i])
 		for c := 0; c < euler.NC; c++ {
 			p.w[c][i-1] = w[c]
 		}
@@ -136,7 +138,7 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 		for c := 0; c < euler.NC; c++ {
 			w[c] = p.w[c][i-1]
 		}
-		p.r[i] = linalg.MulVec5(&p.eig[i].T, &w)
+		p.r[i] = p.eig[i].Back(ax, &w)
 	}
 	p.r[0] = linalg.Vec5{}
 	p.r[n-1] = linalg.Vec5{}
