@@ -8,67 +8,47 @@ import (
 	"sort"
 )
 
-// The benchmark trajectory file format. Every PR that touches
-// performance-relevant code regenerates BENCH_PR<N>.json with this
-// tool; CI gates the deterministic series against the committed
-// baseline so model/simulator/sync-structure regressions fail the
-// build while machine-dependent timings are recorded but never gated.
-
 // schemaVersion bumps when Report's shape changes incompatibly.
-const schemaVersion = 1
+// 2: every series gates (the gate, short and label fields are gone).
+const schemaVersion = 2
+
+// tolerance is the relative drift a Higher or Lower series may move in
+// its bad direction before the gate fires: the kern_ ratios divide two
+// wall-clock readings, so they carry the host's noise.
+const tolerance = 0.20
+
+// exactTolerance is the drift an Exact series may show — room for
+// float formatting, none for a count or an allocation zero.
+const exactTolerance = 1e-9
 
 // Direction states which way a series is allowed to drift.
 type Direction string
 
 const (
 	// Higher: larger is better; gate fires when the value drops more
-	// than the tolerance below baseline.
+	// than tolerance below baseline.
 	Higher Direction = "higher"
 	// Lower: smaller is better; gate fires when the value rises more
-	// than the tolerance above baseline.
+	// than tolerance above baseline.
 	Lower Direction = "lower"
-	// Exact: any relative drift beyond the tolerance fires, either way.
+	// Exact: any drift beyond exactTolerance fires, either way.
 	Exact Direction = "exact"
 )
 
-// Series is one measured or computed scalar.
+// Series is one measured or computed scalar. Every series gates.
 type Series struct {
 	Name   string    `json:"name"`
 	Value  float64   `json:"value"`
 	Unit   string    `json:"unit"`
 	Better Direction `json:"better"`
-	// Gate marks series that are deterministic (analytic model values,
-	// simulator outputs, sync-event counts) and therefore safe to fail
-	// CI on. Wall-clock timings stay ungated: they track the host, not
-	// the code.
-	Gate bool `json:"gate"`
 }
 
-// Report is the whole dump. The metadata fields (Go, GoAMD64, ...)
-// record the build environment for later forensics; compare() reads
-// only Series, and loadReport's json.Unmarshal drops unknown keys, so
-// adding metadata never invalidates committed baselines.
+// Report is the whole dump. Go records the toolchain for later
+// forensics; compare() reads only Series.
 type Report struct {
-	Schema int    `json:"schema"`
-	Label  string `json:"label"`
-	Go     string `json:"go"`
-	// GoAMD64 is the GOAMD64 microarchitecture level the binary was
-	// built for ("v1" when unset) — kernel timings are not comparable
-	// across levels.
-	GoAMD64 string   `json:"goamd64,omitempty"`
-	Short   bool     `json:"short"`
-	Series  []Series `json:"series"`
-}
-
-// goAMD64Level reports the GOAMD64 level this process was built with,
-// defaulting to the toolchain default "v1". The env var is the best
-// signal available: runtime exposes no GOAMD64 introspection, and CI
-// exports it alongside the build.
-func goAMD64Level() string {
-	if v := os.Getenv("GOAMD64"); v != "" {
-		return v
-	}
-	return "v1"
+	Schema int      `json:"schema"`
+	Go     string   `json:"go"`
+	Series []Series `json:"series"`
 }
 
 func loadReport(path string) (Report, error) {
@@ -94,7 +74,7 @@ func writeReport(path string, r Report) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// Regression describes one gated series outside tolerance.
+// Regression describes one series outside tolerance.
 type Regression struct {
 	Name      string
 	Base, New float64
@@ -105,15 +85,12 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: baseline %.6g, now %.6g (%+.1f%%)", r.Name, r.Base, r.New, 100*r.Drift)
 }
 
-// compare gates every series marked Gate in the new report against the
-// baseline. Series missing from the baseline pass (they are new in
-// this PR); series present in the baseline but missing from the new
-// report fail — a silently dropped measurement is itself a regression.
-func compare(base, cur Report, tol float64) []Regression {
-	baseBy := make(map[string]Series, len(base.Series))
-	for _, s := range base.Series {
-		baseBy[s.Name] = s
-	}
+// compare gates the new report against the baseline. Series missing
+// from the baseline pass (they are new in this PR); series present in
+// the baseline but missing from the new report fail — a silently
+// dropped measurement is itself a regression — and so does a value
+// that is not finite, which no drift comparison would catch.
+func compare(base, cur Report) []Regression {
 	curBy := make(map[string]Series, len(cur.Series))
 	for _, s := range cur.Series {
 		curBy[s.Name] = s
@@ -121,23 +98,20 @@ func compare(base, cur Report, tol float64) []Regression {
 
 	var regs []Regression
 	for _, b := range base.Series {
-		if !b.Gate {
-			continue
-		}
 		c, ok := curBy[b.Name]
 		if !ok {
 			regs = append(regs, Regression{Name: b.Name + " (series dropped)", Base: b.Value, New: math.NaN(), Drift: math.NaN()})
 			continue
 		}
 		drift := relDrift(b.Value, c.Value)
-		bad := false
+		bad := math.IsNaN(c.Value) || math.IsInf(c.Value, 0)
 		switch b.Better {
 		case Higher:
-			bad = drift < -tol
+			bad = bad || drift < -tolerance
 		case Lower:
-			bad = drift > tol
+			bad = bad || drift > tolerance
 		default: // Exact
-			bad = math.Abs(drift) > tol
+			bad = bad || math.Abs(drift) > exactTolerance
 		}
 		if bad {
 			regs = append(regs, Regression{Name: b.Name, Base: b.Value, New: c.Value, Drift: drift})
@@ -145,20 +119,6 @@ func compare(base, cur Report, tol float64) []Regression {
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
 	return regs
-}
-
-// filterPrefix keeps only the baseline series whose name starts with
-// prefix — used when a partial suite runs, so series the run never
-// attempted are not reported as dropped.
-func filterPrefix(r Report, prefix string) Report {
-	kept := make([]Series, 0, len(r.Series))
-	for _, s := range r.Series {
-		if len(s.Name) >= len(prefix) && s.Name[:len(prefix)] == prefix {
-			kept = append(kept, s)
-		}
-	}
-	r.Series = kept
-	return r
 }
 
 // relDrift is the signed relative change from base to cur, with a

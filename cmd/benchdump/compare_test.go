@@ -7,15 +7,14 @@ import (
 )
 
 func mkReport(series ...Series) Report {
-	return Report{Schema: schemaVersion, Label: "t", Go: "gotest", Short: true, Series: series}
+	return Report{Schema: schemaVersion, Go: "gotest", Series: series}
 }
 
 func TestCompareDirections(t *testing.T) {
 	base := mkReport(
-		Series{Name: "up", Value: 100, Better: Higher, Gate: true},
-		Series{Name: "down", Value: 100, Better: Lower, Gate: true},
-		Series{Name: "pin", Value: 100, Better: Exact, Gate: true},
-		Series{Name: "wall", Value: 100, Better: Lower, Gate: false},
+		Series{Name: "up", Value: 100, Better: Higher},
+		Series{Name: "down", Value: 100, Better: Lower},
+		Series{Name: "pin", Value: 12, Better: Exact},
 	)
 	cases := []struct {
 		name string
@@ -23,41 +22,40 @@ func TestCompareDirections(t *testing.T) {
 		want int
 	}{
 		{"all identical", []Series{
-			{Name: "up", Value: 100}, {Name: "down", Value: 100},
-			{Name: "pin", Value: 100}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 100}, {Name: "down", Value: 100}, {Name: "pin", Value: 12},
 		}, 0},
 		{"within tolerance", []Series{
-			{Name: "up", Value: 85}, {Name: "down", Value: 115},
-			{Name: "pin", Value: 110}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 85}, {Name: "down", Value: 115}, {Name: "pin", Value: 12},
 		}, 0},
 		{"good directions never fire", []Series{
-			{Name: "up", Value: 300}, {Name: "down", Value: 1},
-			{Name: "pin", Value: 100}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 300}, {Name: "down", Value: 1}, {Name: "pin", Value: 12},
 		}, 0},
 		{"higher dropped too far", []Series{
-			{Name: "up", Value: 70}, {Name: "down", Value: 100},
-			{Name: "pin", Value: 100}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 70}, {Name: "down", Value: 100}, {Name: "pin", Value: 12},
 		}, 1},
 		{"lower rose too far", []Series{
-			{Name: "up", Value: 100}, {Name: "down", Value: 130},
-			{Name: "pin", Value: 100}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 100}, {Name: "down", Value: 130}, {Name: "pin", Value: 12},
 		}, 1},
 		{"exact drifted either way", []Series{
-			{Name: "up", Value: 100}, {Name: "down", Value: 100},
-			{Name: "pin", Value: 70}, {Name: "wall", Value: 100},
+			{Name: "up", Value: 100}, {Name: "down", Value: 100}, {Name: "pin", Value: 8},
 		}, 1},
-		{"ungated series never gates", []Series{
-			{Name: "up", Value: 100}, {Name: "down", Value: 100},
-			{Name: "pin", Value: 100}, {Name: "wall", Value: 9999},
-		}, 0},
+		// A count is exact: 12 -> 13 is +8 %, inside the ratios'
+		// tolerance and still a regression.
+		{"exact means exact", []Series{
+			{Name: "up", Value: 100}, {Name: "down", Value: 100}, {Name: "pin", Value: 13},
+		}, 1},
+		// NaN compares false with everything and +Inf looks like an
+		// improvement to a Higher series; neither is a measurement.
+		{"non-finite values fail", []Series{
+			{Name: "up", Value: math.Inf(1)}, {Name: "down", Value: math.NaN()}, {Name: "pin", Value: math.NaN()},
+		}, 3},
 		{"dropped gated series fails", []Series{
 			{Name: "up", Value: 100}, {Name: "down", Value: 100},
-			{Name: "wall", Value: 100},
 		}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if regs := compare(base, mkReport(tc.cur...), 0.20); len(regs) != tc.want {
+			if regs := compare(base, mkReport(tc.cur...)); len(regs) != tc.want {
 				t.Errorf("got %d regressions %v, want %d", len(regs), regs, tc.want)
 			}
 		})
@@ -65,12 +63,12 @@ func TestCompareDirections(t *testing.T) {
 }
 
 func TestCompareNewSeriesPass(t *testing.T) {
-	base := mkReport(Series{Name: "old", Value: 1, Better: Exact, Gate: true})
+	base := mkReport(Series{Name: "old", Value: 1, Better: Exact})
 	cur := mkReport(
-		Series{Name: "old", Value: 1, Better: Exact, Gate: true},
-		Series{Name: "brand-new", Value: 42, Better: Exact, Gate: true},
+		Series{Name: "old", Value: 1, Better: Exact},
+		Series{Name: "brand-new", Value: 42, Better: Exact},
 	)
-	if regs := compare(base, cur, 0.01); len(regs) != 0 {
+	if regs := compare(base, cur); len(regs) != 0 {
 		t.Errorf("new series should not regress: %v", regs)
 	}
 }
@@ -82,13 +80,18 @@ func TestRelDriftZeroBaseline(t *testing.T) {
 	if d := relDrift(0, 1); math.IsInf(d, 0) || math.IsNaN(d) {
 		t.Errorf("relDrift(0,1) = %v, want finite", d)
 	}
+	// An allocation zero that becomes one allocation is a regression.
+	base := mkReport(Series{Name: "allocs", Value: 0, Better: Exact})
+	if regs := compare(base, mkReport(Series{Name: "allocs", Value: 1})); len(regs) != 1 {
+		t.Errorf("0 -> 1 on an exact series: got %v, want one regression", regs)
+	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
 	want := mkReport(
-		Series{Name: "a", Value: 1.5, Unit: "x", Better: Higher, Gate: true},
-		Series{Name: "b", Value: 2, Unit: "ns/op", Better: Lower, Gate: false},
+		Series{Name: "a", Value: 1.5, Unit: "x", Better: Higher},
+		Series{Name: "b", Value: 2, Unit: "syncs/op", Better: Exact},
 	)
 	if err := writeReport(path, want); err != nil {
 		t.Fatal(err)
@@ -114,54 +117,74 @@ func TestLoadReportRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-// TestSuiteDeterministicSeries runs the real suite (short mode) and
-// checks the gated sync-structure counts — the values the CI gate
-// protects — come out at the paper's expected orders of magnitude.
-func TestSuiteDeterministicSeries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the timed suite")
+// TestBaselineMatchesSeriesTable fails when bench_baseline.json and the
+// series table disagree on a name, unit or direction — without running
+// a measurement, so a dropped or renamed series fails `go test ./...`
+// and not only the CI bench job.
+func TestBaselineMatchesSeriesTable(t *testing.T) {
+	base, err := loadReport(filepath.Join("..", "..", "bench_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	series := runSuite(true, "", func(string, ...any) {})
-	by := make(map[string]Series, len(series))
-	for _, s := range series {
-		by[s.Name] = s
+	type identity struct {
+		unit   string
+		better Direction
 	}
-	want := map[string]float64{
-		"example1_outer_syncs_op":      1,
-		"example2_separate_syncs_op":   2,
-		"example2_merged_syncs_op":     1,
-		"example3_child_syncs_op":      256,
-		"example3_hoisted_syncs_op":    1,
-		"analyze_table3_plateau_count": 7,
-		"analyze_table3_p5_speedup":    5,
-		"analyze_table3_p8_speedup":    7.5,
-		"analyze_attribution_ok":       1,
-		"example3_trace_units":         256,
-		"example3_trace_syncs":         1,
+	inTable := make(map[string]identity, len(seriesTable))
+	for _, d := range seriesTable {
+		if _, dup := inTable[d.Name]; dup {
+			t.Errorf("series table lists %s twice", d.Name)
+		}
+		inTable[d.Name] = identity{d.Unit, d.Better}
 	}
-	for name, v := range want {
-		s, ok := by[name]
+	for _, s := range base.Series {
+		want, ok := inTable[s.Name]
 		if !ok {
-			t.Errorf("suite missing series %s", name)
+			t.Errorf("baseline series %s is not in the series table", s.Name)
 			continue
 		}
-		if s.Value != v {
-			t.Errorf("%s = %v, want %v", name, s.Value, v)
+		if got := (identity{s.Unit, s.Better}); got != want {
+			t.Errorf("%s: baseline says %+v, series table %+v", s.Name, got, want)
 		}
-		if !s.Gate {
-			t.Errorf("%s should be gated", name)
+		delete(inTable, s.Name)
+	}
+	for name := range inTable {
+		t.Errorf("series %s has no baseline value: re-baseline (see cmd/benchdump/main.go)", name)
+	}
+}
+
+// TestSuiteDeterministicSeries evaluates the real table and checks the
+// deterministic rows — the sync structure of Examples 1-3 and the
+// allocation zeros — against the paper's counts, and that every ratio
+// is a finite positive number.
+func TestSuiteDeterministicSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the timed ratios")
+	}
+	f := newFixtures()
+	defer f.close()
+	want := map[string]float64{
+		"example1_inner_syncs_op":         64,
+		"example1_outer_syncs_op":         1,
+		"example2_separate_syncs_op":      2,
+		"example2_merged_syncs_op":        1,
+		"example3_child_syncs_op":         256,
+		"example3_hoisted_syncs_op":       1,
+		"kern_tridiag_batch5_allocs_op":   0,
+		"kern_pentadiag_batch5_allocs_op": 0,
+		"kern_planar_tuned_allocs_op":     0,
+	}
+	for _, s := range runSeries(f, Report{}, t.Logf) {
+		if v, ok := want[s.Name]; ok {
+			if s.Value != v || s.Better != Exact {
+				t.Errorf("%s = %v (%s), want exactly %v", s.Name, s.Value, s.Better, v)
+			}
+			delete(want, s.Name)
+		} else if !(s.Value > 0) || math.IsInf(s.Value, 0) || s.Better != Higher {
+			t.Errorf("%s = %v (%s), want a finite positive ratio gated higher", s.Name, s.Value, s.Better)
 		}
 	}
-	if by["example1_inner_syncs_op"].Value <= by["example1_outer_syncs_op"].Value {
-		t.Error("inner-loop parallelization should cost more syncs than outer")
-	}
-	if by["f3d_step_syncs"].Value == 0 {
-		t.Error("solver step recorded no sync events")
-	}
-	if !by["table4_sgi_59m_124p_speedup"].Gate || by["table4_sgi_59m_124p_speedup"].Value < 10 {
-		t.Errorf("table4 speedup series wrong: %+v", by["table4_sgi_59m_124p_speedup"])
-	}
-	if _, ok := by["trace_overhead_pct"]; !ok {
-		t.Error("suite missing trace_overhead_pct")
+	for name := range want {
+		t.Errorf("suite missing series %s", name)
 	}
 }

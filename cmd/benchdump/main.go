@@ -1,28 +1,20 @@
-// Command benchdump runs the repository's benchmark trajectory suite —
-// the deterministic reproductions behind Tables 1, 3, 4 and Figure 1,
-// the Example 1-3 synchronization-structure ablations, the real F3D
-// step — and writes the results as a schema-versioned JSON report.
+// Command benchdump evaluates the repository's deterministic gates —
+// the synchronization structure of the paper's Examples 1-3, the
+// tuned kernels' allocation zeros and their tuned-vs-scalar speedup
+// ratios — writes them as a schema-versioned JSON report and compares
+// them with a committed baseline. It has one mode and reports no time:
+// wall-clock quantities are measured, with spread, by benchmark/.
 //
 // Usage:
 //
-//	benchdump [-short] [-suite full|kernels] [-out BENCH_PR10.json]
-//	          [-label PR10] [-baseline bench_baseline.json] [-tol 0.20]
+//	benchdump [-baseline bench_baseline.json] [-out bench_report.json]
 //	          [-trace-out example3_trace.jsonl]
 //
-// With -baseline, every gated series (analytic model values, simulator
-// outputs, sync-event counts — things that only change when the code
-// changes) is compared against the committed baseline and the process
-// exits 1 if any drifts beyond -tol in its bad direction. Wall-clock
-// series are recorded but never gated: CI machines differ — except the
-// kern_ tuned-vs-scalar speedup ratios, which are dimensionless
-// (both sides run in the same process) and therefore gate. Exit 2
-// means the tool itself could not run (bad flags, unreadable baseline,
-// short-mode mismatch).
-//
-// -suite kernels runs only the kern_ per-kernel series (the CI
-// perf-gate job uses this: it is minutes faster than the full
-// trajectory suite); the baseline is then filtered to kern_ series so
-// the absent trajectory series do not read as dropped measurements.
+// With -baseline the process exits 1 if a series of the baseline is
+// missing, not finite, differs at all (counts and zeros) or is worse
+// by more than 20 % (the ratios, whose two sides run in this process).
+// Exit 2 means the tool itself could not run. To re-baseline, run
+// with -out bench_baseline.json and no -baseline.
 package main
 
 import (
@@ -30,73 +22,78 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+
+	"repro/internal/obs"
 )
 
-func main() {
-	short := flag.Bool("short", false, "short mode: ~100ms per timed loop, smaller solver case")
-	suite := flag.String("suite", "full", `series to run: "full" or "kernels" (kern_ series only)`)
-	out := flag.String("out", "BENCH_PR10.json", "report output path")
-	label := flag.String("label", "PR10", "report label")
+func main() { os.Exit(run()) }
+
+func run() int {
 	baseline := flag.String("baseline", "", "baseline report to gate against (empty = record only)")
-	tol := flag.Float64("tol", 0.20, "allowed relative drift for gated series")
-	traceOut := flag.String("trace-out", "", "write the Example 3 traced-run JSONL here (for tracetool/speedscope)")
-	quiet := flag.Bool("q", false, "suppress per-series progress output")
+	out := flag.String("out", "bench_report.json", "report output path")
+	traceOut := flag.String("trace-out", "", "write a traced run of the Example 3 hoisted loop here as JSONL (for tracetool)")
 	flag.Parse()
 
-	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	fail := func(err error) int {
+		logf("benchdump: %v", err)
+		return 2
+	}
+
+	var base Report
+	if *baseline != "" {
+		var err error
+		if base, err = loadReport(*baseline); err != nil {
+			return fail(err)
 		}
 	}
 
-	var series []Series
-	switch *suite {
-	case "full":
-		series = runSuite(*short, *traceOut, logf)
-	case "kernels":
-		series = runKernelSuite(*short, logf)
-	default:
-		fmt.Fprintf(os.Stderr, "benchdump: unknown -suite %q (want full or kernels)\n", *suite)
-		os.Exit(2)
-	}
-	report := Report{
-		Schema:  schemaVersion,
-		Label:   *label,
-		Go:      runtime.Version(),
-		GoAMD64: goAMD64Level(),
-		Short:   *short,
-		Series:  series,
+	f := newFixtures()
+	defer f.close()
+	report := Report{Schema: schemaVersion, Go: runtime.Version(), Series: runSeries(f, base, logf)}
+	regs := compare(base, report)
+	for _, r := range regs {
+		logf("REGRESSED %s", r)
 	}
 	if err := writeReport(*out, report); err != nil {
-		fmt.Fprintf(os.Stderr, "benchdump: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	logf("wrote %s (%d series)", *out, len(report.Series))
+	if *traceOut != "" {
+		if err := writeExample3Trace(*traceOut, f); err != nil {
+			return fail(err)
+		}
+		logf("wrote %s", *traceOut)
+	}
 
-	if *baseline == "" {
-		return
+	if len(regs) > 0 {
+		logf("benchdump: %d of %d baseline series regressed against %s", len(regs), len(base.Series), *baseline)
+		return 1
 	}
-	base, err := loadReport(*baseline)
+	if *baseline != "" {
+		logf("all %d baseline series hold against %s", len(base.Series), *baseline)
+	}
+	return 0
+}
+
+// writeExample3Trace runs the Example 3 hoisted loop once under an
+// enabled tracer and dumps the events: a small real trace for CI to
+// push through tracetool analyze and convert.
+func writeExample3Trace(path string, f *fixtures) error {
+	tr := obs.NewTracer(1024, nil)
+	f.team.SetTracer(tr, "example3")
+	tr.Enable()
+	f.e3Hoisted()
+	tr.Disable()
+	f.team.SetTracer(nil, "")
+
+	w, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdump: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-	if base.Short != report.Short {
-		fmt.Fprintf(os.Stderr, "benchdump: baseline short=%v but this run short=%v; regenerate the baseline\n",
-			base.Short, report.Short)
-		os.Exit(2)
+	if err := tr.WriteJSONL(w); err != nil {
+		w.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	if *suite == "kernels" {
-		base = filterPrefix(base, "kern_")
-	}
-	regs := compare(base, report, *tol)
-	if len(regs) == 0 {
-		logf("all gated series within %.0f%% of %s", 100**tol, *baseline)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchdump: %d gated series regressed beyond %.0f%%:\n", len(regs), 100**tol)
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "  %s\n", r)
-	}
-	os.Exit(1)
+	return w.Close()
 }

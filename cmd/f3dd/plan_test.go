@@ -204,8 +204,10 @@ func TestPlanE2E(t *testing.T) {
 	if jp.ID != st.ID || jp.Name != "probe" || jp.State != "done" || jp.Plan == nil {
 		t.Fatalf("plan identity: %+v", jp)
 	}
-	if len(jp.Plan.Loops) == 0 {
-		t.Fatal("plan is empty")
+	// The default shape phase-traces rhs and both sweeps; bc stays
+	// serial and emits nothing, so exactly three loops are planned.
+	if len(jp.Plan.Loops) != 3 {
+		t.Fatalf("plan has %d loops, want rhs, sweep-jk, sweep-l: %+v", len(jp.Plan.Loops), jp.Plan.Loops)
 	}
 	demoted := 0
 	for _, lp := range jp.Plan.Loops {

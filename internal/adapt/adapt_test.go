@@ -86,35 +86,37 @@ func TestConvergenceFromAnyStart(t *testing.T) {
 }
 
 // TestConvergedChoiceQuality checks the controller earns its keep: on
-// the ragged workload the fixed point must not be the naive static
+// the ragged workloads the fixed point must not be the naive static
 // deal, and its steady-state score must be within hysteresis of the
 // best configuration in the whole space.
 func TestConvergedChoiceQuality(t *testing.T) {
 	cfg := testConfig()
-	sim := Sim{W: Ragged(96, 800, 3, 11)}
-	ctrl := New("quality", Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, cfg)
-	out := RunSim(sim, ctrl, 160)
-	if out.ConvergedAt < 0 {
-		t.Fatal("controller did not converge")
-	}
-
-	best := 0.0
-	var bestCh Choice
-	for _, ch := range space(cfg) {
-		res, _ := sim.Step(0, ch)
-		if best == 0 || res.WallNs < best {
-			best, bestCh = res.WallNs, ch
+	for i, w := range []Workload{Ragged(96, 800, 3, 11), Ragged(96, 1200, 5, 29)} {
+		sim := Sim{W: w}
+		ctrl := New("quality", Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, cfg)
+		out := RunSim(sim, ctrl, ConvergenceHorizon(cfg)+40)
+		if out.ConvergedAt < 0 || out.ConvergedAt > ConvergenceHorizon(cfg) {
+			t.Fatalf("workload %d: converged at %d, horizon %d", i, out.ConvergedAt, ConvergenceHorizon(cfg))
 		}
-	}
-	// Adoption needs a >hysteresis improvement, so the fixed point can
-	// trail the true optimum by at most ~hysteresis (compounded once).
-	limit := best * (1 + 2*cfg.withDefaults().HysteresisPct/100)
-	if out.FinalScore > limit {
-		t.Fatalf("fixed point %v scores %.0f ns; best %v scores %.0f ns (limit %.0f)",
-			out.Final, out.FinalScore, bestCh, best, limit)
-	}
-	if out.Final.Sched == parloop.Static {
-		t.Fatalf("controller stayed on the static deal (%v) for a ragged workload", out.Final)
+
+		best := 0.0
+		var bestCh Choice
+		for _, ch := range space(cfg) {
+			res, _ := sim.Step(0, ch)
+			if best == 0 || res.WallNs < best {
+				best, bestCh = res.WallNs, ch
+			}
+		}
+		// Adoption needs a >hysteresis improvement, so the fixed point can
+		// trail the true optimum by at most ~hysteresis (compounded once).
+		limit := best * (1 + 2*cfg.withDefaults().HysteresisPct/100)
+		if out.FinalScore > limit {
+			t.Fatalf("workload %d: fixed point %v scores %.0f ns; best %v scores %.0f ns (limit %.0f)",
+				i, out.Final, out.FinalScore, bestCh, best, limit)
+		}
+		if out.Final.Sched == parloop.Static {
+			t.Fatalf("workload %d: controller stayed on the static deal (%v) for a ragged workload", i, out.Final)
+		}
 	}
 }
 

@@ -148,7 +148,7 @@ func measuredVerdict(wallNs int64, busy []int64, units int) Verdict {
 
 // spinUnits burns roughly n units of CPU work (matching the spin-loop
 // shape sched's synthetic jobs use, so the two workload families are
-// comparable in benchdump).
+// comparable).
 func spinUnits(n int) {
 	x := 1.0
 	for i := 0; i < n; i++ {

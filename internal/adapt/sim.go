@@ -14,7 +14,7 @@ import (
 // with i), drift (cost varies with step) and phase changes (cost
 // switches families at a step). Everything is pure arithmetic: the
 // same workload always produces the same verdicts, which is what lets
-// the convergence battery and benchdump gate on exact outcomes.
+// the convergence battery assert exact outcomes.
 type Workload struct {
 	Name string
 	N    int

@@ -117,6 +117,9 @@ func LoadCheckpoint(r io.Reader, s Solver) (steps int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	if stepsU > math.MaxInt {
+		return 0, fmt.Errorf("f3d: checkpoint step count %d out of range", stepsU)
+	}
 	nz, err := readU64()
 	if err != nil {
 		return 0, err

@@ -94,9 +94,59 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader(good), other); err == nil {
 		t.Error("dims mismatch accepted")
 	}
+	// A step count no int holds (CRC-valid: Save writes what it is
+	// given) must not restart a run at a negative step.
+	buf.Reset()
+	if err := SaveCheckpoint(&buf, s, -1); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), s); err == nil {
+		t.Errorf("step count 2^64-1 accepted as %d", steps)
+	}
 	// Zone-count mismatch.
 	multi := newCache(t, DefaultConfig(grid.Scaled(grid.Paper1M(), 0.1)), CacheOptions{})
 	if _, err := LoadCheckpoint(bytes.NewReader(good), multi); err == nil {
 		t.Error("zone count mismatch accepted")
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint decoder:
+// it must never panic, and whatever it accepts must be a checkpoint —
+// a non-negative step count and a solution that saves back to the very
+// bytes that were loaded.
+func FuzzLoadCheckpoint(f *testing.F) {
+	s, err := NewCacheSolver(testConfig(4, 3, 3), CacheOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	InitPulse(s, 0.02)
+	var buf bytes.Buffer
+	for _, steps := range []int{0, 7, -1} {
+		buf.Reset()
+		if err := SaveCheckpoint(&buf, s, steps); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), buf.Bytes()...))
+	}
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps, err := LoadCheckpoint(bytes.NewReader(data), s)
+		if err != nil {
+			return
+		}
+		if steps < 0 {
+			t.Fatalf("accepted a negative step count %d", steps)
+		}
+		var out bytes.Buffer
+		if err := SaveCheckpoint(&out, s, steps); err != nil {
+			t.Fatal(err)
+		}
+		// Bytes after the CRC are not part of the checkpoint.
+		if len(data) < out.Len() || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("accepted %d bytes that save back as %d different bytes", len(data), out.Len())
+		}
+	})
 }

@@ -317,8 +317,8 @@ func TestAnalyzeLiveParloopTrace(t *testing.T) {
 		t.Fatalf("loops = %d, want 1", len(r.Loops))
 	}
 	l := r.Loops[0]
-	if l.Regions != 3 || l.Units != 64 || l.Workers != 4 {
-		t.Errorf("regions/units/workers = %d/%d/%d, want 3/64/4", l.Regions, l.Units, l.Workers)
+	if l.Regions != 3 || l.Units != 64 || l.Workers != 4 || l.SyncEvents != 3 {
+		t.Errorf("regions/units/workers/syncs = %d/%d/%d/%d, want 3/64/4/3", l.Regions, l.Units, l.Workers, l.SyncEvents)
 	}
 	a := l.Attribution
 	sum := a.ParallelNs + a.SerialNs + a.BarrierNs + a.ImbalanceNs + a.SyncNs

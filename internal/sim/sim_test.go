@@ -158,6 +158,21 @@ func TestTable4Shape(t *testing.T) {
 	if s < 44 || s > 100 {
 		t.Errorf("59M SGI speedup at 124 procs = %.1f, paper ≈66", s)
 	}
+	// The calibrated headline values themselves, so a change to the
+	// machine or workload model that stays inside the paper bands above
+	// is still seen (benchdump gated these three until PR 18).
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"1M SGI 1-proc steps/hr", oneM[0].Sgi.StepsPerHour, 181.03},
+		{"59M SGI 124-proc steps/hr", find(fiftyNineM, 124).Sgi.StepsPerHour, 154.40},
+		{"59M SGI 124-proc speedup", s, 66.87},
+	} {
+		if !within(c.got, c.want, 0.01) {
+			t.Errorf("%s = %.2f, calibrated %.2f", c.name, c.got, c.want)
+		}
+	}
 }
 
 func TestFigure2And3Shape(t *testing.T) {
