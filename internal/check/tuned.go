@@ -80,8 +80,9 @@ func eigenAxisKernel() Kernel {
 			lam, fwd, back := gen.Lambda, linalg.MulVec5(&gen.Tinv, &r), linalg.MulVec5(&gen.T, &r)
 			if tuned {
 				var e euler.AxisEigen
-				fwd = e.Forward(ax, &uc, &r)
-				lam, back = e.Lambda, e.Back(ax, &r)
+				s := euler.Decompose(uc)
+				fwd = e.Forward(ax, &s, &r)
+				lam, back = e.Lambda, e.Back(ax, &s, &r)
 			}
 			o := out[a*3*nc:]
 			copy(o, lam[:])

@@ -19,23 +19,22 @@ import (
 type AxisEigen struct {
 	Lambda linalg.Vec5
 	// T's nonzeros: row 0 is (1 on the axis column, α, α); momentum row
-	// b is vel[b] on the axis column, ±ρ on at most one other, then
-	// ap[b], am[b]; the energy row h is dense.
-	rho, alpha float64
-	vel        [3]float64
-	ap, am     [3]float64 // α·(vel ± a) for the axis component, α·vel (twice) off it
-	h          [NC]float64
+	// b is the point's velocity component b on the axis column, ±ρ on at
+	// most one other (Back reads both from the PointState), then ap[b],
+	// am[b]; the energy row h is dense.
+	alpha  float64
+	ap, am [3]float64 // α·(vel ± a) for the axis component, α·vel (twice) off it
+	h      [NC]float64
 }
 
-// Forward builds the eigensystem of the flux Jacobian along ax at
-// conserved state uc into e and returns the characteristic variables
-// T⁻¹·r. It panics exactly where Eigensystem(ax, uc) does: a bad axis,
-// a non-positive or NaN density, a non-positive pressure.
-func (e *AxisEigen) Forward(ax Axis, uc, r *linalg.Vec5) linalg.Vec5 {
+// Forward builds the eigensystem of the flux Jacobian along ax at the
+// point whose decomposition is s = Decompose(uc) into e and returns the
+// characteristic variables T⁻¹·r. Decompose then Forward panic exactly
+// where Eigensystem(ax, uc) does: a non-positive or NaN density, a
+// non-positive pressure, a bad axis.
+func (e *AxisEigen) Forward(ax Axis, s *PointState, r *linalg.Vec5) linalg.Vec5 {
 	kx, ky, kz := ax.Unit()
-	p := PrimFromCons(*uc)
-	snd := p.SoundSpeed()
-	rho, u, v, w := p.Rho, p.U, p.V, p.W
+	snd, rho, u, v, w := s.A, s.Rho, s.U, s.V, s.W
 	// Generic form: u + 0·v + 0·w is +0 where u alone is −0, and Λ's
 	// zero sign reaches the band coefficients.
 	theta := kx*u + ky*v + kz*w
@@ -45,7 +44,7 @@ func (e *AxisEigen) Forward(ax Axis, uc, r *linalg.Vec5) linalg.Vec5 {
 	beta := 1 / (math.Sqrt2 * rho * snd)
 	a2 := snd * snd
 	e.Lambda = linalg.Vec5{theta, theta, theta, theta + snd, theta - snd}
-	e.rho, e.alpha, e.vel = rho, alpha, [3]float64{u, v, w}
+	e.alpha = alpha
 
 	// Values more than one entry uses, each computed once.
 	ir := 1 / rho
@@ -90,27 +89,27 @@ func (e *AxisEigen) Forward(ax Axis, uc, r *linalg.Vec5) linalg.Vec5 {
 	return c
 }
 
-// Back returns T·w for the eigensystem Forward(ax, …) left in e, its
+// Back returns T·w for the eigensystem Forward(ax, s, …) left in e, its
 // terms in MulVec5's column order after MulVec5's leading +0.
-func (e *AxisEigen) Back(ax Axis, w *linalg.Vec5) linalg.Vec5 {
-	rho, al := e.rho, e.alpha
+func (e *AxisEigen) Back(ax Axis, s *PointState, w *linalg.Vec5) linalg.Vec5 {
+	rho, al := s.Rho, e.alpha
 	var r linalg.Vec5
 	switch ax {
 	case X:
 		r[0] = 0.0 + w[0] + al*w[3] + al*w[4]
-		r[1] = 0.0 + e.vel[0]*w[0] + e.ap[0]*w[3] + e.am[0]*w[4]
-		r[2] = 0.0 + e.vel[1]*w[0] + -rho*w[2] + e.ap[1]*w[3] + e.am[1]*w[4]
-		r[3] = 0.0 + e.vel[2]*w[0] + rho*w[1] + e.ap[2]*w[3] + e.am[2]*w[4]
+		r[1] = 0.0 + s.U*w[0] + e.ap[0]*w[3] + e.am[0]*w[4]
+		r[2] = 0.0 + s.V*w[0] + -rho*w[2] + e.ap[1]*w[3] + e.am[1]*w[4]
+		r[3] = 0.0 + s.W*w[0] + rho*w[1] + e.ap[2]*w[3] + e.am[2]*w[4]
 	case Y:
 		r[0] = 0.0 + w[1] + al*w[3] + al*w[4]
-		r[1] = 0.0 + e.vel[0]*w[1] + rho*w[2] + e.ap[0]*w[3] + e.am[0]*w[4]
-		r[2] = 0.0 + e.vel[1]*w[1] + e.ap[1]*w[3] + e.am[1]*w[4]
-		r[3] = 0.0 + -rho*w[0] + e.vel[2]*w[1] + e.ap[2]*w[3] + e.am[2]*w[4]
+		r[1] = 0.0 + s.U*w[1] + rho*w[2] + e.ap[0]*w[3] + e.am[0]*w[4]
+		r[2] = 0.0 + s.V*w[1] + e.ap[1]*w[3] + e.am[1]*w[4]
+		r[3] = 0.0 + -rho*w[0] + s.W*w[1] + e.ap[2]*w[3] + e.am[2]*w[4]
 	case Z:
 		r[0] = 0.0 + w[2] + al*w[3] + al*w[4]
-		r[1] = 0.0 + -rho*w[1] + e.vel[0]*w[2] + e.ap[0]*w[3] + e.am[0]*w[4]
-		r[2] = 0.0 + rho*w[0] + e.vel[1]*w[2] + e.ap[1]*w[3] + e.am[1]*w[4]
-		r[3] = 0.0 + e.vel[2]*w[2] + e.ap[2]*w[3] + e.am[2]*w[4]
+		r[1] = 0.0 + -rho*w[1] + s.U*w[2] + e.ap[0]*w[3] + e.am[0]*w[4]
+		r[2] = 0.0 + rho*w[0] + s.V*w[2] + e.ap[1]*w[3] + e.am[1]*w[4]
+		r[3] = 0.0 + s.W*w[2] + e.ap[2]*w[3] + e.am[2]*w[4]
 	default:
 		ax.Unit() // not X, Y or Z: panics
 	}

@@ -31,8 +31,9 @@ func axisVsGeneric(ax Axis, uc, r linalg.Vec5) (got, want [3 * NC]float64, ok bo
 		}
 	}
 	var e AxisEigen
-	fwd := e.Forward(ax, &uc, &r)
-	back := e.Back(ax, &r)
+	s := Decompose(uc)
+	fwd := e.Forward(ax, &s, &r)
+	back := e.Back(ax, &s, &r)
 	gf, gb := linalg.MulVec5(&gen.Tinv, &r), linalg.MulVec5(&gen.T, &r)
 	for c := 0; c < NC; c++ {
 		got[c], got[NC+c], got[2*NC+c] = e.Lambda[c], fwd[c], back[c]
@@ -117,8 +118,11 @@ func panicMessage(f func()) (msg string) {
 }
 
 // TestAxisEigenPanicsLikeGeneric: a bad axis and a non-physical state
-// stop the specialised path with the generic path's own message — the
-// specialisation has no default axis and skips no state check.
+// stop the specialised path — Decompose, then Forward — with the generic
+// path's own message: the specialisation has no default axis and the
+// once-per-point decomposition skips no state check. A non-physical
+// state never gets as far as a PointState, so Forward cannot be handed
+// one; a bad axis still panics from Axis.Unit() inside Forward.
 func TestAxisEigenPanicsLikeGeneric(t *testing.T) {
 	good := Prim{Rho: 1, U: 0.3, P: 1}.Cons()
 	for _, tc := range []struct {
@@ -137,17 +141,26 @@ func TestAxisEigenPanicsLikeGeneric(t *testing.T) {
 	} {
 		var e AxisEigen
 		var r linalg.Vec5
-		got := panicMessage(func() { e.Forward(tc.ax, &tc.uc, &r) })
+		decomposed := false
+		got := panicMessage(func() {
+			s := Decompose(tc.uc)
+			decomposed = true
+			e.Forward(tc.ax, &s, &r)
+		})
 		gen := panicMessage(func() { Eigensystem(tc.ax, tc.uc) })
 		if got != tc.want || gen != tc.want {
 			t.Errorf("%s: specialised %q, generic %q, want %q", tc.name, got, gen, tc.want)
 		}
+		if physical := tc.uc == good; decomposed != physical {
+			t.Errorf("%s: Decompose returned = %v, want %v", tc.name, decomposed, physical)
+		}
 	}
+	s := Decompose(good)
 	for _, ax := range []Axis{Axis(3), Axis(-1)} {
 		var e AxisEigen
 		var w linalg.Vec5
 		want := panicMessage(func() { ax.Unit() })
-		if got := panicMessage(func() { e.Back(ax, &w) }); got != want {
+		if got := panicMessage(func() { e.Back(ax, &s, &w) }); got != want {
 			t.Errorf("Back(%d): %q, Unit panics %q", int(ax), got, want)
 		}
 	}

@@ -96,6 +96,28 @@ func (p Prim) SoundSpeed() float64 {
 	return math.Sqrt(Gamma * p.P / p.Rho)
 }
 
+// PointState is the axis-independent decomposition of a conserved
+// state: the primitives and the sound speed A. Every flux, spectral
+// radius and eigensystem along any axis starts from these six values,
+// so a solver may keep them for as long as the state does not change.
+type PointState struct {
+	Prim
+	A float64
+}
+
+// Decompose returns the decomposition of conserved state u. It is
+// PrimFromCons followed by SoundSpeed — the same expressions, the same
+// panics — and the only way a PointState is built.
+func Decompose(u linalg.Vec5) PointState {
+	p := PrimFromCons(u)
+	return PointState{p, p.SoundSpeed()}
+}
+
+// SpectralRadius is SpectralRadius(a, u) for s = Decompose(u).
+func (s *PointState) SpectralRadius(a Axis) float64 {
+	return math.Abs(s.Velocity(a)) + s.A
+}
+
 // Velocity returns the velocity component along the axis.
 func (p Prim) Velocity(a Axis) float64 {
 	switch a {
@@ -126,10 +148,9 @@ func FluxDir(kx, ky, kz float64, u linalg.Vec5) linalg.Vec5 {
 }
 
 // FluxDirPrim is FluxDir for a state whose primitive decomposition has
-// already been computed: p must equal PrimFromCons(u). Line kernels
-// that need both the flux and the spectral radius at a point convert
-// once and share p; the expressions are exactly FluxDir's, so results
-// are bitwise identical.
+// already been computed: p must equal PrimFromCons(u) (the Prim of a
+// PointState). The expressions are exactly FluxDir's, so results are
+// bitwise identical.
 func FluxDirPrim(kx, ky, kz float64, u linalg.Vec5, p Prim) linalg.Vec5 {
 	theta := kx*p.U + ky*p.V + kz*p.W
 	return linalg.Vec5{
@@ -145,13 +166,7 @@ func FluxDirPrim(kx, ky, kz float64, u linalg.Vec5, p Prim) linalg.Vec5 {
 // characteristic speed, used for time-step selection and scalar
 // dissipation scaling.
 func SpectralRadius(a Axis, u linalg.Vec5) float64 {
-	return SpectralRadiusPrim(a, PrimFromCons(u))
-}
-
-// SpectralRadiusPrim is SpectralRadius on an already-computed primitive
-// state — the companion of FluxDirPrim for kernels sharing one
-// conversion per point.
-func SpectralRadiusPrim(a Axis, p Prim) float64 {
+	p := PrimFromCons(u)
 	return math.Abs(p.Velocity(a)) + p.SoundSpeed()
 }
 

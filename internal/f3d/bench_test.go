@@ -82,7 +82,7 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 	}
 	b.Run("diagonal-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sweepLine(cs.p, n, euler.X, 0.01, 0.005, cfg.EpsI, 0, nil)
+			sweepLineMode(cs.p, n, euler.X, 0.01, 0.005, cfg.EpsI, 0, nil, false)
 		}
 	})
 	solver := mustSolver(NewBlockSolver(cfg, CacheOptions{}))
@@ -130,6 +130,7 @@ func BenchmarkSweepLineKernels(b *testing.B) {
 					p := fs
 					p.U += 0.01 * float64(i%5)
 					sc.p.q[i] = p.Cons()
+					sc.p.s[i] = euler.Decompose(sc.p.q[i])
 					r0[i] = linalg.Vec5{1e-3, 0, 0, 0, 1e-3}
 				}
 				b.ResetTimer()
@@ -158,7 +159,7 @@ func BenchmarkRHSLineKernels(b *testing.B) {
 	}
 	b.Run("flux", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rhsLineFlux(euler.X, q, flux, sigma, n)
+			rhsLineFlux(euler.X, q, nil, flux, sigma, n)
 		}
 	})
 	b.Run("accum", func(b *testing.B) {

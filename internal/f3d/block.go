@@ -85,17 +85,12 @@ func NewBlockSolver(cfg Config, opts CacheOptions) (*BlockSolver, error) {
 		s.team = parloop.NewTeam(1)
 		s.ownedTeam = true
 	}
-	nmax := 0
 	for i := range cfg.Case.Zones {
-		z := &cfg.Case.Zones[i]
-		s.zones = append(s.zones, newZoneState(z, grid.PointMajor))
-		if d := z.MaxDim(); d > nmax {
-			nmax = d
-		}
+		s.zones = append(s.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, tunedKernelSet.points))
 	}
 	s.scratch = make([]*blockScratch, s.team.Workers())
 	for i := range s.scratch {
-		s.scratch[i] = newBlockScratch(nmax)
+		s.scratch[i] = newBlockScratch(cfg.Case.MaxDim())
 	}
 	if len(cfg.Interfaces) > 0 {
 		s.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
@@ -142,15 +137,10 @@ func (s *BlockSolver) Step() StepStats {
 	if n > 0 {
 		stats.Residual = math.Sqrt(sumsq / float64(n))
 	}
-	interior := 0
-	for _, zs := range s.zones {
-		z := zs.Zone
-		interior += (z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2)
-	}
 	// The block factors cost roughly 5x the diagonalized sweeps per
 	// point (5×5 LU + block multiplies per row); keep the RHS estimate
-	// and scale the sweep share.
-	stats.Flops = float64(interior) * (flopsRHSPerPoint + 3*5*flopsSweepPerPoint + flopsUpdatePerPoint)
+	// and scale the sweep share. n counts the interior points.
+	stats.Flops = float64(n) * (flopsRHSPerPoint + 3*5*flopsSweepPerPoint + flopsUpdatePerPoint)
 	s.steps++
 	return stats
 }
@@ -231,18 +221,7 @@ func (s *BlockSolver) blockSweepLUpdate(zs *ZoneState, sc *blockScratch, k0, k1 
 			loadLine(&zs.R, euler.Z, j, k, sc.cs.p.r, nL)
 			sc.geom = zs.geom[euler.Z]
 			s.blockSweepLine(sc, nL, euler.Z, z.DL)
-			for i := 1; i <= nL-2; i++ {
-				for c := 0; c < euler.NC; c++ {
-					d := sc.cs.p.r[i][c]
-					sc.cs.p.q[i][c] += d
-					if d < 0 {
-						d = -d
-					}
-					if d > sc.cs.maxDelta {
-						sc.cs.maxDelta = d
-					}
-				}
-			}
+			sc.cs.applyUpdate(nL)
 			storeLineInterior(&zs.Q, euler.Z, j, k, sc.cs.p.q, nL)
 		}
 	}

@@ -86,6 +86,23 @@ func newCacheScratch(nmax int, kern *kernelSet) *cacheScratch {
 	}
 }
 
+// applyUpdate adds the solved update r[1..n-2] of the pencil's line to
+// its q and tracks the worker's largest |Δ|.
+func (sc *cacheScratch) applyUpdate(n int) {
+	for i := 1; i <= n-2; i++ {
+		for c := 0; c < euler.NC; c++ {
+			d := sc.p.r[i][c]
+			sc.p.q[i][c] += d
+			if d < 0 {
+				d = -d
+			}
+			if d > sc.maxDelta {
+				sc.maxDelta = d
+			}
+		}
+	}
+}
+
 // CacheSolver is the RISC-tuned variant of the solver: point-major
 // storage, pencil-sized scratch, unit-stride inner loops, and
 // loop-level parallelism over the outer dimensions via a parloop.Team.
@@ -112,9 +129,6 @@ type CacheSolver struct {
 	// cluster coordinator can reassemble the global residual in zone
 	// order bitwise (ZoneResiduals).
 	zoneRes []ZoneResidual
-
-	// nmax is the largest zone dimension, the scratch sizing bound.
-	nmax int
 
 	// curShape is the step shape loaded at Step entry, held constant
 	// for the whole step so a concurrent ShapeCfg.Store cannot tear a
@@ -162,31 +176,14 @@ func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolve
 		s.team = parloop.NewTeam(1)
 		s.ownedTeam = true
 	}
-	nmax := 0
 	for i := range cfg.Case.Zones {
-		z := &cfg.Case.Zones[i]
-		s.zones = append(s.zones, newZoneState(z, grid.PointMajor))
-		if d := z.MaxDim(); d > nmax {
-			nmax = d
-		}
-	}
-	s.nmax = nmax
-	s.scratch = make([]*cacheScratch, s.team.Workers())
-	for i := range s.scratch {
-		s.scratch[i] = newCacheScratch(nmax, s.kern)
+		s.zones = append(s.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, kern.points))
 	}
 	if len(opts.ZoneTeams) > 0 {
 		s.outer = parloop.NewTeam(len(cfg.Case.Zones))
 		s.zoneScratch = make([][]*cacheScratch, len(opts.ZoneTeams))
-		for zi, tm := range opts.ZoneTeams {
-			set := make([]*cacheScratch, tm.Workers())
-			zmax := cfg.Case.Zones[zi].MaxDim()
-			for i := range set {
-				set[i] = newCacheScratch(zmax, s.kern)
-			}
-			s.zoneScratch[zi] = set
-		}
 	}
+	s.ensureScratch()
 	if len(cfg.Interfaces) > 0 {
 		s.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
 	}
@@ -217,13 +214,20 @@ func (s *CacheSolver) Team() *parloop.Team { return s.team }
 // Steps returns the number of time steps taken.
 func (s *CacheSolver) Steps() int { return s.steps }
 
-// ensureScratch grows the per-worker scratch set to the team size. A
-// scheduler may grow the team between steps (parloop.Team.Resize); the
+// ensureScratch grows the per-worker scratch sets — the primary team's
+// and, under ZoneTeams, each zone team's — to their team sizes. A
+// scheduler may grow a team between steps (parloop.Team.Resize); the
 // extra workers need private pencils before the next region opens.
-// Shrunk teams simply leave the tail of the scratch set idle.
+// Shrunk teams simply leave the tail of their scratch set idle.
 func (s *CacheSolver) ensureScratch() {
 	for len(s.scratch) < s.team.Workers() {
-		s.scratch = append(s.scratch, newCacheScratch(s.nmax, s.kern))
+		s.scratch = append(s.scratch, newCacheScratch(s.cfg.Case.MaxDim(), s.kern))
+	}
+	for zi, tm := range s.opts.ZoneTeams {
+		set := &s.zoneScratch[zi]
+		for len(*set) < tm.Workers() {
+			*set = append(*set, newCacheScratch(s.cfg.Case.Zones[zi].MaxDim(), s.kern))
+		}
 	}
 }
 
@@ -264,15 +268,6 @@ func (s *CacheSolver) Step() StepStats {
 	if s.zoneRes == nil {
 		s.zoneRes = make([]ZoneResidual, len(s.zones))
 	}
-	sumsq, n := 0.0, 0
-	for i := range s.scratch {
-		s.scratch[i].maxDelta = 0
-	}
-	for _, set := range s.zoneScratch {
-		for _, sc := range set {
-			sc.maxDelta = 0
-		}
-	}
 	if s.ifbufs != nil {
 		captureInterfaces(s.zones, s.cfg.Interfaces, s.ifbufs)
 	}
@@ -281,67 +276,47 @@ func (s *CacheSolver) Step() StepStats {
 		// per-zone results land in zone-indexed slots, so aggregation
 		// order — and therefore every reported float — matches the
 		// sequential path bitwise.
-		sumsqs := make([]float64, len(s.zones))
-		ns := make([]int, len(s.zones))
 		tasks := make([]func(), len(s.zones))
 		for zi := range s.zones {
-			zi := zi
 			tasks[zi] = func() {
-				sumsqs[zi], ns[zi] = s.stepZoneOn(zi, s.opts.ZoneTeams[zi], s.zoneScratch[zi])
+				s.zoneRes[zi] = s.stepZoneOn(zi, s.opts.ZoneTeams[zi], s.zoneScratch[zi])
 			}
 		}
 		s.outer.Sections(tasks...)
-		for zi := range s.zones {
-			s.zoneRes[zi] = ZoneResidual{SumSq: sumsqs[zi], Points: ns[zi]}
-			sumsq += sumsqs[zi]
-			n += ns[zi]
-		}
 	} else {
 		for zi := range s.zones {
-			zss, zn := s.stepZone(zi)
-			s.zoneRes[zi] = ZoneResidual{SumSq: zss, Points: zn}
-			sumsq += zss
-			n += zn
+			s.zoneRes[zi] = s.stepZoneOn(zi, s.team, s.scratch)
 		}
 	}
-	for _, sc := range s.scratch {
-		if sc.maxDelta > stats.MaxDelta {
-			stats.MaxDelta = sc.maxDelta
-		}
+	sumsq, n := 0.0, 0
+	for _, zr := range s.zoneRes {
+		sumsq += zr.SumSq
+		n += zr.Points
 	}
-	for _, set := range s.zoneScratch {
+	// Each worker's largest update, zeroed as it is read for the next step.
+	takeMax := func(set []*cacheScratch) {
 		for _, sc := range set {
 			if sc.maxDelta > stats.MaxDelta {
 				stats.MaxDelta = sc.maxDelta
 			}
+			sc.maxDelta = 0
 		}
+	}
+	takeMax(s.scratch)
+	for _, set := range s.zoneScratch {
+		takeMax(set)
 	}
 	if n > 0 {
 		stats.Residual = math.Sqrt(sumsq / float64(n))
 	}
-	stats.Flops = s.flopsPerStep()
+	stats.Flops = float64(n) * FlopsPerPoint() // n counts the interior points
 	s.steps++
 	return stats
 }
 
-func (s *CacheSolver) flopsPerStep() float64 {
-	interior := 0
-	for _, zs := range s.zones {
-		z := zs.Zone
-		interior += (z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2)
-	}
-	return float64(interior) * FlopsPerPoint()
-}
-
-// stepZone advances one zone on the solver's primary team.
-func (s *CacheSolver) stepZone(zi int) (sumsq float64, n int) {
-	return s.stepZoneOn(zi, s.team, s.scratch)
-}
-
 // stepZoneOn advances one zone on the given team with the given
-// per-worker scratch and returns the residual sum of squares and
-// interior point count.
-func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScratch) (sumsq float64, n int) {
+// per-worker scratch and returns the zone's residual share.
+func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScratch) (res ZoneResidual) {
 	sh := s.curShape
 	if sh.Merged && team.Workers() > 1 {
 		s.relabel(team, "step")
@@ -361,6 +336,22 @@ func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScr
 			return
 		}
 		s.opts.Profiler.Time(z.Name+"/"+name, fn)
+	}
+
+	// slabs is a phase that is one pass over the n interior slabs of its
+	// partition dimension: a region when the shape makes it parallel and
+	// the team can split it, else whole on the calling goroutine.
+	slabs := func(name string, par bool, n int, pass func(sc *cacheScratch, lo, hi int)) {
+		phase(name, func() {
+			if par && team.Workers() > 1 {
+				team.Region(func(ctx *parloop.WorkerCtx) {
+					lo, hi := ctx.Range(n)
+					pass(scratch[ctx.ID()], 1+lo, 1+hi)
+				})
+			} else {
+				pass(scratch[0], 1, 1+n)
+			}
+		})
 	}
 
 	phase("bc", func() {
@@ -386,26 +377,8 @@ func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScr
 	// while leaving the other serial. The passes were barrier-separated
 	// already, so every variant computes identical bits.
 	if sh.FissionRHS {
-		phase("rhs-jk", func() {
-			if sh.RHSJK && team.Workers() > 1 {
-				team.Region(func(ctx *parloop.WorkerCtx) {
-					lo, hi := ctx.Range(nl)
-					rhsPassJK(zs, &s.cfg, scratch[ctx.ID()], 1+lo, 1+hi)
-				})
-			} else {
-				rhsPassJK(zs, &s.cfg, scratch[0], 1, 1+nl)
-			}
-		})
-		phase("rhs-l", func() {
-			if sh.RHSL && team.Workers() > 1 {
-				team.Region(func(ctx *parloop.WorkerCtx) {
-					lo, hi := ctx.Range(nk)
-					rhsPassL(zs, &s.cfg, scratch[ctx.ID()], 1+lo, 1+hi)
-				})
-			} else {
-				rhsPassL(zs, &s.cfg, scratch[0], 1, 1+nk)
-			}
-		})
+		slabs("rhs-jk", sh.RHSJK, nl, func(sc *cacheScratch, lo, hi int) { rhsPassJK(zs, &s.cfg, sc, lo, hi) })
+		slabs("rhs-l", sh.RHSL, nk, func(sc *cacheScratch, lo, hi int) { rhsPassL(zs, &s.cfg, sc, lo, hi) })
 	} else {
 		phase("rhs", func() {
 			if sh.RHSJK && sh.RHSL && team.Workers() > 1 {
@@ -426,35 +399,15 @@ func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScr
 	}
 
 	phase("residual", func() {
-		sumsq, n = zs.residualSumSq()
+		res.SumSq, res.Points = zs.residualSumSq()
 	})
 
 	// Implicit sweeps: J and K share the L partition (one region, no
 	// barrier — merged loops); L re-partitions over K and applies the
 	// update.
-	phase("sweep-jk", func() {
-		if sh.SweepJK && team.Workers() > 1 {
-			team.Region(func(ctx *parloop.WorkerCtx) {
-				sc := scratch[ctx.ID()]
-				lo, hi := ctx.Range(nl)
-				s.sweepJK(zs, sc, 1+lo, 1+hi)
-			})
-		} else {
-			s.sweepJK(zs, scratch[0], 1, 1+nl)
-		}
-	})
-	phase("sweep-l", func() {
-		if sh.SweepL && team.Workers() > 1 {
-			team.Region(func(ctx *parloop.WorkerCtx) {
-				sc := scratch[ctx.ID()]
-				lo, hi := ctx.Range(nk)
-				s.sweepLUpdate(zs, sc, 1+lo, 1+hi)
-			})
-		} else {
-			s.sweepLUpdate(zs, scratch[0], 1, 1+nk)
-		}
-	})
-	return sumsq, n
+	slabs("sweep-jk", sh.SweepJK, nl, func(sc *cacheScratch, lo, hi int) { s.sweepJK(zs, sc, lo, hi) })
+	slabs("sweep-l", sh.SweepL, nk, func(sc *cacheScratch, lo, hi int) { s.sweepLUpdate(zs, sc, lo, hi) })
+	return res
 }
 
 // relabel points the team's tracer at one phase of the step, so the
@@ -466,9 +419,9 @@ func (s *CacheSolver) relabel(team *parloop.Team, name string) {
 	team.SetLabel(s.opts.PhaseTrace + "/" + name)
 }
 
-// stepZoneMerged is stepZone with every phase hoisted into a single
+// stepZoneMerged is stepZoneOn with every phase hoisted into a single
 // parallel region (Example 3), phases separated by barriers.
-func (s *CacheSolver) stepZoneMerged(zi int, team *parloop.Team, scratch []*cacheScratch) (sumsq float64, n int) {
+func (s *CacheSolver) stepZoneMerged(zi int, team *parloop.Team, scratch []*cacheScratch) (res ZoneResidual) {
 	zs := s.zones[zi]
 	z := zs.Zone
 	nl, nk := z.LMax-2, z.KMax-2
@@ -501,14 +454,14 @@ func (s *CacheSolver) stepZoneMerged(zi int, team *parloop.Team, scratch []*cach
 		rhsPassL(zs, &s.cfg, sc, 1+klo, 1+khi)
 		ctx.Barrier()
 		if id == 0 {
-			sumsq, n = zs.residualSumSq()
+			res.SumSq, res.Points = zs.residualSumSq()
 		}
 		ctx.Barrier()
 		s.sweepJK(zs, sc, 1+llo, 1+lhi)
 		ctx.Barrier()
 		s.sweepLUpdate(zs, sc, 1+klo, 1+khi)
 	})
-	return sumsq, n
+	return res
 }
 
 // bcWorker applies this worker's share of the boundary conditions,
@@ -547,16 +500,19 @@ func rhsPassJK(zs *ZoneState, cfg *Config, sc *cacheScratch, l0, l1 int) {
 	z := zs.Zone
 	nJ, nK := z.JMax, z.KMax
 	for l := l0; l < l1; l++ {
+		zs.fillPoints(l)
 		for k := 1; k <= z.KMax-2; k++ {
 			loadLine(&zs.Q, euler.X, k, l, sc.p.q, nJ)
-			sc.kern.rhsFlux(euler.X, sc.p.q, sc.flux, sc.sigma, nJ)
-			zeroLine(sc.p.r, nJ)
+			loadPoints(zs, euler.X, k, l, sc.p.s, nJ)
+			sc.kern.rhsFlux(euler.X, sc.p.q, sc.p.s, sc.flux, sc.sigma, nJ)
+			clear(sc.p.r[:nJ])
 			sc.kern.rhsAccum(sc.p.q, sc.flux, sc.sigma, sc.p.r, nJ, z.DJ, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.X])
 			storeLineInterior(&zs.R, euler.X, k, l, sc.p.r, nJ)
 		}
 		for j := 1; j <= z.JMax-2; j++ {
 			loadLine(&zs.Q, euler.Y, j, l, sc.p.q, nK)
-			sc.kern.rhsFlux(euler.Y, sc.p.q, sc.flux, sc.sigma, nK)
+			loadPoints(zs, euler.Y, j, l, sc.p.s, nK)
+			sc.kern.rhsFlux(euler.Y, sc.p.q, sc.p.s, sc.flux, sc.sigma, nK)
 			loadLine(&zs.R, euler.Y, j, l, sc.p.r, nK)
 			sc.kern.rhsAccum(sc.p.q, sc.flux, sc.sigma, sc.p.r, nK, z.DK, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.Y])
 			storeLineInterior(&zs.R, euler.Y, j, l, sc.p.r, nK)
@@ -573,7 +529,8 @@ func rhsPassL(zs *ZoneState, cfg *Config, sc *cacheScratch, k0, k1 int) {
 	for k := k0; k < k1; k++ {
 		for j := 1; j <= z.JMax-2; j++ {
 			loadLine(&zs.Q, euler.Z, j, k, sc.p.q, nL)
-			sc.kern.rhsFlux(euler.Z, sc.p.q, sc.flux, sc.sigma, nL)
+			loadPoints(zs, euler.Z, j, k, sc.p.s, nL)
+			sc.kern.rhsFlux(euler.Z, sc.p.q, sc.p.s, sc.flux, sc.sigma, nL)
 			loadLine(&zs.R, euler.Z, j, k, sc.p.r, nL)
 			sc.kern.rhsAccum(sc.p.q, sc.flux, sc.sigma, sc.p.r, nL, z.DL, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.Z])
 			if cfg.Viscous {
@@ -585,18 +542,24 @@ func rhsPassL(zs *ZoneState, cfg *Config, sc *cacheScratch, k0, k1 int) {
 }
 
 // sweepJK applies the J and K implicit factors for the L slab [l0, l1).
+// The tuned sweep reads the point records in place of Q; only the scalar
+// reference, which keeps none, gathers Q here.
 func (s *CacheSolver) sweepJK(zs *ZoneState, sc *cacheScratch, l0, l1 int) {
 	z, cfg := zs.Zone, &s.cfg
 	nJ, nK := z.JMax, z.KMax
 	for l := l0; l < l1; l++ {
 		for k := 1; k <= z.KMax-2; k++ {
-			loadLine(&zs.Q, euler.X, k, l, sc.p.q, nJ)
+			if !loadPoints(zs, euler.X, k, l, sc.p.s, nJ) {
+				loadLine(&zs.Q, euler.X, k, l, sc.p.q, nJ)
+			}
 			loadLine(&zs.R, euler.X, k, l, sc.p.r, nJ)
 			sc.kern.sweepLine(sc.p, nJ, euler.X, z.DJ, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.X], cfg.ImplicitDissip4)
 			storeLineInterior(&zs.R, euler.X, k, l, sc.p.r, nJ)
 		}
 		for j := 1; j <= z.JMax-2; j++ {
-			loadLine(&zs.Q, euler.Y, j, l, sc.p.q, nK)
+			if !loadPoints(zs, euler.Y, j, l, sc.p.s, nK) {
+				loadLine(&zs.Q, euler.Y, j, l, sc.p.q, nK)
+			}
 			loadLine(&zs.R, euler.Y, j, l, sc.p.r, nK)
 			sc.kern.sweepLine(sc.p, nK, euler.Y, z.DK, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.Y], cfg.ImplicitDissip4)
 			storeLineInterior(&zs.R, euler.Y, j, l, sc.p.r, nK)
@@ -612,20 +575,10 @@ func (s *CacheSolver) sweepLUpdate(zs *ZoneState, sc *cacheScratch, k0, k1 int) 
 	for k := k0; k < k1; k++ {
 		for j := 1; j <= z.JMax-2; j++ {
 			loadLine(&zs.Q, euler.Z, j, k, sc.p.q, nL)
+			loadPoints(zs, euler.Z, j, k, sc.p.s, nL)
 			loadLine(&zs.R, euler.Z, j, k, sc.p.r, nL)
 			sc.kern.sweepLine(sc.p, nL, euler.Z, z.DL, cfg.Dt, cfg.EpsI, cfg.viscRe(), zs.geom[euler.Z], cfg.ImplicitDissip4)
-			for i := 1; i <= nL-2; i++ {
-				for c := 0; c < euler.NC; c++ {
-					d := sc.p.r[i][c]
-					sc.p.q[i][c] += d
-					if d < 0 {
-						d = -d
-					}
-					if d > sc.maxDelta {
-						sc.maxDelta = d
-					}
-				}
-			}
+			sc.applyUpdate(nL)
 			storeLineInterior(&zs.Q, euler.Z, j, k, sc.p.q, nL)
 		}
 	}

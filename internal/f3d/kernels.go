@@ -45,6 +45,7 @@ func implicitRow(nu, mu, lamPrev, lamNext float64) (a, b, c float64) {
 type pencil struct {
 	n   int                 // points along the line, including boundaries
 	q   []linalg.Vec5       // conserved state
+	s   []euler.PointState  // its decomposition, gathered from ZoneState.pts (tuned kernels only)
 	r   []linalg.Vec5       // right-hand side / update
 	eig []euler.AxisEigen   // Λ and T's nonzeros at interior points (index 1..n-2)
 	w   [euler.NC][]float64 // characteristic variables, per component
@@ -70,6 +71,7 @@ func newPencil(nmax int) *pencil {
 		n:   nmax,
 		q:   make([]linalg.Vec5, nmax),
 		r:   make([]linalg.Vec5, nmax),
+		s:   make([]euler.PointState, nmax),
 		eig: make([]euler.AxisEigen, nmax),
 	}
 	ar := cachesim.NewArena(cachesim.PencilFloats(nmax, euler.NC))
@@ -91,14 +93,17 @@ func (p *pencil) checkLine(n int) {
 	}
 }
 
-// sweepLine applies one direction's factored implicit operator to one
-// line of n points: interior updates r[1..n-2] are replaced by the
+// sweepLineMode applies one direction's factored implicit operator to
+// one line of n points: interior updates r[1..n-2] are replaced by the
 // solution of T (I + νδΛ − μ∇Δ) T⁻¹ Δ = r. q[0..n-1] must hold the
 // time-level-n states along the line; boundary updates are zero
 // (explicit boundary conditions).
 //
-// The five scalar tridiagonal systems (one per characteristic field)
-// are built with implicitRow and solved with linalg.SolveTridiag.
+// The five scalar band systems (one per characteristic field) are built
+// with implicitRow and solved with linalg.SolveTridiag; dissip4 switches
+// from the tridiagonal (I − μ∇Δ) form to the pentadiagonal
+// (I + ε·σ·(dt/h)·Δ⁴) form of the ARC3D implicit fourth-difference
+// dissipation.
 //
 // viscRe > 0 enables the thin-layer viscous augmentation of the
 // L-direction factor (viscousImplicitRow); pass 0 for inviscid runs and
@@ -107,14 +112,6 @@ func (p *pencil) checkLine(n int) {
 // g carries the metric arrays of a stretched (nonuniform) direction;
 // nil means uniform spacing h and leaves the uniform expressions — and
 // their bitwise behaviour — untouched.
-func sweepLine(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom) {
-	sweepLineMode(p, n, ax, h, dt, epsI, viscRe, g, false)
-}
-
-// sweepLineMode is sweepLine with selectable implicit dissipation
-// order: dissip4 switches from the tridiagonal (I − μ∇Δ) form to the
-// pentadiagonal (I + ε·σ·(dt/h)·Δ⁴) form of the ARC3D implicit
-// fourth-difference dissipation.
 func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
@@ -206,8 +203,9 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 	p.r[n-1] = linalg.Vec5{}
 }
 
-// rhsLineFlux fills flux[i] = F(q[i]) and sigma[i] for one line.
-func rhsLineFlux(ax euler.Axis, q []linalg.Vec5, flux []linalg.Vec5, sigma []float64, n int) {
+// rhsLineFlux fills flux[i] = F(q[i]) and sigma[i] for one line, from q
+// alone: the scalar reference never looks at a point record.
+func rhsLineFlux(ax euler.Axis, q []linalg.Vec5, _ []euler.PointState, flux []linalg.Vec5, sigma []float64, n int) {
 	for i := 0; i < n; i++ {
 		flux[i] = euler.Flux(ax, q[i])
 		sigma[i] = euler.SpectralRadius(ax, q[i])

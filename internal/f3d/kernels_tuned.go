@@ -11,12 +11,17 @@ import (
 // hoisted out of the component loop, the five characteristic systems
 // solved as one lane batch so their recurrences overlap, the geometry
 // branch lifted out of the inner loop, the characteristic transforms
-// specialised to the sweep's axis (euler.AxisEigen). Every operation
-// kept has the scalar form's operands and order; the only ones dropped
-// are products with a direction cosine that is exactly 0, whose ±0
-// terms cannot change a sum that starts from +0 (DESIGN.md §8). So
-// tuned results are bitwise identical to the scalar forms while the
-// solve is finite; internal/check enforces that on every build.
+// specialised to the sweep's axis (euler.AxisEigen), and the axis-
+// independent decomposition of each point (euler.Decompose: a divide,
+// the pressure, a divide and a square root) read from ZoneState.pts,
+// filled once per step, instead of recomputed in each of six passes.
+// Every operation kept has the scalar form's operands and order (a
+// stored value is the very expression the scalar path evaluates in
+// place); the only ones dropped are products with a direction cosine
+// that is exactly 0, whose ±0 terms cannot change a sum that starts from
+// +0 (DESIGN.md §8). So tuned results are bitwise identical to the
+// scalar forms while the solve is finite; internal/check enforces that
+// on every build.
 
 // kernelSet is the dispatch seam between the cache solver's loop
 // drivers and the per-line kernels. The drivers (rhsPassJK, rhsPassL,
@@ -25,15 +30,17 @@ import (
 // driver code.
 type kernelSet struct {
 	sweepLine func(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool)
-	rhsFlux   func(ax euler.Axis, q []linalg.Vec5, flux []linalg.Vec5, sigma []float64, n int)
+	rhsFlux   func(ax euler.Axis, q []linalg.Vec5, s []euler.PointState, flux []linalg.Vec5, sigma []float64, n int)
 	rhsAccum  func(q, flux []linalg.Vec5, sigma []float64, r []linalg.Vec5, n int, h, dt, eps4, eps2b float64, g *axisGeom)
+	// points: the set reads ZoneState.pts, so its solver's zones keep them.
+	points bool
 }
 
 var (
 	// tunedKernelSet is what every solver built by NewCacheSolver or
 	// NewBlockSolver runs; scalarKernelSet is the conformance reference,
 	// bound only by NewReferenceSolver.
-	tunedKernelSet  = kernelSet{sweepLine: sweepLineModeTuned, rhsFlux: rhsLineFluxTuned, rhsAccum: rhsLineAccumTuned}
+	tunedKernelSet  = kernelSet{sweepLine: sweepLineModeTuned, rhsFlux: rhsLineFluxTuned, rhsAccum: rhsLineAccumTuned, points: true}
 	scalarKernelSet = kernelSet{sweepLine: sweepLineMode, rhsFlux: rhsLineFlux, rhsAccum: rhsLineAccum}
 )
 
@@ -48,7 +55,8 @@ var _ [linalg.Lanes][]float64 = [euler.NC][]float64{}
 // solved as one linalg lane batch. Per component the assembled
 // coefficients and the elimination order are exactly those of the
 // scalar path, and euler.AxisEigen reproduces the dense transforms'
-// products, so the results match bitwise.
+// products, so the results match bitwise. Of the time-level-n state it
+// reads only the records p.s[1..n-2] (euler.Decompose(q[i])), never p.q.
 func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
@@ -60,7 +68,7 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	// Axis-specialised eigensystems and characteristic-variable RHS at
 	// interior points: T⁻¹ is applied as it is built and never stored.
 	for i := 1; i <= ni; i++ {
-		w := p.eig[i].Forward(ax, &p.q[i], &p.r[i])
+		w := p.eig[i].Forward(ax, &p.s[i], &p.r[i])
 		for c := 0; c < euler.NC; c++ {
 			p.w[c][i-1] = w[c]
 		}
@@ -78,9 +86,9 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 		var da, db, dc float64
 		if viscous {
 			if g != nil {
-				da, db, dc = viscousImplicitRowVar(dt, viscRe, p.q[i][0], g.invdm[i-1], g.invdm[i], g.invh[i])
+				da, db, dc = viscousImplicitRowVar(dt, viscRe, p.s[i].Rho, g.invdm[i-1], g.invdm[i], g.invh[i])
 			} else {
-				da, db, dc = viscousImplicitRow(dt, h, viscRe, p.q[i][0])
+				da, db, dc = viscousImplicitRow(dt, h, viscRe, p.s[i].Rho)
 			}
 		}
 		var lamPrev, lamNext *linalg.Vec5
@@ -138,24 +146,22 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 		for c := 0; c < euler.NC; c++ {
 			w[c] = p.w[c][i-1]
 		}
-		p.r[i] = p.eig[i].Back(ax, &w)
+		p.r[i] = p.eig[i].Back(ax, &p.s[i], &w)
 	}
 	p.r[0] = linalg.Vec5{}
 	p.r[n-1] = linalg.Vec5{}
 }
 
-// rhsLineFluxTuned is rhsLineFlux with one primitive conversion per
-// point: the scalar kernel's Flux and SpectralRadius each convert the
-// conserved state on their own; here PrimFromCons runs once and both
-// evaluations share it through the euler *Prim entry points, whose
-// expressions match the scalar path exactly — bitwise identical.
-func rhsLineFluxTuned(ax euler.Axis, q []linalg.Vec5, flux []linalg.Vec5, sigma []float64, n int) {
+// rhsLineFluxTuned is rhsLineFlux with no primitive conversion: the
+// scalar kernel's Flux and SpectralRadius each convert the conserved
+// state on their own; here both start from s[i] = euler.Decompose(q[i]),
+// whose fields are the scalar path's own intermediates — bitwise equal.
+func rhsLineFluxTuned(ax euler.Axis, q []linalg.Vec5, s []euler.PointState, flux []linalg.Vec5, sigma []float64, n int) {
 	kx, ky, kz := ax.Unit()
-	q, flux, sigma = q[:n], flux[:n], sigma[:n]
+	q, s, flux, sigma = q[:n], s[:n], flux[:n], sigma[:n]
 	for i := 0; i < n; i++ {
-		p := euler.PrimFromCons(q[i])
-		flux[i] = euler.FluxDirPrim(kx, ky, kz, q[i], p)
-		sigma[i] = euler.SpectralRadiusPrim(ax, p)
+		flux[i] = euler.FluxDirPrim(kx, ky, kz, q[i], s[i].Prim)
+		sigma[i] = s[i].SpectralRadius(ax)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 )
 
 // fillLine populates a pencil's q and r with a smoothly varying
-// near-freestream state so the eigensystems are well conditioned.
+// near-freestream state so the eigensystems are well conditioned, and s
+// with q's decomposition, as a solver's fillPoints + loadPoints would.
 func fillLine(p *pencil, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
@@ -23,6 +24,7 @@ func fillLine(p *pencil, n int, seed int64) {
 		prim.W += 0.05 * rng.Float64()
 		prim.P *= 1 + 0.05*rng.Float64()
 		p.q[i] = prim.Cons()
+		p.s[i] = euler.Decompose(p.q[i])
 		for c := 0; c < euler.NC; c++ {
 			p.r[i][c] = 1e-3 * (rng.Float64() - 0.5)
 		}
@@ -31,6 +33,7 @@ func fillLine(p *pencil, n int, seed int64) {
 
 func copyPencilLine(dst, src *pencil, n int) {
 	copy(dst.q[:n], src.q[:n])
+	copy(dst.s[:n], src.s[:n])
 	copy(dst.r[:n], src.r[:n])
 }
 
@@ -98,7 +101,7 @@ func TestRHSLineAccumTunedBitwise(t *testing.T) {
 			fillLine(p, n, int64(n))
 			flux := make([]linalg.Vec5, n)
 			sigma := make([]float64, n)
-			rhsLineFlux(euler.X, p.q, flux, sigma, n)
+			rhsLineFlux(euler.X, p.q, nil, flux, sigma, n)
 			rs := make([]linalg.Vec5, n)
 			rt := make([]linalg.Vec5, n)
 			copy(rs, p.r[:n])

@@ -44,15 +44,14 @@ func lineIndex(ax euler.Axis, i, a, b int) (j, k, l int) {
 	}
 }
 
-// lineSpan returns, for a PointMajor field of NC components, the flat
-// offset of the first component of a line's point 0 and the offset
-// step between consecutive points of the line. Both come from
+// lineSpan returns the flat point index of a line's point 0 and the
+// index step between consecutive points of the line. Both come from
 // Zone.Index, so the zone keeps sole ownership of the point order.
 func lineSpan(z *grid.Zone, ax euler.Axis, a, b int) (base, stride int) {
 	j0, k0, l0 := lineIndex(ax, 0, a, b)
 	j1, k1, l1 := lineIndex(ax, 1, a, b)
 	p0 := z.Index(j0, k0, l0)
-	return p0 * euler.NC, (z.Index(j1, k1, l1) - p0) * euler.NC
+	return p0, z.Index(j1, k1, l1) - p0
 }
 
 // pointMajor5 reports whether f stores whole Vec5 state vectors
@@ -75,6 +74,7 @@ func loadLine(f *grid.StateField, ax euler.Axis, a, b int, dst []linalg.Vec5, n 
 		return
 	}
 	off, stride := lineSpan(f.Zone, ax, a, b)
+	off, stride = off*euler.NC, stride*euler.NC
 	dst = dst[:n]
 	for i := range dst {
 		dst[i] = linalg.Vec5(f.Data[off : off+euler.NC])
@@ -93,6 +93,7 @@ func storeLineInterior(f *grid.StateField, ax euler.Axis, a, b int, src []linalg
 		return
 	}
 	off, stride := lineSpan(f.Zone, ax, a, b)
+	off, stride = off*euler.NC, stride*euler.NC
 	src = src[:n]
 	for i := 1; i < len(src)-1; i++ {
 		off += stride
@@ -100,10 +101,62 @@ func storeLineInterior(f *grid.StateField, ax euler.Axis, a, b int, src []linalg
 	}
 }
 
-// zeroLine clears the full line in the pencil buffer.
-func zeroLine(dst []linalg.Vec5, n int) {
-	for i := 0; i < n; i++ {
-		dst[i] = linalg.Vec5{}
+// loadPoints gathers a line of the zone's point records into dst,
+// bounds-checked per point like loadLine. A zone that keeps none (the
+// scalar reference's) reports false: its kernels read Q.
+func loadPoints(zs *ZoneState, ax euler.Axis, a, b int, dst []euler.PointState, n int) bool {
+	if zs.pts == nil {
+		return false
+	}
+	off, stride := lineSpan(zs.Zone, ax, a, b)
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = zs.pts[off]
+		off += stride
+	}
+	return true
+}
+
+// fillPoints rebuilds from Q the point records of interior plane l. The
+// RHS J/K pass calls it as it enters the plane, so the fill rides that
+// region's L-slab partition: the owner of plane 1 also fills face plane
+// 0 and the owner of LMax−2 fills LMax−1, no two workers write a plane,
+// and the barrier that already orders the J/K pass ahead of the L pass
+// orders every fill ahead of every cross-plane read.
+func (zs *ZoneState) fillPoints(l int) {
+	if zs.pts == nil {
+		return
+	}
+	if l == 1 {
+		zs.fillPlane(0)
+	}
+	zs.fillPlane(l)
+	if l == zs.Zone.LMax-2 {
+		zs.fillPlane(l + 1)
+	}
+}
+
+// fillPlane decomposes, J row by J row, the points of plane l that some
+// line reads: those with at most one index on a face. Zone edges and
+// corners are read by no line and may hold anything, so they must not
+// reach Decompose's panics.
+func (zs *ZoneState) fillPlane(l int) {
+	z := zs.Zone
+	lface := l == 0 || l == z.LMax-1
+	for k := 0; k < z.KMax; k++ {
+		j0, j1 := 0, z.JMax
+		if kface := k == 0 || k == z.KMax-1; kface || lface {
+			if kface && lface {
+				continue
+			}
+			j0, j1 = 1, z.JMax-1
+		}
+		off := z.Index(j0, k, l)
+		pts := zs.pts[off : off+j1-j0]
+		q := zs.Q.Data[off*euler.NC:]
+		for i := range pts {
+			pts[i] = euler.Decompose(linalg.Vec5(q[i*euler.NC : (i+1)*euler.NC]))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package f3d
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/grid"
@@ -104,5 +105,38 @@ func TestMLPSyncStructure(t *testing.T) {
 		if got := tm.SyncEvents(); got != 4 {
 			t.Errorf("zone %d team recorded %d sync events, want 4", zi, got)
 		}
+	}
+}
+
+// TestMLPZoneTeamResizeMidRun: a zone team grown between steps gets its
+// extra workers' scratch before the next region opens (ensureScratch
+// used to grow only the primary team's set, so worker 2 of a resized
+// zone team indexed past the zone's scratch and panicked), and the
+// history stays bitwise the serial one across the resize.
+func TestMLPZoneTeamResizeMidRun(t *testing.T) {
+	c := grid.Scaled(grid.Paper1M(), 0.12)
+	cfg := DefaultConfig(c)
+	ref := newCache(t, cfg, CacheOptions{})
+	teams := newZoneTeams(t, len(c.Zones), 2)
+	mlp := newCache(t, cfg, CacheOptions{ZoneTeams: teams})
+	InitPulse(ref, 0.02)
+	InitPulse(mlp, 0.02)
+	for i := 0; i < 6; i++ {
+		if i == 2 {
+			teams[1].Resize(4)
+		}
+		if i == 4 {
+			teams[1].Resize(1)
+			teams[0].Resize(3)
+		}
+		want, got := ref.Step(), mlp.Step()
+		if math.Float64bits(got.Residual) != math.Float64bits(want.Residual) ||
+			math.Float64bits(got.MaxDelta) != math.Float64bits(want.MaxDelta) {
+			t.Fatalf("step %d: residual %x / max delta %x, serial %x / %x",
+				i, got.Residual, got.MaxDelta, want.Residual, want.MaxDelta)
+		}
+	}
+	if d := MaxPointwiseDiff(ref, mlp); d != 0 {
+		t.Fatalf("final state differs by %g", d)
 	}
 }

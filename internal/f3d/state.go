@@ -18,16 +18,28 @@ type ZoneState struct {
 	// geom holds per-axis metric arrays for stretched directions (nil
 	// entries for uniform directions).
 	geom zoneGeom
+	// pts holds euler.Decompose(Q) per point, in Zone.Index order, for the
+	// tuned kernels (nil on the scalar reference, which recomputes from
+	// Q). It is scratch, not state: valid only from a step's RHS J/K pass,
+	// which rebuilds it from Q before its first read (fillPoints), to the
+	// same step's sweepLUpdate, which changes Q. Nothing reads it outside
+	// that window, so no write to Q between steps can leave it stale.
+	pts []euler.PointState
 }
 
-// newZoneState allocates solution storage for z in the given layout.
-func newZoneState(z *grid.Zone, layout grid.Layout) *ZoneState {
-	return &ZoneState{
+// newZoneState allocates solution storage for z in the given layout,
+// with the per-point records the tuned kernels read when points is set.
+func newZoneState(z *grid.Zone, layout grid.Layout, points bool) *ZoneState {
+	zs := &ZoneState{
 		Zone: z,
 		Q:    grid.NewStateField(z, euler.NC, layout),
 		R:    grid.NewStateField(z, euler.NC, layout),
 		geom: newZoneGeom(z),
 	}
+	if points {
+		zs.pts = make([]euler.PointState, z.Points())
+	}
+	return zs
 }
 
 // initUniform fills the zone with the freestream state.
@@ -180,13 +192,6 @@ func (zs *ZoneState) forEachFacePoint(fn func(j, k, l int)) {
 	}
 }
 
-// facepoints returns the number of boundary points of the zone.
-func (zs *ZoneState) facePoints() int {
-	z := zs.Zone
-	interior := (z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2)
-	return z.Points() - interior
-}
-
 // residualSumSq returns the sum of squares of the stored right-hand
 // side over the interior points of the zone and the interior point
 // count, computed in a fixed serial order so the value is identical for
@@ -206,16 +211,6 @@ func (zs *ZoneState) residualSumSq() (sumsq float64, n int) {
 		}
 	}
 	return sumsq, n
-}
-
-// residualFromR returns the RMS of the stored right-hand side over the
-// interior points of the zone.
-func (zs *ZoneState) residualFromR() float64 {
-	sumsq, n := zs.residualSumSq()
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sumsq / float64(n))
 }
 
 // totalConserved returns the sum of each conserved component over the

@@ -63,7 +63,7 @@ func NewVectorSolver(cfg Config) (*VectorSolver, error) {
 	maxPts, maxPlane := 0, 0
 	for i := range cfg.Case.Zones {
 		z := &cfg.Case.Zones[i]
-		s.zones = append(s.zones, newZoneState(z, grid.ComponentMajor))
+		s.zones = append(s.zones, newZoneState(z, grid.ComponentMajor, false))
 		if p := z.Points(); p > maxPts {
 			maxPts = p
 		}
@@ -189,7 +189,7 @@ func (s *VectorSolver) rhsFromStaged(zs *ZoneState) {
 		for k := 1; k <= z.KMax-2; k++ {
 			loadLine(&zs.Q, euler.X, k, l, qbuf, nJ)
 			gather(0, euler.X, k, l, nJ)
-			zeroLine(rbuf, nJ)
+			clear(rbuf[:nJ])
 			rhsLineAccum(qbuf, fbuf, sbuf, rbuf, nJ, z.DJ, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.X])
 			storeLineInterior(&zs.R, euler.X, k, l, rbuf, nJ)
 		}
