@@ -45,7 +45,7 @@ func main() {
 	mlp := flag.Bool("mlp", false, "multi-level parallelism: one team of -workers per zone")
 	converge := flag.Float64("converge", 0, "run until the residual falls by this factor (overrides -steps)")
 	validate := flag.Bool("validate", false, "run the cross-variant validation ladder and exit")
-	profileFlag := flag.Bool("profile", false, "print a prof-style per-phase profile after the run (cache variant)")
+	profileFlag := flag.Bool("profile", false, "print a prof-style per-phase profile after the run (cache and block variants)")
 	stretch := flag.Float64("stretch", 0, "tanh wall-clustering factor for the L direction (0 = uniform)")
 	dissip4 := flag.Bool("dissip4", false, "use pentadiagonal implicit fourth-difference dissipation (cache variant)")
 	saveFile := flag.String("save", "", "write a checkpoint to this file after the run")
@@ -97,11 +97,13 @@ func main() {
 	var solver f3d.Solver
 	var team *parloop.Team
 	var prof *profile.Profiler
-	switch *variant {
-	case "cache":
+	// The cache and block variants run the same step driver, so they
+	// take the same shape, profiler and team(s).
+	var opts f3d.CacheOptions
+	if *variant != "vector" {
 		shape := f3d.DefaultShape()
 		shape.Merged, shape.BC = *merged, *parbc
-		opts := f3d.CacheOptions{Shape: f3d.NewShapeCfg(shape)}
+		opts.Shape = f3d.NewShapeCfg(shape)
 		if *profileFlag && !*mlp {
 			prof = profile.New()
 			opts.Profiler = prof
@@ -117,6 +119,9 @@ func main() {
 			defer team.Close()
 			opts.Team = team
 		}
+	}
+	switch *variant {
+	case "cache":
 		s, err := f3d.NewCacheSolver(cfg, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "f3d:", err)
@@ -135,11 +140,7 @@ func main() {
 		}
 		solver = s
 	case "block":
-		if *workers > 1 {
-			team = parloop.NewTeam(*workers)
-			defer team.Close()
-		}
-		s, err := f3d.NewBlockSolver(cfg, f3d.CacheOptions{Team: team})
+		s, err := f3d.NewBlockSolver(cfg, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "f3d:", err)
 			os.Exit(1)

@@ -20,7 +20,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
-// TestAdaptiveJobOverHTTP is the end-to-end -adapt path: a daemon with
+// TestAdaptiveJobOverHTTP is the end-to-end adaptive path: a daemon with
 // the MeasuredAllocator granting, an adaptive submission over HTTP,
 // and the controller's state served back from GET /jobs/{id}/adapt.
 func TestAdaptiveJobOverHTTP(t *testing.T) {
@@ -77,13 +77,17 @@ func TestAdaptiveJobOverHTTP(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNeedsFlag: without -adapt the kind is rejected up front.
-func TestAdaptiveNeedsFlag(t *testing.T) {
+// TestAdaptiveNeedsNoFlag: there is no -adapt switch — a daemon built
+// from the zero serverConfig (no recorder wired) accepts the kind and
+// runs it to completion.
+func TestAdaptiveNeedsNoFlag(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 2}, serverConfig{})
-	code := ts.do("POST", "/jobs", map[string]any{"kind": "adaptive"}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("adaptive submit without -adapt = %d, want 400", code)
+	var st sched.JobStatus
+	code := ts.do("POST", "/jobs", map[string]any{"kind": "adaptive", "parallelism": 16, "steps": 5, "work_scale": 1}, &st)
+	if code != http.StatusAccepted {
+		t.Fatalf("adaptive submit = %d, want 202", code)
 	}
+	ts.waitState(st.ID, sched.StateDone)
 }
 
 // scriptedAdaptive stands a pre-driven controller in for a LoopJob's

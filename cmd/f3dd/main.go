@@ -10,7 +10,7 @@
 // Usage:
 //
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N]
-//	     [-grow=false] [-shrink=false] [-adapt] [-drain-timeout D]
+//	     [-grow=false] [-shrink=false] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
 //
 // Endpoints:
@@ -48,12 +48,13 @@
 //	                         256 MiB -> 413, malformed or JSON -> 400;
 //	                         release is plain JSON
 //
-// With -adapt the daemon accepts "adaptive" jobs — ragged loops
-// re-scheduled per step by a live feedback controller (internal/adapt)
-// — and sizes every grant from measured speedups instead of the
-// stair-step model alone: the controllers feed a MeasuredAllocator
-// that shrinks grants to lower plateaus when the observed speedup
-// says the extra processors buy nothing.
+// The daemon accepts "adaptive" jobs — ragged loops re-scheduled per
+// step by a live feedback controller (internal/adapt) — and sizes every
+// grant from their measured speedups as well as the stair-step model:
+// the controllers feed a MeasuredAllocator that shrinks grants to lower
+// plateaus when the observed speedup says the extra processors buy
+// nothing. Until a measurement is recorded it grants exactly what the
+// model does.
 //
 // With -autopar every f3d submission runs phase-traced, and the
 // daemon derives an evidence-driven auto-parallelization plan from
@@ -99,7 +100,6 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job limit; submits beyond it get HTTP 429")
 	grow := flag.Bool("grow", true, "grow running jobs to higher plateaus as the queue drains")
 	shrink := flag.Bool("shrink", true, "shrink the largest job one plateau to admit queued work")
-	adaptive := flag.Bool("adapt", false, "accept adaptive jobs and size grants from measured speedups")
 	autopar := flag.Bool("autopar", false, "phase-trace f3d jobs and serve evidence-driven plans on /jobs/{id}/plan")
 	autoparSync := flag.Float64("autopar-sync-cost", 0, "planner sync cost in cycles, a Table 1 column (0 = model default)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
@@ -118,6 +118,7 @@ func main() {
 	if *trace {
 		tracer.Enable()
 	}
+	alloc := adapt.NewMeasuredAllocator()
 	schedCfg := sched.Config{
 		Procs:         *procs,
 		QueueDepth:    *queue,
@@ -126,11 +127,7 @@ func main() {
 		Clock:         simclock.Real{},
 		Tracer:        tracer,
 		Metrics:       obs.NewRegistry(),
-	}
-	var alloc *adapt.MeasuredAllocator
-	if *adaptive {
-		alloc = adapt.NewMeasuredAllocator()
-		schedCfg.Allocator = alloc
+		Allocator:     alloc,
 	}
 	s := sched.New(schedCfg)
 	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{

@@ -45,11 +45,11 @@ type serverConfig struct {
 	// jobTimeout, when positive, is the run deadline applied to
 	// submissions that don't pick their own via timeout_sec.
 	jobTimeout time.Duration
-	// adapt, when non-nil, enables "adaptive" submissions and receives
-	// the measured speedups their controllers observe (wire the same
+	// adapt, when non-nil, receives the measured speedups the
+	// controllers of "adaptive" submissions observe (main wires the
 	// MeasuredAllocator the scheduler grants from, so grant sizing
-	// follows measurement instead of the model alone).
-	adapt *adapt.MeasuredAllocator
+	// follows measurement as well as the model).
+	adapt adapt.Recorder
 	// node tags this daemon's trace events in merged fleet timelines
 	// (the -node flag; the listen address by default).
 	node string
@@ -150,8 +150,7 @@ type submitRequest struct {
 
 	// adaptive: seed of the deterministic ragged cost surface the
 	// feedback controller optimizes (parallelism sets the loop length,
-	// work_scale the per-iteration spin cost). Needs the daemon
-	// started with -adapt.
+	// work_scale the per-iteration spin cost).
 	Seed int64 `json:"seed"`
 
 	// TimeoutSec, when positive, is this job's run deadline in
@@ -225,9 +224,6 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 		}
 		return euler.NewSweepJob(req.Name, req.Points, req.Steps), nil
 	case "adaptive":
-		if sv.cfg.adapt == nil {
-			return nil, fmt.Errorf("adaptive jobs need the daemon started with -adapt")
-		}
 		if req.Parallelism == 0 {
 			req.Parallelism = 96
 		}
@@ -334,8 +330,7 @@ type adaptive interface {
 // handleAdapt serves a job's adaptive-scheduling state: one controller
 // status (current pick, convergence, decision log) per instrumented
 // loop, read off the job object the scheduler holds for the ID. Jobs
-// without adaptive loops — or daemons run without -adapt — answer 404,
-// so clients can feature-detect.
+// without adaptive loops answer 404.
 func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	id, ok := jobID(w, r)
 	if !ok {

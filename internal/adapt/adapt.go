@@ -23,9 +23,9 @@
 //     cannot oscillate.
 //
 // Mid-flight reconfiguration is conformance-safe by construction: a
-// re-pick changes only how iterations are dealt to workers (the
-// parloop.LoopCfg seam applies it at the next region entry), never the
-// iteration set itself, so residual history is bitwise unchanged —
+// re-pick changes only how iterations are dealt to workers (it is read
+// once per step, before the region opens), never the iteration set
+// itself, so residual history is bitwise unchanged —
 // internal/check's adaptive cells prove it kernel by kernel.
 package adapt
 

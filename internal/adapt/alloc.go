@@ -14,39 +14,22 @@ import (
 // loops, Table 1 fails). Controllers feed measurements in through the
 // Recorder interface (Config.Recorder); Grant and Lower then shrink a
 // modeled grant to the smallest plateau whose *measured* speedup is
-// within Tol of the modeled pick's. With no measurements recorded it
-// behaves exactly like the inner allocator, so wiring it in is safe
-// before any job has run.
+// within measuredTol of the modeled pick's. With no measurements
+// recorded it behaves exactly like sched.PlateauAllocator, so wiring it
+// in is safe before any job has run.
 type MeasuredAllocator struct {
-	// Inner is the model allocator to correct; nil means
-	// sched.PlateauAllocator.
-	Inner sched.Allocator
-	// Tol is the relative speedup loss accepted when shrinking to a
-	// lower plateau; 0 means 0.02 (2%).
-	Tol float64
-
 	mu   sync.Mutex
 	meas map[[2]int]float64 // {m, procs} -> best measured speedup
 }
 
+// measuredTol is the relative speedup loss accepted when shrinking to a
+// lower plateau.
+const measuredTol = 0.02
+
 // NewMeasuredAllocator returns a MeasuredAllocator over the paper's
-// plateau policy with the default tolerance.
+// plateau policy.
 func NewMeasuredAllocator() *MeasuredAllocator {
 	return &MeasuredAllocator{}
-}
-
-func (a *MeasuredAllocator) inner() sched.Allocator {
-	if a.Inner != nil {
-		return a.Inner
-	}
-	return sched.PlateauAllocator{}
-}
-
-func (a *MeasuredAllocator) tol() float64 {
-	if a.Tol > 0 {
-		return a.Tol
-	}
-	return 0.02
 }
 
 // Record implements Recorder: it stores the best measured speedup seen
@@ -84,20 +67,18 @@ func (a *MeasuredAllocator) Measured(m, procs int) (float64, bool) {
 }
 
 // shrink walks g down the plateau ladder while measurements say the
-// lower plateau delivers speedup within tol of the current one.
+// lower plateau delivers speedup within measuredTol of the current one.
 func (a *MeasuredAllocator) shrink(m, g int) int {
-	in := a.inner()
-	tol := a.tol()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for g > 1 {
-		l := in.Lower(m, g)
+		l := sched.PlateauAllocator{}.Lower(m, g)
 		if l < 1 {
 			break
 		}
 		cur, okCur := a.meas[[2]int{m, g}]
 		low, okLow := a.meas[[2]int{m, l}]
-		if !okCur || !okLow || low < cur*(1-tol) {
+		if !okCur || !okLow || low < cur*(1-measuredTol) {
 			break
 		}
 		g = l
@@ -108,7 +89,7 @@ func (a *MeasuredAllocator) shrink(m, g int) int {
 // Grant implements sched.Allocator: the model grant, shrunk to the
 // smallest plateau measurement says performs just as well.
 func (a *MeasuredAllocator) Grant(m, avail int) int {
-	g := a.inner().Grant(m, avail)
+	g := sched.PlateauAllocator{}.Grant(m, avail)
 	if g < 1 {
 		return g
 	}
@@ -118,7 +99,7 @@ func (a *MeasuredAllocator) Grant(m, avail int) int {
 // Lower implements sched.Allocator: one modeled plateau down, then any
 // further measured-equivalent shrink.
 func (a *MeasuredAllocator) Lower(m, granted int) int {
-	l := a.inner().Lower(m, granted)
+	l := sched.PlateauAllocator{}.Lower(m, granted)
 	if l < 1 {
 		return l
 	}

@@ -10,12 +10,12 @@ import (
 
 // LoopJob is a schedulable adaptive workload: a ragged-cost parallel
 // loop stepped under the feedback controller. Each step it reads the
-// controller's current {schedule, chunk, workers} pick, applies the
-// schedule/chunk through a parloop.LoopCfg, resizes its own team to
-// the worker pick (capped by the scheduler's current grant — the
+// controller's current {schedule, chunk, workers} pick, resizes its own
+// team to the worker pick (capped by the scheduler's current grant — the
 // worker axis above the grant flows through the MeasuredAllocator,
 // which the controller feeds via Config.Recorder), runs the loop as
-// real spin work, and feeds the measured verdict back.
+// real spin work under the picked schedule/chunk (parloop.ForSchedW),
+// and feeds the measured verdict back.
 type LoopJob struct {
 	name  string
 	n     int
@@ -89,7 +89,6 @@ func (j *LoopJob) Run(g *sched.Grant) error {
 	// re-read at every checkpoint.
 	team := parloop.NewTeam(min(j.ctrl.Choice().Workers, g.Procs()))
 	defer team.Close()
-	cfg := parloop.NewLoopCfg(parloop.Static, 1)
 
 	busy := make([]int64, j.ctrl.cfg.Procs)
 	for s := 0; s < j.steps; s++ {
@@ -104,12 +103,11 @@ func (j *LoopJob) Run(g *sched.Grant) error {
 		if team.Workers() != w {
 			team.Resize(w)
 		}
-		cfg.Store(ch.Sched, ch.Chunk)
 		for i := range busy {
 			busy[i] = 0
 		}
 		start := j.clock.Now()
-		team.ForCfgW(j.n, cfg, func(worker, lo, hi int) {
+		team.ForSchedW(j.n, ch.Sched, ch.Chunk, func(worker, lo, hi int) {
 			c := 0
 			for i := lo; i < hi; i++ {
 				c += j.costs[i]

@@ -76,9 +76,9 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 		p.U += 0.01 * float64(i%5)
 		u := p.Cons()
 		cs.p.q[i] = u
-		bs.cs.p.q[i] = u
+		bs.p.q[i] = u
 		cs.p.r[i] = linalg.Vec5{1e-3, 0, 0, 0, 1e-3}
-		bs.cs.p.r[i] = cs.p.r[i]
+		bs.p.r[i] = cs.p.r[i]
 	}
 	b.Run("diagonal-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -89,7 +89,7 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 	defer solver.Close()
 	b.Run("block-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			solver.blockSweepLine(bs, n, euler.X, 0.01)
+			solver.blockSweepLine(bs, n, euler.X, 0.01, nil)
 		}
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/parloop"
+	"repro/internal/profile"
 )
 
 func newBlock(t *testing.T, cfg Config, opts CacheOptions) *BlockSolver {
@@ -117,40 +119,97 @@ func TestBlockViscousStable(t *testing.T) {
 	}
 }
 
-// The block solver runs only the seed region structure; every shape
-// asking for more must be refused at construction, not silently run as
-// something else.
+// The block solver runs the shared step driver, so it takes any shape
+// (TestShapedStepsMatchSerialBitwise runs all 2⁷) and the driver's
+// options; only what it cannot honour is refused at construction.
 func TestBlockSolverShapes(t *testing.T) {
 	cfg := testConfig(8, 8, 8)
-	def := DefaultShape()
 	for _, tc := range []struct {
 		name  string
 		shape *ShapeCfg
-		ok    bool
 	}{
-		{"nil is the default", nil, true},
-		{"default", NewShapeCfg(def), true},
-		{"all serial", NewShapeCfg(StepShape{}), true},
-		{"sweeps only", NewShapeCfg(StepShape{SweepJK: true, SweepL: true}), true},
-		{"rhs only", NewShapeCfg(StepShape{RHSJK: true, RHSL: true}), true},
-		{"merged", mergedCfg(true), false},
-		{"fissioned", NewShapeCfg(StepShape{RHSJK: true, RHSL: true, FissionRHS: true}), false},
-		{"half rhs jk", NewShapeCfg(StepShape{RHSJK: true}), false},
-		{"half rhs l", NewShapeCfg(StepShape{RHSL: true, SweepL: true}), false},
-		{"parallel bc", NewShapeCfg(StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true}), false},
+		{"nil is the default", nil},
+		{"all serial", NewShapeCfg(StepShape{})},
+		{"merged", mergedCfg(true)},
+		{"fissioned half rhs", NewShapeCfg(StepShape{RHSJK: true, FissionRHS: true})},
+		{"parallel bc", NewShapeCfg(StepShape{BC: true})},
 	} {
 		s, err := NewBlockSolver(cfg, CacheOptions{Shape: tc.shape})
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: err = %v, want accepted=%v", tc.name, err, tc.ok)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
 		}
-		if err == nil {
-			s.Close()
+		if tc.shape == nil && s.Shape() != DefaultShape() {
+			t.Errorf("nil shape cell runs %+v, want the default", s.Shape())
 		}
+		s.Close()
 	}
 	bad := cfg
 	bad.Dt = -1
 	if _, err := NewBlockSolver(bad, CacheOptions{}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := NewBlockSolver(cfg, CacheOptions{ZoneTeams: newZoneTeams(t, 1, 2)}); err == nil {
+		t.Error("ZoneTeams accepted (the block solver would silently ignore them)")
+	}
+}
+
+// A scheduler may grow the team between steps: the extra workers need
+// scratch before the next region opens (the block solver used to size
+// its scratch once, at construction, and indexed past it).
+func TestBlockTeamResizeMidRun(t *testing.T) {
+	cfg := testConfig(9, 9, 8)
+	ref := newBlock(t, cfg, CacheOptions{})
+	team := parloop.NewTeam(2)
+	defer team.Close()
+	s := newBlock(t, cfg, CacheOptions{Team: team})
+	InitPulse(ref, 0.02)
+	InitPulse(s, 0.02)
+	for i := 0; i < 6; i++ {
+		if i == 2 {
+			team.Resize(4)
+		}
+		if i == 4 {
+			team.Resize(1)
+		}
+		want, got := ref.Step(), s.Step()
+		if math.Float64bits(got.Residual) != math.Float64bits(want.Residual) ||
+			math.Float64bits(got.MaxDelta) != math.Float64bits(want.MaxDelta) {
+			t.Fatalf("step %d: residual %x / max delta %x, unresized %x / %x",
+				i, got.Residual, got.MaxDelta, want.Residual, want.MaxDelta)
+		}
+	}
+	if d := MaxPointwiseDiff(ref, s); d != 0 {
+		t.Fatalf("final state differs by %g", d)
+	}
+}
+
+// Profiler, PhaseTrace and BoundaryHook reach the block solver through
+// the shared driver instead of being dropped.
+func TestBlockSolverHonoursDriverOptions(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	prof := profile.New()
+	tr := obs.NewTracer(1<<12, nil)
+	tr.Enable()
+	team := parloop.NewTeam(2)
+	defer team.Close()
+	team.SetTracer(tr, "blk")
+	hooks := 0
+	s := newBlock(t, cfg, CacheOptions{Team: team, Profiler: prof, PhaseTrace: "blk", BoundaryHook: func(int) { hooks++ }})
+	InitPulse(s, 0.01)
+	s.Step()
+	if hooks != 1 {
+		t.Errorf("BoundaryHook ran %d times in one single-zone step, want 1", hooks)
+	}
+	if got := len(prof.Entries()); got != 5 {
+		t.Errorf("profiler has %d entries, want the 5 groups of the default shape: %v", got, prof.Entries())
+	}
+	traced := false
+	for _, e := range tr.Events() {
+		traced = traced || e.Name == "blk/sweep-jk"
+	}
+	if !traced || team.Label() != "blk" {
+		t.Errorf("phase trace: sweep-jk traced=%v, label after step %q", traced, team.Label())
 	}
 }
 

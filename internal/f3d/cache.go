@@ -2,16 +2,15 @@ package f3d
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/euler"
-	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/parloop"
 	"repro/internal/profile"
 )
 
-// CacheOptions configures a CacheSolver.
+// CacheOptions configures a CacheSolver or a BlockSolver (both run the
+// step driver of step.go).
 type CacheOptions struct {
 	// Team executes the parallel regions. nil runs everything serially
 	// (a private one-worker team).
@@ -26,13 +25,16 @@ type CacheOptions struct {
 	// ZoneTeams enables multi-level parallelism (the MLP style of the
 	// paper's §8 related work, Taft's OVERFLOW-MLP): zones advance
 	// concurrently, each on its own team running the loop-level regions.
-	// Must have one team per zone; Team is ignored when set. Zones are
+	// Must have one team per zone; Team is ignored when set; BlockSolver
+	// does not support it. Zones are
 	// independent within a step (interface data is captured up front),
 	// so results remain bitwise identical to the serial ordering.
 	ZoneTeams []*parloop.Team
 	// Profiler, when set, is charged the wall-clock time of every phase
 	// (per zone), keyed "zone/phase" — the prof-style measurement the
-	// paper's incremental workflow starts from. Not supported together
+	// paper's incremental workflow starts from. Phases the shape joins
+	// into one region are charged together: "rhs" for the unfissioned
+	// pair, "step" for a Merged step. Not supported together
 	// with ZoneTeams (phases of different zones overlap in time).
 	Profiler *profile.Profiler
 	// PhaseTrace, when non-empty, relabels the team's tracer around
@@ -75,6 +77,8 @@ type cacheScratch struct {
 	flux     []linalg.Vec5
 	sigma    []float64
 	maxDelta float64
+	// blk is the block sweeps' bands; nil except on BlockSolver.
+	blk *blockScratch
 }
 
 func newCacheScratch(nmax int, kern *kernelSet) *cacheScratch {
@@ -107,35 +111,13 @@ func (sc *cacheScratch) applyUpdate(n int) {
 // storage, pencil-sized scratch, unit-stride inner loops, and
 // loop-level parallelism over the outer dimensions via a parloop.Team.
 type CacheSolver struct {
-	cfg       Config
-	zones     []*ZoneState
-	team      *parloop.Team
-	ownedTeam bool
-	opts      CacheOptions
-	kern      *kernelSet
-	scratch   []*cacheScratch
+	stepCore
 
 	// Multi-level parallelism (opts.ZoneTeams): the outer team runs one
 	// section per zone; each zone has its own loop-level team and
 	// scratch set.
 	outer       *parloop.Team
 	zoneScratch [][]*cacheScratch
-
-	// ifbufs holds the zonal-interface exchange buffers (nil when the
-	// case has no interfaces).
-	ifbufs []ifaceBuffer
-
-	// zoneRes records the last step's per-zone residual parts, so a
-	// cluster coordinator can reassemble the global residual in zone
-	// order bitwise (ZoneResiduals).
-	zoneRes []ZoneResidual
-
-	// curShape is the step shape loaded at Step entry, held constant
-	// for the whole step so a concurrent ShapeCfg.Store cannot tear a
-	// step across two shapes.
-	curShape StepShape
-
-	steps int
 }
 
 // NewCacheSolver builds the cache-tuned solver for cfg. It always runs
@@ -157,35 +139,23 @@ func NewReferenceSolver(cfg Config) (*CacheSolver, error) {
 }
 
 func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolver, error) {
-	if err := cfg.Validate(); err != nil {
+	if len(opts.ZoneTeams) > 0 {
+		if len(opts.ZoneTeams) != len(cfg.Case.Zones) {
+			return nil, fmt.Errorf("f3d: ZoneTeams has %d teams for %d zones",
+				len(opts.ZoneTeams), len(cfg.Case.Zones))
+		}
+		if opts.Profiler != nil || opts.PhaseTrace != "" {
+			return nil, fmt.Errorf("f3d: Profiler and PhaseTrace are not supported with ZoneTeams (phases overlap)")
+		}
+	}
+	core, err := newStepCore(cfg, opts, kern.points, func(nmax int) *cacheScratch { return newCacheScratch(nmax, kern) })
+	if err != nil {
 		return nil, err
 	}
-	s := &CacheSolver{cfg: cfg, opts: opts, team: opts.Team, kern: kern}
-	if len(opts.ZoneTeams) > 0 && len(opts.ZoneTeams) != len(cfg.Case.Zones) {
-		return nil, fmt.Errorf("f3d: ZoneTeams has %d teams for %d zones",
-			len(opts.ZoneTeams), len(cfg.Case.Zones))
-	}
-	if opts.Profiler != nil && len(opts.ZoneTeams) > 0 {
-		return nil, fmt.Errorf("f3d: Profiler is not supported with ZoneTeams (phases overlap)")
-	}
-	if opts.PhaseTrace != "" && len(opts.ZoneTeams) > 0 {
-		return nil, fmt.Errorf("f3d: PhaseTrace is not supported with ZoneTeams (phases overlap)")
-	}
-	s.opts.Shape = opts.shapeCell()
-	if s.team == nil {
-		s.team = parloop.NewTeam(1)
-		s.ownedTeam = true
-	}
-	for i := range cfg.Case.Zones {
-		s.zones = append(s.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, kern.points))
-	}
+	s := &CacheSolver{stepCore: core}
 	if len(opts.ZoneTeams) > 0 {
 		s.outer = parloop.NewTeam(len(cfg.Case.Zones))
 		s.zoneScratch = make([][]*cacheScratch, len(opts.ZoneTeams))
-	}
-	s.ensureScratch()
-	if len(cfg.Interfaces) > 0 {
-		s.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
 	}
 	return s, nil
 }
@@ -194,40 +164,9 @@ func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolve
 // team when no Team was supplied, and the zone-level outer team of the
 // MLP mode). Caller-supplied teams are left open.
 func (s *CacheSolver) Close() {
-	if s.ownedTeam {
-		s.team.Close()
-	}
+	s.stepCore.Close()
 	if s.outer != nil {
 		s.outer.Close()
-	}
-}
-
-// Zones implements Solver.
-func (s *CacheSolver) Zones() []*ZoneState { return s.zones }
-
-// Config implements Solver.
-func (s *CacheSolver) Config() *Config { return &s.cfg }
-
-// Team returns the team executing the parallel regions.
-func (s *CacheSolver) Team() *parloop.Team { return s.team }
-
-// Steps returns the number of time steps taken.
-func (s *CacheSolver) Steps() int { return s.steps }
-
-// ensureScratch grows the per-worker scratch sets — the primary team's
-// and, under ZoneTeams, each zone team's — to their team sizes. A
-// scheduler may grow a team between steps (parloop.Team.Resize); the
-// extra workers need private pencils before the next region opens.
-// Shrunk teams simply leave the tail of their scratch set idle.
-func (s *CacheSolver) ensureScratch() {
-	for len(s.scratch) < s.team.Workers() {
-		s.scratch = append(s.scratch, newCacheScratch(s.cfg.Case.MaxDim(), s.kern))
-	}
-	for zi, tm := range s.opts.ZoneTeams {
-		set := &s.zoneScratch[zi]
-		for len(*set) < tm.Workers() {
-			*set = append(*set, newCacheScratch(s.cfg.Case.Zones[zi].MaxDim(), s.kern))
-		}
 	}
 }
 
@@ -242,243 +181,25 @@ type ZoneResidual struct {
 	Points int
 }
 
-// ZoneResiduals returns the per-zone residual parts of the most recent
-// Step, indexed like Zones(). It returns nil before the first step;
-// the slice is reused by the next Step.
-func (s *CacheSolver) ZoneResiduals() []ZoneResidual { return s.zoneRes }
-
-// Shape returns the shape the most recent step ran under (before the
-// first step: the shape the next step would load).
-func (s *CacheSolver) Shape() StepShape {
-	if s.steps == 0 {
-		return s.opts.Shape.Load()
-	}
-	return s.curShape
-}
-
 // Step implements Solver: one implicit time step over all zones.
 func (s *CacheSolver) Step() StepStats {
-	var stats StepStats
-	s.curShape = s.opts.Shape.Load()
-	if s.opts.PhaseTrace != "" {
-		old := s.team.Label()
-		defer s.team.SetLabel(old)
-	}
-	s.ensureScratch()
-	if s.zoneRes == nil {
-		s.zoneRes = make([]ZoneResidual, len(s.zones))
-	}
-	if s.ifbufs != nil {
-		captureInterfaces(s.zones, s.cfg.Interfaces, s.ifbufs)
-	}
-	if s.outer != nil {
-		// MLP: zones advance concurrently, each on its own team. The
-		// per-zone results land in zone-indexed slots, so aggregation
-		// order — and therefore every reported float — matches the
-		// sequential path bitwise.
-		tasks := make([]func(), len(s.zones))
+	s.begin()
+	if s.outer == nil {
 		for zi := range s.zones {
-			tasks[zi] = func() {
-				s.zoneRes[zi] = s.stepZoneOn(zi, s.opts.ZoneTeams[zi], s.zoneScratch[zi])
-			}
+			s.stepZone(zi, s.team, s.scratch, s.sweepJK, s.sweepLUpdate)
 		}
-		s.outer.Sections(tasks...)
-	} else {
-		for zi := range s.zones {
-			s.zoneRes[zi] = s.stepZoneOn(zi, s.team, s.scratch)
-		}
+		return s.finish(FlopsPerPoint())
 	}
-	sumsq, n := 0.0, 0
-	for _, zr := range s.zoneRes {
-		sumsq += zr.SumSq
-		n += zr.Points
+	// MLP: zones advance concurrently, each on its own team with its own
+	// scratch set (zones are independent within a step: the interface
+	// data was captured up front).
+	tasks := make([]func(), len(s.zones))
+	for zi, tm := range s.opts.ZoneTeams {
+		s.zoneScratch[zi] = s.grow(s.zoneScratch[zi], tm.Workers(), s.cfg.Case.Zones[zi].MaxDim())
+		tasks[zi] = func() { s.stepZone(zi, tm, s.zoneScratch[zi], s.sweepJK, s.sweepLUpdate) }
 	}
-	// Each worker's largest update, zeroed as it is read for the next step.
-	takeMax := func(set []*cacheScratch) {
-		for _, sc := range set {
-			if sc.maxDelta > stats.MaxDelta {
-				stats.MaxDelta = sc.maxDelta
-			}
-			sc.maxDelta = 0
-		}
-	}
-	takeMax(s.scratch)
-	for _, set := range s.zoneScratch {
-		takeMax(set)
-	}
-	if n > 0 {
-		stats.Residual = math.Sqrt(sumsq / float64(n))
-	}
-	stats.Flops = float64(n) * FlopsPerPoint() // n counts the interior points
-	s.steps++
-	return stats
-}
-
-// stepZoneOn advances one zone on the given team with the given
-// per-worker scratch and returns the zone's residual share.
-func (s *CacheSolver) stepZoneOn(zi int, team *parloop.Team, scratch []*cacheScratch) (res ZoneResidual) {
-	sh := s.curShape
-	if sh.Merged && team.Workers() > 1 {
-		s.relabel(team, "step")
-		return s.stepZoneMerged(zi, team, scratch)
-	}
-	zs := s.zones[zi]
-	z := zs.Zone
-	nl, nk := z.LMax-2, z.KMax-2
-
-	// phase relabels the tracer for the phase's regions (if phase
-	// tracing is on) and charges the phase's wall-clock time to the
-	// profiler (if any).
-	phase := func(name string, fn func()) {
-		s.relabel(team, name)
-		if s.opts.Profiler == nil {
-			fn()
-			return
-		}
-		s.opts.Profiler.Time(z.Name+"/"+name, fn)
-	}
-
-	// slabs is a phase that is one pass over the n interior slabs of its
-	// partition dimension: a region when the shape makes it parallel and
-	// the team can split it, else whole on the calling goroutine.
-	slabs := func(name string, par bool, n int, pass func(sc *cacheScratch, lo, hi int)) {
-		phase(name, func() {
-			if par && team.Workers() > 1 {
-				team.Region(func(ctx *parloop.WorkerCtx) {
-					lo, hi := ctx.Range(n)
-					pass(scratch[ctx.ID()], 1+lo, 1+hi)
-				})
-			} else {
-				pass(scratch[0], 1, 1+n)
-			}
-		})
-	}
-
-	phase("bc", func() {
-		if sh.BC && team.Workers() > 1 {
-			team.Region(func(ctx *parloop.WorkerCtx) {
-				s.bcWorker(zs, ctx.ID(), ctx.Workers())
-			})
-		} else {
-			zs.applyBC(&s.cfg)
-		}
-		if s.ifbufs != nil {
-			applyInterfacesTo(zi, s.zones, s.cfg.Interfaces, s.ifbufs)
-		}
-		if s.opts.BoundaryHook != nil {
-			s.opts.BoundaryHook(zi)
-		}
-	})
-
-	// Explicit right-hand side (J+K passes share the L partition and
-	// need no barrier between them; the L pass re-partitions over K).
-	// Fissioned, each pass is its own region — or serial on the calling
-	// goroutine — so a plan can parallelize one side of the mixed body
-	// while leaving the other serial. The passes were barrier-separated
-	// already, so every variant computes identical bits.
-	if sh.FissionRHS {
-		slabs("rhs-jk", sh.RHSJK, nl, func(sc *cacheScratch, lo, hi int) { rhsPassJK(zs, &s.cfg, sc, lo, hi) })
-		slabs("rhs-l", sh.RHSL, nk, func(sc *cacheScratch, lo, hi int) { rhsPassL(zs, &s.cfg, sc, lo, hi) })
-	} else {
-		phase("rhs", func() {
-			if sh.RHSJK && sh.RHSL && team.Workers() > 1 {
-				team.Region(func(ctx *parloop.WorkerCtx) {
-					sc := scratch[ctx.ID()]
-					lo, hi := ctx.Range(nl)
-					rhsPassJK(zs, &s.cfg, sc, 1+lo, 1+hi)
-					ctx.Barrier()
-					lo, hi = ctx.Range(nk)
-					rhsPassL(zs, &s.cfg, sc, 1+lo, 1+hi)
-				})
-			} else {
-				sc := scratch[0]
-				rhsPassJK(zs, &s.cfg, sc, 1, 1+nl)
-				rhsPassL(zs, &s.cfg, sc, 1, 1+nk)
-			}
-		})
-	}
-
-	phase("residual", func() {
-		res.SumSq, res.Points = zs.residualSumSq()
-	})
-
-	// Implicit sweeps: J and K share the L partition (one region, no
-	// barrier — merged loops); L re-partitions over K and applies the
-	// update.
-	slabs("sweep-jk", sh.SweepJK, nl, func(sc *cacheScratch, lo, hi int) { s.sweepJK(zs, sc, lo, hi) })
-	slabs("sweep-l", sh.SweepL, nk, func(sc *cacheScratch, lo, hi int) { s.sweepLUpdate(zs, sc, lo, hi) })
-	return res
-}
-
-// relabel points the team's tracer at one phase of the step, so the
-// trace ranks phases as separate loops. A no-op without PhaseTrace.
-func (s *CacheSolver) relabel(team *parloop.Team, name string) {
-	if s.opts.PhaseTrace == "" {
-		return
-	}
-	team.SetLabel(s.opts.PhaseTrace + "/" + name)
-}
-
-// stepZoneMerged is stepZoneOn with every phase hoisted into a single
-// parallel region (Example 3), phases separated by barriers.
-func (s *CacheSolver) stepZoneMerged(zi int, team *parloop.Team, scratch []*cacheScratch) (res ZoneResidual) {
-	zs := s.zones[zi]
-	z := zs.Zone
-	nl, nk := z.LMax-2, z.KMax-2
-	team.Region(func(ctx *parloop.WorkerCtx) {
-		id := ctx.ID()
-		sc := scratch[id]
-		if s.curShape.BC {
-			s.bcWorker(zs, id, ctx.Workers())
-		} else if id == 0 {
-			zs.applyBC(&s.cfg)
-		}
-		if s.ifbufs != nil {
-			// The exchange overrides coupled faces after all BC writes.
-			ctx.Barrier()
-			if id == 0 {
-				applyInterfacesTo(zi, s.zones, s.cfg.Interfaces, s.ifbufs)
-			}
-		}
-		if s.opts.BoundaryHook != nil {
-			ctx.Barrier()
-			if id == 0 {
-				s.opts.BoundaryHook(zi)
-			}
-		}
-		ctx.Barrier()
-		llo, lhi := ctx.Range(nl)
-		klo, khi := ctx.Range(nk)
-		rhsPassJK(zs, &s.cfg, sc, 1+llo, 1+lhi)
-		ctx.Barrier()
-		rhsPassL(zs, &s.cfg, sc, 1+klo, 1+khi)
-		ctx.Barrier()
-		if id == 0 {
-			res.SumSq, res.Points = zs.residualSumSq()
-		}
-		ctx.Barrier()
-		s.sweepJK(zs, sc, 1+llo, 1+lhi)
-		ctx.Barrier()
-		s.sweepLUpdate(zs, sc, 1+klo, 1+khi)
-	})
-	return res
-}
-
-// bcWorker applies this worker's share of the boundary conditions,
-// partitioned over the L dimension of the zone. It delegates to the
-// same per-point routine as the serial path, so results are identical.
-func (s *CacheSolver) bcWorker(zs *ZoneState, worker, workers int) {
-	z := zs.Zone
-	lo, hi := parloop.StaticRange(z.LMax, workers, worker)
-	for l := lo; l < hi; l++ {
-		for k := 0; k < z.KMax; k++ {
-			for j := 0; j < z.JMax; j++ {
-				if j == 0 || j == z.JMax-1 || k == 0 || k == z.KMax-1 || l == 0 || l == z.LMax-1 {
-					zs.applyBCPoint(&s.cfg, j, k, l)
-				}
-			}
-		}
-	}
+	s.outer.Sections(tasks...)
+	return s.finish(FlopsPerPoint(), s.zoneScratch...)
 }
 
 func clampInterior(i, n int) int {

@@ -109,9 +109,9 @@ func TestMLPSyncStructure(t *testing.T) {
 }
 
 // TestMLPZoneTeamResizeMidRun: a zone team grown between steps gets its
-// extra workers' scratch before the next region opens (ensureScratch
-// used to grow only the primary team's set, so worker 2 of a resized
-// zone team indexed past the zone's scratch and panicked), and the
+// extra workers' scratch before the next region opens (step entry used
+// to grow only the primary team's set, so worker 2 of a resized zone
+// team indexed past the zone's scratch and panicked), and the
 // history stays bitwise the serial one across the resize.
 func TestMLPZoneTeamResizeMidRun(t *testing.T) {
 	c := grid.Scaled(grid.Paper1M(), 0.12)

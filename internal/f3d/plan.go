@@ -51,9 +51,9 @@ func DefaultShape() StepShape {
 	return StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true}
 }
 
-// ShapeCfg is the cell a solver reads its StepShape from, mirroring
-// parloop.LoopCfg: atomically swappable, so a planner (or a test
-// harness) may retarget the shape between steps while the solver runs.
+// ShapeCfg is the cell a solver reads its StepShape from: atomically
+// swappable, so a planner (or a test harness) may retarget the shape
+// between steps while the solver runs.
 // Step loads the shape once at step entry, so a mid-step Store takes
 // effect at the next step boundary — exactly where resizes and
 // adaptive re-picks already land.

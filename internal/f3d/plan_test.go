@@ -30,37 +30,50 @@ func shapeFromBits(bits int) StepShape {
 }
 
 // Every one of the 2⁷ step shapes — each phase parallel or serial, RHS
-// fissioned or not, merged or not — must reproduce the serial
-// reference's residual history, MaxDelta and flow state bitwise. The
-// check registry proves this for the plan transforms across its full
-// matrix; this is the solver-local exhaustive version.
+// fissioned or not, merged or not — must reproduce the serial run's
+// residual history, MaxDelta and flow state bitwise, on both solvers
+// the step driver serves. The check registry proves this for the plan
+// transforms across its full matrix; this is the solver-local
+// exhaustive version.
 func TestShapedStepsMatchSerialBitwise(t *testing.T) {
 	cfg := testConfig(10, 9, 8)
-	ref := newCache(t, cfg, CacheOptions{})
-	InitPulse(ref, 0.01)
-	refStats := make([]StepStats, 5)
-	for i := range refStats {
-		refStats[i] = ref.Step()
+	type stepper interface {
+		Solver
+		Close()
 	}
-
-	for _, workers := range []int{2, 4} {
-		team := parloop.NewTeam(workers)
-		for bits := 0; bits < 1<<7; bits++ {
-			sh := shapeFromBits(bits)
-			s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
-			InitPulse(s, 0.01)
-			for i := range refStats {
-				st := s.Step()
-				if st.Residual != refStats[i].Residual || st.MaxDelta != refStats[i].MaxDelta {
-					t.Fatalf("%+v workers=%d step %d: history drifted: %.17g vs %.17g",
-						sh, workers, i, st.Residual, refStats[i].Residual)
-				}
-			}
-			if d := MaxPointwiseDiff(s, ref); d != 0 {
-				t.Fatalf("%+v workers=%d: final state differs by %g", sh, workers, d)
-			}
+	for _, v := range []struct {
+		name string
+		new  func(CacheOptions) (stepper, error)
+	}{
+		{"cache", func(o CacheOptions) (stepper, error) { return NewCacheSolver(cfg, o) }},
+		{"block", func(o CacheOptions) (stepper, error) { return NewBlockSolver(cfg, o) }},
+	} {
+		ref := mustSolver(v.new(CacheOptions{}))
+		defer ref.Close()
+		InitPulse(ref, 0.01)
+		refStats := make([]StepStats, 4)
+		for i := range refStats {
+			refStats[i] = ref.Step()
 		}
-		team.Close()
+		for _, workers := range []int{2, 4} {
+			team := parloop.NewTeam(workers)
+			for bits := 0; bits < 1<<7; bits++ {
+				sh := shapeFromBits(bits)
+				s := mustSolver(v.new(CacheOptions{Team: team, Shape: NewShapeCfg(sh)}))
+				InitPulse(s, 0.01)
+				for i := range refStats {
+					if st := s.Step(); st != refStats[i] {
+						t.Fatalf("%s %+v workers=%d step %d: history drifted: %+v vs %+v",
+							v.name, sh, workers, i, st, refStats[i])
+					}
+				}
+				if d := MaxPointwiseDiff(s, ref); d != 0 {
+					t.Fatalf("%s %+v workers=%d: final state differs by %g", v.name, sh, workers, d)
+				}
+				s.Close()
+			}
+			team.Close()
+		}
 	}
 }
 

@@ -23,10 +23,10 @@ const (
 // cache-tuned solver on the given case under the given step shape, in
 // units of floating-point operations (callers scale to cycles with
 // model.StepProfile.Scale using a machine's cycles per delivered flop).
-// Only the shape's per-phase parallel flags are modelled: the RHS is
-// parallel when both its passes are, and Merged/FissionRHS (which move
-// synchronization, not work) are ignored. The loop classes mirror the
-// solver's actual parallel regions:
+// A phase is modelled parallel exactly when the step driver's lowering
+// (lowerShape) splits it across the team; how phases group into regions
+// moves synchronization, not work, and is not modelled. The loop classes
+// mirror the solver's phases:
 //
 //   - rhs-jk:   J+K RHS passes, partitioned over L     (1 sync/zone)
 //   - rhs-l:    L RHS pass, partitioned over K         (1 sync/zone)
@@ -36,6 +36,7 @@ const (
 //   - residual: serial residual accumulation
 func StepProfileFor(c grid.Case, sh StepShape) model.StepProfile {
 	var sp model.StepProfile
+	split := lowerShape(sh).split
 	for i := range c.Zones {
 		z := &c.Zones[i]
 		interior := float64((z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2))
@@ -62,12 +63,11 @@ func StepProfileFor(c grid.Case, sh StepShape) model.StepProfile {
 				sp.SerialCycles += work
 			}
 		}
-		rhs := sh.RHSJK && sh.RHSL
-		add("rhs-jk", rhsJK, parL, rhs)
-		add("rhs-l", rhsL, parK, rhs)
-		add("sweep-jk", sweepJK, parL, sh.SweepJK)
-		add("sweep-l", sweepL, parK, sh.SweepL)
-		add("bc", bc, z.LMax, sh.BC)
+		add("rhs-jk", rhsJK, parL, split[phRHSJK])
+		add("rhs-l", rhsL, parK, split[phRHSL])
+		add("sweep-jk", sweepJK, parL, split[phSweepJK])
+		add("sweep-l", sweepL, parK, split[phSweepL])
+		add("bc", bc, z.LMax, split[phBC])
 		sp.SerialCycles += resid
 	}
 	return sp

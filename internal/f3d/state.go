@@ -172,20 +172,18 @@ func (zs *ZoneState) applyBCPoint(cfg *Config, j, k, l int) {
 // applyBC refreshes all six boundary faces of the zone according to the
 // config. The work per face is O(face points) — exactly the cheap
 // boundary loops the paper declines to parallelize.
-func (zs *ZoneState) applyBC(cfg *Config) {
-	zs.forEachFacePoint(func(j, k, l int) {
-		zs.applyBCPoint(cfg, j, k, l)
-	})
-}
+func (zs *ZoneState) applyBC(cfg *Config) { zs.applyBCPlanes(cfg, 0, zs.Zone.LMax) }
 
-// forEachFacePoint visits every boundary point of the zone exactly once.
-func (zs *ZoneState) forEachFacePoint(fn func(j, k, l int)) {
+// applyBCPlanes is applyBC restricted to the L planes [l0, l1): it
+// visits each of their boundary points exactly once, in storage order.
+// The step's boundary phase is this pass, whole or split over L.
+func (zs *ZoneState) applyBCPlanes(cfg *Config, l0, l1 int) {
 	z := zs.Zone
-	for l := 0; l < z.LMax; l++ {
+	for l := l0; l < l1; l++ {
 		for k := 0; k < z.KMax; k++ {
 			for j := 0; j < z.JMax; j++ {
 				if j == 0 || j == z.JMax-1 || k == 0 || k == z.KMax-1 || l == 0 || l == z.LMax-1 {
-					fn(j, k, l)
+					zs.applyBCPoint(cfg, j, k, l)
 				}
 			}
 		}

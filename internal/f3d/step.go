@@ -1,0 +1,322 @@
+package f3d
+
+import (
+	"math"
+	"slices"
+
+	"repro/internal/grid"
+	"repro/internal/parloop"
+)
+
+// The zone step is declared once, as an ordered list of phases, and a
+// StepShape is lowered onto it in one place (lowerShape); runGroup is
+// the only code in the package that opens a region or a barrier. The
+// paper's §4 choices — parallelize a loop, merge loops under one region
+// (Example 2), hoist the region into the parent (Example 3), leave the
+// boundary conditions serial — are choices of region structure over this
+// one unchanged sequence, which is why none of them changes a bit of the
+// result (DESIGN.md §9).
+const (
+	phBC = iota
+	phRHSJK
+	phRHSL
+	phResidual
+	phSweepJK
+	phSweepL
+	numPhases
+)
+
+// phase is one entry of the zone step: a pass over the slabs
+// [lo, lo+n) of its partition dimension (n == 0: not a slab pass, never
+// split), then an optional tail that runs on one goroutine once every
+// slab is done — the boundary phase's interface exchange and
+// BoundaryHook.
+type phase struct {
+	lo, n int
+	pass  func(worker, lo, hi int)
+	after func()
+}
+
+// group is a run of consecutive phases [first, end) executed as one
+// unit: one region when any of its phases is split, with a barrier
+// between phases. Profiler and PhaseTrace see a group under its name.
+type group struct {
+	name       string
+	first, end int
+}
+
+var (
+	// One region per phase; the two RHS passes share theirs (the seed).
+	groupsSeed = []group{
+		{"bc", phBC, phRHSJK}, {"rhs", phRHSJK, phResidual}, {"residual", phResidual, phSweepJK},
+		{"sweep-jk", phSweepJK, phSweepL}, {"sweep-l", phSweepL, numPhases},
+	}
+	groupsFissioned = []group{
+		{"bc", phBC, phRHSJK}, {"rhs-jk", phRHSJK, phRHSL}, {"rhs-l", phRHSL, phResidual},
+		{"residual", phResidual, phSweepJK}, {"sweep-jk", phSweepJK, phSweepL}, {"sweep-l", phSweepL, numPhases},
+	}
+	groupsMerged = []group{{"step", phBC, numPhases}}
+)
+
+// lowering is a StepShape as the executor reads it: which phases are
+// split across the team, and how the phases group into regions.
+type lowering struct {
+	split  [numPhases]bool
+	groups []group
+}
+
+// lowerShape is the one rule from shape to region structure. Merged
+// joins every phase and splits every pass (BC still chooses split or
+// worker-0 boundary conditions); otherwise each phase is its own group,
+// except that an unfissioned RHS joins its two passes and splits them
+// only together. The residual is never split.
+func lowerShape(sh StepShape) lowering {
+	split := [numPhases]bool{phBC: sh.BC, phRHSJK: sh.RHSJK, phRHSL: sh.RHSL, phSweepJK: sh.SweepJK, phSweepL: sh.SweepL}
+	switch {
+	case sh.Merged:
+		return lowering{[numPhases]bool{phBC: sh.BC, phRHSJK: true, phRHSL: true, phSweepJK: true, phSweepL: true}, groupsMerged}
+	case sh.FissionRHS:
+		return lowering{split, groupsFissioned}
+	}
+	rhs := sh.RHSJK && sh.RHSL
+	split[phRHSJK], split[phRHSL] = rhs, rhs
+	return lowering{split, groupsSeed}
+}
+
+// runGroup executes one group on team. With nothing split, or a
+// one-worker team, it runs on the calling goroutine. Otherwise it is one
+// region: split passes take the worker's static share of the slabs,
+// unsplit ones run whole on worker 0, and a barrier separates
+// consecutive phases. A tail runs on worker 0 (behind a barrier when its
+// pass was split) — except the group's last, which runs after the join.
+func runGroup(team *parloop.Team, phases []phase, split []bool) {
+	if team.Workers() == 1 || !slices.Contains(split, true) {
+		for _, p := range phases {
+			p.pass(0, p.lo, p.lo+p.n)
+			if p.after != nil {
+				p.after()
+			}
+		}
+		return
+	}
+	last := len(phases) - 1
+	team.Region(func(ctx *parloop.WorkerCtx) {
+		id := ctx.ID()
+		for i, p := range phases {
+			if i > 0 {
+				ctx.Barrier()
+			}
+			if split[i] {
+				lo, hi := ctx.Range(p.n)
+				p.pass(id, p.lo+lo, p.lo+hi)
+			} else if id == 0 {
+				p.pass(0, p.lo, p.lo+p.n)
+			}
+			if p.after != nil && i < last {
+				if split[i] {
+					ctx.Barrier()
+				}
+				if id == 0 {
+					p.after()
+				}
+			}
+		}
+	})
+	if after := phases[last].after; after != nil {
+		after()
+	}
+}
+
+// stepCore is the solver state the step driver reads. CacheSolver and
+// BlockSolver embed it and differ only in the two sweep passes they hand
+// to stepZone (and in what newScratch builds for them).
+type stepCore struct {
+	cfg       Config
+	zones     []*ZoneState
+	opts      CacheOptions
+	team      *parloop.Team
+	ownedTeam bool
+
+	// scratch is the primary team's per-worker working sets, grown to
+	// the team size at every step entry: a scheduler may grow the team
+	// between steps (parloop.Team.Resize), and the extra workers need
+	// private pencils before the next region opens. A shrunk team
+	// leaves the tail idle.
+	scratch    []*cacheScratch
+	newScratch func(nmax int) *cacheScratch
+
+	// ifbufs holds the zonal-interface exchange buffers (nil when the
+	// case has no interfaces).
+	ifbufs []ifaceBuffer
+
+	// zoneRes records the last step's per-zone residual parts, so a
+	// cluster coordinator can reassemble the global residual in zone
+	// order bitwise (ZoneResiduals).
+	zoneRes []ZoneResidual
+
+	// shape is the step shape loaded at Step entry and low its lowering,
+	// held constant for the whole step so a concurrent ShapeCfg.Store
+	// cannot tear a step across two shapes.
+	shape StepShape
+	low   lowering
+
+	steps int
+}
+
+func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nmax int) *cacheScratch) (stepCore, error) {
+	if err := cfg.Validate(); err != nil {
+		return stepCore{}, err
+	}
+	c := stepCore{cfg: cfg, opts: opts, team: opts.Team, newScratch: newScratch}
+	c.opts.Shape = opts.shapeCell()
+	if c.team == nil {
+		c.team = parloop.NewTeam(1)
+		c.ownedTeam = true
+	}
+	for i := range cfg.Case.Zones {
+		c.zones = append(c.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, points))
+	}
+	if len(cfg.Interfaces) > 0 {
+		c.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
+	}
+	return c, nil
+}
+
+// Close releases the solver's private one-worker team, if no Team was
+// supplied. A caller-supplied team is left open.
+func (c *stepCore) Close() {
+	if c.ownedTeam {
+		c.team.Close()
+	}
+}
+
+// Zones implements Solver.
+func (c *stepCore) Zones() []*ZoneState { return c.zones }
+
+// Config implements Solver.
+func (c *stepCore) Config() *Config { return &c.cfg }
+
+// Team returns the team executing the parallel regions.
+func (c *stepCore) Team() *parloop.Team { return c.team }
+
+// Steps returns the number of time steps taken.
+func (c *stepCore) Steps() int { return c.steps }
+
+// ZoneResiduals returns the per-zone residual parts of the most recent
+// Step, indexed like Zones(). It returns nil before the first step;
+// the slice is reused by the next Step.
+func (c *stepCore) ZoneResiduals() []ZoneResidual { return c.zoneRes }
+
+// Shape returns the shape the most recent step ran under (before the
+// first step: the shape the next step would load).
+func (c *stepCore) Shape() StepShape {
+	if c.steps == 0 {
+		return c.opts.Shape.Load()
+	}
+	return c.shape
+}
+
+// grow extends a per-worker scratch set to the given team size.
+func (c *stepCore) grow(set []*cacheScratch, workers, nmax int) []*cacheScratch {
+	for len(set) < workers {
+		set = append(set, c.newScratch(nmax))
+	}
+	return set
+}
+
+// begin opens a time step: it loads and lowers the shape, sizes the
+// scratch to the team and captures the interface donor planes.
+func (c *stepCore) begin() {
+	c.shape = c.opts.Shape.Load()
+	c.low = lowerShape(c.shape)
+	c.scratch = c.grow(c.scratch, c.team.Workers(), c.cfg.Case.MaxDim())
+	if c.zoneRes == nil {
+		c.zoneRes = make([]ZoneResidual, len(c.zones))
+	}
+	if c.ifbufs != nil {
+		captureInterfaces(c.zones, c.cfg.Interfaces, c.ifbufs)
+	}
+}
+
+// stepZone advances zone zi on team with the given per-worker scratch
+// and implicit sweep passes, leaving the zone's residual share in
+// zoneRes[zi]. This is the phase list; everything about regions and
+// barriers is lowerShape's and runGroup's.
+func (c *stepCore) stepZone(zi int, team *parloop.Team, scratch []*cacheScratch, sweepJK, sweepL func(zs *ZoneState, sc *cacheScratch, lo, hi int)) {
+	zs, cfg, res := c.zones[zi], &c.cfg, &c.zoneRes[zi]
+	z := zs.Zone
+	// The exchange overrides coupled faces after all boundary writes.
+	var exchange func()
+	if c.ifbufs != nil || c.opts.BoundaryHook != nil {
+		exchange = func() {
+			if c.ifbufs != nil {
+				applyInterfacesTo(zi, c.zones, cfg.Interfaces, c.ifbufs)
+			}
+			if c.opts.BoundaryHook != nil {
+				c.opts.BoundaryHook(zi)
+			}
+		}
+	}
+	// J and K passes share the L partition, so each pair is one phase
+	// with no barrier inside (merged loops); the L passes re-partition
+	// over K and read across the whole L extent.
+	phases := [numPhases]phase{
+		phBC:       {0, z.LMax, func(_, lo, hi int) { zs.applyBCPlanes(cfg, lo, hi) }, exchange},
+		phRHSJK:    {1, z.LMax - 2, func(w, lo, hi int) { rhsPassJK(zs, cfg, scratch[w], lo, hi) }, nil},
+		phRHSL:     {1, z.KMax - 2, func(w, lo, hi int) { rhsPassL(zs, cfg, scratch[w], lo, hi) }, nil},
+		phResidual: {0, 0, func(int, int, int) { res.SumSq, res.Points = zs.residualSumSq() }, nil},
+		phSweepJK:  {1, z.LMax - 2, func(w, lo, hi int) { sweepJK(zs, scratch[w], lo, hi) }, nil},
+		phSweepL:   {1, z.KMax - 2, func(w, lo, hi int) { sweepL(zs, scratch[w], lo, hi) }, nil},
+	}
+	for _, g := range c.low.groups {
+		c.observed(team, z.Name, g.name, func() {
+			runGroup(team, phases[g.first:g.end], c.low.split[g.first:g.end])
+		})
+	}
+}
+
+// observed runs one group under its name: the team's tracer is
+// relabelled "<PhaseTrace>/<name>" for its regions, so a traced run
+// ranks the groups as separate loops, and its wall-clock time is
+// charged to the Profiler as "<zone>/<name>".
+func (c *stepCore) observed(team *parloop.Team, zone, name string, fn func()) {
+	if c.opts.PhaseTrace != "" {
+		defer team.SetLabel(team.Label())
+		team.SetLabel(c.opts.PhaseTrace + "/" + name)
+	}
+	if c.opts.Profiler == nil {
+		fn()
+		return
+	}
+	c.opts.Profiler.Time(zone+"/"+name, fn)
+}
+
+// finish closes the step: the zones' residual shares fold in zone order
+// — so every reported float matches the sequential path bitwise however
+// the zones were scheduled — and each worker's largest update is read
+// and zeroed for the next step. The interior point count scales the
+// flop estimate.
+func (c *stepCore) finish(flopsPerPoint float64, zoneSets ...[]*cacheScratch) StepStats {
+	var stats StepStats
+	sumsq, n := 0.0, 0
+	for _, zr := range c.zoneRes {
+		sumsq += zr.SumSq
+		n += zr.Points
+	}
+	takeMax := func(set []*cacheScratch) {
+		for _, sc := range set {
+			stats.MaxDelta = max(stats.MaxDelta, sc.maxDelta)
+			sc.maxDelta = 0
+		}
+	}
+	takeMax(c.scratch)
+	for _, set := range zoneSets {
+		takeMax(set)
+	}
+	if n > 0 {
+		stats.Residual = math.Sqrt(sumsq / float64(n))
+	}
+	stats.Flops = float64(n) * flopsPerPoint
+	c.steps++
+	return stats
+}

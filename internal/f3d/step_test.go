@@ -1,0 +1,168 @@
+package f3d
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/grid"
+	"repro/internal/parloop"
+)
+
+// loweredSyncs is the lowering's own count of a zone step's
+// synchronization events on a team of two or more: a group with a split
+// phase is one region plus one barrier between consecutive phases, plus
+// one before a split phase's tail unless that phase ends the group (the
+// tail then runs after the join).
+func loweredSyncs(lw lowering, exchange bool) int {
+	n := 0
+	for _, g := range lw.groups {
+		split := lw.split[g.first:g.end]
+		if !slices.Contains(split, true) {
+			continue
+		}
+		n += len(split)
+		if exchange && g.first == phBC && split[0] && len(split) > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// closedFormSyncs is the count the three hand-written drivers this one
+// replaced produced, shape by shape (checked against them for all 128).
+func closedFormSyncs(sh StepShape) int {
+	if sh.Merged {
+		return 6
+	}
+	n := b2i(sh.BC) + b2i(sh.SweepJK) + b2i(sh.SweepL)
+	if sh.FissionRHS {
+		return n + b2i(sh.RHSJK) + b2i(sh.RHSL)
+	}
+	return n + 2*b2i(sh.RHSJK && sh.RHSL)
+}
+
+// The executor synchronizes exactly as often as the lowering says, and
+// the lowering says what the replaced drivers did — for every shape.
+func TestStepSyncEventsMatchLowering(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	team := parloop.NewTeam(2)
+	defer team.Close()
+	for bits := 0; bits < 1<<7; bits++ {
+		sh := shapeFromBits(bits)
+		want := closedFormSyncs(sh)
+		if got := loweredSyncs(lowerShape(sh), false); got != want {
+			t.Fatalf("%+v: lowering counts %d sync events, closed form %d", sh, got, want)
+		}
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
+		InitPulse(s, 0.01)
+		team.ResetSyncEvents()
+		s.Step()
+		if got := team.SyncEvents(); got != uint64(want) {
+			t.Fatalf("%+v: step cost %d sync events, want %d", sh, got, want)
+		}
+	}
+}
+
+// With an exchange tail the count moves only under Merged with split
+// boundary conditions: one barrier orders every worker's boundary writes
+// before worker 0's exchange (the replaced merged driver paid one per
+// configured part — interfaces, hook — split or not).
+func TestStepSyncEventsWithExchange(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	team := parloop.NewTeam(2)
+	defer team.Close()
+	for bits := 0; bits < 1<<7; bits++ {
+		sh := shapeFromBits(bits)
+		want := closedFormSyncs(sh) + b2i(sh.Merged && sh.BC)
+		if got := loweredSyncs(lowerShape(sh), true); got != want {
+			t.Fatalf("%+v: lowering counts %d sync events with an exchange, want %d", sh, got, want)
+		}
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh), BoundaryHook: func(int) {}})
+		InitPulse(s, 0.01)
+		team.ResetSyncEvents()
+		s.Step()
+		if got := team.SyncEvents(); got != uint64(want) {
+			t.Fatalf("%+v: step with a hook cost %d sync events, want %d", sh, got, want)
+		}
+	}
+}
+
+// Every shape on a three-zone case with local interfaces and a
+// BoundaryHook: bitwise the serial history, and the hook runs once per
+// zone per step, never concurrently — in particular under Merged, where
+// it runs on worker 0 inside the open region, behind the boundary
+// writes and ahead of the right-hand side.
+func TestShapedStepsWithExchangeMatchSerialBitwise(t *testing.T) {
+	c, ifaces := StackAlongJ("stack", 20, 8, 7, []int{6, 12})
+	cfg := DefaultConfig(c)
+	cfg.Interfaces = ifaces
+	const steps = 3
+	ref := newCache(t, cfg, CacheOptions{})
+	InitPulse(ref, 0.02)
+	refStats := make([]StepStats, steps)
+	for i := range refStats {
+		refStats[i] = ref.Step()
+	}
+
+	team := parloop.NewTeam(3)
+	defer team.Close()
+	for bits := 0; bits < 1<<7; bits++ {
+		sh := shapeFromBits(bits)
+		var mu sync.Mutex
+		var calls [3]int
+		var overlapped atomic.Bool
+		hook := func(zone int) {
+			if !mu.TryLock() {
+				overlapped.Store(true)
+				return
+			}
+			calls[zone]++
+			mu.Unlock()
+		}
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh), BoundaryHook: hook})
+		InitPulse(s, 0.02)
+		for i := range refStats {
+			if st := s.Step(); st != refStats[i] {
+				t.Fatalf("%+v step %d: history drifted: %+v vs %+v", sh, i, st, refStats[i])
+			}
+		}
+		if d := MaxPointwiseDiff(s, ref); d != 0 {
+			t.Fatalf("%+v: final state differs by %g", sh, d)
+		}
+		if calls != [3]int{steps, steps, steps} || overlapped.Load() {
+			t.Fatalf("%+v: hook calls per zone %v (want %d each), overlapped=%v", sh, calls, steps, overlapped.Load())
+		}
+	}
+}
+
+// The performance model marks a phase parallel exactly when the driver
+// splits it: it reads the same lowering. (Its own rule used to model a
+// fissioned half-parallel RHS as serial while the solver split it.)
+func TestStepProfileFollowsLowering(t *testing.T) {
+	c := grid.Single(12, 10, 9)
+	for bits := 0; bits < 1<<7; bits++ {
+		sh := shapeFromBits(bits)
+		lw := lowerShape(sh)
+		parallel := map[string]bool{}
+		for _, lc := range StepProfileFor(c, sh).Loops {
+			parallel[lc.Name] = true
+		}
+		for ph, name := range map[int]string{phBC: "bc", phRHSJK: "rhs-jk", phRHSL: "rhs-l", phSweepJK: "sweep-jk", phSweepL: "sweep-l"} {
+			if got := parallel[c.Zones[0].Name+"/"+name]; got != lw.split[ph] {
+				t.Errorf("%+v: %s modelled parallel=%v, driver splits it=%v", sh, name, got, lw.split[ph])
+			}
+		}
+		if lw.split[phResidual] || parallel[c.Zones[0].Name+"/residual"] {
+			t.Errorf("%+v: the residual is never split", sh)
+		}
+	}
+}

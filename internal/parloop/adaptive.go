@@ -3,7 +3,6 @@ package parloop
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 )
 
 // Schedules lists every schedule the runtime implements, in declaration
@@ -41,67 +40,4 @@ func (s *Schedule) UnmarshalJSON(b []byte) error {
 	}
 	*s = sc
 	return nil
-}
-
-// LoopCfg is the per-loop reconfigure seam for adaptive scheduling: a
-// {schedule, chunk} pair that one goroutine (a controller, between
-// steps) may retarget while another (the compute loop) keeps entering
-// regions through it. Both fields are packed into a single word so a
-// Store can never be observed half-applied — a region entry sees either
-// the old pair or the new pair, never a mix. The new configuration
-// takes effect at the next region entry; a region already in flight is
-// unaffected, which is what keeps mid-flight reconfiguration free of
-// residual-history changes (the iteration *set* is invariant, only its
-// dealing changes).
-//
-// The zero value is {Static, chunk 1}.
-type LoopCfg struct {
-	// packed holds chunk<<8 | schedule. Chunk is clamped to >= 1 on
-	// Store, so a loaded value is always a legal ForSched argument.
-	packed atomic.Uint64
-}
-
-// NewLoopCfg returns a LoopCfg initialized to the given pair.
-func NewLoopCfg(sched Schedule, chunk int) *LoopCfg {
-	c := &LoopCfg{}
-	c.Store(sched, chunk)
-	return c
-}
-
-// Store atomically retargets the pair. chunk < 1 is clamped to 1;
-// an out-of-range schedule panics (programmer error, same contract as
-// ForSched).
-func (c *LoopCfg) Store(sched Schedule, chunk int) {
-	if sched < Static || sched > Guided {
-		panic(fmt.Sprintf("parloop: LoopCfg.Store: unknown schedule %v", sched))
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	c.packed.Store(uint64(chunk)<<8 | uint64(sched))
-}
-
-// Load returns the current pair. A LoopCfg that was never Stored reads
-// as {Static, 1}.
-func (c *LoopCfg) Load() (Schedule, int) {
-	v := c.packed.Load()
-	if v == 0 {
-		return Static, 1
-	}
-	return Schedule(v & 0xff), int(v >> 8)
-}
-
-// ForCfg is ForSched reading its {schedule, chunk} from cfg exactly
-// once at region entry. Controllers retarget cfg between steps; the
-// loop itself never changes.
-func (t *Team) ForCfg(n int, cfg *LoopCfg, body func(lo, hi int)) {
-	sched, chunk := cfg.Load()
-	t.ForSched(n, sched, chunk, body)
-}
-
-// ForCfgW is ForSchedW reading its {schedule, chunk} from cfg exactly
-// once at region entry.
-func (t *Team) ForCfgW(n int, cfg *LoopCfg, body func(worker, lo, hi int)) {
-	sched, chunk := cfg.Load()
-	t.ForSchedW(n, sched, chunk, body)
 }

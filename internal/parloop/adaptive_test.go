@@ -2,106 +2,8 @@ package parloop
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
-
-func TestLoopCfgZeroValue(t *testing.T) {
-	var c LoopCfg
-	sched, chunk := c.Load()
-	if sched != Static || chunk != 1 {
-		t.Fatalf("zero LoopCfg = {%v, %d}, want {static, 1}", sched, chunk)
-	}
-}
-
-func TestLoopCfgStoreLoad(t *testing.T) {
-	c := NewLoopCfg(Dynamic, 16)
-	if sched, chunk := c.Load(); sched != Dynamic || chunk != 16 {
-		t.Fatalf("Load = {%v, %d}, want {dynamic, 16}", sched, chunk)
-	}
-	c.Store(Guided, 0) // clamped
-	if sched, chunk := c.Load(); sched != Guided || chunk != 1 {
-		t.Fatalf("Load = {%v, %d}, want {guided, 1}", sched, chunk)
-	}
-}
-
-func TestLoopCfgStoreBadSchedule(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Store with invalid schedule did not panic")
-		}
-	}()
-	NewLoopCfg(Schedule(99), 1)
-}
-
-// TestForCfgAllSchedules proves ForCfg covers every iteration exactly
-// once under every configuration, including retargets between regions.
-func TestForCfgAllSchedules(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	const n = 1001
-	cfg := NewLoopCfg(Static, 1)
-	for _, sched := range Schedules() {
-		for _, chunk := range []int{1, 7, 64} {
-			cfg.Store(sched, chunk)
-			hits := make([]int32, n)
-			team.ForCfgW(n, cfg, func(w, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("%v chunk=%d: iteration %d hit %d times", sched, chunk, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestLoopCfgConcurrentRetarget drives a compute loop through ForCfg
-// while another goroutine retargets the config continuously. Under
-// -race this proves the seam is safe; the coverage check proves every
-// region still visits every iteration exactly once regardless of which
-// configuration each entry observed.
-func TestLoopCfgConcurrentRetarget(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	const n, steps = 513, 50
-	cfg := NewLoopCfg(Static, 1)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		scheds := Schedules()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			cfg.Store(scheds[i%len(scheds)], 1+i%9)
-		}
-	}()
-
-	acc := make([]int64, n)
-	for s := 0; s < steps; s++ {
-		team.ForCfg(n, cfg, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				acc[i]++
-			}
-		})
-	}
-	close(stop)
-	wg.Wait()
-	for i, v := range acc {
-		if v != steps {
-			t.Fatalf("iteration %d executed %d times, want %d", i, v, steps)
-		}
-	}
-}
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	for _, sched := range Schedules() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,7 +23,8 @@ var (
 	ErrQueueFull = errors.New("sched: queue full")
 	// ErrDraining is returned by Submit after Drain or Close began.
 	ErrDraining = errors.New("sched: scheduler is draining")
-	// ErrNotFound is returned for operations on unknown job IDs.
+	// ErrNotFound is returned for operations on unknown job IDs, and
+	// on IDs finished so long ago the table dropped them (maxRetired).
 	ErrNotFound = errors.New("sched: no such job")
 	// ErrTimeout is the cancellation cause (and job error) when a
 	// job's run deadline expires before Run returns.
@@ -92,6 +94,7 @@ type Scheduler struct {
 	running map[uint64]*record
 	jobs    map[uint64]*record
 	order   []uint64 // submission order, for listing
+	retired []uint64 // terminal jobs still in the table, oldest finish first
 	nextID  uint64
 
 	draining bool
@@ -500,6 +503,7 @@ func (s *Scheduler) runJob(rec *record) {
 	}
 	rec.cancel(nil)
 	delete(s.running, rec.id)
+	s.retireLocked(rec)
 	close(rec.done)
 	s.dispatchLocked()
 	s.cond.Broadcast()
@@ -568,7 +572,30 @@ func (s *Scheduler) cancelQueuedLocked(rec *record) {
 	rec.err = context.Canceled
 	s.ctrCanceled.Inc()
 	s.ctrCanceledQueued.Inc()
+	s.retireLocked(rec)
 	close(rec.done)
+}
+
+// maxRetired bounds the job table: the scheduler remembers this many
+// most recently finished jobs.
+const maxRetired = 4096
+
+// retireLocked records that rec reached a terminal state and forgets
+// the oldest finished job beyond maxRetired: it leaves the table and
+// the listing, and its ID answers like one never issued. Queued and
+// running jobs are never forgotten, and a Handle keeps its record.
+// Caller holds s.mu.
+func (s *Scheduler) retireLocked(rec *record) {
+	s.retired = append(s.retired, rec.id)
+	if len(s.retired) <= maxRetired {
+		return
+	}
+	old := s.retired[0]
+	s.retired = s.retired[1:]
+	delete(s.jobs, old)
+	if i := slices.Index(s.order, old); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
 }
 
 // Job returns a snapshot of the job with the given ID.
