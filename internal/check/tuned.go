@@ -80,9 +80,11 @@ func eigenAxisKernel() Kernel {
 			lam, fwd, back := gen.Lambda, linalg.MulVec5(&gen.Tinv, &r), linalg.MulVec5(&gen.T, &r)
 			if tuned {
 				var e euler.AxisEigen
-				s := euler.Decompose(uc)
-				fwd = e.Forward(ax, &s, &r)
-				lam, back = e.Lambda, e.Back(ax, &s, &r)
+				var s euler.PointState
+				euler.DecomposeInto(&s, &uc)
+				e.Forward(ax, &s, &r, &fwd)
+				e.Back(ax, &s, &r, &back)
+				lam = e.Lambda
 			}
 			o := out[a*3*nc:]
 			copy(o, lam[:])

@@ -30,16 +30,37 @@ func axisVsGeneric(ax Axis, uc, r linalg.Vec5) (got, want [3 * NC]float64, ok bo
 			return got, want, false
 		}
 	}
-	var e AxisEigen
-	s := Decompose(uc)
-	fwd := e.Forward(ax, &s, &r)
-	back := e.Back(ax, &s, &r)
+	// Poisoned outputs: an element the in-place form skipped stays NaN.
+	e, s, fwd, back := poisonedEigen(), poisonedState, poisonedVec, poisonedVec
+	DecomposeInto(&s, &uc)
+	e.Forward(ax, &s, &r, &fwd)
+	e.Back(ax, &s, &r, &back)
 	gf, gb := linalg.MulVec5(&gen.Tinv, &r), linalg.MulVec5(&gen.T, &r)
 	for c := 0; c < NC; c++ {
 		got[c], got[NC+c], got[2*NC+c] = e.Lambda[c], fwd[c], back[c]
 		want[c], want[NC+c], want[2*NC+c] = gen.Lambda[c], gf[c], gb[c]
 	}
 	return got, want, true
+}
+
+// poison is a NaN no arithmetic produces, so a result element still
+// holding it was never stored.
+var (
+	poison        = math.Float64frombits(0x7ff8dead0000beef)
+	poisonedVec   = linalg.Vec5{poison, poison, poison, poison, poison}
+	poisonedState = PointState{Prim{poison, poison, poison, poison, poison}, poison}
+)
+
+func poisonedEigen() AxisEigen {
+	return AxisEigen{Lambda: poisonedVec, alpha: poison, ap: [3]float64{poison, poison, poison},
+		am: [3]float64{poison, poison, poison}, h: poisonedVec}
+}
+
+// bitsEqual compares two values of a float-only struct or array type bit
+// for bit: Sprint round-trips a float and keeps a zero's sign, and unlike
+// == it equates a NaN with a NaN.
+func bitsEqual[T comparable](a, b T) bool {
+	return fmt.Sprint(a) == fmt.Sprint(b)
 }
 
 func checkAxisBitwise(t *testing.T, uc, r linalg.Vec5) (compared bool) {
@@ -118,7 +139,7 @@ func panicMessage(f func()) (msg string) {
 }
 
 // TestAxisEigenPanicsLikeGeneric: a bad axis and a non-physical state
-// stop the specialised path — Decompose, then Forward — with the generic
+// stop the specialised path — DecomposeInto, then Forward — with the generic
 // path's own message: the specialisation has no default axis and the
 // once-per-point decomposition skips no state check. A non-physical
 // state never gets as far as a PointState, so Forward cannot be handed
@@ -140,28 +161,134 @@ func TestAxisEigenPanicsLikeGeneric(t *testing.T) {
 		{"negative pressure", Z, linalg.Vec5{1, 1, 0, 0, 0.25}, "euler: non-physical state rho=1 p=-0.1"},
 	} {
 		var e AxisEigen
-		var r linalg.Vec5
+		var s PointState
+		var r, c linalg.Vec5
 		decomposed := false
 		got := panicMessage(func() {
-			s := Decompose(tc.uc)
+			DecomposeInto(&s, &tc.uc)
 			decomposed = true
-			e.Forward(tc.ax, &s, &r)
+			e.Forward(tc.ax, &s, &r, &c)
 		})
 		gen := panicMessage(func() { Eigensystem(tc.ax, tc.uc) })
 		if got != tc.want || gen != tc.want {
 			t.Errorf("%s: specialised %q, generic %q, want %q", tc.name, got, gen, tc.want)
 		}
 		if physical := tc.uc == good; decomposed != physical {
-			t.Errorf("%s: Decompose returned = %v, want %v", tc.name, decomposed, physical)
+			t.Errorf("%s: DecomposeInto returned = %v, want %v", tc.name, decomposed, physical)
 		}
 	}
-	s := Decompose(good)
+	var s PointState
+	DecomposeInto(&s, &good)
 	for _, ax := range []Axis{Axis(3), Axis(-1)} {
 		var e AxisEigen
-		var w linalg.Vec5
+		var w, r linalg.Vec5
 		want := panicMessage(func() { ax.Unit() })
-		if got := panicMessage(func() { e.Back(ax, &s, &w) }); got != want {
+		if got := panicMessage(func() { e.Back(ax, &s, &w, &r) }); got != want {
 			t.Errorf("Back(%d): %q, Unit panics %q", int(ax), got, want)
+		}
+	}
+}
+
+// TestInPlaceResultsWriteEveryElement: a by-element store can silently
+// skip an element where the whole-value assignment it replaced could
+// not. Forward and Back into NaN-poisoned outputs, and through one
+// AxisEigen reused X → Y → Z → X, must leave exactly what fresh zeroed
+// outputs get, on every axis; so must DecomposeInto.
+func TestInPlaceResultsWriteEveryElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	reused := poisonedEigen()
+	for n := 0; n < 400; n++ {
+		uc := randPrim(rng).Cons()
+		var r linalg.Vec5
+		for c := range r {
+			r[c] = rng.Float64() - 0.5
+		}
+		var s0 PointState
+		s1 := poisonedState
+		DecomposeInto(&s0, &uc)
+		DecomposeInto(&s1, &uc)
+		if !bitsEqual(s0, s1) {
+			t.Fatalf("DecomposeInto(%x): zeroed %x, poisoned %x", uc, s0, s1)
+		}
+		for _, ax := range []Axis{X, Y, Z, X} {
+			var e0 AxisEigen
+			var f0, b0 linalg.Vec5
+			e0.Forward(ax, &s0, &r, &f0)
+			e0.Back(ax, &s0, &r, &b0)
+			f1, b1 := poisonedVec, poisonedVec
+			reused.Forward(ax, &s0, &r, &f1)
+			reused.Back(ax, &s0, &r, &b1)
+			if !bitsEqual(e0, reused) || !bitsEqual(f0, f1) || !bitsEqual(b0, b1) {
+				t.Fatalf("axis %v: fresh %x %x %x, reused/poisoned %x %x %x", ax, e0, f0, b0, reused, f1, b1)
+			}
+		}
+	}
+}
+
+// TestDecomposeIntoMatchesPrimFromCons: the in-place decomposition and
+// the by-value pair the scalar reference calls agree bit for bit, and
+// panic for panic with the same message (ρ ≤ 0, NaN ρ, p ≤ 0).
+func TestDecomposeIntoMatchesPrimFromCons(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	bad := []linalg.Vec5{
+		{0, 0, 0, 0, 1}, {-1, 0, 0, 0, 1}, {math.NaN(), 0, 0, 0, 1},
+		{1, 0, 0, 0, 0}, {1, 1, 0, 0, 0.25}, {1, 0, 0, 0, math.Inf(-1)},
+	}
+	panics := 0
+	for n := 0; n < 20000; n++ {
+		p := randPrim(rng)
+		p.Rho *= math.Ldexp(1, rng.Intn(41)-20)
+		scale := math.Ldexp(1, rng.Intn(81)-40)
+		p.U, p.V, p.W = p.U*scale, p.V*scale, p.W*scale
+		uc := p.Cons()
+		if n%4 == 0 { // arbitrary energy: about half of these are non-physical
+			uc[4] *= rng.Float64() * 2
+		}
+		if n < len(bad) {
+			uc = bad[n]
+		}
+		var want, got PointState
+		wantMsg := panicMessage(func() {
+			q := PrimFromCons(uc)
+			want = PointState{q, q.SoundSpeed()}
+		})
+		gotMsg := panicMessage(func() { DecomposeInto(&got, &uc) })
+		panicked := wantMsg != "<nil>"
+		if gotMsg != wantMsg || !panicked && !bitsEqual(got, want) {
+			t.Fatalf("uc=%x: in place %x (%s), PrimFromCons + SoundSpeed %x (%s)", uc, got, gotMsg, want, wantMsg)
+		}
+		if n < len(bad) && !panicked {
+			t.Fatalf("uc=%v is non-physical and did not panic", uc)
+		}
+		if panicked {
+			panics++
+		}
+	}
+	if panics < 1000 || panics > 10000 {
+		t.Fatalf("%d of 20000 states panicked, want a real share of both kinds", panics)
+	}
+}
+
+// TestAxisEigenOutputMayAliasInput: Forward reads r, and Back w, in full
+// before storing anything, so a caller may transform a vector in place.
+func TestAxisEigenOutputMayAliasInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n < 300; n++ {
+		var s PointState
+		uc := randPrim(rng).Cons()
+		DecomposeInto(&s, &uc)
+		r := linalg.Vec5{rng.Float64(), -rng.Float64(), rng.Float64(), 0.5, -0.25}
+		for _, ax := range []Axis{X, Y, Z} {
+			var e AxisEigen
+			var fwd, back linalg.Vec5
+			e.Forward(ax, &s, &r, &fwd)
+			e.Back(ax, &s, &r, &back)
+			inF, inB := r, r
+			e.Forward(ax, &s, &inF, &inF)
+			e.Back(ax, &s, &inB, &inB)
+			if !bitsEqual(inF, fwd) || !bitsEqual(inB, back) {
+				t.Fatalf("axis %v: in place %x %x, distinct %x %x", ax, inF, inB, fwd, back)
+			}
 		}
 	}
 }

@@ -72,28 +72,32 @@ func (p Prim) Cons() linalg.Vec5 {
 // PrimFromCons converts a conserved vector to primitive variables.
 // It panics if density is not positive (an invalid state is a solver
 // bug, not a recoverable condition).
-func PrimFromCons(u linalg.Vec5) Prim {
-	if u[0] <= 0 || math.IsNaN(u[0]) {
-		panic(fmt.Sprintf("euler: non-positive density %g", u[0]))
-	}
-	inv := 1 / u[0]
-	p := Prim{
-		Rho: u[0],
-		U:   u[1] * inv,
-		V:   u[2] * inv,
-		W:   u[3] * inv,
-	}
-	p.P = (Gamma - 1) * (u[4] - 0.5*p.Rho*(p.U*p.U+p.V*p.V+p.W*p.W))
+func PrimFromCons(u linalg.Vec5) (p Prim) {
+	p.fromCons(&u)
 	return p
+}
+
+// fromCons is PrimFromCons stored field by field into p.
+func (p *Prim) fromCons(u *linalg.Vec5) {
+	rho := u[0]
+	if rho <= 0 || math.IsNaN(rho) {
+		panic(fmt.Sprintf("euler: non-positive density %g", rho))
+	}
+	inv := 1 / rho
+	vu, vv, vw := u[1]*inv, u[2]*inv, u[3]*inv
+	p.Rho, p.U, p.V, p.W = rho, vu, vv, vw
+	p.P = (Gamma - 1) * (u[4] - 0.5*rho*(vu*vu+vv*vv+vw*vw))
 }
 
 // SoundSpeed returns a = sqrt(γ p / ρ). It panics on a non-physical
 // (non-positive pressure or density) state.
-func (p Prim) SoundSpeed() float64 {
-	if p.P <= 0 || p.Rho <= 0 {
-		panic(fmt.Sprintf("euler: non-physical state rho=%g p=%g", p.Rho, p.P))
+func (p Prim) SoundSpeed() float64 { return soundSpeed(p.Rho, p.P) }
+
+func soundSpeed(rho, p float64) float64 {
+	if p <= 0 || rho <= 0 {
+		panic(fmt.Sprintf("euler: non-physical state rho=%g p=%g", rho, p))
 	}
-	return math.Sqrt(Gamma * p.P / p.Rho)
+	return math.Sqrt(Gamma * p / rho)
 }
 
 // PointState is the axis-independent decomposition of a conserved
@@ -105,17 +109,13 @@ type PointState struct {
 	A float64
 }
 
-// Decompose returns the decomposition of conserved state u. It is
-// PrimFromCons followed by SoundSpeed — the same expressions, the same
+// DecomposeInto stores the decomposition of conserved state u in s,
+// field by field (DESIGN.md §8, "results are written where they live").
+// It is PrimFromCons followed by SoundSpeed — their expressions, their
 // panics — and the only way a PointState is built.
-func Decompose(u linalg.Vec5) PointState {
-	p := PrimFromCons(u)
-	return PointState{p, p.SoundSpeed()}
-}
-
-// SpectralRadius is SpectralRadius(a, u) for s = Decompose(u).
-func (s *PointState) SpectralRadius(a Axis) float64 {
-	return math.Abs(s.Velocity(a)) + s.A
+func DecomposeInto(s *PointState, u *linalg.Vec5) {
+	s.Prim.fromCons(u)
+	s.A = soundSpeed(s.Rho, s.P)
 }
 
 // Velocity returns the velocity component along the axis.
@@ -143,23 +143,24 @@ func Flux(a Axis, u linalg.Vec5) linalg.Vec5 {
 // conserved state u — the flux through a face with (not necessarily
 // unit) normal (kx, ky, kz), as appears in generalized-coordinate
 // formulations.
-func FluxDir(kx, ky, kz float64, u linalg.Vec5) linalg.Vec5 {
-	return FluxDirPrim(kx, ky, kz, u, PrimFromCons(u))
+func FluxDir(kx, ky, kz float64, u linalg.Vec5) (f linalg.Vec5) {
+	p := PrimFromCons(u)
+	FluxDirPrimInto(&f, kx, ky, kz, &u, &p)
+	return f
 }
 
-// FluxDirPrim is FluxDir for a state whose primitive decomposition has
-// already been computed: p must equal PrimFromCons(u) (the Prim of a
-// PointState). The expressions are exactly FluxDir's, so results are
-// bitwise identical.
-func FluxDirPrim(kx, ky, kz float64, u linalg.Vec5, p Prim) linalg.Vec5 {
-	theta := kx*p.U + ky*p.V + kz*p.W
-	return linalg.Vec5{
-		u[0] * theta,
-		u[1]*theta + kx*p.P,
-		u[2]*theta + ky*p.P,
-		u[3]*theta + kz*p.P,
-		(u[4] + p.P) * theta,
-	}
+// FluxDirPrimInto stores in f, element by element, FluxDir of a state
+// whose primitive decomposition has already been computed: p must equal
+// PrimFromCons(*u) (the Prim of a PointState). These are FluxDir's only
+// expressions, so results are bitwise identical. f must not overlap u
+// or p.
+func FluxDirPrimInto(f *linalg.Vec5, kx, ky, kz float64, u *linalg.Vec5, p *Prim) {
+	theta, pr := kx*p.U+ky*p.V+kz*p.W, p.P
+	f[0] = u[0] * theta
+	f[1] = u[1]*theta + kx*pr
+	f[2] = u[2]*theta + ky*pr
+	f[3] = u[3]*theta + kz*pr
+	f[4] = (u[4] + pr) * theta
 }
 
 // SpectralRadius returns |velocity| + a along the axis: the largest

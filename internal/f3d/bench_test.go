@@ -130,7 +130,7 @@ func BenchmarkSweepLineKernels(b *testing.B) {
 					p := fs
 					p.U += 0.01 * float64(i%5)
 					sc.p.q[i] = p.Cons()
-					sc.p.s[i] = euler.Decompose(sc.p.q[i])
+					euler.DecomposeInto(&sc.p.s[i], &sc.p.q[i])
 					r0[i] = linalg.Vec5{1e-3, 0, 0, 0, 1e-3}
 				}
 				b.ResetTimer()
@@ -145,10 +145,14 @@ func BenchmarkSweepLineKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkRHSLineKernels times the RHS line kernels, the scalar
+// reference's and the served ones: flux-tuned reads the point records
+// that decompose builds (one fillPlane row), as the served step does.
 func BenchmarkRHSLineKernels(b *testing.B) {
 	const n = 128
 	cfg := benchConfig()
 	q := make([]linalg.Vec5, n)
+	s := make([]euler.PointState, n)
 	r := make([]linalg.Vec5, n)
 	flux := make([]linalg.Vec5, n)
 	sigma := make([]float64, n)
@@ -156,10 +160,23 @@ func BenchmarkRHSLineKernels(b *testing.B) {
 		p := cfg.Freestream
 		p.Rho += 0.001 * float64(i%7)
 		q[i] = p.Cons()
+		euler.DecomposeInto(&s[i], &q[i])
 	}
 	b.Run("flux", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rhsLineFlux(euler.X, q, nil, flux, sigma, n)
+		}
+	})
+	b.Run("flux-tuned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rhsLineFluxTuned(euler.X, q, s, flux, sigma, n)
+		}
+	})
+	b.Run("decompose", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range s {
+				euler.DecomposeInto(&s[j], &q[j])
+			}
 		}
 	})
 	b.Run("accum", func(b *testing.B) {

@@ -1,6 +1,8 @@
 package f3d
 
 import (
+	"math"
+
 	"repro/internal/euler"
 	"repro/internal/linalg"
 )
@@ -12,7 +14,7 @@ import (
 // solved as one lane batch so their recurrences overlap, the geometry
 // branch lifted out of the inner loop, the characteristic transforms
 // specialised to the sweep's axis (euler.AxisEigen), and the axis-
-// independent decomposition of each point (euler.Decompose: a divide,
+// independent decomposition of each point (euler.DecomposeInto: a divide,
 // the pressure, a divide and a square root) read from ZoneState.pts,
 // filled once per step, instead of recomputed in each of six passes.
 // Every operation kept has the scalar form's operands and order (a
@@ -22,6 +24,9 @@ import (
 // +0 (DESIGN.md §8). So tuned results are bitwise identical to the
 // scalar forms while the solve is finite; internal/check enforces that
 // on every build.
+//
+// Per-point results are stored element by element where they live, never
+// assigned as whole Vec5 / PointState values (DESIGN.md §8, lint/stfwd.sh).
 
 // kernelSet is the dispatch seam between the cache solver's loop
 // drivers and the per-line kernels. The drivers (rhsPassJK, rhsPassL,
@@ -56,7 +61,7 @@ var _ [linalg.Lanes][]float64 = [euler.NC][]float64{}
 // coefficients and the elimination order are exactly those of the
 // scalar path, and euler.AxisEigen reproduces the dense transforms'
 // products, so the results match bitwise. Of the time-level-n state it
-// reads only the records p.s[1..n-2] (euler.Decompose(q[i])), never p.q.
+// reads only the records p.s[1..n-2] (q[i] decomposed), never p.q.
 func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
@@ -67,8 +72,9 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	muScale := epsI * dt / h
 	// Axis-specialised eigensystems and characteristic-variable RHS at
 	// interior points: T⁻¹ is applied as it is built and never stored.
+	var w linalg.Vec5
 	for i := 1; i <= ni; i++ {
-		w := p.eig[i].Forward(ax, &p.s[i], &p.r[i])
+		p.eig[i].Forward(ax, &p.s[i], &p.r[i], &w)
 		for c := 0; c < euler.NC; c++ {
 			p.w[c][i-1] = w[c]
 		}
@@ -76,6 +82,7 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	// Band assembly, point-outer: everything independent of the
 	// component is hoisted to once per point.
 	viscous := viscRe > 0 && ax == euler.Z
+	var noLambda linalg.Vec5
 	for i := 1; i <= ni; i++ {
 		sig := sigmaFromLambda(&p.eig[i].Lambda)
 		nui, mu := nu, muScale*sig
@@ -91,7 +98,8 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 				da, db, dc = viscousImplicitRow(dt, h, viscRe, p.s[i].Rho)
 			}
 		}
-		var lamPrev, lamNext *linalg.Vec5
+		// Off either end the neighbour's Λ is the scalar path's 0.
+		lamPrev, lamNext := &noLambda, &noLambda
 		if i > 1 {
 			lamPrev = &p.eig[i-1].Lambda
 		}
@@ -100,13 +108,7 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 		}
 		interior4 := dissip4 && i >= 2 && i <= ni-1
 		for c := 0; c < euler.NC; c++ {
-			lp, ln := 0.0, 0.0
-			if lamPrev != nil {
-				lp = lamPrev[c]
-			}
-			if lamNext != nil {
-				ln = lamNext[c]
-			}
+			lp, ln := lamPrev[c], lamNext[c]
 			var a, b, cc float64
 			if dissip4 {
 				a, b, cc = implicitRow(nui, 0, lp, ln)
@@ -142,11 +144,10 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	}
 	// Back-transform to conserved updates.
 	for i := 1; i <= ni; i++ {
-		var w linalg.Vec5
 		for c := 0; c < euler.NC; c++ {
 			w[c] = p.w[c][i-1]
 		}
-		p.r[i] = p.eig[i].Back(ax, &p.s[i], &w)
+		p.eig[i].Back(ax, &p.s[i], &w, &p.r[i])
 	}
 	p.r[0] = linalg.Vec5{}
 	p.r[n-1] = linalg.Vec5{}
@@ -154,14 +155,14 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 
 // rhsLineFluxTuned is rhsLineFlux with no primitive conversion: the
 // scalar kernel's Flux and SpectralRadius each convert the conserved
-// state on their own; here both start from s[i] = euler.Decompose(q[i]),
+// state on their own; here both start from s[i], q[i]'s decomposition,
 // whose fields are the scalar path's own intermediates — bitwise equal.
 func rhsLineFluxTuned(ax euler.Axis, q []linalg.Vec5, s []euler.PointState, flux []linalg.Vec5, sigma []float64, n int) {
 	kx, ky, kz := ax.Unit()
 	q, s, flux, sigma = q[:n], s[:n], flux[:n], sigma[:n]
 	for i := 0; i < n; i++ {
-		flux[i] = euler.FluxDirPrim(kx, ky, kz, q[i], s[i].Prim)
-		sigma[i] = s[i].SpectralRadius(ax)
+		euler.FluxDirPrimInto(&flux[i], kx, ky, kz, &q[i], &s[i].Prim)
+		sigma[i] = math.Abs(s[i].Velocity(ax)) + s[i].A // euler.SpectralRadius's sum
 	}
 }
 

@@ -24,7 +24,7 @@ func fillLine(p *pencil, n int, seed int64) {
 		prim.W += 0.05 * rng.Float64()
 		prim.P *= 1 + 0.05*rng.Float64()
 		p.q[i] = prim.Cons()
-		p.s[i] = euler.Decompose(p.q[i])
+		euler.DecomposeInto(&p.s[i], &p.q[i])
 		for c := 0; c < euler.NC; c++ {
 			p.r[i][c] = 1e-3 * (rng.Float64() - 0.5)
 		}

@@ -139,7 +139,7 @@ func (zs *ZoneState) fillPoints(l int) {
 // fillPlane decomposes, J row by J row, the points of plane l that some
 // line reads: those with at most one index on a face. Zone edges and
 // corners are read by no line and may hold anything, so they must not
-// reach Decompose's panics.
+// reach DecomposeInto's panics.
 func (zs *ZoneState) fillPlane(l int) {
 	z := zs.Zone
 	lface := l == 0 || l == z.LMax-1
@@ -155,7 +155,7 @@ func (zs *ZoneState) fillPlane(l int) {
 		pts := zs.pts[off : off+j1-j0]
 		q := zs.Q.Data[off*euler.NC:]
 		for i := range pts {
-			pts[i] = euler.Decompose(linalg.Vec5(q[i*euler.NC : (i+1)*euler.NC]))
+			euler.DecomposeInto(&pts[i], (*linalg.Vec5)(q[i*euler.NC:(i+1)*euler.NC]))
 		}
 	}
 }
@@ -169,6 +169,8 @@ func (zs *ZoneState) fillPlane(l int) {
 //	sweep J → lines indexed by (k inner, l outer)
 //	sweep K → lines indexed by (j inner, l outer)
 //	sweep L → lines indexed by (j inner, k outer)
+//
+// On every axis lineIndex's cross arguments are (a, b) = (inner, outer).
 func crossDims(z *grid.Zone, ax euler.Axis) (outer, inner int) {
 	switch ax {
 	case euler.X:
@@ -177,21 +179,6 @@ func crossDims(z *grid.Zone, ax euler.Axis) (outer, inner int) {
 		return z.LMax, z.JMax
 	case euler.Z:
 		return z.KMax, z.JMax
-	default:
-		panic(fmt.Sprintf("f3d: bad axis %d", int(ax)))
-	}
-}
-
-// crossIndex maps (outer, inner) cross indices to the (a, b) arguments
-// of lineIndex for the sweep axis.
-func crossIndex(ax euler.Axis, outer, inner int) (a, b int) {
-	switch ax {
-	case euler.X:
-		return inner, outer // (k, l)
-	case euler.Y:
-		return inner, outer // (j, l)
-	case euler.Z:
-		return inner, outer // (j, k)
 	default:
 		panic(fmt.Sprintf("f3d: bad axis %d", int(ax)))
 	}

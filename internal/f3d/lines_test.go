@@ -20,7 +20,7 @@ func TestLineEnumerationCoversZone(t *testing.T) {
 			n := lineLen(&z, ax)
 			for o := 0; o < outer; o++ {
 				for in := 0; in < inner; in++ {
-					a, b := crossIndex(ax, o, in)
+					a, b := in, o
 					for i := 0; i < n; i++ {
 						j, k, l := lineIndex(ax, i, a, b)
 						seen[z.Index(j, k, l)]++
@@ -61,7 +61,7 @@ func TestLoadStoreLine(t *testing.T) {
 				outer, inner := crossDims(&z, ax)
 				for o := 0; o < outer; o++ {
 					for in := 0; in < inner; in++ {
-						a, b := crossIndex(ax, o, in)
+						a, b := in, o
 						loadLine(&f, ax, a, b, buf, n)
 						var want [euler.NC]float64
 						for i := 0; i < n; i++ {
@@ -109,11 +109,10 @@ func TestLineHelpersPanicOnBadAxis(t *testing.T) {
 	z := grid.NewZone("z", 4, 4, 4)
 	bad := euler.Axis(7)
 	for name, fn := range map[string]func(){
-		"lineLen":    func() { lineLen(&z, bad) },
-		"lineIndex":  func() { lineIndex(bad, 0, 0, 0) },
-		"crossDims":  func() { crossDims(&z, bad) },
-		"crossIndex": func() { crossIndex(bad, 0, 0) },
-		"spacing":    func() { spacing(&z, bad) },
+		"lineLen":   func() { lineLen(&z, bad) },
+		"lineIndex": func() { lineIndex(bad, 0, 0, 0) },
+		"crossDims": func() { crossDims(&z, bad) },
+		"spacing":   func() { spacing(&z, bad) },
 	} {
 		func() {
 			defer func() {

@@ -54,8 +54,8 @@ func stepBothBitwise(t *testing.T, name string, got, want *CacheSolver, n int) {
 
 // TestFillPointsCoversExactlyWhatLinesRead: after the J/K pass has
 // entered every interior plane, each point with at most one index on a
-// face holds Decompose(Q) and each edge and corner point — read by no
-// line — was never passed to Decompose (ρ = 0 there would have
+// face holds Q's decomposition and each edge and corner point — read by
+// no line — was never passed to DecomposeInto (ρ = 0 there would have
 // panicked) and still holds the zero record.
 func TestFillPointsCoversExactlyWhatLinesRead(t *testing.T) {
 	for _, dims := range [][3]int{{3, 3, 3}, {6, 5, 4}, {4, 7, 3}} {
@@ -89,7 +89,7 @@ func TestFillPointsCoversExactlyWhatLinesRead(t *testing.T) {
 					want := euler.PointState{}
 					if onFace(j, z.JMax)+onFace(k, z.KMax)+onFace(l, z.LMax) < 2 {
 						zs.Q.Point(j, k, l, u[:])
-						want = euler.Decompose(u)
+						euler.DecomposeInto(&want, &u)
 					}
 					if got := zs.pts[z.Index(j, k, l)]; got != want {
 						t.Fatalf("%v point (%d,%d,%d): record %+v, want %+v", dims, j, k, l, got, want)

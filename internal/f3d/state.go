@@ -18,8 +18,8 @@ type ZoneState struct {
 	// geom holds per-axis metric arrays for stretched directions (nil
 	// entries for uniform directions).
 	geom zoneGeom
-	// pts holds euler.Decompose(Q) per point, in Zone.Index order, for the
-	// tuned kernels (nil on the scalar reference, which recomputes from
+	// pts holds euler.DecomposeInto of Q per point, in Zone.Index order, for
+	// the tuned kernels (nil on the scalar reference, which recomputes from
 	// Q). It is scratch, not state: valid only from a step's RHS J/K pass,
 	// which rebuilds it from Q before its first read (fillPoints), to the
 	// same step's sweepLUpdate, which changes Q. Nothing reads it outside
@@ -120,53 +120,55 @@ func faceOf(z *grid.Zone, j, k, l int) Face {
 	return f
 }
 
-// bcKind resolves the effective boundary treatment of a face.
-func (cfg *Config) bcKind(f Face) BCKind {
-	if b, ok := cfg.FaceBC[f]; ok {
-		return b
+// boundary is a Config's boundary treatment resolved once for a pass
+// over many points: each face's effective kind (its FaceBC entry, else
+// the default BC) and the freestream conserved vector.
+type boundary struct {
+	kind [numFaces]BCKind
+	free linalg.Vec5
+}
+
+func (cfg *Config) boundary() (b boundary) {
+	for f := range b.kind {
+		b.kind[f] = cfg.BC
+		if k, ok := cfg.FaceBC[Face(f)]; ok {
+			b.kind[f] = k
+		}
 	}
-	return cfg.BC
+	b.free = cfg.Freestream.Cons()
+	return b
 }
 
 // applyBCPoint computes and stores the boundary value at one face
-// point. It is the single source of truth for boundary values: the
-// serial routine, the parallel worker and every solver variant call it,
-// so boundary treatment can never diverge between code paths.
-func (zs *ZoneState) applyBCPoint(cfg *Config, j, k, l int) {
+// point. It is the single source of truth for boundary values: every
+// solver variant's boundary pass, serial or split, is applyBCPlanes over
+// it, so boundary treatment can never diverge between code paths.
+func (zs *ZoneState) applyBCPoint(bc *boundary, j, k, l int) {
 	z := zs.Zone
-	f := faceOf(z, j, k, l)
-	if f < 0 {
+	f := faceOf(z, j, k, l) // −1 in the interior, which applyBCPlanes never passes
+	kind := bc.kind[f]
+	if kind == BCFreestream {
+		zs.Q.SetPoint(j, k, l, bc.free[:])
 		return
 	}
-	switch cfg.bcKind(f) {
-	case BCFreestream:
-		u := cfg.Freestream.Cons()
-		zs.Q.SetPoint(j, k, l, u[:])
+	// The wall and extrapolation kinds start from the nearest interior point.
+	var buf [euler.NC]float64
+	zs.Q.Point(clampInterior(j, z.JMax), clampInterior(k, z.KMax), clampInterior(l, z.LMax), buf[:])
+	switch kind {
 	case BCExtrapolate:
-		var buf [euler.NC]float64
-		ji, ki, li := clampInterior(j, z.JMax), clampInterior(k, z.KMax), clampInterior(l, z.LMax)
-		zs.Q.Point(ji, ki, li, buf[:])
-		zs.Q.SetPoint(j, k, l, buf[:])
 	case BCSlipWall:
-		var buf [euler.NC]float64
-		ji, ki, li := clampInterior(j, z.JMax), clampInterior(k, z.KMax), clampInterior(l, z.LMax)
-		zs.Q.Point(ji, ki, li, buf[:])
 		// Remove the face-normal momentum and its kinetic energy.
 		n := 1 + int(f)/2 // momentum component index for the face normal
 		mn := buf[n]
 		buf[4] -= 0.5 * mn * mn / buf[0]
 		buf[n] = 0
-		zs.Q.SetPoint(j, k, l, buf[:])
 	case BCNoSlipWall:
-		var buf [euler.NC]float64
-		ji, ki, li := clampInterior(j, z.JMax), clampInterior(k, z.KMax), clampInterior(l, z.LMax)
-		zs.Q.Point(ji, ki, li, buf[:])
 		buf[4] -= 0.5 * (buf[1]*buf[1] + buf[2]*buf[2] + buf[3]*buf[3]) / buf[0]
 		buf[1], buf[2], buf[3] = 0, 0, 0
-		zs.Q.SetPoint(j, k, l, buf[:])
 	default:
-		panic(fmt.Sprintf("f3d: bad BC kind %d", int(cfg.bcKind(f))))
+		panic(fmt.Sprintf("f3d: bad BC kind %d", int(kind)))
 	}
+	zs.Q.SetPoint(j, k, l, buf[:])
 }
 
 // applyBC refreshes all six boundary faces of the zone according to the
@@ -178,12 +180,13 @@ func (zs *ZoneState) applyBC(cfg *Config) { zs.applyBCPlanes(cfg, 0, zs.Zone.LMa
 // visits each of their boundary points exactly once, in storage order.
 // The step's boundary phase is this pass, whole or split over L.
 func (zs *ZoneState) applyBCPlanes(cfg *Config, l0, l1 int) {
+	bc := cfg.boundary()
 	z := zs.Zone
 	for l := l0; l < l1; l++ {
 		for k := 0; k < z.KMax; k++ {
 			for j := 0; j < z.JMax; j++ {
 				if j == 0 || j == z.JMax-1 || k == 0 || k == z.KMax-1 || l == 0 || l == z.LMax-1 {
-					zs.applyBCPoint(cfg, j, k, l)
+					zs.applyBCPoint(&bc, j, k, l)
 				}
 			}
 		}

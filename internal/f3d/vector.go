@@ -250,8 +250,7 @@ func (s *VectorSolver) sweepPlanar(zs *ZoneState, ax euler.Axis, update bool) fl
 		for i := 1; i <= ni; i++ {
 			row := (i - 1) * nsys
 			for sy := 0; sy < nsys; sy++ {
-				a, b := crossIndex(ax, o, sy+1)
-				j, k, l := lineIndex(ax, i, a, b)
+				j, k, l := lineIndex(ax, i, sy+1, o)
 				zs.Q.Point(j, k, l, q[:])
 				s.eig[row+sy] = euler.Eigensystem(ax, q)
 				zs.R.Point(j, k, l, r[:])
@@ -284,8 +283,7 @@ func (s *VectorSolver) sweepPlanar(zs *ZoneState, ax euler.Axis, update bool) fl
 					}
 					av, bv, cv := implicitRow(nui, mu, lamPrev, lamNext)
 					if viscous {
-						a, b := crossIndex(ax, o, sy+1)
-						j, k, l := lineIndex(ax, i, a, b)
+						j, k, l := lineIndex(ax, i, sy+1, o)
 						rho := zs.Q.At(0, j, k, l)
 						var da, db, dc float64
 						if g != nil {
@@ -307,8 +305,7 @@ func (s *VectorSolver) sweepPlanar(zs *ZoneState, ax euler.Axis, update bool) fl
 		for i := 1; i <= ni; i++ {
 			row := (i - 1) * nsys
 			for sy := 0; sy < nsys; sy++ {
-				a, b := crossIndex(ax, o, sy+1)
-				j, k, l := lineIndex(ax, i, a, b)
+				j, k, l := lineIndex(ax, i, sy+1, o)
 				for c := 0; c < euler.NC; c++ {
 					wv[c] = s.w[c][row+sy]
 				}
