@@ -91,7 +91,8 @@ func writeExample3Trace(path string, f *fixtures) error {
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSONL(w); err != nil {
+	events, _ := tr.EventsSince(0) // a wrapped ring leads with its drop marker
+	if err := obs.WriteEventsJSONL(w, events); err != nil {
 		w.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}

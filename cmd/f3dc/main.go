@@ -33,8 +33,9 @@
 // `tracetool cluster` for the cross-node critical path). With -serve
 // the process stays up after the solve and exposes the fleet rollup:
 // GET /metrics (coordinator counters plus every worker's scrape,
-// relabeled worker="<id>"), GET /trace (merged timeline), GET /analyze
-// (cluster critical-path report), GET /dash (per-worker-lane view).
+// relabeled worker="<id>"), GET /trace (merged timeline; it has no
+// cursor, so ?since= is a 400), GET /analyze (cluster critical-path
+// report), GET /dash (the dashboard f3dd serves, over that report).
 package main
 
 import (

@@ -1,15 +1,16 @@
 package main
 
 import (
-	_ "embed"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/serve"
 )
 
 // workerRef pairs a registered worker's id with its HTTP client, so
@@ -19,54 +20,55 @@ type workerRef struct {
 	client *cluster.HTTPClient
 }
 
-//go:embed dash.html
-var dashHTML []byte
-
-// obsServer is the coordinator's observability surface, mounted when
-// f3dc runs with -serve:
+// newObsServer is the coordinator's observability surface, mounted when
+// f3dc runs with -serve: the internal/obs/serve routes it can honour,
+// plus its own /healthz.
 //
 //	GET /metrics  fleet rollup: the coordinator's own counters plus
 //	              every worker's scraped exposition, each sample
 //	              relabeled with worker="<id>"
 //	GET /trace    the merged node-tagged fleet timeline as JSONL
-//	              (pulls every worker's cursor first)
+//	              (pulls every worker's cursor first); it has no
+//	              cursor of its own, so ?since= is a 400
 //	GET /analyze  the cluster critical-path report (cross-node
 //	              per-step attribution, stragglers, closure)
-//	GET /dash     per-worker-lane HTML view over /analyze
+//	GET /dash     the shared dashboard, rendering that report
 //	GET /healthz  liveness, with the live-worker count
-type obsServer struct {
-	coord   *cluster.Coordinator
-	col     *cluster.Collector
-	workers []workerRef
-	mux     *http.ServeMux
+func newObsServer(coord *cluster.Coordinator, col *cluster.Collector, workers []workerRef) *http.ServeMux {
+	timeline := func() []obs.Event {
+		col.Pull()
+		return col.Timeline()
+	}
+	mux := http.NewServeMux()
+	serve.Surface{
+		Metrics: func(w io.Writer) error {
+			return writeFleetMetrics(w, coord.Metrics(), workers)
+		},
+		Timeline: timeline,
+		Analyze: func(*http.Request) (any, error) {
+			return analyze.ClusterAnalyze(timeline(), analyze.ClusterConfig{CoordNode: coord.Node()}), nil
+		},
+	}.Mount(mux)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string]any{
+			"status": "ok", "workers": len(coord.Live()),
+		})
+	})
+	return mux
 }
 
-func newObsServer(coord *cluster.Coordinator, col *cluster.Collector, workers []workerRef) *obsServer {
-	sv := &obsServer{coord: coord, col: col, workers: workers, mux: http.NewServeMux()}
-	sv.mux.HandleFunc("GET /metrics", sv.handleMetrics)
-	sv.mux.HandleFunc("GET /trace", sv.handleTrace)
-	sv.mux.HandleFunc("GET /analyze", sv.handleAnalyze)
-	sv.mux.HandleFunc("GET /dash", sv.handleDash)
-	sv.mux.HandleFunc("GET /healthz", sv.handleHealthz)
-	return sv
-}
-
-func (sv *obsServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sv.mux.ServeHTTP(w, r)
-}
-
-// handleMetrics rolls the fleet up into one exposition: the
+// writeFleetMetrics rolls the fleet up into one exposition: the
 // coordinator's registry verbatim, then each worker's scrape with
 // every sample relabeled worker="<id>". Worker HELP/TYPE comments are
 // dropped — the families would repeat per worker — so worker samples
 // arrive untyped, which Prometheus accepts. Unreachable workers are
 // skipped with a marker gauge rather than failing the whole scrape.
-func (sv *obsServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := sv.coord.Metrics().WritePrometheus(w); err != nil {
-		return
+func writeFleetMetrics(w io.Writer, reg *obs.Registry, workers []workerRef) error {
+	if err := reg.WritePrometheus(w); err != nil {
+		return err
 	}
-	for _, wk := range sv.workers {
+	for _, wk := range workers {
 		text, err := wk.client.FetchMetrics()
 		up := 1
 		if err != nil {
@@ -77,12 +79,13 @@ func (sv *obsServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			relabelExposition(w, text, wk.id)
 		}
 	}
+	return nil
 }
 
 // relabelExposition copies the sample lines of a Prometheus text
 // exposition, injecting a worker label into each; comments and blank
 // lines are dropped.
-func relabelExposition(w http.ResponseWriter, text, worker string) {
+func relabelExposition(w io.Writer, text, worker string) {
 	for _, line := range strings.Split(text, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -95,32 +98,4 @@ func relabelExposition(w http.ResponseWriter, text, worker string) {
 			}
 		}
 	}
-}
-
-func (sv *obsServer) handleTrace(w http.ResponseWriter, r *http.Request) {
-	sv.col.Pull()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = obs.WriteEventsJSONL(w, sv.col.Timeline())
-}
-
-func (sv *obsServer) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	sv.col.Pull()
-	rep := analyze.ClusterAnalyze(sv.col.Timeline(), analyze.ClusterConfig{CoordNode: sv.coord.Node()})
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rep)
-}
-
-func (sv *obsServer) handleDash(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-cache")
-	_, _ = w.Write(dashHTML)
-}
-
-func (sv *obsServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status": "ok", "workers": len(sv.coord.Live()),
-	})
 }

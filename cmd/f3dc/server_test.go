@@ -7,20 +7,20 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/serve"
 	"repro/internal/simclock"
 )
 
 // fakeTracedDaemon is a fakeDaemon that also serves the observability
-// surface f3dc's collector and metrics rollup scrape: /trace with the
-// cursor headers, /metrics, /trace/enable, and a /healthz that reports
-// its clock — the same contract cmd/f3dd exposes.
+// surface f3dc's collector and metrics rollup scrape — the shared
+// internal/obs/serve routes over its own tracer and registry, as
+// cmd/f3dd mounts them — and a /healthz that reports its clock.
 func fakeTracedDaemon(t *testing.T, id string) (*httptest.Server, *obs.Tracer) {
 	t.Helper()
 	host := cluster.NewHost()
@@ -30,40 +30,13 @@ func fakeTracedDaemon(t *testing.T, id string) (*httptest.Server, *obs.Tracer) {
 	reg.Counter("daemon_requests_total", "Requests served.").Inc()
 
 	mux := http.NewServeMux()
+	serve.Surface{Metrics: reg.WritePrometheus, Tracer: tracer}.Mount(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"status": "ok", "now_ns": simclock.Real{}.Now().UnixNano(),
 			"trace_total": tracer.Total(), "trace_dropped": tracer.Dropped(),
 		})
-	})
-	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
-		events, dropped := tracer.EventsSince(since)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Trace-Dropped", strconv.FormatUint(dropped, 10))
-		w.Header().Set("X-Trace-Next", strconv.FormatUint(obs.NextCursor(events, since), 10))
-		obs.WriteEventsJSONL(w, events)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("POST /trace/enable", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Enabled *bool `json:"enabled"`
-			Reset   bool  `json:"reset"`
-		}
-		json.NewDecoder(r.Body).Decode(&req)
-		if req.Reset {
-			tracer.Reset()
-		}
-		if req.Enabled == nil || *req.Enabled {
-			tracer.Enable()
-		} else {
-			tracer.Disable()
-		}
-		w.Write([]byte(`{"enabled":true}`))
 	})
 	mux.Handle("POST /shards/", cluster.NewShardServer(host))
 	ts := httptest.NewServer(mux)
@@ -196,6 +169,11 @@ func TestObsServerEndpoints(t *testing.T) {
 	}
 	if !workerTagged {
 		t.Error("/trace timeline has no worker-side events; the collector pull behind the handler did not merge them")
+	}
+	// The merged timeline has no cursor: asking for one is refused
+	// rather than answered from the wrong sequence.
+	if code, _, _ := get("/trace?since=5"); code != http.StatusBadRequest {
+		t.Errorf("GET /trace?since=5 = %d, want 400", code)
 	}
 
 	code, body, _ = get("/analyze")

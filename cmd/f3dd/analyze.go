@@ -1,35 +1,18 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
-// The diagnosis surface: GET /analyze runs the trace-analysis engine
-// over the current ring contents and returns the JSON report, and
-// GET /trace/stream is the SSE live tail feeding the dashboard. Both
-// read the same ring the JSONL dump does; analysis is a pure function
-// of the snapshot, so concurrent requests are safe at any load.
-
-// streamPollDefault is how often the SSE tail polls the ring for new
-// events; ?poll_ms= overrides within [streamPollMin, streamPollMax].
-const (
-	streamPollDefault = 250 * time.Millisecond
-	streamPollMin     = 10 * time.Millisecond
-	streamPollMax     = 10 * time.Second
-)
-
-// handleAnalyze runs internal/obs/analyze over the trace ring.
-// Optional query parameters tune the model: clock_ghz (ns→cycles),
-// sync_cost_cycles (Table 1 column), budget (overhead fraction), and
-// label stamps the report for later diffing.
-func (sv *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// analyzeReport is the daemon's GET /analyze: internal/obs/analyze over
+// the trace ring. Optional query parameters tune the model: clock_ghz
+// (ns→cycles), sync_cost_cycles (Table 1 column), budget (overhead
+// fraction), and label stamps the report for later diffing.
+func (sv *server) analyzeReport(r *http.Request) (any, error) {
 	var cfg analyze.Config
 	q := r.URL.Query()
 	for _, p := range []struct {
@@ -46,8 +29,7 @@ func (sv *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q (want a positive number)", p.name, s))
-			return
+			return nil, fmt.Errorf("bad %s %q (want a positive number)", p.name, s)
 		}
 		*p.dst = v
 	}
@@ -57,80 +39,5 @@ func (sv *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	events, _ := sv.sched.Tracer().EventsSince(0)
 	rep := analyze.Analyze(events, cfg)
 	rep.Label = q.Get("label")
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handleTraceStream serves the trace ring as a Server-Sent Events
-// tail: one `data:` line per event (the JSONL object), with the
-// event's sequence as the SSE id so EventSource reconnection resumes
-// via Last-Event-ID. The explicit ?since= cursor wins over
-// Last-Event-ID; with neither, the stream starts at the oldest held
-// event. Drop markers are sent as `event: trace_dropped` without an
-// id, so they never regress the client's cursor.
-func (sv *server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	cursor, ok := traceSince(w, r)
-	if !ok {
-		return
-	}
-	if r.URL.Query().Get("since") == "" {
-		if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
-			id, err := strconv.ParseUint(lastID, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad Last-Event-ID "+strconv.Quote(lastID))
-				return
-			}
-			cursor = id + 1
-		}
-	}
-	poll := streamPollDefault
-	if s := r.URL.Query().Get("poll_ms"); s != "" {
-		ms, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad poll_ms "+strconv.Quote(s))
-			return
-		}
-		poll = min(max(time.Duration(ms)*time.Millisecond, streamPollMin), streamPollMax)
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	tr := sv.sched.Tracer()
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		events, _ := tr.EventsSince(cursor)
-		for _, e := range events {
-			blob, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if e.Kind == obs.KindTraceDropped {
-				if _, err := fmt.Fprintf(w, "event: trace_dropped\ndata: %s\n\n", blob); err != nil {
-					return
-				}
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, blob); err != nil {
-				return
-			}
-			cursor = e.Seq + 1
-		}
-		if len(events) > 0 {
-			fl.Flush()
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
+	return rep, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
 
@@ -20,7 +21,7 @@ import (
 // completion, returning its name.
 func runTracedJob(t *testing.T, ts *testServer) string {
 	t.Helper()
-	var status traceStatus
+	var status serve.TraceStatus
 	if code := ts.do("POST", "/trace/enable", nil, &status); code != http.StatusOK {
 		t.Fatalf("POST /trace/enable = %d", code)
 	}

@@ -32,9 +32,14 @@
 //	POST   /jobs/{id}/cancel cancel (DELETE /jobs/{id} is equivalent)
 //	GET    /metrics          Prometheus text: counters, gauges, grant
 //	                         histogram, tracer accounting
-//	GET    /trace            sync-event trace ring as JSONL
+//	GET    /trace            sync-event trace ring as JSONL; ?since=
+//	                         resumes from a cursor (internal/obs/serve)
+//	GET    /trace/stream     SSE live tail of the same ring
 //	POST   /trace/enable     toggle tracing ({"enabled":bool,
 //	                         "reset":bool}; empty body enables)
+//	GET    /analyze          trace-analysis report (internal/obs/analyze;
+//	                         clock_ghz, sync_cost_cycles, budget, label)
+//	GET    /dash             HTML dashboard over /analyze and the tail
 //	GET    /healthz          readiness: queue depth, processors in
 //	                         use, hosted shard count; 503 while
 //	                         draining so coordinators stop routing

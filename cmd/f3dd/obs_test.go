@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
 
@@ -155,7 +156,7 @@ func TestTraceEndpoints(t *testing.T) {
 	if _, body := ts.get("/metrics"); !strings.Contains(body, "trace_enabled 0\n") {
 		t.Error("tracer reported enabled before POST /trace/enable")
 	}
-	var status traceStatus
+	var status serve.TraceStatus
 	if code := ts.do("POST", "/trace/enable", nil, &status); code != http.StatusOK || !status.Enabled {
 		t.Fatalf("POST /trace/enable = %d, status %+v", code, status)
 	}
@@ -215,7 +216,7 @@ func TestTraceEndpoints(t *testing.T) {
 // reads of scheduler state.
 func TestConcurrentScrapes(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 16}, serverConfig{})
-	var status traceStatus
+	var status serve.TraceStatus
 	if code := ts.do("POST", "/trace/enable", nil, &status); code != http.StatusOK {
 		t.Fatalf("POST /trace/enable = %d", code)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
 
@@ -114,25 +115,25 @@ func (sv *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := sv.sched.Job(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	pj, ok := sv.sched.Submitted(id).(*planJob)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("job %d has no auto-parallelization plan", id))
+		serve.Error(w, http.StatusNotFound, fmt.Sprintf("job %d has no auto-parallelization plan", id))
 		return
 	}
 	plan, err := sv.planOf(pj)
 	if err != nil {
 		if errors.Is(err, pipeline.ErrNoEvidence) {
-			httpError(w, http.StatusConflict,
+			serve.Error(w, http.StatusConflict,
 				fmt.Sprintf("job %d: %v (enable tracing and let the job run)", id, err))
 			return
 		}
-		httpError(w, http.StatusInternalServerError, err.Error())
+		serve.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, pipeline.JobPlan{
+	serve.WriteJSON(w, http.StatusOK, pipeline.JobPlan{
 		ID:    id,
 		Name:  st.Name,
 		State: st.State.String(),

@@ -15,6 +15,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
 
@@ -317,7 +318,7 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 
 	// Reset the ring: the derived plan survives on the job, byte for
 	// byte; the job whose plan was never derived has lost its evidence.
-	var status traceStatus
+	var status serve.TraceStatus
 	if code := ts.do("POST", "/trace/enable", map[string]any{"reset": true}, &status); code != http.StatusOK || status.Events != 0 {
 		t.Fatalf("POST /trace/enable reset = %d, %+v", code, status)
 	}

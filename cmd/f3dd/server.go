@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/euler"
 	"repro/internal/model"
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -101,19 +102,18 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv.mux.HandleFunc("GET /jobs/{id}/result", sv.handleResult)
 	sv.mux.HandleFunc("POST /jobs/{id}/cancel", sv.handleCancel)
 	sv.mux.HandleFunc("DELETE /jobs/{id}", sv.handleCancel)
-	sv.mux.HandleFunc("GET /metrics", sv.handleMetrics)
-	sv.mux.HandleFunc("GET /trace", sv.handleTrace)
-	sv.mux.HandleFunc("GET /trace/stream", sv.handleTraceStream)
-	sv.mux.HandleFunc("POST /trace/enable", sv.handleTraceEnable)
-	sv.mux.HandleFunc("GET /analyze", sv.handleAnalyze)
-	sv.mux.HandleFunc("GET /dash", sv.handleDash)
+	serve.Surface{
+		Metrics: s.Registry().WritePrometheus,
+		Tracer:  s.Tracer(),
+		Analyze: sv.analyzeReport,
+	}.Mount(sv.mux)
 	sv.mux.HandleFunc("GET /healthz", sv.handleHealthz)
 	sv.mux.Handle("POST /shards/", sv.shards)
 	// Shard-step and exchange handling report into the scheduler's
 	// tracer under this daemon's node tag, so a cluster coordinator's
 	// collector can attribute lockstep steps to it.
 	sv.shards.Host().SetObs(sv.cfg.node, s.Tracer())
-	sv.registerObsMetrics()
+	serve.TracerGauges(s.Registry(), s.Tracer())
 	return sv
 }
 
@@ -286,12 +286,12 @@ func decodeSubmit(body io.Reader) (submitRequest, error) {
 func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		serve.Error(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	job, err := sv.buildJob(&req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		serve.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	opts := sched.SubmitOptions{Timeout: sv.cfg.jobTimeout}
@@ -304,20 +304,20 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	h, err := sv.submitWithRetry(r, job, opts)
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		serve.Error(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, sched.ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		serve.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Client went away mid-backoff; nobody is reading the reply.
-		httpError(w, statusClientClosedRequest, err.Error())
+		serve.Error(w, statusClientClosedRequest, err.Error())
 		return
 	case err != nil:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		serve.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, h.Status())
+	serve.WriteJSON(w, http.StatusAccepted, h.Status())
 }
 
 // adaptive is a submitted job that steers a loop with a feedback
@@ -338,15 +338,15 @@ func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := sv.sched.Job(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	aj, ok := sv.sched.Submitted(id).(adaptive)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("job %d has no adaptive loops", id))
+		serve.Error(w, http.StatusNotFound, fmt.Sprintf("job %d has no adaptive loops", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, adapt.JobAdapt{
+	serve.WriteJSON(w, http.StatusOK, adapt.JobAdapt{
 		ID:    id,
 		Name:  st.Name,
 		State: st.State.String(),
@@ -379,7 +379,7 @@ func (sv *server) submitWithRetry(r *http.Request, job sched.Job, opts sched.Sub
 }
 
 func (sv *server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, sv.sched.Jobs())
+	serve.WriteJSON(w, http.StatusOK, sv.sched.Jobs())
 }
 
 func (sv *server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -389,10 +389,10 @@ func (sv *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := sv.sched.Job(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleResult reports a job's outcome with the terminal state encoded
@@ -406,7 +406,7 @@ func (sv *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := sv.sched.Job(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	code := http.StatusAccepted
@@ -420,7 +420,7 @@ func (sv *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case sched.StateCanceled:
 		code = http.StatusConflict
 	}
-	writeJSON(w, code, st)
+	serve.WriteJSON(w, code, st)
 }
 
 func (sv *server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -432,18 +432,18 @@ func (sv *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// A finished job cannot be canceled: that is a state conflict,
 		// not a missing resource.
 		if errors.Is(err, sched.ErrTerminal) {
-			httpError(w, http.StatusConflict, err.Error())
+			serve.Error(w, http.StatusConflict, err.Error())
 			return
 		}
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	st, err := sv.sched.Job(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // healthzReply is the GET /healthz body: a readiness snapshot a
@@ -487,26 +487,14 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		reply.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, reply)
+	serve.WriteJSON(w, code, reply)
 }
 
 func jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad job id "+strconv.Quote(r.PathValue("id")))
+		serve.Error(w, http.StatusBadRequest, "bad job id "+strconv.Quote(r.PathValue("id")))
 		return 0, false
 	}
 	return id, true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

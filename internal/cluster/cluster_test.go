@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -324,57 +325,49 @@ func TestHeartbeatTTL(t *testing.T) {
 	if err := c.Heartbeat("w1"); err != nil {
 		t.Fatalf("revival heartbeat: %v", err)
 	}
-	ws := c.Workers()
-	if len(ws) != 1 || !ws[0].Live || ws[0].Lost {
-		t.Fatalf("revived worker state: %+v", ws)
+	if live := c.Live(); len(live) != 1 || live[0] != "w1" {
+		t.Fatalf("revived worker not live: %v", live)
 	}
 	if err := c.Heartbeat("ghost"); err == nil {
 		t.Error("heartbeat from unregistered worker accepted")
 	}
 }
 
-// TestRouteConsistency: routing is deterministic, only targets live
-// workers, and keys stay put when an unrelated worker leaves.
-func TestRouteConsistency(t *testing.T) {
+// TestRankConsistency: a key's worker order — what Solve places zone
+// groups by — is deterministic, holds only live workers, and when a
+// worker is lost only the keys it led move; every survivor keeps its
+// place relative to the others.
+func TestRankConsistency(t *testing.T) {
 	c, _ := newTestCluster(t, 4, nil)
-	keys := []string{"job-a", "job-b", "job-c", "job-d", "job-e", "job-f"}
-	first := map[string]string{}
+	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	first := map[string][]string{}
+	leaders := map[string]bool{}
 	for _, k := range keys {
-		id, client, err := c.Route(k)
-		if err != nil || client == nil {
-			t.Fatalf("route %s: %v", k, err)
+		first[k] = c.rank(k)
+		if len(first[k]) != 4 {
+			t.Fatalf("rank %s = %v, want all 4 workers", k, first[k])
 		}
-		first[k] = id
+		if again := c.rank(k); !slices.Equal(again, first[k]) {
+			t.Fatalf("rank %s moved: %v -> %v", k, first[k], again)
+		}
+		leaders[first[k][0]] = true
 	}
+	if len(leaders) < 2 {
+		t.Errorf("all %d keys lead with the same worker %v: the ring does not spread them", len(keys), leaders)
+	}
+	// Lose one worker: only keys it owned may move.
+	gone := first[keys[0]][0]
+	c.MarkLost(gone)
 	for _, k := range keys {
-		id, _, err := c.Route(k)
-		if err != nil || id != first[k] {
-			t.Fatalf("route %s moved: %s -> %s (%v)", k, first[k], id, err)
+		got := c.rank(k)
+		want := slices.DeleteFunc(slices.Clone(first[k]), func(id string) bool { return id == gone })
+		if !slices.Equal(got, want) {
+			t.Errorf("rank %s after losing %s = %v, want %v", k, gone, got, want)
 		}
 	}
-	// Remove one worker: only keys it owned may move.
-	var gone string
-	for _, id := range first {
-		gone = id
-		break
-	}
-	c.Deregister(gone)
-	for _, k := range keys {
-		id, _, err := c.Route(k)
-		if err != nil {
-			t.Fatalf("route %s after deregister: %v", k, err)
-		}
-		if first[k] != gone && id != first[k] {
-			t.Errorf("key %s moved %s -> %s though its worker survived", k, first[k], id)
-		}
-		if first[k] == gone && id == gone {
-			t.Errorf("key %s still routed to removed worker", k)
-		}
-	}
-	// No workers at all is an error.
-	empty := New(Config{})
-	if _, _, err := empty.Route("k"); err == nil {
-		t.Error("route with no workers succeeded")
+	// No workers at all ranks nobody.
+	if got := New(Config{}).rank("k"); len(got) != 0 {
+		t.Errorf("rank with no workers = %v", got)
 	}
 }
 
@@ -382,8 +375,8 @@ func TestRouteConsistency(t *testing.T) {
 // add/remove idempotence, empty-ring lookups.
 func TestRingBasics(t *testing.T) {
 	r := NewRing(32)
-	if _, ok := r.Lookup("k"); ok {
-		t.Error("lookup on empty ring succeeded")
+	if got := r.LookupN("k", 1); len(got) != 0 {
+		t.Errorf("lookup on empty ring = %v", got)
 	}
 	r.Add("n1")
 	r.Add("n2")
@@ -411,13 +404,8 @@ func TestRingBasics(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("ring has %d nodes after remove, want 2", r.Len())
 	}
-	for _, n := range r.LookupN("key", 2) {
-		if n == "n2" {
-			t.Error("removed node still returned")
-		}
-	}
-	if got := r.Nodes(); len(got) != 2 || got[0] != "n1" || got[1] != "n3" {
-		t.Errorf("Nodes() = %v", got)
+	if got := r.LookupN("key", 3); len(got) != 2 || slices.Contains(got, "n2") {
+		t.Errorf("LookupN after removing n2 = %v, want n1 and n3", got)
 	}
 }
 

@@ -42,8 +42,7 @@ type CollectorConfig struct {
 	Node string
 }
 
-// WorkerTraceStat is one worker's collection state (GET /trace
-// diagnostics material).
+// WorkerTraceStat is one worker's collection state.
 type WorkerTraceStat struct {
 	Worker  string        `json:"worker"`
 	Cursor  uint64        `json:"cursor"`

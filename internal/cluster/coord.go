@@ -53,17 +53,9 @@ type workerState struct {
 	lost     bool
 }
 
-// Worker is the exported membership view (GET /workers material).
-type Worker struct {
-	ID       string    `json:"id"`
-	LastSeen time.Time `json:"last_seen"`
-	Lost     bool      `json:"lost,omitempty"`
-	Live     bool      `json:"live"`
-}
-
-// Coordinator tracks worker membership and routes work: whole jobs by
-// consistent hashing on the workload key (Route), sharded solves by
-// zone groups over the same ring order (Solve).
+// Coordinator tracks worker membership and plans sharded solves: zone
+// groups go to workers in the job key's consistent-hash ring order
+// (rank), so a solve's placement is stable as workers join and leave.
 type Coordinator struct {
 	cfg      Config
 	clock    simclock.Clock
@@ -75,7 +67,6 @@ type Coordinator struct {
 	ring    *Ring
 
 	ctrHeartbeats *obs.Counter
-	ctrRouted     *obs.Counter
 	ctrSteps      *obs.Counter
 	ctrPlanes     *obs.Counter
 	ctrFailovers  *obs.Counter
@@ -110,7 +101,6 @@ func New(cfg Config) *Coordinator {
 		ring:    NewRing(cfg.Replicas),
 
 		ctrHeartbeats: cfg.Metrics.Counter("cluster_heartbeats_total", "Worker heartbeats received."),
-		ctrRouted:     cfg.Metrics.Counter("cluster_jobs_routed_total", "Jobs routed to a worker by consistent hashing."),
 		ctrSteps:      cfg.Metrics.Counter("cluster_shard_steps_total", "Lockstep shard time steps completed across all solves."),
 		ctrPlanes:     cfg.Metrics.Counter("cluster_planes_exchanged_total", "Boundary planes routed between shards."),
 		ctrFailovers:  cfg.Metrics.Counter("cluster_failovers_total", "Re-shards after a worker loss."),
@@ -149,15 +139,6 @@ func (c *Coordinator) Register(id string, client WorkerClient) error {
 	c.workers[id] = &workerState{id: id, client: client, lastSeen: c.clock.Now()}
 	c.ring.Add(id)
 	return nil
-}
-
-// Deregister removes a worker entirely (planned decommission; loss is
-// MarkLost).
-func (c *Coordinator) Deregister(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.workers, id)
-	c.ring.Remove(id)
 }
 
 // Heartbeat records a sign of life from a worker. Heartbeating a lost
@@ -221,19 +202,6 @@ func (c *Coordinator) Live() []string {
 	return out
 }
 
-// Workers returns the full membership view, sorted by id.
-func (c *Coordinator) Workers() []Worker {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Worker, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, Worker{ID: w.id, LastSeen: w.lastSeen, Lost: w.lost, Live: c.liveLocked(w, now)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // client returns the live worker's client.
 func (c *Coordinator) client(id string) (WorkerClient, error) {
 	now := c.clock.Now()
@@ -261,21 +229,4 @@ func (c *Coordinator) rank(key string) []string {
 		}
 	}
 	return out
-}
-
-// Route picks the worker owning the workload key: the first live
-// worker on the key's ring walk. It is the whole-job routing path —
-// a job that is not sharded runs entirely on the returned worker.
-func (c *Coordinator) Route(key string) (string, WorkerClient, error) {
-	ranked := c.rank(key)
-	if len(ranked) == 0 {
-		return "", nil, fmt.Errorf("cluster: no live workers for %q", key)
-	}
-	id := ranked[0]
-	client, err := c.client(id)
-	if err != nil {
-		return "", nil, err
-	}
-	c.ctrRouted.Inc()
-	return id, client, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/serve"
 )
 
 // HTTPClient is the WorkerClient a coordinator uses to drive a remote
@@ -101,13 +102,12 @@ func (c *HTTPClient) Ping() error {
 }
 
 // FetchTrace implements TraceSource over the daemon's GET
-// /trace?since= cursor API: the returned events, the cursor to resume
-// from (the daemon's X-Trace-Next header when present, else derived
-// from the batch), and how many events the daemon's ring dropped
-// before this batch (X-Trace-Dropped). Transport failures map to
-// ErrWorkerDown, like every other worker call.
+// /trace?since= cursor API, decoded by serve.ReadTrace: the events, the
+// cursor to resume from and the daemon ring's drop count. A body over
+// serve.MaxTraceBody is an error, so the collector keeps its cursor.
+// Transport failures map to ErrWorkerDown, like every other worker call.
 func (c *HTTPClient) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, error) {
-	url := strings.TrimRight(c.BaseURL, "/") + "/trace?since=" + strconv.FormatUint(since, 10)
+	url := strings.TrimRight(c.BaseURL, "/") + serve.PathTrace + "?since=" + strconv.FormatUint(since, 10)
 	resp, err := c.httpClient().Get(url)
 	if err != nil {
 		return nil, since, 0, fmt.Errorf("%w: %v", ErrWorkerDown, err)
@@ -115,23 +115,11 @@ func (c *HTTPClient) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, erro
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, since, 0, fmt.Errorf("cluster: /trace: %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return nil, since, 0, fmt.Errorf("cluster: %s: %s: %s", serve.PathTrace, resp.Status, bytes.TrimSpace(msg))
 	}
-	events, err := obs.ReadJSONL(resp.Body)
+	events, next, dropped, err := serve.ReadTrace(resp, since)
 	if err != nil {
-		return nil, since, 0, fmt.Errorf("cluster: decode /trace body: %w", err)
-	}
-	next := obs.NextCursor(events, since)
-	if h := resp.Header.Get("X-Trace-Next"); h != "" {
-		if v, perr := strconv.ParseUint(h, 10, 64); perr == nil {
-			next = v
-		}
-	}
-	var dropped uint64
-	if h := resp.Header.Get("X-Trace-Dropped"); h != "" {
-		if v, perr := strconv.ParseUint(h, 10, 64); perr == nil {
-			dropped = v
-		}
+		return nil, since, 0, fmt.Errorf("cluster: %w", err)
 	}
 	return events, next, dropped, nil
 }
@@ -168,7 +156,7 @@ func (c *HTTPClient) ClockProbe() (time.Time, time.Duration, error) {
 // FetchMetrics returns the daemon's raw Prometheus exposition (GET
 // /metrics), for the coordinator's fleet rollup.
 func (c *HTTPClient) FetchMetrics() (string, error) {
-	url := strings.TrimRight(c.BaseURL, "/") + "/metrics"
+	url := strings.TrimRight(c.BaseURL, "/") + serve.PathMetrics
 	resp, err := c.httpClient().Get(url)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrWorkerDown, err)
@@ -176,10 +164,10 @@ func (c *HTTPClient) FetchMetrics() (string, error) {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return "", fmt.Errorf("cluster: read /metrics body: %w", err)
+		return "", fmt.Errorf("cluster: read %s body: %w", serve.PathMetrics, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("cluster: /metrics: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return "", fmt.Errorf("cluster: %s: %s: %s", serve.PathMetrics, resp.Status, bytes.TrimSpace(body))
 	}
 	return string(body), nil
 }
@@ -188,7 +176,7 @@ func (c *HTTPClient) FetchMetrics() (string, error) {
 // coordinator starting a traced solve can switch its workers' rings
 // on first.
 func (c *HTTPClient) SetTrace(enabled, reset bool) error {
-	return c.postJSON("/trace/enable", map[string]bool{"enabled": enabled, "reset": reset})
+	return c.postJSON(serve.PathTraceEnable, serve.TraceEnable{Enabled: &enabled, Reset: reset})
 }
 
 // CreateShard implements WorkerClient.

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs/serve"
 )
 
 // TestShardServerBodyCap: a request body over the cap is refused with
@@ -343,5 +345,43 @@ func TestHTTPServerHeaderTimeout(t *testing.T) {
 	_, _ = bufio.NewReader(conn).ReadString('\n')
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("stalled-header connection still open after %v", waited)
+	}
+}
+
+// TestFetchTraceBodyCap: a worker whose /trace body runs past
+// serve.MaxTraceBody — here one that never ends — costs the coordinator
+// a failed fetch, not unbounded memory or a shortened batch: the
+// collector records the error and keeps the cursor it had.
+func TestFetchTraceBodyCap(t *testing.T) {
+	line := []byte(`{"seq":7,"at":"2001-01-01T00:00:00Z","kind":"chunk","worker":0}` + "\n")
+	pad := append(bytes.Repeat([]byte(" "), 64<<10-1), '\n') // blank lines: read, then skipped
+	var endless atomic.Bool
+	var streamed atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(line)
+		for endless.Load() {
+			streamed.Add(int64(len(pad))) // before the write: an upper bound on what arrived
+			if _, err := w.Write(pad); err != nil {
+				return // the coordinator hung up
+			}
+		}
+	}))
+	defer ts.Close()
+	col := NewCollector(CollectorConfig{})
+	col.AddWorker("w", &HTTPClient{BaseURL: ts.URL, Client: ts.Client()})
+
+	if n := col.Pull(); n != 1 || col.Stats()[0].Cursor != 8 {
+		t.Fatalf("well-formed pull: %d events, stats %+v", n, col.Stats()[0])
+	}
+	endless.Store(true)
+	if n := col.Pull(); n != 0 {
+		t.Errorf("oversize pull added %d events", n)
+	}
+	st := col.Stats()[0]
+	if st.Cursor != 8 || st.Errors != 1 || st.Events != 1 || !strings.Contains(st.LastErr, "exceeds") {
+		t.Errorf("after an oversize body: %+v, want cursor 8, 1 error naming the cap, 1 event", st)
+	}
+	if got := streamed.Load(); got < serve.MaxTraceBody {
+		t.Errorf("worker streamed %d bytes before the refusal, want past the %d cap", got, serve.MaxTraceBody)
 	}
 }

@@ -79,25 +79,6 @@ func (r *Ring) Remove(node string) {
 // Len returns the number of nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the nodes in sorted order.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the node owning the key, or false on an empty ring.
-func (r *Ring) Lookup(key string) (string, bool) {
-	ns := r.LookupN(key, 1)
-	if len(ns) == 0 {
-		return "", false
-	}
-	return ns[0], true
-}
-
 // LookupN walks clockwise from the key's hash and returns the first n
 // distinct nodes encountered — the key's preference order. Fewer than
 // n nodes on the ring returns all of them.

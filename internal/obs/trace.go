@@ -489,39 +489,9 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// WriteJSONL writes the recorded events oldest-first, one JSON object
-// per line (the GET /trace wire format). If ring wraparound has
-// dropped events, the first line is a synthetic trace_dropped marker
-// carrying the count, so the export is self-describing about
-// truncation.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	_, _, err := t.WriteJSONLSince(w, 0)
-	return err
-}
-
-// WriteJSONLSince writes the events with Seq >= since as JSONL,
-// prefixed with a trace_dropped marker when the window lost events to
-// wraparound. It returns the next cursor (one past the last written
-// event's Seq; since again when nothing was written) and the dropped
-// count, which the daemon surfaces in the X-Trace-Dropped header.
-func (t *Tracer) WriteJSONLSince(w io.Writer, since uint64) (next uint64, dropped uint64, err error) {
-	events, dropped := t.EventsSince(since)
-	next = since
-	enc := json.NewEncoder(w)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return next, dropped, err
-		}
-		if e.Kind != KindTraceDropped {
-			next = e.Seq + 1
-		}
-	}
-	return next, dropped, nil
-}
-
-// WriteEventsJSONL writes an already-collected event slice as JSONL
-// (the WriteJSONL wire format) — the export path for merged
-// multi-node timelines that no single tracer ring holds.
+// WriteEventsJSONL writes events as JSONL, one JSON object per line —
+// the GET /trace wire format and the file format of every exported
+// trace, from one tracer's ring or a merged multi-node timeline.
 func WriteEventsJSONL(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
 	for _, e := range events {
@@ -532,7 +502,7 @@ func WriteEventsJSONL(w io.Writer, events []Event) error {
 	return nil
 }
 
-// ReadJSONL parses a JSONL trace (the WriteJSONL format) back into
+// ReadJSONL parses a JSONL trace (the WriteEventsJSONL format) back into
 // events. Blank lines are skipped; any malformed line is an error.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)

@@ -108,14 +108,14 @@ func TestVirtualClockTimestamps(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
+func TestWriteEventsJSONL(t *testing.T) {
 	tr := NewTracer(8, simclock.NewVirtual(time.Unix(1000, 0).UTC()))
 	tr.Enable()
 	tr.Emit(Event{Kind: KindGrant, Name: "f3d", Worker: -1, A: 4, B: 15})
 	tr.Emit(Event{Kind: KindRegionEnd, Name: "f3d", Worker: -1, Dur: 1500 * time.Nanosecond, A: 4})
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := WriteEventsJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -211,39 +211,6 @@ func TestEventsSinceCursor(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLSinceMarksDrops(t *testing.T) {
-	tr := NewTracer(2, nil)
-	tr.Enable()
-	for i := 0; i < 5; i++ {
-		tr.Emit(Event{Kind: KindChunk, A: int64(i), At: time.Unix(int64(i), 0)})
-	}
-	var buf bytes.Buffer
-	next, dropped, err := tr.WriteJSONLSince(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 3 || next != 5 {
-		t.Fatalf("next=%d dropped=%d, want 5, 3", next, dropped)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("wrote %d lines, want 3 (marker + 2 events): %q", len(lines), buf.String())
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if first["kind"] != "trace_dropped" || first["a"] != float64(3) {
-		t.Errorf("first line %v, want trace_dropped with a=3", first)
-	}
-	// Nothing new: cursor is stable, no marker re-sent.
-	buf.Reset()
-	next2, dropped2, err := tr.WriteJSONLSince(&buf, next)
-	if err != nil || next2 != next || dropped2 != 0 || buf.Len() != 0 {
-		t.Errorf("idle follow-up write: next=%d dropped=%d len=%d err=%v", next2, dropped2, buf.Len(), err)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(16, simclock.NewVirtual(time.Unix(2000, 0).UTC()))
 	tr.Enable()
@@ -257,7 +224,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		tr.Emit(e)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := WriteEventsJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJSONL(&buf)
@@ -284,6 +251,63 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
 		t.Error("ReadJSONL accepted a malformed line")
 	}
+}
+
+// FuzzReadJSONL: ReadJSONL decodes bytes another process sent — the
+// coordinator reads every worker's /trace through it — so no input may
+// panic it, and whatever it accepts must come back unchanged from a
+// WriteEventsJSONL and a second read.
+func FuzzReadJSONL(f *testing.F) {
+	at := time.Date(2001, 4, 1, 0, 0, 0, 0, time.UTC)
+	events := []Event{DropMarker(3, 5, at)}
+	for k := Kind(0); k < kindCount; k++ {
+		events = append(events, Event{Seq: 8 + uint64(k), At: at.Add(time.Duration(k)), Kind: k,
+			Name: "f3d", Worker: int(k)%3 - 1, Node: "w01", Trace: "f3dc#1", Epoch: 2,
+			Dur: time.Microsecond, A: 1, B: -2, C: 3})
+	}
+	var all bytes.Buffer
+	if err := WriteEventsJSONL(&all, events); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(all.Bytes())
+	first, _, _ := bytes.Cut(all.Bytes(), []byte("\n"))
+	f.Add([]byte("\n  \r\n" + string(first) + "\n\n\t\n"))
+	for _, ts := range []string{
+		"0000-01-01T00:00:00Z",
+		"9999-12-31T23:59:59.999999999Z",
+		"1970-01-01T00:00:00.000000001Z",
+		"2001-04-01T00:00:00.1+14:00",
+		"2001-04-01T23:59:59.123456789-23:59",
+	} {
+		f.Add([]byte(`{"seq":1,"at":"` + ts + `","kind":"barrier","worker":2,"dur_ns":40}` + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEventsJSONL(&buf, events); err != nil {
+			t.Fatalf("accepted events do not write back: %v", err)
+		}
+		again, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("written events do not read back: %v\n%s", err, buf.Bytes())
+		}
+		if len(again) != len(events) {
+			t.Fatalf("%d events read back as %d", len(events), len(again))
+		}
+		for i, e := range events {
+			g := again[i]
+			if !g.At.Equal(e.At) {
+				t.Fatalf("event %d: At %v read back as %v", i, e.At, g.At)
+			}
+			e.At, g.At = time.Time{}, time.Time{}
+			if g != e {
+				t.Fatalf("event %d: %+v read back as %+v", i, e, g)
+			}
+		}
+	})
 }
 
 // TestTracerConcurrentEnableDisableEmitEvents hammers the tracer's
