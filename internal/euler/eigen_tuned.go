@@ -48,6 +48,8 @@ func (e *AxisEigen) Forward(ax Axis, s *PointState, r, c *linalg.Vec5) {
 	alpha := rho / (math.Sqrt2 * snd)
 	beta := 1 / (math.Sqrt2 * rho * snd)
 	a2 := snd * snd
+	// Lanes 0-2 are one value bit for bit: f3d's sweepLineModeTuned builds
+	// and eliminates one band for them (TestAxisEigenLambdaLanesShared).
 	e.Lambda[0], e.Lambda[1], e.Lambda[2], e.Lambda[3], e.Lambda[4] = theta, theta, theta, theta+snd, theta-snd
 	e.alpha = alpha
 

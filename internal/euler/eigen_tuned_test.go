@@ -70,6 +70,9 @@ func checkAxisBitwise(t *testing.T, uc, r linalg.Vec5) (compared bool) {
 		if !ok {
 			return false
 		}
+		if !lambdaLanesShared(got[:NC]) {
+			t.Fatalf("axis %v uc=%x: Lambda %x, lanes 0-2 differ", ax, uc, got[:NC])
+		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("axis %v uc=%x r=%x: %s[%d] = %x, generic %x",
@@ -117,8 +120,61 @@ func TestAxisEigenMatchesGeneric(t *testing.T) {
 	}
 }
 
+// lambdaLanesShared reports whether Λ[0], Λ[1] and Λ[2] are one value
+// bit for bit: the served sweep (f3d's sweepLineModeTuned) builds one band
+// for the three convective lanes and eliminates it once.
+func lambdaLanesShared(lambda []float64) bool {
+	b := math.Float64bits(lambda[0])
+	return math.Float64bits(lambda[1]) == b && math.Float64bits(lambda[2]) == b
+}
+
+// TestAxisEigenLambdaLanesShared: on every axis Forward's Λ lanes 0-2
+// agree bit for bit, on ordinary states, where θ is −0, and where θ+a or
+// θ−a changes sign (axis velocity within a few ulps of ∓a).
+func TestAxisEigenLambdaLanesShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	nz := math.Copysign(0, -1)
+	seen := map[string]bool{}
+	for n := 0; n < 3000; n++ {
+		p := randPrim(rng)
+		for _, ax := range []Axis{X, Y, Z} {
+			q := p
+			along := [3]*float64{&q.U, &q.V, &q.W}
+			a := math.Sqrt(Gamma * q.P / q.Rho)
+			switch n % 4 {
+			case 0: // −0 along the axis, ≤ 0 across it: every term of θ is −0
+				q.U, q.V, q.W = -math.Abs(q.U), -math.Abs(q.V), -math.Abs(q.W)
+				*along[ax] = nz
+			case 1:
+				*along[ax] = a * (1 + float64(rng.Intn(9)-4)*0x1p-50)
+			case 2:
+				*along[ax] = -a * (1 + float64(rng.Intn(9)-4)*0x1p-50)
+			}
+			uc := q.Cons()
+			var s PointState
+			var e AxisEigen
+			var r, c linalg.Vec5
+			DecomposeInto(&s, &uc)
+			e.Forward(ax, &s, &r, &c)
+			if !lambdaLanesShared(e.Lambda[:]) {
+				t.Fatalf("axis %v uc=%x: Lambda %x, lanes 0-2 differ", ax, uc, e.Lambda)
+			}
+			seen["theta=-0"] = seen["theta=-0"] || math.Float64bits(e.Lambda[0]) == math.Float64bits(nz)
+			switch n % 4 {
+			case 1:
+				seen[fmt.Sprint("theta-a>=0 ", e.Lambda[4] >= 0)] = true
+			case 2:
+				seen[fmt.Sprint("theta+a>=0 ", e.Lambda[3] >= 0)] = true
+			}
+		}
+	}
+	if len(seen) != 5 || !seen["theta=-0"] {
+		t.Fatalf("edge states reached: %v, want theta=-0 and both signs of theta+a and theta-a", seen)
+	}
+}
+
 // FuzzAxisEigen: any conserved state the generic form accepts, any
-// finite right-hand side.
+// finite right-hand side; Λ's lanes 0-2 stay one value.
 func FuzzAxisEigen(f *testing.F) {
 	nz, sub := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	f.Add(1.0, 0.5, -0.2, 0.1, 2.5, 1e-3, -2e-3, 0.0, 4e-3, 1e-3)

@@ -10,9 +10,9 @@ import (
 // Tuned inner-loop kernels for the cache solver: the scalar reference
 // kernels of kernels.go restructured the way the paper's §4 serial
 // tuning restructured the vector code — invariant subexpressions
-// hoisted out of the component loop, the five characteristic systems
-// solved as one lane batch so their recurrences overlap, the geometry
-// branch lifted out of the inner loop, the characteristic transforms
+// hoisted out of the component loop, one forward and one backward pass
+// per sweep line with three band lanes for five right-hand sides, the
+// geometry branch lifted out of the inner loop, the characteristic transforms
 // specialised to the sweep's axis (euler.AxisEigen), and the axis-
 // independent decomposition of each point (euler.DecomposeInto: a divide,
 // the pressure, a divide and a square root) read from ZoneState.pts,
@@ -49,19 +49,16 @@ var (
 	scalarKernelSet = kernelSet{sweepLine: sweepLineMode, rhsFlux: rhsLineFlux, rhsAccum: rhsLineAccum}
 )
 
-// The lane-batched solvers are locked to one lane per characteristic
-// field; this fails to compile if the two constants ever diverge.
-var _ [linalg.Lanes][]float64 = [euler.NC][]float64{}
-
-// sweepLineModeTuned is sweepLineMode with the component loop turned
-// inside out: the spectral radius, metric coefficients and viscous row
-// — all invariant in c — are computed once per point instead of once
-// per (component, point), and the five per-component band systems are
-// solved as one linalg lane batch. Per component the assembled
-// coefficients and the elimination order are exactly those of the
-// scalar path, and euler.AxisEigen reproduces the dense transforms'
-// products, so the results match bitwise. Of the time-level-n state it
-// reads only the records p.s[1..n-2] (q[i] decomposed), never p.q.
+// sweepLineModeTuned is sweepLineMode as one forward and one backward
+// pass (DESIGN.md §8). Forward: transform point i+1's right-hand side in
+// place (row i needs its Λ), compute σ, ν, μ, the viscous row and the
+// neighbouring Λ once, build row i for lanes 0, 3 and 4 only — Λ's lanes
+// 0-2 are one value (euler.AxisEigen.Forward), so lane 0's pivots and
+// multipliers serve right-hand sides 0-2 — and eliminate it at once, in r
+// itself. Backward: substitute and AxisEigen.Back point by point. Every
+// stored value is the expression linalg.SolveTridiag / SolvePentadiag
+// evaluate for that component, same operands, same order: bitwise equal.
+// Of the time-level-n state it reads only p.s[1..n-2], never p.q.
 func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
@@ -70,87 +67,131 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	p.checkLine(n)
 	nu := dt / (2 * h)
 	muScale := epsI * dt / h
-	// Axis-specialised eigensystems and characteristic-variable RHS at
-	// interior points: T⁻¹ is applied as it is built and never stored.
-	var w linalg.Vec5
-	for i := 1; i <= ni; i++ {
-		p.eig[i].Forward(ax, &p.s[i], &p.r[i], &w)
-		for c := 0; c < euler.NC; c++ {
-			p.w[c][i-1] = w[c]
-		}
-	}
-	// Band assembly, point-outer: everything independent of the
-	// component is hoisted to once per point.
 	viscous := viscRe > 0 && ax == euler.Z
-	var noLambda linalg.Vec5
+	s, r, eig := p.s[:n], p.r[:n], p.eig[:n]
+	c0, c3, c4 := p.tc[0][:ni], p.tc[3][:ni], p.tc[4][:ni]
+	f0, f3, f4 := p.tf[0][:ni], p.tf[3][:ni], p.tf[4][:ni]
+	eig[1].Forward(ax, &s[1], &r[1], &r[1])
 	for i := 1; i <= ni; i++ {
-		sig := sigmaFromLambda(&p.eig[i].Lambda)
+		k := i - 1 // band row
+		// Off either end the neighbour's Λ is the scalar path's 0.
+		var lp0, lp3, lp4, ln0, ln3, ln4 float64
+		if i > 1 {
+			lp := &eig[i-1].Lambda
+			lp0, lp3, lp4 = lp[0], lp[3], lp[4]
+		}
+		if i < ni {
+			eig[i+1].Forward(ax, &s[i+1], &r[i+1], &r[i+1])
+			ln := &eig[i+1].Lambda
+			ln0, ln3, ln4 = ln[0], ln[3], ln[4]
+		}
+		sig := sigmaFromLambda(&eig[i].Lambda)
 		nui, mu := nu, muScale*sig
 		if g != nil {
 			nui = dt * g.inv2h[i]
 			mu = epsI * dt * g.invh[i] * sig
 		}
-		var da, db, dc float64
+		// The band row. dissip4 takes the convective part alone and adds
+		// the undivided fourth difference (e = f = μ), degraded to the
+		// second difference on the first and last interior rows.
+		var e, rowMu float64
+		if !dissip4 {
+			rowMu = mu
+		}
+		a0, b, cc0 := implicitRow(nui, rowMu, lp0, ln0)
+		a3, _, cc3 := implicitRow(nui, rowMu, lp3, ln3)
+		a4, _, cc4 := implicitRow(nui, rowMu, lp4, ln4)
+		if dissip4 {
+			ka, kb := -mu, 2*mu
+			if i >= 2 && i <= ni-1 {
+				e, ka, kb = mu, -4*mu, 6*mu
+			}
+			a0, a3, a4, b, cc0, cc3, cc4 = a0+ka, a3+ka, a4+ka, b+kb, cc0+ka, cc3+ka, cc4+ka
+		}
 		if viscous {
+			var da, db, dc float64
 			if g != nil {
-				da, db, dc = viscousImplicitRowVar(dt, viscRe, p.s[i].Rho, g.invdm[i-1], g.invdm[i], g.invh[i])
+				da, db, dc = viscousImplicitRowVar(dt, viscRe, s[i].Rho, g.invdm[i-1], g.invdm[i], g.invh[i])
 			} else {
-				da, db, dc = viscousImplicitRow(dt, h, viscRe, p.s[i].Rho)
+				da, db, dc = viscousImplicitRow(dt, h, viscRe, s[i].Rho)
 			}
+			a0, a3, a4, b, cc0, cc3, cc4 = a0+da, a3+da, a4+da, b+db, cc0+dc, cc3+dc, cc4+dc
 		}
-		// Off either end the neighbour's Λ is the scalar path's 0.
-		lamPrev, lamNext := &noLambda, &noLambda
-		if i > 1 {
-			lamPrev = &p.eig[i-1].Lambda
-		}
-		if i < ni {
-			lamNext = &p.eig[i+1].Lambda
-		}
-		interior4 := dissip4 && i >= 2 && i <= ni-1
-		for c := 0; c < euler.NC; c++ {
-			lp, ln := lamPrev[c], lamNext[c]
-			var a, b, cc float64
+		// Eliminate it: per lane the pivot's reciprocal and the multiplier
+		// of row k-1 (the pentadiagonal's of row k-2 is e).
+		var m0, m3, m4, i0, i3, i4 float64
+		switch {
+		case k == 0:
+			i0, i3, i4 = 1/b, 1/b, 1/b
+		case !dissip4 || k == 1:
+			m0, m3, m4 = a0, a3, a4
+			i0 = 1 / (b - a0*c0[k-1])
+			i3 = 1 / (b - a3*c3[k-1])
+			i4 = 1 / (b - a4*c4[k-1])
 			if dissip4 {
-				a, b, cc = implicitRow(nui, 0, lp, ln)
-				if interior4 {
-					p.te[c][i-1] = mu
-					p.tf[c][i-1] = mu
-					a += -4 * mu
-					b += 6 * mu
-					cc += -4 * mu
-				} else {
-					p.te[c][i-1] = 0
-					p.tf[c][i-1] = 0
-					a += -mu
-					b += 2 * mu
-					cc += -mu
-				}
-			} else {
-				a, b, cc = implicitRow(nui, mu, lp, ln)
+				cc0, cc3, cc4 = cc0-a0*f0[k-1], cc3-a3*f3[k-1], cc4-a4*f4[k-1]
 			}
-			if viscous {
-				a += da
-				b += db
-				cc += dc
-			}
-			p.ta[c][i-1], p.tb[c][i-1], p.tc[c][i-1] = a, b, cc
+		default:
+			m0, m3, m4 = a0-e*c0[k-2], a3-e*c3[k-2], a4-e*c4[k-2]
+			i0 = 1 / (b - e*f0[k-2] - m0*c0[k-1])
+			i3 = 1 / (b - e*f3[k-2] - m3*c3[k-1])
+			i4 = 1 / (b - e*f4[k-2] - m4*c4[k-1])
+			cc0, cc3, cc4 = cc0-m0*f0[k-1], cc3-m3*f3[k-1], cc4-m4*f4[k-1]
+		}
+		c0[k], c3[k], c4[k] = cc0*i0, cc3*i3, cc4*i4
+		if dissip4 {
+			f0[k], f3[k], f4[k] = e*i0, e*i3, e*i4
+		}
+		d := &r[i]
+		switch {
+		case k == 0 && dissip4 && ni == 1:
+			d[0], d[1], d[2], d[3], d[4] = d[0]/b, d[1]/b, d[2]/b, d[3]/b, d[4]/b
+		case k == 0:
+			d[0], d[1], d[2], d[3], d[4] = d[0]*i0, d[1]*i0, d[2]*i0, d[3]*i3, d[4]*i4
+		case !dissip4 || k == 1:
+			dm := &r[i-1]
+			d[0] = (d[0] - m0*dm[0]) * i0
+			d[1] = (d[1] - m0*dm[1]) * i0
+			d[2] = (d[2] - m0*dm[2]) * i0
+			d[3] = (d[3] - m3*dm[3]) * i3
+			d[4] = (d[4] - m4*dm[4]) * i4
+		default:
+			dm, dmm := &r[i-1], &r[i-2]
+			d[0] = (d[0] - e*dmm[0] - m0*dm[0]) * i0
+			d[1] = (d[1] - e*dmm[1] - m0*dm[1]) * i0
+			d[2] = (d[2] - e*dmm[2] - m0*dm[2]) * i0
+			d[3] = (d[3] - e*dmm[3] - m3*dm[3]) * i3
+			d[4] = (d[4] - e*dmm[4] - m4*dm[4]) * i4
 		}
 	}
-	// One batched solve across the five characteristic fields.
-	if dissip4 {
-		linalg.SolvePentadiag5(&p.te, &p.ta, &p.tb, &p.tc, &p.tf, &p.w, ni)
-	} else {
-		linalg.SolveTridiag5(&p.ta, &p.tb, &p.tc, &p.w, ni)
-	}
-	// Back-transform to conserved updates.
-	for i := 1; i <= ni; i++ {
-		for c := 0; c < euler.NC; c++ {
-			w[c] = p.w[c][i-1]
+	// Back substitution, each row transformed back to conserved updates
+	// as soon as it is solved; n* and nn* carry rows k+1 and k+2.
+	var n0, n1, n2, n3, n4, nn0, nn1, nn2, nn3, nn4 float64
+	for k := ni - 1; k >= 0; k-- {
+		d := &r[k+1]
+		w0, w1, w2, w3, w4 := d[0], d[1], d[2], d[3], d[4]
+		switch {
+		case k == ni-1:
+		case !dissip4 || k == ni-2:
+			w0 -= c0[k] * n0
+			w1 -= c0[k] * n1
+			w2 -= c0[k] * n2
+			w3 -= c3[k] * n3
+			w4 -= c4[k] * n4
+		default:
+			w0 -= c0[k]*n0 + f0[k]*nn0
+			w1 -= c0[k]*n1 + f0[k]*nn1
+			w2 -= c0[k]*n2 + f0[k]*nn2
+			w3 -= c3[k]*n3 + f3[k]*nn3
+			w4 -= c4[k]*n4 + f4[k]*nn4
 		}
-		p.eig[i].Back(ax, &p.s[i], &w, &p.r[i])
+		nn0, nn1, nn2, nn3, nn4 = n0, n1, n2, n3, n4
+		n0, n1, n2, n3, n4 = w0, w1, w2, w3, w4
+		d[0], d[1], d[2], d[3], d[4] = w0, w1, w2, w3, w4
+		eig[k+1].Back(ax, &s[k+1], d, d)
 	}
-	p.r[0] = linalg.Vec5{}
-	p.r[n-1] = linalg.Vec5{}
+	r[0] = linalg.Vec5{}
+	r[n-1] = linalg.Vec5{}
 }
 
 // rhsLineFluxTuned is rhsLineFlux with no primitive conversion: the

@@ -1,6 +1,7 @@
 package f3d
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,37 +50,66 @@ func vecsBitEqual(t *testing.T, name string, got, want []linalg.Vec5, n int) {
 	}
 }
 
+// fillTransonicLine is fillLine with the velocity along ax ramped from
+// −2a to +2a: θ, θ+a and θ−a each change sign among the interior points
+// of a line of 6 or more, so the three band lanes the tuned sweep keeps
+// differ from one another.
+func fillTransonicLine(p *pencil, n int, ax euler.Axis, seed int64) {
+	fillLine(p, n, seed)
+	for i := 0; i < n; i++ {
+		prim := euler.PrimFromCons(p.q[i])
+		along := [3]*float64{&prim.U, &prim.V, &prim.W}
+		*along[ax] = prim.SoundSpeed() * (-2 + 4*float64(i)/float64(n-1))
+		p.q[i] = prim.Cons()
+		euler.DecomposeInto(&p.s[i], &p.q[i])
+	}
+}
+
 // TestSweepLineTunedBitwise drives the scalar and tuned sweep kernels
 // over every mode combination — axis, implicit dissipation order,
-// viscous augmentation, uniform and stretched metrics — and requires
-// bit-identical updates, including the degenerate line lengths where
-// the pentadiagonal stencil never fits.
+// viscous augmentation, uniform and stretched metrics — on a subsonic
+// and a transonic line, and requires bit-identical updates, including
+// the degenerate line lengths where the pentadiagonal stencil never fits
+// and the two-point line with no interior unknown (r untouched), up to
+// the benchmark's 64 points.
 func TestSweepLineTunedBitwise(t *testing.T) {
-	x := grid.StretchCoords(40, 1.5)
-	for _, n := range []int{3, 4, 5, 6, 9, 33} {
+	x := grid.StretchCoords(64, 1.5)
+	for _, n := range []int{2, 3, 4, 5, 6, 9, 33, 64} {
 		g := newAxisGeom(x[:n])
-		for _, tc := range []struct {
-			name    string
-			ax      euler.Axis
-			viscRe  float64
-			g       *axisGeom
-			dissip4 bool
-		}{
-			{"x-uniform", euler.X, 0, nil, false},
-			{"x-uniform-dissip4", euler.X, 0, nil, true},
-			{"y-stretched", euler.Y, 0, g, false},
-			{"z-viscous", euler.Z, 1200, nil, false},
-			{"z-viscous-stretched", euler.Z, 1200, g, false},
-			{"z-viscous-dissip4", euler.Z, 1200, nil, true},
-			{"z-viscous-stretched-dissip4", euler.Z, 1200, g, true},
-		} {
-			ps := newPencil(n)
-			pt := newPencil(n)
-			fillLine(ps, n, int64(n)*100+int64(len(tc.name)))
-			copyPencilLine(pt, ps, n)
-			sweepLineMode(ps, n, tc.ax, 0.013, 0.004, 0.02, tc.viscRe, tc.g, tc.dissip4)
-			sweepLineModeTuned(pt, n, tc.ax, 0.013, 0.004, 0.02, tc.viscRe, tc.g, tc.dissip4)
-			vecsBitEqual(t, tc.name, pt.r, ps.r, n)
+		for _, transonic := range []bool{false, true} {
+			for _, tc := range []struct {
+				name    string
+				ax      euler.Axis
+				viscRe  float64
+				g       *axisGeom
+				dissip4 bool
+			}{
+				{"x-uniform", euler.X, 0, nil, false},
+				{"x-uniform-dissip4", euler.X, 0, nil, true},
+				{"y-stretched", euler.Y, 0, g, false},
+				{"z-viscous", euler.Z, 1200, nil, false},
+				{"z-viscous-stretched", euler.Z, 1200, g, false},
+				{"z-viscous-dissip4", euler.Z, 1200, nil, true},
+				{"z-viscous-stretched-dissip4", euler.Z, 1200, g, true},
+			} {
+				ps := newPencil(n)
+				pt := newPencil(n)
+				seed := int64(n)*100 + int64(len(tc.name))
+				if transonic {
+					fillTransonicLine(ps, n, tc.ax, seed)
+				} else {
+					fillLine(ps, n, seed)
+				}
+				copyPencilLine(pt, ps, n)
+				r0 := append([]linalg.Vec5(nil), ps.r[:n]...)
+				sweepLineMode(ps, n, tc.ax, 0.013, 0.004, 0.02, tc.viscRe, tc.g, tc.dissip4)
+				sweepLineModeTuned(pt, n, tc.ax, 0.013, 0.004, 0.02, tc.viscRe, tc.g, tc.dissip4)
+				name := fmt.Sprintf("n=%d transonic=%v %s", n, transonic, tc.name)
+				vecsBitEqual(t, name, pt.r, ps.r, n)
+				if n == 2 {
+					vecsBitEqual(t, name+" untouched", pt.r, r0, n)
+				}
+			}
 		}
 	}
 }
@@ -123,6 +153,7 @@ func TestPencilCapacityValidatedUpFront(t *testing.T) {
 	} {
 		p := newPencil(4)
 		fillLine(p, 4, 7)
+		r0 := append([]linalg.Vec5(nil), p.r[:4]...)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -130,11 +161,12 @@ func TestPencilCapacityValidatedUpFront(t *testing.T) {
 				}
 				for c := 0; c < euler.NC; c++ {
 					for i := 0; i < 4; i++ {
-						if p.w[c][i] != 0 || p.ta[c][i] != 0 {
+						if p.w[c][i] != 0 || p.ta[c][i] != 0 || p.tc[c][i] != 0 || p.tf[c][i] != 0 {
 							t.Fatalf("%s: scratch written before validation", name)
 						}
 					}
 				}
+				vecsBitEqual(t, name+" r written before validation", p.r, r0, 4)
 			}()
 			sweep(p, 10, euler.X, 0.01, 0.005, 0.02, 0, nil, false)
 		}()

@@ -15,6 +15,14 @@ package linalg
 // every build, and the CI bounds-check-elimination lint (lint/bce.sh)
 // pins this file's residual bounds-check list so a hot loop silently
 // re-growing per-element checks fails the build.
+//
+// The served sweep does not call the lane-batched *5 solvers: its three
+// convective fields share one band, so f3d's sweepLineModeTuned
+// eliminates three coefficient lanes for five right-hand sides, fused
+// with the band assembly. SolveTridiag5 / SolvePentadiag5 remain the
+// general case — five independent bands — for the tridiag-batch5 and
+// pentadiag-batch5 conformance cells, cmd/benchdump's batch5 gates and
+// the end-to-end benchmark's linalg.*5_ns_row probes.
 
 // Lanes is the batch width of the lane-batched solvers: the five
 // characteristic fields of 3-D compressible flow, one independent
