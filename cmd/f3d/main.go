@@ -24,8 +24,8 @@ import (
 
 	"repro/internal/f3d"
 	"repro/internal/grid"
+	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
-	"repro/internal/profile"
 )
 
 func main() {
@@ -96,17 +96,16 @@ func main() {
 
 	var solver f3d.Solver
 	var team *parloop.Team
-	var prof *profile.Profiler
 	// The cache and block variants run the same step driver, so they
-	// take the same shape, profiler and team(s).
+	// take the same shape, profiler and team(s). A profiler with -mlp is
+	// the constructor's error, not silently dropped.
 	var opts f3d.CacheOptions
 	if *variant != "vector" {
 		shape := f3d.DefaultShape()
 		shape.Merged, shape.BC = *merged, *parbc
 		opts.Shape = f3d.NewShapeCfg(shape)
-		if *profileFlag && !*mlp {
-			prof = profile.New()
-			opts.Profiler = prof
+		if *profileFlag {
+			opts.Profiler = analyze.NewProfiler()
 		}
 		if *mlp {
 			for range c.Zones {
@@ -219,10 +218,10 @@ func main() {
 		fmt.Printf("synchronization events: %d (%.1f per step)\n",
 			team.SyncEvents(), float64(team.SyncEvents())/float64(stepsRun))
 	}
-	if prof != nil {
+	if opts.Profiler != nil {
 		fmt.Println()
 		fmt.Println("per-phase profile (prof-style):")
-		fmt.Print(profile.Format(prof.Entries(), 12))
+		fmt.Print(analyze.FormatRanked(opts.Profiler.Entries(), 12))
 	}
 	if *saveFile != "" {
 		f, err := os.Create(*saveFile)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/obs/analyze"
-	"repro/internal/profile"
 )
 
 // writeReport atomically-ish writes the JSON report (truncate-then-
@@ -117,7 +116,7 @@ func renderReport(w io.Writer, rep *analyze.Report) {
 
 	if len(rep.Ranked) > 0 {
 		fmt.Fprintln(w, "\nranked profile:")
-		fmt.Fprint(w, profile.Format(rep.Ranked, 10))
+		fmt.Fprint(w, analyze.FormatRanked(rep.Ranked, 10))
 	}
 }
 

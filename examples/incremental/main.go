@@ -19,8 +19,8 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
-	"repro/internal/profile"
 )
 
 const steps = 5
@@ -31,26 +31,16 @@ func main() {
 	fmt.Printf("case: %d zones, %d points\n\n", len(c.Zones), c.Points())
 
 	// Stage 0: profile the serial solver phase by phase.
-	prof := profile.New()
-	serial := mustCache(cfg, f3d.CacheOptions{})
+	prof := analyze.NewProfiler()
+	serial := mustCache(cfg, f3d.CacheOptions{Profiler: prof})
 	defer serial.Close()
 	f3d.InitPulse(serial, 0.02)
-	// The phase decomposition (which loop classes exist, and how much of
-	// the step each holds) is independent of what is parallelized.
-	profiled := f3d.StepProfileFor(c, f3d.DefaultShape())
 	for i := 0; i < steps; i++ {
-		prof.Time("whole-step", func() { serial.Step() })
-	}
-	// Charge the analytic per-phase split so the profile table shows
-	// loop granularity (a real prof run would show the subroutines).
-	total := prof.Total()
-	for _, lc := range profiled.Loops {
-		frac := lc.WorkCycles / profiled.TotalCycles()
-		prof.Add(lc.Name, time.Duration(float64(total)*frac))
+		serial.Step()
 	}
 	entries := prof.Entries()
 	fmt.Println("serial profile (prof-style):")
-	fmt.Print(profile.Format(entries, 8))
+	fmt.Print(analyze.FormatRanked(entries, 8))
 
 	// Which loops clear the Table 1 bar on this machine?
 	workers := runtime.GOMAXPROCS(0)
@@ -58,31 +48,24 @@ func main() {
 	defer team.Close()
 	sync := parloop.MeasureSyncCost(team, 100)
 	const clockMHz = 2000
-	advice := profile.Advise(entries, clockMHz, sync.Cycles(clockMHz), workers, model.OverheadBudget)
 	fmt.Printf("\nTable 1 advice (this host: sync ≈ %v, %d workers):\n", sync.PerSync, workers)
-	for _, a := range advice {
-		verdict := "leave serial"
-		if a.Parallelize {
-			verdict = "PARALLELIZE"
-		}
-		fmt.Printf("  %-28s %10.2e cycles/call  → %s\n", a.Entry.Name, a.WorkCycles, verdict)
-	}
+	advise(entries, clockMHz, sync.Cycles(clockMHz), workers)
 
 	// The same profile judged for a 64-processor Origin 2000, whose
 	// synchronization events cost tens of thousands of cycles: the
 	// cheap loops now fall below the Table 1 bar — the paper's reason
 	// for leaving boundary conditions serial.
 	sgi := machine.Origin2000R12K()
-	sgiAdvice := profile.Advise(entries, sgi.ClockMHz, sgi.SyncCostCycles(64), 64, model.OverheadBudget)
 	fmt.Printf("\nTable 1 advice (simulated %s, 64 procs, sync %.0f cycles):\n",
 		sgi.Name, sgi.SyncCostCycles(64))
-	for _, a := range sgiAdvice {
-		verdict := "leave serial"
-		if a.Parallelize {
-			verdict = "PARALLELIZE"
-		}
-		fmt.Printf("  %-28s %10.2e cycles/call  → %s\n", a.Entry.Name, a.WorkCycles, verdict)
-	}
+	advise(entries, sgi.ClockMHz, sgi.SyncCostCycles(64), 64)
+
+	// The model predicts each stage from the step profile of its shape,
+	// whose work is in flops; the host's sync cost joins it in that unit
+	// through the measured serial step's cycles per modelled flop.
+	full := f3d.StepProfileFor(c, f3d.DefaultShape())
+	cyclesPerFlop := prof.Total().Seconds() * clockMHz * 1e6 / steps / full.TotalCycles()
+	syncFlops := sync.Cycles(clockMHz) / cyclesPerFlop
 
 	// Stages 1..3: enable one phase at a time, checking the answer.
 	reference := snapshot(serial)
@@ -104,12 +87,28 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		diff := maxDiffFrom(reference, s)
-		pred := profile.CoverageSpeedup(entries[1:], k+1, workers) // entries[0] is whole-step
-		fmt.Printf("  stage %d (%-16s): %8v for %d steps, predicted Amdahl speedup %.1fx, |Δanswer| = %g\n",
+		sp := f3d.StepProfileFor(c, st.shape)
+		pred := sp.PredictSpeedup(workers, syncFlops)
+		fmt.Printf("  stage %d (%-16s): %8v for %d steps, predicted speedup %.1fx, |Δanswer| = %g\n",
 			k+1, st.name, elapsed.Round(time.Millisecond), steps, pred, diff)
 		s.Close()
 	}
 	fmt.Println("\nanswer unchanged at every stage — the paper's validation loop in miniature.")
+}
+
+// advise applies the Table 1 criterion to each profiled loop: worth
+// parallelizing on procs processors when one call holds at least
+// model.MinWorkPerLoop cycles of work.
+func advise(entries []analyze.Entry, clockMHz, syncCycles float64, procs int) {
+	minWork := model.MinWorkPerLoop(procs, syncCycles, model.OverheadBudget)
+	for _, e := range entries {
+		cycles := e.Mean().Seconds() * clockMHz * 1e6
+		verdict := "leave serial"
+		if cycles >= minWork {
+			verdict = "PARALLELIZE"
+		}
+		fmt.Printf("  %-28s %10.2e cycles/call  → %s\n", e.Name, cycles, verdict)
+	}
 }
 
 func mustCache(cfg f3d.Config, opts f3d.CacheOptions) *f3d.CacheSolver {

@@ -34,7 +34,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 	"repro/internal/sched"
 )
@@ -77,21 +76,6 @@ type Verdict struct {
 	// loop's parallelism M.
 	Workers int `json:"workers"`
 	Units   int `json:"units"`
-}
-
-// FromLoop distills an obs/analyze per-loop report into a Verdict, the
-// bridge from the trace pipeline into the controller.
-func FromLoop(l analyze.Loop) Verdict {
-	return Verdict{
-		WallNs:        l.WallNs,
-		WorkNs:        l.WorkNs,
-		ImbalanceFrac: l.Attribution.ImbalanceFrac,
-		BarrierFrac:   l.Attribution.BarrierFrac,
-		SyncFrac:      l.Attribution.SyncFrac,
-		BudgetPass:    l.Budget.Pass,
-		Workers:       l.Workers,
-		Units:         l.Units,
-	}
 }
 
 // sanitize clamps a verdict into its documented domain so downstream

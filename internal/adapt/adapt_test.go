@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
 
@@ -166,26 +165,6 @@ func TestLegalize(t *testing.T) {
 	}
 	if !legalSched {
 		t.Fatalf("schedule %v not legal", ch.Sched)
-	}
-}
-
-// TestFromLoop pins the analyze bridge.
-func TestFromLoop(t *testing.T) {
-	l := analyze.Loop{
-		Name:    "k",
-		Workers: 3,
-		Units:   42,
-		WallNs:  1000,
-		WorkNs:  2400,
-	}
-	l.Attribution.ImbalanceFrac = 0.25
-	l.Attribution.BarrierFrac = 0.05
-	l.Attribution.SyncFrac = 0.01
-	l.Budget.Pass = true
-	v := FromLoop(l)
-	if v.WallNs != 1000 || v.WorkNs != 2400 || v.Workers != 3 || v.Units != 42 ||
-		v.ImbalanceFrac != 0.25 || v.BarrierFrac != 0.05 || v.SyncFrac != 0.01 || !v.BudgetPass {
-		t.Fatalf("FromLoop mismatch: %+v", v)
 	}
 }
 

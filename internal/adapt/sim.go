@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/parloop"
+	"repro/internal/model"
 	"repro/internal/simclock"
 )
 
@@ -117,41 +117,24 @@ func Scaled(w Workload, k float64, shiftStep int) Workload {
 	}
 }
 
+// The overheads Sim charges on top of the workload's iteration costs,
+// so chunk size and schedule have the real tradeoff: finer chunks
+// balance better but pay more deal/chunk overhead, and every region
+// pays a fork-join cost per worker.
+const (
+	forkNs  = 1500 // per-worker fork-join cost of one region (the paper's sync cost)
+	dealNs  = 400  // per-chunk atomic deal cost for Dynamic and Guided
+	chunkNs = 60   // fixed per-chunk dispatch overhead every schedule pays
+)
+
 // Sim executes workload steps under a Choice exactly the way parloop
-// deals them — Static via parloop.StaticRange, StaticCyclic round-
-// robin, Dynamic by earliest-free-worker greedy dealing, Guided with
-// parloop's remaining/(2*workers) shrinking-chunk formula — plus an
-// explicit overhead model, so chunk size and schedule have the real
-// tradeoff: finer chunks balance better but pay more deal/chunk
-// overhead, and every region pays a fork-join cost per worker.
+// deals them (model.Deal) at the overheads above.
 type Sim struct {
 	W Workload
-	// ForkNs is the per-worker fork-join cost of one region (the
-	// paper's sync cost); default 1500.
-	ForkNs float64
-	// DealNs is the per-chunk atomic deal cost for Dynamic and
-	// Guided; default 400.
-	DealNs float64
-	// ChunkNs is the fixed per-chunk dispatch overhead every schedule
-	// pays; default 60.
-	ChunkNs float64
 	// Clock, when non-nil, is advanced by each simulated step's wall
 	// time, so a soak driving real timers off the same virtual clock
 	// sees simulated time flow.
 	Clock *simclock.Virtual
-}
-
-func (s Sim) withDefaults() Sim {
-	if s.ForkNs == 0 {
-		s.ForkNs = 1500
-	}
-	if s.DealNs == 0 {
-		s.DealNs = 400
-	}
-	if s.ChunkNs == 0 {
-		s.ChunkNs = 60
-	}
-	return s
 }
 
 // StepResult is one simulated step's outcome.
@@ -164,24 +147,9 @@ type StepResult struct {
 	Workers int
 }
 
-// span is a contiguous chunk of iterations with a precomputed cost.
-type span struct {
-	lo, hi int
-	cost   float64
-}
-
 // Step simulates one step of the workload under ch and returns both
 // the raw result and the Verdict the controller would see for it.
 func (s Sim) Step(step int, ch Choice) (StepResult, Verdict) {
-	s = s.withDefaults()
-	n, p := s.W.N, ch.Workers
-	if p < 1 {
-		p = 1
-	}
-	chunk := ch.Chunk
-	if chunk < 1 {
-		chunk = 1
-	}
 	cost := func(lo, hi int) float64 {
 		c := 0.0
 		for i := lo; i < hi; i++ {
@@ -189,91 +157,24 @@ func (s Sim) Step(step int, ch Choice) (StepResult, Verdict) {
 		}
 		return c
 	}
-
-	busy := make([]float64, p)
-	chunks, deals := 0, 0
-	work := 0.0
-
-	// assign adds a chunk to a fixed worker (static dealing).
-	assign := func(w, lo, hi int) {
-		c := cost(lo, hi)
-		work += c
-		busy[w] += s.ChunkNs + c
-		chunks++
-	}
-	// deal adds a chunk to the earliest-free worker (on-demand
-	// dealing: the worker that frees first takes the next chunk, ties
-	// to the lowest index — exactly the greedy order the shared
-	// atomic counter realizes).
-	deal := func(lo, hi int) {
-		w := 0
-		for k := 1; k < p; k++ {
-			if busy[k] < busy[w] {
-				w = k
-			}
-		}
-		c := cost(lo, hi)
-		work += c
-		busy[w] += s.DealNs + s.ChunkNs + c
-		chunks++
-		deals++
-	}
-
-	switch ch.Sched {
-	case parloop.Static:
-		for w := 0; w < p; w++ {
-			lo, hi := parloop.StaticRange(n, p, w)
-			if lo < hi {
-				assign(w, lo, hi)
-			}
-		}
-	case parloop.StaticCyclic:
-		for w := 0; w < p; w++ {
-			for lo := w * chunk; lo < n; lo += p * chunk {
-				hi := min(lo+chunk, n)
-				assign(w, lo, hi)
-			}
-		}
-	case parloop.Dynamic:
-		for lo := 0; lo < n; lo += chunk {
-			deal(lo, min(lo+chunk, n))
-		}
-	case parloop.Guided:
-		for lo := 0; lo < n; {
-			c := (n - lo) / (2 * p)
-			if c < chunk {
-				c = chunk
-			}
-			hi := min(lo+c, n)
-			deal(lo, hi)
-			lo = hi
-		}
-	default:
-		panic(fmt.Sprintf("adapt: Sim.Step: unknown schedule %v", ch.Sched))
-	}
-
-	makespan := 0.0
-	for _, b := range busy {
-		if b > makespan {
-			makespan = b
-		}
-	}
-	wall := makespan + s.ForkNs
+	d := model.Deal(s.W.N, ch.Workers, ch.Sched, ch.Chunk, cost, model.Overheads{Deal: dealNs, Chunk: chunkNs})
+	n, p := s.W.N, len(d.Busy)
+	wall := d.Makespan + forkNs
 	res := StepResult{
-		WallNs: wall, WorkNs: work, BusyNs: busy,
-		Chunks: chunks, Deals: deals, Workers: p,
+		WallNs: wall, WorkNs: d.Work, BusyNs: d.Busy,
+		Chunks: d.Chunks, Deals: d.Deals, Workers: p,
 	}
 
 	total := float64(p) * wall
 	idle := 0.0
-	for _, b := range busy {
-		idle += makespan - b
+	for _, b := range d.Busy {
+		idle += d.Makespan - b
 	}
-	overhead := float64(p)*s.ForkNs + float64(deals)*s.DealNs + float64(chunks)*s.ChunkNs
+	overhead := float64(p)*forkNs + float64(d.Deals)*dealNs + float64(d.Chunks)*chunkNs
 	syncFrac := overhead / total
 	v := Verdict{
 		WallNs:        int64(wall),
-		WorkNs:        int64(work),
+		WorkNs:        int64(d.Work),
 		ImbalanceFrac: idle / total,
 		SyncFrac:      syncFrac,
 		BudgetPass:    syncFrac < 0.05,
@@ -323,26 +224,5 @@ func RunSim(s Sim, ctrl *Controller, steps int) SimOutcome {
 	out.Final = ctrl.Choice()
 	res, _ := s.Step(steps-1, out.Final)
 	out.FinalScore = res.WallNs
-	return out
-}
-
-// StaticScores simulates one steady-state step (at step index step)
-// for every fixed {schedule, chunk} configuration at the given worker
-// count and returns choice -> wall ns. Static ignores chunk, so it
-// appears once. This is the field the adaptive controller must match
-// or beat.
-func StaticScores(s Sim, step, workers int, scheds []parloop.Schedule, chunks []int) map[Choice]float64 {
-	out := make(map[Choice]float64)
-	for _, sc := range scheds {
-		cs := chunks
-		if sc == parloop.Static {
-			cs = chunks[:1]
-		}
-		for _, c := range cs {
-			ch := Choice{Sched: sc, Chunk: c, Workers: workers}
-			res, _ := s.Step(step, ch)
-			out[ch] = res.WallNs
-		}
-	}
 	return out
 }

@@ -61,22 +61,6 @@ func TestSimSchedulePreferences(t *testing.T) {
 	}
 }
 
-// TestSimGuidedMatchesParloopFormula: the simulated guided chunk
-// ladder must mirror parloop's remaining/(2*workers) rule.
-func TestSimGuidedMatchesParloopFormula(t *testing.T) {
-	s := Sim{W: Uniform(100, 10)}
-	res, _ := s.Step(0, Choice{Sched: parloop.Guided, Chunk: 1, Workers: 2})
-	// n=100, p=2: chunks 25, 18, 14, 10, 8, 6, 4, 3, 3, 2, 2, 1, ...
-	// The exact ladder matters less than the count being far below n
-	// (shrinking chunks) and above n/(2p) (not one giant chunk).
-	if res.Chunks < 5 || res.Chunks > 30 {
-		t.Fatalf("guided chunk count %d implausible for n=100 p=2", res.Chunks)
-	}
-	if res.Deals != res.Chunks {
-		t.Fatalf("guided deals %d != chunks %d", res.Deals, res.Chunks)
-	}
-}
-
 // TestWorkloadBuilders pins the scripted surfaces.
 func TestWorkloadBuilders(t *testing.T) {
 	r := Ragged(64, 100, 1, 9)
@@ -116,25 +100,6 @@ func TestSimVirtualClock(t *testing.T) {
 	got := vc.Now().Sub(before)
 	if got != time.Duration(res.WallNs)*time.Nanosecond {
 		t.Fatalf("clock advanced %v; step wall %v", got, time.Duration(res.WallNs))
-	}
-}
-
-// TestStaticScores: one entry per {schedule, chunk} with static
-// deduped, and the map's minimum is consistent with direct simulation.
-func TestStaticScores(t *testing.T) {
-	s := Sim{W: Ragged(96, 800, 3, 11)}
-	scheds := parloop.Schedules()
-	chunks := []int{1, 8, 64}
-	scores := StaticScores(s, 0, 4, scheds, chunks)
-	want := 1 + 3*len(chunks) // static once, 3 schedules x 3 chunks
-	if len(scores) != want {
-		t.Fatalf("got %d configurations, want %d", len(scores), want)
-	}
-	for ch, sc := range scores {
-		res, _ := s.Step(0, ch)
-		if res.WallNs != sc {
-			t.Fatalf("%v: score %.0f != simulated %.0f", ch, sc, res.WallNs)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@ func FromTrace(events []obs.Event, acfg analyze.Config, structs []LoopStructure,
 
 // FromAnalysis turns an analyze report into planner evidence:
 //
-//   - RankShare comes from the report's profile.FromTrace ranking
+//   - RankShare comes from the report's Ranked profile
 //     (entries matching traced loop names; WallNs fallback when the
 //     ranking carries none of them);
 //   - the Table 1 budget verdict is taken from the report, except for

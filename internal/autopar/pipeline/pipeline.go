@@ -7,9 +7,8 @@
 // this package instead plans from *evidence* gathered off a real
 // traced run:
 //
-//   - hot-loop rankings from profile.FromTrace (carried on
-//     analyze.Report.Ranked) say where the time went — the paper's §4
-//     "profile the program, rank the loops" step;
+//   - hot-loop rankings (analyze.Report.Ranked) say where the time
+//     went — the paper's §4 "profile the program, rank the loops" step;
 //   - check.Tracker barrier-epoch dependence evidence: an observed
 //     conflict demotes a loop to serial unconditionally (the
 //     C$doacross misuse of §2 caught in the act), while a clean
@@ -188,7 +187,7 @@ type LoopEvidence struct {
 	Name string `json:"name"`
 
 	// RankShare is the loop's fraction of total profiled time (the
-	// profile.FromTrace ranking); WorkNs its absolute work.
+	// report's Ranked profile); WorkNs its absolute work.
 	RankShare float64 `json:"rank_share"`
 	WorkNs    int64   `json:"work_ns"`
 

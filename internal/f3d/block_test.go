@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
-	"repro/internal/profile"
 )
 
 func newBlock(t *testing.T, cfg Config, opts CacheOptions) *BlockSolver {
@@ -188,7 +188,7 @@ func TestBlockTeamResizeMidRun(t *testing.T) {
 // the shared driver instead of being dropped.
 func TestBlockSolverHonoursDriverOptions(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
-	prof := profile.New()
+	prof := analyze.NewProfiler()
 	tr := obs.NewTracer(1<<12, nil)
 	tr.Enable()
 	team := parloop.NewTeam(2)

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/linalg"
+	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
-	"repro/internal/profile"
 )
 
 // CacheOptions configures a CacheSolver or a BlockSolver (both run the
@@ -36,7 +36,7 @@ type CacheOptions struct {
 	// into one region are charged together: "rhs" for the unfissioned
 	// pair, "step" for a Merged step. Not supported together
 	// with ZoneTeams (phases of different zones overlap in time).
-	Profiler *profile.Profiler
+	Profiler *analyze.Profiler
 	// PhaseTrace, when non-empty, relabels the team's tracer around
 	// each phase as "<PhaseTrace>/<phase>", so a traced run ranks the
 	// step's phases as separate loops — the per-loop evidence the

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/profile"
+	"repro/internal/obs/analyze"
 )
 
 func TestRunToSteadyConverges(t *testing.T) {
@@ -130,7 +130,7 @@ func TestCrossValidateViscousZonal(t *testing.T) {
 
 func TestProfilerHook(t *testing.T) {
 	cfg := DefaultConfig(grid.Scaled(grid.Paper1M(), 0.12))
-	prof := profile.New()
+	prof := analyze.NewProfiler()
 	s := newCache(t, cfg, CacheOptions{Profiler: prof})
 	InitPulse(s, 0.02)
 	const steps = 3
@@ -152,7 +152,7 @@ func TestProfilerHook(t *testing.T) {
 	}
 	// The sweeps dominate the RHS, which dominates BC — the profile
 	// shape the paper's incremental workflow exploits.
-	byName := map[string]profile.Entry{}
+	byName := map[string]analyze.Entry{}
 	for _, e := range entries {
 		byName[e.Name] = e
 	}

@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/parloop"
+)
 
 // LoopClass describes one parallelized loop nest (or one family of
 // identical nests executed repeatedly) within a time step, in the terms
@@ -76,8 +80,9 @@ func (sp *StepProfile) Scale(factor float64) StepProfile {
 // synchronization cost (in cycles). The model composes the three effects
 // the paper analyzes:
 //
-//   - stair-step parallel time: each loop class with parallelism N runs
-//     in Work·ceil(N/P)/N cycles (Table 3 / Figure 1);
+//   - stair-step parallel time: each loop class with parallelism N is
+//     dealt Static over P workers at uniform cost (Deal), so it runs in
+//     Work·ceil(N/P)/N cycles (Table 3 / Figure 1);
 //   - synchronization overhead: SyncEvents·syncCost cycles per step
 //     (Table 1);
 //   - Amdahl: SerialCycles are paid at full cost (§3).
@@ -102,7 +107,7 @@ func (sp *StepProfile) PredictStepCycles(procs int, syncCost float64) float64 {
 			continue
 		}
 		n := l.Parallelism
-		t += l.WorkCycles * float64(ceilDiv(n, procs)) / float64(n)
+		t += Deal(n, procs, parloop.Static, 1, Uniform(l.WorkCycles, n), Overheads{}).Makespan
 		t += float64(l.SyncEvents) * syncCost
 	}
 	return t
@@ -112,23 +117,4 @@ func (sp *StepProfile) PredictStepCycles(procs int, syncCost float64) float64 {
 // processors relative to one processor.
 func (sp *StepProfile) PredictSpeedup(procs int, syncCost float64) float64 {
 	return sp.PredictStepCycles(1, syncCost) / sp.PredictStepCycles(procs, syncCost)
-}
-
-// EfficientProcs returns the largest processor count in [1, maxProcs]
-// for which marginal efficiency is still positive: adding processors
-// past this point slows the profile down (the "speed first peaks and
-// then starts to drop off" regime of §4, which appears when syncCost
-// grows with the machine or parallelism is exhausted).
-func (sp *StepProfile) EfficientProcs(maxProcs int, syncCost func(procs int) float64) int {
-	if maxProcs < 1 {
-		panic(fmt.Sprintf("model: EfficientProcs maxProcs must be >= 1, got %d", maxProcs))
-	}
-	best, bestT := 1, sp.PredictStepCycles(1, syncCost(1))
-	for p := 2; p <= maxProcs; p++ {
-		t := sp.PredictStepCycles(p, syncCost(p))
-		if t < bestT {
-			best, bestT = p, t
-		}
-	}
-	return best
 }

@@ -117,25 +117,6 @@ func TestScale(t *testing.T) {
 	p.Scale(0)
 }
 
-func TestEfficientProcs(t *testing.T) {
-	// With a sync cost that grows linearly with procs and a tiny loop,
-	// the optimum is small; with zero cost it is at the parallelism cap.
-	tiny := StepProfile{
-		Loops: []LoopClass{{Name: "tiny", WorkCycles: 1e6, Parallelism: 128, SyncEvents: 10}},
-	}
-	growing := func(p int) float64 { return 5_000 * float64(p) }
-	opt := tiny.EfficientProcs(128, growing)
-	if opt >= 32 {
-		t.Errorf("EfficientProcs for tiny loop with growing sync cost = %d, want small", opt)
-	}
-	big := StepProfile{
-		Loops: []LoopClass{{Name: "big", WorkCycles: 1e12, Parallelism: 128, SyncEvents: 1}},
-	}
-	if got := big.EfficientProcs(128, func(int) float64 { return 0 }); got != 128 {
-		t.Errorf("EfficientProcs for big loop, zero sync = %d, want 128", got)
-	}
-}
-
 func TestPredictMonotoneInWork(t *testing.T) {
 	f := func(w1, w2 uint32, pu uint8) bool {
 		procs := int(pu%127) + 2
@@ -153,7 +134,6 @@ func TestPredictPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"procs":    func() { p.PredictStepCycles(0, 0) },
 		"syncCost": func() { p.PredictStepCycles(1, -1) },
-		"maxProcs": func() { p.EfficientProcs(0, func(int) float64 { return 0 }) },
 	} {
 		func() {
 			defer func() {

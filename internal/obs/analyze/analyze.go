@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/profile"
 )
 
 // Schema versions the Report JSON shape (bumped on incompatible
@@ -265,9 +264,9 @@ type Report struct {
 	PlateauEfficiency float64       `json:"plateau_efficiency"`
 
 	// Ranked is the prof-style ranked loop profile (region, barrier
-	// and chunk charges) built with internal/profile — the paper's §4
-	// ranked-loop view of the same trace.
-	Ranked []profile.Entry `json:"ranked,omitempty"`
+	// and chunk charges, see rank) — the paper's §4 ranked-loop view of
+	// the same trace.
+	Ranked []Entry `json:"ranked,omitempty"`
 }
 
 // span is one chunk or barrier occurrence inside a region.
@@ -532,7 +531,7 @@ func Analyze(events []obs.Event, cfg Config) *Report {
 		r.PlateauEfficiency = float64(onPlateau) / float64(total)
 	}
 
-	r.Ranked = profile.FromTrace(events).Entries()
+	r.Ranked = rank(events)
 	return r
 }
 

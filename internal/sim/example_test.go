@@ -17,9 +17,7 @@ func Example() {
 	r := sim.At(prof, m, 124)
 	fmt.Printf("steps/hour: %.0f\n", r.StepsPerHour)
 	fmt.Printf("speedup:    %.1f\n", r.Speedup)
-	fmt.Printf("turnaround for 1000 steps: %.1f hours\n", r.TurnaroundHours(1000))
 	// Output:
 	// steps/hour: 154
 	// speedup:    66.9
-	// turnaround for 1000 steps: 6.5 hours
 }

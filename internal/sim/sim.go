@@ -118,54 +118,3 @@ func FindPlateaus(results []Result, tol float64, minLen int) []Plateau {
 	}
 	return out
 }
-
-// CrossoverProcs returns the smallest processor count at which a's
-// steps/hour exceeds b's, or 0 if it never does. Both sweeps must be
-// over the same processor counts.
-func CrossoverProcs(a, b []Result) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i].Procs != b[i].Procs {
-			panic("sim: CrossoverProcs sweeps have mismatched processor counts")
-		}
-		if a[i].StepsPerHour > b[i].StepsPerHour {
-			return a[i].Procs
-		}
-	}
-	return 0
-}
-
-// TurnaroundHours returns the wall-clock hours needed to run the given
-// number of time steps at this result's rate — the metric the paper
-// says users actually care about ("what really matters are metrics such
-// as run time and turnaround time", §5).
-func (r Result) TurnaroundHours(steps int) float64 {
-	if steps < 0 {
-		panic(fmt.Sprintf("sim: TurnaroundHours steps must be >= 0, got %d", steps))
-	}
-	return float64(steps) / r.StepsPerHour
-}
-
-// Efficiency returns speedup per processor (parallel efficiency).
-func (r Result) Efficiency() float64 {
-	return r.Speedup / float64(r.Procs)
-}
-
-// BestProcs returns the sweep entry with the highest steps/hour: where
-// "the speed first peaks and then starts to drop off" (§4), or the last
-// entry if the sweep never peaks.
-func BestProcs(results []Result) Result {
-	if len(results) == 0 {
-		panic("sim: BestProcs on empty sweep")
-	}
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.StepsPerHour > best.StepsPerHour {
-			best = r
-		}
-	}
-	return best
-}

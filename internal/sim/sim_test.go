@@ -243,20 +243,6 @@ func TestFindPlateaus(t *testing.T) {
 	FindPlateaus(res, 0, 3)
 }
 
-func TestCrossoverProcs(t *testing.T) {
-	a := []Result{{Procs: 1, StepsPerHour: 1}, {Procs: 2, StepsPerHour: 5}}
-	b := []Result{{Procs: 1, StepsPerHour: 2}, {Procs: 2, StepsPerHour: 4}}
-	if got := CrossoverProcs(a, b); got != 2 {
-		t.Errorf("CrossoverProcs = %d, want 2", got)
-	}
-	if got := CrossoverProcs(b[:1], a[:1]); got != 1 {
-		t.Errorf("CrossoverProcs = %d, want 1", got)
-	}
-	if got := CrossoverProcs(a[:1], b[:1]); got != 0 {
-		t.Errorf("CrossoverProcs = %d, want 0", got)
-	}
-}
-
 func TestMachineModels(t *testing.T) {
 	for _, m := range machine.Evaluated() {
 		if m.CyclesPerFlop() <= 0 {
@@ -297,51 +283,6 @@ func TestSizeScanFlatMFLOPS(t *testing.T) {
 			t.Errorf("1-proc MFLOPS varies with size: %v", rates)
 		}
 	}
-}
-
-func TestResultMetrics(t *testing.T) {
-	r := Result{Procs: 64, StepsPerHour: 100, Speedup: 48}
-	if got := r.TurnaroundHours(500); got != 5 {
-		t.Errorf("TurnaroundHours = %g, want 5", got)
-	}
-	if got := r.Efficiency(); got != 0.75 {
-		t.Errorf("Efficiency = %g, want 0.75", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative steps should panic")
-		}
-	}()
-	r.TurnaroundHours(-1)
-}
-
-func TestBestProcs(t *testing.T) {
-	// A profile whose speed peaks and drops: BestProcs finds the peak.
-	m := machine.Origin2000R12K()
-	m.SyncBaseCycles, m.SyncPerProcCycles = 1e5, 5e4
-	res := Sweep(flatProfile(2e7, 1<<20), m, 64)
-	best := BestProcs(res)
-	if best.Procs <= 1 || best.Procs >= 64 {
-		t.Errorf("peak at %d procs, expected an interior peak", best.Procs)
-	}
-	for _, r := range res {
-		if r.StepsPerHour > best.StepsPerHour {
-			t.Errorf("BestProcs missed a better entry at %d procs", r.Procs)
-		}
-	}
-	// The paper's own sweeps: the 59M case still improves at 124 procs,
-	// so its best is at the top of the range.
-	prof := F3DProfile(grid.Paper59M())
-	sweep := Sweep(prof, machine.Origin2000R12K(), 124)
-	if b := BestProcs(sweep); b.Procs < 110 {
-		t.Errorf("59M sweep should peak near the top, got %d", b.Procs)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("empty sweep should panic")
-		}
-	}()
-	BestProcs(nil)
 }
 
 func TestPaperTable4Data(t *testing.T) {
