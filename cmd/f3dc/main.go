@@ -89,7 +89,7 @@ func main() {
 	flag.StringVar(&o.cuts, "cuts", "11,22", "comma-separated J cut planes (zone boundaries)")
 	flag.IntVar(&o.steps, "steps", 10, "lockstep time steps")
 	flag.Float64Var(&o.pulse, "pulse", 0.02, "initial pulse amplitude")
-	flag.StringVar(&o.job, "job", "f3dc", "workload key (consistent hashing routes on it)")
+	flag.StringVar(&o.job, "job", "f3dc", "workload key (live workers are ranked by a hash of it)")
 	flag.IntVar(&o.ckpt, "checkpoint-every", 0, "checkpoint cadence in steps (0 = every step, <0 = never)")
 	flag.IntVar(&o.maxFail, "max-failovers", 0, "re-shard budget before giving up (0 = engine default)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request HTTP timeout")

@@ -1,6 +1,6 @@
 // Package cluster distributes the F3D solver stack across machines: a
-// coordinator routes jobs to registered f3dd worker daemons by
-// consistent hashing, and a sharded-solve engine splits one multi-zone
+// coordinator ranks registered f3dd worker daemons per job key by
+// rendezvous hashing, and a sharded-solve engine splits one multi-zone
 // case into contiguous zone groups, one group per worker, stepping all
 // shards in lockstep with boundary-plane exchange between steps.
 //
@@ -8,14 +8,15 @@
 // node scope, the stair-step model says a loop of m units on p
 // processors runs in ceil(m/p) serial chunks; at cluster scope the
 // same arithmetic governs zones per worker, so the shard planner runs
-// the identical sched.Allocator policy with "processors" replaced by
-// whole daemons. And just as the paper demands parallelization change
-// nothing about the numerics, the distributed solve reproduces the
-// single-node residual history bitwise: zones are coupled through
-// whole J-planes captured at the start of each time step (f3d's zonal
-// scheme), planes cross the transport as raw IEEE-754 bits, and
-// per-zone residual parts are re-folded in global zone order so no
-// floating-point regrouping sneaks in.
+// the identical plateau rule (sched.PlateauGrant) with "processors"
+// replaced by whole daemons. And just as the paper demands
+// parallelization change nothing about the numerics, the distributed
+// solve reproduces the single-node residual history bitwise: a shard is
+// an f3d solver whose cross-shard interface sides are f3d.Remote, the
+// planes those faces need are captured at the start of each time step
+// and cross the transport as raw IEEE-754 bits into the solver's
+// Receive, and per-zone residual parts are re-folded in global zone
+// order so no floating-point regrouping sneaks in.
 //
 // The transport is an interface: LocalWorker runs shards in-process
 // for deterministic tests (with injectable node loss and slow links),
@@ -32,7 +33,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -195,13 +195,14 @@ type captureSpec struct {
 // so a duplicate in-flight step waits and then fails the lockstep
 // check, and a release waits for the running step before closing.
 type shard struct {
-	job      string
-	lo, hi   int
+	job    string
+	lo, hi int
+	// captures has one entry per cross-shard interface, so its length is
+	// also the number of Remote faces: the planes every step must carry.
 	captures []captureSpec
 
 	mu     sync.Mutex
 	solver *f3d.CacheSolver
-	inbox  []f3d.BoundaryPlane // local-addressed, set before each Step
 	step   int
 	closed bool // released while a step was waiting on mu
 }
@@ -262,40 +263,41 @@ func (h *Host) Close() {
 	}
 }
 
-// Create builds a shard from the request: the sub-case Zones[Lo:Hi)
-// with intra-shard interfaces kept local and cross-shard couplings
-// turned into capture specs, the solver initialized exactly as the
-// single-node solve (shared Dt, same pulse), optionally overwritten
-// from checkpoint snapshots.
+// Create builds a shard from the request: the sub-case Zones[Lo:Hi),
+// whose cross-shard interfaces keep their local side and turn the other
+// into f3d.Remote (fed by the planes each step carries) plus a capture
+// spec, the solver initialized exactly as the single-node solve (shared
+// Dt, same pulse), optionally overwritten from checkpoint snapshots.
 func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	if req.Lo < 0 || req.Hi > len(req.Zones) || req.Lo >= req.Hi {
 		return CreateShardResponse{}, fmt.Errorf("cluster: shard range [%d, %d) of %d zones", req.Lo, req.Hi, len(req.Zones))
 	}
-	sub := grid.Case{
+	cfg := req.Config
+	cfg.Case = grid.Case{
 		Name:  fmt.Sprintf("%s-shard-%d-%d", req.Job, req.Lo, req.Hi),
 		Zones: append([]grid.Zone(nil), req.Zones[req.Lo:req.Hi]...),
 	}
-	var local []f3d.Interface
-	var caps []captureSpec
-	for _, f := range req.Interfaces {
-		lin := f.Left >= req.Lo && f.Left < req.Hi
-		rin := f.Right >= req.Lo && f.Right < req.Hi
-		switch {
-		case lin && rin:
-			local = append(local, f3d.Interface{Left: f.Left - req.Lo, Right: f.Right - req.Lo})
-		case lin:
-			caps = append(caps, captureSpec{local: f.Left - req.Lo, face: f3d.FaceJMax, recvGlobal: f.Right})
-		case rin:
-			caps = append(caps, captureSpec{local: f.Right - req.Lo, face: f3d.FaceJMin, recvGlobal: f.Left})
+	cfg.Interfaces = nil
+	sh := &shard{job: req.Job, lo: req.Lo, hi: req.Hi, step: req.Step}
+	local := func(zone int) int {
+		if zone < req.Lo || zone >= req.Hi {
+			return f3d.Remote
 		}
+		return zone - req.Lo
 	}
-	cfg := req.Config
-	cfg.Case = sub
-	cfg.Interfaces = local
-	sh := &shard{job: req.Job, lo: req.Lo, hi: req.Hi, captures: caps, step: req.Step}
-	solver, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{
-		BoundaryHook: func(zone int) { sh.applyInbox(zone) },
-	})
+	for _, f := range req.Interfaces {
+		l := f3d.Interface{Left: local(f.Left), Right: local(f.Right)}
+		switch {
+		case l.Left == f3d.Remote && l.Right == f3d.Remote:
+			continue
+		case l.Right == f3d.Remote:
+			sh.captures = append(sh.captures, captureSpec{local: l.Left, face: f3d.FaceJMax, recvGlobal: f.Right})
+		case l.Left == f3d.Remote:
+			sh.captures = append(sh.captures, captureSpec{local: l.Right, face: f3d.FaceJMin, recvGlobal: f.Left})
+		}
+		cfg.Interfaces = append(cfg.Interfaces, l)
+	}
+	solver, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
 	if err != nil {
 		return CreateShardResponse{}, fmt.Errorf("cluster: shard solver: %w", err)
 	}
@@ -320,24 +322,6 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	return CreateShardResponse{ID: id, Planes: planes}, nil
 }
 
-// applyInbox is the shard's BoundaryHook body: write every inbox plane
-// addressed to the given local zone onto its face. It runs inside the
-// solver's boundary phase, after the zone's boundary conditions and
-// local interface planes — the exact point applyInterfacesTo uses, so
-// remote coupling is indistinguishable from local coupling.
-func (sh *shard) applyInbox(zone int) {
-	for i := range sh.inbox {
-		if sh.inbox[i].Zone != zone {
-			continue
-		}
-		if err := sh.inbox[i].Apply(sh.solver); err != nil {
-			// The host validated dimensions at decode; a failure here
-			// is a programming error, not an operational condition.
-			panic(fmt.Sprintf("cluster: apply plane: %v", err))
-		}
-	}
-}
-
 // capturePlanes snapshots every donor plane of the shard at the
 // current time level, addressed to its global receiver zone.
 func (sh *shard) capturePlanes() ([][]byte, error) {
@@ -360,10 +344,12 @@ func (sh *shard) capturePlanes() ([][]byte, error) {
 	return out, nil
 }
 
-// Step advances one shard one lockstep time step: decode and stage the
-// incoming planes, step the solver (the BoundaryHook applies the
-// planes at the zonal-coupling point), report per-zone residual parts
-// and the donor planes for the next step.
+// Step advances one shard one lockstep time step: decode the incoming
+// planes, exactly one per Remote face, and hand them to the solver's
+// Receive, step the solver, report per-zone residual parts and the donor
+// planes for the next step. A step refused midway may leave planes
+// staged; the coordinator treats any failed step as a lost worker and
+// re-shards.
 //
 // When a tracer is attached and enabled (SetObs), the handler emits
 // two spans stamped with the request's solve id and step epoch: a
@@ -392,7 +378,10 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	if req.Step != sh.step {
 		return StepResponse{}, fmt.Errorf("cluster: shard %q at step %d, request for step %d", req.ID, sh.step, req.Step)
 	}
-	inbox := make([]f3d.BoundaryPlane, 0, len(req.Planes))
+	if len(req.Planes) != len(sh.captures) {
+		return StepResponse{}, fmt.Errorf("cluster: shard %q has %d remote faces, step %d carries %d planes",
+			req.ID, len(sh.captures), req.Step, len(req.Planes))
+	}
 	for _, b := range req.Planes {
 		var p f3d.BoundaryPlane
 		if err := p.UnmarshalBinary(b); err != nil {
@@ -402,14 +391,10 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 			return StepResponse{}, fmt.Errorf("cluster: plane for zone %d outside shard [%d, %d)", p.Zone, sh.lo, sh.hi)
 		}
 		p.Zone -= sh.lo
-		z := sh.solver.Zones()[p.Zone].Zone
-		if z.KMax != p.KMax || z.LMax != p.LMax {
-			return StepResponse{}, fmt.Errorf("cluster: plane %dx%d for zone %q face %dx%d",
-				p.KMax, p.LMax, z.Name, z.KMax, z.LMax)
+		if err := sh.solver.Receive(&p); err != nil {
+			return StepResponse{}, fmt.Errorf("cluster: receive plane: %w", err)
 		}
-		inbox = append(inbox, p)
 	}
-	sh.inbox = inbox
 	if traced {
 		tDecoded = tr.Now()
 	}
@@ -475,16 +460,6 @@ func takeBuf(free *[][]byte) []byte {
 	b := (*free)[0]
 	*free = (*free)[1:]
 	return b[:0]
-}
-
-// planeReceiver peeks the global receiver zone out of an encoded
-// plane without decoding the payload — the routing key of the
-// exchange round.
-func planeReceiver(b []byte) (int, error) {
-	if len(b) < 8 {
-		return 0, fmt.Errorf("cluster: plane payload of %d bytes", len(b))
-	}
-	return int(binary.BigEndian.Uint32(b[4:])), nil
 }
 
 // interiorPoints sums the implicit-update interior of the zones, the

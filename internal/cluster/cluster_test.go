@@ -252,7 +252,7 @@ func TestFailoverWithSparseCheckpoints(t *testing.T) {
 			t.Fatalf("every=%d: solve: %v", every, err)
 		}
 		if flaky.calls <= flaky.n {
-			// The ring may not have placed a shard on the flaky worker
+			// Placement may not have put a shard on the flaky worker
 			// for this job; the solve still must be correct.
 			t.Logf("every=%d: flaky worker unused", every)
 		}
@@ -353,7 +353,15 @@ func TestRankConsistency(t *testing.T) {
 		leaders[first[k][0]] = true
 	}
 	if len(leaders) < 2 {
-		t.Errorf("all %d keys lead with the same worker %v: the ring does not spread them", len(keys), leaders)
+		t.Errorf("all %d keys lead with the same worker %v: rank does not spread them", len(keys), leaders)
+	}
+	// Keys that differ only in their last byte must spread too.
+	clear(leaders)
+	for k := 'a'; k <= 'f'; k++ {
+		leaders[c.rank("job-" + string(k))[0]] = true
+	}
+	if len(leaders) < 2 {
+		t.Errorf("job-a … job-f all lead with %v: rank does not spread near-identical keys", leaders)
 	}
 	// Lose one worker: only keys it owned may move.
 	gone := first[keys[0]][0]
@@ -368,44 +376,6 @@ func TestRankConsistency(t *testing.T) {
 	// No workers at all ranks nobody.
 	if got := New(Config{}).rank("k"); len(got) != 0 {
 		t.Errorf("rank with no workers = %v", got)
-	}
-}
-
-// TestRingBasics covers the ring directly: distinct LookupN results,
-// add/remove idempotence, empty-ring lookups.
-func TestRingBasics(t *testing.T) {
-	r := NewRing(32)
-	if got := r.LookupN("k", 1); len(got) != 0 {
-		t.Errorf("lookup on empty ring = %v", got)
-	}
-	r.Add("n1")
-	r.Add("n2")
-	r.Add("n3")
-	r.Add("n2") // idempotent
-	if r.Len() != 3 {
-		t.Fatalf("ring has %d nodes, want 3", r.Len())
-	}
-	ns := r.LookupN("key", 3)
-	if len(ns) != 3 {
-		t.Fatalf("LookupN returned %v", ns)
-	}
-	seen := map[string]bool{}
-	for _, n := range ns {
-		if seen[n] {
-			t.Fatalf("LookupN returned duplicate %q in %v", n, ns)
-		}
-		seen[n] = true
-	}
-	if got := r.LookupN("key", 10); len(got) != 3 {
-		t.Errorf("LookupN over-ask returned %v", got)
-	}
-	r.Remove("n2")
-	r.Remove("n2") // idempotent
-	if r.Len() != 2 {
-		t.Fatalf("ring has %d nodes after remove, want 2", r.Len())
-	}
-	if got := r.LookupN("key", 3); len(got) != 2 || slices.Contains(got, "n2") {
-		t.Errorf("LookupN after removing n2 = %v, want n1 and n3", got)
 	}
 }
 
@@ -477,25 +447,49 @@ func TestHostErrors(t *testing.T) {
 	if len(resp.Planes) != 1 {
 		t.Fatalf("initial planes %d, want 1 (one cross-shard coupling)", len(resp.Planes))
 	}
-	if _, err := h.Step(StepRequest{ID: "nope", Step: 0}); err == nil {
-		t.Error("step of unknown shard accepted")
-	}
-	if _, err := h.Step(StepRequest{ID: resp.ID, Step: 3}); err == nil {
-		t.Error("out-of-lockstep step accepted")
-	}
-	if _, err := h.Step(StepRequest{ID: resp.ID, Step: 0, Planes: [][]byte{{1, 2, 3}}}); err == nil {
-		t.Error("garbage plane accepted")
-	}
-	// A plane addressed outside the shard's range must be rejected.
-	p := f3d.BoundaryPlane{Zone: 2, Face: f3d.FaceJMin, KMax: zones[2].KMax, LMax: zones[2].LMax,
-		Data: make([]float64, zones[2].KMax*zones[2].LMax*euler.NC)}
-	pb, err := p.MarshalBinary()
+	// resp's shard [0, 2) couples zones 0 and 1 locally and has one Remote
+	// face, zone 1's J-max; mid's shard [1, 2) has two, both of zone 1.
+	mid, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 1, Hi: 2, Config: cfg, PulseAmp: amp})
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("create: %v", err)
 	}
-	if _, err := h.Step(StepRequest{ID: resp.ID, Step: 0, Planes: [][]byte{pb}}); err == nil ||
-		!strings.Contains(err.Error(), "outside shard") {
-		t.Errorf("foreign plane: err %v", err)
+	plane := func(zone int, face f3d.Face) []byte {
+		z := zones[zone]
+		p := f3d.BoundaryPlane{Zone: zone, Face: face, KMax: z.KMax, LMax: z.LMax,
+			Data: make([]float64, z.KMax*z.LMax*euler.NC)}
+		b, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name   string
+		id     string
+		step   int
+		planes [][]byte
+		want   string
+	}{
+		{"unknown shard", "nope", 0, nil, "no shard"},
+		{"out of lockstep", resp.ID, 3, nil, "request for step 3"},
+		{"missing plane", resp.ID, 0, nil, "1 remote faces, step 0 carries 0 planes"},
+		{"garbage plane", resp.ID, 0, [][]byte{{1, 2, 3}}, "decode plane"},
+		{"plane outside the shard", resp.ID, 0, [][]byte{plane(2, f3d.FaceJMin)}, "outside shard"},
+		{"plane for a locally coupled face", resp.ID, 0, [][]byte{plane(1, f3d.FaceJMin)}, "no remote link"},
+		{"duplicate plane", mid.ID, 0, [][]byte{plane(1, f3d.FaceJMax), plane(1, f3d.FaceJMax)}, "second boundary plane"},
+	} {
+		if _, err := h.Step(StepRequest{ID: tc.id, Step: tc.step, Planes: tc.planes}); err == nil ||
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Zone 2's shard donates exactly the plane resp's shard is missing.
+	last, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 2, Hi: 3, Config: cfg, PulseAmp: amp})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := h.Step(StepRequest{ID: resp.ID, Step: 0, Planes: last.Planes}); err != nil {
+		t.Errorf("step with its one plane after the rejected ones: %v", err)
 	}
 	if err := h.Release(ReleaseRequest{ID: "nope"}); err == nil {
 		t.Error("release of unknown shard accepted")

@@ -1,14 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -35,14 +35,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// HeartbeatTTL overrides DefaultHeartbeatTTL when > 0.
 	HeartbeatTTL time.Duration
-	// Replicas is the consistent-hash ring's virtual-node count per
-	// worker (default 64).
-	Replicas int
-	// Allocator is the shard-planning policy: how many workers a solve
-	// with m zones uses. nil defaults to sched.PlateauAllocator — the
-	// same stair-step rule the node scheduler applies to processors,
-	// run here with whole daemons as the resource.
-	Allocator sched.Allocator
 }
 
 // workerState is the coordinator's record of one registered worker.
@@ -54,17 +46,15 @@ type workerState struct {
 }
 
 // Coordinator tracks worker membership and plans sharded solves: zone
-// groups go to workers in the job key's consistent-hash ring order
-// (rank), so a solve's placement is stable as workers join and leave.
+// groups go to workers in the job key's rendezvous-hash order (rank), so
+// a solve's placement is stable as workers join and leave.
 type Coordinator struct {
 	cfg      Config
 	clock    simclock.Clock
-	alloc    sched.Allocator
 	solveSeq atomic.Uint64 // assigns per-solve trace ids
 
 	mu      sync.Mutex
 	workers map[string]*workerState
-	ring    *Ring
 
 	ctrHeartbeats *obs.Counter
 	ctrSteps      *obs.Counter
@@ -84,21 +74,13 @@ func New(cfg Config) *Coordinator {
 	if cfg.HeartbeatTTL <= 0 {
 		cfg.HeartbeatTTL = DefaultHeartbeatTTL
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
-	if cfg.Allocator == nil {
-		cfg.Allocator = sched.PlateauAllocator{}
-	}
 	if cfg.Node == "" {
 		cfg.Node = "coord"
 	}
 	c := &Coordinator{
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		alloc:   cfg.Allocator,
 		workers: make(map[string]*workerState),
-		ring:    NewRing(cfg.Replicas),
 
 		ctrHeartbeats: cfg.Metrics.Counter("cluster_heartbeats_total", "Worker heartbeats received."),
 		ctrSteps:      cfg.Metrics.Counter("cluster_shard_steps_total", "Lockstep shard time steps completed across all solves."),
@@ -137,13 +119,12 @@ func (c *Coordinator) Register(id string, client WorkerClient) error {
 		return fmt.Errorf("cluster: worker %q already registered", id)
 	}
 	c.workers[id] = &workerState{id: id, client: client, lastSeen: c.clock.Now()}
-	c.ring.Add(id)
 	return nil
 }
 
 // Heartbeat records a sign of life from a worker. Heartbeating a lost
-// worker revives it (rejoining the ring). Unknown ids are an error —
-// workers must register first.
+// worker revives it. Unknown ids are an error — workers must register
+// first.
 func (c *Coordinator) Heartbeat(id string) error {
 	c.mu.Lock()
 	w, ok := c.workers[id]
@@ -154,9 +135,6 @@ func (c *Coordinator) Heartbeat(id string) error {
 	revived := w.lost
 	w.lost = false
 	w.lastSeen = c.clock.Now()
-	if revived {
-		c.ring.Add(id)
-	}
 	c.mu.Unlock()
 	c.ctrHeartbeats.Inc()
 	if c.cfg.Tracer.Enabled() {
@@ -172,12 +150,11 @@ func (c *Coordinator) Heartbeat(id string) error {
 
 // MarkLost declares a worker dead (failed RPC, missed heartbeats). It
 // stays registered so a later heartbeat can revive it, but leaves the
-// ring and the live set immediately.
+// live set immediately.
 func (c *Coordinator) MarkLost(id string) {
 	c.mu.Lock()
-	if w, ok := c.workers[id]; ok && !w.lost {
+	if w, ok := c.workers[id]; ok {
 		w.lost = true
-		c.ring.Remove(id)
 	}
 	c.mu.Unlock()
 }
@@ -198,7 +175,7 @@ func (c *Coordinator) Live() []string {
 			out = append(out, id)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -214,19 +191,29 @@ func (c *Coordinator) client(id string) (WorkerClient, error) {
 	return w.client, nil
 }
 
-// rank returns the key's preference order over live workers: the
-// consistent-hash ring walk, filtered to workers still within their
-// heartbeat TTL.
+// rank returns the key's preference order over live workers by
+// rendezvous hashing: workers sorted by descending weight(key, worker),
+// ties by id. A worker's weight does not depend on who else is live, so
+// losing one moves only the keys it led and keeps every survivor's place
+// relative to the others.
 func (c *Coordinator) rank(key string) []string {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	all := c.ring.LookupN(key, c.ring.Len())
-	out := make([]string, 0, len(all))
-	for _, id := range all {
-		if w, ok := c.workers[id]; ok && c.liveLocked(w, now) {
-			out = append(out, id)
+	ids := c.Live()
+	slices.SortStableFunc(ids, func(a, b string) int { return cmp.Compare(weight(key, b), weight(key, a)) })
+	return ids
+}
+
+// weight is the rendezvous score of worker id for key: FNV-1a over key,
+// a zero byte and id, then the splitmix64 finalizer, so keys that differ
+// only in their last byte still score independently. It is stable across
+// processes and platforms, so a restarted coordinator places alike.
+func weight(key, id string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range [3]string{key, "\x00", id} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
 		}
 	}
-	return out
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }

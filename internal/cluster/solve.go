@@ -10,13 +10,14 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // SolveSpec describes one sharded multi-zone solve.
 type SolveSpec struct {
-	// Job is the workload key: consistent hashing on it picks which
-	// workers host the shards, so the same job lands on the same
-	// workers while membership is stable.
+	// Job is the workload key: rank orders the live workers by a hash of
+	// it and the shards go to the first ones, so the same job lands on
+	// the same workers while membership is stable.
 	Job string
 	// Zones and Interfaces are the global case (f3d.StackAlongJ
 	// produces matched pairs).
@@ -253,7 +254,7 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("cluster: no live workers")
 	}
-	granted := c.alloc.Grant(len(spec.Zones), len(ranked))
+	granted := sched.PlateauGrant(len(spec.Zones), len(ranked))
 	workers := ranked[:granted]
 	// k zones per shard is the stair-step plateau: the lockstep wall
 	// time is the slowest shard's, so only the max group size matters,
@@ -393,7 +394,7 @@ func routePlanes(shards []*runShard, resps []StepResponse) error {
 	}
 	for i := range resps {
 		for _, b := range resps[i].Planes {
-			zone, err := planeReceiver(b)
+			zone, err := f3d.PlaneZone(b)
 			if err != nil {
 				return err
 			}

@@ -216,16 +216,15 @@ func BenchmarkZonalExchange(b *testing.B) {
 	s := mustSolver(NewCacheSolver(cfg, CacheOptions{}))
 	defer s.Close()
 	InitUniform(s)
-	bufs := newIfaceBuffers(cfg.Case, ifaces)
 	b.Run("capture", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			captureInterfaces(s.Zones(), ifaces, bufs)
+			captureLinks(s.links, s.zones)
 		}
 	})
 	b.Run("apply", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			applyInterfacesTo(0, s.Zones(), ifaces, bufs)
-			applyInterfacesTo(1, s.Zones(), ifaces, bufs)
+			applyLinks(s.links, 0, s.zones[0])
+			applyLinks(s.links, 1, s.zones[1])
 		}
 	})
 }

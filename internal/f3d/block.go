@@ -50,7 +50,7 @@ func newBlockScratch(nmax int) *cacheScratch {
 
 // NewBlockSolver builds the block-implicit solver. It runs the same
 // step driver as CacheSolver — every StepShape, Profiler, PhaseTrace and
-// BoundaryHook included — with the block sweeps in place of the
+// Remote link included — with the block sweeps in place of the
 // diagonalized ones. ZoneTeams is not supported.
 func NewBlockSolver(cfg Config, opts CacheOptions) (*BlockSolver, error) {
 	if cfg.ImplicitDissip4 {

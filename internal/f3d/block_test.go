@@ -2,6 +2,7 @@ package f3d
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -184,22 +185,27 @@ func TestBlockTeamResizeMidRun(t *testing.T) {
 	}
 }
 
-// Profiler, PhaseTrace and BoundaryHook reach the block solver through
+// Profiler, PhaseTrace and Remote links reach the block solver through
 // the shared driver instead of being dropped.
 func TestBlockSolverHonoursDriverOptions(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
+	cfg.Interfaces = []Interface{{Left: 0, Right: Remote}}
 	prof := analyze.NewProfiler()
 	tr := obs.NewTracer(1<<12, nil)
 	tr.Enable()
 	team := parloop.NewTeam(2)
 	defer team.Close()
 	team.SetTracer(tr, "blk")
-	hooks := 0
-	s := newBlock(t, cfg, CacheOptions{Team: team, Profiler: prof, PhaseTrace: "blk", BoundaryHook: func(int) { hooks++ }})
+	s := newBlock(t, cfg, CacheOptions{Team: team, Profiler: prof, PhaseTrace: "blk"})
 	InitPulse(s, 0.01)
+	receiveOwnPlane(t, s)
+	want := make([]float64, len(s.links[0].plane))
+	copyPlane(s.Zones()[0], 1, want, false)
 	s.Step()
-	if hooks != 1 {
-		t.Errorf("BoundaryHook ran %d times in one single-zone step, want 1", hooks)
+	got := make([]float64, len(want))
+	copyPlane(s.Zones()[0], s.Zones()[0].Zone.JMax-1, got, false)
+	if !slices.Equal(got, want) {
+		t.Error("the received plane is not on the Remote J-max face after the step")
 	}
 	if got := len(prof.Entries()); got != 5 {
 		t.Errorf("profiler has %d entries, want the 5 groups of the default shape: %v", got, prof.Entries())

@@ -44,27 +44,6 @@ type CacheOptions struct {
 	// step. Not supported together with ZoneTeams (phases of different
 	// zones overlap).
 	PhaseTrace string
-	// BoundaryHook, when set, is called once per zone per step inside
-	// the boundary phase — after the zone's boundary conditions and
-	// local interface planes are applied, before its right-hand side.
-	// It runs on a single goroutine and must not open regions on the
-	// zone's team (with ZoneTeams, hooks of different zones run
-	// concurrently).
-	// The cluster shard engine uses it to write boundary planes received
-	// from zones living on other workers (BoundaryPlane.Apply), which
-	// lands remote data at exactly the point applyInterfacesTo lands
-	// local data, keeping the distributed step bitwise identical to the
-	// single-node one.
-	BoundaryHook func(zone int)
-}
-
-// shapeCell returns the options' shape cell, or a fresh one holding
-// DefaultShape when none was given.
-func (o CacheOptions) shapeCell() *ShapeCfg {
-	if o.Shape != nil {
-		return o.Shape
-	}
-	return NewShapeCfg(DefaultShape())
 }
 
 // cacheScratch is one worker's private working set: a pencil plus flux

@@ -133,11 +133,6 @@ type Config struct {
 	// matching the explicit fourth-difference dissipation implicitly
 	// permits larger stable time steps). EpsI scales it either way.
 	ImplicitDissip4 bool
-	// ParallelizeBC also runs the boundary-condition routines inside
-	// parallel regions. The paper leaves BC routines serial because
-	// their loops are too cheap to amortize a synchronization (§3);
-	// the flag exists so the trade-off can be benchmarked.
-	ParallelizeBC bool
 	// Viscous enables the thin-layer Navier–Stokes terms (viscous
 	// derivatives in the L direction only, as in F3D). Re must be set
 	// when Viscous is true.
@@ -146,7 +141,7 @@ type Config struct {
 	Re float64
 	// Interfaces couples zones along J with explicit two-point-overlap
 	// exchange (the zonal scheme of F3D/ZNSFLOW). Coupled faces override
-	// the BC treatment.
+	// the BC treatment. A Remote side's plane arrives through Receive.
 	Interfaces []Interface
 }
 

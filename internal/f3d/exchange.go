@@ -11,12 +11,13 @@ import (
 
 // Boundary-plane exchange. The zonal scheme couples zones through
 // whole J-planes of conserved state captured at the start of a time
-// step (zonal.go). When the zones of one case are sharded across
-// daemons, those planes become the wire payload: each worker captures
-// the donor planes its neighbours need, the coordinator routes them,
-// and the receivers write them onto their coupled faces after boundary
-// conditions — exactly where applyInterfacesTo runs in the single-node
-// solver, so the distributed step reproduces the single-node step
+// step, one link per coupled face (zonal.go). When the zones of one
+// case are sharded across daemons, a shard is a solver whose
+// cross-shard interfaces have a Remote side: each worker captures the
+// donor planes its neighbours need (CapturePlane), the coordinator
+// routes them, and the receiver hands each to Receive, which fills the
+// remote link. The step writes remote and local links at the same
+// point, so the distributed step reproduces the single-node step
 // bitwise.
 
 // BoundaryPlane is one zone's J-face exchange payload: a KMax×LMax
@@ -33,8 +34,8 @@ type BoundaryPlane struct {
 	// KMax, LMax are the plane's dimensions; they must match the
 	// receiving zone's.
 	KMax, LMax int
-	// Data holds KMax*LMax*euler.NC conserved values in the capture
-	// order of captureInterfaces: l-major, then k, then component.
+	// Data holds KMax*LMax*euler.NC conserved values in copyPlane
+	// order: l-major, then k, then component.
 	Data []float64
 }
 
@@ -63,37 +64,24 @@ func (p *BoundaryPlane) Validate() error {
 // FaceJMin the j=1 interior plane (feeding a left neighbour's j=JMax-1
 // face). The returned plane is addressed to the *donor's* zone and
 // face; the caller re-addresses it to the receiver (RetargetTo) before
-// applying. Capture must happen at the start of the step, before any
-// zone advances — the same time level captureInterfaces uses.
+// handing it to Receive. Capture must happen at the start of the step,
+// before any zone advances — the time level the local links capture at.
 func CapturePlane(s Solver, zi int, face Face) (BoundaryPlane, error) {
 	zones := s.Zones()
 	if zi < 0 || zi >= len(zones) {
 		return BoundaryPlane{}, fmt.Errorf("f3d: CapturePlane zone %d of %d", zi, len(zones))
 	}
-	zs := zones[zi]
-	z := zs.Zone
-	var j int
-	switch face {
-	case FaceJMax:
-		j = z.JMax - 2
-	case FaceJMin:
-		j = 1
-	default:
+	if face != FaceJMin && face != FaceJMax {
 		return BoundaryPlane{}, fmt.Errorf("f3d: CapturePlane face %v (only %v and %v are exchanged)",
 			face, FaceJMin, FaceJMax)
 	}
+	z := zones[zi].Zone
 	p := BoundaryPlane{
 		Zone: zi, Face: face,
 		KMax: z.KMax, LMax: z.LMax,
 		Data: make([]float64, z.KMax*z.LMax*euler.NC),
 	}
-	pos := 0
-	for l := 0; l < z.LMax; l++ {
-		for k := 0; k < z.KMax; k++ {
-			zs.Q.Point(j, k, l, p.Data[pos:pos+euler.NC])
-			pos += euler.NC
-		}
-	}
+	copyPlane(zones[zi], planeJ(z, face, 1), p.Data, false)
 	return p, nil
 }
 
@@ -111,36 +99,33 @@ func (p BoundaryPlane) RetargetTo(zone int) BoundaryPlane {
 	return p
 }
 
-// Apply writes the plane onto its receiving face of the solver,
-// overriding whatever the boundary conditions put there — the remote
-// half of applyInterfacesTo. It must run after the receiving zone's
-// boundary conditions and before its right-hand side; the solver's
-// BoundaryHook (CacheOptions) is that point.
-func (p *BoundaryPlane) Apply(s Solver) error {
+// Receive stages the plane of a remote link — an Interface side that is
+// Remote — for the next Step, which writes it onto its face where it
+// writes the local links: after the zone's boundary conditions, before
+// its right-hand side. The plane must match its zone's dimensions, and
+// each remote face takes exactly one plane per step: Receive refuses a
+// second before the step that consumes the first, and Step panics on a
+// remote face that got none. Data is copied.
+func (c *stepCore) Receive(p *BoundaryPlane) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	zones := s.Zones()
-	if p.Zone < 0 || p.Zone >= len(zones) {
-		return fmt.Errorf("f3d: boundary plane for zone %d of %d", p.Zone, len(zones))
+	i := slices.IndexFunc(c.links, func(l link) bool {
+		return l.donor == Remote && l.zone == p.Zone && l.face == p.Face
+	})
+	if i < 0 {
+		return fmt.Errorf("f3d: boundary plane for zone %d face %v, which has no remote link", p.Zone, p.Face)
 	}
-	zs := zones[p.Zone]
-	z := zs.Zone
-	if z.KMax != p.KMax || z.LMax != p.LMax {
+	l := &c.links[i]
+	if z := c.zones[l.zone].Zone; z.KMax != p.KMax || z.LMax != p.LMax {
 		return fmt.Errorf("f3d: boundary plane %dx%d onto zone %q face %dx%d",
 			p.KMax, p.LMax, z.Name, z.KMax, z.LMax)
 	}
-	j := 0
-	if p.Face == FaceJMax {
-		j = z.JMax - 1
+	if l.fresh {
+		return fmt.Errorf("f3d: second boundary plane for zone %d face %v in one step", p.Zone, p.Face)
 	}
-	pos := 0
-	for l := 0; l < z.LMax; l++ {
-		for k := 0; k < z.KMax; k++ {
-			zs.Q.SetPoint(j, k, l, p.Data[pos:pos+euler.NC])
-			pos += euler.NC
-		}
-	}
+	copy(l.plane, p.Data)
+	l.fresh = true
 	return nil
 }
 
@@ -174,6 +159,15 @@ func (p *BoundaryPlane) MarshalBinary() ([]byte, error) {
 		off += 8
 	}
 	return buf, nil
+}
+
+// PlaneZone peeks the receiving zone out of a MarshalBinary payload
+// without decoding the plane — the routing key of an exchange round.
+func PlaneZone(b []byte) (int, error) {
+	if len(b) < 8 {
+		return 0, fmt.Errorf("f3d: boundary plane payload of %d bytes", len(b))
+	}
+	return int(binary.BigEndian.Uint32(b[4:])), nil
 }
 
 // UnmarshalBinary decodes a plane encoded by MarshalBinary, rejecting

@@ -3,7 +3,9 @@ package f3d
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 )
 
 // exchangeSolver builds a small two-zone coupled solver with a pulse,
-// the substrate for plane capture/apply tests.
+// the substrate for plane capture/receive tests.
 func exchangeSolver(t testing.TB) *CacheSolver {
 	t.Helper()
 	c, ifaces := SplitAlongJ("ex", 12, 5, 4, 5)
@@ -31,61 +33,64 @@ func TestCapturePlaneMatchesInterfaceBuffers(t *testing.T) {
 	s := exchangeSolver(t)
 	s.Step() // give the faces non-trivial values
 
-	// CapturePlane of zone 0's JMax side must equal what
-	// captureInterfaces stores in toRight, and zone 1's JMin side must
-	// equal toLeft.
-	bufs := newIfaceBuffers(s.cfg.Case, s.cfg.Interfaces)
-	captureInterfaces(s.zones, s.cfg.Interfaces, bufs)
-
-	p0, err := CapturePlane(s, 0, FaceJMax)
-	if err != nil {
-		t.Fatalf("capture zone 0: %v", err)
-	}
-	p1, err := CapturePlane(s, 1, FaceJMin)
-	if err != nil {
-		t.Fatalf("capture zone 1: %v", err)
-	}
-	for i := range p0.Data {
-		if p0.Data[i] != bufs[0].toRight[i] {
-			t.Fatalf("toRight[%d]: captured %v, buffer %v", i, p0.Data[i], bufs[0].toRight[i])
+	// CapturePlane of zone 0's JMax side must equal what the local link
+	// onto zone 1's J-min face captures, and zone 1's JMin side what the
+	// link onto zone 0's J-max face captures.
+	captureLinks(s.links, s.zones)
+	for _, l := range s.links {
+		p, err := CapturePlane(s, l.donor, 1-l.face)
+		if err != nil {
+			t.Fatalf("capture zone %d: %v", l.donor, err)
 		}
-		if p1.Data[i] != bufs[0].toLeft[i] {
-			t.Fatalf("toLeft[%d]: captured %v, buffer %v", i, p1.Data[i], bufs[0].toLeft[i])
+		if !slices.Equal(p.Data, l.plane) {
+			t.Fatalf("link onto zone %d face %v: CapturePlane and the link disagree", l.zone, l.face)
 		}
 	}
 }
 
-func TestCaptureApplyRoundTrip(t *testing.T) {
-	s := exchangeSolver(t)
-	s.Step()
+// receiverSolver builds a one-zone solver for zone zi of the exchange
+// case whose J-min face (zi = 1) or J-max face (zi = 0) is Remote.
+func receiverSolver(t *testing.T, zi int) *CacheSolver {
+	t.Helper()
+	c, _ := SplitAlongJ("ex", 12, 5, 4, 5)
+	cfg := DefaultConfig(c)
+	cfg.Case.Zones = c.Zones[zi : zi+1]
+	cfg.Interfaces = []Interface{{Left: 0, Right: Remote}}
+	if zi == 1 {
+		cfg.Interfaces = []Interface{{Left: Remote, Right: 0}}
+	}
+	s := newCache(t, cfg, CacheOptions{})
+	InitPulse(s, 0.01)
+	return s
+}
+
+func TestCaptureReceiveRoundTrip(t *testing.T) {
+	donor := exchangeSolver(t)
+	donor.Step()
 
 	// Capture zone 0's donor plane, retarget it to zone 1's JMin face,
-	// apply, and confirm zone 1's j=0 face holds exactly the donor
-	// values.
-	p, err := CapturePlane(s, 0, FaceJMax)
+	// hand it to a solver holding zone 1 with that face Remote, step, and
+	// confirm the j=0 face holds exactly the donor values: boundary points
+	// are not updated, so the step leaves the written plane in place.
+	p, err := CapturePlane(donor, 0, FaceJMax)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	q := p.RetargetTo(1)
-	if q.Zone != 1 || q.Face != FaceJMin {
+	q := p.RetargetTo(0)
+	if q.Zone != 0 || q.Face != FaceJMin {
 		t.Fatalf("retarget: got zone %d face %v", q.Zone, q.Face)
 	}
-	if err := q.Apply(s); err != nil {
-		t.Fatalf("apply: %v", err)
+	want := slices.Clone(q.Data)
+	s := receiverSolver(t, 1)
+	if err := s.Receive(&q); err != nil {
+		t.Fatalf("receive: %v", err)
 	}
-	z1 := s.Zones()[1]
-	var buf [euler.NC]float64
-	pos := 0
-	for l := 0; l < z1.Zone.LMax; l++ {
-		for k := 0; k < z1.Zone.KMax; k++ {
-			z1.Q.Point(0, k, l, buf[:])
-			for c := 0; c < euler.NC; c++ {
-				if buf[c] != q.Data[pos+c] {
-					t.Fatalf("face point (%d,%d) comp %d: %v, want %v", k, l, c, buf[c], q.Data[pos+c])
-				}
-			}
-			pos += euler.NC
-		}
+	q.Data[0] = math.NaN() // Receive copied the plane
+	s.Step()
+	got := make([]float64, len(want))
+	copyPlane(s.Zones()[0], 0, got, false)
+	if !slices.Equal(got, want) {
+		t.Fatal("the received plane is not what the face holds after the step")
 	}
 }
 
@@ -215,33 +220,75 @@ func FuzzBoundaryPlaneUnmarshal(f *testing.F) {
 	})
 }
 
-func TestPlaneApplyDimensionMismatch(t *testing.T) {
-	s := exchangeSolver(t)
+func TestReceiveRejects(t *testing.T) {
+	s := receiverSolver(t, 1) // zone 0's J-min face is Remote
 	z := s.Zones()[0].Zone
+	plane := func(zone int, face Face, kmax, n int) *BoundaryPlane {
+		return &BoundaryPlane{Zone: zone, Face: face, KMax: kmax, LMax: z.LMax, Data: make([]float64, n)}
+	}
+	n := z.KMax * z.LMax * euler.NC
+	for _, tc := range []struct {
+		name string
+		p    *BoundaryPlane
+		want string
+	}{
+		{"mismatched dims", plane(0, FaceJMin, z.KMax+1, (z.KMax+1)*z.LMax*euler.NC), "onto zone"},
+		{"short data", plane(0, FaceJMin, z.KMax, 3), "carries"},
+		{"missing zone", plane(7, FaceJMin, z.KMax, n), "no remote link"},
+		{"uncoupled face", plane(0, FaceJMax, z.KMax, n), "no remote link"},
+		{"non-J face", plane(0, FaceKMin, z.KMax, n), "only"},
+	} {
+		if err := s.Receive(tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A face coupled locally takes no plane either.
+	if err := exchangeSolver(t).Receive(plane(1, FaceJMin, z.KMax, n)); err == nil ||
+		!strings.Contains(err.Error(), "no remote link") {
+		t.Errorf("locally coupled face: err %v", err)
+	}
 
-	// Wrong KMax/LMax for the receiving zone.
-	p := BoundaryPlane{Zone: 0, Face: FaceJMin, KMax: z.KMax + 1, LMax: z.LMax,
-		Data: make([]float64, (z.KMax+1)*z.LMax*euler.NC)}
-	if err := p.Apply(s); err == nil || !strings.Contains(err.Error(), "onto zone") {
-		t.Errorf("mismatched dims: err %v", err)
+	// One plane per remote face per step: a second before the step is
+	// refused, and a step with none panics instead of keeping BC values.
+	p, err := CapturePlane(exchangeSolver(t), 0, FaceJMax)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
 	}
-	// Data length inconsistent with the declared dims.
-	p = BoundaryPlane{Zone: 0, Face: FaceJMin, KMax: z.KMax, LMax: z.LMax, Data: make([]float64, 3)}
-	if err := p.Apply(s); err == nil || !strings.Contains(err.Error(), "carries") {
-		t.Errorf("short data: err %v", err)
+	p = p.RetargetTo(0)
+	if err := s.Receive(&p); err != nil {
+		t.Fatalf("first plane: %v", err)
 	}
-	// Zone out of range.
-	p = BoundaryPlane{Zone: 7, Face: FaceJMin, KMax: z.KMax, LMax: z.LMax,
-		Data: make([]float64, z.KMax*z.LMax*euler.NC)}
-	if err := p.Apply(s); err == nil || !strings.Contains(err.Error(), "zone 7") {
-		t.Errorf("bad zone: err %v", err)
+	if err := s.Receive(&p); err == nil || !strings.Contains(err.Error(), "second") {
+		t.Errorf("second plane in one step: err %v", err)
 	}
+	s.Step()
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no boundary plane") {
+				t.Errorf("step without a plane: panic %v", r)
+			}
+		}()
+		s.Step()
+	}()
+
 	// Non-J faces are not exchangeable.
 	if _, err := CapturePlane(s, 0, FaceKMax); err == nil {
 		t.Error("capture of K face: no error")
 	}
 	if _, err := CapturePlane(s, 9, FaceJMin); err == nil {
 		t.Error("capture of missing zone: no error")
+	}
+	// A serial solver has no Receive; a link needs a local side and
+	// couples a face once.
+	if _, err := NewVectorSolver(s.cfg); err == nil {
+		t.Error("VectorSolver accepted a Remote side")
+	}
+	for _, ifaces := range [][]Interface{{{Left: Remote, Right: Remote}}, {{Left: Remote, Right: 0}, {Left: Remote, Right: 0}}} {
+		cfg := s.cfg
+		cfg.Interfaces = ifaces
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("interfaces %v accepted", ifaces)
+		}
 	}
 }
 
@@ -284,57 +331,31 @@ func TestZoneStateRestore(t *testing.T) {
 	}
 }
 
-// TestBoundaryHookReproducesZonalSolve is the keystone: driving two
-// single-zone solvers whose coupling goes through CapturePlane /
-// BoundaryHook + Apply must reproduce the coupled two-zone solver
+// TestRemoteLinksReproduceZonalSolve is the keystone: driving two
+// single-zone solvers whose facing sides are Remote, coupled through
+// CapturePlane and Receive, must reproduce the coupled two-zone solver
 // bitwise — the distributed exchange in miniature, before any
 // transport is involved.
-func TestBoundaryHookReproducesZonalSolve(t *testing.T) {
-	c, ifaces := SplitAlongJ("hook", 14, 6, 5, 6)
+func TestRemoteLinksReproduceZonalSolve(t *testing.T) {
+	c, ifaces := SplitAlongJ("remote", 14, 6, 5, 6)
 	refCfg := DefaultConfig(c)
 	refCfg.Interfaces = ifaces
-	ref, err := NewCacheSolver(refCfg, CacheOptions{})
-	if err != nil {
-		t.Fatalf("ref solver: %v", err)
-	}
-	defer ref.Close()
+	ref := newCache(t, refCfg, CacheOptions{})
 	InitPulse(ref, 0.02)
 
-	// Two "workers": each holds one zone of the same case, with no
-	// local interfaces; cross planes go through the exchange API. Dt
-	// must be shared, exactly as the cluster engine shares it.
-	mk := func(zi int) (*CacheSolver, *[]BoundaryPlane) {
-		sub := grid.Case{Name: "w", Zones: []grid.Zone{c.Zones[zi]}}
+	// Two "workers": each holds one zone of the same case, the other
+	// side of the interface Remote. Dt must be shared, exactly as the
+	// cluster engine shares it.
+	mk := func(zi int, iface Interface) *CacheSolver {
 		cfg := refCfg
-		cfg.Case = sub
-		cfg.Interfaces = nil
-		inbox := &[]BoundaryPlane{}
-		s, err := NewCacheSolver(cfg, CacheOptions{})
-		if err != nil {
-			t.Fatalf("worker solver: %v", err)
-		}
-		t.Cleanup(s.Close)
+		cfg.Case = grid.Case{Name: "w", Zones: []grid.Zone{c.Zones[zi]}}
+		cfg.Interfaces = []Interface{iface}
+		s := newCache(t, cfg, CacheOptions{})
 		InitPulse(s, 0.02)
-		return s, inbox
+		return s
 	}
-	s0, in0 := mk(0)
-	s1, in1 := mk(1)
-	// Install hooks now that the solvers exist (the hook closes over
-	// its own solver).
-	s0.opts.BoundaryHook = func(zone int) {
-		for i := range *in0 {
-			if err := (*in0)[i].Apply(s0); err != nil {
-				t.Errorf("apply on worker 0: %v", err)
-			}
-		}
-	}
-	s1.opts.BoundaryHook = func(zone int) {
-		for i := range *in1 {
-			if err := (*in1)[i].Apply(s1); err != nil {
-				t.Errorf("apply on worker 1: %v", err)
-			}
-		}
-	}
+	s0 := mk(0, Interface{Left: 0, Right: Remote})
+	s1 := mk(1, Interface{Left: Remote, Right: 0})
 
 	const steps = 6
 	for i := 0; i < steps; i++ {
@@ -348,8 +369,13 @@ func TestBoundaryHookReproducesZonalSolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("capture w1: %v", err)
 		}
-		*in1 = []BoundaryPlane{p0.RetargetTo(0)}
-		*in0 = []BoundaryPlane{p1.RetargetTo(0)}
+		q0, q1 := p0.RetargetTo(0), p1.RetargetTo(0)
+		if err := s1.Receive(&q0); err != nil {
+			t.Fatalf("receive w1: %v", err)
+		}
+		if err := s0.Receive(&q1); err != nil {
+			t.Fatalf("receive w0: %v", err)
+		}
 
 		refSt := ref.Step()
 		st0 := s0.Step()

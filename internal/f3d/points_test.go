@@ -11,15 +11,10 @@ import (
 )
 
 // scalarSolver is the oracle: NewReferenceSolver — serial scalar
-// kernels, no point records — or, when a test needs the oracle to see
-// the same hook-written boundary data as the served solver, that
-// constructor's body with the hook (the public one takes no options).
-func scalarSolver(t *testing.T, cfg Config, hook func(zone int)) *CacheSolver {
+// kernels, no point records.
+func scalarSolver(t *testing.T, cfg Config) *CacheSolver {
 	t.Helper()
 	s, err := NewReferenceSolver(cfg)
-	if hook != nil {
-		s, err = newCacheSolver(cfg, CacheOptions{BoundaryHook: hook}, &scalarKernelSet)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,30 +95,46 @@ func TestFillPointsCoversExactlyWhatLinesRead(t *testing.T) {
 	}
 }
 
-// TestEdgeStateNeverDecomposed: boundary data with ρ = 0 on a zone edge
-// and a corner — points no line reads — must leave the served step
-// bitwise equal to the scalar reference, not become a new panic site.
+// TestEdgeStateNeverDecomposed: received planes with ρ = 0 on zone edges
+// and a corner of both J faces — points no line reads — must leave the
+// served step bitwise equal to the scalar reference, not become a new
+// panic site.
 func TestEdgeStateNeverDecomposed(t *testing.T) {
 	cfg := testConfig(9, 8, 7)
-	hookFor := func(s **CacheSolver) func(int) {
-		return func(zi int) {
-			zs := (*s).Zones()[zi]
-			z := zs.Zone
-			var zero linalg.Vec5
-			zs.Q.SetPoint(0, 3, 0, zero[:])               // edge j=0, l=0
-			zs.Q.SetPoint(4, z.KMax-1, z.LMax-1, zero[:]) // edge k, l max
-			zs.Q.SetPoint(z.JMax-1, 0, 2, zero[:])        // edge j max, k=0
-			zs.Q.SetPoint(z.JMax-1, z.KMax-1, 0, zero[:]) // corner
-		}
-	}
+	cfg.Interfaces = []Interface{{Left: Remote, Right: 0}, {Left: 0, Right: Remote}}
 	team := parloop.NewTeam(2)
 	defer team.Close()
-	var ref, srv *CacheSolver
-	ref = scalarSolver(t, cfg, hookFor(&ref))
-	srv = newCache(t, cfg, CacheOptions{Team: team, BoundaryHook: hookFor(&srv)})
+	ref := scalarSolver(t, cfg)
+	srv := newCache(t, cfg, CacheOptions{Team: team})
 	InitPulse(ref, 0.02)
 	InitPulse(srv, 0.02)
-	stepBothBitwise(t, "edge rho=0", srv, ref, 3)
+	z := srv.Zones()[0].Zone
+	zero := func(p *BoundaryPlane, k, l int) {
+		clear(p.Data[(l*z.KMax+k)*euler.NC:][:euler.NC])
+	}
+	for i := 0; i < 3; i++ {
+		// Interior planes of the oracle as the J-min and J-max planes.
+		pMin, err := CapturePlane(ref, 0, FaceJMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pMax, err := CapturePlane(ref, 0, FaceJMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pMin, pMax = pMin.RetargetTo(0), pMax.RetargetTo(0)
+		zero(&pMin, 3, 0)        // edge j=0, l=0
+		zero(&pMax, 0, 2)        // edge j max, k=0
+		zero(&pMax, z.KMax-1, 0) // corner
+		for _, s := range []*CacheSolver{ref, srv} {
+			for _, p := range []*BoundaryPlane{&pMin, &pMax} {
+				if err := s.Receive(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stepBothBitwise(t, "edge rho=0", srv, ref, 1)
+	}
 }
 
 // TestEmptySlabsFillEveryPlaneOnce: a team larger than the number of
@@ -141,7 +152,7 @@ func TestEmptySlabsFillEveryPlaneOnce(t *testing.T) {
 	for name, shc := range map[string]*ShapeCfg{
 		"default": NewShapeCfg(DefaultShape()), "merged": mergedCfg(true), "fission-rhs": NewShapeCfg(fission),
 	} {
-		ref := scalarSolver(t, cfg, nil)
+		ref := scalarSolver(t, cfg)
 		s := newCache(t, cfg, CacheOptions{Team: team, Shape: shc})
 		InitPulse(ref, 0.02)
 		InitPulse(s, 0.02)
@@ -152,7 +163,7 @@ func TestEmptySlabsFillEveryPlaneOnce(t *testing.T) {
 // TestPointRecordsNeverStale pins the records' validity window: they are
 // rebuilt from Q before their first read in every step, so whatever
 // rewrites Q between steps — restoring an older checkpoint, a boundary
-// plane arriving through the hook, a re-initialisation — is seen by the
+// plane arriving through Receive, a re-initialisation — is seen by the
 // next step exactly as the record-free scalar reference sees it.
 func TestPointRecordsNeverStale(t *testing.T) {
 	cfg := testConfig(9, 8, 7)
@@ -160,7 +171,7 @@ func TestPointRecordsNeverStale(t *testing.T) {
 	defer team.Close()
 
 	t.Run("restore", func(t *testing.T) {
-		ref := scalarSolver(t, cfg, nil)
+		ref := scalarSolver(t, cfg)
 		srv := newCache(t, cfg, CacheOptions{Team: team})
 		InitPulse(ref, 0.03)
 		InitPulse(srv, 0.03)
@@ -180,20 +191,13 @@ func TestPointRecordsNeverStale(t *testing.T) {
 
 	t.Run("boundary-plane", func(t *testing.T) {
 		// A donor run supplies planes that differ every step; both solvers
-		// apply step i's plane through their hook in step i.
+		// receive step i's plane on their Remote J-min face for step i.
 		donor := newCache(t, cfg, CacheOptions{})
 		InitPulse(donor, 0.05)
-		var plane BoundaryPlane
-		hookFor := func(s **CacheSolver) func(int) {
-			return func(int) {
-				if err := plane.Apply(*s); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-		var ref, srv *CacheSolver
-		ref = scalarSolver(t, cfg, hookFor(&ref))
-		srv = newCache(t, cfg, CacheOptions{Team: team, BoundaryHook: hookFor(&srv)})
+		recv := cfg
+		recv.Interfaces = []Interface{{Left: Remote, Right: 0}}
+		ref := scalarSolver(t, recv)
+		srv := newCache(t, recv, CacheOptions{Team: team})
 		InitPulse(ref, 0.02)
 		InitPulse(srv, 0.02)
 		for i := 0; i < 4; i++ {
@@ -202,13 +206,18 @@ func TestPointRecordsNeverStale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plane = p.RetargetTo(0)
+			p = p.RetargetTo(0)
+			for _, s := range []*CacheSolver{ref, srv} {
+				if err := s.Receive(&p); err != nil {
+					t.Fatal(err)
+				}
+			}
 			stepBothBitwise(t, "plane", srv, ref, 1)
 		}
 	})
 
 	t.Run("reinit", func(t *testing.T) {
-		ref := scalarSolver(t, cfg, nil)
+		ref := scalarSolver(t, cfg)
 		srv := newCache(t, cfg, CacheOptions{Team: team})
 		InitPulse(ref, 0.03)
 		InitPulse(srv, 0.03)

@@ -29,8 +29,7 @@ const (
 // phase is one entry of the zone step: a pass over the slabs
 // [lo, lo+n) of its partition dimension (n == 0: not a slab pass, never
 // split), then an optional tail that runs on one goroutine once every
-// slab is done — the boundary phase's interface exchange and
-// BoundaryHook.
+// slab is done — the boundary phase's interface exchange.
 type phase struct {
 	lo, n int
 	pass  func(worker, lo, hi int)
@@ -145,9 +144,9 @@ type stepCore struct {
 	scratch    []*cacheScratch
 	newScratch func(nmax int) *cacheScratch
 
-	// ifbufs holds the zonal-interface exchange buffers (nil when the
-	// case has no interfaces).
-	ifbufs []ifaceBuffer
+	// links is the zonal-interface link table, one per coupled face
+	// (nil when the case has no interfaces).
+	links []link
 
 	// zoneRes records the last step's per-zone residual parts, so a
 	// cluster coordinator can reassemble the global residual in zone
@@ -168,7 +167,9 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 		return stepCore{}, err
 	}
 	c := stepCore{cfg: cfg, opts: opts, team: opts.Team, newScratch: newScratch}
-	c.opts.Shape = opts.shapeCell()
+	if c.opts.Shape == nil {
+		c.opts.Shape = NewShapeCfg(DefaultShape())
+	}
 	if c.team == nil {
 		c.team = parloop.NewTeam(1)
 		c.ownedTeam = true
@@ -176,9 +177,7 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 	for i := range cfg.Case.Zones {
 		c.zones = append(c.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, points))
 	}
-	if len(cfg.Interfaces) > 0 {
-		c.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
-	}
+	c.links = newLinks(cfg.Case, cfg.Interfaces)
 	return c, nil
 }
 
@@ -225,16 +224,15 @@ func (c *stepCore) grow(set []*cacheScratch, workers, nmax int) []*cacheScratch 
 }
 
 // begin opens a time step: it loads and lowers the shape, sizes the
-// scratch to the team and captures the interface donor planes.
+// scratch to the team, captures the local links' donor planes and
+// consumes the remote links' received ones.
 func (c *stepCore) begin() {
+	captureLinks(c.links, c.zones)
 	c.shape = c.opts.Shape.Load()
 	c.low = lowerShape(c.shape)
 	c.scratch = c.grow(c.scratch, c.team.Workers(), c.cfg.Case.MaxDim())
 	if c.zoneRes == nil {
 		c.zoneRes = make([]ZoneResidual, len(c.zones))
-	}
-	if c.ifbufs != nil {
-		captureInterfaces(c.zones, c.cfg.Interfaces, c.ifbufs)
 	}
 }
 
@@ -247,15 +245,8 @@ func (c *stepCore) stepZone(zi int, team *parloop.Team, scratch []*cacheScratch,
 	z := zs.Zone
 	// The exchange overrides coupled faces after all boundary writes.
 	var exchange func()
-	if c.ifbufs != nil || c.opts.BoundaryHook != nil {
-		exchange = func() {
-			if c.ifbufs != nil {
-				applyInterfacesTo(zi, c.zones, cfg.Interfaces, c.ifbufs)
-			}
-			if c.opts.BoundaryHook != nil {
-				c.opts.BoundaryHook(zi)
-			}
-		}
+	if c.links != nil {
+		exchange = func() { applyLinks(c.links, zi, zs) }
 	}
 	// J and K passes share the L partition, so each pair is one phase
 	// with no barrier inside (merged loops); the L passes re-partition

@@ -1,9 +1,8 @@
 package f3d
 
 import (
+	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/grid"
@@ -74,10 +73,10 @@ func TestStepSyncEventsMatchLowering(t *testing.T) {
 
 // With an exchange tail the count moves only under Merged with split
 // boundary conditions: one barrier orders every worker's boundary writes
-// before worker 0's exchange (the replaced merged driver paid one per
-// configured part — interfaces, hook — split or not).
+// before worker 0's exchange.
 func TestStepSyncEventsWithExchange(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
+	cfg.Interfaces = []Interface{{Left: 0, Right: Remote}}
 	team := parloop.NewTeam(2)
 	defer team.Close()
 	for bits := 0; bits < 1<<7; bits++ {
@@ -86,60 +85,94 @@ func TestStepSyncEventsWithExchange(t *testing.T) {
 		if got := loweredSyncs(lowerShape(sh), true); got != want {
 			t.Fatalf("%+v: lowering counts %d sync events with an exchange, want %d", sh, got, want)
 		}
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh), BoundaryHook: func(int) {}})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
 		InitPulse(s, 0.01)
+		receiveOwnPlane(t, s)
 		team.ResetSyncEvents()
 		s.Step()
 		if got := team.SyncEvents(); got != uint64(want) {
-			t.Fatalf("%+v: step with a hook cost %d sync events, want %d", sh, got, want)
+			t.Fatalf("%+v: step with a remote link cost %d sync events, want %d", sh, got, want)
 		}
 	}
 }
 
-// Every shape on a three-zone case with local interfaces and a
-// BoundaryHook: bitwise the serial history, and the hook runs once per
-// zone per step, never concurrently — in particular under Merged, where
-// it runs on worker 0 inside the open region, behind the boundary
-// writes and ahead of the right-hand side.
+// receiver is a solver with Remote links: CacheSolver and BlockSolver.
+type receiver interface {
+	Solver
+	Receive(*BoundaryPlane) error
+}
+
+// receiveOwnPlane feeds the Remote J-max face of zone 0 its own j=1
+// interior plane.
+func receiveOwnPlane(t *testing.T, s receiver) {
+	t.Helper()
+	p, err := CapturePlane(s, 0, FaceJMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = p.RetargetTo(0)
+	if err := s.Receive(&p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every shape on a three-zone case: bitwise the serial history with local
+// interfaces, and — as a shard holding zones 0–1 whose J-max face is fed
+// by Receive from the serial run — bitwise its zones 0–1. The exchange
+// runs on worker 0 inside the open region under Merged, behind the
+// boundary writes and ahead of the right-hand side.
 func TestShapedStepsWithExchangeMatchSerialBitwise(t *testing.T) {
 	c, ifaces := StackAlongJ("stack", 20, 8, 7, []int{6, 12})
 	cfg := DefaultConfig(c)
 	cfg.Interfaces = ifaces
+	shard := cfg
+	shard.Case.Zones = c.Zones[:2]
+	shard.Interfaces = []Interface{{Left: 0, Right: 1}, {Left: 1, Right: Remote}}
 	const steps = 3
 	ref := newCache(t, cfg, CacheOptions{})
 	InitPulse(ref, 0.02)
 	refStats := make([]StepStats, steps)
+	refParts := make([][]ZoneResidual, steps)
+	planes := make([]BoundaryPlane, steps)
 	for i := range refStats {
+		p, err := CapturePlane(ref, 2, FaceJMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes[i] = p.RetargetTo(1)
 		refStats[i] = ref.Step()
+		refParts[i] = slices.Clone(ref.ZoneResiduals()[:2])
 	}
 
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	for bits := 0; bits < 1<<7; bits++ {
 		sh := shapeFromBits(bits)
-		var mu sync.Mutex
-		var calls [3]int
-		var overlapped atomic.Bool
-		hook := func(zone int) {
-			if !mu.TryLock() {
-				overlapped.Store(true)
-				return
-			}
-			calls[zone]++
-			mu.Unlock()
-		}
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh), BoundaryHook: hook})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
+		fed := newCache(t, shard, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
 		InitPulse(s, 0.02)
+		InitPulse(fed, 0.02)
 		for i := range refStats {
 			if st := s.Step(); st != refStats[i] {
 				t.Fatalf("%+v step %d: history drifted: %+v vs %+v", sh, i, st, refStats[i])
+			}
+			if err := fed.Receive(&planes[i]); err != nil {
+				t.Fatal(err)
+			}
+			fed.Step()
+			if !slices.Equal(fed.ZoneResiduals(), refParts[i]) {
+				t.Fatalf("%+v step %d: fed shard's residual parts %v, serial %v", sh, i, fed.ZoneResiduals(), refParts[i])
 			}
 		}
 		if d := MaxPointwiseDiff(s, ref); d != 0 {
 			t.Fatalf("%+v: final state differs by %g", sh, d)
 		}
-		if calls != [3]int{steps, steps, steps} || overlapped.Load() {
-			t.Fatalf("%+v: hook calls per zone %v (want %d each), overlapped=%v", sh, calls, steps, overlapped.Load())
+		for zi, zs := range fed.Zones() {
+			if !slices.EqualFunc(zs.Q.Data, ref.Zones()[zi].Q.Data, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Fatalf("%+v: fed shard's zone %d final state differs", sh, zi)
+			}
 		}
 	}
 }

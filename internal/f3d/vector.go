@@ -3,6 +3,7 @@ package f3d
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
@@ -40,9 +41,9 @@ type VectorSolver struct {
 	tb  [euler.NC][]float64
 	tc  [euler.NC][]float64
 
-	// ifbufs holds the zonal-interface exchange buffers (nil when the
-	// case has no interfaces).
-	ifbufs []ifaceBuffer
+	// links is the zonal-interface link table (nil when the case has no
+	// interfaces).
+	links []link
 
 	steps int
 }
@@ -59,7 +60,10 @@ func NewVectorSolver(cfg Config) (*VectorSolver, error) {
 		// instance of the vector code shape constraining the numerics.
 		return nil, fmt.Errorf("f3d: VectorSolver does not support ImplicitDissip4")
 	}
-	s := &VectorSolver{cfg: cfg}
+	if slices.ContainsFunc(cfg.Interfaces, func(f Interface) bool { return f.Left == Remote || f.Right == Remote }) {
+		return nil, fmt.Errorf("f3d: VectorSolver has no Receive to feed a Remote interface side")
+	}
+	s := &VectorSolver{cfg: cfg, links: newLinks(cfg.Case, cfg.Interfaces)}
 	maxPts, maxPlane := 0, 0
 	for i := range cfg.Case.Zones {
 		z := &cfg.Case.Zones[i]
@@ -84,9 +88,6 @@ func NewVectorSolver(cfg Config) (*VectorSolver, error) {
 		s.tb[c] = make([]float64, maxPlane)
 		s.tc[c] = make([]float64, maxPlane)
 	}
-	if len(cfg.Interfaces) > 0 {
-		s.ifbufs = newIfaceBuffers(cfg.Case, cfg.Interfaces)
-	}
 	return s, nil
 }
 
@@ -104,9 +105,7 @@ func (s *VectorSolver) Step() StepStats {
 	var stats StepStats
 	sumsq, n := 0.0, 0
 	interior := 0
-	if s.ifbufs != nil {
-		captureInterfaces(s.zones, s.cfg.Interfaces, s.ifbufs)
-	}
+	captureLinks(s.links, s.zones)
 	for zi := range s.zones {
 		zs := s.zones[zi]
 		zss, zn, maxd := s.stepZone(zi)
@@ -129,9 +128,7 @@ func (s *VectorSolver) Step() StepStats {
 func (s *VectorSolver) stepZone(zi int) (sumsq float64, n int, maxDelta float64) {
 	zs := s.zones[zi]
 	zs.applyBC(&s.cfg)
-	if s.ifbufs != nil {
-		applyInterfacesTo(zi, s.zones, s.cfg.Interfaces, s.ifbufs)
-	}
+	applyLinks(s.links, zi, zs)
 	s.stageFluxes(zs)
 	s.rhsFromStaged(zs)
 	sumsq, n = zs.residualSumSq()

@@ -23,98 +23,135 @@ import (
 //	Left boundary (JMax-1) ← Right interior j=1
 //	Right boundary (0)     ← Left interior j=JMax-2
 //
-// Both zones must have equal KMax, LMax and equal spacings.
+// Both zones must have equal KMax, LMax and equal spacings. One side may
+// be Remote: that zone lives in another solver (a cluster shard's
+// neighbour), and its plane arrives through Receive instead of being
+// captured here.
 type Interface struct {
 	Left, Right int
 }
 
-// checkInterfaces validates interface definitions against a case.
+// Remote marks the side of an Interface held by another solver.
+const Remote = -1
+
+// checkInterfaces validates interface definitions against a case: every
+// local side names an unstretched zone, the two sides of a local pair
+// match, and no face is coupled twice.
 func checkInterfaces(c grid.Case, ifaces []Interface) error {
+	coupled := map[[2]int]bool{} // (zone, face)
 	for _, f := range ifaces {
-		if f.Left < 0 || f.Left >= len(c.Zones) || f.Right < 0 || f.Right >= len(c.Zones) {
-			return fmt.Errorf("f3d: interface %v references missing zone (case has %d zones)", f, len(c.Zones))
+		for i, zi := range [2]int{f.Left, f.Right} {
+			switch face := [2]int{zi, int(FaceJMax) - i}; {
+			case zi == Remote:
+			case zi < 0 || zi >= len(c.Zones):
+				return fmt.Errorf("f3d: interface %v references missing zone (case has %d zones)", f, len(c.Zones))
+			case c.Zones[zi].Stretched():
+				return fmt.Errorf("f3d: interface %v couples stretched zones (unsupported)", f)
+			case coupled[face]:
+				return fmt.Errorf("f3d: interface %v couples a face of zone %d twice", f, zi)
+			default:
+				coupled[face] = true
+			}
 		}
-		if f.Left == f.Right {
+		switch {
+		case f.Left == Remote && f.Right == Remote:
+			return fmt.Errorf("f3d: interface %v has no local side", f)
+		case f.Left == f.Right:
 			return fmt.Errorf("f3d: interface %v couples a zone to itself", f)
-		}
-		a, b := &c.Zones[f.Left], &c.Zones[f.Right]
-		if a.KMax != b.KMax || a.LMax != b.LMax {
-			return fmt.Errorf("f3d: interface %v face mismatch: %v vs %v", f, a, b)
-		}
-		if a.DK != b.DK || a.DL != b.DL || a.DJ != b.DJ {
-			return fmt.Errorf("f3d: interface %v spacing mismatch", f)
-		}
-		if a.Stretched() || b.Stretched() {
-			return fmt.Errorf("f3d: interface %v couples stretched zones (unsupported)", f)
+		case f.Left != Remote && f.Right != Remote:
+			a, b := &c.Zones[f.Left], &c.Zones[f.Right]
+			if a.KMax != b.KMax || a.LMax != b.LMax {
+				return fmt.Errorf("f3d: interface %v face mismatch: %v vs %v", f, a, b)
+			}
+			if a.DK != b.DK || a.DL != b.DL || a.DJ != b.DJ {
+				return fmt.Errorf("f3d: interface %v spacing mismatch", f)
+			}
 		}
 	}
 	return nil
 }
 
-// ifaceBuffer holds one interface's captured face planes (KMax×LMax
-// state vectors in each direction).
-type ifaceBuffer struct {
-	toRight []float64 // Left zone's j=JMax-2 plane → Right's j=0 face
-	toLeft  []float64 // Right zone's j=1 plane → Left's j=JMax-1 face
+// link is one coupled J face: the face it overwrites and the plane it
+// overwrites it with. A local link's plane is copied from the donor
+// zone's adjacent interior plane at the start of every step; a remote
+// link's (donor == Remote) arrives through Receive, one per step.
+type link struct {
+	zone  int  // receiving zone
+	face  Face // FaceJMin (j=0) or FaceJMax (j=JMax-1)
+	donor int  // donor zone, or Remote
+	plane []float64
+	fresh bool // remote: a plane arrived for the coming step
 }
 
-// newIfaceBuffers allocates exchange buffers for the interfaces.
-func newIfaceBuffers(c grid.Case, ifaces []Interface) []ifaceBuffer {
-	bufs := make([]ifaceBuffer, len(ifaces))
-	for i, f := range ifaces {
-		z := &c.Zones[f.Left]
-		n := z.KMax * z.LMax * euler.NC
-		bufs[i] = ifaceBuffer{
-			toRight: make([]float64, n),
-			toLeft:  make([]float64, n),
-		}
-	}
-	return bufs
-}
-
-// captureInterfaces snapshots the donor planes of every interface from
-// the current (time-level n) solution.
-func captureInterfaces(zones []*ZoneState, ifaces []Interface, bufs []ifaceBuffer) {
-	for i, f := range ifaces {
-		left, right := zones[f.Left], zones[f.Right]
-		zl := left.Zone
-		pos := 0
-		for l := 0; l < zl.LMax; l++ {
-			for k := 0; k < zl.KMax; k++ {
-				left.Q.Point(zl.JMax-2, k, l, bufs[i].toRight[pos:pos+euler.NC])
-				right.Q.Point(1, k, l, bufs[i].toLeft[pos:pos+euler.NC])
-				pos += euler.NC
+// newLinks builds the link table of the interfaces, two links per local
+// pair, in interface order.
+func newLinks(c grid.Case, ifaces []Interface) []link {
+	var ls []link
+	for _, f := range ifaces {
+		z := &c.Zones[max(f.Left, f.Right)] // a local side: Remote is −1
+		for _, l := range [2]link{{zone: f.Right, face: FaceJMin, donor: f.Left}, {zone: f.Left, face: FaceJMax, donor: f.Right}} {
+			if l.zone != Remote {
+				l.plane = make([]float64, z.KMax*z.LMax*euler.NC)
+				ls = append(ls, l)
 			}
 		}
 	}
+	return ls
 }
 
-// applyInterfacesTo writes the captured donor planes onto the receiver
-// faces of the given zone (called after the zone's boundary conditions,
-// which it overrides on the coupled faces).
-func applyInterfacesTo(zoneIdx int, zones []*ZoneState, ifaces []Interface, bufs []ifaceBuffer) {
-	for i, f := range ifaces {
-		if f.Right == zoneIdx {
-			zs := zones[f.Right]
-			z := zs.Zone
-			pos := 0
-			for l := 0; l < z.LMax; l++ {
-				for k := 0; k < z.KMax; k++ {
-					zs.Q.SetPoint(0, k, l, bufs[i].toRight[pos:pos+euler.NC])
-					pos += euler.NC
-				}
+// planeJ is the J index of the plane depth points in from face f of z:
+// the face itself (0), or the interior plane the zone donates across it
+// (1, the two-point overlap).
+func planeJ(z *grid.Zone, f Face, depth int) int {
+	if f == FaceJMax {
+		return z.JMax - 1 - depth
+	}
+	return depth
+}
+
+// copyPlane copies the K×L plane j of zs to buf (toField false) or buf
+// onto it (toField true), in BoundaryPlane.Data order: l-major, then k,
+// then component. It is the one plane loop of the exchange.
+func copyPlane(zs *ZoneState, j int, buf []float64, toField bool) {
+	z := zs.Zone
+	pos := 0
+	for l := 0; l < z.LMax; l++ {
+		for k := 0; k < z.KMax; k++ {
+			if toField {
+				zs.Q.SetPoint(j, k, l, buf[pos:pos+euler.NC])
+			} else {
+				zs.Q.Point(j, k, l, buf[pos:pos+euler.NC])
 			}
+			pos += euler.NC
 		}
-		if f.Left == zoneIdx {
-			zs := zones[f.Left]
-			z := zs.Zone
-			pos := 0
-			for l := 0; l < z.LMax; l++ {
-				for k := 0; k < z.KMax; k++ {
-					zs.Q.SetPoint(z.JMax-1, k, l, bufs[i].toLeft[pos:pos+euler.NC])
-					pos += euler.NC
-				}
-			}
+	}
+}
+
+// captureLinks opens a step's exchange: every local link copies its
+// donor's plane from the current (time-level n) solution, before any
+// zone advances, so the exchange is symmetric and independent of zone
+// order; every remote link consumes the plane Receive staged for it.
+func captureLinks(ls []link, zones []*ZoneState) {
+	for i := range ls {
+		l := &ls[i]
+		if l.donor != Remote {
+			// The donor couples its opposite face: J-max feeds a J-min link.
+			copyPlane(zones[l.donor], planeJ(zones[l.donor].Zone, 1-l.face, 1), l.plane, false)
+		} else if !l.fresh {
+			panic(fmt.Sprintf("f3d: step with no boundary plane received for zone %d face %v", l.zone, l.face))
+		}
+		l.fresh = false
+	}
+}
+
+// applyLinks writes the planes of zone zi's links onto its coupled faces.
+// It runs after the zone's boundary conditions, which it overrides there;
+// local and remote faces are written at this one point, which is why a
+// sharded solve reproduces the single-solver step bitwise.
+func applyLinks(ls []link, zi int, zs *ZoneState) {
+	for _, l := range ls {
+		if l.zone == zi {
+			copyPlane(zs, planeJ(zs.Zone, l.face, 0), l.plane, true)
 		}
 	}
 }
