@@ -26,8 +26,8 @@ func testCase() ([]grid.Zone, []f3d.Interface, f3d.Config, float64) {
 }
 
 // referenceHistory runs the single-node coupled solve and returns the
-// per-step stats plus the final conserved fields per zone.
-func referenceHistory(t *testing.T, steps int) ([]StepStat, [][]float64) {
+// per-step stats.
+func referenceHistory(t *testing.T, steps int) []StepStat {
 	t.Helper()
 	zones, ifaces, cfg, amp := testCase()
 	cfg.Case = grid.Case{Name: "ref", Zones: zones}
@@ -43,11 +43,7 @@ func referenceHistory(t *testing.T, steps int) ([]StepStat, [][]float64) {
 		st := s.Step()
 		hist[i] = StepStat{Residual: st.Residual, MaxDelta: st.MaxDelta, Flops: st.Flops}
 	}
-	finals := make([][]float64, len(zones))
-	for zi, zs := range s.Zones() {
-		finals[zi] = append([]float64(nil), zs.Q.Data...)
-	}
-	return hist, finals
+	return hist
 }
 
 // newTestCluster registers n in-process workers on a coordinator.
@@ -88,7 +84,7 @@ func assertHistoryBitwise(t *testing.T, got, want []StepStat) {
 // single-node residual history bitwise.
 func TestShardedSolveMatchesSingleNode(t *testing.T) {
 	const steps = 6
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	for _, nw := range []int{1, 2, 3} {
 		c, workers := newTestCluster(t, nw, nil)
 		zones, ifaces, cfg, amp := testCase()
@@ -131,7 +127,7 @@ func (f *failAfter) StepShard(req StepRequest) (StepResponse, error) {
 // still deliver the single-node history bitwise.
 func TestFailoverReproducesHistory(t *testing.T) {
 	const steps = 6
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	tracer := obs.NewTracer(256, clock)
 	tracer.Enable()
@@ -202,7 +198,7 @@ func (r *snapRecorder) StepShard(req StepRequest) (StepResponse, error) {
 // it allocates no snapshot storage.
 func TestCheckpointBuffersAlternate(t *testing.T) {
 	const steps = 7
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	c := New(Config{})
 	rec := &snapRecorder{WorkerClient: NewLocalWorker("solo", nil), bufs: map[int][]*byte{}}
 	if err := c.Register("solo", rec); err != nil {
@@ -236,7 +232,7 @@ func TestCheckpointBuffersAlternate(t *testing.T) {
 // no-checkpoint-yet path (replay from the initial state).
 func TestFailoverWithSparseCheckpoints(t *testing.T) {
 	const steps = 6
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	for _, every := range []int{-1, 4} {
 		c, _ := newTestCluster(t, 1, nil)
 		flaky := &failAfter{WorkerClient: NewLocalWorker("zeta", nil), n: 4}
@@ -384,7 +380,7 @@ func TestRankConsistency(t *testing.T) {
 // bitwise history — the serialization path has no excuse either.
 func TestHTTPTransportEndToEnd(t *testing.T) {
 	const steps = 4
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	c := New(Config{})
 	hosts := make([]*Host, 2)
 	for i, id := range []string{"http-a", "http-b"} {
@@ -504,7 +500,7 @@ func TestHostErrors(t *testing.T) {
 // advancing).
 func TestSlowLinkDelaysButCompletes(t *testing.T) {
 	const steps = 3
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	c, workers := newTestCluster(t, 2, clock)
 	workers[1].SetDelay(200 * time.Millisecond)

@@ -184,7 +184,7 @@ func (rt *restoreTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // single-node one bitwise.
 func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 	const steps = 6
-	want, _ := referenceHistory(t, steps)
+	want := referenceHistory(t, steps)
 	c := New(Config{})
 	doomed := &killAfter{n: 3}
 	var taps []*restoreTap
@@ -233,7 +233,7 @@ func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 // advances the solver and the rest fail the lockstep check; a release
 // racing the steps waits for the one that is running. Run under -race.
 func TestHostConcurrentSteps(t *testing.T) {
-	want, _ := referenceHistory(t, 2)
+	want := referenceHistory(t, 2)
 	zones, ifaces, cfg, amp := testCase()
 	h := NewHost()
 	defer h.Close()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/linalg"
+	"repro/internal/parloop"
 )
 
 func benchConfig() Config {
@@ -62,6 +63,28 @@ func BenchmarkStepVariants(b *testing.B) {
 	})
 }
 
+// BenchmarkServedStep times the step f3dd serves — NewCacheSolver on
+// DefaultConfig with the default shape, as an f3d.Job runs it — at the
+// benchmark's serve_solo sizes, on one processor and on a two-worker
+// parloop.Team: the in-process pair for a change to the kernel layer.
+func BenchmarkServedStep(b *testing.B) {
+	for _, d := range [][3]int{{33, 27, 25}, {41, 33, 29}, {49, 37, 31}} {
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%dx%d/P=%d", d[0], d[1], d[2], procs), func(b *testing.B) {
+				team := parloop.NewTeam(procs)
+				defer team.Close()
+				s := mustSolver(NewCacheSolver(DefaultConfig(grid.Single(d[0], d[1], d[2])), CacheOptions{Team: team}))
+				defer s.Close()
+				InitPulse(s, 0.02)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBlockVsDiagonal isolates the implicit-sweep cost difference
 // between the exact block operator and the diagonalized approximation —
 // the ablation the BlockSolver exists for.
@@ -82,7 +105,7 @@ func BenchmarkBlockVsDiagonal(b *testing.B) {
 	}
 	b.Run("diagonal-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sweepLineMode(cs.p, n, euler.X, 0.01, 0.005, cfg.EpsI, 0, nil, false)
+			sweepLineMode(cs.p, cs.p.q, nil, cs.p.r, n, euler.X, 0.01, 0.005, cfg.EpsI, 0, nil, false)
 		}
 	})
 	solver := mustSolver(NewBlockSolver(cfg, CacheOptions{}))
@@ -138,7 +161,7 @@ func BenchmarkSweepLineKernels(b *testing.B) {
 					// The sweep solves r in place; reload it so every
 					// iteration works on the same, well-scaled data.
 					copy(sc.p.r, r0)
-					kern.sweepLine(sc.p, n, line.ax, 0.01, 0.005, cfg.EpsI, line.viscRe, line.g, line.dissip4)
+					kern.sweepLine(sc.p, sc.p.q, sc.p.s, sc.p.r, n, line.ax, 0.01, 0.005, cfg.EpsI, line.viscRe, line.g, line.dissip4)
 				}
 			})
 		}

@@ -105,8 +105,7 @@ func (s *BlockSolver) blockSweepLUpdate(zs *ZoneState, sc *cacheScratch, k0, k1 
 			loadLine(&zs.Q, euler.Z, j, k, sc.p.q, nL)
 			loadLine(&zs.R, euler.Z, j, k, sc.p.r, nL)
 			s.blockSweepLine(sc, nL, euler.Z, z.DL, zs.geom[euler.Z])
-			sc.applyUpdate(nL)
-			storeLineInterior(&zs.Q, euler.Z, j, k, sc.p.q, nL)
+			sc.maxDelta = addLineInterior(&zs.Q, euler.Z, j, k, sc.p.r, nL, sc.maxDelta)
 		}
 	}
 }

@@ -69,23 +69,6 @@ func newCacheScratch(nmax int, kern *kernelSet) *cacheScratch {
 	}
 }
 
-// applyUpdate adds the solved update r[1..n-2] of the pencil's line to
-// its q and tracks the worker's largest |Δ|.
-func (sc *cacheScratch) applyUpdate(n int) {
-	for i := 1; i <= n-2; i++ {
-		for c := 0; c < euler.NC; c++ {
-			d := sc.p.r[i][c]
-			sc.p.q[i][c] += d
-			if d < 0 {
-				d = -d
-			}
-			if d > sc.maxDelta {
-				sc.maxDelta = d
-			}
-		}
-	}
-}
-
 // CacheSolver is the RISC-tuned variant of the solver: point-major
 // storage, pencil-sized scratch, unit-stride inner loops, and
 // loop-level parallelism over the outer dimensions via a parloop.Team.
@@ -192,22 +175,22 @@ func clampInterior(i, n int) int {
 }
 
 // rhsPassJK computes the J- and K-direction right-hand-side
-// contributions for the L slab [l0, l1). The J pass initializes R; the
-// K pass accumulates into it. Both touch only points within the slab,
-// so the two passes merge under one parallel region (Example 2). It is
-// shared by every solver variant that stores point-major fields.
+// contributions for the L slab [l0, l1). The J pass initializes R's
+// interior, working on Q, the point records and R in place; the K pass
+// gathers its lines and accumulates into R. Both touch only points
+// within the slab, so the two passes merge under one parallel region
+// (Example 2). It is shared by every solver variant that stores
+// point-major fields.
 func rhsPassJK(zs *ZoneState, cfg *Config, sc *cacheScratch, l0, l1 int) {
 	z := zs.Zone
 	nJ, nK := z.JMax, z.KMax
 	for l := l0; l < l1; l++ {
 		zs.fillPoints(l)
 		for k := 1; k <= z.KMax-2; k++ {
-			loadLine(&zs.Q, euler.X, k, l, sc.p.q, nJ)
-			loadPoints(zs, euler.X, k, l, sc.p.s, nJ)
-			sc.kern.rhsFlux(euler.X, sc.p.q, sc.p.s, sc.flux, sc.sigma, nJ)
-			clear(sc.p.r[:nJ])
-			sc.kern.rhsAccum(sc.p.q, sc.flux, sc.sigma, sc.p.r, nJ, z.DJ, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.X])
-			storeLineInterior(&zs.R, euler.X, k, l, sc.p.r, nJ)
+			q, s, r := zs.lineJ(k, l)
+			sc.kern.rhsFlux(euler.X, q, s, sc.flux, sc.sigma, nJ)
+			clear(r[1 : nJ-1])
+			sc.kern.rhsAccum(q, sc.flux, sc.sigma, r, nJ, z.DJ, cfg.Dt, cfg.Eps4, cfg.Eps2B, zs.geom[euler.X])
 		}
 		for j := 1; j <= z.JMax-2; j++ {
 			loadLine(&zs.Q, euler.Y, j, l, sc.p.q, nK)
@@ -242,44 +225,43 @@ func rhsPassL(zs *ZoneState, cfg *Config, sc *cacheScratch, k0, k1 int) {
 }
 
 // sweepJK applies the J and K implicit factors for the L slab [l0, l1).
-// The tuned sweep reads the point records in place of Q; only the scalar
-// reference, which keeps none, gathers Q here.
+// J lines are solved in place in R. K lines are gathered: the tuned sweep
+// reads the point records in place of Q, so only the scalar reference,
+// which keeps none, gathers Q.
 func (s *CacheSolver) sweepJK(zs *ZoneState, sc *cacheScratch, l0, l1 int) {
 	z, cfg := zs.Zone, &s.cfg
 	nJ, nK := z.JMax, z.KMax
 	for l := l0; l < l1; l++ {
 		for k := 1; k <= z.KMax-2; k++ {
-			if !loadPoints(zs, euler.X, k, l, sc.p.s, nJ) {
-				loadLine(&zs.Q, euler.X, k, l, sc.p.q, nJ)
-			}
-			loadLine(&zs.R, euler.X, k, l, sc.p.r, nJ)
-			sc.kern.sweepLine(sc.p, nJ, euler.X, z.DJ, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.X], cfg.ImplicitDissip4)
-			storeLineInterior(&zs.R, euler.X, k, l, sc.p.r, nJ)
+			q, ps, r := zs.lineJ(k, l)
+			sc.kern.sweepLine(sc.p, q, ps, r, nJ, euler.X, z.DJ, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.X], cfg.ImplicitDissip4)
 		}
 		for j := 1; j <= z.JMax-2; j++ {
 			if !loadPoints(zs, euler.Y, j, l, sc.p.s, nK) {
 				loadLine(&zs.Q, euler.Y, j, l, sc.p.q, nK)
 			}
 			loadLine(&zs.R, euler.Y, j, l, sc.p.r, nK)
-			sc.kern.sweepLine(sc.p, nK, euler.Y, z.DK, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.Y], cfg.ImplicitDissip4)
+			sc.kern.sweepLine(sc.p, sc.p.q, sc.p.s, sc.p.r, nK, euler.Y, z.DK, cfg.Dt, cfg.EpsI, 0, zs.geom[euler.Y], cfg.ImplicitDissip4)
 			storeLineInterior(&zs.R, euler.Y, j, l, sc.p.r, nK)
 		}
 	}
 }
 
 // sweepLUpdate applies the L implicit factor and the conserved-variable
-// update for the K slab [k0, k1).
+// update for the K slab [k0, k1): each solved line is added into Q where
+// it lives. Like the K lines of sweepJK, only the scalar reference
+// gathers Q.
 func (s *CacheSolver) sweepLUpdate(zs *ZoneState, sc *cacheScratch, k0, k1 int) {
 	z, cfg := zs.Zone, &s.cfg
 	nL := z.LMax
 	for k := k0; k < k1; k++ {
 		for j := 1; j <= z.JMax-2; j++ {
-			loadLine(&zs.Q, euler.Z, j, k, sc.p.q, nL)
-			loadPoints(zs, euler.Z, j, k, sc.p.s, nL)
+			if !loadPoints(zs, euler.Z, j, k, sc.p.s, nL) {
+				loadLine(&zs.Q, euler.Z, j, k, sc.p.q, nL)
+			}
 			loadLine(&zs.R, euler.Z, j, k, sc.p.r, nL)
-			sc.kern.sweepLine(sc.p, nL, euler.Z, z.DL, cfg.Dt, cfg.EpsI, cfg.viscRe(), zs.geom[euler.Z], cfg.ImplicitDissip4)
-			sc.applyUpdate(nL)
-			storeLineInterior(&zs.Q, euler.Z, j, k, sc.p.q, nL)
+			sc.kern.sweepLine(sc.p, sc.p.q, sc.p.s, sc.p.r, nL, euler.Z, z.DL, cfg.Dt, cfg.EpsI, cfg.viscRe(), zs.geom[euler.Z], cfg.ImplicitDissip4)
+			sc.maxDelta = addLineInterior(&zs.Q, euler.Z, j, k, sc.p.r, nL, sc.maxDelta)
 		}
 	}
 }

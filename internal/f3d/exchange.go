@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/euler"
+	"repro/internal/grid"
 )
 
 // Boundary-plane exchange. The zonal scheme couples zones through
@@ -216,14 +217,26 @@ func AppendZoneState(dst []byte, s Solver, zi int) ([]byte, error) {
 	if zi < 0 || zi >= len(zones) {
 		return dst, fmt.Errorf("f3d: AppendZoneState zone %d of %d", zi, len(zones))
 	}
-	q := zones[zi].Q.Data
+	q := &zones[zi].Q
 	off := len(dst)
-	dst = slices.Grow(dst, 8*len(q))[:off+8*len(q)]
-	for i, v := range q {
-		binary.BigEndian.PutUint64(dst[off+8*i:], math.Float64bits(v))
+	dst = slices.Grow(dst, 8*fieldValues(q))[:off+8*fieldValues(q)]
+	put := func(v float64) {
+		binary.BigEndian.PutUint64(dst[off:], math.Float64bits(v))
+		off += 8
+	}
+	for _, v := range q.Data {
+		put(v)
+	}
+	for i := range q.Vec {
+		for _, v := range &q.Vec[i] {
+			put(v)
+		}
 	}
 	return dst, nil
 }
+
+// fieldValues is the number of values f stores, in either layout.
+func fieldValues(f *grid.StateField) int { return f.NC * f.Zone.Points() }
 
 // RestoreZoneState writes AppendZoneState bits back onto zone zi of the
 // solver. The payload must match the zone's storage size exactly.
@@ -232,13 +245,22 @@ func RestoreZoneState(s Solver, zi int, b []byte) error {
 	if zi < 0 || zi >= len(zones) {
 		return fmt.Errorf("f3d: zone state for zone %d of %d", zi, len(zones))
 	}
-	dst := zones[zi].Q.Data
-	if len(b) != 8*len(dst) {
+	q := &zones[zi].Q
+	if len(b) != 8*fieldValues(q) {
 		return fmt.Errorf("f3d: zone state of %d bytes onto zone %q storage of %d values",
-			len(b), zones[zi].Zone.Name, len(dst))
+			len(b), zones[zi].Zone.Name, fieldValues(q))
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	get := func(v *float64) {
+		*v = math.Float64frombits(binary.BigEndian.Uint64(b))
+		b = b[8:]
+	}
+	for i := range q.Data {
+		get(&q.Data[i])
+	}
+	for i := range q.Vec {
+		for c := range q.Vec[i] {
+			get(&q.Vec[i][c])
+		}
 	}
 	return nil
 }

@@ -304,18 +304,13 @@ func TestZoneStateRestore(t *testing.T) {
 		t.Fatalf("prefix overwritten: %q", state[:3])
 	}
 	state = state[3:]
-	before := append([]float64(nil), s.Zones()[1].Q.Data...)
+	before := slices.Clone(s.Zones()[1].Q.Vec)
 	s.Step()
 	s.Step()
 	if err := RestoreZoneState(s, 1, state); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	after := s.Zones()[1].Q.Data
-	for i := range before {
-		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
-			t.Fatalf("Q[%d] not restored bitwise", i)
-		}
-	}
+	vecsBitEqual(t, "restored Q", s.Zones()[1].Q.Vec, before, len(before))
 	// Error paths: bad zone, wrong storage size.
 	if _, err := AppendZoneState(nil, s, 5); err == nil {
 		t.Error("state of missing zone: no error")
@@ -395,12 +390,7 @@ func TestRemoteLinksReproduceZonalSolve(t *testing.T) {
 
 	// Final fields must match bitwise too.
 	for zi, s := range []*CacheSolver{s0, s1} {
-		refQ := ref.Zones()[zi].Q.Data
-		gotQ := s.Zones()[0].Q.Data
-		for i := range refQ {
-			if math.Float64bits(refQ[i]) != math.Float64bits(gotQ[i]) {
-				t.Fatalf("zone %d Q[%d]: sharded %v, reference %v", zi, i, gotQ[i], refQ[i])
-			}
-		}
+		refQ := ref.Zones()[zi].Q.Vec
+		vecsBitEqual(t, fmt.Sprintf("zone %d sharded Q", zi), s.Zones()[0].Q.Vec, refQ, len(refQ))
 	}
 }

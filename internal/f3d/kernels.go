@@ -38,10 +38,11 @@ func implicitRow(nu, mu, lamPrev, lamNext float64) (a, b, c float64) {
 	return -nu*lamPrev - mu, 1 + 2*mu, nu*lamNext - mu
 }
 
-// pencil holds one line of solution data through a zone plus the
-// per-point eigensystem along it: the cache-sized working set of the
-// tuned code (and one row of the plane-sized working set of the vector
-// code).
+// pencil is one worker's line scratch: buffers for the K and L lines
+// the drivers gather out of the zone fields (J lines are read in place),
+// plus the per-point eigensystems and band lanes every sweep works in —
+// the cache-sized working set of the tuned code (and one row of the
+// plane-sized working set of the vector code).
 type pencil struct {
 	n   int                 // points along the line, including boundaries
 	q   []linalg.Vec5       // conserved state
@@ -96,8 +97,9 @@ func (p *pencil) checkLine(n int) {
 // sweepLineMode applies one direction's factored implicit operator to
 // one line of n points: interior updates r[1..n-2] are replaced by the
 // solution of T (I + νδΛ − μ∇Δ) T⁻¹ Δ = r. q[0..n-1] must hold the
-// time-level-n states along the line; boundary updates are zero
-// (explicit boundary conditions).
+// time-level-n states along the line (s, the point records, is not
+// read); boundary updates are zero (explicit boundary conditions). q and
+// r may be a field's line in place; p supplies only scratch.
 //
 // The five scalar band systems (one per characteristic field) are built
 // with implicitRow and solved with linalg.SolveTridiag; dissip4 switches
@@ -112,7 +114,7 @@ func (p *pencil) checkLine(n int) {
 // g carries the metric arrays of a stretched (nonuniform) direction;
 // nil means uniform spacing h and leaves the uniform expressions — and
 // their bitwise behaviour — untouched.
-func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
+func sweepLineMode(p *pencil, q []linalg.Vec5, _ []euler.PointState, r []linalg.Vec5, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
 		return
@@ -126,8 +128,8 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 	muScale := epsI * dt / h
 	// Eigensystems and characteristic-variable RHS at interior points.
 	for i := 1; i <= ni; i++ {
-		eig[i] = euler.Eigensystem(ax, p.q[i])
-		w := linalg.MulVec5(&eig[i].Tinv, &p.r[i])
+		eig[i] = euler.Eigensystem(ax, q[i])
+		w := linalg.MulVec5(&eig[i].Tinv, &r[i])
 		for c := 0; c < euler.NC; c++ {
 			p.w[c][i-1] = w[c]
 		}
@@ -175,9 +177,9 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 			if viscous {
 				var da, db, dc float64
 				if g != nil {
-					da, db, dc = viscousImplicitRowVar(dt, viscRe, p.q[i][0], g.invdm[i-1], g.invdm[i], g.invh[i])
+					da, db, dc = viscousImplicitRowVar(dt, viscRe, q[i][0], g.invdm[i-1], g.invdm[i], g.invh[i])
 				} else {
-					da, db, dc = viscousImplicitRow(dt, h, viscRe, p.q[i][0])
+					da, db, dc = viscousImplicitRow(dt, h, viscRe, q[i][0])
 				}
 				a += da
 				b += db
@@ -197,10 +199,10 @@ func sweepLineMode(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64,
 		for c := 0; c < euler.NC; c++ {
 			w[c] = p.w[c][i-1]
 		}
-		p.r[i] = linalg.MulVec5(&eig[i].T, &w)
+		r[i] = linalg.MulVec5(&eig[i].T, &w)
 	}
-	p.r[0] = linalg.Vec5{}
-	p.r[n-1] = linalg.Vec5{}
+	r[0] = linalg.Vec5{}
+	r[n-1] = linalg.Vec5{}
 }
 
 // rhsLineFlux fills flux[i] = F(q[i]) and sigma[i] for one line, from q

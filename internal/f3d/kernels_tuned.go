@@ -32,9 +32,11 @@ import (
 // drivers and the per-line kernels. The drivers (rhsPassJK, rhsPassL,
 // sweepJK, sweepLUpdate) call through the worker's set, so the scalar
 // reference and the tuned production kernels share every line of
-// driver code.
+// driver code. Every kernel takes its lines as slices — a field's J line
+// in place, or a K/L line gathered into the pencil — and writes only the
+// interior points 1..n-2 of r, except the sweeps' +0 at both ends.
 type kernelSet struct {
-	sweepLine func(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool)
+	sweepLine func(p *pencil, q []linalg.Vec5, s []euler.PointState, r []linalg.Vec5, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool)
 	rhsFlux   func(ax euler.Axis, q []linalg.Vec5, s []euler.PointState, flux []linalg.Vec5, sigma []float64, n int)
 	rhsAccum  func(q, flux []linalg.Vec5, sigma []float64, r []linalg.Vec5, n int, h, dt, eps4, eps2b float64, g *axisGeom)
 	// points: the set reads ZoneState.pts, so its solver's zones keep them.
@@ -58,8 +60,8 @@ var (
 // itself. Backward: substitute and AxisEigen.Back point by point. Every
 // stored value is the expression linalg.SolveTridiag / SolvePentadiag
 // evaluate for that component, same operands, same order: bitwise equal.
-// Of the time-level-n state it reads only p.s[1..n-2], never p.q.
-func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
+// Of the time-level-n state it reads only s[1..n-2], never q.
+func sweepLineModeTuned(p *pencil, _ []linalg.Vec5, s []euler.PointState, r []linalg.Vec5, n int, ax euler.Axis, h, dt, epsI, viscRe float64, g *axisGeom, dissip4 bool) {
 	ni := n - 2 // interior unknowns
 	if ni < 1 {
 		return
@@ -68,7 +70,7 @@ func sweepLineModeTuned(p *pencil, n int, ax euler.Axis, h, dt, epsI, viscRe flo
 	nu := dt / (2 * h)
 	muScale := epsI * dt / h
 	viscous := viscRe > 0 && ax == euler.Z
-	s, r, eig := p.s[:n], p.r[:n], p.eig[:n]
+	s, r, eig := s[:n], r[:n], p.eig[:n]
 	c0, c3, c4 := p.tc[0][:ni], p.tc[3][:ni], p.tc[4][:ni]
 	f0, f3, f4 := p.tf[0][:ni], p.tf[3][:ni], p.tf[4][:ni]
 	eig[1].Forward(ax, &s[1], &r[1], &r[1])

@@ -2,19 +2,27 @@ package f3d
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/linalg"
 )
 
-// Line gather/scatter between zone fields and pencil buffers. For the
-// J axis the gather is unit-stride (in the PointMajor layout); for K
-// and L it is the strided "batching up a 1-dimensional buffer" of the
-// paper's Example 3 — a pattern whose contention behaviour on paged
-// NUMA systems the cachesim package analyzes (Example 4c).
+// Lines of the zone fields, as the kernels take them. A J line of a
+// point-major field is a contiguous run of its Vec, so the J passes of
+// rhsPassJK and sweepJK hand the kernels Q, R and the point records in
+// place (lineJ) and the L update adds into Q where it lives
+// (addLineInterior). K and L lines are strided: they are gathered into
+// the worker's pencil (loadLine, loadPoints) and the interior scattered
+// back (storeLineInterior) — the "batching up a 1-dimensional buffer" of
+// the paper's Example 3, a pattern whose contention behaviour on paged
+// NUMA systems the cachesim package analyzes (Example 4c). The pencil
+// also keeps the sweeps' band and eigen scratch, and BlockSolver and the
+// component-major VectorSolver gather every line into it.
 
-// lineAxis maps a sweep axis to the zone dimension it runs along.
+// lineLen returns the number of points on a line along ax: the zone
+// dimension it runs along.
 func lineLen(z *grid.Zone, ax euler.Axis) int {
 	switch ax {
 	case euler.X:
@@ -54,19 +62,26 @@ func lineSpan(z *grid.Zone, ax euler.Axis, a, b int) (base, stride int) {
 	return p0, z.Index(j1, k1, l1) - p0
 }
 
-// pointMajor5 reports whether f stores whole Vec5 state vectors
-// contiguously, the layout the strided line copies below rely on. The
-// VectorSolver's ComponentMajor fields take the per-point path.
-func pointMajor5(f *grid.StateField) bool {
-	return f.Layout == grid.PointMajor && f.NC == euler.NC
+// lineJ returns J line (k, l) of Q, of its point records and of R, in
+// place. s is nil on a zone that keeps no point records (the scalar
+// reference's), whose kernels read Q instead. The kernels write only the
+// interior of r but for the sweeps' +0 at its two ends, which are face
+// points of R and hold +0 already (TestResidualFacesStayZero).
+func (zs *ZoneState) lineJ(k, l int) (q []linalg.Vec5, s []euler.PointState, r []linalg.Vec5) {
+	off, n := zs.Zone.Index(0, k, l), zs.Zone.JMax
+	if zs.pts != nil {
+		s = zs.pts[off : off+n]
+	}
+	return zs.Q.Vec[off : off+n], s, zs.R.Vec[off : off+n]
 }
 
-// loadLine gathers the n points of a line into dst. For the PointMajor
-// layout the base offset and stride are computed once per line and each
-// point is one Vec5 copy; the slice expressions keep every access
-// bounds-checked.
+// loadLine gathers the n points of a line into dst. For a point-major
+// field the base offset and stride are computed once per line and each
+// point is one Vec5 copy; every access stays bounds-checked, so a wrong
+// base or stride panics instead of reading a neighbouring line. The
+// VectorSolver's component-major fields take the per-point path.
 func loadLine(f *grid.StateField, ax euler.Axis, a, b int, dst []linalg.Vec5, n int) {
-	if !pointMajor5(f) {
+	if f.Layout != grid.PointMajor {
 		for i := 0; i < n; i++ {
 			j, k, l := lineIndex(ax, i, a, b)
 			f.Point(j, k, l, dst[i][:])
@@ -74,10 +89,10 @@ func loadLine(f *grid.StateField, ax euler.Axis, a, b int, dst []linalg.Vec5, n 
 		return
 	}
 	off, stride := lineSpan(f.Zone, ax, a, b)
-	off, stride = off*euler.NC, stride*euler.NC
+	v := f.Vec
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = linalg.Vec5(f.Data[off : off+euler.NC])
+		dst[i] = v[off]
 		off += stride
 	}
 }
@@ -85,7 +100,7 @@ func loadLine(f *grid.StateField, ax euler.Axis, a, b int, dst []linalg.Vec5, n 
 // storeLineInterior scatters src[1..n-2] back to the field, leaving the
 // line's boundary points untouched.
 func storeLineInterior(f *grid.StateField, ax euler.Axis, a, b int, src []linalg.Vec5, n int) {
-	if !pointMajor5(f) {
+	if f.Layout != grid.PointMajor {
 		for i := 1; i <= n-2; i++ {
 			j, k, l := lineIndex(ax, i, a, b)
 			f.SetPoint(j, k, l, src[i][:])
@@ -93,15 +108,36 @@ func storeLineInterior(f *grid.StateField, ax euler.Axis, a, b int, src []linalg
 		return
 	}
 	off, stride := lineSpan(f.Zone, ax, a, b)
-	off, stride = off*euler.NC, stride*euler.NC
+	v := f.Vec
 	src = src[:n]
 	for i := 1; i < len(src)-1; i++ {
 		off += stride
-		*(*linalg.Vec5)(f.Data[off : off+euler.NC]) = src[i]
+		v[off] = src[i]
 	}
 }
 
-// loadPoints gathers a line of the zone's point records into dst,
+// addLineInterior adds the solved update r[1..n-2] into the interior
+// points of a line of the point-major field f, where they live, and
+// returns m raised to the largest |Δ| added — point by point, component
+// by component, the order the step's MaxDelta has always been taken in.
+func addLineInterior(f *grid.StateField, ax euler.Axis, a, b int, r []linalg.Vec5, n int, m float64) float64 {
+	off, stride := lineSpan(f.Zone, ax, a, b)
+	v := f.Vec
+	r = r[:n]
+	for i := 1; i < len(r)-1; i++ {
+		off += stride
+		q, d := &v[off], &r[i]
+		for c := range d {
+			q[c] += d[c]
+			if a := math.Abs(d[c]); a > m {
+				m = a
+			}
+		}
+	}
+	return m
+}
+
+// loadPoints gathers a K or L line of the zone's point records into dst,
 // bounds-checked per point like loadLine. A zone that keeps none (the
 // scalar reference's) reports false: its kernels read Q.
 func loadPoints(zs *ZoneState, ax euler.Axis, a, b int, dst []euler.PointState, n int) bool {
@@ -153,9 +189,9 @@ func (zs *ZoneState) fillPlane(l int) {
 		}
 		off := z.Index(j0, k, l)
 		pts := zs.pts[off : off+j1-j0]
-		q := zs.Q.Data[off*euler.NC:]
+		q := zs.Q.Vec[off : off+j1-j0]
 		for i := range pts {
-			euler.DecomposeInto(&pts[i], (*linalg.Vec5)(q[i*euler.NC:(i+1)*euler.NC]))
+			euler.DecomposeInto(&pts[i], &q[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package f3d
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -38,12 +39,8 @@ func stepBothBitwise(t *testing.T, name string, got, want *CacheSolver, n int) {
 		}
 	}
 	for zi, zs := range got.Zones() {
-		ref := want.Zones()[zi].Q.Data
-		for i, v := range zs.Q.Data {
-			if math.Float64bits(v) != math.Float64bits(ref[i]) {
-				t.Fatalf("%s: zone %d value %d = %x, reference %x", name, zi, i, v, ref[i])
-			}
-		}
+		ref := want.Zones()[zi].Q.Vec
+		vecsBitEqual(t, fmt.Sprintf("%s: zone %d", name, zi), zs.Q.Vec, ref, len(ref))
 	}
 }
 

@@ -1,6 +1,10 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/linalg"
+)
 
 // Layout selects the memory layout of multi-component fields. The
 // choice is one of the paper's serial-tuning levers ("reordering of
@@ -16,7 +20,8 @@ const (
 	// vector codes (Q(J,K,L,N) with N slowest... i.e. separate arrays).
 	ComponentMajor Layout = iota
 	// PointMajor stores the NC components of point 0, then point 1, ...
-	// — the cache-friendly layout of the tuned code.
+	// — the cache-friendly layout of the tuned code. A point-major field
+	// holds whole linalg.Vec5 state vectors, so its NC is 5.
 	PointMajor
 )
 
@@ -50,23 +55,38 @@ func (f *Field) At(j, k, l int) float64 { return f.Data[f.Zone.Index(j, k, l)] }
 func (f *Field) Set(j, k, l int, v float64) { f.Data[f.Zone.Index(j, k, l)] = v }
 
 // StateField is an NC-component field (NC = 5 for the conserved
-// variables of 3-D compressible flow) with a selectable Layout.
+// variables of 3-D compressible flow) with a selectable Layout. Exactly
+// one of Data and Vec holds its values, by layout.
 type StateField struct {
 	Zone   *Zone
 	NC     int
 	Layout Layout
-	Data   []float64
+	// Data holds a ComponentMajor field: component c of point p at
+	// c·Points()+p.
+	Data []float64
+	// Vec holds a PointMajor field, one state vector per point in
+	// Zone.Index order: a J line is a contiguous run of it, which the
+	// solver's kernels read and write in place.
+	Vec []linalg.Vec5
 }
 
-// NewStateField allocates a zero-filled nc-component field on z.
+// NewStateField allocates a zero-filled nc-component field on z. A
+// PointMajor field must have nc = 5.
 func NewStateField(z *Zone, nc int, layout Layout) StateField {
-	if nc < 1 {
-		panic(fmt.Sprintf("grid: NewStateField nc must be >= 1, got %d", nc))
+	if nc < 1 || layout == PointMajor && nc != linalg.BlockSize {
+		panic(fmt.Sprintf("grid: NewStateField nc = %d for a %v field", nc, layout))
 	}
-	return StateField{Zone: z, NC: nc, Layout: layout, Data: make([]float64, nc*z.Points())}
+	s := StateField{Zone: z, NC: nc, Layout: layout}
+	if layout == PointMajor {
+		s.Vec = make([]linalg.Vec5, z.Points())
+	} else {
+		s.Data = make([]float64, nc*z.Points())
+	}
+	return s
 }
 
-// Idx returns the flat offset of component c at point (j, k, l).
+// Idx returns the offset of component c at point (j, k, l) in the
+// field's storage order (for PointMajor, Vec read as one flat array).
 func (s *StateField) Idx(c, j, k, l int) int {
 	p := s.Zone.Index(j, k, l)
 	if s.Layout == ComponentMajor {
@@ -75,17 +95,24 @@ func (s *StateField) Idx(c, j, k, l int) int {
 	return p*s.NC + c
 }
 
+// ref returns the address of component c at (j, k, l).
+func (s *StateField) ref(c, j, k, l int) *float64 {
+	if s.Layout == PointMajor {
+		return &s.Vec[s.Zone.Index(j, k, l)][c]
+	}
+	return &s.Data[s.Idx(c, j, k, l)]
+}
+
 // At returns component c at (j, k, l).
-func (s *StateField) At(c, j, k, l int) float64 { return s.Data[s.Idx(c, j, k, l)] }
+func (s *StateField) At(c, j, k, l int) float64 { return *s.ref(c, j, k, l) }
 
 // Set stores v into component c at (j, k, l).
-func (s *StateField) Set(c, j, k, l int, v float64) { s.Data[s.Idx(c, j, k, l)] = v }
+func (s *StateField) Set(c, j, k, l int, v float64) { *s.ref(c, j, k, l) = v }
 
 // Point loads the NC components at (j, k, l) into dst (len >= NC).
 func (s *StateField) Point(j, k, l int, dst []float64) {
 	if s.Layout == PointMajor {
-		base := s.Zone.Index(j, k, l) * s.NC
-		copy(dst[:s.NC], s.Data[base:base+s.NC])
+		copy(dst[:s.NC], s.Vec[s.Zone.Index(j, k, l)][:])
 		return
 	}
 	p := s.Zone.Index(j, k, l)
@@ -98,8 +125,7 @@ func (s *StateField) Point(j, k, l int, dst []float64) {
 // SetPoint stores src (len >= NC) into the components at (j, k, l).
 func (s *StateField) SetPoint(j, k, l int, src []float64) {
 	if s.Layout == PointMajor {
-		base := s.Zone.Index(j, k, l) * s.NC
-		copy(s.Data[base:base+s.NC], src[:s.NC])
+		copy(s.Vec[s.Zone.Index(j, k, l)][:], src[:s.NC])
 		return
 	}
 	p := s.Zone.Index(j, k, l)
@@ -118,6 +144,7 @@ func (s *StateField) CopyFrom(o *StateField) {
 	}
 	if s.Layout == o.Layout {
 		copy(s.Data, o.Data)
+		copy(s.Vec, o.Vec)
 		return
 	}
 	pts := s.Zone.Points()
@@ -128,12 +155,12 @@ func (s *StateField) CopyFrom(o *StateField) {
 		cm, pm = o, s
 		toPM = true
 	}
-	for p := 0; p < pts; p++ {
-		for c := 0; c < s.NC; c++ {
+	for p := range pm.Vec {
+		for c := range pm.Vec[p] {
 			if toPM {
-				pm.Data[p*s.NC+c] = cm.Data[c*pts+p]
+				pm.Vec[p][c] = cm.Data[c*pts+p]
 			} else {
-				cm.Data[c*pts+p] = pm.Data[p*s.NC+c]
+				cm.Data[c*pts+p] = pm.Vec[p][c]
 			}
 		}
 	}

@@ -270,13 +270,14 @@ func TestStateFieldIdxBijective(t *testing.T) {
 		z := NewZone("z", int(seed%4)+3, int(seed%3)+3, int(seed%5)+3)
 		for _, layout := range []Layout{ComponentMajor, PointMajor} {
 			s := NewStateField(&z, 5, layout)
-			seen := make([]bool, len(s.Data))
+			size := s.NC * z.Points()
+			seen := make([]bool, size)
 			for l := 0; l < z.LMax; l++ {
 				for k := 0; k < z.KMax; k++ {
 					for j := 0; j < z.JMax; j++ {
 						for c := 0; c < 5; c++ {
 							idx := s.Idx(c, j, k, l)
-							if idx < 0 || idx >= len(s.Data) || seen[idx] {
+							if idx < 0 || idx >= size || seen[idx] {
 								return false
 							}
 							seen[idx] = true
@@ -294,10 +295,17 @@ func TestStateFieldIdxBijective(t *testing.T) {
 
 func TestNewStateFieldPanics(t *testing.T) {
 	z := NewZone("z", 4, 4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("nc < 1 should panic")
-		}
-	}()
-	NewStateField(&z, 0, PointMajor)
+	for _, tc := range []struct {
+		nc     int
+		layout Layout
+	}{{0, PointMajor}, {0, ComponentMajor}, {3, PointMajor}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("nc = %d, %v should panic", tc.nc, tc.layout)
+				}
+			}()
+			NewStateField(&z, tc.nc, tc.layout)
+		}()
+	}
 }

@@ -21,8 +21,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 pkg='repro/internal'
-symbols="$pkg/euler\.\(\*AxisEigen\)\.(Forward|Back)\$|$pkg/euler\.(DecomposeInto|FluxDirPrimInto|soundSpeed|\(\*Prim\)\.fromCons)\$|$pkg/f3d\.(rhsLineFluxTuned|sweepLineModeTuned|rhsLineAccumTuned|rhsPointAccum|loadLine|loadPoints|storeLineInterior)\$|$pkg/f3d\.\(\*ZoneState\)\.(fillPlane|applyBCPoint|applyBCPlanes)\$"
-must_be_clean='AxisEigen\)\.(Forward|Back) |euler\.(DecomposeInto|FluxDirPrimInto|soundSpeed|\(\*Prim\)\.fromCons) |rhsLineFluxTuned |sweepLineModeTuned |fillPlane |applyBCPoint |applyBCPlanes '
+symbols="$pkg/euler\.\(\*AxisEigen\)\.(Forward|Back)\$|$pkg/euler\.(DecomposeInto|FluxDirPrimInto|soundSpeed|\(\*Prim\)\.fromCons)\$|$pkg/f3d\.(rhsLineFluxTuned|sweepLineModeTuned|rhsLineAccumTuned|rhsPointAccum|loadLine|loadPoints|storeLineInterior|addLineInterior)\$|$pkg/f3d\.\(\*ZoneState\)\.(fillPlane|applyBCPoint|applyBCPlanes|residualSumSq)\$"
+must_be_clean='AxisEigen\)\.(Forward|Back) |euler\.(DecomposeInto|FluxDirPrimInto|soundSpeed|\(\*Prim\)\.fromCons) |rhsLineFluxTuned |sweepLineModeTuned |fillPlane |applyBCPoint |applyBCPlanes |addLineInterior |residualSumSq '
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/f3dd" ./cmd/f3dd
