@@ -239,115 +239,122 @@ func BenchmarkParallelSolver(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Example 1 ablation: parallelize the inner loop (one region per outer
-// iteration) vs the outer loop (one region total). Same arithmetic,
-// orders of magnitude different synchronization counts.
+// Examples 1-3: the paper's three loop transformations, each as the nest
+// before and after it. Same arithmetic on each side; only where the
+// parallel region opens changes, and with it the synchronization count.
 
-func BenchmarkExample1(b *testing.B) {
-	const outer, inner = 64, 4096
-	data := make([]float64, outer*inner)
-	team := benchTeam()
-	defer team.Close()
-	body := func(o, i int) {
-		v := data[o*inner+i]
-		data[o*inner+i] = v*v*0.5 + v + 1
+// exampleNest is one side of one of Examples 1-3: syncs is the number of
+// synchronization events one pass of run costs on a team of two or more
+// workers (a one-worker team runs regions serially and counts none).
+type exampleNest struct {
+	example int
+	name    string
+	syncs   uint64
+	run     func(*parloop.Team)
+}
+
+// exampleNests builds the six nests over fresh data, before then after
+// for each example. BenchmarkExample1/2/3 time them and
+// TestExampleSyncCounts pins their sync counts.
+func exampleNests() []exampleNest {
+	// Example 1: parallelize the inner loop (one region per outer
+	// iteration) or the outer loop (one region in all).
+	const e1Outer, e1Inner = 64, 4096
+	data := make([]float64, e1Outer*e1Inner)
+	e1Body := func(o, i int) {
+		v := data[o*e1Inner+i]
+		data[o*e1Inner+i] = v*v*0.5 + v + 1
 	}
-	b.Run("inner-loop", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for n := 0; n < b.N; n++ {
-			for o := 0; o < outer; o++ {
-				team.For(inner, func(i int) { body(o, i) })
-			}
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
-	b.Run("outer-loop", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for n := 0; n < b.N; n++ {
-			team.For(outer, func(o int) {
-				for i := 0; i < inner; i++ {
-					body(o, i)
-				}
-			})
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
-}
 
-// ---------------------------------------------------------------------------
-// Example 2 ablation: two loops as separate regions vs merged under one
-// region.
+	// Example 2: two loops as two regions, or merged under one.
+	const e2N = 1 << 16
+	a := make([]float64, e2N)
+	c := make([]float64, e2N)
 
-func BenchmarkExample2(b *testing.B) {
-	const n = 1 << 16
-	a := make([]float64, n)
-	c := make([]float64, n)
-	team := benchTeam()
-	defer team.Close()
-	b.Run("separate-regions", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for i := 0; i < b.N; i++ {
-			team.For(n, func(j int) { a[j] = float64(j) * 0.5 })
-			team.For(n, func(j int) { c[j] = a[j] + 1 })
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
-	b.Run("merged-region", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for i := 0; i < b.N; i++ {
-			team.Region(func(ctx *parloop.WorkerCtx) {
-				ctx.For(n, func(j int) { a[j] = float64(j) * 0.5 })
-				ctx.For(n, func(j int) { c[j] = a[j] + 1 })
-			})
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Example 3 ablation: parallel regions opened inside a callee, once per
-// outer iteration, vs one region hoisted into the parent. The paper:
-// "this optimization reduces the number of synchronization events by
-// 1-3 orders of magnitude".
-
-func BenchmarkExample3(b *testing.B) {
-	const outer, inner = 256, 512
+	// Example 3: a region opened inside a callee once per outer
+	// iteration, or one region hoisted into the parent. The paper: "this
+	// optimization reduces the number of synchronization events by 1-3
+	// orders of magnitude".
+	const e3Outer, e3Inner = 256, 512
 	var sink atomic.Int64
-	team := benchTeam()
-	defer team.Close()
-	sub := func(j int) int64 {
+	e3Sub := func(j, lo, hi int) {
 		s := int64(0)
-		for i := 0; i < inner; i++ {
+		for i := lo; i < hi; i++ {
 			s += int64(i ^ j)
 		}
-		return s
+		sink.Add(s)
 	}
-	b.Run("child-regions", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for n := 0; n < b.N; n++ {
-			for j := 0; j < outer; j++ {
-				// The callee opens its own region each call.
-				team.ForChunked(inner, func(lo, hi int) {
-					s := int64(0)
-					for i := lo; i < hi; i++ {
-						s += int64(i ^ j)
-					}
-					sink.Add(s)
-				})
+
+	return []exampleNest{
+		{1, "inner-loop", e1Outer, func(team *parloop.Team) {
+			for o := 0; o < e1Outer; o++ {
+				team.For(e1Inner, func(i int) { e1Body(o, i) })
 			}
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
-	b.Run("hoisted-parent", func(b *testing.B) {
-		team.ResetSyncEvents()
-		for n := 0; n < b.N; n++ {
-			team.For(outer, func(j int) {
-				sink.Add(sub(j))
+		}},
+		{1, "outer-loop", 1, func(team *parloop.Team) {
+			team.For(e1Outer, func(o int) {
+				for i := 0; i < e1Inner; i++ {
+					e1Body(o, i)
+				}
 			})
-		}
-		b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
-	})
+		}},
+		{2, "separate-regions", 2, func(team *parloop.Team) {
+			team.For(e2N, func(j int) { a[j] = float64(j) * 0.5 })
+			team.For(e2N, func(j int) { c[j] = a[j] + 1 })
+		}},
+		{2, "merged-region", 1, func(team *parloop.Team) {
+			team.Region(func(ctx *parloop.WorkerCtx) {
+				ctx.For(e2N, func(j int) { a[j] = float64(j) * 0.5 })
+				ctx.For(e2N, func(j int) { c[j] = a[j] + 1 })
+			})
+		}},
+		{3, "child-regions", e3Outer, func(team *parloop.Team) {
+			for j := 0; j < e3Outer; j++ {
+				team.ForChunked(e3Inner, func(lo, hi int) { e3Sub(j, lo, hi) })
+			}
+		}},
+		{3, "hoisted-parent", 1, func(team *parloop.Team) {
+			team.For(e3Outer, func(j int) { e3Sub(j, 0, e3Inner) })
+		}},
+	}
 }
+
+// TestExampleSyncCounts pins the synchronization structure of Examples
+// 1-3 exactly: 64 → 1, 2 → 1 and 256 → 1 sync events per pass.
+func TestExampleSyncCounts(t *testing.T) {
+	team := benchTeam()
+	defer team.Close()
+	for _, nest := range exampleNests() {
+		team.ResetSyncEvents()
+		nest.run(team)
+		if got := team.SyncEvents(); got != nest.syncs {
+			t.Errorf("Example %d %s: %d sync events per pass, want %d", nest.example, nest.name, got, nest.syncs)
+		}
+	}
+}
+
+// benchExample times both sides of one example and reports each side's
+// sync events per pass.
+func benchExample(b *testing.B, example int) {
+	team := benchTeam()
+	defer team.Close()
+	for _, nest := range exampleNests() {
+		if nest.example != example {
+			continue
+		}
+		b.Run(nest.name, func(b *testing.B) {
+			team.ResetSyncEvents()
+			for n := 0; n < b.N; n++ {
+				nest.run(team)
+			}
+			b.ReportMetric(float64(team.SyncEvents())/float64(b.N), "syncs/op")
+		})
+	}
+}
+
+func BenchmarkExample1(b *testing.B) { benchExample(b, 1) }
+func BenchmarkExample2(b *testing.B) { benchExample(b, 2) }
+func BenchmarkExample3(b *testing.B) { benchExample(b, 3) }
 
 // ---------------------------------------------------------------------------
 // Example 4: the three memory-access orderings through the cache/TLB/

@@ -1,7 +1,7 @@
 // Command tracetool is the offline companion to the f3dd /analyze
 // endpoint: it runs the trace-analysis engine (internal/obs/analyze)
-// over JSONL traces exported from GET /trace, benchdump -trace-out,
-// or any obs.Tracer dump.
+// over JSONL traces exported from GET /trace, f3dc -trace-out or any
+// obs.Tracer dump.
 //
 // Usage:
 //

@@ -8,24 +8,17 @@ import (
 	"repro/internal/parloop"
 )
 
-// tunedKernels registers the tuned inner-loop kernel layer against its
-// scalar references: the lane-batched and planar band solvers (bitwise
-// — per system they perform the scalar eliminations in the scalar
-// order) and the unrolled slice reductions (ULP-bounded for sums,
-// whose four-accumulator unroll regroups the additions; exact for
-// max) and the axis-specialised eigensystem (bitwise against the
-// generic one). The parallel bodies partition independent solves across
-// the team, so the matrix also proves the tuned forms safe inside
-// regions.
+// tunedKernels registers the tuned inner-loop kernels against their
+// scalar references, all bitwise: the axis-specialised eigensystem
+// against the generic one, and the lane-batched band solvers — per
+// system they perform the scalar eliminations in the scalar order. The
+// parallel bodies partition independent items across the team, so the
+// matrix also proves the tuned forms safe inside regions.
 func tunedKernels() []Kernel {
 	return []Kernel{
 		eigenAxisKernel(),
 		tridiagBatchKernel(),
 		pentadiagBatchKernel(),
-		planarTunedKernel(),
-		sumSliceKernel(),
-		dotSliceKernel(),
-		maxSliceKernel(),
 	}
 }
 
@@ -184,125 +177,4 @@ func pentadiagBatchKernel() Kernel {
 		}
 	}
 	return perItemKernel("pentadiag-batch5", 32, linalg.Lanes*batchOrder, solve)
-}
-
-// planarTunedKernel: N independent planes of tridiagonal systems in the
-// vector code's [rows][systems] layout. Serial uses the scalar planar
-// solver; workers solve whole planes with the unrolled tuned form.
-// Unrolling the system loop reorders nothing within a system — bitwise.
-func planarTunedKernel() Kernel {
-	const rows, nsys = 24, 13
-	const per = rows * nsys
-	gen := func(plane int) (a, b, c, d []float64) {
-		s := float64(plane) * 2.718
-		a = make([]float64, per)
-		b = make([]float64, per)
-		c = make([]float64, per)
-		d = make([]float64, per)
-		for i := 0; i < per; i++ {
-			t := float64(i)
-			a[i] = 0.8 * math.Sin(s+0.9*t)
-			c[i] = 0.8 * math.Cos(s+1.7*t)
-			b[i] = 3 + 0.5*math.Sin(s+0.3*t)
-			d[i] = 2 * math.Cos(s+1.1*t)
-		}
-		return
-	}
-	return Kernel{
-		Name: "planar-tuned", N: 24, MinN: 1,
-		Schedules: AllSchedules,
-		Serial: func(n int) []float64 {
-			out := make([]float64, 0, n*per)
-			for i := 0; i < n; i++ {
-				a, b, c, d := gen(i)
-				linalg.SolveTridiagPlanar(a, b, c, d, rows, nsys)
-				out = append(out, d...)
-			}
-			return out
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			out := make([]float64, spec.N*per)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a, b, c, d := gen(i)
-					linalg.SolveTridiagPlanarTuned(a, b, c, d, rows, nsys)
-					copy(out[i*per:], d)
-				}
-			})
-			return out
-		},
-	}
-}
-
-// sumSliceKernel: the unrolled slice sum against the strict
-// left-to-right scalar fold. The four-accumulator unroll and the
-// per-worker partial merge both regroup the additions, so the bound is
-// the same ULP allowance the closure-reduction kernels carry. The
-// slice reduction partitions statically inside; the schedule axis does
-// not apply.
-func sumSliceKernel() Kernel {
-	return Kernel{
-		Name: "sum-slice-ulp", N: 4096, MinN: 1,
-		MaxULPs: 1 << 16,
-		Serial: func(n int) []float64 {
-			acc := 0.0
-			for _, v := range inputF64(n, 8.0) {
-				acc += v
-			}
-			return []float64{acc}
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			return []float64{parloop.SumSlice(t, inputF64(spec.N, 8.0))}
-		},
-	}
-}
-
-// dotSliceKernel: the unrolled slice dot product, ULP-bounded like the
-// sums.
-func dotSliceKernel() Kernel {
-	gen := func(n int) (x, y []float64) {
-		x = inputF64(n, 9.0)
-		y = make([]float64, n)
-		for i := range y {
-			y[i] = 1.5 + 0.5*math.Cos(float64(i))
-		}
-		return
-	}
-	return Kernel{
-		Name: "dot-slice-ulp", N: 4096, MinN: 1,
-		MaxULPs: 1 << 16,
-		Serial: func(n int) []float64 {
-			x, y := gen(n)
-			acc := 0.0
-			for i := range x {
-				acc += x[i] * y[i]
-			}
-			return []float64{acc}
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			x, y := gen(spec.N)
-			return []float64{parloop.DotSlice(t, x, y)}
-		},
-	}
-}
-
-// maxSliceKernel: the unrolled slice max. Grouping cannot change a
-// maximum, so the tuned form must match the serial fold bitwise at
-// every team size.
-func maxSliceKernel() Kernel {
-	return Kernel{
-		Name: "max-slice-exact", N: 4096, MinN: 1,
-		Serial: func(n int) []float64 {
-			acc := math.Inf(-1)
-			for _, v := range inputF64(n, 10.0) {
-				if v > acc {
-					acc = v
-				}
-			}
-			return []float64{acc}
-		},
-		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			return []float64{parloop.MaxSlice(t, inputF64(spec.N, 10.0))}
-		},
-	}
 }

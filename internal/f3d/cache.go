@@ -94,8 +94,8 @@ func NewCacheSolver(cfg Config, opts CacheOptions) (*CacheSolver, error) {
 // NewReferenceSolver builds the conformance reference: the same solver
 // running the plain scalar kernels of kernels.go, serially. It takes no
 // options — in particular no Team — so a served path cannot end up on
-// the slow kernels by accident; internal/check, benchdump's
-// tuned-vs-scalar ratio series and the tests are its only callers.
+// the slow kernels by accident; internal/check and the tests (among
+// them the tuned-vs-scalar step-speed guard) are its only callers.
 func NewReferenceSolver(cfg Config) (*CacheSolver, error) {
 	return newCacheSolver(cfg, CacheOptions{}, &scalarKernelSet)
 }

@@ -1,6 +1,6 @@
 package linalg
 
-// Tuned inner-loop kernels: the same Thomas/pentadiagonal eliminations
+// Lane-batched band solvers: the same Thomas/pentadiagonal eliminations
 // as the scalar reference solvers, reshaped the way the paper's §4
 // serial tuning reshaped the vector code — batched over independent
 // systems so the divide/multiply recurrence of one system hides behind
@@ -8,21 +8,21 @@ package linalg
 // front so the compiler proves the inner loops in-bounds (no per-
 // element bounds checks, no per-call allocation).
 //
-// Every tuned solver executes, per system, exactly the floating-point
+// Each solver executes, per system, exactly the floating-point
 // operations of its scalar reference in exactly the same order, so its
 // results are bitwise identical — "faster" never means "different".
-// The conformance matrix in internal/check enforces that equivalence on
-// every build, and the CI bounds-check-elimination lint (lint/bce.sh)
-// pins this file's residual bounds-check list so a hot loop silently
-// re-growing per-element checks fails the build.
+// The conformance cells tridiag-batch5 and pentadiag-batch5 enforce
+// that on every build, and the CI bounds-check-elimination lint
+// (lint/bce.sh) pins this file's residual bounds-check list so a hot
+// loop silently re-growing per-element checks fails the build.
 //
-// The served sweep does not call the lane-batched *5 solvers: its three
-// convective fields share one band, so f3d's sweepLineModeTuned
-// eliminates three coefficient lanes for five right-hand sides, fused
-// with the band assembly. SolveTridiag5 / SolvePentadiag5 remain the
-// general case — five independent bands — for the tridiag-batch5 and
-// pentadiag-batch5 conformance cells, cmd/benchdump's batch5 gates and
-// the end-to-end benchmark's linalg.*5_ns_row probes.
+// The served sweep does not call these solvers: its three convective
+// fields share one band, so f3d's sweepLineModeTuned eliminates three
+// coefficient lanes for five right-hand sides, fused with the band
+// assembly. SolveTridiag5 / SolvePentadiag5 stay only because the
+// end-to-end benchmark's linalg.*5_ns_row probes (benchmark/probes.go)
+// call them, and benchmark/ changes only in a benchmark-only change;
+// they go with those probes.
 
 // Lanes is the batch width of the lane-batched solvers: the five
 // characteristic fields of 3-D compressible flow, one independent
@@ -238,116 +238,5 @@ func checkLanes(kernel string, n int, bands ...*[Lanes][]float64) {
 				panic("linalg: " + kernel + " lane shorter than n")
 			}
 		}
-	}
-}
-
-// SolveTridiagPlanarTuned is SolveTridiagPlanar — nsys independent
-// tridiagonal systems in [n][nsys] plane layout, inner loop over
-// systems — with the system loop unrolled four wide over row subslices
-// whose bounds the compiler can discharge. Per system it performs the
-// scalar solver's operations in the scalar solver's order, so results
-// are bitwise identical to SolveTridiagPlanar. Unlike the scalar form
-// it accepts the empty shapes (n == 0 or nsys == 0 is a no-op), and it
-// validates all four array lengths — overflow-safely — before writing
-// anything.
-func SolveTridiagPlanarTuned(a, b, c, d []float64, n, nsys int) {
-	if n < 0 || nsys < 0 {
-		panic("linalg: SolveTridiagPlanarTuned needs n, nsys >= 0")
-	}
-	if n == 0 || nsys == 0 {
-		return
-	}
-	if nsys > (int(^uint(0)>>1))/n {
-		panic("linalg: SolveTridiagPlanarTuned n*nsys overflows")
-	}
-	need := n * nsys
-	if len(a) < need || len(b) < need || len(c) < need || len(d) < need {
-		panic("linalg: SolveTridiagPlanarTuned arrays shorter than n*nsys")
-	}
-
-	// Row 0: normalize every system.
-	planarRow0(b[:nsys], c[:nsys], d[:nsys], nsys)
-	// Forward elimination over rows; each row's system loop is
-	// independent, so it unrolls without reassociating anything.
-	for i := 1; i < n; i++ {
-		row, prev := i*nsys, (i-1)*nsys
-		planarForward(
-			a[row:row+nsys], b[row:row+nsys], c[row:row+nsys], d[row:row+nsys],
-			c[prev:prev+nsys], d[prev:prev+nsys], nsys)
-	}
-	// Back substitution.
-	for i := n - 2; i >= 0; i-- {
-		row, next := i*nsys, (i+1)*nsys
-		planarBack(c[row:row+nsys], d[row:row+nsys], d[next:next+nsys], nsys)
-	}
-}
-
-// planarRow0 normalizes row 0 of every system: c[s] /= b[s], d[s] /= b[s]
-// via the reciprocal, matching the scalar solver exactly.
-func planarRow0(b, c, d []float64, nsys int) {
-	b, c, d = b[:nsys], c[:nsys], d[:nsys]
-	s := 0
-	for ; s+3 < nsys; s += 4 {
-		i0 := 1 / b[s]
-		i1 := 1 / b[s+1]
-		i2 := 1 / b[s+2]
-		i3 := 1 / b[s+3]
-		c[s] *= i0
-		c[s+1] *= i1
-		c[s+2] *= i2
-		c[s+3] *= i3
-		d[s] *= i0
-		d[s+1] *= i1
-		d[s+2] *= i2
-		d[s+3] *= i3
-	}
-	for ; s < nsys; s++ {
-		inv := 1 / b[s]
-		c[s] *= inv
-		d[s] *= inv
-	}
-}
-
-// planarForward eliminates one row of every system against the
-// previous row (cp, dp are the previous row's modified super-diagonal
-// and RHS).
-func planarForward(a, b, c, d, cp, dp []float64, nsys int) {
-	a, b, c, d = a[:nsys], b[:nsys], c[:nsys], d[:nsys]
-	cp, dp = cp[:nsys], dp[:nsys]
-	s := 0
-	for ; s+3 < nsys; s += 4 {
-		i0 := 1 / (b[s] - a[s]*cp[s])
-		i1 := 1 / (b[s+1] - a[s+1]*cp[s+1])
-		i2 := 1 / (b[s+2] - a[s+2]*cp[s+2])
-		i3 := 1 / (b[s+3] - a[s+3]*cp[s+3])
-		c[s] *= i0
-		c[s+1] *= i1
-		c[s+2] *= i2
-		c[s+3] *= i3
-		d[s] = (d[s] - a[s]*dp[s]) * i0
-		d[s+1] = (d[s+1] - a[s+1]*dp[s+1]) * i1
-		d[s+2] = (d[s+2] - a[s+2]*dp[s+2]) * i2
-		d[s+3] = (d[s+3] - a[s+3]*dp[s+3]) * i3
-	}
-	for ; s < nsys; s++ {
-		inv := 1 / (b[s] - a[s]*cp[s])
-		c[s] *= inv
-		d[s] = (d[s] - a[s]*dp[s]) * inv
-	}
-}
-
-// planarBack substitutes one row of every system against the next row
-// (dn is the next row's solved values).
-func planarBack(c, d, dn []float64, nsys int) {
-	c, d, dn = c[:nsys], d[:nsys], dn[:nsys]
-	s := 0
-	for ; s+3 < nsys; s += 4 {
-		d[s] -= c[s] * dn[s]
-		d[s+1] -= c[s+1] * dn[s+1]
-		d[s+2] -= c[s+2] * dn[s+2]
-		d[s+3] -= c[s+3] * dn[s+3]
-	}
-	for ; s < nsys; s++ {
-		d[s] -= c[s] * dn[s]
 	}
 }

@@ -98,34 +98,3 @@ func BenchmarkSolvePentadiagBatch(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSolveTridiagPlanarTuned compares the unrolled planar solve
-// against the scalar planar reference on the same plane.
-func BenchmarkSolveTridiagPlanarTuned(b *testing.B) {
-	const n, nsys = 128, 64
-	a, bb, c, d := benchSystem(n * nsys)
-	wa := make([]float64, n*nsys)
-	wb := make([]float64, n*nsys)
-	wc := make([]float64, n*nsys)
-	wd := make([]float64, n*nsys)
-	reload := func() {
-		copy(wa, a)
-		copy(wb, bb)
-		copy(wc, c)
-		copy(wd, d)
-	}
-	b.Run("tuned", func(b *testing.B) {
-		b.SetBytes(int64(n * nsys * 8))
-		for i := 0; i < b.N; i++ {
-			reload()
-			SolveTridiagPlanarTuned(wa, wb, wc, wd, n, nsys)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(n * nsys * 8))
-		for i := 0; i < b.N; i++ {
-			reload()
-			SolveTridiagPlanar(wa, wb, wc, wd, n, nsys)
-		}
-	})
-}

@@ -126,97 +126,46 @@ func TestSolvePentadiag5MatchesScalarBitwise(t *testing.T) {
 	SolvePentadiag5(&empty, &empty, &empty, &empty, &empty, &empty, 0)
 }
 
-func TestSolveTridiagPlanarTunedMatchesScalarBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	shapes := []struct{ n, nsys int }{
-		{1, 1}, {1, 5}, {2, 4}, {3, 7}, {17, 1}, {9, 8}, {13, 29}, {40, 13},
-		{2, 3}, // nsys below the unroll width: remainder lanes only
+// TestLaneSolversAllocFree pins that the lane solvers allocate nothing
+// per call: they work in the caller's bands and keep no scratch.
+func TestLaneSolversAllocFree(t *testing.T) {
+	const n = 32
+	rng := rand.New(rand.NewSource(16))
+	a, b, c, d, _, _, _, _ := laneBands(rng, n)
+	if got := testing.AllocsPerRun(20, func() { SolveTridiag5(&a, &b, &c, &d, n) }); got != 0 {
+		t.Errorf("SolveTridiag5 allocates %v per call", got)
 	}
-	for _, sh := range shapes {
-		need := sh.n * sh.nsys
-		a, b, c, d := make([]float64, need), make([]float64, need), make([]float64, need), make([]float64, need)
-		for i := range a {
-			a[i] = rng.Float64() - 0.5
-			c[i] = rng.Float64() - 0.5
-			b[i] = 2.5 + rng.Float64()
-			d[i] = rng.Float64()*10 - 5
-		}
-		aR := append([]float64(nil), a...)
-		bR := append([]float64(nil), b...)
-		cR := append([]float64(nil), c...)
-		dR := append([]float64(nil), d...)
-		// Tight subslices: exactly n*nsys, so any out-of-range touch in
-		// the unrolled body panics here.
-		SolveTridiagPlanarTuned(a[:need], b[:need], c[:need], d[:need], sh.n, sh.nsys)
-		SolveTridiagPlanar(aR, bR, cR, dR, sh.n, sh.nsys)
-		firstBitMismatch(t, "d", d, dR)
-		firstBitMismatch(t, "c", c, cR)
-	}
-}
-
-func TestSolveTridiagPlanarTunedEdgeShapes(t *testing.T) {
-	// The tuned planar solver accepts the empty shapes as no-ops and
-	// leaves the arrays untouched.
-	buf := []float64{1, 2, 3}
-	ref := append([]float64(nil), buf...)
-	SolveTridiagPlanarTuned(buf, buf, buf, buf, 0, 7)
-	SolveTridiagPlanarTuned(buf, buf, buf, buf, 7, 0)
-	firstBitMismatch(t, "no-op", buf, ref)
-
-	for name, fn := range map[string]func(){
-		"negative n":    func() { SolveTridiagPlanarTuned(nil, nil, nil, nil, -1, 2) },
-		"negative nsys": func() { SolveTridiagPlanarTuned(nil, nil, nil, nil, 2, -1) },
-		"short arrays": func() {
-			SolveTridiagPlanarTuned(make([]float64, 5), make([]float64, 5), make([]float64, 5), make([]float64, 5), 3, 2)
-		},
-		"overflow": func() {
-			big := (int(^uint(0)>>1))/2 + 1
-			SolveTridiagPlanarTuned(make([]float64, 8), make([]float64, 8), make([]float64, 8), make([]float64, 8), 3, big)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
+	e, pa, pb, pc, f, pd := pentaBands(rng, n)
+	if got := testing.AllocsPerRun(20, func() { SolvePentadiag5(&e, &pa, &pb, &pc, &f, &pd, n) }); got != 0 {
+		t.Errorf("SolvePentadiag5 allocates %v per call", got)
 	}
 }
 
 // TestPlanarValidationBeforeWrites is the regression test for the
 // partial-write panic: an n*nsys product that overflowed used to slip
 // past the length check and blow up mid-elimination, after row 0 had
-// already been scaled. Both planar solvers must now reject the shape
+// already been scaled. The planar solver must now reject the shape
 // before touching a single element.
 func TestPlanarValidationBeforeWrites(t *testing.T) {
 	big := (int(^uint(0)>>1))/3 + 1 // 3*big overflows
-	for name, fn := range map[string]func(a, b, c, d []float64){
-		"scalar": func(a, b, c, d []float64) { SolveTridiagPlanar(a, b, c, d, 3, big) },
-		"tuned":  func(a, b, c, d []float64) { SolveTridiagPlanarTuned(a, b, c, d, 3, big) },
-	} {
-		a := []float64{1, 2, 3, 4, 5}
-		b := []float64{6, 7, 8, 9, 10}
-		c := []float64{11, 12, 13, 14, 15}
-		d := []float64{16, 17, 18, 19, 20}
-		aR := append([]float64(nil), a...)
-		bR := append([]float64(nil), b...)
-		cR := append([]float64(nil), c...)
-		dR := append([]float64(nil), d...)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: overflowing shape must panic", name)
-				}
-				firstBitMismatch(t, name+" a", a, aR)
-				firstBitMismatch(t, name+" b", b, bR)
-				firstBitMismatch(t, name+" c", c, cR)
-				firstBitMismatch(t, name+" d", d, dR)
-			}()
-			fn(a, b, c, d)
-		}()
-	}
+	a := []float64{1, 2, 3, 4, 5}
+	b := []float64{6, 7, 8, 9, 10}
+	c := []float64{11, 12, 13, 14, 15}
+	d := []float64{16, 17, 18, 19, 20}
+	aR := append([]float64(nil), a...)
+	bR := append([]float64(nil), b...)
+	cR := append([]float64(nil), c...)
+	dR := append([]float64(nil), d...)
+	defer func() {
+		if recover() == nil {
+			t.Error("overflowing shape must panic")
+		}
+		firstBitMismatch(t, "a", a, aR)
+		firstBitMismatch(t, "b", b, bR)
+		firstBitMismatch(t, "c", c, cR)
+		firstBitMismatch(t, "d", d, dR)
+	}()
+	SolveTridiagPlanar(a, b, c, d, 3, big)
 }
 
 // TestLaneSolversValidateBeforeWrites pins the same property for the

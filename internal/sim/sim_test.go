@@ -160,7 +160,7 @@ func TestTable4Shape(t *testing.T) {
 	}
 	// The calibrated headline values themselves, so a change to the
 	// machine or workload model that stays inside the paper bands above
-	// is still seen (benchdump gated these three until PR 18).
+	// is still seen.
 	for _, c := range []struct {
 		name      string
 		got, want float64

@@ -3,12 +3,11 @@
 #
 # Prints every bounds check the compiler could NOT eliminate from the
 # tuned kernel files (linalg/tuned.go, f3d/kernels_tuned.go,
-# parloop/reduce_tuned.go, euler/eigen_tuned.go) and the line
-# gather/scatter they are fed by (f3d/lines.go), sorted. CI diffs this
-# against the committed lint/bce_golden.txt: a new IsInBounds site in a
-# hot loop is a silent performance regression — the kernel still passes
-# every correctness test while the inner loop re-grows per-element
-# checks.
+# euler/eigen_tuned.go) and the line gather/scatter they are fed by
+# (f3d/lines.go), sorted. CI diffs this against the committed
+# lint/bce_golden.txt: a new IsInBounds site in a hot loop is a silent
+# performance regression — the kernel still passes every correctness
+# test while the inner loop re-grows per-element checks.
 #
 # The golden list is not empty: the up-front [:n] pins are themselves
 # IsSliceInBounds sites (once per call, by design), and a few
@@ -26,7 +25,7 @@ cd "$(dirname "$0")/.."
 # -a forces recompilation: a cached build would skip the compile and
 # print nothing.
 out=$(go build -a -gcflags='-d=ssa/check_bce' \
-    ./internal/linalg ./internal/parloop ./internal/euler ./internal/f3d 2>&1 |
+    ./internal/linalg ./internal/euler ./internal/f3d 2>&1 |
     grep -E 'tuned\.go|f3d/lines\.go' | LC_ALL=C sort)
 printf '%s\n' "$out"
 if printf '%s\n' "$out" | grep -q 'euler/eigen_tuned\.go'; then
