@@ -9,10 +9,11 @@ import (
 )
 
 // simStepDigest is the SHA-256 of every Sim.Step result on the grid in
-// TestSimStepDigest, recorded before the dealing rule moved into
-// model.Deal. Any bit that moves in a wall, a busy time, a count or a
-// verdict fraction changes it.
-const simStepDigest = "0c50ba04c5da55b5cdb9b6387a47c9ece4d303cc69fca71f34ad0ffd19e82bd8"
+// TestSimStepDigest. Any bit that moves in a wall, a busy time, a count
+// or a verdict fraction changes it. The verdict's own work, worker and
+// unit counts are not hashed: they restate res.WorkNs, res.Workers and
+// the workload's N, which are.
+const simStepDigest = "9bea5b79583afa7a7af649b456d62e5d204cb82dfd3ec5e4febfe96b6e4e9f3d"
 
 // TestSimStepDigest pins Sim.Step bit for bit: 7 workloads × 4 steps ×
 // 4 schedules × 5 chunks × 7 worker counts (3 920 cases), each result
@@ -36,10 +37,10 @@ func TestSimStepDigest(t *testing.T) {
 				for _, chunk := range []int{0, 1, 3, 8, 64} {
 					for _, workers := range []int{0, 1, 2, 3, 4, 7, 16} {
 						res, v := s.Step(step, Choice{Sched: sc, Chunk: chunk, Workers: workers})
-						fmt.Fprintf(h, "%s %d %v %d %d|%x %x %x %x %x %x|%x %x %x %x %x %t %x %x\n",
-							w.Name, step, sc, chunk, workers,
+						fmt.Fprintf(h, "%s %d %d %v %d %d|%x %x %x %x %x %x|%x %x %x %x %t\n",
+							w.Name, w.N, step, sc, chunk, workers,
 							res.WallNs, res.WorkNs, res.BusyNs, res.Chunks, res.Deals, res.Workers,
-							v.WallNs, v.WorkNs, v.ImbalanceFrac, v.BarrierFrac, v.SyncFrac, v.BudgetPass, v.Workers, v.Units)
+							v.WallNs, v.ImbalanceFrac, v.BarrierFrac, v.SyncFrac, v.BudgetPass)
 						cases++
 					}
 				}
