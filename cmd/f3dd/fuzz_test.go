@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/sched"
 )
 
@@ -30,10 +29,9 @@ func FuzzSubmitRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	alloc := adapt.NewMeasuredAllocator()
-	s := sched.New(sched.Config{Procs: 2, Allocator: alloc})
+	s := sched.New(sched.Config{Procs: 2})
 	f.Cleanup(s.Close)
-	sv := newServer(s, serverConfig{adapt: alloc, autopar: true})
+	sv := newServer(s, serverConfig{autopar: true})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeSubmit(bytes.NewReader(body))

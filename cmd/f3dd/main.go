@@ -12,6 +12,8 @@
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N]
 //	     [-grow=false] [-shrink=false] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
+//	     [-autopar] [-autopar-sync-cost CYCLES]
+//	     [-trace] [-trace-buf N] [-node TAG]
 //
 // Endpoints:
 //
@@ -54,12 +56,9 @@
 //	                         release is plain JSON
 //
 // The daemon accepts "adaptive" jobs — ragged loops re-scheduled per
-// step by a live feedback controller (internal/adapt) — and sizes every
-// grant from their measured speedups as well as the stair-step model:
-// the controllers feed a MeasuredAllocator that shrinks grants to lower
-// plateaus when the observed speedup says the extra processors buy
-// nothing. Until a measurement is recorded it grants exactly what the
-// model does.
+// step by a live feedback controller (internal/adapt). The controller
+// picks its schedule, chunk and worker count inside the job's plateau
+// grant; grants themselves always follow the stair-step rule.
 //
 // With -autopar every f3d submission runs phase-traced, and the
 // daemon derives an evidence-driven auto-parallelization plan from
@@ -92,7 +91,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -123,7 +121,6 @@ func main() {
 	if *trace {
 		tracer.Enable()
 	}
-	alloc := adapt.NewMeasuredAllocator()
 	schedCfg := sched.Config{
 		Procs:         *procs,
 		QueueDepth:    *queue,
@@ -132,7 +129,6 @@ func main() {
 		Clock:         simclock.Real{},
 		Tracer:        tracer,
 		Metrics:       obs.NewRegistry(),
-		Allocator:     alloc,
 	}
 	s := sched.New(schedCfg)
 	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
@@ -140,7 +136,6 @@ func main() {
 		submitRetries:   *submitRetries,
 		retryBackoff:    *retryBackoff,
 		jobTimeout:      *jobTimeout,
-		adapt:           alloc,
 		node:            *node,
 		autopar:         *autopar,
 		autoparSyncCost: *autoparSync,

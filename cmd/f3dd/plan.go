@@ -92,8 +92,11 @@ func (sv *server) applyPlanFrom(req *submitRequest) (sched.Job, error) {
 	if req.Pulse == 0 {
 		req.Pulse = src.req.Pulse
 	}
-	if req.Steps == 10 { // caller left the default
+	if req.Steps == 0 {
 		req.Steps = src.req.Steps
+	}
+	if err := checkSteps(req); err != nil {
+		return nil, err
 	}
 	job, err := sv.buildF3D(req)
 	if err != nil {

@@ -253,21 +253,35 @@ func TestPlanE2E(t *testing.T) {
 		t.Errorf("applied plan left the default step shape %+v", got)
 	}
 
-	// Headline conformance: both the traced probe and the plan-shaped
-	// replay reproduce the serial reference bitwise.
-	ref := serialResiduals(t, j, k, l, steps, pulse)
-	for name, id := range map[string]uint64{"probe": st.ID, "replay": st2.ID} {
-		job, ok := ts.s.Submitted(id).(*planJob)
+	// An explicit steps is the caller's, even when it equals the
+	// default of 10: only an omitted one is inherited.
+	var st3 sched.JobStatus
+	if code := ts.do("POST", "/jobs", map[string]any{
+		"kind": "f3d", "name": "replay10", "plan_from": st.ID, "steps": 10,
+	}, &st3); code != http.StatusAccepted {
+		t.Fatalf("submit replay10 = %d", code)
+	}
+	ts.waitState(st3.ID, sched.StateDone)
+
+	// Headline conformance: the traced probe and both plan-shaped
+	// replays reproduce the serial reference bitwise.
+	ref := serialResiduals(t, j, k, l, 10, pulse)
+	for _, c := range []struct {
+		name  string
+		id    uint64
+		steps int
+	}{{"probe", st.ID, steps}, {"replay", st2.ID, steps}, {"replay10", st3.ID, 10}} {
+		job, ok := ts.s.Submitted(c.id).(*planJob)
 		if !ok {
-			t.Fatalf("%s job is not a plan job", name)
+			t.Fatalf("%s job is not a plan job", c.name)
 		}
 		got := job.History().Residuals
-		if len(got) != len(ref) {
-			t.Fatalf("%s ran %d steps, want %d", name, len(got), len(ref))
+		if len(got) != c.steps {
+			t.Fatalf("%s ran %d steps, want %d", c.name, len(got), c.steps)
 		}
-		for i := range ref {
+		for i := range got {
 			if got[i] != ref[i] {
-				t.Errorf("%s step %d: residual %.17g, serial reference %.17g", name, i, got[i], ref[i])
+				t.Errorf("%s step %d: residual %.17g, serial reference %.17g", c.name, i, got[i], ref[i])
 			}
 		}
 	}

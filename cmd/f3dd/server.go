@@ -46,11 +46,6 @@ type serverConfig struct {
 	// jobTimeout, when positive, is the run deadline applied to
 	// submissions that don't pick their own via timeout_sec.
 	jobTimeout time.Duration
-	// adapt, when non-nil, receives the measured speedups the
-	// controllers of "adaptive" submissions observe (main wires the
-	// MeasuredAllocator the scheduler grants from, so grant sizing
-	// follows measurement as well as the model).
-	adapt adapt.Recorder
 	// node tags this daemon's trace events in merged fleet timelines
 	// (the -node flag; the listen address by default).
 	node string
@@ -167,15 +162,16 @@ type submitRequest struct {
 
 // buildJob validates a submission and constructs the scheduler job.
 func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
-	if req.Steps == 0 {
-		req.Steps = 10
-	}
-	if req.Steps < 1 || req.Steps > maxSteps {
-		return nil, fmt.Errorf("steps must be in [1, %d], got %d", maxSteps, req.Steps)
-	}
 	kind := strings.ToLower(req.Kind)
 	if req.Name == "" {
 		req.Name = kind
+	}
+	if kind == "f3d" && req.PlanFrom != 0 {
+		// An omitted steps is the source job's, not the default.
+		return sv.applyPlanFrom(req)
+	}
+	if err := checkSteps(req); err != nil {
+		return nil, err
 	}
 	switch kind {
 	case "synthetic":
@@ -211,9 +207,6 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 		}
 		return sched.NewSyntheticJob(req.Name, p, req.Steps, req.WorkScale), nil
 	case "f3d":
-		if req.PlanFrom != 0 {
-			return sv.applyPlanFrom(req)
-		}
 		return sv.buildF3D(req)
 	case "euler":
 		if req.Points == 0 {
@@ -237,10 +230,21 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 			return nil, fmt.Errorf("work_scale must be > 0, got %g", req.WorkScale)
 		}
 		return adapt.NewLoopJob(req.Name, req.Parallelism, req.Steps, req.WorkScale,
-			req.Seed, sv.sched.Procs(), sv.cfg.adapt, sv.cfg.clock)
+			req.Seed, sv.sched.Procs(), sv.cfg.clock)
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want synthetic, f3d, euler or adaptive)", req.Kind)
 	}
+}
+
+// checkSteps defaults an omitted steps to 10 and bounds it.
+func checkSteps(req *submitRequest) error {
+	if req.Steps == 0 {
+		req.Steps = 10
+	}
+	if req.Steps < 1 || req.Steps > maxSteps {
+		return fmt.Errorf("steps must be in [1, %d], got %d", maxSteps, req.Steps)
+	}
+	return nil
 }
 
 // parseDims parses "JxKxL" with per-dimension and total-size limits.

@@ -1,8 +1,9 @@
 // Package adapt closes the loop between observation and scheduling: a
 // per-loop feedback controller that consumes obs/analyze verdicts
-// (imbalance fraction, barrier share, Table 1 budget fail, measured
-// speedup vs. the stair-step plateau) between time steps and re-picks
-// {schedule, chunk, workers} for each instrumented loop.
+// (imbalance fraction, barrier share, Table 1 budget fail) between time
+// steps and re-picks {schedule, chunk, workers} for each instrumented
+// loop. The scheduler's plateau grant (sched.PlateauGrant) bounds the
+// worker pick; the controller never feeds back into grants.
 //
 // The paper fixes those choices up front from Table 1 budgets and
 // Table 3 plateaus; "Dynamic Loop Parallelisation" (Jackson &
@@ -34,6 +35,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/model"
 	"repro/internal/parloop"
 	"repro/internal/sched"
 )
@@ -53,16 +55,13 @@ func (c Choice) String() string {
 
 // Verdict is one step's worth of measured evidence about a loop — the
 // distilled form of an obs/analyze per-loop report. All fields are
-// tolerated degenerate (zero work, NaN fractions, absurd workers); the
+// tolerated degenerate (negative wall, NaN or infinite fractions); the
 // controller sanitizes on intake so a garbage verdict can never push a
 // pick outside the legal envelope.
 type Verdict struct {
 	// WallNs is the step's wall time for this loop; the controller's
 	// score is mean wall per step (lower is better).
 	WallNs int64 `json:"wall_ns"`
-	// WorkNs is the summed worker-time of useful work, so
-	// WorkNs/WallNs is the measured speedup at the current grant.
-	WorkNs int64 `json:"work_ns"`
 	// ImbalanceFrac, BarrierFrac and SyncFrac are the analyze
 	// attribution fractions of wall time (stair-step/join imbalance,
 	// mid-region barrier waits, modeled synchronization overhead).
@@ -72,10 +71,6 @@ type Verdict struct {
 	// BudgetPass is the loop's Table 1 verdict: enough work per sync
 	// event for the machine's sync cost.
 	BudgetPass bool `json:"budget_pass"`
-	// Workers is the team size the verdict was measured at; Units the
-	// loop's parallelism M.
-	Workers int `json:"workers"`
-	Units   int `json:"units"`
 }
 
 // sanitize clamps a verdict into its documented domain so downstream
@@ -93,26 +88,10 @@ func sanitize(v Verdict) Verdict {
 	if v.WallNs < 0 {
 		v.WallNs = 0
 	}
-	if v.WorkNs < 0 {
-		v.WorkNs = 0
-	}
 	v.ImbalanceFrac = clampFrac(v.ImbalanceFrac)
 	v.BarrierFrac = clampFrac(v.BarrierFrac)
 	v.SyncFrac = clampFrac(v.SyncFrac)
-	if v.Workers < 1 {
-		v.Workers = 1
-	}
-	if v.Units < 0 {
-		v.Units = 0
-	}
 	return v
-}
-
-// Recorder receives measured speedups. sched-side allocators (the
-// MeasuredAllocator) implement it so grant decisions can come from
-// measured — not modeled — speedup.
-type Recorder interface {
-	Record(m, procs int, speedup float64)
 }
 
 // Config parameterizes a Controller. The zero value is unusable; Procs
@@ -144,10 +123,6 @@ type Config struct {
 	MaxProbes int
 	// MaxHistory caps the retained decision log. Default 256.
 	MaxHistory int
-	// Recorder, when non-nil, receives the measured speedup
-	// (WorkNs/WallNs at the active worker count) after every
-	// completed window.
-	Recorder Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -184,7 +159,7 @@ func (c Config) withDefaults() Config {
 // workerPlateaus returns the legal worker axis: the stair-step
 // plateaus of M capped at Procs (always at least {1}).
 func (c Config) workerPlateaus() []int {
-	plats := sched.Plateaus(c.M, c.Procs)
+	plats := model.PlateauProcs(c.M, c.Procs)
 	if len(plats) == 0 {
 		plats = []int{1}
 	}
@@ -254,7 +229,6 @@ type Controller struct {
 	step    int
 	winN    int
 	winWall float64
-	winWork float64
 	winImb  float64
 	winBar  float64
 	winSync float64
@@ -334,7 +308,6 @@ func (c *Controller) Observe(v Verdict) Decision {
 	c.step++
 	c.winN++
 	c.winWall += float64(v.WallNs)
-	c.winWork += float64(v.WorkNs)
 	c.winImb += v.ImbalanceFrac
 	c.winBar += v.BarrierFrac
 	c.winSync += v.SyncFrac
@@ -350,34 +323,17 @@ func (c *Controller) Observe(v Verdict) Decision {
 	mean := c.winWall / n
 	avg := Verdict{
 		WallNs:        int64(mean),
-		WorkNs:        int64(c.winWork / n),
 		ImbalanceFrac: c.winImb / n,
 		BarrierFrac:   c.winBar / n,
 		SyncFrac:      c.winSync / n,
 		BudgetPass:    c.winPass*2 >= c.winN,
-		Workers:       c.active.Workers,
-		Units:         c.cfg.M,
 	}
-	c.winN, c.winWall, c.winWork, c.winImb, c.winBar, c.winSync, c.winPass = 0, 0, 0, 0, 0, 0, 0
+	c.winN, c.winWall, c.winImb, c.winBar, c.winSync, c.winPass = 0, 0, 0, 0, 0, 0
 	c.lastAvg = avg
-	if c.cfg.Recorder != nil && mean > 0 {
-		c.cfg.Recorder.Record(c.cfg.M, c.active.Workers, c.winSpeedup(avg))
-	}
 
 	d := c.judge(mean, avg)
 	c.record(d)
 	return d
-}
-
-func (c *Controller) winSpeedup(avg Verdict) float64 {
-	if avg.WallNs <= 0 {
-		return 1
-	}
-	sp := float64(avg.WorkNs) / float64(avg.WallNs)
-	if sp < 1 {
-		sp = 1
-	}
-	return sp
 }
 
 // judge closes a measurement window. Called with the lock held.

@@ -177,7 +177,7 @@ func TestObserveWindowBoundaries(t *testing.T) {
 	ctrl := New("win", Choice{Sched: parloop.Dynamic, Chunk: 8, Workers: 4}, cfg)
 	prev := ctrl.Choice()
 	for step := 1; step <= 200; step++ {
-		d := ctrl.Observe(Verdict{WallNs: int64(1000 + step%7), Workers: 4, Units: 96, BudgetPass: true})
+		d := ctrl.Observe(Verdict{WallNs: int64(1000 + step%7), BudgetPass: true})
 		if d.Choice != prev && step%settle != 0 {
 			t.Fatalf("choice changed mid-window at step %d (%v -> %v)", step, prev, d.Choice)
 		}

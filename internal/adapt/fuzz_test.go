@@ -17,22 +17,21 @@ import (
 //     only when a SettleSteps measurement window closes, so two
 //     consecutive changes are at least SettleSteps observations apart.
 //
-// The corpus seeds cover zero-work, single-iteration and all-barrier
+// The corpus seeds cover zero-wall, tiny-wall and all-barrier
 // verdicts explicitly; the fuzzer mutates from there (NaN and Inf
 // fractions reach the controller through math.Float64frombits).
 func FuzzControllerDecide(f *testing.F) {
-	// wall, work, imbalance bits, barrier bits, sync bits, budget,
-	// workers, units, seed
-	f.Add(int64(0), int64(0), uint64(0), uint64(0), uint64(0), true, 0, 0, int64(1))                // zero work
-	f.Add(int64(100), int64(100), uint64(0), uint64(0), uint64(0), true, 1, 1, int64(2))            // single iteration
-	f.Add(int64(5000), int64(0), uint64(0), math.Float64bits(1), uint64(0), false, 4, 96, int64(3)) // all barrier
-	f.Add(int64(-50), int64(-1), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)),
-		math.Float64bits(-3), false, -7, -1, int64(4)) // garbage
-	f.Add(int64(1e12), int64(1e15), math.Float64bits(0.4), math.Float64bits(0.2),
-		math.Float64bits(0.1), true, 1024, 1<<30, int64(5)) // huge
+	// wall, imbalance bits, barrier bits, sync bits, budget, seed
+	f.Add(int64(0), uint64(0), uint64(0), uint64(0), true, int64(1))               // zero wall
+	f.Add(int64(100), uint64(0), uint64(0), uint64(0), true, int64(2))             // tiny wall
+	f.Add(int64(5000), uint64(0), math.Float64bits(1), uint64(0), false, int64(3)) // all barrier
+	f.Add(int64(-50), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)),
+		math.Float64bits(-3), false, int64(4)) // garbage
+	f.Add(int64(1e12), math.Float64bits(0.4), math.Float64bits(0.2),
+		math.Float64bits(0.1), true, int64(5)) // huge
 
-	f.Fuzz(func(t *testing.T, wall, work int64, imbBits, barBits, syncBits uint64,
-		budget bool, workers, units int, seed int64) {
+	f.Fuzz(func(t *testing.T, wall int64, imbBits, barBits, syncBits uint64,
+		budget bool, seed int64) {
 		cfg := Config{
 			Procs:  4,
 			M:      96,
@@ -73,13 +72,10 @@ func FuzzControllerDecide(f *testing.F) {
 			k := int64(step) * (seed | 1)
 			v := Verdict{
 				WallNs:        wall + k,
-				WorkNs:        work - k,
 				ImbalanceFrac: math.Float64frombits(imbBits + uint64(step)),
 				BarrierFrac:   math.Float64frombits(barBits ^ uint64(step)),
 				SyncFrac:      math.Float64frombits(syncBits - uint64(step)),
 				BudgetPass:    budget != (step%3 == 0),
-				Workers:       workers + step,
-				Units:         units - step,
 			}
 			d := ctrl.Observe(v)
 			legal(d.Choice, "decision")

@@ -11,11 +11,9 @@ import (
 // LoopJob is a schedulable adaptive workload: a ragged-cost parallel
 // loop stepped under the feedback controller. Each step it reads the
 // controller's current {schedule, chunk, workers} pick, resizes its own
-// team to the worker pick (capped by the scheduler's current grant — the
-// worker axis above the grant flows through the MeasuredAllocator,
-// which the controller feeds via Config.Recorder), runs the loop as
-// real spin work under the picked schedule/chunk (parloop.ForSchedW),
-// and feeds the measured verdict back.
+// team to the worker pick capped by the scheduler's current grant, runs
+// the loop as real spin work under the picked schedule/chunk
+// (parloop.ForSchedW), and feeds the measured verdict back.
 type LoopJob struct {
 	name  string
 	n     int
@@ -27,11 +25,9 @@ type LoopJob struct {
 
 // NewLoopJob builds an adaptive job: n ragged-cost iterations per
 // step, steps steps, spin cost ~workScale per unit. procs is the
-// controller's worker ceiling (the daemon's budget); rec, when
-// non-nil, receives measured speedups (wire the MeasuredAllocator
-// here). The cost surface and the controller's exploration are both
-// deterministic in seed.
-func NewLoopJob(name string, n, steps int, workScale float64, seed int64, procs int, rec Recorder, clock simclock.Clock) (*LoopJob, error) {
+// controller's worker ceiling (the daemon's budget). The cost surface
+// and the controller's exploration are both deterministic in seed.
+func NewLoopJob(name string, n, steps int, workScale float64, seed int64, procs int, clock simclock.Clock) (*LoopJob, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("adapt: LoopJob needs n >= 1, got %d", n)
 	}
@@ -56,7 +52,7 @@ func NewLoopJob(name string, n, steps int, workScale float64, seed int64, procs 
 	// full grant) so the decision log shows the controller earning its
 	// keep.
 	ctrl := New(name, Choice{Sched: parloop.Static, Chunk: 1, Workers: procs},
-		Config{Procs: procs, M: n, Recorder: rec})
+		Config{Procs: procs, M: n})
 	return &LoopJob{name: name, n: n, steps: steps, costs: costs, ctrl: ctrl, clock: clock}, nil
 }
 
@@ -111,21 +107,20 @@ func (j *LoopJob) Run(g *sched.Grant) error {
 			c := 0
 			for i := lo; i < hi; i++ {
 				c += j.costs[i]
-				spinUnits(j.costs[i])
+				sched.Spin(j.costs[i])
 			}
 			busy[worker] += int64(c)
 		})
 		wall := j.clock.Now().Sub(start).Nanoseconds()
-		j.ctrl.Observe(measuredVerdict(wall, busy[:w], j.n))
+		j.ctrl.Observe(measuredVerdict(wall, busy[:w]))
 	}
 	return nil
 }
 
 // measuredVerdict distills a real step's measurements: wall time from
-// the clock, imbalance from per-worker busy counters (in work units —
-// the fraction is dimensionless so the unit cancels), and measured
-// speedup (WorkNs) scaled from the busy distribution.
-func measuredVerdict(wallNs int64, busy []int64, units int) Verdict {
+// the clock and imbalance from per-worker busy counters (in work units —
+// the fraction is dimensionless so the unit cancels).
+func measuredVerdict(wallNs int64, busy []int64) Verdict {
 	var total, max int64
 	for _, b := range busy {
 		total += b
@@ -134,27 +129,11 @@ func measuredVerdict(wallNs int64, busy []int64, units int) Verdict {
 		}
 	}
 	p := int64(len(busy))
-	v := Verdict{WallNs: wallNs, Workers: len(busy), Units: units, BudgetPass: true}
+	v := Verdict{WallNs: wallNs, BudgetPass: true}
 	if max > 0 && wallNs > 0 {
 		v.ImbalanceFrac = float64(p*max-total) / float64(p*max)
-		// Realized parallelism ≈ total/max; express it as WorkNs so
-		// WorkNs/WallNs is the measured speedup the allocator records.
-		v.WorkNs = int64(float64(wallNs) * float64(total) / float64(max))
 	}
 	return v
-}
-
-// spinUnits burns roughly n units of CPU work (matching the spin-loop
-// shape sched's synthetic jobs use, so the two workload families are
-// comparable).
-func spinUnits(n int) {
-	x := 1.0
-	for i := 0; i < n; i++ {
-		x += 1 / x
-	}
-	if x < 0 {
-		panic("adapt: spin underflow (unreachable)")
-	}
 }
 
 // ScriptChoices runs a real controller against a seeded ragged

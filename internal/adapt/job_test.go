@@ -10,19 +10,13 @@ import (
 )
 
 // TestLoopJobUnderScheduler runs the adaptive job end to end under a
-// real scheduler with the MeasuredAllocator wired as both the grant
-// policy and the controller's recorder — the full control loop f3dd
-// -adapt assembles.
+// real scheduler — the control loop f3dd assembles for an "adaptive"
+// submission.
 func TestLoopJobUnderScheduler(t *testing.T) {
-	alloc := NewMeasuredAllocator()
-	s := sched.New(sched.Config{
-		Procs:     4,
-		Clock:     simclock.Real{},
-		Allocator: alloc,
-	})
+	s := sched.New(sched.Config{Procs: 4, Clock: simclock.Real{}})
 	defer s.Close()
 
-	job, err := NewLoopJob("adaptive", 96, 12, 300, 42, 4, alloc, nil)
+	job, err := NewLoopJob("adaptive", 96, 12, 300, 42, 4, nil)
 	if err != nil {
 		t.Fatalf("NewLoopJob: %v", err)
 	}
@@ -53,17 +47,6 @@ func TestLoopJobUnderScheduler(t *testing.T) {
 	if len(st.Decisions) == 0 {
 		t.Fatal("no decisions recorded")
 	}
-	// The controller must have fed the allocator at least one measured
-	// speedup for the loop's parallelism.
-	found := false
-	for _, w := range []int{1, 2, 3, 4} {
-		if _, ok := alloc.Measured(96, w); ok {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no measured speedup reached the allocator")
-	}
 }
 
 func TestNewLoopJobValidation(t *testing.T) {
@@ -78,11 +61,11 @@ func TestNewLoopJobValidation(t *testing.T) {
 		{8, 5, 1, 0},
 	}
 	for _, c := range cases {
-		if _, err := NewLoopJob("bad", c.n, c.steps, c.workScale, 1, c.procs, nil, nil); err == nil {
+		if _, err := NewLoopJob("bad", c.n, c.steps, c.workScale, 1, c.procs, nil); err == nil {
 			t.Fatalf("NewLoopJob(%+v) accepted", c)
 		}
 	}
-	j, err := NewLoopJob("ok", 8, 5, 1, 1, 4, nil, nil)
+	j, err := NewLoopJob("ok", 8, 5, 1, 1, 4, nil)
 	if err != nil {
 		t.Fatalf("valid job rejected: %v", err)
 	}

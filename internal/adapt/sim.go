@@ -158,7 +158,7 @@ func (s Sim) Step(step int, ch Choice) (StepResult, Verdict) {
 		return c
 	}
 	d := model.Deal(s.W.N, ch.Workers, ch.Sched, ch.Chunk, cost, model.Overheads{Deal: dealNs, Chunk: chunkNs})
-	n, p := s.W.N, len(d.Busy)
+	p := len(d.Busy)
 	wall := d.Makespan + forkNs
 	res := StepResult{
 		WallNs: wall, WorkNs: d.Work, BusyNs: d.Busy,
@@ -174,12 +174,9 @@ func (s Sim) Step(step int, ch Choice) (StepResult, Verdict) {
 	syncFrac := overhead / total
 	v := Verdict{
 		WallNs:        int64(wall),
-		WorkNs:        int64(d.Work),
 		ImbalanceFrac: idle / total,
 		SyncFrac:      syncFrac,
 		BudgetPass:    syncFrac < 0.05,
-		Workers:       p,
-		Units:         n,
 	}
 	if s.Clock != nil {
 		s.Clock.Advance(time.Duration(wall) * time.Nanosecond)

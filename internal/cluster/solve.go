@@ -83,11 +83,11 @@ type runShard struct {
 }
 
 // Solve runs the spec across the live workers: plan zone groups with
-// the cluster-level allocator, create one shard per granted worker,
-// then advance all shards in lockstep, exchanging boundary planes
-// between steps. Worker loss triggers checkpoint-rollback failover
-// onto the survivors. The returned history is bitwise the single-node
-// history for the same case and config.
+// the plateau grant rule (sched.PlateauGrant), create one shard per
+// granted worker, then advance all shards in lockstep, exchanging
+// boundary planes between steps. Worker loss triggers
+// checkpoint-rollback failover onto the survivors. The returned history
+// is bitwise the single-node history for the same case and config.
 func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if spec.Steps < 1 {
 		return SolveResult{}, fmt.Errorf("cluster: solve needs Steps >= 1, got %d", spec.Steps)

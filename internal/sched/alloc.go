@@ -1,44 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/model"
-)
-
-// Allocator decides how much of a divisible resource a job with m
-// units of parallelism receives from an available pool. It abstracts
-// the paper's stair-step grant rule so the same policy runs at two
-// levels of the system: the node scheduler granting processors to jobs
-// (PlateauAllocator, the leaf), and the cluster coordinator granting
-// worker daemons to a sharded multi-zone solve (internal/cluster's
-// shard planner), where m is the zone count and the "processors" are
-// whole f3dd instances. The stair-step argument is scale-free: ceil
-// division governs both zones-per-worker and units-per-processor, so
-// any grant off a plateau wastes a node exactly the way it wastes a
-// core.
-type Allocator interface {
-	// Grant returns the amount to allocate to a job with m units of
-	// parallelism when avail units of resource are free (0 when avail
-	// <= 0, never more than min(m, avail)).
-	Grant(m, avail int) int
-	// Lower returns the largest efficient allocation strictly below
-	// granted for a job with m units, or 0 when granted is already
-	// minimal — the shrink step a scheduler proposes under pressure.
-	Lower(m, granted int) int
-}
-
-// PlateauAllocator is the paper's stair-step policy (Table 3,
-// Figure 1): every grant is rounded down to the left edge of its
-// efficiency plateau. It is the default allocator of the node
-// scheduler and the leaf policy under the cluster coordinator.
-type PlateauAllocator struct{}
-
-// Grant implements Allocator via PlateauGrant.
-func (PlateauAllocator) Grant(m, avail int) int { return PlateauGrant(m, avail) }
-
-// Lower implements Allocator via NextLowerPlateau.
-func (PlateauAllocator) Lower(m, granted int) int { return NextLowerPlateau(m, granted) }
+import "fmt"
 
 // PlateauGrant returns the processor grant for a job with m units of
 // loop-level parallelism when avail processors are free: the smallest
@@ -55,6 +17,12 @@ func (PlateauAllocator) Lower(m, granted int) int { return NextLowerPlateau(m, g
 // StairStepSpeedup(m, min(m, avail)) exactly, and the avail-grant
 // processors left in the pool are free to serve other jobs. avail <= 0
 // returns 0 (nothing to grant).
+//
+// It is the one grant rule of the system: the node scheduler grants
+// processors to jobs with it, and the cluster coordinator grants worker
+// daemons to a sharded multi-zone solve with it (m the zone count). The
+// argument is scale-free — ceil division governs zones per worker and
+// units per processor alike.
 func PlateauGrant(m, avail int) int {
 	if m < 1 {
 		panic(fmt.Sprintf("sched: PlateauGrant needs m >= 1, got %d", m))
@@ -81,12 +49,4 @@ func NextLowerPlateau(m, granted int) int {
 		return 0
 	}
 	return PlateauGrant(m, granted-1)
-}
-
-// Plateaus returns the efficient grant sizes for a job with m units of
-// parallelism on a machine with maxProcs processors — a thin proxy for
-// model.PlateauProcs so callers of the scheduler need not import the
-// model package.
-func Plateaus(m, maxProcs int) []int {
-	return model.PlateauProcs(m, maxProcs)
 }

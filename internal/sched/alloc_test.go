@@ -100,12 +100,6 @@ func TestNextLowerPlateau(t *testing.T) {
 	}
 }
 
-func TestPlateausProxy(t *testing.T) {
-	if got, want := Plateaus(15, 15), model.PlateauProcs(15, 15); !reflect.DeepEqual(got, want) {
-		t.Errorf("Plateaus(15,15) = %v, want %v", got, want)
-	}
-}
-
 func TestPlateauGrantPanicsOnBadM(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,7 +4,7 @@
 // should be shared. A job with M units of loop-level parallelism only
 // benefits from processor counts on a stair-step plateau — any grant P
 // with ceil(M/P) == ceil(M/(P-1)) wastes processors without buying
-// speedup — so the allocator rounds every grant down to the nearest
+// speedup — so the scheduler rounds every grant down to the nearest
 // plateau (PlateauGrant) and hands the spare processors to the next
 // job in the queue. That is the paper's throughput-versus-latency
 // argument for the Origin 2000 turned into an admission policy.

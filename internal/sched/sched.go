@@ -70,10 +70,6 @@ type Config struct {
 	// registry must back at most one scheduler: counters are looked up
 	// by name, so two schedulers on one registry would share them.
 	Metrics *obs.Registry
-	// Allocator is the grant policy deciding processor counts. nil
-	// defaults to PlateauAllocator, the paper's stair-step rule; tests
-	// and higher-level schedulers may substitute their own.
-	Allocator Allocator
 }
 
 // DefaultConfig returns the production setting: full-machine budget,
@@ -117,7 +113,6 @@ type Scheduler struct {
 	gMaxInUse                                 *obs.Gauge   // high-water processors in use (updated under mu)
 	hGrant                                    *obs.Histogram
 
-	alloc Allocator
 	clock simclock.Clock
 }
 
@@ -138,9 +133,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.Allocator == nil {
-		cfg.Allocator = PlateauAllocator{}
-	}
 	s := &Scheduler{
 		cfg:     cfg,
 		free:    cfg.Procs,
@@ -149,7 +141,6 @@ func New(cfg Config) *Scheduler {
 		clock:   cfg.Clock,
 		reg:     cfg.Metrics,
 		tracer:  cfg.Tracer,
-		alloc:   cfg.Allocator,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.registerMetrics()
@@ -350,7 +341,7 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 func (s *Scheduler) dispatchLocked() {
 	for len(s.queue) > 0 && s.free > 0 {
 		rec := s.queue[0]
-		p := s.alloc.Grant(rec.requested, s.free)
+		p := PlateauGrant(rec.requested, s.free)
 		s.queue = s.queue[1:]
 		s.free -= p
 		rec.granted, rec.target = p, p
@@ -392,7 +383,7 @@ func (s *Scheduler) growLocked() {
 			if cur >= rec.requested {
 				continue
 			}
-			p := s.alloc.Grant(rec.requested, cur+s.free)
+			p := PlateauGrant(rec.requested, cur+s.free)
 			if p > cur {
 				s.free -= p - cur
 				rec.target = p
@@ -426,7 +417,7 @@ func (s *Scheduler) requestShrinkLocked() {
 	if victim == nil {
 		return
 	}
-	if p := s.alloc.Lower(victim.requested, victim.granted); p >= 1 {
+	if p := NextLowerPlateau(victim.requested, victim.granted); p >= 1 {
 		victim.target = p
 		s.ctrPreempts.Inc()
 		s.emit(obs.KindPreempt, victim.job.Name(), int64(victim.granted), int64(p), int64(victim.requested))

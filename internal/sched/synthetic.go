@@ -79,23 +79,24 @@ func (j *SyntheticJob) Run(g *Grant) error {
 		team := g.Team()
 		for _, l := range j.profile.Loops {
 			if l.Parallelism < 2 {
-				spin(j.iters(l.WorkCycles))
+				Spin(j.iters(l.WorkCycles))
 				continue
 			}
-			perUnit := j.iters(l.WorkCycles / float64(l.Parallelism))
 			regions := l.SyncEvents
 			if regions < 1 {
 				regions = 1
 			}
+			// Each region spins its share of one unit's work.
+			n := j.iters(l.WorkCycles/float64(l.Parallelism)) / regions
 			for r := 0; r < regions; r++ {
 				team.ForChunked(l.Parallelism, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
-						spin(perUnit / regions)
+						Spin(n)
 					}
 				})
 			}
 		}
-		spin(j.iters(j.profile.SerialCycles))
+		Spin(j.iters(j.profile.SerialCycles))
 	}
 	return nil
 }
@@ -108,9 +109,11 @@ func (j *SyntheticJob) iters(cycles float64) int {
 	return n
 }
 
-// spin burns roughly n dependent floating-point operations. The result
-// feeds a branch the compiler cannot fold away.
-func spin(n int) {
+// Spin burns roughly n dependent floating-point operations. The result
+// feeds a branch the compiler cannot fold away. Synthetic jobs and
+// adapt's ragged loop jobs both burn their work units with it, so the
+// two workload families are comparable.
+func Spin(n int) {
 	x := 1.0
 	for i := 0; i < n; i++ {
 		x += 1 / x
