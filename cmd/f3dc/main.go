@@ -8,7 +8,7 @@
 //
 //	f3dc -workers URL[,URL...] [-n 33] [-kmax 25] [-lmax 21]
 //	     [-cuts 11,22] [-steps 10] [-pulse 0.02] [-job NAME]
-//	     [-checkpoint-every N] [-max-failovers N] [-timeout D] [-q]
+//	     [-checkpoint-every N] [-timeout D] [-q]
 //	     [-trace] [-trace-buf N] [-trace-out FILE] [-node TAG]
 //	     [-serve HOST:PORT]
 //
@@ -66,7 +66,7 @@ type options struct {
 	steps         int
 	pulse         float64
 	job           string
-	ckpt, maxFail int
+	ckpt          int
 	timeout       time.Duration
 	quiet         bool
 
@@ -91,7 +91,6 @@ func main() {
 	flag.Float64Var(&o.pulse, "pulse", 0.02, "initial pulse amplitude")
 	flag.StringVar(&o.job, "job", "f3dc", "workload key (live workers are ranked by a hash of it)")
 	flag.IntVar(&o.ckpt, "checkpoint-every", 0, "checkpoint cadence in steps (0 = every step, <0 = never)")
-	flag.IntVar(&o.maxFail, "max-failovers", 0, "re-shard budget before giving up (0 = engine default)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request HTTP timeout")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress logging on stderr")
 	flag.BoolVar(&o.trace, "trace", false, "trace the solve: enable worker tracing, collect the fleet timeline")
@@ -220,7 +219,6 @@ func buildSpec(o options) (cluster.SolveSpec, error) {
 		PulseAmp:        o.pulse,
 		Steps:           o.steps,
 		CheckpointEvery: o.ckpt,
-		MaxFailovers:    o.maxFail,
 	}, nil
 }
 

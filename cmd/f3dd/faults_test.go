@@ -272,8 +272,9 @@ func TestCancelFinishedJobConflict(t *testing.T) {
 	if code := ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", st.ID), nil, &errBody); code != http.StatusConflict {
 		t.Errorf("cancel finished job = %d, want 409 (body %v)", code, errBody)
 	}
-	if code := ts.do("DELETE", fmt.Sprintf("/jobs/%d", st.ID), nil, &errBody); code != http.StatusConflict {
-		t.Errorf("DELETE finished job = %d, want 409", code)
+	// Cancel has one route; DELETE is not a method of /jobs/{id}.
+	if code := ts.doRaw("DELETE", fmt.Sprintf("/jobs/%d", st.ID), ""); code != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE /jobs/%d = %d, want 405", st.ID, code)
 	}
 }
 
@@ -311,5 +312,55 @@ func TestTimeoutSecOverHTTP(t *testing.T) {
 	}
 	if m := ts.metrics(); m.TimedOut != 1 {
 		t.Errorf("metrics.TimedOut = %d, want 1", m.TimedOut)
+	}
+}
+
+// TestDefaultTimeoutOverHTTP: the scheduler's DefaultTimeout (f3dd's
+// -job-timeout) is the one default deadline. A submission without
+// timeout_sec inherits it and ends 504; the same job with
+// "timeout_sec": -1 opts out and runs to 200 across the same clock jump.
+func TestDefaultTimeoutOverHTTP(t *testing.T) {
+	clk := simclock.NewVirtual(time.Unix(0, 0))
+	ts := newTestServer(t, sched.Config{Procs: 2, QueueDepth: 2, Clock: clk, DefaultTimeout: 30 * time.Second}, serverConfig{})
+
+	submit := func(extra map[string]any) uint64 {
+		body := map[string]any{"kind": "synthetic", "parallelism": 1, "steps": 100, "work_cycles": 1000000.0}
+		for k, v := range extra {
+			body[k] = v
+		}
+		var st sched.JobStatus
+		if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {
+			t.Fatalf("POST %v = %d", extra, code)
+		}
+		return st.ID
+	}
+	result := func(id uint64) int {
+		var st sched.JobStatus
+		return ts.do("GET", fmt.Sprintf("/jobs/%d/result", id), nil, &st)
+	}
+
+	// The opted-out job starts first, so it is still running, and any
+	// deadline watcher of its own registered, when the clock jumps.
+	optOut := submit(map[string]any{"timeout_sec": -1.0})
+	ts.waitState(optOut, sched.StateRunning)
+	inherit := submit(nil)
+	ts.waitState(inherit, sched.StateRunning)
+	deadline := time.Now().Add(10 * time.Second)
+	for clk.Waiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("deadline watcher never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ts.waitState(optOut, sched.StateRunning)
+	clk.Advance(time.Minute)
+
+	ts.waitState(inherit, sched.StateTimedOut)
+	if code := result(inherit); code != http.StatusGatewayTimeout {
+		t.Errorf("result(no timeout_sec) = %d, want 504", code)
+	}
+	ts.waitState(optOut, sched.StateDone)
+	if code := result(optOut); code != http.StatusOK {
+		t.Errorf("result(timeout_sec -1) = %d, want 200", code)
 	}
 }

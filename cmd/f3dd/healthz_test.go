@@ -79,7 +79,7 @@ func TestHealthzReadiness(t *testing.T) {
 	// Draining: cancel everything, drain, and the probe must answer 503
 	// with the state spelled out.
 	for _, id := range []uint64{first.ID, first.ID + 1, first.ID + 2} {
-		ts.do("DELETE", fmt.Sprintf("/jobs/%d", id), nil, nil)
+		ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", id), nil, nil)
 	}
 	if err := ts.s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)

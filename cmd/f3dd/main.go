@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	f3dd [-addr HOST:PORT] [-procs N] [-queue N]
-//	     [-grow=false] [-shrink=false] [-drain-timeout D]
+//	f3dd [-addr HOST:PORT] [-procs N] [-queue N] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
 //	     [-autopar] [-autopar-sync-cost CYCLES]
 //	     [-trace] [-trace-buf N] [-node TAG]
@@ -31,7 +30,7 @@
 //	GET    /jobs/{id}/result outcome as HTTP status (200 done, 500
 //	                         failed, 504 timed out, 409 canceled,
 //	                         202 still in flight)
-//	POST   /jobs/{id}/cancel cancel (DELETE /jobs/{id} is equivalent)
+//	POST   /jobs/{id}/cancel cancel; the record stays readable
 //	GET    /metrics          Prometheus text: counters, gauges, grant
 //	                         histogram, tracer accounting
 //	GET    /trace            sync-event trace ring as JSONL; ?since=
@@ -101,8 +100,6 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	procs := flag.Int("procs", 0, "processor budget shared across jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "queued-job limit; submits beyond it get HTTP 429")
-	grow := flag.Bool("grow", true, "grow running jobs to higher plateaus as the queue drains")
-	shrink := flag.Bool("shrink", true, "shrink the largest job one plateau to admit queued work")
 	autopar := flag.Bool("autopar", false, "phase-trace f3d jobs and serve evidence-driven plans on /jobs/{id}/plan")
 	autoparSync := flag.Float64("autopar-sync-cost", 0, "planner sync cost in cycles, a Table 1 column (0 = model default)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
@@ -122,20 +119,18 @@ func main() {
 		tracer.Enable()
 	}
 	schedCfg := sched.Config{
-		Procs:         *procs,
-		QueueDepth:    *queue,
-		Grow:          *grow,
-		ShrinkToAdmit: *shrink,
-		Clock:         simclock.Real{},
-		Tracer:        tracer,
-		Metrics:       obs.NewRegistry(),
+		Procs:          *procs,
+		QueueDepth:     *queue,
+		Clock:          simclock.Real{},
+		DefaultTimeout: *jobTimeout,
+		Tracer:         tracer,
+		Metrics:        obs.NewRegistry(),
 	}
 	s := sched.New(schedCfg)
 	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
 		clock:           simclock.Real{},
 		submitRetries:   *submitRetries,
 		retryBackoff:    *retryBackoff,
-		jobTimeout:      *jobTimeout,
 		node:            *node,
 		autopar:         *autopar,
 		autoparSyncCost: *autoparSync,
@@ -146,8 +141,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("f3dd: serving on %s (procs=%d queue=%d grow=%v shrink=%v)",
-		*addr, s.Procs(), *queue, *grow, *shrink)
+	log.Printf("f3dd: serving on %s (procs=%d queue=%d)", *addr, s.Procs(), *queue)
 
 	select {
 	case err := <-errc:

@@ -60,7 +60,7 @@ func (sv *server) planOf(pj *planJob) (*pipeline.Plan, error) {
 	if pj.plan == nil {
 		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.req.Name,
 			pipeline.F3DStructure(pj.req.Name),
-			analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost}, pipeline.Config{})
+			analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost})
 		if err != nil {
 			return nil, err
 		}

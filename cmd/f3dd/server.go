@@ -43,9 +43,6 @@ type serverConfig struct {
 	// retryBackoff is the first retry's wait; it doubles per attempt.
 	// <= 0 with retries enabled defaults to 50ms.
 	retryBackoff time.Duration
-	// jobTimeout, when positive, is the run deadline applied to
-	// submissions that don't pick their own via timeout_sec.
-	jobTimeout time.Duration
 	// node tags this daemon's trace events in merged fleet timelines
 	// (the -node flag; the listen address by default).
 	node string
@@ -96,7 +93,6 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv.mux.HandleFunc("GET /jobs/{id}/plan", sv.handlePlan)
 	sv.mux.HandleFunc("GET /jobs/{id}/result", sv.handleResult)
 	sv.mux.HandleFunc("POST /jobs/{id}/cancel", sv.handleCancel)
-	sv.mux.HandleFunc("DELETE /jobs/{id}", sv.handleCancel)
 	serve.Surface{
 		Metrics: s.Registry().WritePrometheus,
 		Tracer:  s.Tracer(),
@@ -298,7 +294,7 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts := sched.SubmitOptions{Timeout: sv.cfg.jobTimeout}
+	var opts sched.SubmitOptions // zero inherits sched.Config.DefaultTimeout
 	switch {
 	case req.TimeoutSec > 0:
 		opts.Timeout = time.Duration(req.TimeoutSec * float64(time.Second))

@@ -186,7 +186,7 @@ func TestTwoConcurrentJobsShareTheBudget(t *testing.T) {
 // TestSolverJobKindsOverHTTP submits one f3d job and one euler job and
 // sees both through to completion.
 func TestSolverJobKindsOverHTTP(t *testing.T) {
-	ts := newTestServer(t, sched.Config{Procs: 3, QueueDepth: 8, Grow: true}, serverConfig{})
+	ts := newTestServer(t, sched.Config{Procs: 3, QueueDepth: 8}, serverConfig{})
 
 	var f3dJob, eulerJob sched.JobStatus
 	if code := ts.do("POST", "/jobs", map[string]any{
@@ -199,8 +199,8 @@ func TestSolverJobKindsOverHTTP(t *testing.T) {
 	}, &eulerJob); code != http.StatusAccepted {
 		t.Fatalf("POST euler job = %d", code)
 	}
-	if f3dJob.Requested != 11 {
-		t.Errorf("f3d job requested %d, want max zone dimension 11", f3dJob.Requested)
+	if f3dJob.Requested != 8 {
+		t.Errorf("f3d job requested %d, want the default shape's K−2 = 8", f3dJob.Requested)
 	}
 	if eulerJob.Requested != 64 {
 		t.Errorf("euler job requested %d, want points 64", eulerJob.Requested)
@@ -238,8 +238,8 @@ func TestBackpressureAndCancelOverHTTP(t *testing.T) {
 	}
 
 	var st sched.JobStatus
-	if code := ts.do("DELETE", fmt.Sprintf("/jobs/%d", queued.ID), nil, &st); code != http.StatusOK {
-		t.Fatalf("DELETE queued job = %d", code)
+	if code := ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", queued.ID), nil, &st); code != http.StatusOK {
+		t.Fatalf("POST cancel queued job = %d", code)
 	}
 	ts.waitState(queued.ID, sched.StateCanceled)
 	if code := ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", running.ID), nil, &st); code != http.StatusOK {

@@ -77,12 +77,7 @@ func main() {
 			j.m, naive, p, model.StairStepSpeedup(j.m, p), naive-p)
 	}
 
-	s := sched.New(sched.Config{
-		Procs:         *procs,
-		QueueDepth:    len(mix),
-		Grow:          true,
-		ShrinkToAdmit: true,
-	})
+	s := sched.New(sched.Config{Procs: *procs, QueueDepth: len(mix)})
 	defer s.Close()
 
 	type submitted struct {

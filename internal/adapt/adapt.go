@@ -14,13 +14,13 @@
 //
 //   - Hysteresis: a candidate configuration is adopted only when its
 //     measured score improves on the incumbent by more than
-//     HysteresisPct, and the applied configuration changes at most
-//     once per SettleSteps-observation window — never mid-window.
+//     5 %, and the applied configuration changes at most once per
+//     two-observation window — never mid-window.
 //   - Bounded exploration: each diagnosis round enqueues at most
-//     MaxProbes candidates, a configuration is trialed at most once
+//     8 candidates, a configuration is trialed at most once
 //     between drift resets, and a rejected configuration is never
 //     revisited — so on a stationary workload the controller reaches
-//     a fixed point within SettleSteps*(space+2) observations and
+//     a fixed point within 2*(space+2) observations and
 //     cannot oscillate.
 //
 // Mid-flight reconfiguration is conformance-safe by construction: a
@@ -94,6 +94,25 @@ func sanitize(v Verdict) Verdict {
 	return v
 }
 
+// The controller's fixed judgment rules.
+const (
+	// settleSteps is the measurement window: observations per score
+	// before a judgment.
+	settleSteps = 2
+	// hysteresisPct: a candidate must beat the incumbent score by
+	// more than this percentage to be adopted.
+	hysteresisPct float64 = 5
+	// driftPct: a measured degradation of the incumbent beyond this
+	// percentage (a workload phase change) resets the explored set
+	// and re-opens the search.
+	driftPct float64 = 30
+	// maxProbes caps candidates enqueued per diagnosis round
+	// (bounded exploration).
+	maxProbes = 8
+	// maxHistory caps the retained decision log.
+	maxHistory = 256
+)
+
 // Config parameterizes a Controller. The zero value is unusable; Procs
 // must be >= 1. Every other field has a documented default.
 type Config struct {
@@ -108,21 +127,6 @@ type Config struct {
 	Schedules []parloop.Schedule
 	// Chunks is the legal chunk axis. Default {1, 4, 16, 64}.
 	Chunks []int
-	// SettleSteps is the measurement window: observations per score
-	// before a judgment. Default 2.
-	SettleSteps int
-	// HysteresisPct: a candidate must beat the incumbent score by
-	// more than this percentage to be adopted. Default 5.
-	HysteresisPct float64
-	// DriftPct: a measured degradation of the incumbent beyond this
-	// percentage (a workload phase change) resets the explored set
-	// and re-opens the search. Default 30.
-	DriftPct float64
-	// MaxProbes caps candidates enqueued per diagnosis round
-	// (bounded exploration). Default 8.
-	MaxProbes int
-	// MaxHistory caps the retained decision log. Default 256.
-	MaxHistory int
 }
 
 func (c Config) withDefaults() Config {
@@ -137,21 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Chunks) == 0 {
 		c.Chunks = []int{1, 4, 16, 64}
-	}
-	if c.SettleSteps < 1 {
-		c.SettleSteps = 2
-	}
-	if c.HysteresisPct <= 0 {
-		c.HysteresisPct = 5
-	}
-	if c.DriftPct <= 0 {
-		c.DriftPct = 30
-	}
-	if c.MaxProbes < 1 {
-		c.MaxProbes = 8
-	}
-	if c.MaxHistory < 1 {
-		c.MaxHistory = 256
 	}
 	return c
 }
@@ -170,13 +159,13 @@ func (c Config) workerPlateaus() []int {
 // controller with this config needs to reach a fixed point from any
 // start on a stationary workload: every configuration in the space is
 // trialed at most once (the visited set guarantees that), each trial
-// costs one SettleSteps window, plus the incumbent's baseline window
+// costs one settleSteps window, plus the incumbent's baseline window
 // and one window of slack. Tests and the chaos cost-shift fault size
 // their runs with this bound.
 func ConvergenceHorizon(cfg Config) int {
 	full := cfg.withDefaults()
 	space := len(full.workerPlateaus()) * len(full.Schedules) * len(full.Chunks)
-	return full.SettleSteps * (space + 2)
+	return settleSteps * (space + 2)
 }
 
 // Actions a Decision can record.
@@ -314,7 +303,7 @@ func (c *Controller) Observe(v Verdict) Decision {
 	if v.BudgetPass {
 		c.winPass++
 	}
-	if c.winN < c.cfg.SettleSteps {
+	if c.winN < settleSteps {
 		return Decision{Step: c.step, Action: ActionHold, Choice: c.active}
 	}
 
@@ -345,7 +334,7 @@ func (c *Controller) judge(mean float64, avg Verdict) Decision {
 		d.Judged = &judged
 		d.ScoreNs = mean
 		d.BaselineNs = c.score
-		if mean < c.score*(1-c.cfg.HysteresisPct/100) {
+		if mean < c.score*(1-hysteresisPct/100) {
 			c.best = c.active
 			c.score = mean
 			d.Action = ActionAdopt
@@ -355,7 +344,7 @@ func (c *Controller) judge(mean float64, avg Verdict) Decision {
 			c.active = c.best
 			d.Action = ActionReject
 			d.Reason = fmt.Sprintf("%s did not beat %.4g ns/step by >%.3g%%",
-				judged, d.BaselineNs, c.cfg.HysteresisPct)
+				judged, d.BaselineNs, hysteresisPct)
 		}
 		c.inTrial = false
 		d.Choice = c.active
@@ -369,14 +358,14 @@ func (c *Controller) judge(mean float64, avg Verdict) Decision {
 		c.score = mean
 		d.Action = ActionMeasure
 		d.ScoreNs = mean
-	} else if c.converged && mean > c.score*(1+c.cfg.DriftPct/100) {
+	} else if c.converged && mean > c.score*(1+driftPct/100) {
 		// Phase change: the adopted configuration degraded well past
 		// hysteresis. Re-open the whole search.
 		d.Action = ActionDrift
 		d.ScoreNs = mean
 		d.BaselineNs = c.score
 		d.Reason = fmt.Sprintf("incumbent %.4g -> %.4g ns/step (> %.3g%% drift)",
-			c.score, mean, c.cfg.DriftPct)
+			c.score, mean, driftPct)
 		c.converged = false
 		c.rejected = make(map[Choice]bool)
 		c.visited = map[Choice]bool{c.active: true}
@@ -433,7 +422,7 @@ func (c *Controller) startNextTrial(d *Decision) {
 // diagnose proposes the next candidates from the most recent window's
 // averaged verdict, ordered by the symptom they treat, then fills with
 // a systematic sweep so convergence implies the whole space was
-// considered. At most MaxProbes are returned. Called with the lock
+// considered. At most maxProbes are returned. Called with the lock
 // held.
 func (c *Controller) diagnose() []Choice {
 	avgImb := c.winImbAvg()
@@ -515,8 +504,8 @@ func (c *Controller) diagnose() []Choice {
 			}
 		}
 	}
-	if len(out) > c.cfg.MaxProbes {
-		out = out[:c.cfg.MaxProbes]
+	if len(out) > maxProbes {
+		out = out[:maxProbes]
 	}
 	return out
 }
@@ -537,8 +526,8 @@ func (c *Controller) record(d Decision) {
 		}
 	}
 	c.history = append(c.history, d)
-	if len(c.history) > c.cfg.MaxHistory {
-		c.history = c.history[len(c.history)-c.cfg.MaxHistory:]
+	if len(c.history) > maxHistory {
+		c.history = c.history[len(c.history)-maxHistory:]
 	}
 }
 

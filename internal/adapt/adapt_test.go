@@ -34,14 +34,14 @@ func space(cfg Config) []Choice {
 // TestConvergenceFromAnyStart is the property test of satellite 2:
 // from ANY starting {schedule, chunk, workers} on a stationary
 // synthetic workload, the controller reaches a fixed point within
-// N = SettleSteps*(|space|+2) steps, never changes its pick after
+// N = settleSteps*(|space|+2) steps, never changes its pick after
 // convergence, and never explores a configuration it rejected.
 func TestConvergenceFromAnyStart(t *testing.T) {
 	cfg := testConfig()
 	starts := space(cfg)
 	n := ConvergenceHorizon(cfg)
-	if want := cfg.withDefaults().SettleSteps * (len(starts) + 2); n != want {
-		t.Fatalf("ConvergenceHorizon = %d, want SettleSteps*(|space|+2) = %d", n, want)
+	if want := settleSteps * (len(starts) + 2); n != want {
+		t.Fatalf("ConvergenceHorizon = %d, want settleSteps*(|space|+2) = %d", n, want)
 	}
 	steps := n + 40 // post-convergence tail to observe stability
 
@@ -108,7 +108,7 @@ func TestConvergedChoiceQuality(t *testing.T) {
 		}
 		// Adoption needs a >hysteresis improvement, so the fixed point can
 		// trail the true optimum by at most ~hysteresis (compounded once).
-		limit := best * (1 + 2*cfg.withDefaults().HysteresisPct/100)
+		limit := best * (1 + 2*hysteresisPct/100)
 		if out.FinalScore > limit {
 			t.Fatalf("workload %d: fixed point %v scores %.0f ns; best %v scores %.0f ns (limit %.0f)",
 				i, out.Final, out.FinalScore, bestCh, best, limit)
@@ -169,16 +169,15 @@ func TestLegalize(t *testing.T) {
 }
 
 // TestObserveWindowBoundaries: the applied choice may change only when
-// a SettleSteps window closes, never mid-window (the hysteresis bound
+// a settleSteps window closes, never mid-window (the hysteresis bound
 // the fuzz target also enforces on arbitrary inputs).
 func TestObserveWindowBoundaries(t *testing.T) {
 	cfg := testConfig()
-	settle := cfg.withDefaults().SettleSteps
 	ctrl := New("win", Choice{Sched: parloop.Dynamic, Chunk: 8, Workers: 4}, cfg)
 	prev := ctrl.Choice()
 	for step := 1; step <= 200; step++ {
 		d := ctrl.Observe(Verdict{WallNs: int64(1000 + step%7), BudgetPass: true})
-		if d.Choice != prev && step%settle != 0 {
+		if d.Choice != prev && step%settleSteps != 0 {
 			t.Fatalf("choice changed mid-window at step %d (%v -> %v)", step, prev, d.Choice)
 		}
 		prev = d.Choice
@@ -189,15 +188,11 @@ func TestObserveWindowBoundaries(t *testing.T) {
 // dedupe/caps.
 func TestStatusAndHistory(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxHistory = 8
 	ctrl := New("hist", Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, cfg)
 	RunSim(Sim{W: Ragged(96, 800, 3, 3)}, ctrl, 400)
 	st := ctrl.Status()
 	if st.Label != "hist" || st.Step != 400 {
 		t.Fatalf("status identity: %+v", st)
-	}
-	if len(st.Decisions) > 8 {
-		t.Fatalf("history %d exceeds cap 8", len(st.Decisions))
 	}
 	if !st.Converged {
 		t.Fatal("expected convergence after 400 steps")
@@ -214,6 +209,22 @@ func TestStatusAndHistory(t *testing.T) {
 	}
 	if s := st.Choice.String(); !strings.Contains(s, "/c") || !strings.Contains(s, "/w") {
 		t.Fatalf("Choice.String format: %q", s)
+	}
+}
+
+// TestHistoryCap: the decision log keeps the maxHistory most recent
+// state-changing decisions.
+func TestHistoryCap(t *testing.T) {
+	ctrl := New("cap", Choice{Sched: parloop.Static, Chunk: 1, Workers: 4}, testConfig())
+	for step := 1; step <= maxHistory+40; step++ {
+		ctrl.record(Decision{Step: step, Action: ActionExplore})
+	}
+	st := ctrl.Status()
+	if len(st.Decisions) != maxHistory {
+		t.Fatalf("history %d, want cap %d", len(st.Decisions), maxHistory)
+	}
+	if first, last := st.Decisions[0].Step, st.Decisions[maxHistory-1].Step; first != 41 || last != maxHistory+40 {
+		t.Fatalf("history spans steps %d..%d, want the newest 41..%d", first, last, maxHistory+40)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 //   - every pick stays in the legal envelope {schedule from the
 //     config, chunk >= 1, 1 <= workers <= procs}, and
 //   - the hysteresis bound holds: the applied configuration changes
-//     only when a SettleSteps measurement window closes, so two
-//     consecutive changes are at least SettleSteps observations apart.
+//     only when a settleSteps measurement window closes, so two
+//     consecutive changes are at least settleSteps observations apart.
 //
 // The corpus seeds cover zero-wall, tiny-wall and all-barrier
 // verdicts explicitly; the fuzzer mutates from there (NaN and Inf
@@ -81,9 +81,9 @@ func FuzzControllerDecide(f *testing.F) {
 			legal(d.Choice, "decision")
 			legal(ctrl.Choice(), "applied")
 			if d.Choice != prev {
-				if since := step - lastChange; since < full.SettleSteps {
+				if since := step - lastChange; since < settleSteps {
 					t.Fatalf("hysteresis violated: choice changed after %d steps (< settle %d): %v -> %v",
-						since, full.SettleSteps, prev, d.Choice)
+						since, settleSteps, prev, d.Choice)
 				}
 				lastChange = step
 				prev = d.Choice

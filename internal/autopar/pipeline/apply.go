@@ -10,8 +10,7 @@ import "fmt"
 // loop named after the group. The property tests use it to prove the
 // planner is a fixed point: re-planning from applied evidence proposes
 // no changes (Changes returns nil).
-func Applied(ev Evidence, p *Plan, cfg Config) Evidence {
-	cfg = cfg.withDefaults()
+func Applied(ev Evidence, p *Plan) Evidence {
 	out := Evidence{Source: ev.Source, Procs: ev.Procs, SyncCostCycles: ev.SyncCostCycles}
 	merged := map[string]bool{}
 	for _, l := range sortLoops(ev.Loops) {
@@ -30,7 +29,7 @@ func Applied(ev Evidence, p *Plan, cfg Config) Evidence {
 				continue
 			}
 			merged[d.Group] = true
-			out.Loops = append(out.Loops, mergedLoop(ev, p, d.Group, cfg))
+			out.Loops = append(out.Loops, mergedLoop(ev, p, d.Group))
 		default:
 			out.Loops = append(out.Loops, l)
 		}
@@ -70,7 +69,7 @@ func fissionedLoop(l *LoopEvidence, pt *PartEvidence) LoopEvidence {
 // the combined work-per-sync the merge decision was based on, and a
 // clean dependence record (every member was clean, or the merge was
 // illegal).
-func mergedLoop(ev Evidence, p *Plan, group string, cfg Config) LoopEvidence {
+func mergedLoop(ev Evidence, p *Plan, group string) LoopEvidence {
 	var members []*LoopEvidence
 	for i := range ev.Loops {
 		m := &ev.Loops[i]
@@ -90,7 +89,7 @@ func mergedLoop(ev Evidence, p *Plan, group string, cfg Config) LoopEvidence {
 			nl.MinWorkCycles = m.MinWorkCycles
 		}
 	}
-	nl.WorkPerSyncCycles = mergedWorkPerSync(members, cfg)
+	nl.WorkPerSyncCycles = mergedWorkPerSync(members)
 	nl.BudgetPass = nl.WorkPerSyncCycles >= nl.MinWorkCycles
 	return nl
 }

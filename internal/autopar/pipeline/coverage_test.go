@@ -11,18 +11,17 @@ import (
 // exercised on every plain `go test` run, not only under -fuzz.
 func TestPlannerPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := Config{}
 	for iter := 0; iter < 500; iter++ {
 		data := make([]byte, rng.Intn(64))
 		rng.Read(data)
 		ev := evidenceFromBytes(data)
-		p := PlanFromEvidence(ev, cfg)
-		if err := Validate(p, ev, cfg); err != nil {
+		p := PlanFromEvidence(ev)
+		if err := Validate(p, ev); err != nil {
 			t.Fatalf("iter %d: invalid plan: %v\nevidence: %+v", iter, err, ev)
 		}
-		applied := Applied(ev, p, cfg)
-		next := PlanFromEvidence(applied, cfg)
-		if err := Validate(next, applied, cfg); err != nil {
+		applied := Applied(ev, p)
+		next := PlanFromEvidence(applied)
+		if err := Validate(next, applied); err != nil {
 			t.Fatalf("iter %d: invalid re-plan: %v", iter, err)
 		}
 		if ch := Changes(p, next); len(ch) != 0 {
@@ -149,10 +148,9 @@ func TestValidateMergeObligations(t *testing.T) {
 // fission of parts lacking their own certificates, merged groups in
 // Changes.
 func TestAppliedAndChangesEdges(t *testing.T) {
-	cfg := Config{}
 	// Loop absent from the plan carries over untouched.
 	l := cleanLoop("extra", 0.5, 100_000)
-	out := Applied(Evidence{Loops: []LoopEvidence{l}}, &Plan{Schema: Schema}, cfg)
+	out := Applied(Evidence{Loops: []LoopEvidence{l}}, &Plan{Schema: Schema})
 	if len(out.Loops) != 1 || out.Loops[0].Name != "extra" {
 		t.Fatalf("unplanned loop mangled: %+v", out.Loops)
 	}
@@ -166,13 +164,13 @@ func TestAppliedAndChangesEdges(t *testing.T) {
 	}
 	plan := handPlan(LoopPlan{Loop: "host", Action: Fission,
 		ParallelParts: []string{"u"}, SerialParts: []string{"c"}})
-	ap := Applied(Evidence{Loops: []LoopEvidence{host}}, plan, cfg)
+	ap := Applied(Evidence{Loops: []LoopEvidence{host}}, plan)
 	if u := ap.Loop("host-u"); u == nil || u.Static != StaticParallel {
 		t.Errorf("part without verdict did not inherit the loop certificate: %+v", u)
 	}
 	host.Static = StaticUnknown
 	host.Tracked = true
-	ap2 := Applied(Evidence{Loops: []LoopEvidence{host}}, plan, cfg)
+	ap2 := Applied(Evidence{Loops: []LoopEvidence{host}}, plan)
 	if u := ap2.Loop("host-u"); u == nil || u.Static != StaticUnknown || !u.Tracked {
 		t.Errorf("uncertified part: %+v", u)
 	}

@@ -19,7 +19,7 @@ var ErrNoEvidence = errors.New("pipeline: no loop evidence in trace")
 // through the planner. It is a pure function of its arguments and
 // keeps nothing; a server that promises a job's plan as a stable
 // artifact of its traced run caches the result on the job.
-func Derive(events []obs.Event, prefix string, structs []LoopStructure, acfg analyze.Config, pcfg Config) (*Plan, error) {
+func Derive(events []obs.Event, prefix string, structs []LoopStructure, acfg analyze.Config) (*Plan, error) {
 	want := prefix + "/"
 	var filtered []obs.Event
 	for _, e := range events {
@@ -31,7 +31,7 @@ func Derive(events []obs.Event, prefix string, structs []LoopStructure, acfg ana
 	if len(ev.Loops) == 0 {
 		return nil, ErrNoEvidence
 	}
-	return PlanFromEvidence(ev, pcfg), nil
+	return PlanFromEvidence(ev), nil
 }
 
 // JobPlan is the wire shape a daemon serves for GET /jobs/{id}/plan.

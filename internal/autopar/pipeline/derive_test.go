@@ -33,7 +33,7 @@ func tracePhases(t *testing.T, prefix string) []obs.Event {
 
 func TestDerivePlansOnlyThePrefix(t *testing.T) {
 	events := tracePhases(t, "jobA")
-	p, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{}, Config{})
+	p, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{})
 	if err != nil {
 		t.Fatalf("Derive: %v", err)
 	}
@@ -48,24 +48,24 @@ func TestDerivePlansOnlyThePrefix(t *testing.T) {
 	}
 	// Pure: the same inputs give the same plan, and nothing is kept
 	// between calls — the caller owns caching.
-	p2, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{}, Config{})
+	p2, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{})
 	if err != nil || !reflect.DeepEqual(p, p2) {
 		t.Fatalf("second derivation differs: %v\n%+v\n%+v", err, p, p2)
 	}
 }
 
 func TestDeriveNoEvidence(t *testing.T) {
-	if _, err := Derive(nil, "j", nil, analyze.Config{}, Config{}); !errors.Is(err, ErrNoEvidence) {
+	if _, err := Derive(nil, "j", nil, analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("empty trace: %v, want ErrNoEvidence", err)
 	}
 	// Events exist, but none under this job's prefix.
 	events := tracePhases(t, "j")
-	if _, err := Derive(events, "k", F3DStructure("k"), analyze.Config{}, Config{}); !errors.Is(err, ErrNoEvidence) {
+	if _, err := Derive(events, "k", F3DStructure("k"), analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("foreign trace: %v, want ErrNoEvidence", err)
 	}
 	// Nothing is remembered about the failure: evidence arriving later
 	// still yields a plan, with or without a declared structure.
-	if _, err := Derive(events, "j", nil, analyze.Config{}, Config{}); err != nil {
+	if _, err := Derive(events, "j", nil, analyze.Config{}); err != nil {
 		t.Fatalf("Derive after evidence: %v", err)
 	}
 }

@@ -56,9 +56,8 @@ func doacrossEvidence(t *testing.T, workers int) pipeline.Evidence {
 func TestDoacrossDemotedByTrackerEvidence(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		ev := doacrossEvidence(t, workers)
-		cfg := pipeline.Config{}
-		p := pipeline.PlanFromEvidence(ev, cfg)
-		if err := pipeline.Validate(p, ev, cfg); err != nil {
+		p := pipeline.PlanFromEvidence(ev)
+		if err := pipeline.Validate(p, ev); err != nil {
 			t.Fatalf("workers=%d: plan invalid: %v", workers, err)
 		}
 		d, ok := p.Decision("doacross")
@@ -81,7 +80,7 @@ func TestDoacrossDemotedByTrackerEvidence(t *testing.T) {
 			Loop: "doacross", Action: pipeline.Parallelize,
 			Rationale: []pipeline.Fact{{Kind: pipeline.FactTrackerClean, Loop: "doacross"}},
 		}}}
-		if err := pipeline.Validate(bad, ev, cfg); err == nil {
+		if err := pipeline.Validate(bad, ev); err == nil {
 			t.Fatalf("workers=%d: validator accepted a parallelized tracker-flagged loop", workers)
 		}
 	}
@@ -91,9 +90,8 @@ func TestDoacrossDemotedByTrackerEvidence(t *testing.T) {
 // demotion is stable under re-planning from applied evidence.
 func TestDoacrossPlanIsFixedPoint(t *testing.T) {
 	ev := doacrossEvidence(t, 4)
-	cfg := pipeline.Config{}
-	p := pipeline.PlanFromEvidence(ev, cfg)
-	next := pipeline.PlanFromEvidence(pipeline.Applied(ev, p, cfg), cfg)
+	p := pipeline.PlanFromEvidence(ev)
+	next := pipeline.PlanFromEvidence(pipeline.Applied(ev, p))
 	if ch := pipeline.Changes(p, next); len(ch) != 0 {
 		t.Fatalf("doacross plan not a fixed point: %v", ch)
 	}
@@ -133,9 +131,8 @@ func TestPlanFixedPointAcrossAllActions(t *testing.T) {
 		mk("groupsmall", 0.08, 20_000, func(l *pipeline.LoopEvidence) { l.Group = "fuse" }),
 		mk("cold", 0.002, 100_000, nil),
 	}}
-	cfg := pipeline.Config{}
-	p := pipeline.PlanFromEvidence(ev, cfg)
-	if err := pipeline.Validate(p, ev, cfg); err != nil {
+	p := pipeline.PlanFromEvidence(ev)
+	if err := pipeline.Validate(p, ev); err != nil {
 		t.Fatalf("plan invalid: %v", err)
 	}
 	// Every action is exercised.
@@ -146,9 +143,9 @@ func TestPlanFixedPointAcrossAllActions(t *testing.T) {
 			t.Errorf("%s count = %d, want %d (plan %+v)", a, got, want, p.Loops)
 		}
 	}
-	applied := pipeline.Applied(ev, p, cfg)
-	next := pipeline.PlanFromEvidence(applied, cfg)
-	if err := pipeline.Validate(next, applied, cfg); err != nil {
+	applied := pipeline.Applied(ev, p)
+	next := pipeline.PlanFromEvidence(applied)
+	if err := pipeline.Validate(next, applied); err != nil {
 		t.Fatalf("re-plan invalid: %v", err)
 	}
 	if ch := pipeline.Changes(p, next); len(ch) != 0 {

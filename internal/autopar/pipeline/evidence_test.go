@@ -131,17 +131,16 @@ func TestPlanFromLiveTrace(t *testing.T) {
 	events := traceTwoLoops(t)
 	structs := []LoopStructure{{Name: "hot", Static: StaticParallel}}
 	ev := FromTrace(events, analyze.Config{}, structs, "live")
-	cfg := Config{}
-	p := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p, ev, cfg)
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	if d, _ := p.Decision("regiononly"); d.Action != Serial || !hasKind(d.Rationale, FactNoEvidence) {
 		t.Errorf("unknown loop: %+v, want serial/no-evidence", d)
 	}
 	// Promote via a clean tracked run and re-plan: now both can go
 	// parallel (budget permitting).
 	ev.MarkTracked("regiononly")
-	p2 := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p2, ev, cfg)
+	p2 := PlanFromEvidence(ev)
+	mustValidate(t, p2, ev)
 	if d, _ := p2.Decision("regiononly"); d.Action == Serial && hasKind(d.Rationale, FactNoEvidence) {
 		t.Errorf("tracked-clean loop still demoted for lack of evidence: %+v", d)
 	}

@@ -105,9 +105,8 @@ func TestF3DPlanRoundTrip(t *testing.T) {
 		mk("sweep-l", 0.2, 120_000),
 		mk("bc", 0.05, 60_000),
 	}}
-	cfg := Config{}
-	p := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p, ev, cfg)
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	sh := ShapeFromPlan(p, "job")
 	want := f3d.StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true}
 	if sh != want {
@@ -117,8 +116,8 @@ func TestF3DPlanRoundTrip(t *testing.T) {
 	// lowered shape hoists the step (Example 3).
 	ev.Loop("job/bc").WorkPerSyncCycles = 20_000
 	ev.Loop("job/bc").BudgetPass = false
-	p2 := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p2, ev, cfg)
+	p2 := PlanFromEvidence(ev)
+	mustValidate(t, p2, ev)
 	sh2 := ShapeFromPlan(p2, "job")
 	if !sh2.Merged || !sh2.BC || !sh2.RHSJK || !sh2.RHSL || !sh2.SweepJK || !sh2.SweepL {
 		t.Fatalf("merged shape = %+v (plan %+v)", sh2, p2.Loops)

@@ -88,9 +88,8 @@ func FuzzPlanFromEvidence(f *testing.F) {
 	f.Add([]byte{8, 2, 255, 255, 8, 63, 255, 0, 2, 0, 2, 2, 128, 2, 64, 1, 1, 7, 99, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev := evidenceFromBytes(data)
-		cfg := Config{}
-		p := PlanFromEvidence(ev, cfg)
-		if err := Validate(p, ev, cfg); err != nil {
+		p := PlanFromEvidence(ev)
+		if err := Validate(p, ev); err != nil {
 			t.Fatalf("planner emitted an invalid plan: %v\nevidence: %+v", err, ev)
 		}
 		for _, lp := range p.Loops {
@@ -102,12 +101,12 @@ func FuzzPlanFromEvidence(f *testing.F) {
 				t.Fatalf("loop %q decided without rationale", lp.Loop)
 			}
 		}
-		if p2 := PlanFromEvidence(ev, cfg); !reflect.DeepEqual(p, p2) {
+		if p2 := PlanFromEvidence(ev); !reflect.DeepEqual(p, p2) {
 			t.Fatalf("planner nondeterministic:\n%+v\nvs\n%+v", p, p2)
 		}
-		applied := Applied(ev, p, cfg)
-		next := PlanFromEvidence(applied, cfg)
-		if err := Validate(next, applied, cfg); err != nil {
+		applied := Applied(ev, p)
+		next := PlanFromEvidence(applied)
+		if err := Validate(next, applied); err != nil {
 			t.Fatalf("re-plan invalid: %v", err)
 		}
 		if ch := Changes(p, next); len(ch) != 0 {

@@ -2,33 +2,21 @@ package pipeline
 
 import "fmt"
 
-// Config tunes the planner. The zero value is usable; defaults are
-// filled in by PlanFromEvidence.
-type Config struct {
-	// MinRankShare is the cold-loop threshold: a dependence-clean,
+const (
+	// minRankShare is the cold-loop threshold: a dependence-clean,
 	// budget-passing loop whose share of profiled time is below it is
 	// still left serial — the paper parallelizes hottest-first and
-	// stops where a loop cannot matter (§4). <= 0 defaults to 0.005.
-	MinRankShare float64 `json:"min_rank_share,omitempty"`
-	// BarrierCostFrac is a mid-region barrier's cost relative to a
+	// stops where a loop cannot matter (§4).
+	minRankShare = 0.005
+	// barrierCostFrac is a mid-region barrier's cost relative to a
 	// full fork-join, used in the merged-group budget: k fused
 	// regions synchronize once per step plus k-1 barriers, so the
 	// combined work per effective sync is
-	// Σ work-per-sync / (1 + (k-1)·BarrierCostFrac) — the Example 3
+	// Σ work-per-sync / (1 + (k-1)·barrierCostFrac) — the Example 3
 	// arithmetic that lets cheap phases ride along with expensive
-	// ones. <= 0 defaults to 0.5.
-	BarrierCostFrac float64 `json:"barrier_cost_frac,omitempty"`
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinRankShare <= 0 {
-		c.MinRankShare = 0.005
-	}
-	if c.BarrierCostFrac <= 0 {
-		c.BarrierCostFrac = 0.5
-	}
-	return c
-}
+	// ones.
+	barrierCostFrac = 0.5
+)
 
 // bodyClass is the planner's dependence classification of one loop.
 type bodyClass int
@@ -95,13 +83,13 @@ func budgetRatio(wps, minw float64) float64 {
 
 // mergedWorkPerSync is the fused group's work per effective
 // synchronization: k regions become one fork-join plus k-1 barriers.
-func mergedWorkPerSync(members []*LoopEvidence, cfg Config) float64 {
+func mergedWorkPerSync(members []*LoopEvidence) float64 {
 	sum := 0.0
 	for _, m := range members {
 		sum += m.WorkPerSyncCycles
 	}
 	k := float64(len(members))
-	return sum / (1 + (k-1)*cfg.BarrierCostFrac)
+	return sum / (1 + (k-1)*barrierCostFrac)
 }
 
 // mergeInfo records a group the planner decided to fuse.
@@ -116,9 +104,8 @@ type mergeInfo struct {
 // clear the Table 1 budget together, parallelize when the loop is
 // clean, hot and amortizes its synchronization. Decisions are emitted
 // hottest loop first; every decision carries the facts it rests on,
-// and Validate(plan, evidence, cfg) machine-checks them.
-func PlanFromEvidence(ev Evidence, cfg Config) *Plan {
-	cfg = cfg.withDefaults()
+// and Validate(plan, evidence) machine-checks them.
+func PlanFromEvidence(ev Evidence) *Plan {
 	loops := sortLoops(ev.Loops)
 
 	class := make(map[string]bodyClass, len(loops))
@@ -154,20 +141,20 @@ func PlanFromEvidence(ev Evidence, cfg Config) *Plan {
 		if !anyFail {
 			continue // every member amortizes alone; no need to fuse
 		}
-		wps := mergedWorkPerSync(members, cfg)
-		if wps >= minw && share >= cfg.MinRankShare {
+		wps := mergedWorkPerSync(members)
+		if wps >= minw && share >= minRankShare {
 			merges[g] = mergeInfo{wps: wps, minw: minw, share: share}
 		}
 	}
 
 	p := &Plan{Schema: Schema, Source: ev.Source, Procs: ev.Procs}
 	for i := range loops {
-		p.Loops = append(p.Loops, decide(&loops[i], class[loops[i].Name], merges, cfg))
+		p.Loops = append(p.Loops, decide(&loops[i], class[loops[i].Name], merges))
 	}
 	return p
 }
 
-func decide(l *LoopEvidence, c bodyClass, merges map[string]mergeInfo, cfg Config) LoopPlan {
+func decide(l *LoopEvidence, c bodyClass, merges map[string]mergeInfo) LoopPlan {
 	lp := LoopPlan{Loop: l.Name}
 	switch c {
 	case classConflict:
@@ -182,7 +169,7 @@ func decide(l *LoopEvidence, c bodyClass, merges map[string]mergeInfo, cfg Confi
 		lp.Rationale = append(lp.Rationale, staticFact(l.Name, "", l.Static))
 		return lp
 	case classMixed:
-		return decideFission(l, cfg)
+		return decideFission(l)
 	case classNoEvidence:
 		lp.Action = Serial
 		lp.Rationale = append(lp.Rationale, Fact{
@@ -211,14 +198,14 @@ func decide(l *LoopEvidence, c bodyClass, merges map[string]mergeInfo, cfg Confi
 			Kind: FactBudget, Loop: l.Name, Value: budgetRatio(l.WorkPerSyncCycles, l.MinWorkCycles),
 			Detail: budgetDetail(false, l.WorkPerSyncCycles, l.MinWorkCycles),
 		})
-		if l.RankShare < cfg.MinRankShare {
-			lp.Rationale = append(lp.Rationale, coldFact(l.Name, "", l.RankShare, cfg))
+		if l.RankShare < minRankShare {
+			lp.Rationale = append(lp.Rationale, coldFact(l.Name, "", l.RankShare))
 		}
 		return lp
 	}
-	if l.RankShare < cfg.MinRankShare {
+	if l.RankShare < minRankShare {
 		lp.Action = Serial
-		lp.Rationale = append(dep, coldFact(l.Name, "", l.RankShare, cfg))
+		lp.Rationale = append(dep, coldFact(l.Name, "", l.RankShare))
 		return lp
 	}
 	lp.Action = Parallelize
@@ -235,7 +222,7 @@ func decide(l *LoopEvidence, c bodyClass, merges map[string]mergeInfo, cfg Confi
 // Parts that are parallelizable, amortized and warm go parallel; the
 // rest stay serial. With no part worth isolating, the whole loop stays
 // serial.
-func decideFission(l *LoopEvidence, cfg Config) LoopPlan {
+func decideFission(l *LoopEvidence) LoopPlan {
 	lp := LoopPlan{Loop: l.Name}
 	var par, ser []string
 	var facts []Fact
@@ -260,9 +247,9 @@ func decideFission(l *LoopEvidence, cfg Config) LoopPlan {
 			facts = append(facts, Fact{Kind: FactBudget, Loop: l.Name, Part: pt.Name,
 				Value:  budgetRatio(wps, l.MinWorkCycles),
 				Detail: budgetDetail(false, wps, l.MinWorkCycles)})
-		case share < cfg.MinRankShare:
+		case share < minRankShare:
 			ser = append(ser, pt.Name)
-			facts = append(facts, coldFact(l.Name, pt.Name, share, cfg))
+			facts = append(facts, coldFact(l.Name, pt.Name, share))
 		default:
 			par = append(par, pt.Name)
 			facts = append(facts, Fact{Kind: FactBudget, Loop: l.Name, Part: pt.Name,
@@ -309,10 +296,10 @@ func staticFact(loop, part string, v StaticVerdict) Fact {
 	return Fact{Kind: FactStatic, Loop: loop, Part: part, Detail: detail}
 }
 
-func coldFact(loop, part string, share float64, cfg Config) Fact {
+func coldFact(loop, part string, share float64) Fact {
 	return Fact{Kind: FactCold, Loop: loop, Part: part, Value: share,
 		Detail: fmt.Sprintf("%.2f%% of profiled time, below the %.2f%% planning threshold",
-			100*share, 100*cfg.MinRankShare)}
+			100*share, 100*minRankShare)}
 }
 
 func budgetDetail(pass bool, wps, minw float64) string {

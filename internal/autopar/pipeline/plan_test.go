@@ -24,17 +24,17 @@ func oneConflict() []Conflict {
 	return []Conflict{{Array: "a", Index: 7, Kind: "write-read", Detail: "write-read race on a[7]"}}
 }
 
-func mustValidate(t *testing.T, p *Plan, ev Evidence, cfg Config) {
+func mustValidate(t *testing.T, p *Plan, ev Evidence) {
 	t.Helper()
-	if err := Validate(p, ev, cfg); err != nil {
+	if err := Validate(p, ev); err != nil {
 		t.Fatalf("planner emitted an invalid plan: %v", err)
 	}
 }
 
 func TestPlanParallelizesHotCleanLoop(t *testing.T) {
 	ev := Evidence{Source: "t", Procs: 4, Loops: []LoopEvidence{cleanLoop("hot", 0.9, 200_000)}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	d, ok := p.Decision("hot")
 	if !ok || d.Action != Parallelize {
 		t.Fatalf("decision = %+v, want parallelize", d)
@@ -50,8 +50,8 @@ func TestPlanDemotesObservedConflict(t *testing.T) {
 	l.Conflicts = oneConflict()
 	l.Static = StaticUnknown
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	d, _ := p.Decision("racy")
 	if d.Action != Serial {
 		t.Fatalf("conflicted loop planned %s, want serial", d.Action)
@@ -68,8 +68,8 @@ func TestPlanDemotesStaticSerialDespiteCleanRun(t *testing.T) {
 	l.Static = StaticSerial
 	l.Tracked = true
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	if d, _ := p.Decision("proven"); d.Action != Serial {
 		t.Fatalf("statically serial loop planned %s, want serial", d.Action)
 	}
@@ -79,8 +79,8 @@ func TestPlanDemotesWithoutDependenceEvidence(t *testing.T) {
 	l := cleanLoop("mystery", 0.9, 200_000)
 	l.Static = StaticUnknown // and not tracked
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	d, _ := p.Decision("mystery")
 	if d.Action != Serial || !hasKind(d.Rationale, FactNoEvidence) {
 		t.Fatalf("unknown untracked loop: %+v, want serial with no-evidence fact", d)
@@ -94,8 +94,8 @@ func TestPlanPromotesTrackedUnknown(t *testing.T) {
 	l.Static = StaticUnknown
 	l.Tracked = true
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	d, _ := p.Decision("promoted")
 	if d.Action != Parallelize || !hasKind(d.Rationale, FactTrackerClean) {
 		t.Fatalf("tracked-clean unknown loop: %+v, want parallelize with tracker-clean fact", d)
@@ -107,8 +107,8 @@ func TestPlanDemotesBudgetFailAndCold(t *testing.T) {
 		cleanLoop("tiny", 0.6, 10_000),    // budget fail
 		cleanLoop("cold", 0.0001, 90_000), // passes budget, below rank threshold
 	}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	if d, _ := p.Decision("tiny"); d.Action != Serial || !hasKind(d.Rationale, FactBudget) {
 		t.Errorf("budget-failing loop: %+v, want serial with budget fact", d)
 	}
@@ -124,9 +124,8 @@ func TestPlanMergesAdjacentRegions(t *testing.T) {
 	small := cleanLoop("small", 0.2, 20_000) // fails alone
 	big.Group, small.Group = "step", "step"
 	ev := Evidence{Loops: []LoopEvidence{big, small}}
-	cfg := Config{}
-	p := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p, ev, cfg)
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	for _, name := range []string{"big", "small"} {
 		d, _ := p.Decision(name)
 		if d.Action != Merge || d.Group != "step" {
@@ -137,7 +136,7 @@ func TestPlanMergesAdjacentRegions(t *testing.T) {
 		}
 	}
 	// Fused: (120k+20k)/(1+0.5) ≈ 93k >= 50k.
-	next := PlanFromEvidence(Applied(ev, p, cfg), cfg)
+	next := PlanFromEvidence(Applied(ev, p))
 	if ch := Changes(p, next); len(ch) != 0 {
 		t.Errorf("merge not a fixed point: %v", ch)
 	}
@@ -153,8 +152,8 @@ func TestPlanNoMergeWhenAllPass(t *testing.T) {
 	a, b := cleanLoop("a", 0.5, 120_000), cleanLoop("b", 0.4, 120_000)
 	a.Group, b.Group = "g", "g"
 	ev := Evidence{Loops: []LoopEvidence{a, b}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	if p.Count(Merge) != 0 || p.Count(Parallelize) != 2 {
 		t.Fatalf("plan = %+v, want two parallelize and no merge", p.Loops)
 	}
@@ -166,8 +165,8 @@ func TestPlanNoMergeWhenFusedStillFails(t *testing.T) {
 	a, b := cleanLoop("a", 0.5, 20_000), cleanLoop("b", 0.4, 20_000)
 	a.Group, b.Group = "g", "g"
 	ev := Evidence{Loops: []LoopEvidence{a, b}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	// Fused: 40k/1.5 ≈ 27k < 50k — no merge, both serial.
 	if p.Count(Serial) != 2 {
 		t.Fatalf("plan = %+v, want both serial", p.Loops)
@@ -183,9 +182,8 @@ func TestPlanFissionsMixedBody(t *testing.T) {
 		{Name: "l", WorkFrac: 0.4, Static: StaticParallel, Conflicts: oneConflict()},
 	}
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	cfg := Config{}
-	p := PlanFromEvidence(ev, cfg)
-	mustValidate(t, p, ev, cfg)
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	d, _ := p.Decision("rhs")
 	if d.Action != Fission {
 		t.Fatalf("mixed body planned %s, want fission", d.Action)
@@ -194,7 +192,7 @@ func TestPlanFissionsMixedBody(t *testing.T) {
 		len(d.SerialParts) != 1 || d.SerialParts[0] != "l" {
 		t.Fatalf("fission split %v / %v, want [jk] / [l]", d.ParallelParts, d.SerialParts)
 	}
-	next := PlanFromEvidence(Applied(ev, p, cfg), cfg)
+	next := PlanFromEvidence(Applied(ev, p))
 	if ch := Changes(p, next); len(ch) != 0 {
 		t.Errorf("fission not a fixed point: %v", ch)
 	}
@@ -215,8 +213,8 @@ func TestPlanMixedBodyWithNoViablePartStaysSerial(t *testing.T) {
 		{Name: "l", WorkFrac: 0.7, Static: StaticSerial},
 	}
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev, Config{})
-	mustValidate(t, p, ev, Config{})
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
 	if d, _ := p.Decision("rhs"); d.Action != Serial {
 		t.Fatalf("planned %s, want serial (18k cycles/sync part cannot amortize)", d.Action)
 	}
@@ -229,7 +227,7 @@ func TestPlanOrderHottestFirst(t *testing.T) {
 		cleanLoop("hot", 0.6, 100_000),
 		cleanLoop("cool", 0.1, 100_000),
 	}}
-	p := PlanFromEvidence(ev, Config{})
+	p := PlanFromEvidence(ev)
 	want := []string{"hot", "warm", "cool"}
 	for i, lp := range p.Loops {
 		if lp.Loop != want[i] {
@@ -263,7 +261,7 @@ func TestChangesReportsFlips(t *testing.T) {
 
 func TestPlanCountAndDecision(t *testing.T) {
 	ev := Evidence{Loops: []LoopEvidence{cleanLoop("x", 0.9, 200_000)}}
-	p := PlanFromEvidence(ev, Config{})
+	p := PlanFromEvidence(ev)
 	if p.Count(Parallelize) != 1 || p.Count(Serial) != 0 {
 		t.Errorf("counts wrong: %+v", p.Loops)
 	}

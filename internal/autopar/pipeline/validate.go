@@ -15,8 +15,7 @@ import (
 // budget fact must state the real ratio). Validate accepts plans the
 // planner would not emit — it checks legality and honesty, not
 // optimality — so it can gate hand-written or fuzzed plans too.
-func Validate(p *Plan, ev Evidence, cfg Config) error {
-	cfg = cfg.withDefaults()
+func Validate(p *Plan, ev Evidence) error {
 	if p == nil {
 		return fmt.Errorf("pipeline: nil plan")
 	}
@@ -36,7 +35,7 @@ func Validate(p *Plan, ev Evidence, cfg Config) error {
 		if l == nil {
 			return fmt.Errorf("pipeline: decision for loop %q absent from evidence", lp.Loop)
 		}
-		if err := validateDecision(lp, l, p, ev, cfg); err != nil {
+		if err := validateDecision(lp, l, p, ev); err != nil {
 			return err
 		}
 	}
@@ -48,12 +47,12 @@ func Validate(p *Plan, ev Evidence, cfg Config) error {
 	return nil
 }
 
-func validateDecision(lp *LoopPlan, l *LoopEvidence, p *Plan, ev Evidence, cfg Config) error {
+func validateDecision(lp *LoopPlan, l *LoopEvidence, p *Plan, ev Evidence) error {
 	if len(lp.Rationale) == 0 {
 		return fmt.Errorf("pipeline: loop %q: empty rationale", lp.Loop)
 	}
 	for i := range lp.Rationale {
-		if err := validateFact(&lp.Rationale[i], l, ev, cfg); err != nil {
+		if err := validateFact(&lp.Rationale[i], l, ev); err != nil {
 			return fmt.Errorf("pipeline: loop %q: %w", lp.Loop, err)
 		}
 	}
@@ -80,7 +79,7 @@ func validateDecision(lp *LoopPlan, l *LoopEvidence, p *Plan, ev Evidence, cfg C
 			return fmt.Errorf("pipeline: loop %q merged into group %q but evidence group is %q",
 				lp.Loop, lp.Group, l.Group)
 		}
-		if err := mergeGroupLegal(lp, p, ev, cfg); err != nil {
+		if err := mergeGroupLegal(lp, p, ev); err != nil {
 			return err
 		}
 		if !hasKind(lp.Rationale, FactStatic, FactTrackerClean) {
@@ -90,7 +89,7 @@ func validateDecision(lp *LoopPlan, l *LoopEvidence, p *Plan, ev Evidence, cfg C
 			return fmt.Errorf("pipeline: loop %q merged without a group-budget fact", lp.Loop)
 		}
 	case Fission:
-		if err := fissionLegal(lp, l, cfg); err != nil {
+		if err := fissionLegal(lp, l); err != nil {
 			return err
 		}
 	case Serial:
@@ -129,7 +128,7 @@ func parallelLegal(l *LoopEvidence) error {
 // mergeGroupLegal: every clean evidence loop in the group must carry
 // the Merge action (all-or-none), the group needs >= 2 members, and
 // the fused region must clear the combined budget.
-func mergeGroupLegal(lp *LoopPlan, p *Plan, ev Evidence, cfg Config) error {
+func mergeGroupLegal(lp *LoopPlan, p *Plan, ev Evidence) error {
 	var members []*LoopEvidence
 	for i := range ev.Loops {
 		m := &ev.Loops[i]
@@ -161,14 +160,14 @@ func mergeGroupLegal(lp *LoopPlan, p *Plan, ev Evidence, cfg Config) error {
 			minw = m.MinWorkCycles
 		}
 	}
-	if wps := mergedWorkPerSync(members, cfg); wps < minw {
+	if wps := mergedWorkPerSync(members); wps < minw {
 		return fmt.Errorf("pipeline: group %q fused region fails the budget: %.0f cycles/sync vs %.0f",
 			lp.Group, wps, minw)
 	}
 	return nil
 }
 
-func fissionLegal(lp *LoopPlan, l *LoopEvidence, cfg Config) error {
+func fissionLegal(lp *LoopPlan, l *LoopEvidence) error {
 	if len(l.Parts) == 0 {
 		return fmt.Errorf("pipeline: loop %q fissioned but declares no parts", lp.Loop)
 	}
@@ -217,7 +216,7 @@ func fissionLegal(lp *LoopPlan, l *LoopEvidence, cfg Config) error {
 			return fmt.Errorf("pipeline: loop %q: part %q parallelized but fails the budget (%.0f vs %.0f)",
 				lp.Loop, pt.Name, wps, l.MinWorkCycles)
 		}
-		if share := l.RankShare * frac; share < cfg.MinRankShare {
+		if share := l.RankShare * frac; share < minRankShare {
 			return fmt.Errorf("pipeline: loop %q: part %q parallelized below the rank threshold", lp.Loop, pt.Name)
 		}
 	}
@@ -225,7 +224,7 @@ func fissionLegal(lp *LoopPlan, l *LoopEvidence, cfg Config) error {
 }
 
 // validateFact checks one fact's obligations against the evidence.
-func validateFact(f *Fact, l *LoopEvidence, ev Evidence, cfg Config) error {
+func validateFact(f *Fact, l *LoopEvidence, ev Evidence) error {
 	if f.Loop != l.Name {
 		return fmt.Errorf("fact %q names loop %q", f.Kind, f.Loop)
 	}
@@ -300,9 +299,9 @@ func validateFact(f *Fact, l *LoopEvidence, ev Evidence, cfg Config) error {
 		if pt != nil {
 			share *= clampFrac(pt.WorkFrac)
 		}
-		if !close64(f.Value, share) || share >= cfg.MinRankShare {
+		if !close64(f.Value, share) || share >= minRankShare {
 			return fmt.Errorf("cold fact share %.6g vs evidence %.6g (threshold %.6g)",
-				f.Value, share, cfg.MinRankShare)
+				f.Value, share, minRankShare)
 		}
 	case FactPart:
 		if pt == nil {

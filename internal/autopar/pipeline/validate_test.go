@@ -12,7 +12,7 @@ func handPlan(lp LoopPlan) *Plan {
 
 func wantInvalid(t *testing.T, p *Plan, ev Evidence, frag string) {
 	t.Helper()
-	err := Validate(p, ev, Config{})
+	err := Validate(p, ev)
 	if err == nil {
 		t.Fatalf("invalid plan accepted (want error containing %q)", frag)
 	}
@@ -124,7 +124,7 @@ func TestValidateRejectsUnknownActionAndSchema(t *testing.T) {
 	}), ev, "unknown action")
 	wantInvalid(t, &Plan{Schema: 99, Loops: []LoopPlan{{Loop: "x", Action: Serial,
 		Rationale: []Fact{{Kind: FactBudget, Loop: "x", Value: 4}}}}}, ev, "schema")
-	if err := Validate(nil, ev, Config{}); err == nil {
+	if err := Validate(nil, ev); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }

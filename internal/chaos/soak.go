@@ -96,11 +96,9 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	start := time.Unix(0, 0)
 	clk := simclock.NewVirtual(start)
 	s := sched.New(sched.Config{
-		Procs:         cfg.Procs,
-		QueueDepth:    cfg.QueueDepth,
-		Grow:          true,
-		ShrinkToAdmit: true,
-		Clock:         clk,
+		Procs:      cfg.Procs,
+		QueueDepth: cfg.QueueDepth,
+		Clock:      clk,
 	})
 	defer s.Close()
 

@@ -156,7 +156,7 @@ func runF3DServed(n, procs int, resize bool) []float64 {
 	var state []float64
 	job.WithFinalHook(func(s f3d.Solver) { state = appendState(nil, s) })
 
-	s := sched.New(sched.Config{Procs: procs, Grow: true, ShrinkToAdmit: true})
+	s := sched.New(sched.Config{Procs: procs})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -36,10 +36,11 @@ type SolveSpec struct {
 	// step; < 0 disables checkpoints, so a failover replays from the
 	// initial state.
 	CheckpointEvery int
-	// MaxFailovers bounds re-shards before the solve gives up
-	// (default 8).
-	MaxFailovers int
 }
+
+// maxFailovers bounds the re-shards one solve survives before it gives
+// up.
+const maxFailovers = 8
 
 // StepStat is one step of the reassembled convergence history,
 // bitwise equal to the single-node f3d.StepStats for the same case.
@@ -101,9 +102,6 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if spec.CheckpointEvery == 0 {
 		spec.CheckpointEvery = 1
 	}
-	if spec.MaxFailovers == 0 {
-		spec.MaxFailovers = 8
-	}
 
 	flops := float64(interiorPoints(spec.Zones)) * f3d.FlopsPerPoint()
 	trace := fmt.Sprintf("%s#%d", spec.Job, c.solveSeq.Add(1))
@@ -158,7 +156,7 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 
 		if lost := workersWithErrors(shards, errs); len(lost) > 0 {
 			result.Failovers++
-			if result.Failovers > spec.MaxFailovers {
+			if result.Failovers > maxFailovers {
 				return SolveResult{}, fmt.Errorf("cluster: solve %q gave up after %d failovers (last lost: %v)",
 					spec.Job, result.Failovers-1, lost)
 			}

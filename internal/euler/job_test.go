@@ -10,7 +10,7 @@ import (
 
 func runSweep(t *testing.T, procs, points, sweeps int) float64 {
 	t.Helper()
-	s := sched.New(sched.Config{Procs: procs, QueueDepth: 4, Grow: true})
+	s := sched.New(sched.Config{Procs: procs, QueueDepth: 4})
 	defer s.Close()
 	j := NewSweepJob("sweep", points, sweeps)
 	h, err := s.Submit(j)

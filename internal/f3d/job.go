@@ -86,12 +86,16 @@ func (j *Job) WithPhaseTrace(prefix string) *Job {
 // Name implements sched.Job.
 func (j *Job) Name() string { return j.name }
 
-// Parallelism implements sched.Job: the maximum zone dimension M, the
-// unit count of the solver's dominant parallelized loops. The paper
-// (§5) locates this job's useful processor plateaus at roughly M/5,
+// Parallelism implements sched.Job: the units M of the widest loop the
+// job's step shape splits (K−2 rows or L−2 planes; the solver never
+// splits over J), or 1 when the shape runs every phase serially. The
+// paper (§5) locates the useful processor plateaus at roughly M/5,
 // M/4, M/3, M/2 and M — exactly the grant sizes the scheduler will
 // consider.
-func (j *Job) Parallelism() int { return j.cfg.Case.MaxDim() }
+func (j *Job) Parallelism() int {
+	sp := StepProfileFor(j.cfg.Case, j.shape.Load())
+	return sp.MaxParallelism()
+}
 
 // Run implements sched.Job.
 func (j *Job) Run(g *sched.Grant) error {

@@ -11,14 +11,42 @@ import (
 	"repro/internal/sched"
 )
 
+// TestJobParallelismFollowsShape: a job's M is the widest loop its step
+// shape splits, so the scheduler plans its grants on that loop's stair.
+// Paper1M's largest dimension is J = 89, but the default shape splits
+// only the K−2 = 73 rows and L−2 = 68 planes.
+func TestJobParallelismFollowsShape(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shape   StepShape
+		m, at32 int // M, and PlateauGrant(M, 32)
+	}{
+		{"default", DefaultShape(), 73, 25},
+		{"serial", StepShape{}, 1, 1},
+		{"sweep-jk only", StepShape{SweepJK: true}, 68, 23},
+	} {
+		job, err := NewJob(tc.name, DefaultConfig(grid.Paper1M()), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := job.WithShape(tc.shape).Parallelism()
+		if m != tc.m {
+			t.Errorf("%s: Parallelism = %d, want %d", tc.name, m, tc.m)
+		}
+		if p := sched.PlateauGrant(m, 32); p != tc.at32 {
+			t.Errorf("%s: PlateauGrant(%d, 32) = %d, want %d", tc.name, m, p, tc.at32)
+		}
+	}
+}
+
 func TestJobRunsUnderScheduler(t *testing.T) {
 	cfg := DefaultConfig(grid.Single(11, 10, 9))
 	job, err := NewJob("wing", cfg, 4, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Parallelism(); got != 11 {
-		t.Fatalf("Parallelism = %d, want max zone dimension 11", got)
+	if got := job.Parallelism(); got != 8 {
+		t.Fatalf("Parallelism = %d, want the default shape's K−2 = 8", got)
 	}
 	s := sched.New(sched.Config{Procs: 3, QueueDepth: 4})
 	defer s.Close()

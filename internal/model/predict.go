@@ -55,6 +55,17 @@ func (sp *StepProfile) SyncEventsPerStep() int {
 	return n
 }
 
+// MaxParallelism returns the largest loop-class parallelism, the M a
+// scheduler plans the step's grants on; 1 when every class is serial
+// or the profile has none.
+func (sp *StepProfile) MaxParallelism() int {
+	m := 1
+	for _, l := range sp.Loops {
+		m = max(m, l.Parallelism)
+	}
+	return m
+}
+
 // Scale returns a copy of the profile with all work quantities (loop
 // work and serial work) multiplied by factor. Synchronization event
 // counts and parallelism are structural and do not scale with problem

@@ -63,7 +63,7 @@ func FuzzAllocator(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		s := New(Config{Procs: procs, QueueDepth: 8, Grow: true, ShrinkToAdmit: true})
+		s := New(Config{Procs: procs, QueueDepth: 8})
 		defer s.Close()
 
 		type slot struct {

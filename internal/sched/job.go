@@ -12,9 +12,8 @@
 // Jobs are queued FIFO with a bounded queue (backpressure), run on
 // parloop teams created per grant, and may be resized while running:
 // the scheduler revises a job's grant (growing it as the queue drains,
-// optionally shrinking it to admit new work) and the job applies the
-// revision cooperatively at its next Checkpoint, between parallel
-// regions. Jackson & Agathokleous's dynamic loop parallelisation
+// shrinking it to admit new work) and the job applies the revision
+// cooperatively at its next Checkpoint, between parallel regions. Jackson & Agathokleous's dynamic loop parallelisation
 // (PAPERS.md) is the precedent: runtime-adaptive thread counts beat
 // static ones when the machine is shared.
 package sched
@@ -32,9 +31,9 @@ import (
 // Job is a schedulable unit of solver work.
 //
 // Parallelism reports M, the units of loop-level parallelism of the
-// job's dominant parallel loop (for the paper's F3D zones, the maximum
-// zone dimension — the M whose plateaus sit at roughly M/5, M/4, M/3,
-// M/2 and M). The scheduler never grants more than M processors and
+// job's widest split loop (for an F3D zone step, the K−2 rows or L−2
+// planes its shape splits — the M whose plateaus sit at roughly M/5,
+// M/4, M/3, M/2 and M). The scheduler never grants more than M processors and
 // only grants plateau-efficient counts.
 //
 // Run executes the job on the granted team. Well-behaved jobs call

@@ -68,7 +68,7 @@ func TestTracerSeesGrantAndRegionEvents(t *testing.T) {
 func TestPreemptEmitsEventAndCounter(t *testing.T) {
 	tr := obs.NewTracer(4096, nil)
 	tr.Enable()
-	s := New(Config{Procs: 4, QueueDepth: 8, ShrinkToAdmit: true, Tracer: tr})
+	s := New(Config{Procs: 4, QueueDepth: 8, Tracer: tr})
 	defer s.Close()
 
 	release := make(chan struct{})

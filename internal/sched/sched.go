@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -43,14 +44,6 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting for processors;
 	// Submit fails with ErrQueueFull beyond it. <= 0 defaults to 64.
 	QueueDepth int
-	// Grow lets the scheduler raise running jobs' grants to higher
-	// plateaus when the queue is empty and processors are idle — the
-	// "resize as the queue drains" policy.
-	Grow bool
-	// ShrinkToAdmit lets the scheduler ask the largest running job to
-	// drop one plateau when the queue is blocked with zero free
-	// processors, so queued work is admitted instead of starving.
-	ShrinkToAdmit bool
 	// Clock is the time source for timestamps, deadlines and
 	// timeouts. nil defaults to the wall clock; tests install a
 	// simclock.Virtual to drive deadlines deterministically.
@@ -70,12 +63,6 @@ type Config struct {
 	// registry must back at most one scheduler: counters are looked up
 	// by name, so two schedulers on one registry would share them.
 	Metrics *obs.Registry
-}
-
-// DefaultConfig returns the production setting: full-machine budget,
-// a 64-deep queue, and both resize policies on.
-func DefaultConfig() Config {
-	return Config{Procs: 0, QueueDepth: 64, Grow: true, ShrinkToAdmit: true}
 }
 
 // Scheduler space-shares a fixed processor budget across concurrent
@@ -296,13 +283,8 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 	if m < 1 {
 		m = 1
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout < 0 {
-		timeout = 0
-	}
+	// Zero inherits the default deadline; negative opts out of any.
+	timeout := max(cmp.Or(opts.Timeout, s.cfg.DefaultTimeout), 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -336,8 +318,11 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 }
 
 // dispatchLocked starts queued jobs while free processors remain,
-// granting each the largest plateau that fits, then applies the resize
-// policies. Caller holds s.mu.
+// granting each the largest plateau that fits, then resizes: with the
+// queue blocked and no processor free it asks the largest running job
+// to drop one plateau, so queued work is admitted instead of starving;
+// with the queue empty and processors idle it grows running jobs to
+// higher plateaus. Caller holds s.mu.
 func (s *Scheduler) dispatchLocked() {
 	for len(s.queue) > 0 && s.free > 0 {
 		rec := s.queue[0]
@@ -353,10 +338,10 @@ func (s *Scheduler) dispatchLocked() {
 		s.wg.Add(1)
 		go s.runJob(rec)
 	}
-	if len(s.queue) > 0 && s.free == 0 && s.cfg.ShrinkToAdmit {
+	if len(s.queue) > 0 && s.free == 0 {
 		s.requestShrinkLocked()
 	}
-	if len(s.queue) == 0 && s.free > 0 && s.cfg.Grow {
+	if len(s.queue) == 0 && s.free > 0 {
 		s.growLocked()
 	}
 	if used := s.cfg.Procs - s.free; float64(used) > s.gMaxInUse.Value() {

@@ -170,7 +170,7 @@ func TestPlateauPackingAndReclaim(t *testing.T) {
 }
 
 func TestGrowAsQueueDrains(t *testing.T) {
-	s := New(Config{Procs: 8, QueueDepth: 8, Grow: true})
+	s := New(Config{Procs: 8, QueueDepth: 8})
 	defer s.Close()
 
 	b := newGate("b", 5)
@@ -215,7 +215,7 @@ func TestGrowSkipsWithinPlateau(t *testing.T) {
 	// m=15 on 12 processors: the 8-processor plateau extends through
 	// 14, so freeing 4 more processors (8 -> 12 available) must NOT
 	// grow the job — those processors buy zero speedup.
-	s := New(Config{Procs: 12, QueueDepth: 8, Grow: true})
+	s := New(Config{Procs: 12, QueueDepth: 8})
 	defer s.Close()
 
 	a := newGate("a", 15)
@@ -248,7 +248,7 @@ func TestGrowSkipsWithinPlateau(t *testing.T) {
 }
 
 func TestShrinkToAdmit(t *testing.T) {
-	s := New(Config{Procs: 4, QueueDepth: 8, ShrinkToAdmit: true})
+	s := New(Config{Procs: 4, QueueDepth: 8})
 	defer s.Close()
 
 	a := newGate("a", 4)
@@ -283,6 +283,44 @@ func TestShrinkToAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResizeAlwaysOn: a zero-value Config resizes running jobs. A job
+// holding the whole budget drops one plateau to admit a queued job, and
+// grows back to its full plateau once that job finishes.
+func TestResizeAlwaysOn(t *testing.T) {
+	s := New(Config{Procs: 4})
+	defer s.Close()
+
+	a := newGate("a", 4)
+	ha, _ := s.Submit(a)
+	b := newGate("b", 3)
+	hb, _ := s.Submit(b)
+	if st := hb.Status(); st.State != StateQueued {
+		t.Fatalf("b: %+v, want queued behind a's full grant", st)
+	}
+	// a's next checkpoint applies the shrink: NextLowerPlateau(4, 4) = 2,
+	// and b starts on PlateauGrant(3, 2) = 2.
+	a.step <- struct{}{}
+	stb := waitStatus(t, hb, func(st JobStatus) bool { return st.State == StateRunning }, "b admitted")
+	if sta := ha.Status(); sta.Granted != 2 || stb.Granted != 2 {
+		t.Fatalf("after shrink-to-admit: a %d, b %d processors, want 2 and 2", sta.Granted, stb.Granted)
+	}
+	// b finishes with the queue empty: a grows to its next plateau, 4.
+	b.finish <- nil
+	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
+	}
+	a.step <- struct{}{}
+	sta := waitStatus(t, ha, func(st JobStatus) bool { return st.Granted == 4 }, "a grown back to 4")
+	if sta.Resizes != 2 {
+		t.Fatalf("a resizes = %d, want 2 (one shrink, one grow)", sta.Resizes)
+	}
+	checkBudget(t, s)
+	a.finish <- nil
+	if err := waitDone(t, ha); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -447,7 +485,7 @@ func TestDrainHonorsContext(t *testing.T) {
 // is never exceeded.
 func TestRaggedMixInvariants(t *testing.T) {
 	const procs = 6
-	s := New(Config{Procs: procs, QueueDepth: 64, Grow: true, ShrinkToAdmit: true})
+	s := New(Config{Procs: procs, QueueDepth: 64})
 	defer s.Close()
 	rng := rand.New(rand.NewSource(42))
 
@@ -518,14 +556,15 @@ func TestRaggedMixInvariants(t *testing.T) {
 }
 
 // TestSyntheticJobRuns executes real StepProfile work through the
-// scheduler: two concurrent synthetic jobs on a two-processor budget,
-// with sync events flowing into the stats.
+// scheduler: two concurrent synthetic jobs that fill a four-processor
+// budget between them (so neither is shrunk to admit the other), with
+// sync events flowing into the stats.
 func TestSyntheticJobRuns(t *testing.T) {
-	s := New(Config{Procs: 2, QueueDepth: 4, Grow: true})
+	s := New(Config{Procs: 4, QueueDepth: 4})
 	defer s.Close()
 	profile := model.StepProfile{
 		Loops: []model.LoopClass{
-			{Name: "sweep", WorkCycles: 20_000, Parallelism: 8, SyncEvents: 2},
+			{Name: "sweep", WorkCycles: 20_000, Parallelism: 2, SyncEvents: 2},
 			{Name: "bc", WorkCycles: 1_000, Parallelism: 1, SyncEvents: 0},
 		},
 		SerialCycles: 500,

@@ -59,15 +59,7 @@ func (j *SyntheticJob) Name() string { return j.name }
 
 // Parallelism implements Job: the largest loop-class parallelism in
 // the profile (serial-only profiles report 1).
-func (j *SyntheticJob) Parallelism() int {
-	m := 1
-	for _, l := range j.profile.Loops {
-		if l.Parallelism > m {
-			m = l.Parallelism
-		}
-	}
-	return m
-}
+func (j *SyntheticJob) Parallelism() int { return j.profile.MaxParallelism() }
 
 // Run implements Job: steps × (parallel loop classes + serial work),
 // checkpointing once per step.
