@@ -4,7 +4,7 @@
 // model.StepProfile workloads), queues them with backpressure, and
 // packs them onto a fixed processor budget using the paper's
 // stair-step rule — every grant sits on an efficiency plateau of the
-// job's loop-level parallelism, never on the flat part of the stair
+// parallelism its work pays for, never on the flat part of the stair
 // where extra processors buy no speedup.
 //
 // Usage:

@@ -3,7 +3,9 @@ package parloop
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 // BenchmarkForkJoinOverhead measures the cost of one empty parallel
@@ -20,6 +22,36 @@ func BenchmarkForkJoinOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdFork measures a fork onto a parked helper: a two-worker
+// region opened after its helper has idled for a millisecond, unlike
+// BenchmarkForkJoinOverhead's back-to-back regions. It reports the p50
+// lag from the fork to the helper starting its share (start-µs) and of
+// the whole empty region (region-µs). model.ForkCycles is checked
+// against a served break-even, not this reading (DESIGN §12).
+func BenchmarkColdFork(b *testing.B) {
+	tm := NewTeam(2)
+	defer tm.Close()
+	start := make([]time.Duration, b.N)
+	region := make([]time.Duration, b.N)
+	for i := range b.N {
+		time.Sleep(time.Millisecond)
+		var started time.Time
+		t0 := time.Now()
+		tm.For(2, func(w int) {
+			if w == 1 {
+				started = time.Now()
+			}
+		})
+		region[i], start[i] = time.Since(t0), started.Sub(t0)
+	}
+	p50 := func(d []time.Duration) float64 {
+		slices.Sort(d)
+		return float64(d[len(d)/2]) / float64(time.Microsecond)
+	}
+	b.ReportMetric(p50(start), "start-µs")
+	b.ReportMetric(p50(region), "region-µs")
 }
 
 // BenchmarkBarrier measures a bare barrier inside an open region (the

@@ -25,9 +25,12 @@ func (s SyncCostStats) Cycles(clockMHz float64) float64 {
 // the average cost of one synchronization event. regions is the number
 // of empty regions to execute (values below 1 are raised to 1).
 //
-// The measured value plugs directly into model.MinWorkPerLoop to decide
-// which loops are worth parallelizing on this host — the same
-// methodology the paper applies with vendor profiling tools.
+// The regions run back to back, so the helpers never park between
+// them: the value is the hot-path floor of a sync, the cost inside a
+// long multi-region step. A region opened after its helpers have idled
+// (every region of a short served job) costs more; BenchmarkColdFork
+// measures that case, and model.ForkCycles, not this value, is the
+// bar the scheduler applies.
 func MeasureSyncCost(t *Team, regions int) SyncCostStats {
 	if regions < 1 {
 		regions = 1
