@@ -3,9 +3,9 @@
 // registered kernel over the {schedule} × {team size} × {chunk} ×
 // {mid-run resize} matrix, compared against its serial reference) and
 // the dynamic loop-dependence checker (shipped kernels' tracked
-// variants must be race-free). The matrix includes an adaptive column:
-// every kernel also runs under internal/adapt's scripted controller,
-// re-picking schedule, chunk and team size at step boundaries.
+// variants must be race-free). The matrix always includes an adaptive
+// column: every kernel also runs under a seeded script that re-picks
+// schedule, chunk and team size at step boundaries.
 //
 // With -selftest it also verifies the machinery bites: the
 // deliberately seeded loop-carried dependence must fail the harness
@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	checktool [-teams 1,2,3,4,6,8] [-chunks 1,3,16] [-resize] [-adaptive]
+//	checktool [-teams 1,2,3,4,6,8] [-chunks 1,3,16] [-resize]
 //	          [-deps] [-depworkers 4] [-kernel substr] [-selftest] [-v]
 //
 // Exit status 0 when every obligation holds, 1 otherwise.
@@ -40,7 +40,6 @@ func run(out, errw io.Writer, args []string) int {
 	teams := fs.String("teams", "1,2,3,4,6,8", "comma-separated team sizes")
 	chunks := fs.String("chunks", "1,3,16", "comma-separated chunk sizes for the chunked schedules")
 	resize := fs.Bool("resize", true, "include the mid-run Team.Resize column for multi-step kernels")
-	adaptive := fs.Bool("adaptive", true, "include the scripted adaptive-controller column (mid-run schedule/chunk/team re-picks)")
 	deps := fs.Bool("deps", true, "run the dynamic loop-dependence checker over the tracked kernels")
 	depWorkers := fs.Int("depworkers", 4, "team size for the dependence checker")
 	kernel := fs.String("kernel", "", "run only kernels whose name contains this substring")
@@ -50,7 +49,7 @@ func run(out, errw io.Writer, args []string) int {
 		return 2
 	}
 
-	m := check.Matrix{Resize: *resize, Adaptive: *adaptive}
+	m := check.Matrix{Resize: *resize, Adaptive: true}
 	var err error
 	if m.TeamSizes, err = parseInts(*teams); err != nil {
 		fmt.Fprintf(errw, "checktool: -teams: %v\n", err)

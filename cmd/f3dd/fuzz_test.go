@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -23,8 +24,10 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"kind":"f3d","dims":"3x3"}`, `{"kind":"f3d","dims":"2x2x2"}`,
 		`{"kind":"f3d","plan_from":1}`, `{"kind":"F3D","steps":1000001,"dims":"6x5x4"}`,
 		`{"kind":"euler","points":2048,"steps":30}`, `{"kind":"euler","points":-1}`,
-		`{"kind":"adaptive","parallelism":96,"steps":120,"seed":7}`,
-		`{"kind":"adaptive","parallelism":65537}`, `{"kind":"adaptive","work_scale":1e-300}`,
+		`{"kind":"synthetic","sync_events":1000000000000}`, `{"kind":"synthetic","sync_events":65537}`,
+		`{"kind":"synthetic","work_cycles":9007199254740992}`,
+		`{"kind":"synthetic","serial_cycles":1e6,"work_scale":1e10}`,
+		`{"kind":"adaptive","parallelism":96,"steps":120}`,
 		`{"kind":"bogus"}`, `{"kind":"euler","bogus":1}`, `{"timeout_sec":-1,"kind":"euler"}`,
 	} {
 		f.Add([]byte(seed))
@@ -56,6 +59,10 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 		if m := job.Parallelism(); m < 1 || m > maxPoints {
 			t.Fatalf("accepted job parallelism %d outside [1, %d]", m, maxPoints)
+		}
+		if strings.EqualFold(req.Kind, "synthetic") &&
+			(req.SyncEvents > maxParallelism || req.WorkCycles*req.WorkScale >= maxSpin || req.SerialCycles*req.WorkScale >= maxSpin) {
+			t.Fatalf("accepted synthetic job past its bounds: %+v", req)
 		}
 	})
 }

@@ -19,9 +19,6 @@
 //	POST   /jobs             submit a job (JSON body; see server.go)
 //	GET    /jobs             list all jobs
 //	GET    /jobs/{id}        one job's status
-//	GET    /jobs/{id}/adapt  adaptive-scheduling state: per-loop
-//	                         controller status and decision log
-//	                         (404 for jobs without adaptive loops)
 //	GET    /jobs/{id}/plan   auto-parallelization plan derived from
 //	                         the job's phase trace, with per-loop
 //	                         machine-checkable rationale (404 unless
@@ -53,11 +50,6 @@
 //	                         internal/cluster/frame.go), capped at
 //	                         256 MiB -> 413, malformed or JSON -> 400;
 //	                         release is plain JSON
-//
-// The daemon accepts "adaptive" jobs — ragged loops re-scheduled per
-// step by a live feedback controller (internal/adapt). The controller
-// picks its schedule, chunk and worker count inside the job's plateau
-// grant; grants themselves always follow the stair-step rule.
 //
 // With -autopar every f3d submission runs phase-traced, and the
 // daemon derives an evidence-driven auto-parallelization plan from

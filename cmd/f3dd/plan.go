@@ -109,7 +109,7 @@ func (sv *server) applyPlanFrom(req *submitRequest) (sched.Job, error) {
 // handlePlan serves GET /jobs/{id}/plan: the per-loop plan derived
 // from the job's phase trace, with machine-checkable rationale. Jobs
 // not submitted under -autopar (or non-f3d jobs) answer 404 so
-// clients can feature-detect, mirroring /adapt; a traced-out job whose
+// clients can feature-detect; a traced-out job whose
 // evidence never made it into the ring answers 409.
 func (sv *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	id, ok := jobID(w, r)

@@ -24,6 +24,8 @@ import (
 // run.
 var planOut = flag.String("plan-out", "", "write the E2E-derived plan JSON to this file")
 
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
+
 // serialResiduals is the conformance reference: the residual history
 // of a serial, unshaped solver on the same case.
 func serialResiduals(t *testing.T, j, k, l, steps int, pulse float64) []float64 {
@@ -42,7 +44,7 @@ func serialResiduals(t *testing.T, j, k, l, steps int, pulse float64) []float64 
 }
 
 // TestPlanFeatureDetect: daemons without -autopar answer 404 from
-// /plan (clients feature-detect, like /adapt) and reject plan_from
+// /plan (clients feature-detect) and reject plan_from
 // submissions up front.
 func TestPlanFeatureDetect(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 2}, serverConfig{})

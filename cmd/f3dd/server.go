@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/cluster"
 	"repro/internal/euler"
 	"repro/internal/model"
@@ -30,6 +29,10 @@ const (
 	maxCells       = 1 << 20
 	maxPoints      = 1 << 20
 	maxParallelism = 1 << 16
+	// maxSpin bounds a synthetic job's spin counts (cycles times
+	// work_scale): below 2^53 every count is an exact float64 and
+	// converts to int without overflow.
+	maxSpin = 1 << 53
 )
 
 // serverConfig tunes the HTTP layer's fault handling. The clock is
@@ -89,7 +92,6 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv.mux.HandleFunc("POST /jobs", sv.handleSubmit)
 	sv.mux.HandleFunc("GET /jobs", sv.handleList)
 	sv.mux.HandleFunc("GET /jobs/{id}", sv.handleJob)
-	sv.mux.HandleFunc("GET /jobs/{id}/adapt", sv.handleAdapt)
 	sv.mux.HandleFunc("GET /jobs/{id}/plan", sv.handlePlan)
 	sv.mux.HandleFunc("GET /jobs/{id}/result", sv.handleResult)
 	sv.mux.HandleFunc("POST /jobs/{id}/cancel", sv.handleCancel)
@@ -116,7 +118,7 @@ func (sv *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the remaining fields apply per kind (unused ones are ignored by the
 // other kinds' builders but rejected if unknown to all).
 type submitRequest struct {
-	Kind string `json:"kind"` // "synthetic", "f3d", "euler" or "adaptive"
+	Kind string `json:"kind"` // "synthetic", "f3d" or "euler"
 	Name string `json:"name"`
 	// Steps is the number of time steps (f3d), sweeps (euler) or
 	// profile repetitions (synthetic). Default 10.
@@ -138,11 +140,6 @@ type submitRequest struct {
 
 	// euler: characteristic-sweep batch size.
 	Points int `json:"points"`
-
-	// adaptive: seed of the deterministic ragged cost surface the
-	// feedback controller optimizes (parallelism sets the loop length,
-	// work_scale the per-iteration spin cost).
-	Seed int64 `json:"seed"`
 
 	// TimeoutSec, when positive, is this job's run deadline in
 	// seconds; negative opts out of any deadline. Zero inherits the
@@ -186,11 +183,19 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 		if req.SyncEvents < 1 {
 			req.SyncEvents = 1
 		}
+		if req.SyncEvents > maxParallelism {
+			// Cancellation is checked between steps, so a step's regions
+			// must stay bounded.
+			return nil, fmt.Errorf("sync_events must be <= %d, got %d", maxParallelism, req.SyncEvents)
+		}
 		if req.WorkScale == 0 {
 			req.WorkScale = 1
 		}
 		if req.WorkScale < 0 {
 			return nil, fmt.Errorf("work_scale must be > 0, got %g", req.WorkScale)
+		}
+		if req.WorkCycles*req.WorkScale >= maxSpin || req.SerialCycles*req.WorkScale >= maxSpin {
+			return nil, fmt.Errorf("work_cycles and serial_cycles times work_scale must be < 2^53")
 		}
 		p := model.StepProfile{
 			Loops: []model.LoopClass{{
@@ -212,23 +217,8 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 			return nil, fmt.Errorf("points must be in [1, %d], got %d", maxPoints, req.Points)
 		}
 		return euler.NewSweepJob(req.Name, req.Points, req.Steps), nil
-	case "adaptive":
-		if req.Parallelism == 0 {
-			req.Parallelism = 96
-		}
-		if req.Parallelism < 1 || req.Parallelism > maxParallelism {
-			return nil, fmt.Errorf("parallelism must be in [1, %d], got %d", maxParallelism, req.Parallelism)
-		}
-		if req.WorkScale == 0 {
-			req.WorkScale = 200
-		}
-		if req.WorkScale < 0 {
-			return nil, fmt.Errorf("work_scale must be > 0, got %g", req.WorkScale)
-		}
-		return adapt.NewLoopJob(req.Name, req.Parallelism, req.Steps, req.WorkScale,
-			req.Seed, sv.sched.Procs(), sv.cfg.clock)
 	default:
-		return nil, fmt.Errorf("unknown kind %q (want synthetic, f3d, euler or adaptive)", req.Kind)
+		return nil, fmt.Errorf("unknown kind %q (want synthetic, f3d or euler)", req.Kind)
 	}
 }
 
@@ -318,40 +308,6 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusAccepted, h.Status())
-}
-
-// adaptive is a submitted job that steers a loop with a feedback
-// controller: *adapt.LoopJob in production (a test stands in a
-// sim-driven controller to pin the wire format bit for bit).
-type adaptive interface {
-	Controller() *adapt.Controller
-}
-
-// handleAdapt serves a job's adaptive-scheduling state: one controller
-// status (current pick, convergence, decision log) per instrumented
-// loop, read off the job object the scheduler holds for the ID. Jobs
-// without adaptive loops answer 404.
-func (sv *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
-	id, ok := jobID(w, r)
-	if !ok {
-		return
-	}
-	st, err := sv.sched.Job(id)
-	if err != nil {
-		serve.Error(w, http.StatusNotFound, err.Error())
-		return
-	}
-	aj, ok := sv.sched.Submitted(id).(adaptive)
-	if !ok {
-		serve.Error(w, http.StatusNotFound, fmt.Sprintf("job %d has no adaptive loops", id))
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, adapt.JobAdapt{
-		ID:    id,
-		Name:  st.Name,
-		State: st.State.String(),
-		Loops: []adapt.Status{aj.Controller().Status()},
-	})
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client

@@ -9,7 +9,6 @@
 //	                  [-label L] [-json] [-o report.json] trace.jsonl
 //	tracetool convert -format speedscope|chrome [-o out.json] trace.jsonl
 //	tracetool diff [-tol PCT] old-report.json new-report.json
-//	tracetool adapt adapt.json
 //	tracetool plan plan.json
 //	tracetool cluster [-coord TAG] [-json] [-o report.json]
 //	                  [NAME=]fleet.jsonl...
@@ -19,9 +18,7 @@
 // also writes the JSON report for later diffing. convert renders the
 // trace for speedscope.app or chrome://tracing. diff compares two
 // analyze reports and exits 1 when the new one regresses beyond -tol,
-// so CI can gate on trace-derived facts. adapt renders the JSON from
-// f3dd's GET /jobs/{id}/adapt — per-loop adaptive-controller state —
-// as a human-readable decision-log table. plan renders the JSON from
+// so CI can gate on trace-derived facts. plan renders the JSON from
 // f3dd's GET /jobs/{id}/plan — the evidence-driven
 // auto-parallelization plan — as a per-loop decision table with each
 // decision's rationale. cluster merges node-tagged
@@ -33,13 +30,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/adapt"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
@@ -52,7 +47,7 @@ func main() {
 // in-process.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert, diff, adapt, plan or cluster")
+		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert, diff, plan or cluster")
 		return 2
 	}
 	switch args[0] {
@@ -62,14 +57,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdConvert(args[1:], stdin, stdout, stderr)
 	case "diff":
 		return cmdDiff(args[1:], stdout, stderr)
-	case "adapt":
-		return cmdAdapt(args[1:], stdin, stdout, stderr)
 	case "plan":
 		return cmdPlan(args[1:], stdin, stdout, stderr)
 	case "cluster":
 		return cmdCluster(args[1:], stdin, stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert, diff, adapt, plan or cluster)\n", args[0])
+		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert, diff, plan or cluster)\n", args[0])
 		return 2
 	}
 }
@@ -132,37 +125,6 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 	renderReport(stdout, rep)
-	return 0
-}
-
-func cmdAdapt(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracetool adapt", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "tracetool adapt: need exactly one adapt-state path (or - for stdin)")
-		return 2
-	}
-	var r io.Reader
-	if fs.Arg(0) == "-" {
-		r = stdin
-	} else {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(stderr, "tracetool adapt: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		r = f
-	}
-	var ja adapt.JobAdapt
-	if err := json.NewDecoder(r).Decode(&ja); err != nil {
-		fmt.Fprintf(stderr, "tracetool adapt: %v\n", err)
-		return 2
-	}
-	renderAdapt(stdout, &ja)
 	return 0
 }
 

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 // TestPlanCommandGolden pins the rendered decision table against
 // testdata/plan.golden (refresh with -update). The input fixture is

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/obs/analyze"
 )
 
@@ -117,49 +116,5 @@ func renderReport(w io.Writer, rep *analyze.Report) {
 	if len(rep.Ranked) > 0 {
 		fmt.Fprintln(w, "\nranked profile:")
 		fmt.Fprint(w, analyze.FormatRanked(rep.Ranked, 10))
-	}
-}
-
-// renderAdapt prints a job's adaptive-scheduling state — per-loop
-// controller summary plus the decision log — from the JSON shape
-// GET /jobs/{id}/adapt serves.
-func renderAdapt(w io.Writer, ja *adapt.JobAdapt) {
-	fmt.Fprintf(w, "job %d", ja.ID)
-	if ja.Name != "" {
-		fmt.Fprintf(w, " (%s)", ja.Name)
-	}
-	if ja.State != "" {
-		fmt.Fprintf(w, " state %s", ja.State)
-	}
-	fmt.Fprintf(w, ": %d adaptive loop(s)\n", len(ja.Loops))
-
-	for _, loop := range ja.Loops {
-		conv := "exploring"
-		if loop.Converged {
-			conv = "converged"
-		}
-		fmt.Fprintf(w, "\nloop %-16s step %d, pick %s, %s, baseline %s (explored %d, rejected %d)\n",
-			loop.Label, loop.Step, loop.Choice, conv,
-			time.Duration(loop.BaselineNs).String(), loop.Explored, loop.Rejected)
-		if len(loop.Decisions) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  %6s %-11s %-22s %-22s %12s %12s  %s\n",
-			"step", "action", "choice", "judged", "score", "baseline", "reason")
-		for _, d := range loop.Decisions {
-			judged := "-"
-			if d.Judged != nil {
-				judged = d.Judged.String()
-			}
-			score, baseline := "-", "-"
-			if d.ScoreNs > 0 {
-				score = time.Duration(d.ScoreNs).String()
-			}
-			if d.BaselineNs > 0 {
-				baseline = time.Duration(d.BaselineNs).String()
-			}
-			fmt.Fprintf(w, "  %6d %-11s %-22s %-22s %12s %12s  %s\n",
-				d.Step, d.Action, d.Choice.String(), judged, score, baseline, d.Reason)
-		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/parloop"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -65,13 +64,6 @@ const (
 	// as its slowest shard — the cluster-scale version of the stall —
 	// but the numbers must not change.
 	KindSlowLink
-	// KindCostShift: the per-iteration cost surface of an adaptive
-	// loop shifts mid-run. The job runs a real adapt.Controller
-	// against a deterministic cost model that jumps at the fault step;
-	// the controller must converge, detect the drift, and re-converge
-	// to a legal configuration — anything else fails the job, which
-	// the soak's expected-state check then catches.
-	KindCostShift
 )
 
 // String implements fmt.Stringer.
@@ -93,8 +85,6 @@ func (k Kind) String() string {
 		return "node-loss"
 	case KindSlowLink:
 		return "slow-link"
-	case KindCostShift:
-		return "cost-shift"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -117,16 +107,15 @@ type Profile struct {
 	Hang        float64
 	Stall       float64
 	Race        float64
-	CostShift   float64
 }
 
 // FaultFraction returns the total probability of any fault.
 func (p Profile) FaultFraction() float64 {
-	return p.PanicWorker + p.JobError + p.Hang + p.Stall + p.Race + p.CostShift
+	return p.PanicWorker + p.JobError + p.Hang + p.Stall + p.Race
 }
 
 func (p Profile) validate() {
-	for _, v := range []float64{p.PanicWorker, p.JobError, p.Hang, p.Stall, p.Race, p.CostShift} {
+	for _, v := range []float64{p.PanicWorker, p.JobError, p.Hang, p.Stall, p.Race} {
 		if v < 0 {
 			panic(fmt.Sprintf("chaos: negative fault probability in %+v", p))
 		}
@@ -168,10 +157,8 @@ func (in *Injector) Next(steps int) Fault {
 		return Fault{Kind: KindHang, Step: step, Index: idx}
 	case u < in.p.PanicWorker+in.p.JobError+in.p.Hang+in.p.Stall:
 		return Fault{Kind: KindStall, Step: step, Index: idx}
-	case u < in.p.PanicWorker+in.p.JobError+in.p.Hang+in.p.Stall+in.p.Race:
-		return Fault{Kind: KindRace, Step: step, Index: idx}
 	case u < in.p.FaultFraction():
-		return Fault{Kind: KindCostShift, Step: step, Index: idx}
+		return Fault{Kind: KindRace, Step: step, Index: idx}
 	default:
 		return Fault{Kind: KindNone}
 	}
@@ -195,13 +182,10 @@ func (s Spec) ExpectedState() sched.State {
 	case KindHang:
 		return sched.StateTimedOut
 	default:
-		// KindNone, KindStall, KindRace and KindCostShift all
-		// complete: a stall is only slow, a seeded race corrupts
-		// numerics, not control flow — the scheduler cannot tell such
-		// a job from a healthy one, which is exactly why the
-		// dependence checker exists — and a cost shift is handled by
-		// the adaptive controller, which fails the job (StateFailed,
-		// caught here) only if it cannot re-converge.
+		// KindNone, KindStall and KindRace all complete: a stall is
+		// only slow, and a seeded race corrupts numerics, not control
+		// flow — the scheduler cannot tell such a job from a healthy
+		// one, which is exactly why the dependence checker exists.
 		return sched.StateDone
 	}
 }
@@ -357,67 +341,9 @@ func (j *job) fire(g *sched.Grant) error {
 		n := 64 + f.Index%64
 		RacyStep(g.Team(), NewSyncMem(n), n)
 		return nil
-	case KindCostShift:
-		return j.costShift(g)
 	default:
 		return nil
 	}
-}
-
-// costShift runs the adaptive-controller episode of a KindCostShift
-// fault: a real adapt.Controller optimizes a deterministic ragged cost
-// surface whose per-iteration cost jumps 8x at a mid-run step. The
-// fault is survived — and the job completes — only if the controller
-// converges before the shift, records a drift reset when the surface
-// moves, and re-converges to a configuration inside the legal envelope
-// afterwards. Any other outcome returns an error, so the job lands in
-// StateFailed instead of its expected StateDone and the soak's
-// determinism check reports it.
-func (j *job) costShift(g *sched.Grant) error {
-	procs := g.Procs()
-	if procs < 1 {
-		procs = 1
-	}
-	// Scale the loop with the spec so different jobs stress different
-	// plateau ladders, but keep enough iterations for raggedness.
-	n := 24 * j.spec.M
-	if n < 96 {
-		n = 96
-	}
-	f := j.spec.Fault
-	seed := int64(f.Index)<<8 | int64(f.Step&0xff) | 1
-	cfg := adapt.Config{Procs: procs, M: n, Chunks: []int{1, 8}}
-	horizon := adapt.ConvergenceHorizon(cfg)
-	shift := horizon + 8
-	total := shift + horizon + 16
-
-	sim := adapt.Sim{W: adapt.Scaled(adapt.Ragged(n, 800, 3, seed), 8, shift)}
-	if v, ok := j.clk.(*simclock.Virtual); ok {
-		sim.Clock = v
-	}
-	ctrl := adapt.New(j.spec.Name, adapt.Choice{Sched: parloop.Static, Chunk: 1, Workers: procs}, cfg)
-	out := adapt.RunSim(sim, ctrl, total)
-
-	if out.ConvergedAt < 0 || out.ConvergedAt > horizon {
-		return fmt.Errorf("chaos: cost-shift loop did not converge before the shift (converged at %d, horizon %d)",
-			out.ConvergedAt, horizon)
-	}
-	if !ctrl.Converged() {
-		return fmt.Errorf("chaos: cost-shift loop did not re-converge after the shift at step %d", shift)
-	}
-	sawDrift := false
-	for _, d := range ctrl.Status().Decisions {
-		if d.Action == adapt.ActionDrift {
-			sawDrift = true
-		}
-	}
-	if !sawDrift {
-		return fmt.Errorf("chaos: cost-shift loop never recorded a drift reset (final %v)", out.Final)
-	}
-	if ch := out.Final; ch.Chunk < 1 || ch.Workers < 1 || ch.Workers > procs {
-		return fmt.Errorf("chaos: cost-shift fixed point %v outside the legal envelope", ch)
-	}
-	return nil
 }
 
 // Mem is element-addressed float64 storage whose accesses name the

@@ -94,39 +94,6 @@ func TestChaosSoakRepeatable(t *testing.T) {
 	}
 }
 
-// TestSoakCostShift folds KindCostShift into the fault mix: jobs whose
-// per-iteration cost jumps mid-run and whose embedded adaptive
-// controller must converge, drift-reset, and re-converge. The fault is
-// self-checking (a controller that fails to re-converge errors the job
-// into StateFailed, which the expected-state check flags), so this
-// test only has to prove the kind is dealt, every such job completes,
-// and the usual soak invariants survive with it in the mix on the
-// virtual clock.
-func TestSoakCostShift(t *testing.T) {
-	res, err := Soak(SoakConfig{
-		Seed: soakSeed,
-		Jobs: 80,
-		Gen: GenConfig{
-			Profile: Profile{PanicWorker: 0.08, Hang: 0.08, Stall: 0.08, CostShift: 0.25},
-			MaxM:    16,
-		},
-	})
-	if err != nil {
-		t.Fatalf("soak: %v\nresult: %+v", err, res)
-	}
-	if res.ByKind[KindCostShift] == 0 {
-		t.Fatal("cost-shift fault never dealt; raise its probability or Jobs")
-	}
-	// Every cost-shift job re-converged: each one reached StateDone,
-	// or Soak's expected-state check would already have failed above.
-	if res.ByState[sched.StateDone] < res.ByKind[KindCostShift] {
-		t.Fatalf("done count %d below cost-shift count %d", res.ByState[sched.StateDone], res.ByKind[KindCostShift])
-	}
-	if res.VirtualElapsed <= 0 {
-		t.Error("virtual clock never advanced under the cost-shift mix")
-	}
-}
-
 // TestSoakTinyBudget squeezes the same chaos through a single
 // processor with a queue of two — maximal contention, constant
 // flooding — to shake out budget-accounting bugs that a roomy

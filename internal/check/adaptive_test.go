@@ -1,9 +1,9 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/parloop"
 )
 
@@ -116,18 +116,55 @@ func TestAdaptiveCaseString(t *testing.T) {
 	}
 }
 
-// TestScriptUsesControllerPolicy: the script must come from the real
-// controller (exploration visible as more than one distinct choice for
-// a multi-schedule kernel with enough steps), not a canned rotation.
-func TestScriptUsesControllerPolicy(t *testing.T) {
-	script := adapt.ScriptChoices(3, adapt.Config{
-		Procs: 4, M: 128, Chunks: []int{1, 3, 16},
-	}, 32)
-	distinct := make(map[adapt.Choice]bool)
-	for _, ch := range script {
-		distinct[ch] = true
+// TestScriptWalk: on every multi-step, multi-schedule kernel and every
+// team size, the script replays identically, stays inside the legal
+// envelope, re-picks schedule or chunk at no fewer than half of its step
+// boundaries and (on teams of two or more) changes the team size at
+// least once.
+func TestScriptWalk(t *testing.T) {
+	chunks := DefaultMatrix().Chunks
+	tested := 0
+	for _, k := range Registry() {
+		if k.Steps < 2 || len(k.Schedules) < 2 {
+			continue
+		}
+		tested++
+		legal := make(map[parloop.Schedule]bool)
+		for _, s := range k.Schedules {
+			legal[s] = true
+		}
+		for _, w := range DefaultMatrix().TeamSizes {
+			c := adaptiveCase(k, w)
+			script := adaptScript(k, w, c.Seed)
+			if again := adaptScript(k, w, c.Seed); !slices.Equal(script, again) {
+				t.Fatalf("%s w=%d: script not deterministic: %v vs %v", k.Name, w, script, again)
+			}
+			if len(script) != k.Steps || script[0].Workers != w {
+				t.Fatalf("%s w=%d: script %v: want %d steps starting on the whole team", k.Name, w, script, k.Steps)
+			}
+			repicks, resized := 0, false
+			for i, ch := range script {
+				if !legal[ch.Sched] || !slices.Contains(chunks, ch.Chunk) || ch.Workers < 1 || ch.Workers > w {
+					t.Fatalf("%s w=%d: step %d scripted illegal choice %v", k.Name, w, i, ch)
+				}
+				if i == 0 {
+					continue
+				}
+				prev := script[i-1]
+				if ch.Sched != prev.Sched || ch.Chunk != prev.Chunk {
+					repicks++
+				}
+				resized = resized || ch.Workers != prev.Workers
+			}
+			if boundaries := len(script) - 1; 2*repicks < boundaries {
+				t.Errorf("%s w=%d: re-picked schedule or chunk at %d of %d boundaries", k.Name, w, repicks, boundaries)
+			}
+			if w > 1 && !resized {
+				t.Errorf("%s w=%d: script never changed the team size: %v", k.Name, w, script)
+			}
+		}
 	}
-	if len(distinct) < 2 {
-		t.Fatalf("script explored %d distinct choices; controller should explore", len(distinct))
+	if tested == 0 {
+		t.Fatal("no multi-step multi-schedule kernel in registry")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/adapt"
 	"repro/internal/parloop"
 )
 
@@ -30,8 +29,8 @@ type Spec struct {
 	// a step boundary.
 	StepHook func(step int)
 	// AdaptHook, if non-nil, runs after StepHook with the spec itself:
-	// an adaptive controller (or its scripted stand-in) may retarget
-	// Sched and Chunk here, so the next region runs under a new
+	// the adaptive column's script retargets Sched and Chunk here (and
+	// resizes the team), so the next region runs under a new
 	// configuration — the mid-flight re-pick whose conformance the
 	// adaptive matrix column proves.
 	AdaptHook func(step int, spec *Spec)
@@ -89,9 +88,8 @@ type Matrix struct {
 	// Resize adds a column where the team is resized between steps
 	// (multi-step kernels only).
 	Resize bool
-	// Adaptive adds a column where every kernel runs under a scripted
-	// adaptive controller (internal/adapt's real decision policy on a
-	// seeded simulated workload): the initial {schedule, chunk} is the
+	// Adaptive adds a column where every kernel runs under a seeded
+	// script (adaptScript): the initial {schedule, chunk} is the
 	// script's first pick and, for multi-step kernels, every step
 	// boundary re-picks schedule, chunk and team size per the script.
 	// Conformance vs. serial must survive all of it.
@@ -100,7 +98,7 @@ type Matrix struct {
 
 // DefaultMatrix covers team sizes through 8 (including sizes that do
 // not divide typical loop counts), three chunk sizes, mid-run resizes
-// and the adaptive-controller column.
+// and the adaptive column.
 func DefaultMatrix() Matrix {
 	return Matrix{
 		TeamSizes: []int{1, 2, 3, 4, 6, 8},
@@ -116,7 +114,7 @@ type Case struct {
 	Sched   parloop.Schedule
 	Chunk   int
 	Resized bool
-	// Adaptive marks a scripted-controller cell; Seed is its script
+	// Adaptive marks a scripted cell; Seed is its script
 	// seed (Sched and Chunk then record the script's first pick).
 	Adaptive bool
 	Seed     int64
@@ -237,7 +235,7 @@ func runKernel(k Kernel, m Matrix) (cases int, fails []Failure) {
 			}
 		}
 		// The adaptive column: one cell per team size, schedule and
-		// chunk driven by the scripted controller instead of the axes.
+		// chunk driven by the script instead of the axes.
 		if m.Adaptive {
 			cases++
 			c := adaptiveCase(k, workers)
@@ -250,7 +248,7 @@ func runKernel(k Kernel, m Matrix) (cases int, fails []Failure) {
 	return cases, fails
 }
 
-// adaptiveCase builds the scripted-controller cell for a kernel at a
+// adaptiveCase builds the scripted cell for a kernel at a
 // team size. The seed is a stable hash of the kernel name and team
 // size, so every kernel explores a different but reproducible decision
 // path.
@@ -270,24 +268,46 @@ func adaptiveCase(k Kernel, workers int) Case {
 	}
 }
 
-// adaptScript runs the real adapt controller policy on a seeded
-// simulated workload and returns per-step {schedule, chunk, workers}
-// picks restricted to the kernel's legal schedules.
-func adaptScript(k Kernel, workers int, seed int64) []adapt.Choice {
+// choice is one step of an adaptive cell's script: the schedule, chunk
+// and team size the next region runs under.
+type choice struct {
+	Sched   parloop.Schedule
+	Chunk   int
+	Workers int
+}
+
+// adaptScript returns an adaptive cell's per-step picks: a seeded
+// splitmix64 walk over the kernel's legal schedules, the matrix chunks
+// and team sizes 1..workers. Step 0 runs on the cell's whole team; every
+// later step moves to a different {schedule, chunk} pair and draws a
+// fresh team size, so each step boundary re-picks what a runtime
+// controller could.
+func adaptScript(k Kernel, workers int, seed int64) []choice {
 	scheds := k.Schedules
 	if len(scheds) == 0 {
 		scheds = []parloop.Schedule{parloop.Static}
 	}
-	steps := k.Steps
-	if steps < 1 {
-		steps = 1
+	chunks := DefaultMatrix().Chunks
+	pairs := len(scheds) * len(chunks)
+	state := uint64(seed)
+	next := func(n int) int {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int((z ^ z>>31) % uint64(n))
 	}
-	return adapt.ScriptChoices(seed, adapt.Config{
-		Procs:     workers,
-		M:         k.N,
-		Schedules: scheds,
-		Chunks:    []int{1, 3, 16},
-	}, steps)
+	pair := next(pairs)
+	script := make([]choice, max(k.Steps, 1))
+	for s := range script {
+		w := workers
+		if s > 0 {
+			pair = (pair + 1 + next(pairs-1)) % pairs
+			w = 1 + next(workers)
+		}
+		script[s] = choice{Sched: scheds[pair/len(chunks)], Chunk: chunks[pair%len(chunks)], Workers: w}
+	}
+	return script
 }
 
 // runParallel executes one parallel run of the kernel for the case,
@@ -305,7 +325,7 @@ func runParallel(k Kernel, c Case, team *parloop.Team, n int) []float64 {
 		}
 	}
 	if c.Adaptive {
-		// Replay the scripted controller: the initial pick is the
+		// Replay the script: the initial pick is the
 		// script's first choice (already in c.Sched/c.Chunk via
 		// adaptiveCase) and each step boundary re-picks schedule,
 		// chunk and — when the team is resizable mid-run — team size.

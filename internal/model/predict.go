@@ -1,10 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"repro/internal/parloop"
-)
+import "fmt"
 
 // LoopClass describes one parallelized loop nest (or one family of
 // identical nests executed repeatedly) within a time step, in the terms
@@ -102,8 +98,8 @@ func (sp *StepProfile) Scale(factor float64) StepProfile {
 // the paper analyzes:
 //
 //   - stair-step parallel time: each loop class with parallelism N is
-//     dealt Static over P workers at uniform cost (Deal), so it runs in
-//     Work·ceil(N/P)/N cycles (Table 3 / Figure 1);
+//     dealt Static over P workers (parloop.StaticRange), so its busiest
+//     worker runs Work·ceil(N/P)/N cycles (Table 3 / Figure 1);
 //   - synchronization overhead: SyncEvents·syncCost cycles per step
 //     (Table 1);
 //   - Amdahl: SerialCycles are paid at full cost (§3).
@@ -128,7 +124,7 @@ func (sp *StepProfile) PredictStepCycles(procs int, syncCost float64) float64 {
 			continue
 		}
 		n := l.Parallelism
-		t += Deal(n, procs, parloop.Static, 1, Uniform(l.WorkCycles, n), Overheads{}).Makespan
+		t += l.WorkCycles * float64(MaxUnitsPerProcessor(n, procs)) / float64(n)
 		t += float64(l.SyncEvents) * syncCost
 	}
 	return t

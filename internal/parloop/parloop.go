@@ -515,7 +515,7 @@ func (t *Team) ForSchedW(n int, sched Schedule, chunk int, body func(worker, lo,
 					if int(cur) >= n {
 						return
 					}
-					c := GuidedChunk(n-int(cur), t.workers, chunk)
+					c := guidedChunk(n-int(cur), t.workers, chunk)
 					if next.CompareAndSwap(cur, cur+int64(c)) {
 						t.runChunk(w, int(cur), int(cur)+c, wb)
 						break
@@ -529,11 +529,11 @@ func (t *Team) ForSchedW(n int, sched Schedule, chunk int, body func(worker, lo,
 	}
 }
 
-// GuidedChunk returns the size of the next chunk the Guided schedule
+// guidedChunk returns the size of the next chunk the Guided schedule
 // deals when remaining iterations are left on workers workers: half the
 // remaining work divided by the team size, but at least minChunk and at
-// most remaining. Team.ForSchedW and model.Deal both take it from here.
-func GuidedChunk(remaining, workers, minChunk int) int {
+// most remaining.
+func guidedChunk(remaining, workers, minChunk int) int {
 	return min(max(remaining/(2*workers), minChunk), remaining)
 }
 

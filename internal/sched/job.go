@@ -61,13 +61,6 @@ type Grant struct {
 // across checkpoints.
 func (g *Grant) Team() *parloop.Team { return g.team }
 
-// Procs returns the job's currently applied processor grant.
-func (g *Grant) Procs() int {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.rec.granted
-}
-
 // Context returns the job's cancellation context. It is canceled by
 // Scheduler.Cancel and by Scheduler.Close.
 func (g *Grant) Context() context.Context { return g.rec.ctx }

@@ -587,8 +587,8 @@ func (s *Scheduler) Job(id uint64) (JobStatus, error) {
 
 // Submitted returns the job object submitted under the given ID, or nil
 // for an unknown ID. This table is the daemon's only index of jobs by
-// ID: per-job state that outlives a request (an adaptive controller, a
-// cached plan) lives on the job object and is reached through here.
+// ID: per-job state that outlives a request (a cached plan) lives on
+// the job object and is reached through here.
 func (s *Scheduler) Submitted(id uint64) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

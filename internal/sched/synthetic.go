@@ -72,7 +72,7 @@ func (j *SyntheticJob) Run(g *Grant) error {
 		team := g.Team()
 		for _, l := range j.profile.Loops {
 			if l.Parallelism < 2 {
-				Spin(j.iters(l.WorkCycles))
+				spin(j.iters(l.WorkCycles))
 				continue
 			}
 			regions := l.SyncEvents
@@ -84,12 +84,12 @@ func (j *SyntheticJob) Run(g *Grant) error {
 			for r := 0; r < regions; r++ {
 				team.ForChunked(l.Parallelism, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
-						Spin(n)
+						spin(n)
 					}
 				})
 			}
 		}
-		Spin(j.iters(j.profile.SerialCycles))
+		spin(j.iters(j.profile.SerialCycles))
 	}
 	return nil
 }
@@ -102,11 +102,9 @@ func (j *SyntheticJob) iters(cycles float64) int {
 	return n
 }
 
-// Spin burns roughly n dependent floating-point operations. The result
-// feeds a branch the compiler cannot fold away. Synthetic jobs and
-// adapt's ragged loop jobs both burn their work units with it, so the
-// two workload families are comparable.
-func Spin(n int) {
+// spin burns roughly n dependent floating-point operations. The result
+// feeds a branch the compiler cannot fold away.
+func spin(n int) {
 	x := 1.0
 	for i := 0; i < n; i++ {
 		x += 1 / x

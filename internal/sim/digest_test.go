@@ -9,9 +9,9 @@ import (
 	"repro/internal/machine"
 )
 
-// sweepDigest is the SHA-256 of the Sweep results in TestSweepDigest,
-// recorded before StepProfile.PredictStepCycles was routed through
-// model.Deal. Table 4 and Figures 2–3 are read off these sweeps.
+// sweepDigest is the SHA-256 of the Sweep results in TestSweepDigest.
+// A rewrite of StepProfile.PredictStepCycles must keep it: Table 4 and
+// Figures 2–3 are read off these sweeps.
 const sweepDigest = "ae2b6021e123601f7d4d9f2c0652752700fb724255334b082e23dc636a31aaee"
 
 // TestSweepDigest pins Sweep bit for bit: both paper cases × the four
