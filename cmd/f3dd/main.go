@@ -51,13 +51,14 @@
 //	                         256 MiB -> 413, malformed or JSON -> 400;
 //	                         release is plain JSON
 //
-// With -autopar every f3d submission runs phase-traced, and the
-// daemon derives an evidence-driven auto-parallelization plan from
-// the run's trace (internal/autopar/pipeline): GET /jobs/{id}/plan
-// serves the per-loop decisions with their rationale, and a new
-// submission carrying plan_from reruns the case with the plan lowered
-// onto the solver's step shape — run N's evidence reconfigures run
-// N+1 without changing the answer.
+// With -autopar every f3d submission runs phase-traced under a prefix
+// of its own ("<name>#<n>"), and the daemon derives an evidence-driven
+// auto-parallelization plan from the run's trace
+// (internal/autopar/pipeline): GET /jobs/{id}/plan serves the per-loop
+// decisions with their rationale, and a new submission carrying
+// plan_from reruns the case with the plan lowered onto the solver's
+// step shape — run N's evidence reconfigures run N+1 without changing
+// the answer.
 //
 // Jobs may carry a run deadline: -job-timeout sets the default and a
 // submission's timeout_sec overrides it (negative opts out). A job

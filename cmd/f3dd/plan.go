@@ -21,8 +21,11 @@ import (
 type planJob struct {
 	*f3d.Job
 	// req is the original submission; a plan_from rerun inherits its
-	// case, and its name is the prefix the job's phases are traced under.
+	// case.
 	req submitRequest
+	// prefix is what the job's phases are traced under: "<name>#<n>",
+	// unique in this daemon, so same-named jobs never share evidence.
+	prefix string
 
 	mu   sync.Mutex
 	plan *pipeline.Plan // set by the first successful derivation
@@ -44,8 +47,9 @@ func (sv *server) buildF3D(req *submitRequest) (sched.Job, error) {
 	if !sv.cfg.autopar {
 		return job, nil
 	}
-	job.WithPhaseTrace(req.Name)
-	return &planJob{Job: job, req: *req}, nil
+	prefix := fmt.Sprintf("%s#%d", req.Name, sv.planSeq.Add(1))
+	job.WithPhaseTrace(prefix)
+	return &planJob{Job: job, req: *req, prefix: prefix}, nil
 }
 
 // planOf returns the job's plan, deriving it from the daemon trace the
@@ -58,8 +62,8 @@ func (sv *server) planOf(pj *planJob) (*pipeline.Plan, error) {
 	pj.mu.Lock()
 	defer pj.mu.Unlock()
 	if pj.plan == nil {
-		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.req.Name,
-			pipeline.F3DStructure(pj.req.Name),
+		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.prefix,
+			pipeline.F3DStructure(pj.prefix),
 			analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost})
 		if err != nil {
 			return nil, err
@@ -102,7 +106,7 @@ func (sv *server) applyPlanFrom(req *submitRequest) (sched.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	job.(*planJob).WithShape(pipeline.ShapeFromPlan(plan, src.req.Name))
+	job.(*planJob).WithShape(pipeline.ShapeFromPlan(plan, src.prefix))
 	return job, nil
 }
 

@@ -5,11 +5,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/autopar/pipeline"
 	"repro/internal/f3d"
@@ -122,15 +128,9 @@ func TestPlanGoldenJSON(t *testing.T) {
 		Procs:  4,
 		Loops: []pipeline.LoopPlan{
 			{Loop: "golden/sweep-jk", Action: pipeline.Parallelize, Rationale: []pipeline.Fact{
-				{Kind: pipeline.FactStatic, Loop: "golden/sweep-jk", Detail: "statically parallel"},
 				{Kind: pipeline.FactBudget, Loop: "golden/sweep-jk", Detail: "work per sync clears Table 1 minimum", Value: 3.2},
 			}},
-			{Loop: "golden/rhs", Action: pipeline.Fission, ParallelParts: []string{"jk"}, SerialParts: []string{"l"}, Rationale: []pipeline.Fact{
-				{Kind: pipeline.FactPart, Loop: "golden/rhs", Part: "l", Detail: "part not parallelizable"},
-				{Kind: pipeline.FactBudget, Loop: "golden/rhs", Part: "jk", Detail: "fissioned part clears the budget", Value: 2.1},
-			}},
 			{Loop: "golden/sweep-l", Action: pipeline.Merge, Group: "step", Rationale: []pipeline.Fact{
-				{Kind: pipeline.FactStatic, Loop: "golden/sweep-l", Detail: "statically parallel"},
 				{Kind: pipeline.FactGroupBudget, Loop: "golden/sweep-l", Detail: "fused region clears the budget the loop misses alone", Value: 1.4},
 			}},
 			{Loop: "golden/bc", Action: pipeline.Serial, Rationale: []pipeline.Fact{
@@ -304,7 +304,6 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 		if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {
 			t.Fatalf("submit %v = %d", body, code)
 		}
-		ts.waitState(st.ID, sched.StateDone)
 		return st.ID
 	}
 	// The smallest probe whose work pays for the second processor, so
@@ -312,27 +311,43 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 	probe := map[string]any{"kind": "f3d", "name": "probe", "dims": "13x11x9", "steps": 2, "pulse": 0.01}
 	plan := func(id uint64) (int, string) { return ts.get(fmt.Sprintf("/jobs/%d/plan", id)) }
 
-	// Tracing is off: nothing to plan from yet.
-	first := submit(probe)
-	if code, _ := plan(first); code != http.StatusConflict {
-		t.Fatalf("GET /plan with tracing off = %d, want 409", code)
-	}
 	// Under -autopar, only f3d jobs carry plan state.
 	other := submit(map[string]any{"kind": "euler", "points": 64, "steps": 1})
+	ts.waitState(other, sched.StateDone)
 	if code, _ := plan(other); code != http.StatusNotFound {
 		t.Fatalf("GET /plan for a euler job = %d, want 404", code)
 	}
+	// Tracing is off: nothing to plan from yet. The first probe runs
+	// until it is canceled, so its evidence can arrive later.
+	long := maps.Clone(probe)
+	long["steps"] = maxSteps
+	first := submit(long)
+	ts.waitState(first, sched.StateRunning)
+	if code, _ := plan(first); code != http.StatusConflict {
+		t.Fatalf("GET /plan with tracing off = %d, want 409", code)
+	}
 
-	// Evidence under the same phase prefix arrives later: the earlier
-	// 409 was not cached.
+	// Evidence arrives once tracing is on: the earlier 409 was not
+	// cached.
 	if code := ts.do("POST", "/trace/enable", nil, nil); code != http.StatusOK {
 		t.Fatalf("POST /trace/enable = %d", code)
 	}
-	second := submit(probe)
-	code, before := plan(first)
-	if code != http.StatusOK {
-		t.Fatalf("GET /plan after evidence = %d: %s", code, before)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		code, body := plan(first)
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusConflict || time.Now().After(deadline) {
+			t.Fatalf("GET /plan after evidence = %d: %s", code, body)
+		}
 	}
+	if code := ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", first), nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel = %d", code)
+	}
+	ts.waitState(first, sched.StateCanceled)
+	_, before := plan(first)
+	second := submit(probe)
+	ts.waitState(second, sched.StateDone)
 
 	// Reset the ring: the derived plan survives on the job, byte for
 	// byte; the job whose plan was never derived has lost its evidence.
@@ -347,7 +362,96 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 		t.Fatalf("GET /plan of the underived job after reset = %d, want 409", code)
 	}
 	// plan_from reads the same kept plan.
-	if code := ts.do("POST", "/jobs", map[string]any{"kind": "f3d", "plan_from": first}, nil); code != http.StatusAccepted {
+	if code := ts.do("POST", "/jobs", map[string]any{"kind": "f3d", "plan_from": first, "steps": 2}, nil); code != http.StatusAccepted {
 		t.Fatalf("plan_from the kept plan = %d", code)
+	}
+}
+
+// TestPlanSameNameJobsKeepTheirOwnEvidence: two unnamed jobs are both
+// named "f3d", yet each is planned from its own traced run. The same
+// small case is planned on a fresh daemon and on one where a larger
+// same-named job ran first; the plans must agree. The larger job runs
+// on all 4 processors and the small one (M = 9) on 3, so a plan mixing
+// both runs would report 4. The pinned sync cost makes every action
+// deterministic (serial), whatever the host's timings.
+func TestPlanSameNameJobsKeepTheirOwnEvidence(t *testing.T) {
+	small := map[string]any{"kind": "f3d", "dims": "13x12x11", "steps": 2, "pulse": 0.01}
+	large := map[string]any{"kind": "f3d", "dims": "33x27x25", "steps": 2, "pulse": 0.01}
+	planAfter := func(jobs ...map[string]any) *pipeline.Plan {
+		t.Helper()
+		tr := obs.NewTracer(1<<16, nil)
+		tr.Enable()
+		ts := newTestServer(t, sched.Config{Procs: 4, Tracer: tr},
+			serverConfig{autopar: true, autoparSyncCost: 1e9})
+		var st sched.JobStatus
+		for _, body := range jobs {
+			if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {
+				t.Fatalf("submit %v = %d", body, code)
+			}
+			ts.waitState(st.ID, sched.StateDone)
+		}
+		var jp pipeline.JobPlan
+		if code := ts.do("GET", fmt.Sprintf("/jobs/%d/plan", st.ID), nil, &jp); code != http.StatusOK {
+			t.Fatalf("GET /plan = %d", code)
+		}
+		if jp.Name != "f3d" {
+			t.Fatalf("job name %q, want the default f3d", jp.Name)
+		}
+		return jp.Plan
+	}
+	// The plan's shape, with the per-job prefix and the timed values
+	// left out.
+	shape := func(p *pipeline.Plan) string {
+		var loops []string
+		for _, lp := range p.Loops {
+			loops = append(loops, fmt.Sprintf("%s=%s", path.Base(lp.Loop), lp.Action))
+		}
+		slices.Sort(loops)
+		return fmt.Sprintf("procs %d: %s", p.Procs, strings.Join(loops, " "))
+	}
+	alone := shape(planAfter(small))
+	if !strings.HasPrefix(alone, "procs 3:") {
+		t.Fatalf("small job alone planned %q, want its 3-processor grant", alone)
+	}
+	if after := shape(planAfter(large, small)); after != alone {
+		t.Fatalf("plan after a same-named job = %q, alone = %q", after, alone)
+	}
+}
+
+// TestPlanPrefixesAreUnique: concurrent -autopar submissions under one
+// name each get a trace prefix of their own.
+func TestPlanPrefixesAreUnique(t *testing.T) {
+	s := sched.New(sched.Config{Procs: 2})
+	defer s.Close()
+	sv := newServer(s, serverConfig{autopar: true})
+	const goroutines, each = 8, 4
+	prefixes := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range prefixes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				job, err := sv.buildF3D(&submitRequest{Name: "same", Dims: "6x5x4", Steps: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				prefixes[g] = append(prefixes[g], job.(*planJob).prefix)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, ps := range prefixes {
+		for _, p := range ps {
+			if seen[p] || !strings.HasPrefix(p, "same#") {
+				t.Fatalf("prefix %q repeated or misnamed", p)
+			}
+			seen[p] = true
+		}
+	}
+	if len(seen) != goroutines*each {
+		t.Fatalf("%d distinct prefixes, want %d", len(seen), goroutines*each)
 	}
 }

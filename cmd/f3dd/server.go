@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -80,6 +81,9 @@ type server struct {
 	shards *cluster.ShardServer
 	cfg    serverConfig
 	mux    *http.ServeMux
+	// planSeq numbers the -autopar jobs, so each traces its phases
+	// under a prefix of its own even when names repeat.
+	planSeq atomic.Uint64
 }
 
 func newServer(s *sched.Scheduler, cfg serverConfig) *server {

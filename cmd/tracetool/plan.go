@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/autopar/pipeline"
 )
@@ -69,30 +68,21 @@ func renderPlan(w io.Writer, jp *pipeline.JobPlan) {
 		fmt.Fprintf(w, " (source %s)", p.Source)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "decisions: %d parallelize, %d merge, %d fission, %d serial\n",
-		p.Count(pipeline.Parallelize), p.Count(pipeline.Merge),
-		p.Count(pipeline.Fission), p.Count(pipeline.Serial))
+	fmt.Fprintf(w, "decisions: %d parallelize, %d merge, %d serial\n",
+		p.Count(pipeline.Parallelize), p.Count(pipeline.Merge), p.Count(pipeline.Serial))
 
 	for _, lp := range p.Loops {
 		fmt.Fprintf(w, "\n%-24s %s", lp.Loop, lp.Action)
-		switch {
-		case lp.Action == pipeline.Merge && lp.Group != "":
+		if lp.Action == pipeline.Merge && lp.Group != "" {
 			fmt.Fprintf(w, " into group %q", lp.Group)
-		case lp.Action == pipeline.Fission:
-			fmt.Fprintf(w, " -> parallel [%s], serial [%s]",
-				strings.Join(lp.ParallelParts, ", "), strings.Join(lp.SerialParts, ", "))
 		}
 		fmt.Fprintln(w)
 		for _, f := range lp.Rationale {
-			target := ""
-			if f.Part != "" {
-				target = " part " + f.Part
-			}
 			val := ""
 			if f.Value != 0 {
 				val = fmt.Sprintf(" [%.3g]", f.Value)
 			}
-			fmt.Fprintf(w, "  %-14s%s %s%s\n", f.Kind, target, f.Detail, val)
+			fmt.Fprintf(w, "  %-14s %s%s\n", f.Kind, f.Detail, val)
 		}
 	}
 }

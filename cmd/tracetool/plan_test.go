@@ -37,8 +37,8 @@ func TestPlanCommandGolden(t *testing.T) {
 	}
 	// Every action and the rationale vocabulary must survive format
 	// tweaks.
-	for _, needle := range []string{"parallelize", "merge", "fission", "serial",
-		"group-budget", "Table 1", "parallel [jk], serial [l]"} {
+	for _, needle := range []string{"parallelize", "merge", "serial",
+		"group-budget", "Table 1", `into group "step"`} {
 		if !strings.Contains(stdout.String(), needle) {
 			t.Errorf("output missing %q", needle)
 		}
@@ -71,7 +71,7 @@ func TestPlanCommandStdin(t *testing.T) {
 	if code := run([]string{"plan", "-"}, bytes.NewReader(data), &stdout, &stderr); code != 0 {
 		t.Fatalf("plan - exited %d: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "golden/rhs") {
+	if !strings.Contains(stdout.String(), "golden/sweep-jk") {
 		t.Fatalf("stdin render missing loop name:\n%s", stdout.String())
 	}
 }

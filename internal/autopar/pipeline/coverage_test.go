@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -33,33 +34,20 @@ func TestPlannerPropertySweep(t *testing.T) {
 // Per-kind fact honesty checks not already covered by the planner
 // paths: each dishonest fact must be rejected with a specific error.
 func TestValidateFactObligations(t *testing.T) {
-	l := cleanLoop("x", 0.9, 200_000)
-	l.Parts = []PartEvidence{{Name: "pp", WorkFrac: 0.5, Static: StaticUnknown}}
-	ev := Evidence{Loops: []LoopEvidence{l}}
+	ev := Evidence{Loops: []LoopEvidence{cleanLoop("x", 0.9, 200_000)}}
 	serialWith := func(f Fact) *Plan {
 		return handPlan(LoopPlan{Loop: "x", Action: Serial, Rationale: []Fact{f}})
 	}
-	wantInvalid(t, serialWith(Fact{Kind: FactTrackerClean, Loop: "x"}), ev, "tracker-clean fact unsupported")
-	wantInvalid(t, serialWith(Fact{Kind: FactNoEvidence, Loop: "x"}), ev, "evidence exists")
 	wantInvalid(t, serialWith(Fact{Kind: FactGroupBudget, Loop: "x"}), ev, "ungrouped")
-	wantInvalid(t, serialWith(Fact{Kind: FactPart, Loop: "x"}), ev, "part fact without a part")
 	wantInvalid(t, serialWith(Fact{Kind: "vibes", Loop: "x"}), ev, "unknown fact kind")
-	wantInvalid(t, serialWith(Fact{Kind: FactBudget, Loop: "x", Part: "nope", Value: 4}), ev, "unknown part")
+	// Schema 2 has no dependence-evidence or part kinds.
+	for _, k := range []string{"conflict", "tracker-clean", "static", "no-dependence-evidence", "part"} {
+		wantInvalid(t, serialWith(Fact{Kind: k, Loop: "x"}), ev, "unknown fact kind")
+	}
 	wantInvalid(t, handPlan(LoopPlan{Loop: "x", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "x"},
 		{Kind: FactBudget, Loop: "x", Value: 4},
 		{Kind: FactRank, Loop: "x", Value: 0.1}, // real share is 0.9
 	}}), ev, "rank fact share")
-
-	// Unknown static verdict cannot back a static fact.
-	u := cleanLoop("u", 0.9, 200_000)
-	u.Static = StaticUnknown
-	u.Tracked = true
-	evu := Evidence{Loops: []LoopEvidence{u}}
-	wantInvalid(t, handPlan(LoopPlan{Loop: "u", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "u"},
-		{Kind: FactBudget, Loop: "u", Value: 4},
-	}}), evu, "verdict is")
 }
 
 // Validator legality paths the planner never takes on its own.
@@ -68,58 +56,28 @@ func TestValidateRejectsIllegalParallelizations(t *testing.T) {
 	weak := cleanLoop("weak", 0.9, 10_000)
 	ev := Evidence{Loops: []LoopEvidence{weak}}
 	wantInvalid(t, handPlan(LoopPlan{Loop: "weak", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "weak"},
 		{Kind: FactBudget, Loop: "weak", Value: 0.2},
 	}}), ev, "fails its sync budget")
 
-	// Loop with a conflicted part run whole-parallel.
-	mixed := cleanLoop("mixed", 0.9, 200_000)
-	mixed.Parts = []PartEvidence{{Name: "bad", WorkFrac: 0.5, Static: StaticParallel, Conflicts: oneConflict()}}
-	evm := Evidence{Loops: []LoopEvidence{mixed}}
-	wantInvalid(t, handPlan(LoopPlan{Loop: "mixed", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "mixed"},
-		{Kind: FactBudget, Loop: "mixed", Value: 4},
-	}}), evm, "observed conflicts")
-
-	// Statically-serial part run whole-parallel.
-	mixed2 := cleanLoop("m2", 0.9, 200_000)
-	mixed2.Parts = []PartEvidence{{Name: "ser", WorkFrac: 0.5, Static: StaticSerial}}
-	ev2 := Evidence{Loops: []LoopEvidence{mixed2}}
-	wantInvalid(t, handPlan(LoopPlan{Loop: "m2", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "m2"},
-		{Kind: FactBudget, Loop: "m2", Value: 4},
-	}}), ev2, "statically serial")
-
-	// No dependence evidence at all.
-	unk := cleanLoop("unk", 0.9, 200_000)
-	unk.Static = StaticUnknown
-	ev3 := Evidence{Loops: []LoopEvidence{unk}}
-	wantInvalid(t, handPlan(LoopPlan{Loop: "unk", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactBudget, Loop: "unk", Value: 4},
-	}}), ev3, "no dependence evidence")
-
-	// Missing fact kinds on an otherwise legal parallelization.
+	// Missing budget fact on an otherwise legal parallelization.
 	ok := cleanLoop("ok", 0.9, 200_000)
-	ev4 := Evidence{Loops: []LoopEvidence{ok}}
+	ev2 := Evidence{Loops: []LoopEvidence{ok}}
 	wantInvalid(t, handPlan(LoopPlan{Loop: "ok", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactBudget, Loop: "ok", Value: 4},
-	}}), ev4, "without a dependence fact")
-	wantInvalid(t, handPlan(LoopPlan{Loop: "ok", Action: Parallelize, Rationale: []Fact{
-		{Kind: FactStatic, Loop: "ok"},
-	}}), ev4, "without a budget fact")
+		{Kind: FactRank, Loop: "ok", Value: 0.9},
+	}}), ev2, "without a budget fact")
 }
 
 func TestValidateMergeObligations(t *testing.T) {
 	a, b := cleanLoop("a", 0.5, 20_000), cleanLoop("b", 0.4, 20_000)
 	a.Group, b.Group = "g", "g"
 	ev := Evidence{Loops: []LoopEvidence{a, b}}
-	dep := func(l string) []Fact {
-		return []Fact{{Kind: FactStatic, Loop: l}, {Kind: FactGroupBudget, Loop: l, Value: 0.5}}
+	fused := func(l string) []Fact {
+		return []Fact{{Kind: FactGroupBudget, Loop: l, Value: 0.5}}
 	}
 	// Fused region that still fails the combined budget.
 	wantInvalid(t, &Plan{Schema: Schema, Loops: []LoopPlan{
-		{Loop: "a", Action: Merge, Group: "g", Rationale: dep("a")},
-		{Loop: "b", Action: Merge, Group: "g", Rationale: dep("b")},
+		{Loop: "a", Action: Merge, Group: "g", Rationale: fused("a")},
+		{Loop: "b", Action: Merge, Group: "g", Rationale: fused("b")},
 	}}, ev, "fails the budget")
 
 	// Merge whose stated group contradicts the evidence group.
@@ -127,26 +85,25 @@ func TestValidateMergeObligations(t *testing.T) {
 	big.Group, small.Group = "g", "g"
 	ev2 := Evidence{Loops: []LoopEvidence{big, small}}
 	wantInvalid(t, &Plan{Schema: Schema, Loops: []LoopPlan{
-		{Loop: "big", Action: Merge, Group: "other", Rationale: dep("big")},
-		{Loop: "small", Action: Merge, Group: "g", Rationale: dep("small")},
+		{Loop: "big", Action: Merge, Group: "other", Rationale: fused("big")},
+		{Loop: "small", Action: Merge, Group: "g", Rationale: fused("small")},
 	}}, ev2, "evidence group")
 
-	// A merged loop must itself be dependence-clean.
-	racy := cleanLoop("racy", 0.3, 120_000)
-	racy.Group = "g"
-	racy.Conflicts = oneConflict()
-	ev3 := Evidence{Loops: []LoopEvidence{big, small, racy}}
+	// A group of one is not a merge.
+	solo := cleanLoop("solo", 0.9, 120_000)
+	solo.Group = "h"
+	wantInvalid(t, handPlan(LoopPlan{Loop: "solo", Action: Merge, Group: "h", Rationale: fused("solo")}),
+		Evidence{Loops: []LoopEvidence{solo}}, "need >= 2")
+
+	// A merge without its group-budget fact.
 	wantInvalid(t, &Plan{Schema: Schema, Loops: []LoopPlan{
-		{Loop: "big", Action: Merge, Group: "g", Rationale: dep("big")},
-		{Loop: "small", Action: Merge, Group: "g", Rationale: dep("small")},
-		{Loop: "racy", Action: Merge, Group: "g", Rationale: []Fact{
-			{Kind: FactGroupBudget, Loop: "racy", Value: 0.5}}},
-	}}, ev3, "ineligible")
+		{Loop: "big", Action: Merge, Group: "g", Rationale: []Fact{{Kind: FactBudget, Loop: "big", Value: 2.4}}},
+		{Loop: "small", Action: Merge, Group: "g", Rationale: fused("small")},
+	}}, ev2, "without a group-budget fact")
 }
 
 // Applied/Changes edge paths: plans that do not cover the evidence,
-// fission of parts lacking their own certificates, merged groups in
-// Changes.
+// and merged groups in Changes.
 func TestAppliedAndChangesEdges(t *testing.T) {
 	// Loop absent from the plan carries over untouched.
 	l := cleanLoop("extra", 0.5, 100_000)
@@ -155,37 +112,21 @@ func TestAppliedAndChangesEdges(t *testing.T) {
 		t.Fatalf("unplanned loop mangled: %+v", out.Loops)
 	}
 
-	// Fissioned part with no verdict of its own inherits the loop's
-	// certificate; with neither, it lands unknown.
-	host := cleanLoop("host", 0.8, 200_000)
-	host.Parts = []PartEvidence{
-		{Name: "u", WorkFrac: 0.6},
-		{Name: "c", WorkFrac: 0.4, Conflicts: oneConflict()},
-	}
-	plan := handPlan(LoopPlan{Loop: "host", Action: Fission,
-		ParallelParts: []string{"u"}, SerialParts: []string{"c"}})
-	ap := Applied(Evidence{Loops: []LoopEvidence{host}}, plan)
-	if u := ap.Loop("host-u"); u == nil || u.Static != StaticParallel {
-		t.Errorf("part without verdict did not inherit the loop certificate: %+v", u)
-	}
-	host.Static = StaticUnknown
-	host.Tracked = true
-	ap2 := Applied(Evidence{Loops: []LoopEvidence{host}}, plan)
-	if u := ap2.Loop("host-u"); u == nil || u.Static != StaticUnknown || !u.Tracked {
-		t.Errorf("uncertified part: %+v", u)
+	// A merged group becomes one loop under the group's name that sums
+	// its members.
+	big, small := cleanLoop("big", 0.5, 120_000), cleanLoop("small", 0.4, 20_000)
+	big.Group, small.Group = "g", "g"
+	ev := Evidence{Loops: []LoopEvidence{big, small}}
+	ap := Applied(ev, PlanFromEvidence(ev))
+	if len(ap.Loops) != 1 || ap.Loops[0].Name != "g" || !close64(ap.Loops[0].RankShare, 0.9) ||
+		ap.Loops[0].WorkPerSyncCycles != mergedWorkPerSync([]*LoopEvidence{&big, &small}) {
+		t.Fatalf("merged group applied as %+v", ap.Loops)
 	}
 
-	// Changes: merged-group demotion and fission flips are reported.
-	prev := &Plan{Schema: Schema, Loops: []LoopPlan{
-		{Loop: "a", Action: Merge, Group: "g"},
-		{Loop: "f", Action: Fission, ParallelParts: []string{"p"}, SerialParts: []string{"s"}},
-	}}
-	next := &Plan{Schema: Schema, Loops: []LoopPlan{
-		{Loop: "g", Action: Serial},
-		{Loop: "f-p", Action: Serial},
-		{Loop: "f-s", Action: Parallelize},
-	}}
-	if ch := Changes(prev, next); len(ch) != 3 {
-		t.Fatalf("changes = %v, want merged-group + two part flips", ch)
+	// Changes: a merged group's demotion is reported.
+	prev := &Plan{Schema: Schema, Loops: []LoopPlan{{Loop: "a", Action: Merge, Group: "g"}}}
+	next := &Plan{Schema: Schema, Loops: []LoopPlan{{Loop: "g", Action: Serial}}}
+	if ch := Changes(prev, next); len(ch) != 1 || !strings.Contains(ch[0], `"g"`) {
+		t.Fatalf("changes = %v, want the merged-group demotion", ch)
 	}
 }

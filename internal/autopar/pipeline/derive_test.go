@@ -10,8 +10,9 @@ import (
 	"repro/internal/parloop"
 )
 
-// tracePhases runs two prefixed phase loops plus an out-of-prefix loop
-// on a traced team, the way a phase-traced daemon job would.
+// tracePhases runs two prefixed phase loops on a traced team, the way
+// a phase-traced daemon job would, plus an out-of-prefix loop and the
+// rhs of a job named "<prefix>/x", whose labels share the prefix.
 func tracePhases(t *testing.T, prefix string) []obs.Event {
 	t.Helper()
 	tr := obs.NewTracer(1<<14, nil)
@@ -27,6 +28,8 @@ func tracePhases(t *testing.T, prefix string) []obs.Event {
 		team.For(64, func(int) { spin(10_000) })
 	}
 	team.SetLabel("otherjob/loop") // must not leak into this job's plan
+	team.For(64, func(int) { spin(5_000) })
+	team.SetLabel(prefix + "/x/rhs") // nor may the "<prefix>/x" job's
 	team.For(64, func(int) { spin(5_000) })
 	return tr.Events()
 }
@@ -46,6 +49,10 @@ func TestDerivePlansOnlyThePrefix(t *testing.T) {
 	if _, ok := p.Decision("otherjob/loop"); ok {
 		t.Fatal("plan includes another job's loop")
 	}
+	// "jobA/x/rhs" matches the prefix but is no declared jobA phase.
+	if len(p.Loops) != 2 {
+		t.Fatalf("plan %v, want only jobA's rhs and sweep-jk", planNames(p))
+	}
 	// Pure: the same inputs give the same plan, and nothing is kept
 	// between calls — the caller owns caching.
 	p2, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{})
@@ -63,9 +70,13 @@ func TestDeriveNoEvidence(t *testing.T) {
 	if _, err := Derive(events, "k", F3DStructure("k"), analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("foreign trace: %v, want ErrNoEvidence", err)
 	}
-	// Nothing is remembered about the failure: evidence arriving later
-	// still yields a plan, with or without a declared structure.
-	if _, err := Derive(events, "j", nil, analyze.Config{}); err != nil {
+	// Without a declared structure no traced loop is allowed in.
+	if _, err := Derive(events, "j", nil, analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
+		t.Fatalf("undeclared trace: %v, want ErrNoEvidence", err)
+	}
+	// Nothing is remembered about the failures: the declared phases
+	// still yield a plan.
+	if _, err := Derive(events, "j", F3DStructure("j"), analyze.Config{}); err != nil {
 		t.Fatalf("Derive after evidence: %v", err)
 	}
 }

@@ -44,10 +44,7 @@ func traceTwoLoops(t *testing.T) []obs.Event {
 
 func TestFromTraceBuildsEvidence(t *testing.T) {
 	events := traceTwoLoops(t)
-	structs := []LoopStructure{
-		{Name: "hot", Static: StaticParallel},
-		// regiononly left undeclared: must default to unknown.
-	}
+	structs := []LoopStructure{{Name: "hot", Group: "g"}, {Name: "regiononly"}}
 	ev := FromTrace(events, analyze.Config{}, structs, "live-test")
 	if ev.Source != "live-test" {
 		t.Errorf("source = %q", ev.Source)
@@ -60,7 +57,7 @@ func TestFromTraceBuildsEvidence(t *testing.T) {
 	}
 
 	hot := ev.Loop("hot")
-	if hot == nil || hot.Static != StaticParallel {
+	if hot == nil || hot.Group != "g" {
 		t.Fatalf("hot loop missing or unjoined: %+v", hot)
 	}
 	if hot.RankShare <= 0 || hot.RankShare > 1 {
@@ -71,8 +68,8 @@ func TestFromTraceBuildsEvidence(t *testing.T) {
 	}
 
 	ro := ev.Loop("regiononly")
-	if ro == nil || ro.Static != StaticUnknown || ro.Group != "" {
-		t.Fatalf("undeclared loop must default to unknown/ungrouped: %+v", ro)
+	if ro == nil || ro.Group != "" {
+		t.Fatalf("regiononly must be declared and ungrouped: %+v", ro)
 	}
 	// The analyzer sees WorkNs=0 for ctx.Range regions; the evidence
 	// builder must re-estimate work from span × workers so the budget
@@ -85,6 +82,13 @@ func TestFromTraceBuildsEvidence(t *testing.T) {
 	if s := hot.RankShare + ro.RankShare; s < 0.999 || s > 1.001 {
 		t.Errorf("rank shares sum to %v, want 1", s)
 	}
+
+	// The declarations are the allow-list: an undeclared loop is
+	// dropped before the shares are normalized.
+	only := FromTrace(events, analyze.Config{}, structs[:1], "live-test")
+	if len(only.Loops) != 1 || only.Loops[0].Name != "hot" || only.Loops[0].RankShare != 1 {
+		t.Errorf("undeclared loop kept or shares not renormalized: %+v", only.Loops)
+	}
 }
 
 func planEvNames(ev Evidence) []string {
@@ -95,53 +99,24 @@ func planEvNames(ev Evidence) []string {
 	return out
 }
 
-func TestEvidenceMutators(t *testing.T) {
-	l := cleanLoop("rhs", 0.8, 200_000)
-	l.Static = StaticUnknown
-	l.Parts = []PartEvidence{{Name: "jk", WorkFrac: 0.6, Static: StaticUnknown}}
-	ev := Evidence{Loops: []LoopEvidence{l, cleanLoop("other", 0.2, 100_000)}}
-
-	if ev.AddConflicts("ghost", "", oneConflict()) {
-		t.Error("AddConflicts accepted an unknown loop")
-	}
-	if ev.AddConflicts("rhs", "ghostpart", oneConflict()) {
-		t.Error("AddConflicts accepted an unknown part")
-	}
-	if !ev.AddConflicts("rhs", "jk", oneConflict()) {
-		t.Fatal("AddConflicts rejected a declared part")
-	}
-	if !ev.AddConflicts("rhs", "", oneConflict()) {
-		t.Fatal("AddConflicts rejected the loop")
-	}
-	rhs := ev.Loop("rhs")
-	if !rhs.Tracked || len(rhs.Conflicts) != 1 || len(rhs.Parts[0].Conflicts) != 1 {
-		t.Errorf("conflicts not attached: %+v", rhs)
-	}
-	ev.MarkTracked("other", "ghost")
-	if !ev.Loop("other").Tracked {
-		t.Error("MarkTracked missed a loop")
-	}
-}
-
-// End-to-end over a live trace: the planner must parallelize the hot
-// statically-certified loop and leave the unknown region-only loop
-// serial for lack of dependence evidence — and the whole plan must
-// validate against its own evidence.
+// End-to-end over a live trace: the plan covers exactly the declared
+// loops, and the whole plan validates against its own evidence.
 func TestPlanFromLiveTrace(t *testing.T) {
 	events := traceTwoLoops(t)
-	structs := []LoopStructure{{Name: "hot", Static: StaticParallel}}
-	ev := FromTrace(events, analyze.Config{}, structs, "live")
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	if d, _ := p.Decision("regiononly"); d.Action != Serial || !hasKind(d.Rationale, FactNoEvidence) {
-		t.Errorf("unknown loop: %+v, want serial/no-evidence", d)
-	}
-	// Promote via a clean tracked run and re-plan: now both can go
-	// parallel (budget permitting).
-	ev.MarkTracked("regiononly")
-	p2 := PlanFromEvidence(ev)
-	mustValidate(t, p2, ev)
-	if d, _ := p2.Decision("regiononly"); d.Action == Serial && hasKind(d.Rationale, FactNoEvidence) {
-		t.Errorf("tracked-clean loop still demoted for lack of evidence: %+v", d)
+	for _, structs := range [][]LoopStructure{
+		{{Name: "hot"}},
+		{{Name: "hot"}, {Name: "regiononly"}},
+	} {
+		ev := FromTrace(events, analyze.Config{}, structs, "live")
+		p := PlanFromEvidence(ev)
+		mustValidate(t, p, ev)
+		if len(p.Loops) != len(structs) {
+			t.Fatalf("plan %v, want one decision per declared loop %v", planNames(p), structs)
+		}
+		for _, st := range structs {
+			if _, ok := p.Decision(st.Name); !ok {
+				t.Errorf("declared loop %q not planned: %v", st.Name, planNames(p))
+			}
+		}
 	}
 }

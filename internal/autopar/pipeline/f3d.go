@@ -6,22 +6,17 @@ import (
 	"repro/internal/f3d"
 )
 
-// F3DStructure declares the cache solver's phase-loop structure for
-// the planner, matching the labels a job traced with
+// F3DStructure declares the cache solver's phase loops for the
+// planner, matching the labels a job traced with
 // f3d.Job.WithPhaseTrace(prefix) emits ("<prefix>/<phase>").
 //
-// Every phase is statically iteration-independent — the solver's
-// decomposition (J/K planes, L columns) was audited by construction in
-// internal/f3d — so the declarations carry StaticParallel and the
-// planner's decisions reduce to the paper's cost questions: is the
-// phase hot enough, and does it amortize its synchronization? The
-// per-phase loops share merge group "step": fusing them is exactly the
-// Example 3 hoisted-region transform the solver's Merged mode
-// implements. The "rhs" loop declares the jk/l passes as mixed-body
-// parts so a plan may fission it when only one side is worth (or safe)
-// running parallel; the declared work split favors jk slightly — it
-// sweeps nl+2 planes of J/K work while the l pass integrates nk+2
-// columns.
+// Every phase is iteration-independent — the solver's decomposition
+// (J/K planes, L columns) was audited by construction in internal/f3d
+// — so the planner's decisions reduce to the paper's cost questions:
+// is the phase hot enough, and does it amortize its synchronization?
+// The per-phase loops share merge group "step": fusing them is exactly
+// the Example 3 hoisted-region transform the solver's Merged mode
+// implements. "step" itself is the loop a merged run traces.
 func F3DStructure(prefix string) []LoopStructure {
 	p := func(s string) string {
 		if prefix == "" {
@@ -29,18 +24,12 @@ func F3DStructure(prefix string) []LoopStructure {
 		}
 		return prefix + "/" + s
 	}
-	rhsParts := []PartStructure{
-		{Name: "jk", WorkFrac: 0.55, Static: StaticParallel},
-		{Name: "l", WorkFrac: 0.45, Static: StaticParallel},
-	}
 	return []LoopStructure{
-		{Name: p("bc"), Static: StaticParallel, Group: "step"},
-		{Name: p("rhs"), Static: StaticParallel, Group: "step", Parts: rhsParts},
-		{Name: p("rhs-jk"), Static: StaticParallel, Group: "step"},
-		{Name: p("rhs-l"), Static: StaticParallel, Group: "step"},
-		{Name: p("sweep-jk"), Static: StaticParallel, Group: "step"},
-		{Name: p("sweep-l"), Static: StaticParallel, Group: "step"},
-		{Name: p("step"), Static: StaticParallel},
+		{Name: p("bc"), Group: "step"},
+		{Name: p("rhs"), Group: "step"},
+		{Name: p("sweep-jk"), Group: "step"},
+		{Name: p("sweep-l"), Group: "step"},
+		{Name: p("step")},
 	}
 }
 
@@ -71,19 +60,7 @@ func ShapeFromPlan(p *Plan, prefix string) f3d.StepShape {
 		case "bc":
 			sh.BC = on
 		case "rhs":
-			if lp.Action == Fission {
-				sh.FissionRHS = true
-				sh.RHSJK = containsStr(lp.ParallelParts, "jk")
-				sh.RHSL = containsStr(lp.ParallelParts, "l")
-			} else {
-				sh.RHSJK, sh.RHSL = on, on
-			}
-		case "rhs-jk":
-			sh.FissionRHS = true
-			sh.RHSJK = on
-		case "rhs-l":
-			sh.FissionRHS = true
-			sh.RHSL = on
+			sh.RHSJK, sh.RHSL = on, on
 		case "sweep-jk":
 			sh.SweepJK = on
 		case "sweep-l":
@@ -99,13 +76,4 @@ func ShapeFromPlan(p *Plan, prefix string) f3d.StepShape {
 		}
 	}
 	return sh
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

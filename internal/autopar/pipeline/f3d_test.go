@@ -11,17 +11,13 @@ func TestF3DStructurePrefixing(t *testing.T) {
 		if st.Name != "jobA/step" && st.Group != "step" {
 			t.Errorf("phase loop %q not in the step merge group", st.Name)
 		}
-		if st.Static != StaticParallel {
-			t.Errorf("loop %q not statically certified", st.Name)
-		}
 	}
 	// Unprefixed names pass through.
 	var names []string
 	for _, st := range F3DStructure("") {
 		names = append(names, st.Name)
 	}
-	want := map[string]bool{"bc": true, "rhs": true, "rhs-jk": true, "rhs-l": true,
-		"sweep-jk": true, "sweep-l": true, "step": true}
+	want := map[string]bool{"bc": true, "rhs": true, "sweep-jk": true, "sweep-l": true, "step": true}
 	for _, n := range names {
 		if !want[n] {
 			t.Errorf("unexpected structure loop %q", n)
@@ -50,14 +46,10 @@ func TestShapeFromPlanLowering(t *testing.T) {
 			pe("j/rhs", Serial), pe("j/sweep-jk", Parallelize), pe("j/sweep-l", Parallelize),
 		}}, f3d.StepShape{SweepJK: true, SweepL: true}},
 
-		{"fission-mixed", &Plan{Loops: []LoopPlan{
-			{Loop: "j/rhs", Action: Fission, ParallelParts: []string{"jk"}, SerialParts: []string{"l"}},
-			pe("j/sweep-jk", Parallelize),
-		}}, f3d.StepShape{RHSJK: true, SweepJK: true, FissionRHS: true}},
-
-		{"fissioned-evidence", &Plan{Loops: []LoopPlan{
-			pe("j/rhs-jk", Parallelize), pe("j/rhs-l", Serial), pe("j/sweep-l", Parallelize),
-		}}, f3d.StepShape{RHSJK: true, SweepL: true, FissionRHS: true}},
+		// A fissioned run's labels are not planned phases.
+		{"fission-labels-ignored", &Plan{Loops: []LoopPlan{
+			pe("j/rhs-jk", Parallelize), pe("j/rhs-l", Parallelize), pe("j/sweep-l", Parallelize),
+		}}, f3d.StepShape{SweepL: true}},
 
 		{"merged-group", &Plan{Loops: []LoopPlan{
 			{Loop: "j/rhs", Action: Merge, Group: "step"},
@@ -91,10 +83,7 @@ func TestF3DPlanRoundTrip(t *testing.T) {
 		l := cleanLoop("job/"+name, share, wps)
 		for _, st := range structs {
 			if st.Name == l.Name {
-				l.Static, l.Group = st.Static, st.Group
-				for _, pt := range st.Parts {
-					l.Parts = append(l.Parts, PartEvidence{Name: pt.Name, WorkFrac: pt.WorkFrac, Static: pt.Static})
-				}
+				l.Group = st.Group
 			}
 		}
 		return l

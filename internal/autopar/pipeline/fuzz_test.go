@@ -7,9 +7,8 @@ import (
 )
 
 // evidenceFromBytes deterministically synthesizes planner evidence
-// from a fuzz payload: up to 8 loops with fuzzed rankings, budgets,
-// static verdicts, tracker evidence, merge groups and mixed-body
-// parts. Loop and part names are index-derived so the generator never
+// from a fuzz payload: up to 8 loops with fuzzed rankings, budgets and
+// merge groups. Loop names are index-derived so the generator never
 // produces the duplicate-name inputs the validator (rightly) rejects.
 func evidenceFromBytes(data []byte) Evidence {
 	next := func() byte {
@@ -33,58 +32,24 @@ func evidenceFromBytes(data []byte) Evidence {
 			MinWorkCycles:     float64(next()) * 500,
 		}
 		l.BudgetPass = l.WorkPerSyncCycles >= l.MinWorkCycles
-		switch next() % 3 {
-		case 0:
-			l.Static = StaticUnknown
-		case 1:
-			l.Static = StaticParallel
-		case 2:
-			l.Static = StaticSerial
-		}
-		if next()%2 == 0 {
-			l.Tracked = true
-			for c := int(next()) % 3; c > 0; c-- {
-				l.Conflicts = append(l.Conflicts, Conflict{
-					Array: "a", Index: int(next()), Kind: "write-read",
-				})
-			}
-		}
 		if g := next() % 4; g != 0 {
 			l.Group = fmt.Sprintf("g%d", g)
-		}
-		for p := int(next()) % 3; p > 0; p-- {
-			pt := PartEvidence{
-				Name:     fmt.Sprintf("p%d", p),
-				WorkFrac: float64(next()) / 255,
-			}
-			switch next() % 3 {
-			case 0:
-				pt.Static = StaticUnknown
-			case 1:
-				pt.Static = StaticParallel
-			case 2:
-				pt.Static = StaticSerial
-			}
-			if next()%4 == 0 {
-				pt.Conflicts = []Conflict{{Array: "q", Index: int(next()), Kind: "write-write"}}
-			}
-			l.Parts = append(l.Parts, pt)
 		}
 		ev.Loops = append(ev.Loops, l)
 	}
 	return ev
 }
 
-// FuzzPlanFromEvidence: for arbitrary ranking/conflict-set/verdict
-// triples the planner must emit a plan that (1) validates against its
-// own evidence — so it never parallelizes a flagged loop, never
-// fissions illegally, and every rationale is closure-complete — (2) is
+// FuzzPlanFromEvidence: for arbitrary ranking/budget/group triples the
+// planner must emit a plan that (1) validates against its own evidence
+// — so it never runs a loop alone that fails its budget, never splits a
+// merge group, and every rationale is closure-complete — (2) is
 // deterministic, and (3) is a fixed point under re-planning from the
 // applied evidence.
 func FuzzPlanFromEvidence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 200, 10, 4, 8, 250, 9, 1, 0, 1, 2, 100, 1, 130, 1, 0})
-	f.Add([]byte("merge-groups-and-parts-seed-corpus-entry"))
+	f.Add([]byte("merge-groups-seed-corpus-entry"))
 	f.Add([]byte{8, 2, 255, 255, 8, 63, 255, 0, 2, 0, 2, 2, 128, 2, 64, 1, 1, 7, 99, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev := evidenceFromBytes(data)
@@ -94,8 +59,8 @@ func FuzzPlanFromEvidence(f *testing.F) {
 		}
 		for _, lp := range p.Loops {
 			l := ev.Loop(lp.Loop)
-			if (lp.Action == Parallelize || lp.Action == Merge) && len(l.Conflicts) > 0 {
-				t.Fatalf("tracker-flagged loop %q parallelized", lp.Loop)
+			if lp.Action == Parallelize && (!l.BudgetPass || l.RankShare < minRankShare) {
+				t.Fatalf("budget-failing or cold loop %q parallelized", lp.Loop)
 			}
 			if len(lp.Rationale) == 0 {
 				t.Fatalf("loop %q decided without rationale", lp.Loop)

@@ -1,40 +1,34 @@
 // Package pipeline closes the loop the paper did by hand: profile the
-// run, check the dependences, then decide — per loop — whether to
-// parallelize, leave serial, merge adjacent regions, or fission a
-// mixed body.
+// run, rank the loops, then decide — per loop — whether to
+// parallelize, leave serial, or merge adjacent regions.
 //
 // The static planner in internal/autopar reasons over a loop-nest IR;
 // this package instead plans from *evidence* gathered off a real
-// traced run:
+// traced run of loops whose independence was settled when they were
+// declared (F3DStructure: the f3d phases are audited by construction):
 //
 //   - hot-loop rankings (analyze.Report.Ranked) say where the time
 //     went — the paper's §4 "profile the program, rank the loops" step;
-//   - check.Tracker barrier-epoch dependence evidence: an observed
-//     conflict demotes a loop to serial unconditionally (the
-//     C$doacross misuse of §2 caught in the act), while a clean
-//     tracked run promotes a loop whose static verdict is merely
-//     "unknown" — clean evidence plus a conservative static verdict;
-//   - the analyze engine's Table 1 budget and imbalance verdicts say
-//     whether a dependence-clean loop amortizes its synchronization
-//     (§3's minimum work-per-sync criterion), whether adjacent cheap
-//     regions should merge into one (Examples 2-3), and whether a
-//     mixed body should fission so its parallel part still runs
-//     parallel (the loop-fission transform).
+//   - the analyze engine's Table 1 budget verdicts say whether a loop
+//     amortizes its synchronization (§3's minimum work-per-sync
+//     criterion), and whether adjacent cheap regions should merge into
+//     one (Examples 2-3).
 //
-// PlanFromEvidence turns that evidence into a Plan whose every
-// decision carries a machine-checkable Rationale: Validate rejects any
-// plan that parallelizes a flagged loop, fissions without part-local
-// justification, or states a fact the evidence does not support. The
-// executor seam (f3d.StepShape via ShapeFromPlan) applies a plan to
-// the next run, and internal/check's plan-conformance cells prove
-// every applied transform reproduces the serial residual history
+// The declared structure is the allow-list: a traced loop nobody
+// declared is not planned. PlanFromEvidence turns the evidence into a
+// Plan whose every decision carries a machine-checkable Rationale:
+// Validate rejects any plan that parallelizes a loop failing its
+// budget, splits a merge group, or states a fact the evidence does not
+// support. The executor seam (f3d.StepShape via ShapeFromPlan) applies
+// a plan to the next run, and internal/check's plan cells prove every
+// shape the solver runs reproduces the serial residual history
 // bitwise.
 package pipeline
 
 import "sort"
 
 // Schema versions the Plan JSON shape (bumped on incompatible change).
-const Schema = 1
+const Schema = 2
 
 // Action is a per-loop plan decision.
 type Action string
@@ -48,40 +42,11 @@ const (
 	// group (Examples 2-3: adjacent regions fused so one fork-join
 	// amortizes across all of them, barriers preserving order).
 	Merge Action = "merge"
-	// Fission splits a mixed body: the parts that may run parallel
-	// become their own regions, the rest stay serial.
-	Fission Action = "fission"
-)
-
-// StaticVerdict is the conservative compile-time dependence verdict
-// attached to a loop (e.g. from autopar.Nest.Parallelizable, or a
-// hand-audited structure declaration like F3DStructure).
-type StaticVerdict string
-
-const (
-	// StaticUnknown: no static certificate either way. Alone it plans
-	// serial — promotion then needs clean Tracker evidence.
-	StaticUnknown StaticVerdict = "unknown"
-	// StaticParallel: statically proven iteration-independent.
-	StaticParallel StaticVerdict = "parallel"
-	// StaticSerial: a statically proven loop-carried dependence. Never
-	// parallelized, even if a particular tracked run observed no
-	// conflict (the dependence may be input-dependent).
-	StaticSerial StaticVerdict = "serial"
 )
 
 // Fact kinds appearing in a Rationale. Validate knows each kind's
 // obligations against the evidence.
 const (
-	// FactConflict: the Tracker observed loop-carried conflicts.
-	FactConflict = "conflict"
-	// FactTrackerClean: a dependence-instrumented run observed none.
-	FactTrackerClean = "tracker-clean"
-	// FactStatic: the static verdict behind the decision.
-	FactStatic = "static"
-	// FactNoEvidence: static verdict unknown and no tracked run —
-	// conservative default, serial.
-	FactNoEvidence = "no-dependence-evidence"
 	// FactBudget: the loop's own Table 1 work-per-sync verdict.
 	FactBudget = "budget"
 	// FactGroupBudget: the merged group's combined Table 1 verdict.
@@ -91,19 +56,14 @@ const (
 	// FactCold: share below the planning threshold — not worth the
 	// risk of parallel overhead on a loop that cannot matter.
 	FactCold = "cold"
-	// FactPart: a part-level verdict behind a fission (or a fission
-	// refusal).
-	FactPart = "part"
 )
 
 // Fact is one machine-checkable piece of a decision's rationale: a
-// kind, the loop (and optionally the part) it is about, a
-// human-readable detail, and the numeric value the claim rests on
-// (ratio, share, count — per kind).
+// kind, the loop it is about, a human-readable detail, and the numeric
+// value the claim rests on (ratio or share — per kind).
 type Fact struct {
 	Kind   string  `json:"kind"`
 	Loop   string  `json:"loop"`
-	Part   string  `json:"part,omitempty"`
 	Detail string  `json:"detail,omitempty"`
 	Value  float64 `json:"value,omitempty"`
 }
@@ -114,10 +74,6 @@ type LoopPlan struct {
 	Action Action `json:"action"`
 	// Group names the merge group (Action == Merge only).
 	Group string `json:"group,omitempty"`
-	// ParallelParts and SerialParts partition the loop's declared
-	// parts (Action == Fission only).
-	ParallelParts []string `json:"parallel_parts,omitempty"`
-	SerialParts   []string `json:"serial_parts,omitempty"`
 	// Rationale names the evidence behind the decision. Never empty
 	// in a valid plan.
 	Rationale []Fact `json:"rationale"`
@@ -153,36 +109,8 @@ func (p *Plan) Count(a Action) int {
 	return n
 }
 
-// Conflict is one observed loop-carried dependence, the wire-friendly
-// projection of a check.Race (check.PlanConflicts converts).
-type Conflict struct {
-	// Array is the tracked array; Index the conflicting element.
-	Array string `json:"array"`
-	Index int    `json:"index"`
-	// Kind is "write-write", "write-read" or "read-write".
-	Kind string `json:"kind"`
-	// Detail carries the full race description.
-	Detail string `json:"detail,omitempty"`
-}
-
-// PartEvidence describes one part of a loop's mixed body: a
-// statically delimited sub-computation that fission could isolate
-// into its own region (or leave serial).
-type PartEvidence struct {
-	// Name is the part's label; the post-fission loop is named
-	// "<loop>-<part>".
-	Name string `json:"name"`
-	// WorkFrac is the part's declared share of the loop's work.
-	WorkFrac float64 `json:"work_frac"`
-	// Static is the part's own dependence verdict.
-	Static StaticVerdict `json:"static"`
-	// Conflicts are tracker races attributed to this part.
-	Conflicts []Conflict `json:"conflicts,omitempty"`
-}
-
-// LoopEvidence is everything the planner knows about one profiled
-// loop: ranking, budget, imbalance, dependence evidence and declared
-// structure.
+// LoopEvidence is everything the planner knows about one profiled,
+// declared loop: ranking, budget, imbalance and merge group.
 type LoopEvidence struct {
 	Name string `json:"name"`
 
@@ -207,20 +135,9 @@ type LoopEvidence struct {
 	ImbalanceFrac float64 `json:"imbalance_frac,omitempty"`
 	BarrierFrac   float64 `json:"barrier_frac,omitempty"`
 
-	// Static is the conservative static verdict; Tracked reports
-	// whether a dependence-instrumented run was performed; Conflicts
-	// are the races it observed (loop-level, i.e. not attributed to a
-	// specific part).
-	Static    StaticVerdict `json:"static"`
-	Tracked   bool          `json:"tracked,omitempty"`
-	Conflicts []Conflict    `json:"conflicts,omitempty"`
-
 	// Group names the loop's merge group: adjacent regions that could
 	// fuse into one (empty = not fusible with anything).
 	Group string `json:"group,omitempty"`
-
-	// Parts declares the loop's mixed-body structure, if any.
-	Parts []PartEvidence `json:"parts,omitempty"`
 }
 
 // Evidence is the planner's full input for one run.
@@ -258,21 +175,11 @@ func sortLoops(loops []LoopEvidence) []LoopEvidence {
 	return out
 }
 
-// PartStructure declares one part of a loop's body for evidence
-// builders (name, declared work share, static verdict).
-type PartStructure struct {
-	Name     string
-	WorkFrac float64
-	Static   StaticVerdict
-}
-
-// LoopStructure is the static declaration an evidence builder joins
-// with a profiled loop: the conservative dependence verdict, the merge
-// group, and the mixed-body parts. Loops traced without a matching
-// structure get StaticUnknown and no group — the conservative default.
+// LoopStructure declares one loop an evidence builder may plan, and
+// the merge group it belongs to (empty = fuses with nothing). The
+// declared loops are the allow-list: a traced loop without a
+// declaration is left out of the evidence.
 type LoopStructure struct {
-	Name   string
-	Static StaticVerdict
-	Group  string
-	Parts  []PartStructure
+	Name  string
+	Group string
 }

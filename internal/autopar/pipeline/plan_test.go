@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// cleanLoop builds a statically-certified, budget-relevant loop.
+// cleanLoop builds a budget-relevant loop.
 func cleanLoop(name string, share, wps float64) LoopEvidence {
 	return LoopEvidence{
 		Name:              name,
@@ -16,12 +16,7 @@ func cleanLoop(name string, share, wps float64) LoopEvidence {
 		WorkPerSyncCycles: wps,
 		MinWorkCycles:     50_000,
 		BudgetPass:        wps >= 50_000,
-		Static:            StaticParallel,
 	}
-}
-
-func oneConflict() []Conflict {
-	return []Conflict{{Array: "a", Index: 7, Kind: "write-read", Detail: "write-read race on a[7]"}}
 }
 
 func mustValidate(t *testing.T, p *Plan, ev Evidence) {
@@ -39,66 +34,8 @@ func TestPlanParallelizesHotCleanLoop(t *testing.T) {
 	if !ok || d.Action != Parallelize {
 		t.Fatalf("decision = %+v, want parallelize", d)
 	}
-	if !hasKind(d.Rationale, FactStatic) || !hasKind(d.Rationale, FactBudget) || !hasKind(d.Rationale, FactRank) {
-		t.Errorf("rationale missing dependence/budget/rank facts: %+v", d.Rationale)
-	}
-}
-
-func TestPlanDemotesObservedConflict(t *testing.T) {
-	l := cleanLoop("racy", 0.9, 200_000)
-	l.Tracked = true
-	l.Conflicts = oneConflict()
-	l.Static = StaticUnknown
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	d, _ := p.Decision("racy")
-	if d.Action != Serial {
-		t.Fatalf("conflicted loop planned %s, want serial", d.Action)
-	}
-	if !hasKind(d.Rationale, FactConflict) {
-		t.Errorf("no conflict fact in %+v", d.Rationale)
-	}
-}
-
-// Even a conflict-free tracked run must not override a static serial
-// proof: the dependence may be input-dependent.
-func TestPlanDemotesStaticSerialDespiteCleanRun(t *testing.T) {
-	l := cleanLoop("proven", 0.9, 200_000)
-	l.Static = StaticSerial
-	l.Tracked = true
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	if d, _ := p.Decision("proven"); d.Action != Serial {
-		t.Fatalf("statically serial loop planned %s, want serial", d.Action)
-	}
-}
-
-func TestPlanDemotesWithoutDependenceEvidence(t *testing.T) {
-	l := cleanLoop("mystery", 0.9, 200_000)
-	l.Static = StaticUnknown // and not tracked
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	d, _ := p.Decision("mystery")
-	if d.Action != Serial || !hasKind(d.Rationale, FactNoEvidence) {
-		t.Fatalf("unknown untracked loop: %+v, want serial with no-evidence fact", d)
-	}
-}
-
-// A clean tracked run promotes a statically-unknown loop — the
-// evidence-driven promotion the static planner alone cannot make.
-func TestPlanPromotesTrackedUnknown(t *testing.T) {
-	l := cleanLoop("promoted", 0.9, 200_000)
-	l.Static = StaticUnknown
-	l.Tracked = true
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	d, _ := p.Decision("promoted")
-	if d.Action != Parallelize || !hasKind(d.Rationale, FactTrackerClean) {
-		t.Fatalf("tracked-clean unknown loop: %+v, want parallelize with tracker-clean fact", d)
+	if !hasKind(d.Rationale, FactBudget) || !hasKind(d.Rationale, FactRank) {
+		t.Errorf("rationale missing budget/rank facts: %+v", d.Rationale)
 	}
 }
 
@@ -173,53 +110,6 @@ func TestPlanNoMergeWhenFusedStillFails(t *testing.T) {
 	}
 }
 
-// A mixed body whose obstruction localizes to one part fissions: the
-// clean hot part runs parallel, the conflicted part stays serial.
-func TestPlanFissionsMixedBody(t *testing.T) {
-	l := cleanLoop("rhs", 0.8, 200_000)
-	l.Parts = []PartEvidence{
-		{Name: "jk", WorkFrac: 0.6, Static: StaticParallel},
-		{Name: "l", WorkFrac: 0.4, Static: StaticParallel, Conflicts: oneConflict()},
-	}
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	d, _ := p.Decision("rhs")
-	if d.Action != Fission {
-		t.Fatalf("mixed body planned %s, want fission", d.Action)
-	}
-	if len(d.ParallelParts) != 1 || d.ParallelParts[0] != "jk" ||
-		len(d.SerialParts) != 1 || d.SerialParts[0] != "l" {
-		t.Fatalf("fission split %v / %v, want [jk] / [l]", d.ParallelParts, d.SerialParts)
-	}
-	next := PlanFromEvidence(Applied(ev, p))
-	if ch := Changes(p, next); len(ch) != 0 {
-		t.Errorf("fission not a fixed point: %v", ch)
-	}
-	if d, ok := next.Decision("rhs-jk"); !ok || d.Action != Parallelize {
-		t.Errorf("fissioned parallel part re-plans as %+v", d)
-	}
-	if d, ok := next.Decision("rhs-l"); !ok || d.Action != Serial {
-		t.Errorf("fissioned serial part re-plans as %+v", d)
-	}
-}
-
-// When no part is worth isolating the mixed body stays serial whole.
-func TestPlanMixedBodyWithNoViablePartStaysSerial(t *testing.T) {
-	l := cleanLoop("rhs", 0.8, 60_000)
-	l.Parts = []PartEvidence{
-		// Clean but too small to amortize a region of its own.
-		{Name: "jk", WorkFrac: 0.3, Static: StaticParallel},
-		{Name: "l", WorkFrac: 0.7, Static: StaticSerial},
-	}
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	p := PlanFromEvidence(ev)
-	mustValidate(t, p, ev)
-	if d, _ := p.Decision("rhs"); d.Action != Serial {
-		t.Fatalf("planned %s, want serial (18k cycles/sync part cannot amortize)", d.Action)
-	}
-}
-
 // Plans come out hottest loop first — the §4 ranking order.
 func TestPlanOrderHottestFirst(t *testing.T) {
 	ev := Evidence{Loops: []LoopEvidence{
@@ -267,5 +157,33 @@ func TestPlanCountAndDecision(t *testing.T) {
 	}
 	if _, ok := p.Decision("absent"); ok {
 		t.Errorf("Decision invented an entry")
+	}
+}
+
+// The general fixed-point property over a workload exercising every
+// action: parallelize, serial (cold, budget) and merge in one evidence
+// set. Re-planning from the applied evidence must propose no changes,
+// and both plans must validate.
+func TestPlanFixedPointAcrossAllActions(t *testing.T) {
+	grouped := func(l LoopEvidence) LoopEvidence { l.Group = "fuse"; return l }
+	ev := Evidence{Source: "synthetic", Procs: 4, Loops: []LoopEvidence{
+		cleanLoop("hot", 0.45, 200_000),
+		cleanLoop("tiny", 0.2, 20_000),
+		grouped(cleanLoop("groupbig", 0.25, 120_000)),
+		grouped(cleanLoop("groupsmall", 0.08, 20_000)),
+		cleanLoop("cold", 0.002, 100_000),
+	}}
+	p := PlanFromEvidence(ev)
+	mustValidate(t, p, ev)
+	for a, want := range map[Action]int{Parallelize: 1, Serial: 2, Merge: 2} {
+		if got := p.Count(a); got != want {
+			t.Errorf("%s count = %d, want %d (plan %+v)", a, got, want, p.Loops)
+		}
+	}
+	applied := Applied(ev, p)
+	next := PlanFromEvidence(applied)
+	mustValidate(t, next, applied)
+	if ch := Changes(p, next); len(ch) != 0 {
+		t.Fatalf("plan not a fixed point on a stable workload: %v", ch)
 	}
 }

@@ -21,19 +21,6 @@ func wantInvalid(t *testing.T, p *Plan, ev Evidence, frag string) {
 	}
 }
 
-// The headline negative: no valid plan parallelizes a loop the Tracker
-// flagged, whatever rationale it claims.
-func TestValidateRejectsParallelizedConflictLoop(t *testing.T) {
-	l := cleanLoop("racy", 0.9, 200_000)
-	l.Tracked = true
-	l.Conflicts = oneConflict()
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "racy", Action: Parallelize,
-		Rationale: []Fact{{Kind: FactStatic, Loop: "racy"}},
-	}), ev, "illegally")
-}
-
 func TestValidateRejectsEmptyRationale(t *testing.T) {
 	ev := Evidence{Loops: []LoopEvidence{cleanLoop("x", 0.9, 200_000)}}
 	wantInvalid(t, handPlan(LoopPlan{Loop: "x", Action: Parallelize}), ev, "empty rationale")
@@ -55,17 +42,12 @@ func TestValidateRejectsDishonestFacts(t *testing.T) {
 	wantInvalid(t, handPlan(LoopPlan{
 		Loop: "x", Action: Parallelize,
 		Rationale: []Fact{
-			{Kind: FactStatic, Loop: "x"},
 			{Kind: FactBudget, Loop: "x", Value: 99}, // real ratio is 4
 		},
 	}), ev, "budget fact ratio")
 	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "x", Action: Serial,
-		Rationale: []Fact{{Kind: FactConflict, Loop: "x", Value: 1}},
-	}), ev, "no observed conflicts")
-	wantInvalid(t, handPlan(LoopPlan{
 		Loop: "x", Action: Parallelize,
-		Rationale: []Fact{{Kind: FactStatic, Loop: "y"}},
+		Rationale: []Fact{{Kind: FactBudget, Loop: "y", Value: 4}},
 	}), ev, "names loop")
 }
 
@@ -75,7 +57,6 @@ func TestValidateRejectsSplitMergeGroup(t *testing.T) {
 	ev := Evidence{Loops: []LoopEvidence{a, b}}
 	p := &Plan{Schema: Schema, Loops: []LoopPlan{
 		{Loop: "a", Action: Merge, Group: "g", Rationale: []Fact{
-			{Kind: FactStatic, Loop: "a"},
 			{Kind: FactGroupBudget, Loop: "a", Value: 1.9},
 		}},
 		{Loop: "b", Action: Serial, Rationale: []Fact{
@@ -85,43 +66,16 @@ func TestValidateRejectsSplitMergeGroup(t *testing.T) {
 	wantInvalid(t, p, ev, "splits")
 }
 
-func TestValidateRejectsBadFission(t *testing.T) {
-	l := cleanLoop("rhs", 0.8, 200_000)
-	l.Parts = []PartEvidence{
-		{Name: "jk", WorkFrac: 0.6, Static: StaticParallel},
-		{Name: "l", WorkFrac: 0.4, Static: StaticSerial},
-	}
-	ev := Evidence{Loops: []LoopEvidence{l}}
-	rationale := []Fact{{Kind: FactStatic, Loop: "rhs", Part: "jk"}}
-	// Parallelizing the statically-serial part.
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "rhs", Action: Fission,
-		ParallelParts: []string{"jk", "l"}, Rationale: rationale,
-	}), ev, "without dependence evidence")
-	// Partition not covering the declared parts.
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "rhs", Action: Fission,
-		ParallelParts: []string{"jk"}, Rationale: rationale,
-	}), ev, "assigns 1 part(s)")
-	// Duplicate assignment.
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "rhs", Action: Fission,
-		ParallelParts: []string{"jk"}, SerialParts: []string{"jk"}, Rationale: rationale,
-	}), ev, "both parallel and serial")
-	// No parallel part: that is not a fission, it is a serial loop.
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "rhs", Action: Fission,
-		SerialParts: []string{"jk", "l"}, Rationale: rationale,
-	}), ev, "no parallel part")
-}
-
 func TestValidateRejectsUnknownActionAndSchema(t *testing.T) {
 	l := cleanLoop("x", 0.9, 200_000)
 	ev := Evidence{Loops: []LoopEvidence{l}}
-	wantInvalid(t, handPlan(LoopPlan{
-		Loop: "x", Action: "vectorize",
-		Rationale: []Fact{{Kind: FactStatic, Loop: "x"}},
-	}), ev, "unknown action")
+	// Schema 2 has no fission action.
+	for _, a := range []Action{"vectorize", "fission"} {
+		wantInvalid(t, handPlan(LoopPlan{
+			Loop: "x", Action: a,
+			Rationale: []Fact{{Kind: FactBudget, Loop: "x", Value: 4}},
+		}), ev, "unknown action")
+	}
 	wantInvalid(t, &Plan{Schema: 99, Loops: []LoopPlan{{Loop: "x", Action: Serial,
 		Rationale: []Fact{{Kind: FactBudget, Loop: "x", Value: 4}}}}}, ev, "schema")
 	if err := Validate(nil, ev); err == nil {

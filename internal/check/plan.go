@@ -1,37 +1,19 @@
 package check
 
 import (
-	"repro/internal/autopar/pipeline"
 	"repro/internal/f3d"
 	"repro/internal/parloop"
 )
 
-// PlanConflicts projects tracker races into the planner's wire-level
-// conflict evidence: the bridge from a dependence-instrumented run to
-// an autopar plan. An observed race becomes a Conflict the planner
-// must treat as an unconditional demotion to serial.
-func PlanConflicts(races []Race) []pipeline.Conflict {
-	out := make([]pipeline.Conflict, 0, len(races))
-	for _, r := range races {
-		out = append(out, pipeline.Conflict{
-			Array:  r.Array,
-			Index:  r.Index,
-			Kind:   r.Kind(),
-			Detail: r.String(),
-		})
-	}
-	return out
-}
-
-// planKernels are the plan-conformance cells: every step shape an
-// autopar plan can ask the f3d cache solver to execute — fissioned
-// RHS, mixed fission (one side parallel, one serial), a serial RHS
-// under parallel sweeps, and a mid-run plan application that
-// retargets the shape between steps — must reproduce the serial
-// reference's residual history and final flow state bitwise
-// (MaxULPs 0). This is the headline guarantee of the evidence-driven
-// pipeline: applying a plan never changes the answer, only the
-// synchronization structure.
+// planKernels are the f3d solver-shape conformance cells: step shapes
+// beyond the served default — a fissioned RHS (StepShape.FissionRHS),
+// a mixed fission with one side parallel and one serial, a serial RHS
+// under parallel sweeps, and a mid-run retarget of the shape between
+// steps — must reproduce the serial reference's residual history and
+// final flow state bitwise (MaxULPs 0). The autopar pipeline's plans
+// lower to a subset of these shapes (ShapeFromPlan never fissions);
+// the cells prove that changing the step's synchronization structure,
+// by a plan or by hand, never changes the answer.
 func planKernels() []Kernel {
 	shapes := []struct {
 		name  string
@@ -42,14 +24,12 @@ func planKernels() []Kernel {
 		{"f3d-plan-fission", f3d.StepShape{
 			RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true, FissionRHS: true,
 		}},
-		// The mixed-body outcome: J/K passes parallel, L passes and BC
-		// serial — what the planner emits when only one side of the
-		// body carries dependence evidence.
+		// Mixed fission: J/K passes parallel, L passes and BC serial.
 		{"f3d-plan-mixed", f3d.StepShape{
 			RHSJK: true, SweepJK: true, FissionRHS: true,
 		}},
 		// A demoted RHS (unfissioned, serial) under parallel sweeps:
-		// the conflict-demotion outcome.
+		// what a plan emits when only the rhs fails its budget.
 		{"f3d-plan-serial-rhs", f3d.StepShape{
 			SweepJK: true, SweepL: true, BC: true,
 		}},

@@ -54,8 +54,9 @@ func (sp *StepProfile) SyncEventsPerStep() int {
 // ForkCycles is the cost of one fork onto a parked helper in profile
 // units (an f3d flop is one cycle), set at or below the one-step served
 // break-even on a 2-core x86-64 host: any value in (107 359, 464 805]
-// gives every benchmark job class the same two-processor grant. The
-// isolated cold fork (BenchmarkColdFork) reads 20–40× lower; DESIGN §12.
+// gives every benchmark job class the same two-processor grant. Empty
+// fork-join regions read 20–40× lower, but they time a goroutine
+// handoff, not a parallel start; DESIGN §12.
 const ForkCycles = 200_000
 
 // MaxParallelism returns the M a scheduler plans the step's grants on:

@@ -16,8 +16,8 @@
 //     loop phases separated by Barrier calls, merging loops under a
 //     single fork-join (Example 2) or hoisting parallelism into a parent
 //     subroutine (Example 3);
-//   - Reduce performs deterministic reductions (partials combined in
-//     worker order, so results are bit-reproducible run to run for a
+//   - SumFloat64 performs a deterministic reduction (partials combined
+//     in worker order, so results are bit-reproducible run to run for a
 //     fixed team size).
 //
 // Every region increments the team's synchronization-event counter,

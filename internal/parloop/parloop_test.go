@@ -290,53 +290,6 @@ func TestCloseIdempotentAndUseAfterClosePanics(t *testing.T) {
 	tm.For(10, func(int) {})
 }
 
-func TestCollapse2(t *testing.T) {
-	for _, tm := range teams(t) {
-		const n1, n2 = 7, 13
-		hits := make([]int32, n1*n2)
-		tm.Collapse2(n1, n2, func(i, j int) {
-			if i < 0 || i >= n1 || j < 0 || j >= n2 {
-				t.Errorf("out of range (%d,%d)", i, j)
-			}
-			atomic.AddInt32(&hits[i*n2+j], 1)
-		})
-		for idx, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: flat index %d hit %d times", tm.Workers(), idx, h)
-			}
-		}
-	}
-}
-
-func TestCollapse3(t *testing.T) {
-	for _, tm := range teams(t) {
-		const n1, n2, n3 = 3, 5, 7
-		hits := make([]int32, n1*n2*n3)
-		tm.Collapse3(n1, n2, n3, func(i, j, k int) {
-			atomic.AddInt32(&hits[(i*n2+j)*n3+k], 1)
-		})
-		for idx, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: flat index %d hit %d times", tm.Workers(), idx, h)
-			}
-		}
-	}
-}
-
-func TestForNested(t *testing.T) {
-	tm := NewTeam(3)
-	defer tm.Close()
-	const n1, n2 = 10, 4
-	var sum atomic.Int64
-	tm.ForNested(n1, n2, func(i, j int) {
-		sum.Add(int64(i*n2 + j))
-	})
-	want := int64(n1*n2) * int64(n1*n2-1) / 2
-	if sum.Load() != want {
-		t.Errorf("ForNested sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestScheduleString(t *testing.T) {
 	for s, want := range map[Schedule]string{
 		Static:       "static",

@@ -1,107 +1,38 @@
 package parloop
 
-// Reduce executes a parallel reduction over [0, n). Each worker folds
-// its Static-schedule share into a private accumulator starting from
-// identity via fold, and the per-worker partials are combined with
-// merge in ascending worker order. Because the partition and the merge
-// order are deterministic for a fixed team size, the result is
-// bit-reproducible from run to run — the property the paper relies on
-// when it requires parallelization "without introducing any changes to
-// the algorithm or the convergence properties of the codes".
-//
-// merge must be associative; it need not be commutative (partials are
-// merged left to right).
-func Reduce[T any](t *Team, n int, identity T, fold func(i int, acc T) T, merge func(a, b T) T) T {
-	if n <= 0 {
-		return identity
-	}
-	if t.workers == 1 {
-		acc := identity
-		t.runSerial(func() {
-			for i := 0; i < n; i++ {
-				acc = fold(i, acc)
-			}
-		})
-		return acc
-	}
-	partials := make([]T, t.workers)
-	t.fork(func(w int) {
-		lo, hi := StaticRange(n, t.workers, w)
-		acc := identity
-		if lo < hi {
-			t.runChunk(w, lo, hi, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					acc = fold(i, acc)
-				}
-			})
-		}
-		partials[w] = acc
-	})
-	acc := partials[0]
-	for w := 1; w < t.workers; w++ {
-		acc = merge(acc, partials[w])
-	}
-	return acc
-}
-
-// ReduceChunked is Reduce with a range-based fold: each worker receives
-// its whole contiguous range once, which lets the fold keep its
-// accumulator in a register across the inner loop.
-func ReduceChunked[T any](t *Team, n int, identity T, fold func(lo, hi int, acc T) T, merge func(a, b T) T) T {
-	if n <= 0 {
-		return identity
-	}
-	if t.workers == 1 {
-		acc := identity
-		t.runSerial(func() { acc = fold(0, n, acc) })
-		return acc
-	}
-	partials := make([]T, t.workers)
-	t.fork(func(w int) {
-		lo, hi := StaticRange(n, t.workers, w)
-		acc := identity
-		if lo < hi {
-			t.runChunk(w, lo, hi, func(lo, hi int) {
-				acc = fold(lo, hi, acc)
-			})
-		}
-		partials[w] = acc
-	})
-	acc := partials[0]
-	for w := 1; w < t.workers; w++ {
-		acc = merge(acc, partials[w])
-	}
-	return acc
-}
-
-// SumFloat64 reduces body(i) summed over [0, n) with deterministic
-// combination order.
+// SumFloat64 reduces body(i) summed over [0, n). Each worker sums its
+// Static-schedule share from zero, and the per-worker partials are
+// added in ascending worker order. Because the partition and the
+// combination order are deterministic for a fixed team size, the
+// result is bit-reproducible from run to run — the property the paper
+// relies on when it requires parallelization "without introducing any
+// changes to the algorithm or the convergence properties of the
+// codes".
 func SumFloat64(t *Team, n int, body func(i int) float64) float64 {
-	return ReduceChunked(t, n, 0.0, func(lo, hi int, acc float64) float64 {
+	if n <= 0 {
+		return 0
+	}
+	sum := func(lo, hi int) float64 {
+		acc := 0.0
 		for i := lo; i < hi; i++ {
 			acc += body(i)
 		}
 		return acc
-	}, func(a, b float64) float64 { return a + b })
-}
-
-// MaxFloat64 reduces the maximum of body(i) over [0, n). n must be >= 1.
-func MaxFloat64(t *Team, n int, body func(i int) float64) float64 {
-	if n < 1 {
-		panic("parloop: MaxFloat64 needs n >= 1")
 	}
-	first := body(0)
-	return ReduceChunked(t, n, first, func(lo, hi int, acc float64) float64 {
-		for i := lo; i < hi; i++ {
-			if v := body(i); v > acc {
-				acc = v
-			}
-		}
+	if t.workers == 1 {
+		var acc float64
+		t.runSerial(func() { acc = sum(0, n) })
 		return acc
-	}, func(a, b float64) float64 {
-		if a > b {
-			return a
+	}
+	partials := make([]float64, t.workers)
+	t.fork(func(w int) {
+		if lo, hi := StaticRange(n, t.workers, w); lo < hi {
+			t.runChunk(w, lo, hi, func(lo, hi int) { partials[w] = sum(lo, hi) })
 		}
-		return b
 	})
+	acc := partials[0]
+	for _, p := range partials[1:] {
+		acc += p
+	}
+	return acc
 }

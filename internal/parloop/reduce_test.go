@@ -3,7 +3,6 @@ package parloop
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSumFloat64Exact(t *testing.T) {
@@ -40,69 +39,44 @@ func TestSumDeterministicPerTeamSize(t *testing.T) {
 	}
 }
 
-func TestMaxFloat64(t *testing.T) {
+// The partials are added in worker order: the sum is exactly the
+// left-to-right addition of each worker's serial Static share, bit for
+// bit, even when the values make float addition order-sensitive.
+func TestSumFloat64CombinesInWorkerOrder(t *testing.T) {
+	vals := make([]float64, 1000)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%30)-15)
+	}
 	for _, tm := range teams(t) {
-		vals := []float64{3, -10, 7.5, 7.5, 2, -math.MaxFloat64, 100.25, 99}
-		got := MaxFloat64(tm, len(vals), func(i int) float64 { return vals[i] })
-		if got != 100.25 {
-			t.Errorf("workers=%d: max = %g, want 100.25", tm.Workers(), got)
-		}
-		if got := MaxFloat64(tm, 1, func(int) float64 { return -5 }); got != -5 {
-			t.Errorf("single element max = %g, want -5", got)
-		}
-	}
-}
-
-func TestMaxFloat64PanicsOnEmpty(t *testing.T) {
-	tm := NewTeam(2)
-	defer tm.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("MaxFloat64(n=0) should panic")
-		}
-	}()
-	MaxFloat64(tm, 0, func(int) float64 { return 0 })
-}
-
-func TestReduceGenericNonCommutative(t *testing.T) {
-	// String concatenation is associative but not commutative: Reduce
-	// must preserve index order across workers.
-	for _, tm := range teams(t) {
-		got := Reduce(tm, 26, "", func(i int, acc string) string {
-			return acc + string(rune('a'+i))
-		}, func(a, b string) string { return a + b })
-		if got != "abcdefghijklmnopqrstuvwxyz" {
-			t.Errorf("workers=%d: %q", tm.Workers(), got)
-		}
-	}
-}
-
-func TestReduceIdentityOnEmpty(t *testing.T) {
-	tm := NewTeam(3)
-	defer tm.Close()
-	got := Reduce(tm, 0, 42, func(int, int) int { panic("fold on empty") }, func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Errorf("empty Reduce = %d, want identity 42", got)
-	}
-}
-
-func TestReduceChunkedMatchesReduce(t *testing.T) {
-	f := func(nu uint16) bool {
-		n := int(nu % 3000)
-		tm := NewTeam(4)
-		defer tm.Close()
-		a := Reduce(tm, n, int64(0), func(i int, acc int64) int64 { return acc + int64(i)*int64(i) },
-			func(a, b int64) int64 { return a + b })
-		b := ReduceChunked(tm, n, int64(0), func(lo, hi int, acc int64) int64 {
+		want := 0.0
+		for w := 0; w < tm.Workers(); w++ {
+			lo, hi := StaticRange(len(vals), tm.Workers(), w)
+			part := 0.0
 			for i := lo; i < hi; i++ {
-				acc += int64(i) * int64(i)
+				part += vals[i]
 			}
-			return acc
-		}, func(a, b int64) int64 { return a + b })
-		return a == b
+			if w == 0 {
+				want = part
+			} else {
+				want += part
+			}
+		}
+		got := SumFloat64(tm, len(vals), func(i int) float64 { return vals[i] })
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("workers=%d: sum %x, want worker-ordered %x", tm.Workers(), math.Float64bits(got), math.Float64bits(want))
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+}
+
+// An empty range is the identity, +0, and never calls the body.
+func TestSumFloat64IdentityOnEmpty(t *testing.T) {
+	for _, tm := range teams(t) {
+		for _, n := range []int{0, -3} {
+			got := SumFloat64(tm, n, func(int) float64 { panic("body on empty") })
+			if math.Float64bits(got) != 0 {
+				t.Errorf("workers=%d n=%d: empty sum = %v, want +0", tm.Workers(), n, got)
+			}
+		}
 	}
 }
 
@@ -123,19 +97,5 @@ func TestMeasureSyncCost(t *testing.T) {
 	}
 	if got := MeasureSyncCost(tm, 0).Regions; got != 1 {
 		t.Errorf("regions clamped to %d, want 1", got)
-	}
-}
-
-func TestMeasureBarrierCost(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		tm := NewTeam(workers)
-		stats := MeasureBarrierCost(tm, 50)
-		if stats.Regions != 50 {
-			t.Errorf("workers=%d: Regions = %d, want 50", workers, stats.Regions)
-		}
-		if workers > 1 && stats.PerSync <= 0 {
-			t.Errorf("workers=%d: PerSync = %v, want > 0", workers, stats.PerSync)
-		}
-		tm.Close()
 	}
 }

@@ -22,15 +22,15 @@ func (s SyncCostStats) Cycles(clockMHz float64) float64 {
 }
 
 // MeasureSyncCost times empty fork-join regions on the team and returns
-// the average cost of one synchronization event. regions is the number
-// of empty regions to execute (values below 1 are raised to 1).
+// the average wall time of one. regions is the number of empty regions
+// to execute (values below 1 are raised to 1).
 //
-// The regions run back to back, so the helpers never park between
-// them: the value is the hot-path floor of a sync, the cost inside a
-// long multi-region step. A region opened after its helpers have idled
-// (every region of a short served job) costs more; BenchmarkColdFork
-// measures that case, and model.ForkCycles, not this value, is the
-// bar the scheduler applies.
+// The bodies are empty, so worker 0 reaches the join at once and a
+// woken helper can run on worker 0's processor: the value is the cost
+// of handing a region to a goroutine and back, not of starting work in
+// parallel. A helper woken while worker 0 is busy starts far later
+// (DESIGN §12), so this reading is a floor, and model.ForkCycles, not
+// this value, is the bar the scheduler applies.
 func MeasureSyncCost(t *Team, regions int) SyncCostStats {
 	if regions < 1 {
 		regions = 1
@@ -49,35 +49,5 @@ func MeasureSyncCost(t *Team, regions int) SyncCostStats {
 		Regions: regions,
 		Total:   total,
 		PerSync: total / time.Duration(regions),
-	}
-}
-
-// MeasureBarrierCost times bare barriers inside a single open region,
-// the cheaper synchronization available to merged loop phases
-// (Example 2). For a one-worker team the barrier is free and the
-// returned PerSync is the loop overhead only.
-func MeasureBarrierCost(t *Team, barriers int) SyncCostStats {
-	if barriers < 1 {
-		barriers = 1
-	}
-	var total time.Duration
-	t.Region(func(ctx *WorkerCtx) {
-		ctx.Barrier()
-		var start time.Time
-		if ctx.ID() == 0 {
-			start = time.Now()
-		}
-		for i := 0; i < barriers; i++ {
-			ctx.Barrier()
-		}
-		if ctx.ID() == 0 {
-			total = time.Since(start)
-		}
-	})
-	return SyncCostStats{
-		Workers: t.Workers(),
-		Regions: barriers,
-		Total:   total,
-		PerSync: total / time.Duration(barriers),
 	}
 }
