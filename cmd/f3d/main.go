@@ -171,10 +171,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("restarted from %s at step %d\n", *loadFile, restartSteps)
-	} else if *pulse != 0 {
-		f3d.InitPulse(solver, *pulse)
 	} else {
-		f3d.InitUniform(solver)
+		f3d.InitPulse(solver, *pulse) // pulse 0: uniform flow
 	}
 
 	start := time.Now()

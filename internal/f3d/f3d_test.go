@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/grid"
+	"repro/internal/linalg"
 	"repro/internal/parloop"
 )
 
@@ -395,4 +396,23 @@ func TestSolverPanicsOnCorruptState(t *testing.T) {
 		}
 	}()
 	s.Step()
+}
+
+// totalConserved returns the sum of each conserved component over the
+// whole zone (a discrete conservation check for tests).
+func (zs *ZoneState) totalConserved() linalg.Vec5 {
+	z := zs.Zone
+	var buf [euler.NC]float64
+	var tot linalg.Vec5
+	for l := 0; l < z.LMax; l++ {
+		for k := 0; k < z.KMax; k++ {
+			for j := 0; j < z.JMax; j++ {
+				zs.Q.Point(j, k, l, buf[:])
+				for c := 0; c < euler.NC; c++ {
+					tot[c] += buf[c]
+				}
+			}
+		}
+	}
+	return tot
 }

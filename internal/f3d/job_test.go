@@ -2,6 +2,7 @@ package f3d
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -154,7 +155,8 @@ func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 // structure: a job nobody reshaped runs DefaultShape, and on a
 // two-worker grant each zone step is exactly four synchronization
 // events (RHS region + its barrier, two sweep regions) — the
-// benchmark's parloop.sync_events_per_step, held here in tier-1. The
+// benchmark's parloop.sync_events_per_step, held here in tier-1 — and
+// the job's setup two per zone (the init region + its barrier). The
 // 0.15 scale is the smallest whose work pays for the second processor.
 func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
 	const steps = 2
@@ -186,8 +188,48 @@ func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
 	if workers != 2 {
 		t.Fatalf("job ran on %d workers, want the 2-processor grant", workers)
 	}
-	if want := uint64(4 * len(c.Zones) * steps); syncs != want {
-		t.Errorf("%d zones × %d steps cost %d sync events, want %d (4 per zone step)",
+	if want := uint64(4*len(c.Zones)*steps + 2*len(c.Zones)); syncs != want {
+		t.Errorf("%d zones × %d steps cost %d sync events, want %d (4 per zone step, 2 per zone setup)",
 			len(c.Zones), steps, syncs, want)
+	}
+}
+
+// TestParallelInitMatchesSerialBitwise: a served job's setup runs on its
+// granted team, split over L planes with the boundary pass behind a
+// barrier. InitPulse and InitUniform on teams of 1–4 workers must write
+// Q bit for bit as the one-worker init does — at the serve_solo sizes, on
+// a multi-zone case, and with wall and extrapolation faces, whose values
+// are read from the interior.
+func TestParallelInitMatchesSerialBitwise(t *testing.T) {
+	walls := DefaultConfig(grid.Single(33, 27, 25))
+	walls.FaceBC = map[Face]BCKind{FaceLMin: BCSlipWall, FaceLMax: BCNoSlipWall, FaceJMax: BCExtrapolate}
+	cases := map[string]Config{
+		"33x27x25": DefaultConfig(grid.Single(33, 27, 25)),
+		"41x33x29": DefaultConfig(grid.Single(41, 33, 29)),
+		"49x37x31": DefaultConfig(grid.Single(49, 37, 31)),
+		"1m/0.15":  DefaultConfig(grid.Scaled(grid.Paper1M(), 0.15)),
+		"walls":    walls,
+	}
+	inits := map[string]func(Solver){"pulse": func(s Solver) { InitPulse(s, 0.02) }, "uniform": InitUniform}
+	for cname, cfg := range cases {
+		for iname, init := range inits {
+			var ref []*ZoneState
+			for workers := 1; workers <= 4; workers++ {
+				team := parloop.NewTeam(workers)
+				defer team.Close()
+				s := newCache(t, cfg, CacheOptions{Team: team})
+				init(s)
+				if workers > 1 && team.SyncEvents() != uint64(2*len(s.Zones())) {
+					t.Errorf("%s %s: %d workers: init cost %d sync events, want 2 per zone", cname, iname, workers, team.SyncEvents())
+				}
+				if ref == nil {
+					ref = s.Zones()
+					continue
+				}
+				for zi, zs := range s.Zones() {
+					fieldsBitEqual(t, fmt.Sprintf("%s %s zone %d, %d workers", cname, iname, zi, workers), &zs.Q, &ref[zi].Q)
+				}
+			}
+		}
 	}
 }

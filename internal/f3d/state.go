@@ -7,6 +7,7 @@ import (
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/linalg"
+	"repro/internal/parloop"
 )
 
 // ZoneState is the per-zone solution storage of a solver: the conserved
@@ -42,42 +43,30 @@ func newZoneState(z *grid.Zone, layout grid.Layout, points bool) *ZoneState {
 	return zs
 }
 
-// initUniform fills the zone with the freestream state.
-func (zs *ZoneState) initUniform(fs euler.Prim) {
+// initPlanes writes the initial state of the L planes [l0, l1):
+// freestream, with a smooth density/pressure perturbation of relative
+// amplitude amp centered in the zone superimposed on the interior
+// points — a disturbance for the solver to damp out. Velocity is left at
+// freestream so the state stays physical for any |amp| < 1. Every point
+// is computed on its own, so any split over L planes writes the serial
+// result bit for bit.
+func (zs *ZoneState) initPlanes(fs euler.Prim, amp float64, l0, l1 int) {
+	z := zs.Zone
 	u := fs.Cons()
-	z := zs.Zone
-	for l := 0; l < z.LMax; l++ {
-		for k := 0; k < z.KMax; k++ {
-			for j := 0; j < z.JMax; j++ {
-				zs.Q.SetPoint(j, k, l, u[:])
-			}
-		}
-	}
-}
-
-// addPulse superimposes a smooth density/pressure perturbation of
-// relative amplitude amp centered in the zone, used by tests and the
-// convergence experiments as a disturbance for the solver to damp out.
-// Velocity is left at freestream so the initial state stays physical
-// for any |amp| < 1.
-func (zs *ZoneState) addPulse(fs euler.Prim, amp float64) {
-	z := zs.Zone
 	cj, ck, cl := float64(z.JMax-1)/2, float64(z.KMax-1)/2, float64(z.LMax-1)/2
 	// Gaussian with width a fifth of the smallest dimension.
-	w := float64(z.JMax - 1)
-	if float64(z.KMax-1) < w {
-		w = float64(z.KMax - 1)
-	}
-	if float64(z.LMax-1) < w {
-		w = float64(z.LMax - 1)
-	}
-	w /= 5
+	w := float64(min(z.JMax, z.KMax, z.LMax)-1) / 5
 	if w < 1 {
 		w = 1
 	}
-	for l := 1; l < z.LMax-1; l++ {
-		for k := 1; k < z.KMax-1; k++ {
-			for j := 1; j < z.JMax-1; j++ {
+	for l := l0; l < l1; l++ {
+		for k := 0; k < z.KMax; k++ {
+			pulse := amp != 0 && l > 0 && l < z.LMax-1 && k > 0 && k < z.KMax-1
+			for j := 0; j < z.JMax; j++ {
+				if !pulse || j == 0 || j == z.JMax-1 {
+					zs.Q.SetPoint(j, k, l, u[:])
+					continue
+				}
 				dj, dk, dl := float64(j)-cj, float64(k)-ck, float64(l)-cl
 				r2 := (dj*dj + dk*dk + dl*dl) / (w * w)
 				g := amp * math.Exp(-r2)
@@ -86,8 +75,8 @@ func (zs *ZoneState) addPulse(fs euler.Prim, amp float64) {
 					U:   fs.U, V: fs.V, W: fs.W,
 					P: fs.P * (1 + g),
 				}
-				u := p.Cons()
-				zs.Q.SetPoint(j, k, l, u[:])
+				c := p.Cons()
+				zs.Q.SetPoint(j, k, l, c[:])
 			}
 		}
 	}
@@ -171,14 +160,11 @@ func (zs *ZoneState) applyBCPoint(bc *boundary, j, k, l int) {
 	zs.Q.SetPoint(j, k, l, buf[:])
 }
 
-// applyBC refreshes all six boundary faces of the zone according to the
-// config. The work per face is O(face points) — exactly the cheap
-// boundary loops the paper declines to parallelize.
-func (zs *ZoneState) applyBC(cfg *Config) { zs.applyBCPlanes(cfg, 0, zs.Zone.LMax) }
-
-// applyBCPlanes is applyBC restricted to the L planes [l0, l1): it
-// visits each of their boundary points exactly once, in storage order.
-// The step's boundary phase is this pass, whole or split over L.
+// applyBCPlanes refreshes the boundary points of the L planes [l0, l1)
+// according to the config, visiting each exactly once, in storage order.
+// The work per face is O(face points) — the cheap boundary loops the
+// paper declines to parallelize. The step's boundary phase is this pass
+// over all planes, whole or split over L.
 func (zs *ZoneState) applyBCPlanes(cfg *Config, l0, l1 int) {
 	bc := cfg.boundary()
 	z := zs.Zone
@@ -219,25 +205,6 @@ func (zs *ZoneState) residualSumSq() (sumsq float64, n int) {
 		}
 	}
 	return sumsq, (z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2)
-}
-
-// totalConserved returns the sum of each conserved component over the
-// whole zone (a discrete conservation check for tests).
-func (zs *ZoneState) totalConserved() linalg.Vec5 {
-	z := zs.Zone
-	var buf [euler.NC]float64
-	var tot linalg.Vec5
-	for l := 0; l < z.LMax; l++ {
-		for k := 0; k < z.KMax; k++ {
-			for j := 0; j < z.JMax; j++ {
-				zs.Q.Point(j, k, l, buf[:])
-				for c := 0; c < euler.NC; c++ {
-					tot[c] += buf[c]
-				}
-			}
-		}
-	}
-	return tot
 }
 
 // StepStats reports what one time step did.
@@ -297,21 +264,26 @@ func MaxPointwiseDiff(a, b Solver) float64 {
 
 // InitUniform initializes every zone of the solver to freestream and
 // applies boundary conditions.
-func InitUniform(s Solver) {
-	cfg := s.Config()
-	for _, zs := range s.Zones() {
-		zs.initUniform(cfg.Freestream)
-		zs.applyBC(cfg)
-	}
-}
+func InitUniform(s Solver) { InitPulse(s, 0) }
 
 // InitPulse initializes to freestream plus a centered density/pressure
-// pulse of relative amplitude amp in every zone.
+// pulse of relative amplitude amp in every zone, then applies boundary
+// conditions. On a solver with a team (CacheSolver, BlockSolver) each
+// zone is one region split over L planes, a barrier between the state
+// and the boundary pass: a served job's setup runs on its whole grant
+// and is the region that starts its helpers. Every boundary value reads
+// only interior points, so the result is the serial one bit for bit.
 func InitPulse(s Solver, amp float64) {
 	cfg := s.Config()
+	var team *parloop.Team
+	if ts, ok := s.(interface{ Team() *parloop.Team }); ok {
+		team = ts.Team()
+	}
 	for _, zs := range s.Zones() {
-		zs.initUniform(cfg.Freestream)
-		zs.addPulse(cfg.Freestream, amp)
-		zs.applyBC(cfg)
+		n := zs.Zone.LMax
+		runGroup(team, []phase{
+			{0, n, func(_, lo, hi int) { zs.initPlanes(cfg.Freestream, amp, lo, hi) }, nil},
+			{0, n, func(_, lo, hi int) { zs.applyBCPlanes(cfg, lo, hi) }, nil},
+		}, []bool{true, true})
 	}
 }

@@ -82,14 +82,14 @@ func lowerShape(sh StepShape) lowering {
 	return lowering{split, groupsSeed}
 }
 
-// runGroup executes one group on team. With nothing split, or a
-// one-worker team, it runs on the calling goroutine. Otherwise it is one
+// runGroup executes one group on team. With nothing split, or no team
+// or a one-worker team, it runs on the calling goroutine. Otherwise it is one
 // region: split passes take the worker's static share of the slabs,
 // unsplit ones run whole on worker 0, and a barrier separates
 // consecutive phases. A tail runs on worker 0 (behind a barrier when its
 // pass was split) — except the group's last, which runs after the join.
 func runGroup(team *parloop.Team, phases []phase, split []bool) {
-	if team.Workers() == 1 || !slices.Contains(split, true) {
+	if team == nil || team.Workers() == 1 || !slices.Contains(split, true) {
 		for _, p := range phases {
 			p.pass(0, p.lo, p.lo+p.n)
 			if p.after != nil {
@@ -153,7 +153,7 @@ type stepCore struct {
 	// order bitwise (ZoneResiduals).
 	zoneRes []ZoneResidual
 
-	// shape is the step shape loaded at Step entry and low its lowering,
+	// shape is the step shape loaded at Step entry and low is its lowering,
 	// held constant for the whole step so a concurrent ShapeCfg.Store
 	// cannot tear a step across two shapes.
 	shape StepShape

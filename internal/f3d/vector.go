@@ -68,14 +68,8 @@ func NewVectorSolver(cfg Config) (*VectorSolver, error) {
 	for i := range cfg.Case.Zones {
 		z := &cfg.Case.Zones[i]
 		s.zones = append(s.zones, newZoneState(z, grid.ComponentMajor, false))
-		if p := z.Points(); p > maxPts {
-			maxPts = p
-		}
-		for _, pl := range []int{z.JMax * z.KMax, z.KMax * z.LMax, z.JMax * z.LMax} {
-			if pl > maxPlane {
-				maxPlane = pl
-			}
-		}
+		maxPts = max(maxPts, z.Points())
+		maxPlane = max(maxPlane, z.JMax*z.KMax, z.KMax*z.LMax, z.JMax*z.LMax)
 	}
 	for d := 0; d < 3; d++ {
 		s.flux[d] = make([]linalg.Vec5, maxPts)
@@ -104,30 +98,24 @@ func (s *VectorSolver) Steps() int { return s.steps }
 func (s *VectorSolver) Step() StepStats {
 	var stats StepStats
 	sumsq, n := 0.0, 0
-	interior := 0
 	captureLinks(s.links, s.zones)
 	for zi := range s.zones {
-		zs := s.zones[zi]
 		zss, zn, maxd := s.stepZone(zi)
 		sumsq += zss
-		n += zn
-		if maxd > stats.MaxDelta {
-			stats.MaxDelta = maxd
-		}
-		z := zs.Zone
-		interior += (z.JMax - 2) * (z.KMax - 2) * (z.LMax - 2)
+		n += zn // the zone's interior points
+		stats.MaxDelta = max(stats.MaxDelta, maxd)
 	}
 	if n > 0 {
 		stats.Residual = math.Sqrt(sumsq / float64(n))
 	}
-	stats.Flops = float64(interior) * FlopsPerPoint()
+	stats.Flops = float64(n) * FlopsPerPoint()
 	s.steps++
 	return stats
 }
 
 func (s *VectorSolver) stepZone(zi int) (sumsq float64, n int, maxDelta float64) {
 	zs := s.zones[zi]
-	zs.applyBC(&s.cfg)
+	zs.applyBCPlanes(&s.cfg, 0, zs.Zone.LMax)
 	applyLinks(s.links, zi, zs)
 	s.stageFluxes(zs)
 	s.rhsFromStaged(zs)

@@ -3,7 +3,9 @@ package parloop
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 // BenchmarkForkJoinOverhead measures the cost of one empty parallel
@@ -88,5 +90,48 @@ func BenchmarkSections(b *testing.B) {
 	tasks := []func(){work, work, work, work}
 	for i := 0; i < b.N; i++ {
 		tm.Sections(tasks...)
+	}
+}
+
+// spinFor keeps the calling goroutine busy for d without yielding.
+func spinFor(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// BenchmarkHelperLag measures the wake cost a region pays as it is
+// paid: after a serial gap G on worker 0, a two-worker region forks and
+// both workers stay busy for S. It reports the helper's start lag
+// (fork to the helper's first instruction, p50 and p90) and the median
+// region time as a multiple of S — 1.00 when the helper starts at once,
+// 2 when the region effectively runs serially.
+func BenchmarkHelperLag(b *testing.B) {
+	for _, g := range []time.Duration{0, 50 * time.Microsecond, time.Millisecond} {
+		for _, s := range []time.Duration{10 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
+			b.Run(fmt.Sprintf("G=%v/S=%v", g, s), func(b *testing.B) {
+				tm := NewTeam(2)
+				defer tm.Close()
+				lags := make([]float64, b.N)
+				ratios := make([]float64, b.N)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					spinFor(g)
+					fork := time.Now()
+					tm.Region(func(ctx *WorkerCtx) {
+						if ctx.ID() == 1 {
+							lags[i] = float64(time.Since(fork)) / 1e3
+						}
+						spinFor(s)
+					})
+					ratios[i] = float64(time.Since(fork)) / float64(s)
+				}
+				b.StopTimer()
+				slices.Sort(lags)
+				slices.Sort(ratios)
+				b.ReportMetric(lags[len(lags)/2], "lag-p50-us")
+				b.ReportMetric(lags[len(lags)*9/10], "lag-p90-us")
+				b.ReportMetric(ratios[len(ratios)/2], "region/S")
+			})
+		}
 	}
 }

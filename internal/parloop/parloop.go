@@ -28,7 +28,9 @@ package parloop
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,10 +108,42 @@ func (e *PanicError) Error() string {
 // discards it in favor of the teammate's original panic.
 type barrierBroken struct{}
 
-// task is one fork-join region's per-worker work unit.
-type task struct {
-	body func(worker int)
-	wg   *sync.WaitGroup
+// blockTime bounds how long a waiting worker polls before it parks: an
+// idle helper, the forker at the join, a barrier waiter. A helper still
+// polling when a region forks starts within microseconds; a parked one
+// is woken 50–100 µs late (DESIGN §13). The bound covers the served
+// step's largest serial gap (bc or residual, ≤ 0.35 ms) with margin, so
+// a served team stays running, and an idle team soon goes quiet.
+const blockTime = 2 * time.Millisecond
+
+// poll calls ready until it reports true, blockTime passes or keep (if
+// non-nil) reports false, and reports whether ready did. The clock and
+// keep are read once every 64 calls. The loop does nothing else: it
+// neither sleeps nor yields (DESIGN §13).
+func poll(ready, keep func() bool) bool {
+	deadline := time.Now().Add(blockTime)
+	for i := 1; !ready(); i++ {
+		if i%64 == 0 && (time.Now().After(deadline) || keep != nil && !keep()) {
+			return false
+		}
+	}
+	return true
+}
+
+// recv receives from ch, polling first (poll) when spin is set.
+func recv[T any](ch chan T, spin bool, keep func() bool) (v T, ok bool) {
+	if spin && poll(func() bool {
+		select {
+		case v, ok = <-ch:
+			return true
+		default:
+			return false
+		}
+	}, keep) {
+		return v, ok
+	}
+	v, ok = <-ch
+	return v, ok
 }
 
 // Team is a persistent group of workers that executes parallel regions.
@@ -118,8 +152,16 @@ type task struct {
 // on the same team must be externally serialized.
 type Team struct {
 	workers int
-	cmds    []chan task // one channel per helper (workers 1..workers-1)
+	cmds    []chan func(worker int) // one one-slot channel per helper (workers 1..workers-1)
 	bar     *barrier
+
+	// pending counts the workers still inside the open region; the
+	// last one out puts the join token in done.
+	pending atomic.Int32
+	done    chan struct{}
+	// spins reports that the team fits in GOMAXPROCS: an oversubscribed
+	// team's waiters park at once, leaving processors to teammates.
+	spins atomic.Bool
 
 	// tracer receives region/barrier/chunk span events labeled with
 	// label. A nil or disabled tracer costs one atomic load per site
@@ -155,54 +197,58 @@ type Team struct {
 
 // NewTeam creates a team of n workers. The calling goroutine
 // participates as worker 0 of every region; n-1 helper goroutines are
-// started and parked. A team with n == 1 executes all regions inline
-// and opens no synchronization events. n < 1 is clamped to 1 (a
-// degenerate grant still deserves a working serial team — the guard a
-// processor-allocating scheduler relies on).
+// started and wait for the first region. A team with n == 1 executes
+// all regions inline and opens no synchronization events. n < 1 is
+// clamped to 1 (a degenerate grant still deserves a working serial team
+// — the guard a processor-allocating scheduler relies on).
 func NewTeam(n int) *Team {
 	if n < 1 {
 		n = 1
 	}
-	t := &Team{
-		workers: n,
-	}
-	t.bar = t.newBarrier(n)
-	t.startHelpers()
+	t := &Team{done: make(chan struct{}, 1)}
+	t.setWorkers(n)
 	return t
 }
 
-// newBarrier builds a region barrier wired to bump the team's phase
-// counter at every release, so barrier-separated loop phases are
-// distinct epochs for the dependence checker.
-func (t *Team) newBarrier(n int) *barrier {
-	b := newBarrier(n)
-	b.onRelease = func() { t.phase.Add(1) }
-	return b
+// setWorkers sizes the team to n workers, stopping the surplus helpers
+// or starting the missing ones, and builds the barrier for n parties.
+func (t *Team) setWorkers(n int) {
+	for len(t.cmds) > n-1 {
+		close(t.cmds[len(t.cmds)-1])
+		t.cmds = t.cmds[:len(t.cmds)-1]
+	}
+	for len(t.cmds) < n-1 {
+		ch := make(chan func(int), 1)
+		t.cmds = append(t.cmds, ch)
+		go t.helper(len(t.cmds), ch)
+	}
+	t.workers = n
+	t.spins.Store(n <= runtime.GOMAXPROCS(0))
+	t.bar = t.newBarrier()
 }
 
-// startHelpers launches helper goroutines for workers 1..workers-1,
-// populating t.cmds.
-func (t *Team) startHelpers() {
-	t.cmds = make([]chan task, t.workers-1)
-	for i := range t.cmds {
-		ch := make(chan task)
-		t.cmds[i] = ch
-		go func(worker int, ch chan task) {
-			for tk := range ch {
-				t.runWorker(tk, worker)
-			}
-		}(i+1, ch)
+// helper runs worker's share of every region forked on the team until
+// its channel is closed, polling for the next region for blockTime
+// before it parks.
+func (t *Team) helper(worker int, ch chan func(int)) {
+	for {
+		body, ok := recv(ch, t.spins.Load(), nil)
+		if !ok {
+			return
+		}
+		t.runWorker(body, worker)
 	}
 }
 
-// Resize changes the team to n workers (n < 1 is clamped to 1),
-// stopping the old helper goroutines and starting a fresh set. The
-// synchronization-event counter is preserved. Resize must only be
-// called between regions, by the same logical owner that opens regions
-// (for a scheduled job: at a step boundary); it must never run
-// concurrently with a region on the same team. Resizing to the current
-// size is a no-op. This is the grow/shrink primitive a space-sharing
-// scheduler uses to apply a revised processor grant to a running job.
+// Resize changes the team to n workers (n < 1 is clamped to 1). A grow
+// starts only the new helpers and a shrink stops only the surplus; the
+// survivors keep running. The synchronization-event counter is
+// preserved. Resize must only be called between regions, by the same
+// logical owner that opens regions (for a scheduled job: at a step
+// boundary); it must never run concurrently with a region on the team.
+// Resizing to the current size is a no-op. This is the grow/shrink
+// primitive a space-sharing scheduler uses to apply a revised processor
+// grant to a running job.
 //
 // Resize detects the most dangerous misuse — running while a region is
 // in flight — and panics instead of corrupting the region: a resize
@@ -222,27 +268,29 @@ func (t *Team) Resize(n int) {
 	if n < 1 {
 		n = 1
 	}
-	if n == t.workers {
-		return
+	if n != t.workers {
+		t.setWorkers(n)
 	}
-	for _, ch := range t.cmds {
-		close(ch)
-	}
-	t.workers = n
-	t.bar = t.newBarrier(n)
-	t.startHelpers()
 }
 
 // runWorker executes one worker's share of a region, converting panics
-// into a recorded value so the join can re-raise them.
-func (t *Team) runWorker(tk task, worker int) {
+// into a recorded value so the join can re-raise them. The last worker
+// out hands the join token to the forker; a helper then yields once, as
+// a forker parked at the join is readied onto the helper's processor and
+// would otherwise wait for a thread wake while the helper polls.
+func (t *Team) runWorker(body func(int), worker int) {
 	defer func() {
 		if r := recover(); r != nil {
 			t.abortRegion(r, worker)
 		}
-		tk.wg.Done()
+		if t.pending.Add(-1) == 0 {
+			t.done <- struct{}{}
+			if worker != 0 {
+				runtime.Gosched()
+			}
+		}
 	}()
-	tk.body(worker)
+	body(worker)
 }
 
 // abortRegion handles a panic raised inside an open region: it records
@@ -321,11 +369,6 @@ func (t *Team) Close() {
 	}
 }
 
-// fork runs body(worker) on every worker (0..Workers-1) and returns
-// after all complete: one fork-join region, one synchronization event.
-// A panic raised by any worker breaks the region barrier (so no
-// teammate deadlocks), is wrapped as a *PanicError and re-raised on
-// the caller after the join; the team remains usable.
 // runSerial executes fn as worker 0 of a degenerate serial region,
 // wrapping a panic as a *PanicError exactly like a real fork-join
 // would, so callers see one failure contract regardless of team size.
@@ -341,6 +384,11 @@ func (t *Team) runSerial(fn func()) {
 	fn()
 }
 
+// fork runs body(worker) on every worker (0..Workers-1) and returns
+// after all complete: one fork-join region, one synchronization event.
+// A panic raised by any worker breaks the region barrier (so no
+// teammate deadlocks), is wrapped as a *PanicError and re-raised on
+// the caller after the join; the team remains usable.
 func (t *Team) fork(body func(worker int)) {
 	if t.closed.Load() {
 		panic("parloop: team used after Close")
@@ -362,21 +410,17 @@ func (t *Team) fork(body func(worker int)) {
 		start = tr.Now()
 		tr.Emit(obs.Event{Kind: obs.KindRegionBegin, At: start, Name: t.label, Worker: -1, A: int64(t.workers)})
 	}
-	var wg sync.WaitGroup
-	wg.Add(t.workers - 1)
-	tk := task{body: body, wg: &wg}
+	t.pending.Store(int32(t.workers))
 	for _, ch := range t.cmds {
-		ch <- tk
+		ch <- body
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.abortRegion(r, 0)
-			}
-		}()
-		body(0)
-	}()
-	wg.Wait()
+	t.runWorker(body, 0)
+	// The join polls only while every helper has taken its share: one
+	// that was parked, or is waiting for a processor, runs sooner when
+	// the forker blocks. It never yields (DESIGN §13).
+	recv(t.done, t.spins.Load(), func() bool {
+		return !slices.ContainsFunc(t.cmds, func(ch chan func(int)) bool { return len(ch) > 0 })
+	})
 	t.phase.Add(1) // join: code after the region is a new epoch
 	if traced {
 		end := tr.Now()
@@ -389,7 +433,7 @@ func (t *Team) fork(body func(worker int)) {
 	if set {
 		// The panic may have left the barrier broken or mid-cycle;
 		// replace it so the team stays usable for further regions.
-		t.bar = t.newBarrier(t.workers)
+		t.bar = t.newBarrier()
 		panic(r)
 	}
 }
@@ -632,10 +676,6 @@ func (c *WorkerCtx) For(n int, body func(i int)) {
 // loops under a common outer loop) and Example 3 (parallelizing a
 // parent subroutine) in API form.
 func (t *Team) Region(body func(ctx *WorkerCtx)) {
-	if t.workers == 1 {
-		t.runSerial(func() { body(&WorkerCtx{team: t, worker: 0}) })
-		return
-	}
 	t.fork(func(w int) {
 		body(&WorkerCtx{team: t, worker: w})
 	})
@@ -648,50 +688,57 @@ func (t *Team) Region(body func(ctx *WorkerCtx)) {
 // a worker that will never arrive. A broken barrier stays broken; the
 // team replaces it at the region join.
 type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	gen    uint64
-	broken bool
-	// onRelease, if set, runs under mu exactly once per cycle, by the
-	// last arriver, before any waiter is released: every access before
-	// the barrier by any party happens before it, and every access
-	// after the barrier happens after it. The team uses it to bump its
-	// phase counter.
+	mu    sync.Mutex
+	cond  *sync.Cond
+	n     int
+	count int
+	// gen and broken change under mu; a waiter polls them without it
+	// before it parks on cond (when spin is set).
+	gen    atomic.Uint64
+	broken atomic.Bool
+	spin   bool
+	// onRelease runs under mu exactly once per cycle, by the last
+	// arriver, before any waiter is released: every access before the
+	// barrier by any party happens before it, and every access after
+	// the barrier happens after it.
 	onRelease func()
 }
 
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
+// newBarrier builds a barrier for the team's workers whose release
+// bumps the team's phase counter, so barrier-separated loop phases are
+// distinct epochs for the dependence checker.
+func (t *Team) newBarrier() *barrier {
+	b := &barrier{n: t.workers, spin: t.spins.Load(), onRelease: func() { t.phase.Add(1) }}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 func (b *barrier) wait() {
 	b.mu.Lock()
-	if b.broken {
+	if b.broken.Load() {
 		b.mu.Unlock()
 		panic(barrierBroken{})
 	}
-	gen := b.gen
+	gen := b.gen.Load()
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.gen++
-		if b.onRelease != nil {
-			b.onRelease()
-		}
+		b.onRelease()
+		b.gen.Add(1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
 		return
 	}
-	for gen == b.gen && !b.broken {
-		b.cond.Wait()
-	}
-	broken := b.broken
 	b.mu.Unlock()
-	if broken {
+	released := func() bool { return b.gen.Load() != gen || b.broken.Load() }
+	if !b.spin || !poll(released, nil) {
+		b.mu.Lock()
+		for !released() {
+			b.cond.Wait()
+		}
+		b.mu.Unlock()
+	}
+	if b.broken.Load() {
 		panic(barrierBroken{})
 	}
 }
@@ -699,7 +746,7 @@ func (b *barrier) wait() {
 // breakBarrier marks the barrier broken and wakes every waiter.
 func (b *barrier) breakBarrier() {
 	b.mu.Lock()
-	b.broken = true
+	b.broken.Store(true)
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

@@ -14,14 +14,6 @@ func (t *Team) Sections(tasks ...func()) {
 	if len(tasks) == 0 {
 		return
 	}
-	if t.workers == 1 {
-		t.runSerial(func() {
-			for _, task := range tasks {
-				task()
-			}
-		})
-		return
-	}
 	t.fork(func(w int) {
 		for i := w; i < len(tasks); i += t.workers {
 			tasks[i]()

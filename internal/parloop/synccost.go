@@ -25,12 +25,12 @@ func (s SyncCostStats) Cycles(clockMHz float64) float64 {
 // the average wall time of one. regions is the number of empty regions
 // to execute (values below 1 are raised to 1).
 //
-// The bodies are empty, so worker 0 reaches the join at once and a
-// woken helper can run on worker 0's processor: the value is the cost
-// of handing a region to a goroutine and back, not of starting work in
-// parallel. A helper woken while worker 0 is busy starts far later
-// (DESIGN §12), so this reading is a floor, and model.ForkCycles, not
-// this value, is the bar the scheduler applies.
+// Back to back, the regions find their helpers still polling (within
+// blockTime), so the value is a running team's fork and join: 1–2 µs
+// on a 2-vCPU x86-64 host. A region forked after a longer idle gap
+// wakes a parked helper, which starts 50–100 µs late (DESIGN §12), so
+// this reading is a floor, and model.ForkCycles, not this value, is the
+// bar the scheduler applies.
 func MeasureSyncCost(t *Team, regions int) SyncCostStats {
 	if regions < 1 {
 		regions = 1
