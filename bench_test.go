@@ -468,25 +468,6 @@ func BenchmarkMergedRegions(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// The synchronization cost itself (the paper's §3 input parameter).
-
-func BenchmarkSyncCost(b *testing.B) {
-	team := parloop.NewTeam(runtime.GOMAXPROCS(0))
-	defer team.Close()
-	stats := parloop.MeasureSyncCost(team, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		team.For(1<<4, func(int) {}) // degenerate region: pure overhead
-	}
-	b.ReportMetric(float64(stats.PerSync.Nanoseconds()), "ns/sync_measured")
-
-	// Map the measured cost onto the paper's Table 1 criterion for a
-	// hypothetical 2-GHz processor.
-	cycles := stats.Cycles(2000)
-	b.ReportMetric(model.MinWorkPerLoop(team.Workers(), cycles, model.OverheadBudget), "min_work_cycles")
-}
-
-// ---------------------------------------------------------------------------
 // §8 reproduction: automatic parallelization vs profile-guided
 // directives (Wolfe's "parallelizing compilers don't work"; Hisley's
 // parallel slowdown). Predicted speedups of the three strategies on a

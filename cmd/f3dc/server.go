@@ -45,8 +45,8 @@ func newObsServer(coord *cluster.Coordinator, col *cluster.Collector, workers []
 			return writeFleetMetrics(w, coord.Metrics(), workers)
 		},
 		Timeline: timeline,
-		Analyze: func(*http.Request) (any, error) {
-			return analyze.ClusterAnalyze(timeline(), analyze.ClusterConfig{CoordNode: coord.Node()}), nil
+		Analyze: func(*http.Request) any {
+			return analyze.ClusterAnalyze(timeline(), analyze.ClusterConfig{CoordNode: coord.Node()})
 		},
 	}.Mount(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -11,8 +11,7 @@
 //
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
-//	     [-autopar] [-autopar-sync-cost CYCLES]
-//	     [-trace] [-trace-buf N] [-node TAG]
+//	     [-autopar] [-trace] [-trace-buf N] [-node TAG]
 //
 // Endpoints:
 //
@@ -36,7 +35,7 @@
 //	POST   /trace/enable     toggle tracing ({"enabled":bool,
 //	                         "reset":bool}; empty body enables)
 //	GET    /analyze          trace-analysis report (internal/obs/analyze;
-//	                         clock_ghz, sync_cost_cycles, budget, label)
+//	                         ?label= stamps it for diffing)
 //	GET    /dash             HTML dashboard over /analyze and the tail
 //	GET    /healthz          readiness: queue depth, processors in
 //	                         use, hosted shard count; 503 while
@@ -58,7 +57,9 @@
 // decisions with their rationale, and a new submission carrying
 // plan_from reruns the case with the plan lowered onto the solver's
 // step shape — run N's evidence reconfigures run N+1 without changing
-// the answer.
+// the answer. Plans and /analyze judge a loop by Table 1 at break-even
+// with the host's measured cost of a region on a running team,
+// model.RegionNs; there is no setting for it.
 //
 // Jobs may carry a run deadline: -job-timeout sets the default and a
 // submission's timeout_sec overrides it (negative opts out). A job
@@ -94,7 +95,6 @@ func main() {
 	procs := flag.Int("procs", 0, "processor budget shared across jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "queued-job limit; submits beyond it get HTTP 429")
 	autopar := flag.Bool("autopar", false, "phase-trace f3d jobs and serve evidence-driven plans on /jobs/{id}/plan")
-	autoparSync := flag.Float64("autopar-sync-cost", 0, "planner sync cost in cycles, a Table 1 column (0 = model default)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	jobTimeout := flag.Duration("job-timeout", 0, "default run deadline per job (0 = none; timeout_sec overrides)")
 	submitRetries := flag.Int("submit-retries", 3, "in-handler retries for queue-full submissions before 429")
@@ -121,12 +121,11 @@ func main() {
 	}
 	s := sched.New(schedCfg)
 	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
-		clock:           simclock.Real{},
-		submitRetries:   *submitRetries,
-		retryBackoff:    *retryBackoff,
-		node:            *node,
-		autopar:         *autopar,
-		autoparSyncCost: *autoparSync,
+		clock:         simclock.Real{},
+		submitRetries: *submitRetries,
+		retryBackoff:  *retryBackoff,
+		node:          *node,
+		autopar:       *autopar,
 	}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

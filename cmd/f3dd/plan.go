@@ -9,7 +9,6 @@ import (
 	"repro/internal/autopar/pipeline"
 	"repro/internal/f3d"
 	"repro/internal/grid"
-	"repro/internal/obs/analyze"
 	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
@@ -62,9 +61,7 @@ func (sv *server) planOf(pj *planJob) (*pipeline.Plan, error) {
 	pj.mu.Lock()
 	defer pj.mu.Unlock()
 	if pj.plan == nil {
-		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.prefix,
-			pipeline.F3DStructure(pj.prefix),
-			analyze.Config{SyncCostCycles: sv.cfg.autoparSyncCost})
+		plan, err := pipeline.Derive(sv.sched.Tracer().Events(), pj.prefix, pipeline.F3DStructure(pj.prefix))
 		if err != nil {
 			return nil, err
 		}

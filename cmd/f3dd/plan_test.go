@@ -21,6 +21,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/obs/serve"
 	"repro/internal/sched"
 )
@@ -174,20 +175,15 @@ func TestPlanGoldenJSON(t *testing.T) {
 // pipeline: a phase-traced run, a plan derived from its evidence over
 // HTTP, a plan_from rerun with the plan lowered onto the solver's step
 // shape, and the proof that the applied plan (which demotes at least
-// one loop from the default all-parallel structure at this scale)
-// reproduces the serial reference's residual history bitwise.
+// one loop from the default all-parallel structure) reproduces the
+// serial reference's residual history bitwise.
 func TestPlanE2E(t *testing.T) {
 	tr := obs.NewTracer(1<<16, nil)
 	tr.Enable()
-	// The sync cost is pinned absurdly high (the -autopar-sync-cost
-	// knob) so the Table 1 budget verdict is deterministic — no loop
-	// at this scale can amortize a 1e9-cycle barrier, whatever the
-	// machine or instrumentation (-race) does to the timings.
-	ts := newTestServer(t, sched.Config{Procs: 3, Tracer: tr},
-		serverConfig{autopar: true, autoparSyncCost: 1e9})
+	ts := newTestServer(t, sched.Config{Procs: 3, Tracer: tr}, serverConfig{autopar: true})
 
 	const (
-		j, k, l = 15, 12, 10 // M = 8: the probe runs on the whole budget
+		j, k, l = 15, 12, 10 // M = 10: the probe runs on the whole budget
 		steps   = 4
 		pulse   = 0.01
 	)
@@ -199,6 +195,20 @@ func TestPlanE2E(t *testing.T) {
 		t.Fatalf("submit probe = %d", code)
 	}
 	ts.waitState(st.ID, sched.StateDone)
+
+	// Every real phase clears Table 1 at break-even, so the loop that
+	// fails its budget is planted: 64 more sweep-l regions of 1 µs a
+	// worker on three workers. The phase's own regions carry no chunk
+	// spans, so its work per sync is at most 3 µs, under the bar of
+	// 3 × model.RegionNs whatever the host or -race does to the timings.
+	prefix := ts.s.Submitted(st.ID).(*planJob).prefix
+	teams := make([]int, 64)
+	for i := range teams {
+		teams[i] = 3
+	}
+	for _, e := range analyze.StairStepTrace(prefix+"/sweep-l", 3, teams, time.Microsecond, 0, time.Now()) {
+		tr.Emit(e)
+	}
 
 	var jp pipeline.JobPlan
 	if code := ts.do("GET", fmt.Sprintf("/jobs/%d/plan", st.ID), nil, &jp); code != http.StatusOK {
@@ -221,9 +231,8 @@ func TestPlanE2E(t *testing.T) {
 			demoted++
 		}
 	}
-	// Under the pinned sync cost the budget demotes every traced loop
-	// from the default all-parallel structure — the changed decisions
-	// the rerun applies.
+	// The planted sweep-l fails its budget, so it runs serial or
+	// merged with its group — the changed decisions the rerun applies.
 	if demoted == 0 {
 		t.Fatalf("plan changed no loop's decision: %+v", jp.Plan.Loops)
 	}
@@ -289,6 +298,35 @@ func TestPlanE2E(t *testing.T) {
 	}
 }
 
+// TestPlanParallelizesServedPhases: a served 17×13×11 job traced on a
+// two-processor daemon plans rhs, sweep-jk and sweep-l Parallelize.
+// Those phases run 1.3–1.9× faster on two workers, and each region's
+// work clears Table 1 at break-even with model.RegionNs.
+func TestPlanParallelizesServedPhases(t *testing.T) {
+	tr := obs.NewTracer(1<<16, nil)
+	tr.Enable()
+	ts := newTestServer(t, sched.Config{Procs: 2, Tracer: tr}, serverConfig{autopar: true})
+	var st sched.JobStatus
+	if code := ts.do("POST", "/jobs", map[string]any{
+		"kind": "f3d", "name": "served", "dims": "17x13x11", "steps": 4, "pulse": 0.01,
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	ts.waitState(st.ID, sched.StateDone)
+	var jp pipeline.JobPlan
+	if code := ts.do("GET", fmt.Sprintf("/jobs/%d/plan", st.ID), nil, &jp); code != http.StatusOK {
+		t.Fatalf("GET /plan = %d", code)
+	}
+	var got []string
+	for _, lp := range jp.Plan.Loops {
+		got = append(got, fmt.Sprintf("%s=%s", path.Base(lp.Loop), lp.Action))
+	}
+	slices.Sort(got)
+	if want := "rhs=parallelize sweep-jk=parallelize sweep-l=parallelize"; jp.Plan.Procs != 2 || strings.Join(got, " ") != want {
+		t.Fatalf("plan on %d procs = %q, want %q on 2", jp.Plan.Procs, strings.Join(got, " "), want)
+	}
+}
+
 // TestPlanIsKeptOnTheJob pins the plan-serving guarantees at the HTTP
 // surface: a plan, once derived, is a stable artifact of the
 // job — byte-identical after the trace ring is reset — while a failed
@@ -296,8 +334,7 @@ func TestPlanE2E(t *testing.T) {
 // a plan; and the state is per job, reached only through the
 // scheduler's table.
 func TestPlanIsKeptOnTheJob(t *testing.T) {
-	ts := newTestServer(t, sched.Config{Procs: 2},
-		serverConfig{autopar: true, autoparSyncCost: 1e9})
+	ts := newTestServer(t, sched.Config{Procs: 2}, serverConfig{autopar: true})
 	submit := func(body map[string]any) uint64 {
 		t.Helper()
 		var st sched.JobStatus
@@ -306,7 +343,7 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 		}
 		return st.ID
 	}
-	// The smallest probe whose work pays for the second processor, so
+	// A probe whose work pays for the second processor, so
 	// its regions run parallel and reach the trace.
 	probe := map[string]any{"kind": "f3d", "name": "probe", "dims": "13x11x9", "steps": 2, "pulse": 0.01}
 	plan := func(id uint64) (int, string) { return ts.get(fmt.Sprintf("/jobs/%d/plan", id)) }
@@ -372,17 +409,17 @@ func TestPlanIsKeptOnTheJob(t *testing.T) {
 // small case is planned on a fresh daemon and on one where a larger
 // same-named job ran first; the plans must agree. The larger job runs
 // on all 4 processors and the small one (M = 9) on 3, so a plan mixing
-// both runs would report 4. The pinned sync cost makes every action
-// deterministic (serial), whatever the host's timings.
+// both runs would report 4. Every phase's regions clear Table 1 at
+// break-even (model.RegionNs a region) several times over, under -race
+// too, so every action is the same (parallelize) on every run.
 func TestPlanSameNameJobsKeepTheirOwnEvidence(t *testing.T) {
-	small := map[string]any{"kind": "f3d", "dims": "13x12x11", "steps": 2, "pulse": 0.01}
+	small := map[string]any{"kind": "f3d", "dims": "13x11x11", "steps": 2, "pulse": 0.01}
 	large := map[string]any{"kind": "f3d", "dims": "33x27x25", "steps": 2, "pulse": 0.01}
 	planAfter := func(jobs ...map[string]any) *pipeline.Plan {
 		t.Helper()
 		tr := obs.NewTracer(1<<16, nil)
 		tr.Enable()
-		ts := newTestServer(t, sched.Config{Procs: 4, Tracer: tr},
-			serverConfig{autopar: true, autoparSyncCost: 1e9})
+		ts := newTestServer(t, sched.Config{Procs: 4, Tracer: tr}, serverConfig{autopar: true})
 		var st sched.JobStatus
 		for _, body := range jobs {
 			if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {

@@ -54,10 +54,6 @@ type serverConfig struct {
 	// evidence-driven plans on GET /jobs/{id}/plan; submissions may
 	// then carry plan_from to rerun a case under a derived plan.
 	autopar bool
-	// autoparSyncCost overrides the planner's assumed cost of one
-	// synchronization in cycles — the Table 1 column the budget
-	// verdicts divide by. 0 keeps the model default (10k cycles).
-	autoparSyncCost float64
 }
 
 func (c serverConfig) withDefaults() serverConfig {

@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	tracetool analyze [-clock-ghz G] [-sync-cost C] [-budget B]
-//	                  [-label L] [-json] [-o report.json] trace.jsonl
+//	tracetool analyze [-label L] [-json] [-o report.json] trace.jsonl
 //	tracetool convert -format speedscope|chrome [-o out.json] trace.jsonl
 //	tracetool diff [-tol PCT] old-report.json new-report.json
 //	tracetool plan plan.json
@@ -14,8 +13,9 @@
 //	                  [NAME=]fleet.jsonl...
 //
 // analyze prints the human-readable diagnosis (critical path, Amdahl
-// attribution, stair-step plateaus, sync-budget verdicts) and with -o
-// also writes the JSON report for later diffing. convert renders the
+// attribution, stair-step plateaus, sync-budget verdicts at Table 1's
+// break-even with the host's model.RegionNs) and with -o also writes
+// the JSON report for later diffing. convert renders the
 // trace for speedscope.app or chrome://tracing. diff compares two
 // analyze reports and exits 1 when the new one regresses beyond -tol,
 // so CI can gate on trace-derived facts. plan renders the JSON from
@@ -86,9 +86,6 @@ func readTrace(path string, stdin io.Reader) ([]obs.Event, error) {
 func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracetool analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	clockGHz := fs.Float64("clock-ghz", 0, "clock speed for ns→cycle conversion (default 1)")
-	syncCost := fs.Float64("sync-cost", 0, "synchronization cost in cycles (default 10000, a Table 1 column)")
-	budget := fs.Float64("budget", 0, "tolerable synchronization fraction (default 0.01)")
 	label := fs.String("label", "", "label stamped into the report")
 	jsonOut := fs.Bool("json", false, "print the JSON report instead of the human-readable view")
 	outPath := fs.String("o", "", "also write the JSON report to this path")
@@ -104,11 +101,7 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracetool analyze: %v\n", err)
 		return 2
 	}
-	rep := analyze.Analyze(events, analyze.Config{
-		ClockGHz:       *clockGHz,
-		SyncCostCycles: *syncCost,
-		Budget:         *budget,
-	})
+	rep := analyze.Analyze(events)
 	rep.Label = *label
 
 	if *outPath != "" {

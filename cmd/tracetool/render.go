@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/obs/analyze"
 )
 
@@ -56,8 +57,7 @@ func renderReport(w io.Writer, rep *analyze.Report) {
 	if rep.Truncated {
 		fmt.Fprintf(w, "WARNING: trace truncated — %d events lost to ring wraparound; attribution undercounts\n", rep.DroppedEvents)
 	}
-	fmt.Fprintf(w, "model: %.3g GHz clock, %.6g-cycle sync, %.3g%% budget\n\n",
-		rep.Config.ClockGHz, rep.Config.SyncCostCycles, 100*rep.Config.Budget)
+	fmt.Fprintf(w, "model: %v a region on a running team, Table 1 at break-even\n\n", time.Duration(model.RegionNs))
 
 	if len(rep.Loops) == 0 {
 		fmt.Fprintln(w, "no complete parallel regions in trace")

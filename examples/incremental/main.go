@@ -42,14 +42,14 @@ func main() {
 	fmt.Println("serial profile (prof-style):")
 	fmt.Print(analyze.FormatRanked(entries, 8))
 
-	// Which loops clear the Table 1 bar on this machine?
+	// Which loops clear the Table 1 bar on this machine? Its cost of a
+	// region on a running team is model.RegionNs; at a nominal 1 GHz a
+	// cycle is a nanosecond.
 	workers := runtime.GOMAXPROCS(0)
 	team := parloop.NewTeam(workers)
 	defer team.Close()
-	sync := parloop.MeasureSyncCost(team, 100)
-	const clockMHz = 2000
-	fmt.Printf("\nTable 1 advice (this host: sync ≈ %v, %d workers):\n", sync.PerSync, workers)
-	advise(entries, clockMHz, sync.Cycles(clockMHz), workers)
+	fmt.Printf("\nTable 1 advice (this host: region ≈ %v, %d workers):\n", time.Duration(model.RegionNs), workers)
+	advise(entries, 1000, model.RegionNs, workers)
 
 	// The same profile judged for a 64-processor Origin 2000, whose
 	// synchronization events cost tens of thousands of cycles: the
@@ -59,13 +59,6 @@ func main() {
 	fmt.Printf("\nTable 1 advice (simulated %s, 64 procs, sync %.0f cycles):\n",
 		sgi.Name, sgi.SyncCostCycles(64))
 	advise(entries, sgi.ClockMHz, sgi.SyncCostCycles(64), 64)
-
-	// The model predicts each stage from the step profile of its shape,
-	// whose work is in flops; the host's sync cost joins it in that unit
-	// through the measured serial step's cycles per modelled flop.
-	full := f3d.StepProfileFor(c, f3d.DefaultShape())
-	cyclesPerFlop := prof.Total().Seconds() * clockMHz * 1e6 / steps / full.TotalCycles()
-	syncFlops := sync.Cycles(clockMHz) / cyclesPerFlop
 
 	// Stages 1..3: enable one phase at a time, checking the answer.
 	reference := snapshot(serial)
@@ -87,8 +80,10 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		diff := maxDiffFrom(reference, s)
+		// The step profile's work is in flops, the unit model.ForkCycles
+		// prices a fork in.
 		sp := f3d.StepProfileFor(c, st.shape)
-		pred := sp.PredictSpeedup(workers, syncFlops)
+		pred := sp.PredictSpeedup(workers, model.ForkCycles)
 		fmt.Printf("  stage %d (%-16s): %8v for %d steps, predicted speedup %.1fx, |Δanswer| = %g\n",
 			k+1, st.name, elapsed.Round(time.Millisecond), steps, pred, diff)
 		s.Close()

@@ -58,16 +58,14 @@ func main() {
 	sum := parloop.SumFloat64(team, len(a), func(i int) float64 { return a[i] })
 	fmt.Printf("checksum: %.10f\n\n", sum)
 
-	// Measure this machine's synchronization cost and apply the paper's
-	// Table 1 criterion: how much work must a loop contain before
+	// Apply the paper's Table 1 criterion with this host's cost of a
+	// region on a running team (model.RegionNs, measured as the served
+	// step pays it): how much work must a loop contain before
 	// parallelizing it is worthwhile here?
-	sync := parloop.MeasureSyncCost(team, 200)
-	fmt.Printf("measured fork-join cost: %v per region\n", sync.PerSync)
-	const assumedClockMHz = 2000 // order of magnitude for a modern core
-	cycles := sync.Cycles(assumedClockMHz)
-	minWork := model.MinWorkPerLoop(workers, cycles, model.OverheadBudget)
-	fmt.Printf("≈ %.0f cycles at %d MHz → a loop needs ≥ %.2e cycles of work\n",
-		cycles, assumedClockMHz, minWork)
+	fmt.Printf("a region on a running team costs %v (model.RegionNs)\n", time.Duration(model.RegionNs))
+	fmt.Printf("→ a loop needs ≥ %v of work to break even, ≥ %v to keep it under 1%%\n",
+		time.Duration(model.MinWorkPerLoop(workers, model.RegionNs, 1)),
+		time.Duration(model.MinWorkPerLoop(workers, model.RegionNs, model.OverheadBudget)))
 	fmt.Printf("  (our nest holds ~%d flop-heavy iterations — compare Table 1)\n", lmax*kmax*jmax)
 
 	// Example 2: merging two loops under one region halves the

@@ -10,7 +10,7 @@ import "fmt"
 // re-planning from applied evidence proposes no changes (Changes
 // returns nil).
 func Applied(ev Evidence, p *Plan) Evidence {
-	out := Evidence{Source: ev.Source, Procs: ev.Procs, SyncCostCycles: ev.SyncCostCycles}
+	out := Evidence{Source: ev.Source, Procs: ev.Procs}
 	merged := map[string]bool{}
 	for _, l := range sortLoops(ev.Loops) {
 		d, ok := p.Decision(l.Name)

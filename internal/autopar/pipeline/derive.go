@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 )
 
 // ErrNoEvidence: the trace carried no loop evidence under the job's
@@ -19,7 +18,7 @@ var ErrNoEvidence = errors.New("pipeline: no loop evidence in trace")
 // through the planner. It is a pure function of its arguments and
 // keeps nothing; a server that promises a job's plan as a stable
 // artifact of its traced run caches the result on the job.
-func Derive(events []obs.Event, prefix string, structs []LoopStructure, acfg analyze.Config) (*Plan, error) {
+func Derive(events []obs.Event, prefix string, structs []LoopStructure) (*Plan, error) {
 	want := prefix + "/"
 	var filtered []obs.Event
 	for _, e := range events {
@@ -27,7 +26,7 @@ func Derive(events []obs.Event, prefix string, structs []LoopStructure, acfg ana
 			filtered = append(filtered, e)
 		}
 	}
-	ev := FromTrace(filtered, acfg, structs, prefix)
+	ev := FromTrace(filtered, structs, prefix)
 	if len(ev.Loops) == 0 {
 		return nil, ErrNoEvidence
 	}

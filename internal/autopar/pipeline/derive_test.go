@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
 
@@ -36,7 +35,7 @@ func tracePhases(t *testing.T, prefix string) []obs.Event {
 
 func TestDerivePlansOnlyThePrefix(t *testing.T) {
 	events := tracePhases(t, "jobA")
-	p, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{})
+	p, err := Derive(events, "jobA", F3DStructure("jobA"))
 	if err != nil {
 		t.Fatalf("Derive: %v", err)
 	}
@@ -55,28 +54,28 @@ func TestDerivePlansOnlyThePrefix(t *testing.T) {
 	}
 	// Pure: the same inputs give the same plan, and nothing is kept
 	// between calls — the caller owns caching.
-	p2, err := Derive(events, "jobA", F3DStructure("jobA"), analyze.Config{})
+	p2, err := Derive(events, "jobA", F3DStructure("jobA"))
 	if err != nil || !reflect.DeepEqual(p, p2) {
 		t.Fatalf("second derivation differs: %v\n%+v\n%+v", err, p, p2)
 	}
 }
 
 func TestDeriveNoEvidence(t *testing.T) {
-	if _, err := Derive(nil, "j", nil, analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
+	if _, err := Derive(nil, "j", nil); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("empty trace: %v, want ErrNoEvidence", err)
 	}
 	// Events exist, but none under this job's prefix.
 	events := tracePhases(t, "j")
-	if _, err := Derive(events, "k", F3DStructure("k"), analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
+	if _, err := Derive(events, "k", F3DStructure("k")); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("foreign trace: %v, want ErrNoEvidence", err)
 	}
 	// Without a declared structure no traced loop is allowed in.
-	if _, err := Derive(events, "j", nil, analyze.Config{}); !errors.Is(err, ErrNoEvidence) {
+	if _, err := Derive(events, "j", nil); !errors.Is(err, ErrNoEvidence) {
 		t.Fatalf("undeclared trace: %v, want ErrNoEvidence", err)
 	}
 	// Nothing is remembered about the failures: the declared phases
 	// still yield a plan.
-	if _, err := Derive(events, "j", F3DStructure("j"), analyze.Config{}); err != nil {
+	if _, err := Derive(events, "j", F3DStructure("j")); err != nil {
 		t.Fatalf("Derive after evidence: %v", err)
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // FromTrace builds planner evidence straight from a trace: analyze the
 // events, then join the per-loop report with the declared structure.
-// Equivalent to FromAnalysis(analyze.Analyze(events, acfg),
-// structs, source).
-func FromTrace(events []obs.Event, acfg analyze.Config, structs []LoopStructure, source string) Evidence {
-	return FromAnalysis(analyze.Analyze(events, acfg), structs, source)
+// Equivalent to FromAnalysis(analyze.Analyze(events), structs, source).
+func FromTrace(events []obs.Event, structs []LoopStructure, source string) Evidence {
+	return FromAnalysis(analyze.Analyze(events), structs, source)
 }
 
 // FromAnalysis turns an analyze report into planner evidence:
@@ -27,10 +26,10 @@ func FromTrace(events []obs.Event, acfg analyze.Config, structs []LoopStructure,
 //     them vacuously. For those, work is re-estimated as span ×
 //     workers (every worker busy for the region's span, the right
 //     model for a statically partitioned region) and the verdict
-//     recomputed against model.MinWorkPerLoop;
+//     recomputed by the analyzer's rule, Table 1 at break-even with
+//     model.RegionNs;
 //   - the merge group joins in from the declaration.
 func FromAnalysis(rep *analyze.Report, structs []LoopStructure, source string) Evidence {
-	cfg := rep.Config.Defaults()
 	group := make(map[string]string, len(structs)) // declared loop → merge group
 	for _, st := range structs {
 		group[st.Name] = st.Group
@@ -62,7 +61,7 @@ func FromAnalysis(rep *analyze.Report, structs []LoopStructure, source string) E
 		}
 	}
 
-	ev := Evidence{Source: source, SyncCostCycles: cfg.SyncCostCycles}
+	ev := Evidence{Source: source}
 	for _, l := range loops {
 		le := LoopEvidence{
 			Name:              l.Name,
@@ -87,10 +86,9 @@ func FromAnalysis(rep *analyze.Report, structs []LoopStructure, source string) E
 			if procs < 1 {
 				procs = 1
 			}
-			est := float64(l.SpanNs) * float64(procs) * cfg.ClockGHz
-			le.WorkNs = int64(float64(l.SpanNs) * float64(procs))
-			le.WorkPerSyncCycles = est / float64(l.SyncEvents)
-			le.MinWorkCycles = model.MinWorkPerLoop(procs, cfg.SyncCostCycles, cfg.Budget)
+			le.WorkNs = l.SpanNs * int64(procs)
+			le.WorkPerSyncCycles = float64(le.WorkNs) / float64(l.SyncEvents)
+			le.MinWorkCycles = model.MinWorkPerLoop(procs, model.RegionNs, 1)
 			le.BudgetPass = le.WorkPerSyncCycles >= le.MinWorkCycles
 		}
 		ev.Loops = append(ev.Loops, le)

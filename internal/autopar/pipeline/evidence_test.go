@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
 
@@ -45,7 +44,7 @@ func traceTwoLoops(t *testing.T) []obs.Event {
 func TestFromTraceBuildsEvidence(t *testing.T) {
 	events := traceTwoLoops(t)
 	structs := []LoopStructure{{Name: "hot", Group: "g"}, {Name: "regiononly"}}
-	ev := FromTrace(events, analyze.Config{}, structs, "live-test")
+	ev := FromTrace(events, structs, "live-test")
 	if ev.Source != "live-test" {
 		t.Errorf("source = %q", ev.Source)
 	}
@@ -85,7 +84,7 @@ func TestFromTraceBuildsEvidence(t *testing.T) {
 
 	// The declarations are the allow-list: an undeclared loop is
 	// dropped before the shares are normalized.
-	only := FromTrace(events, analyze.Config{}, structs[:1], "live-test")
+	only := FromTrace(events, structs[:1], "live-test")
 	if len(only.Loops) != 1 || only.Loops[0].Name != "hot" || only.Loops[0].RankShare != 1 {
 		t.Errorf("undeclared loop kept or shares not renormalized: %+v", only.Loops)
 	}
@@ -107,7 +106,7 @@ func TestPlanFromLiveTrace(t *testing.T) {
 		{{Name: "hot"}},
 		{{Name: "hot"}, {Name: "regiononly"}},
 	} {
-		ev := FromTrace(events, analyze.Config{}, structs, "live")
+		ev := FromTrace(events, structs, "live")
 		p := PlanFromEvidence(ev)
 		mustValidate(t, p, ev)
 		if len(p.Loops) != len(structs) {

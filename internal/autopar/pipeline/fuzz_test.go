@@ -20,7 +20,7 @@ func evidenceFromBytes(data []byte) Evidence {
 		return b
 	}
 	nLoops := int(next())%8 + 1
-	ev := Evidence{Source: "fuzz", Procs: int(next())%8 + 1, SyncCostCycles: 10_000}
+	ev := Evidence{Source: "fuzz", Procs: int(next())%8 + 1}
 	for i := 0; i < nLoops; i++ {
 		l := LoopEvidence{
 			Name:              fmt.Sprintf("L%d", i),

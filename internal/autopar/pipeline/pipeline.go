@@ -145,11 +145,8 @@ type Evidence struct {
 	// Source identifies the traced run the evidence came from.
 	Source string `json:"source,omitempty"`
 	// Procs is the processor count the run used (plan context).
-	Procs int `json:"procs,omitempty"`
-	// SyncCostCycles is the Table 1 synchronization cost the budget
-	// verdicts were computed under.
-	SyncCostCycles float64        `json:"sync_cost_cycles,omitempty"`
-	Loops          []LoopEvidence `json:"loops"`
+	Procs int            `json:"procs,omitempty"`
+	Loops []LoopEvidence `json:"loops"`
 }
 
 // Loop returns a pointer to the named loop's evidence, or nil.

@@ -47,7 +47,7 @@ func f3dKernels() []Kernel {
 	// processor budget (the job's team is whatever plateau the scheduler
 	// grants under it) and the resize and adaptive columns as a
 	// scheduler-driven shrink and regrow of that grant mid-run. n = 10
-	// (12×11×10, M = 8) is the smallest case whose work pays for a fork.
+	// (12×11×10, M = 8) is a case whose work pays for a fork.
 	ks = append(ks, Kernel{
 		Name: "f3d-served", N: 10, MinN: 10, Steps: f3dSteps,
 		Serial: func(n int) []float64 {

@@ -44,7 +44,7 @@ func TestSweepJobChecksumTeamSizeInvariant(t *testing.T) {
 // TestSweepJobParallelism: a sweep requests all its points once its
 // work, 1 050 cycles a point, clears the bar of two model.ForkCycles.
 func TestSweepJobParallelism(t *testing.T) {
-	for _, tc := range []struct{ points, m int }{{42, 1}, {380, 1}, {381, 381}, {4096, 4096}} {
+	for _, tc := range []struct{ points, m int }{{42, 1}, {285, 1}, {286, 286}, {4096, 4096}} {
 		if got := NewSweepJob("s", tc.points, 1).Parallelism(); got != tc.m {
 			t.Errorf("%d points: Parallelism = %d, want %d", tc.points, got, tc.m)
 		}

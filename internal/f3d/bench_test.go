@@ -1,13 +1,17 @@
 package f3d
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/parloop"
+	"repro/internal/sched"
 )
 
 func benchConfig() Config {
@@ -82,6 +86,61 @@ func BenchmarkServedStep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// wholeBudget asks for every processor whatever the step's work, so a
+// job is granted the scheduler's whole budget.
+type wholeBudget struct{ *Job }
+
+func (wholeBudget) Parallelism() int { return 1 << 16 }
+
+// BenchmarkOneStepBreakEven re-takes the served break-even behind
+// model.ForkCycles (DESIGN §12): one-step f3d jobs, as serve_small
+// submits them, through a real scheduler on a budget of one processor
+// and on one of two, alternating, each job granted the whole budget. It
+// reports the largest region's work in flops, the p50 submit-to-done
+// wall of each side and their ratio; the second processor pays once
+// P=2/P=1 falls below 1.
+func BenchmarkOneStepBreakEven(b *testing.B) {
+	for _, d := range [][3]int{{9, 9, 9}, {11, 10, 9}, {13, 11, 9}, {15, 12, 10}, {17, 13, 11}, {21, 17, 13}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2]), func(b *testing.B) {
+			cfg := DefaultConfig(grid.Single(d[0], d[1], d[2]))
+			var region float64
+			for _, l := range StepProfileFor(cfg.Case, DefaultShape()).Loops {
+				region = max(region, l.WorkCycles/float64(max(l.SyncEvents, 1)))
+			}
+			scheds := []*sched.Scheduler{sched.New(sched.Config{Procs: 1}), sched.New(sched.Config{Procs: 2})}
+			walls := make([][]time.Duration, len(scheds))
+			for i := 0; i < b.N; i++ {
+				for k := range scheds {
+					p := (i + k) % len(scheds) // alternate which side goes first
+					job, err := NewJob("breakeven", cfg, 1, 0.02)
+					if err != nil {
+						b.Fatal(err)
+					}
+					start := time.Now()
+					h, err := scheds[p].Submit(wholeBudget{job})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := h.Wait(context.Background()); err != nil {
+						b.Fatal(err)
+					}
+					walls[p] = append(walls[p], time.Since(start))
+				}
+			}
+			b.StopTimer()
+			for _, s := range scheds {
+				s.Close()
+			}
+			p50 := func(w []time.Duration) float64 { slices.Sort(w); return float64(w[len(w)/2]) / 1e3 }
+			one, two := p50(walls[0]), p50(walls[1])
+			b.ReportMetric(region, "region-flops")
+			b.ReportMetric(one, "P=1-us")
+			b.ReportMetric(two, "P=2-us")
+			b.ReportMetric(two/one, "P=2/P=1")
+		})
 	}
 }
 

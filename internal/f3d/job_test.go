@@ -156,8 +156,8 @@ func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 // two-worker grant each zone step is exactly four synchronization
 // events (RHS region + its barrier, two sweep regions) — the
 // benchmark's parloop.sync_events_per_step, held here in tier-1 — and
-// the job's setup two per zone (the init region + its barrier). The
-// 0.15 scale is the smallest whose work pays for the second processor.
+// the job's setup two per zone (the init region + its barrier). At the
+// 0.15 scale the work pays for the second processor.
 func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
 	const steps = 2
 	c := grid.Scaled(grid.Paper1M(), 0.15)

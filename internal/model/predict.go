@@ -51,23 +51,37 @@ func (sp *StepProfile) SyncEventsPerStep() int {
 	return n
 }
 
-// ForkCycles is the cost of one fork onto a parked helper in profile
-// units (an f3d flop is one cycle), set at or below the one-step served
-// break-even on a 2-core x86-64 host: any value in (107 359, 464 805]
-// gives every benchmark job class the same two-processor grant. Empty
-// fork-join regions read 20–40× lower, but they time a goroutine
-// handoff, not a parallel start; DESIGN §12.
-const ForkCycles = 200_000
+// The host's two synchronization costs, each measured as a served job
+// pays it (DESIGN §12). One number cannot stand for both: a team start
+// costs about 9× a region on a running team.
+const (
+	// ForkCycles prices a job's team start and first wake, in profile
+	// units (an f3d flop is one cycle): half the one-step served
+	// break-even on a 2-core x86-64 host, where a second processor
+	// starts paying between 214 718 and 315 504 flops in the largest
+	// region (BenchmarkOneStepBreakEven). Any value in
+	// (107 359, 464 805] gives every benchmark job class the same
+	// two-processor grant.
+	ForkCycles = 150_000
+	// RegionNs prices one region on a team whose helpers are running,
+	// in nanoseconds: a two-worker region busy for S takes S + 1.7–3.7 µs
+	// on the same host (BenchmarkHelperLag, region − S).
+	RegionNs = 2_500
+)
+
+// forkBar is the work per region that pays for a team start on two
+// processors: Table 1 read at break-even.
+var forkBar = MinWorkPerLoop(2, ForkCycles, 1)
 
 // MaxParallelism returns the M a scheduler plans the step's grants on:
 // the largest parallelism among the loop classes whose work W per region
-// pays for a fork (Table 1 read backwards at a 100 % budget:
-// MinWorkPerLoop(2, ForkCycles, 1) ≤ W), or 1 when none does.
+// pays for a team start on two processors (forkBar ≤ W), or 1 when none
+// does.
 func (sp *StepProfile) MaxParallelism() int {
 	m := 1
 	for _, l := range sp.Loops {
-		if l.WorkCycles/2 >= ForkCycles*float64(max(l.SyncEvents, 1)) {
-			m = max(m, l.Parallelism)
+		if l.Parallelism > m && l.WorkCycles/float64(max(l.SyncEvents, 1)) >= forkBar {
+			m = l.Parallelism
 		}
 	}
 	return m

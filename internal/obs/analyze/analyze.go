@@ -13,7 +13,8 @@
 //     Table 3),
 //   - per-loop synchronization-budget verdicts against the Table 1
 //     minimum-work criterion at the measured work per sync event (the
-//     quantity Table 2 tabulates),
+//     quantity Table 2 tabulates), read at break-even with the host's
+//     cost of a region on a running team, model.RegionNs,
 //   - measured stair-step occupancy: speedup per (units, team size)
 //     pair with plateau detection, directly comparable to Table 3 and
 //     Figure 1, and
@@ -25,6 +26,9 @@
 // is split between model-bounded sync overhead and imbalance), so a
 // report can be checked for self-consistency to floating-point
 // rounding.
+//
+// Work and costs are nanoseconds as measured; the fields named *Cycles
+// count one cycle per nanosecond, the unit of model.RegionNs.
 //
 // Reports are plain JSON-serializable values: cmd/f3dd serves them at
 // GET /analyze, cmd/tracetool renders them offline, and Diff compares
@@ -42,43 +46,11 @@ import (
 
 // Schema versions the Report JSON shape (bumped on incompatible
 // change); tracetool diff refuses mismatched schemas.
-const Schema = 1
+const Schema = 2
 
-// Config tunes the analysis. The zero value is usable: Defaults fills
-// in a 1 GHz clock (1 cycle/ns), the paper's cheapest Table 1
-// synchronization cost (10k cycles) and its 1% overhead budget.
-type Config struct {
-	// ClockGHz converts measured nanoseconds to processor cycles
-	// (cycles = ns × ClockGHz). <= 0 defaults to 1.
-	ClockGHz float64 `json:"clock_ghz"`
-	// SyncCostCycles is the assumed cost of one synchronization event
-	// in cycles — a Table 1 column. <= 0 defaults to 10_000.
-	SyncCostCycles float64 `json:"sync_cost_cycles"`
-	// Budget is the tolerable synchronization fraction of runtime.
-	// <= 0 defaults to model.OverheadBudget (1%).
-	Budget float64 `json:"budget"`
-	// PlateauTolPct is the relative tolerance (percent) within which
-	// two team sizes' measured speedups count as the same stair-step
-	// plateau. <= 0 defaults to 1.
-	PlateauTolPct float64 `json:"plateau_tol_pct"`
-}
-
-// Defaults returns c with zero fields replaced by defaults.
-func (c Config) Defaults() Config {
-	if c.ClockGHz <= 0 {
-		c.ClockGHz = 1
-	}
-	if c.SyncCostCycles <= 0 {
-		c.SyncCostCycles = 10_000
-	}
-	if c.Budget <= 0 {
-		c.Budget = model.OverheadBudget
-	}
-	if c.PlateauTolPct <= 0 {
-		c.PlateauTolPct = 1
-	}
-	return c
-}
+// plateauTolPct is the relative tolerance (percent) within which two
+// team sizes' measured speedups count as the same stair-step plateau.
+const plateauTolPct = 1
 
 // Attribution splits wall time into the paper's loss buckets. All
 // components are expressed in per-processor wall nanoseconds and sum
@@ -102,7 +74,7 @@ type Attribution struct {
 	// loss of Table 3).
 	ImbalanceNs int64 `json:"imbalance_ns"`
 	// SyncNs is modeled synchronization overhead: the in-region
-	// remainder capped at SyncEvents × SyncCostCycles / ClockGHz / P.
+	// remainder capped at SyncEvents × model.RegionNs / P.
 	SyncNs int64 `json:"sync_ns"`
 	// ResidualNs is WallNs minus the five components — integer
 	// rounding only; a self-consistency witness.
@@ -132,14 +104,15 @@ func (a *Attribution) finish() {
 // Budget is the Table 1 synchronization-budget verdict for one loop.
 type Budget struct {
 	// WorkPerSyncCycles is the measured work per synchronization
-	// event, in cycles — the quantity Table 2 tabulates.
+	// event — the quantity Table 2 tabulates.
 	WorkPerSyncCycles float64 `json:"work_per_sync_cycles"`
-	// MinWorkCycles is the Table 1 threshold at the loop's team size.
+	// MinWorkCycles is Table 1 read at break-even at the loop's team
+	// size P: MinWorkPerLoop(P, model.RegionNs, 1).
 	MinWorkCycles float64 `json:"min_work_cycles"`
 	// Ratio is WorkPerSyncCycles / MinWorkCycles; >= 1 passes.
 	Ratio float64 `json:"ratio"`
 	// OverheadFrac estimates the fraction of region wall time paid to
-	// synchronization: syncCost / (syncCost + workPerSync/P).
+	// synchronization: RegionNs / (RegionNs + workPerSync/P).
 	OverheadFrac float64 `json:"overhead_frac"`
 	// Pass reports whether the loop clears the Table 1 criterion.
 	Pass bool `json:"pass"`
@@ -232,7 +205,6 @@ type GrantBucket struct {
 type Report struct {
 	Schema int    `json:"schema"`
 	Label  string `json:"label,omitempty"`
-	Config Config `json:"config"`
 
 	// Events analyzed; Truncated and DroppedEvents flag reports built
 	// from a trace that lost events to ring wraparound (attribution
@@ -313,9 +285,8 @@ type grantKey struct {
 
 // Analyze builds a Report from an event stream (oldest first, as
 // returned by Tracer.Events/EventsSince or obs.ReadJSONL).
-func Analyze(events []obs.Event, cfg Config) *Report {
-	cfg = cfg.Defaults()
-	r := &Report{Schema: Schema, Config: cfg, Events: len(events)}
+func Analyze(events []obs.Event) *Report {
+	r := &Report{Schema: Schema, Events: len(events)}
 
 	loops := make(map[string]*loopState)
 	order := []string{}
@@ -407,7 +378,7 @@ func Analyze(events []obs.Event, cfg Config) *Report {
 		case obs.KindBarrier:
 			ls.pending = append(ls.pending, span{worker: e.Worker, at: e.At, dur: e.Dur, barrier: true})
 		case obs.KindRegionEnd:
-			closeRegion(ls, e, cfg, occ)
+			closeRegion(ls, e, occ)
 		}
 	}
 
@@ -449,7 +420,7 @@ func Analyze(events []obs.Event, cfg Config) *Report {
 			SyncNs:      int64(math.Round(ls.syncNs)),
 		}
 		l.Attribution.finish()
-		l.Budget = budgetVerdict(l, cfg)
+		l.Budget = budgetVerdict(l)
 		r.Loops = append(r.Loops, *l)
 
 		r.Totals.WallNs += l.Attribution.WallNs
@@ -491,7 +462,7 @@ func Analyze(events []obs.Event, cfg Config) *Report {
 		}
 		r.Occupancy = append(r.Occupancy, cell)
 	}
-	r.Plateaus = detectPlateaus(r.Occupancy, cfg.PlateauTolPct)
+	r.Plateaus = detectPlateaus(r.Occupancy)
 
 	// Grant audit.
 	gkeys := make([]grantKey, 0, len(grants))
@@ -538,7 +509,7 @@ func Analyze(events []obs.Event, cfg Config) *Report {
 // closeRegion finalizes one fork-join region from its end event and
 // the pending chunk/barrier spans, charging the loop aggregates and
 // the occupancy cell.
-func closeRegion(ls *loopState, end obs.Event, cfg Config, occ map[occKey]*occAgg) {
+func closeRegion(ls *loopState, end obs.Event, occ map[occKey]*occAgg) {
 	l := &ls.loop
 	l.Regions++
 	ls.open = false
@@ -634,7 +605,7 @@ func closeRegion(ls *loopState, end obs.Event, cfg Config, occ map[occKey]*occAg
 
 	// Attribution: per-processor shares. The in-region remainder
 	// beyond work and barrier waits is split between modeled sync
-	// overhead (capped at syncEvents × syncCost) and join-side
+	// overhead (capped at syncEvents × model.RegionNs) and join-side
 	// imbalance.
 	p := float64(workers)
 	parallel := workNs / p
@@ -643,9 +614,7 @@ func closeRegion(ls *loopState, end obs.Event, cfg Config, occ map[occKey]*occAg
 	if remainder < 0 {
 		remainder = 0
 	}
-	syncEvents := float64(1 + crossings)
-	syncCap := syncEvents * cfg.SyncCostCycles / cfg.ClockGHz / p
-	syncNs := math.Min(remainder, syncCap)
+	syncNs := math.Min(remainder, float64(1+crossings)*model.RegionNs/p)
 	ls.parallelNs += parallel
 	ls.barrierNs += barrier
 	ls.syncNs += syncNs
@@ -664,32 +633,27 @@ func closeRegion(ls *loopState, end obs.Event, cfg Config, occ map[occKey]*occAg
 	}
 }
 
-// budgetVerdict applies the Table 1 criterion to a finished loop.
-func budgetVerdict(l *Loop, cfg Config) Budget {
-	b := Budget{}
+// budgetVerdict applies the Table 1 criterion at break-even to a
+// finished loop.
+func budgetVerdict(l *Loop) Budget {
 	if l.SyncEvents == 0 {
-		b.Pass = true
-		return b
+		return Budget{Pass: true}
 	}
-	workCycles := float64(l.WorkNs) * cfg.ClockGHz
-	b.WorkPerSyncCycles = workCycles / float64(l.SyncEvents)
-	procs := l.Workers
-	if procs < 1 {
-		procs = 1
+	procs := max(l.Workers, 1)
+	wps := float64(l.WorkNs) / float64(l.SyncEvents)
+	minw := model.MinWorkPerLoop(procs, model.RegionNs, 1)
+	return Budget{
+		WorkPerSyncCycles: wps,
+		MinWorkCycles:     minw,
+		Ratio:             wps / minw,
+		OverheadFrac:      model.RegionNs / (model.RegionNs + wps/float64(procs)),
+		Pass:              wps >= minw,
 	}
-	b.MinWorkCycles = model.MinWorkPerLoop(procs, cfg.SyncCostCycles, cfg.Budget)
-	if b.MinWorkCycles > 0 {
-		b.Ratio = b.WorkPerSyncCycles / b.MinWorkCycles
-	}
-	perProc := b.WorkPerSyncCycles / float64(procs)
-	b.OverheadFrac = cfg.SyncCostCycles / (cfg.SyncCostCycles + perProc)
-	b.Pass = b.WorkPerSyncCycles >= b.MinWorkCycles
-	return b
 }
 
 // detectPlateaus groups occupancy cells with equal units and
-// measured speedups within tolPct into stair-step plateaus.
-func detectPlateaus(cells []Occupancy, tolPct float64) []Plateau {
+// measured speedups within plateauTolPct into stair-step plateaus.
+func detectPlateaus(cells []Occupancy) []Plateau {
 	var out []Plateau
 	var cur *Plateau
 	var curUnits int
@@ -698,7 +662,7 @@ func detectPlateaus(cells []Occupancy, tolPct float64) []Plateau {
 			continue
 		}
 		if cur != nil && c.Units == curUnits &&
-			math.Abs(c.MeasuredSpeedup-cur.MeasuredSpeedup) <= cur.MeasuredSpeedup*tolPct/100 {
+			math.Abs(c.MeasuredSpeedup-cur.MeasuredSpeedup) <= cur.MeasuredSpeedup*plateauTolPct/100 {
 			cur.ProcsHi = c.Workers
 			continue
 		}

@@ -33,7 +33,7 @@ func TestStairStepOccupancyMatchesTable3(t *testing.T) {
 		sizes[i] = i + 1
 	}
 	events := StairStepTrace("zone", 15, sizes, time.Millisecond, 100*time.Microsecond, base)
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 
 	if len(r.Occupancy) != 15 {
 		t.Fatalf("occupancy cells = %d, want 15", len(r.Occupancy))
@@ -79,8 +79,8 @@ func TestStairStepOccupancyMatchesTable3(t *testing.T) {
 // rounding only).
 func TestAttributionSumsToWall(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{1, 3, 5, 8, 15}, time.Millisecond, 250*time.Microsecond, base)
-	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second)))...)
-	r := Analyze(events, Config{})
+	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second), time.Nanosecond))...)
+	r := Analyze(events)
 
 	if len(r.Loops) != 2 {
 		t.Fatalf("loops = %d, want 2", len(r.Loops))
@@ -105,16 +105,16 @@ func TestAttributionSumsToWall(t *testing.T) {
 }
 
 // barrierRegionEvents hand-builds one two-worker region with a
-// mid-region barrier and known timings:
+// mid-region barrier and known timings, in units of unit:
 //
-//	phase 0: w0 works 40ns on [0,4), w1 works 20ns on [4,6)
-//	barrier: w0 waits 0ns, w1 waits 20ns (both cross at t0+40)
-//	phase 1: w0 works 20ns on [6,8), w1 works 60ns on [8,14)
-//	region end at t0+100, span 100ns
+//	phase 0: w0 works 40 on [0,4), w1 works 20 on [4,6)
+//	barrier: w0 waits 0, w1 waits 20 (both cross at t0+40)
+//	phase 1: w0 works 20 on [6,8), w1 works 60 on [8,14)
+//	region end at t0+100, span 100
 //
-// Critical path = max(40,20) + max(20,60) = 100ns; work = 140ns.
-func barrierRegionEvents(name string, t0 time.Time) []obs.Event {
-	ns := func(d int64) time.Duration { return time.Duration(d) }
+// Critical path = max(40,20) + max(20,60) = 100; work = 140.
+func barrierRegionEvents(name string, t0 time.Time, unit time.Duration) []obs.Event {
+	ns := func(d int64) time.Duration { return time.Duration(d) * unit }
 	return []obs.Event{
 		{At: t0, Kind: obs.KindRegionBegin, Name: name, Worker: -1, A: 2},
 		{At: t0.Add(ns(40)), Kind: obs.KindChunk, Name: name, Worker: 0, Dur: ns(40), A: 0, B: 4},
@@ -130,11 +130,11 @@ func barrierRegionEvents(name string, t0 time.Time) []obs.Event {
 // TestCriticalPathGolden checks the per-worker phase-split critical
 // path and the exact attribution on the hand-built barrier region.
 func TestCriticalPathGolden(t *testing.T) {
-	events := seqTrace(barrierRegionEvents("r", base))
-	// SyncCostCycles=4 at 1 GHz: the modeled sync cap is
-	// 2 events × 4 cycles / 2 procs = 4ns, so the 20ns in-region
-	// remainder splits into 4ns sync + 16ns imbalance.
-	r := Analyze(events, Config{ClockGHz: 1, SyncCostCycles: 4})
+	// In µs: the modeled sync cap is 2 events × model.RegionNs /
+	// 2 procs = RegionNs, so the 20 µs in-region remainder splits into
+	// RegionNs of sync and the rest imbalance.
+	events := seqTrace(barrierRegionEvents("r", base, time.Microsecond))
+	r := Analyze(events)
 
 	if len(r.Loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(r.Loops))
@@ -146,15 +146,16 @@ func TestCriticalPathGolden(t *testing.T) {
 	if l.Workers != 2 || l.Units != 14 || l.Chunks != 4 {
 		t.Errorf("workers/units/chunks = %d/%d/%d, want 2/14/4", l.Workers, l.Units, l.Chunks)
 	}
-	if l.WorkNs != 140 || l.CriticalNs != 100 || l.SpanNs != 100 || l.BarrierWaitNs != 20 {
-		t.Errorf("work/critical/span/barrier = %d/%d/%d/%d, want 140/100/100/20",
+	if l.WorkNs != 140_000 || l.CriticalNs != 100_000 || l.SpanNs != 100_000 || l.BarrierWaitNs != 20_000 {
+		t.Errorf("work/critical/span/barrier = %d/%d/%d/%d, want 140/100/100/20 µs",
 			l.WorkNs, l.CriticalNs, l.SpanNs, l.BarrierWaitNs)
 	}
 	if math.Abs(l.AchievableSpeedup-1.4) > 1e-9 {
 		t.Errorf("achievable speedup = %v, want 1.4", l.AchievableSpeedup)
 	}
 	a := l.Attribution
-	want := Attribution{WallNs: 100, ParallelNs: 70, SerialNs: 0, BarrierNs: 10, ImbalanceNs: 16, SyncNs: 4}
+	want := Attribution{WallNs: 100_000, ParallelNs: 70_000, SerialNs: 0, BarrierNs: 10_000,
+		ImbalanceNs: 20_000 - model.RegionNs, SyncNs: model.RegionNs}
 	if a.WallNs != want.WallNs || a.ParallelNs != want.ParallelNs || a.SerialNs != want.SerialNs ||
 		a.BarrierNs != want.BarrierNs || a.ImbalanceNs != want.ImbalanceNs || a.SyncNs != want.SyncNs {
 		t.Errorf("attribution = %+v, want %+v", a, want)
@@ -167,24 +168,24 @@ func TestCriticalPathGolden(t *testing.T) {
 // TestBudgetVerdict: a loop whose measured work per sync event clears
 // the Table 1 minimum passes; a tiny loop fails.
 func TestBudgetVerdict(t *testing.T) {
-	// 15 units × 1ms at 1 GHz = 15e6 cycles of work over 1 sync event;
-	// Table 1 minimum for 15 procs at 10k cycles and 1% budget is
-	// 15×10_000/0.01 = 15e6. Exactly at threshold -> pass.
-	events := StairStepTrace("big", 15, []int{15}, time.Millisecond, 0, base)
-	r := Analyze(events, Config{})
+	// 15 units × model.RegionNs of work over 1 sync event; Table 1 at
+	// break-even for 15 procs is MinWorkPerLoop(15, RegionNs, 1) =
+	// 15 × RegionNs. Exactly at threshold -> pass.
+	events := StairStepTrace("big", 15, []int{15}, model.RegionNs, 0, base)
+	r := Analyze(events)
 	if !r.Loops[0].Budget.Pass {
 		t.Errorf("big loop: budget fail (ratio %v), want pass", r.Loops[0].Budget.Ratio)
 	}
 
-	// Same shape but 1µs units: 15e3 cycles of work, 1000x short.
-	events = StairStepTrace("small", 15, []int{15}, time.Microsecond, 0, base)
-	r = Analyze(events, Config{})
+	// Same shape but RegionNs/100 units: 100x short.
+	events = StairStepTrace("small", 15, []int{15}, model.RegionNs/100, 0, base)
+	r = Analyze(events)
 	b := r.Loops[0].Budget
 	if b.Pass {
 		t.Errorf("small loop: budget pass (ratio %v), want fail", b.Ratio)
 	}
-	if math.Abs(b.Ratio-0.001) > 1e-9 {
-		t.Errorf("small loop ratio = %v, want 0.001", b.Ratio)
+	if math.Abs(b.Ratio-0.01) > 1e-9 {
+		t.Errorf("small loop ratio = %v, want 0.01", b.Ratio)
 	}
 }
 
@@ -193,12 +194,12 @@ func TestBudgetVerdict(t *testing.T) {
 func TestTruncatedTraceFlagged(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5}, time.Millisecond, 0, base)
 	marked := append([]obs.Event{obs.DropMarker(1, 42, base)}, events...)
-	r := Analyze(marked, Config{})
+	r := Analyze(marked)
 	if !r.Truncated || r.DroppedEvents != 42 {
 		t.Errorf("truncated=%v dropped=%d, want true/42", r.Truncated, r.DroppedEvents)
 	}
 
-	if r = Analyze(events, Config{}); r.Truncated {
+	if r = Analyze(events); r.Truncated {
 		t.Error("clean trace flagged truncated")
 	}
 }
@@ -215,7 +216,7 @@ func TestTruncatedTraceFromRealTracer(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("expected drops after overflowing an 8-slot ring")
 	}
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 	if !r.Truncated || r.DroppedEvents != int64(dropped) {
 		t.Errorf("truncated=%v dropped=%d, want true/%d", r.Truncated, r.DroppedEvents, dropped)
 	}
@@ -228,7 +229,7 @@ func TestIncompleteRegionCounted(t *testing.T) {
 		{At: base, Kind: obs.KindRegionBegin, Name: "cut", Worker: -1, A: 2},
 		{At: base.Add(10), Kind: obs.KindChunk, Name: "cut", Worker: 0, Dur: 10, A: 0, B: 5},
 	})
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 	if len(r.Loops) != 1 || r.Loops[0].IncompleteRegions != 1 || r.Loops[0].Regions != 0 {
 		t.Errorf("got %+v, want one loop with 1 incomplete region", r.Loops)
 	}
@@ -244,7 +245,7 @@ func TestGrantAudit(t *testing.T) {
 		// Resize to 8 with requested M=15 in C.
 		{At: base.Add(2), Kind: obs.KindResize, Name: "a", Worker: -1, A: 6, B: 8, C: 15},
 	})
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 	if len(r.Grants) != 3 {
 		t.Fatalf("grant buckets = %d, want 3: %+v", len(r.Grants), r.Grants)
 	}
@@ -267,7 +268,7 @@ func TestGrantAudit(t *testing.T) {
 // entries with region/chunk split.
 func TestRankedProfileEmbedded(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5}, time.Millisecond, 0, base)
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 	if len(r.Ranked) == 0 {
 		t.Fatal("no ranked entries")
 	}
@@ -284,7 +285,7 @@ func TestRankedProfileEmbedded(t *testing.T) {
 // by f3dd /analyze and consumed by tracetool diff.
 func TestReportJSONRoundTrip(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5, 8}, time.Millisecond, time.Microsecond, base)
-	r := Analyze(events, Config{})
+	r := Analyze(events)
 	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestAnalyzeLiveParloopTrace(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		team.For(64, func(i int) { busyWork(200) })
 	}
-	r := Analyze(tr.Events(), Config{ClockGHz: 1})
+	r := Analyze(tr.Events())
 	if len(r.Loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(r.Loops))
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestWriteSpeedscope(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{1, 5, 8}, time.Millisecond, 100*time.Microsecond, base)
-	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second)))...)
+	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second), time.Nanosecond))...)
 
 	var buf bytes.Buffer
 	if err := WriteSpeedscope(&buf, events, "test"); err != nil {
@@ -64,7 +64,7 @@ func TestWriteSpeedscope(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5}, time.Millisecond, 0, base)
-	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second)))...)
+	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second), time.Nanosecond))...)
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -105,14 +105,14 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	good := Analyze(StairStepTrace("zone", 15, []int{8}, time.Millisecond, 0, base), Config{})
+	good := Analyze(StairStepTrace("zone", 15, []int{8}, time.Millisecond, 0, base))
 	if deltas := Diff(good, good, 1); len(deltas) != 0 {
 		t.Errorf("self-diff not empty: %v", deltas)
 	}
 
 	// Degrade: same loop at P=5 (speedup 5.0 vs 7.5) and too little
-	// work for the sync budget.
-	bad := Analyze(StairStepTrace("zone", 15, []int{5}, time.Microsecond, 0, base), Config{})
+	// work for the sync budget (1.5 µs against 5 × model.RegionNs).
+	bad := Analyze(StairStepTrace("zone", 15, []int{5}, 100*time.Nanosecond, 0, base))
 	deltas := Diff(good, bad, 1)
 	found := map[string]Severity{}
 	for _, d := range deltas {
@@ -132,7 +132,7 @@ func TestDiff(t *testing.T) {
 	}
 
 	// Loop rename shows up as structural info.
-	renamed := Analyze(StairStepTrace("other", 15, []int{8}, time.Millisecond, 0, base), Config{})
+	renamed := Analyze(StairStepTrace("other", 15, []int{8}, time.Millisecond, 0, base))
 	var appeared, vanished bool
 	for _, d := range Diff(good, renamed, 1) {
 		if d.Field == "present" && d.Loop == "other" {

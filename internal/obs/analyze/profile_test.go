@@ -106,7 +106,7 @@ func TestRankedChargesSpans(t *testing.T) {
 		{Kind: obs.KindRegionEnd, Name: "", Dur: time.Millisecond},
 		{Kind: obs.KindGrant, Name: "rhs", A: 4, B: 8}, // not a span: ignored
 	}
-	entries := Analyze(events, Config{}).Ranked
+	entries := Analyze(events).Ranked
 	if len(entries) != 5 {
 		t.Fatalf("got %d entries, want 5: %+v", len(entries), entries)
 	}
@@ -150,7 +150,7 @@ func TestRankedFromLiveTeam(t *testing.T) {
 	}
 
 	byName := make(map[string]Entry)
-	for _, e := range Analyze(tr.Events(), Config{}).Ranked {
+	for _, e := range Analyze(tr.Events()).Ranked {
 		byName[e.Name] = e
 	}
 	if e := byName["sweep"]; e.Calls != 5 {

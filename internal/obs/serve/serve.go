@@ -68,9 +68,8 @@ type Surface struct {
 	// at GET /trace: it has no cursor, so ?since is a 400 rather than a
 	// cursor into the wrong sequence. Set Tracer or Timeline, not both.
 	Timeline func() []obs.Event
-	// Analyze builds the report served at GET /analyze; an error is the
-	// request's fault and answers 400 with its text.
-	Analyze func(*http.Request) (any, error)
+	// Analyze builds the report served at GET /analyze.
+	Analyze func(*http.Request) any
 }
 
 // Mount installs the surface's routes on mux.
@@ -86,8 +85,10 @@ func (s Surface) Mount(mux *http.ServeMux) {
 	if s.Timeline != nil {
 		mux.HandleFunc("GET "+PathTrace, s.serveTimeline)
 	}
-	if s.Analyze != nil {
-		mux.HandleFunc("GET /analyze", s.serveAnalyze)
+	if analyze := s.Analyze; analyze != nil {
+		mux.HandleFunc("GET /analyze", func(w http.ResponseWriter, r *http.Request) {
+			WriteJSON(w, http.StatusOK, analyze(r))
+		})
 	}
 	mux.HandleFunc("GET /dash", serveDash)
 }
@@ -291,15 +292,6 @@ func (s Surface) serveTraceEnable(w http.ResponseWriter, r *http.Request) {
 		tr.Disable()
 	}
 	WriteJSON(w, http.StatusOK, TraceStatus{Enabled: tr.Enabled(), Events: tr.Len(), Dropped: tr.Dropped()})
-}
-
-func (s Surface) serveAnalyze(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.Analyze(r)
-	if err != nil {
-		Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, rep)
 }
 
 // dashHTML is the self-contained diagnosis dashboard: one HTML file, no

@@ -9,8 +9,10 @@ import (
 )
 
 // BenchmarkForkJoinOverhead measures the cost of one empty parallel
-// region — the synchronization cost of the paper's Table 1 — for a
-// range of team sizes.
+// region for a range of team sizes. With an empty body worker 0 joins
+// at once, so this times a handoff between goroutines, not what a
+// region of real work pays: that is BenchmarkHelperLag's region − S
+// (model.RegionNs).
 func BenchmarkForkJoinOverhead(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -102,9 +104,10 @@ func spinFor(d time.Duration) {
 // BenchmarkHelperLag measures the wake cost a region pays as it is
 // paid: after a serial gap G on worker 0, a two-worker region forks and
 // both workers stay busy for S. It reports the helper's start lag
-// (fork to the helper's first instruction, p50 and p90) and the median
+// (fork to the helper's first instruction, p50 and p90), the median
 // region time as a multiple of S — 1.00 when the helper starts at once,
-// 2 when the region effectively runs serially.
+// 2 when the region effectively runs serially — and the median region
+// time less S, the cost of a region on a running team (model.RegionNs).
 func BenchmarkHelperLag(b *testing.B) {
 	for _, g := range []time.Duration{0, 50 * time.Microsecond, time.Millisecond} {
 		for _, s := range []time.Duration{10 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
@@ -131,6 +134,7 @@ func BenchmarkHelperLag(b *testing.B) {
 				b.ReportMetric(lags[len(lags)/2], "lag-p50-us")
 				b.ReportMetric(lags[len(lags)*9/10], "lag-p90-us")
 				b.ReportMetric(ratios[len(ratios)/2], "region/S")
+				b.ReportMetric((ratios[len(ratios)/2]-1)*float64(s)/1e3, "region-S-us")
 			})
 		}
 	}

@@ -79,23 +79,3 @@ func TestSumFloat64IdentityOnEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasureSyncCost(t *testing.T) {
-	tm := NewTeam(2)
-	defer tm.Close()
-	stats := MeasureSyncCost(tm, 100)
-	if stats.Workers != 2 || stats.Regions != 100 {
-		t.Errorf("stats metadata wrong: %+v", stats)
-	}
-	if stats.PerSync <= 0 {
-		t.Errorf("PerSync = %v, want > 0", stats.PerSync)
-	}
-	// Cycle conversion: 1 µs at 300 MHz is 300 cycles.
-	s := SyncCostStats{PerSync: 1000}
-	if got := s.Cycles(300); math.Abs(got-300) > 1e-9 {
-		t.Errorf("Cycles(300MHz) for 1µs = %g, want 300", got)
-	}
-	if got := MeasureSyncCost(tm, 0).Regions; got != 1 {
-		t.Errorf("regions clamped to %d, want 1", got)
-	}
-}

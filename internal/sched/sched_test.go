@@ -558,9 +558,9 @@ func TestRaggedMixInvariants(t *testing.T) {
 // TestSyntheticJobRuns executes real StepProfile work through the
 // scheduler: two concurrent synthetic jobs that fill a four-processor
 // budget between them (so neither is shrunk to admit the other), with
-// sync events flowing into the stats. Each sweep region holds two
-// model.ForkCycles of work, the bar for M = 2; the 1/40 work scale
-// spins what 20 000 cycles did at scale 1.
+// sync events flowing into the stats. Each sweep region holds 400 000
+// cycles of work, above the bar for M = 2 (two model.ForkCycles); the
+// 1/40 work scale spins what 20 000 cycles did at scale 1.
 func TestSyntheticJobRuns(t *testing.T) {
 	s := New(Config{Procs: 4, QueueDepth: 4})
 	defer s.Close()
