@@ -421,7 +421,7 @@ func BenchmarkBCParallelization(b *testing.B) {
 			shape.BC = true
 		}
 		b.Run(name, func(b *testing.B) {
-			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(shape)})
+			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: &shape})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -453,7 +453,7 @@ func BenchmarkMergedRegions(b *testing.B) {
 			shape.Merged = true
 		}
 		b.Run(name, func(b *testing.B) {
-			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(shape)})
+			s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{Team: team, Shape: &shape})
 			if err != nil {
 				b.Fatal(err)
 			}

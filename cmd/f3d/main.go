@@ -103,7 +103,7 @@ func main() {
 	if *variant != "vector" {
 		shape := f3d.DefaultShape()
 		shape.Merged, shape.BC = *merged, *parbc
-		opts.Shape = f3d.NewShapeCfg(shape)
+		opts.Shape = &shape
 		if *profileFlag {
 			opts.Profiler = analyze.NewProfiler()
 		}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/sched"
 )
 
 // FuzzSubmitRequest: POST /jobs bodies are bytes from another process.
@@ -29,19 +27,16 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"kind":"synthetic","serial_cycles":1e6,"work_scale":1e10}`,
 		`{"kind":"adaptive","parallelism":96,"steps":120}`,
 		`{"kind":"bogus"}`, `{"kind":"euler","bogus":1}`, `{"timeout_sec":-1,"kind":"euler"}`,
+		`{"kind":"f3d","dims":"6x5x4","timeout_sec":1e10}`,
 	} {
 		f.Add([]byte(seed))
 	}
-	s := sched.New(sched.Config{Procs: 2})
-	f.Cleanup(s.Close)
-	sv := newServer(s, serverConfig{autopar: true})
-
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeSubmit(bytes.NewReader(body))
 		if err != nil {
 			return
 		}
-		job, err := sv.buildJob(&req)
+		job, err := buildJob(&req)
 		if err != nil {
 			if job != nil {
 				t.Fatalf("buildJob returned both a job and an error: %v", err)
@@ -53,6 +48,9 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 		if req.Steps < 1 || req.Steps > maxSteps {
 			t.Fatalf("accepted steps %d outside [1, %d]", req.Steps, maxSteps)
+		}
+		if req.TimeoutSec > maxTimeoutSec || (req.TimeoutSec > 0 && req.timeout() <= 0) {
+			t.Fatalf("accepted timeout_sec %g as deadline %v", req.TimeoutSec, req.timeout())
 		}
 		if job.Name() == "" {
 			t.Fatal("accepted job has no name")

@@ -11,18 +11,13 @@
 //
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
-//	     [-autopar] [-trace] [-trace-buf N] [-node TAG]
+//	     [-trace] [-trace-buf N] [-node TAG]
 //
 // Endpoints:
 //
 //	POST   /jobs             submit a job (JSON body; see server.go)
 //	GET    /jobs             list all jobs
 //	GET    /jobs/{id}        one job's status
-//	GET    /jobs/{id}/plan   auto-parallelization plan derived from
-//	                         the job's phase trace, with per-loop
-//	                         machine-checkable rationale (404 unless
-//	                         the daemon runs -autopar; 409 until the
-//	                         job has traced evidence)
 //	GET    /jobs/{id}/result outcome as HTTP status (200 done, 500
 //	                         failed, 504 timed out, 409 canceled,
 //	                         202 still in flight)
@@ -50,19 +45,17 @@
 //	                         256 MiB -> 413, malformed or JSON -> 400;
 //	                         release is plain JSON
 //
-// With -autopar every f3d submission runs phase-traced under a prefix
-// of its own ("<name>#<n>"), and the daemon derives an evidence-driven
-// auto-parallelization plan from the run's trace
-// (internal/autopar/pipeline): GET /jobs/{id}/plan serves the per-loop
-// decisions with their rationale, and a new submission carrying
-// plan_from reruns the case with the plan lowered onto the solver's
-// step shape — run N's evidence reconfigures run N+1 without changing
-// the answer. Plans and /analyze judge a loop by Table 1 at break-even
-// with the host's measured cost of a region on a running team,
-// model.RegionNs; there is no setting for it.
+// Every f3d job runs the solver's one served step shape,
+// f3d.DefaultShape(): rhs and both sweeps split across the granted
+// team, the boundary conditions serial. A job granted a second
+// processor holds several times a region's cost in each split region,
+// so no other shape would be faster. /analyze judges a traced loop by
+// Table 1 at break-even with the host's measured cost of a region on a
+// running team, model.RegionNs; there is no setting for it.
 //
 // Jobs may carry a run deadline: -job-timeout sets the default and a
-// submission's timeout_sec overrides it (negative opts out). A job
+// submission's timeout_sec overrides it (negative opts out; a positive
+// value must lie in [1e-9, 1e9] seconds). A job
 // past its deadline is canceled, reported as timed-out, and its
 // processors return to the pool. Queue-full submissions are retried
 // -submit-retries times with doubling -retry-backoff before the
@@ -94,7 +87,6 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	procs := flag.Int("procs", 0, "processor budget shared across jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "queued-job limit; submits beyond it get HTTP 429")
-	autopar := flag.Bool("autopar", false, "phase-trace f3d jobs and serve evidence-driven plans on /jobs/{id}/plan")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	jobTimeout := flag.Duration("job-timeout", 0, "default run deadline per job (0 = none; timeout_sec overrides)")
 	submitRetries := flag.Int("submit-retries", 3, "in-handler retries for queue-full submissions before 429")
@@ -125,7 +117,6 @@ func main() {
 		submitRetries: *submitRetries,
 		retryBackoff:  *retryBackoff,
 		node:          *node,
-		autopar:       *autopar,
 	}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -9,11 +9,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/euler"
+	"repro/internal/f3d"
+	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/obs/serve"
 	"repro/internal/sched"
@@ -25,7 +26,8 @@ import (
 // request exhaust the host.
 const (
 	maxSteps       = 1_000_000
-	minDim         = 3 // a zone needs an interior point between two faces
+	maxTimeoutSec  = 1e9 // ≈ 32 years; time.Duration overflows from ≈ 9.2e9 s
+	minDim         = 3   // a zone needs an interior point between two faces
 	maxDim         = 128
 	maxCells       = 1 << 20
 	maxPoints      = 1 << 20
@@ -50,10 +52,6 @@ type serverConfig struct {
 	// node tags this daemon's trace events in merged fleet timelines
 	// (the -node flag; the listen address by default).
 	node string
-	// autopar, when true, phase-traces every f3d submission and serves
-	// evidence-driven plans on GET /jobs/{id}/plan; submissions may
-	// then carry plan_from to rerun a case under a derived plan.
-	autopar bool
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -77,9 +75,6 @@ type server struct {
 	shards *cluster.ShardServer
 	cfg    serverConfig
 	mux    *http.ServeMux
-	// planSeq numbers the -autopar jobs, so each traces its phases
-	// under a prefix of its own even when names repeat.
-	planSeq atomic.Uint64
 }
 
 func newServer(s *sched.Scheduler, cfg serverConfig) *server {
@@ -92,7 +87,6 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv.mux.HandleFunc("POST /jobs", sv.handleSubmit)
 	sv.mux.HandleFunc("GET /jobs", sv.handleList)
 	sv.mux.HandleFunc("GET /jobs/{id}", sv.handleJob)
-	sv.mux.HandleFunc("GET /jobs/{id}/plan", sv.handlePlan)
 	sv.mux.HandleFunc("GET /jobs/{id}/result", sv.handleResult)
 	sv.mux.HandleFunc("POST /jobs/{id}/cancel", sv.handleCancel)
 	serve.Surface{
@@ -142,29 +136,35 @@ type submitRequest struct {
 	Points int `json:"points"`
 
 	// TimeoutSec, when positive, is this job's run deadline in
-	// seconds; negative opts out of any deadline. Zero inherits the
-	// daemon's -job-timeout default.
+	// seconds, at least 1 ns and at most maxTimeoutSec; negative opts
+	// out of any deadline. Zero inherits the daemon's -job-timeout
+	// default.
 	TimeoutSec float64 `json:"timeout_sec"`
+}
 
-	// PlanFrom (f3d, needs -autopar) reruns under the plan derived
-	// from the named job's phase trace: the new job's step shape is
-	// the lowered plan, and dims/pulse/steps default to the source
-	// job's, so run N's evidence reconfigures run N+1.
-	PlanFrom uint64 `json:"plan_from"`
+// timeout is the submission's run deadline as sched reads it: -1 opts
+// out, 0 inherits the daemon default.
+func (req *submitRequest) timeout() time.Duration {
+	if req.TimeoutSec < 0 {
+		return -1
+	}
+	return time.Duration(req.TimeoutSec * float64(time.Second))
 }
 
 // buildJob validates a submission and constructs the scheduler job.
-func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
+func buildJob(req *submitRequest) (sched.Job, error) {
 	kind := strings.ToLower(req.Kind)
 	if req.Name == "" {
 		req.Name = kind
 	}
-	if kind == "f3d" && req.PlanFrom != 0 {
-		// An omitted steps is the source job's, not the default.
-		return sv.applyPlanFrom(req)
+	if req.TimeoutSec > maxTimeoutSec || (req.TimeoutSec > 0 && req.timeout() == 0) {
+		return nil, fmt.Errorf("timeout_sec must be negative, 0 or in [1e-9, %g], got %g", maxTimeoutSec, req.TimeoutSec)
 	}
-	if err := checkSteps(req); err != nil {
-		return nil, err
+	if req.Steps == 0 {
+		req.Steps = 10
+	}
+	if req.Steps < 1 || req.Steps > maxSteps {
+		return nil, fmt.Errorf("steps must be in [1, %d], got %d", maxSteps, req.Steps)
 	}
 	switch kind {
 	case "synthetic":
@@ -208,7 +208,11 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 		}
 		return sched.NewSyntheticJob(req.Name, p, req.Steps, req.WorkScale), nil
 	case "f3d":
-		return sv.buildF3D(req)
+		j, k, l, err := parseDims(req.Dims)
+		if err != nil {
+			return nil, err
+		}
+		return f3d.NewJob(req.Name, f3d.DefaultConfig(grid.Single(j, k, l)), req.Steps, req.Pulse)
 	case "euler":
 		if req.Points == 0 {
 			req.Points = 1024
@@ -220,17 +224,6 @@ func (sv *server) buildJob(req *submitRequest) (sched.Job, error) {
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want synthetic, f3d or euler)", req.Kind)
 	}
-}
-
-// checkSteps defaults an omitted steps to 10 and bounds it.
-func checkSteps(req *submitRequest) error {
-	if req.Steps == 0 {
-		req.Steps = 10
-	}
-	if req.Steps < 1 || req.Steps > maxSteps {
-		return fmt.Errorf("steps must be in [1, %d], got %d", maxSteps, req.Steps)
-	}
-	return nil
 }
 
 // parseDims parses "JxKxL" with per-dimension and total-size limits.
@@ -279,19 +272,12 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.Error(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	job, err := sv.buildJob(&req)
+	job, err := buildJob(&req)
 	if err != nil {
 		serve.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var opts sched.SubmitOptions // zero inherits sched.Config.DefaultTimeout
-	switch {
-	case req.TimeoutSec > 0:
-		opts.Timeout = time.Duration(req.TimeoutSec * float64(time.Second))
-	case req.TimeoutSec < 0:
-		opts.Timeout = -1
-	}
-	h, err := sv.submitWithRetry(r, job, opts)
+	h, err := sv.submitWithRetry(r, job, sched.SubmitOptions{Timeout: req.timeout()})
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
 		serve.Error(w, http.StatusTooManyRequests, err.Error())

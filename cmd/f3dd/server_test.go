@@ -270,6 +270,8 @@ func TestBadRequestsOverHTTP(t *testing.T) {
 		{"huge zone", map[string]any{"kind": "f3d", "dims": "128x128x128"}},
 		{"zone without an interior", map[string]any{"kind": "f3d", "dims": "9x2x9"}},
 		{"bad points", map[string]any{"kind": "euler", "points": maxPoints + 1}},
+		// The trace-driven planner is gone: plan_from is an unknown field.
+		{"retired plan_from", map[string]any{"kind": "f3d", "dims": "6x5x4", "plan_from": 1}},
 	}
 	for _, tc := range cases {
 		var errBody map[string]string
@@ -284,6 +286,9 @@ func TestBadRequestsOverHTTP(t *testing.T) {
 	if code := ts.do("GET", "/jobs/zork", nil, &map[string]string{}); code != http.StatusBadRequest {
 		t.Errorf("GET malformed id = %d, want 400", code)
 	}
+	if code := ts.do("GET", "/jobs/1/plan", nil, nil); code != http.StatusNotFound {
+		t.Errorf("GET /jobs/1/plan = %d, want 404 (no such route)", code)
+	}
 	if code := ts.do("POST", "/jobs/999/cancel", nil, &map[string]string{}); code != http.StatusNotFound {
 		t.Errorf("cancel unknown job = %d, want 404", code)
 	}
@@ -292,6 +297,34 @@ func TestBadRequestsOverHTTP(t *testing.T) {
 	}
 	if m := ts.metrics(); m.Submitted != 0 {
 		t.Errorf("bad requests were admitted: submitted = %d", m.Submitted)
+	}
+}
+
+// TestTimeoutSecBoundsOverHTTP: a positive timeout_sec must be a
+// deadline sched can hold. From ≈ 9.2e9 s it overflows time.Duration to
+// a negative value, which sched reads as "no deadline", and below 1 ns it
+// truncates to 0, which inherits the default: both would silently drop
+// the -job-timeout the daemon was started with, so both are 400. The
+// bounds themselves are accepted.
+func TestTimeoutSecBoundsOverHTTP(t *testing.T) {
+	ts := newTestServer(t, sched.Config{Procs: 1, DefaultTimeout: time.Minute}, serverConfig{})
+	for _, sec := range []float64{1e10, maxTimeoutSec * 1.5, 1e-10} {
+		var reply map[string]any
+		body := map[string]any{"kind": "f3d", "dims": "6x5x4", "timeout_sec": sec}
+		if code := ts.do("POST", "/jobs", body, &reply); code != http.StatusBadRequest {
+			t.Errorf("timeout_sec %g = %d, want 400 (reply %v)", sec, code, reply)
+		}
+	}
+	if m := ts.metrics(); m.Submitted != 0 {
+		t.Fatalf("out-of-bounds timeouts were admitted: submitted = %d", m.Submitted)
+	}
+	for _, sec := range []float64{maxTimeoutSec, 1e-9, -1} {
+		var st sched.JobStatus
+		body := map[string]any{"kind": "f3d", "dims": "6x5x4", "steps": 1, "timeout_sec": sec}
+		if code := ts.do("POST", "/jobs", body, &st); code != http.StatusAccepted {
+			t.Fatalf("timeout_sec %g = %d, want 202", sec, code)
+		}
+		ts.do("POST", fmt.Sprintf("/jobs/%d/cancel", st.ID), nil, nil)
 	}
 }
 

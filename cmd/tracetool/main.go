@@ -8,7 +8,6 @@
 //	tracetool analyze [-label L] [-json] [-o report.json] trace.jsonl
 //	tracetool convert -format speedscope|chrome [-o out.json] trace.jsonl
 //	tracetool diff [-tol PCT] old-report.json new-report.json
-//	tracetool plan plan.json
 //	tracetool cluster [-coord TAG] [-json] [-o report.json]
 //	                  [NAME=]fleet.jsonl...
 //
@@ -18,10 +17,7 @@
 // the JSON report for later diffing. convert renders the
 // trace for speedscope.app or chrome://tracing. diff compares two
 // analyze reports and exits 1 when the new one regresses beyond -tol,
-// so CI can gate on trace-derived facts. plan renders the JSON from
-// f3dd's GET /jobs/{id}/plan — the evidence-driven
-// auto-parallelization plan — as a per-loop decision table with each
-// decision's rationale. cluster merges node-tagged
+// so CI can gate on trace-derived facts. cluster merges node-tagged
 // fleet timelines (f3dc -trace-out, per-daemon /trace dumps) and
 // prints the cross-node critical path — per-step attribution,
 // straggler tally, exchange+barrier share — exiting 1 when the
@@ -47,7 +43,7 @@ func main() {
 // in-process.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert, diff, plan or cluster")
+		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert, diff or cluster")
 		return 2
 	}
 	switch args[0] {
@@ -57,12 +53,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdConvert(args[1:], stdin, stdout, stderr)
 	case "diff":
 		return cmdDiff(args[1:], stdout, stderr)
-	case "plan":
-		return cmdPlan(args[1:], stdin, stdout, stderr)
 	case "cluster":
 		return cmdCluster(args[1:], stdin, stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert, diff, plan or cluster)\n", args[0])
+		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert, diff or cluster)\n", args[0])
 		return 2
 	}
 }

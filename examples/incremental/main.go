@@ -66,13 +66,13 @@ func main() {
 		name  string
 		shape f3d.StepShape
 	}{
-		{"RHS only", f3d.StepShape{RHSJK: true, RHSL: true}},
-		{"+ J/K sweeps", f3d.StepShape{RHSJK: true, RHSL: true, SweepJK: true}},
+		{"RHS only", f3d.StepShape{RHS: true}},
+		{"+ J/K sweeps", f3d.StepShape{RHS: true, SweepJK: true}},
 		{"+ L sweep (all)", f3d.DefaultShape()},
 	}
 	fmt.Printf("\nincremental parallelization (%d workers):\n", workers)
 	for k, st := range stages {
-		s := mustCache(cfg, f3d.CacheOptions{Team: team, Shape: f3d.NewShapeCfg(st.shape)})
+		s := mustCache(cfg, f3d.CacheOptions{Team: team, Shape: &st.shape})
 		f3d.InitPulse(s, 0.02)
 		start := time.Now()
 		for i := 0; i < steps; i++ {

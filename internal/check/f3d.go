@@ -39,7 +39,7 @@ func f3dKernels() []Kernel {
 			Name: name, N: 6, MinN: 3, Steps: f3dSteps,
 			Serial: runF3DReference,
 			Parallel: func(t *parloop.Team, spec Spec) []float64 {
-				return runF3D(spec.N, t, f3d.NewShapeCfg(shape), spec.StepHook)
+				return runF3D(spec.N, t, &shape, spec.StepHook)
 			},
 		})
 	}
@@ -84,8 +84,8 @@ func runF3DReference(n int) []float64 {
 	return stepF3D(s, nil)
 }
 
-// runF3D runs the production solver on team under the given shape cell.
-func runF3D(n int, team *parloop.Team, shape *f3d.ShapeCfg, hook func(step int)) []float64 {
+// runF3D runs the production solver on team under the given shape.
+func runF3D(n int, team *parloop.Team, shape *f3d.StepShape, hook func(step int)) []float64 {
 	s, err := f3d.NewCacheSolver(f3dConfig(n), f3d.CacheOptions{Team: team, Shape: shape})
 	if err != nil {
 		panic(fmt.Sprintf("check: f3d solver: %v", err))

@@ -24,7 +24,6 @@ func Registry() []Kernel {
 	}
 	ks = append(ks, tunedKernels()...)
 	ks = append(ks, f3dKernels()...)
-	ks = append(ks, planKernels()...)
 	ks = append(ks, clusterKernels()...)
 	return ks
 }

@@ -121,19 +121,19 @@ func TestBlockViscousStable(t *testing.T) {
 }
 
 // The block solver runs the shared step driver, so it takes any shape
-// (TestShapedStepsMatchSerialBitwise runs all 2⁷) and the driver's
+// (TestShapedStepsMatchSerialBitwise runs all 2⁵) and the driver's
 // options; only what it cannot honour is refused at construction.
 func TestBlockSolverShapes(t *testing.T) {
 	cfg := testConfig(8, 8, 8)
 	for _, tc := range []struct {
 		name  string
-		shape *ShapeCfg
+		shape *StepShape
 	}{
 		{"nil is the default", nil},
-		{"all serial", NewShapeCfg(StepShape{})},
+		{"all serial", &StepShape{}},
 		{"merged", mergedCfg(true)},
-		{"fissioned half rhs", NewShapeCfg(StepShape{RHSJK: true, FissionRHS: true})},
-		{"parallel bc", NewShapeCfg(StepShape{BC: true})},
+		{"rhs only", &StepShape{RHS: true}},
+		{"parallel bc", &StepShape{BC: true}},
 	} {
 		s, err := NewBlockSolver(cfg, CacheOptions{Shape: tc.shape})
 		if err != nil {
@@ -141,7 +141,7 @@ func TestBlockSolverShapes(t *testing.T) {
 			continue
 		}
 		if tc.shape == nil && s.Shape() != DefaultShape() {
-			t.Errorf("nil shape cell runs %+v, want the default", s.Shape())
+			t.Errorf("nil shape runs %+v, want the default", s.Shape())
 		}
 		s.Close()
 	}

@@ -15,13 +15,11 @@ type CacheOptions struct {
 	// Team executes the parallel regions. nil runs everything serially
 	// (a private one-worker team).
 	Team *parloop.Team
-	// Shape is the cell the solver reads its step structure from: which
-	// phases are parallel, fissioned or merged. It is loaded once per
-	// Step, so a Store from a planner (internal/autopar/pipeline) or a
-	// harness applies at the next step boundary. nil runs DefaultShape.
-	// Shapes change only the synchronization structure; results are
-	// identical under every one.
-	Shape *ShapeCfg
+	// Shape is the step structure every step runs: which phases are
+	// parallel, and whether they merge into one region. nil runs
+	// DefaultShape. Shapes change only the synchronization structure;
+	// results are identical under every one.
+	Shape *StepShape
 	// ZoneTeams enables multi-level parallelism (the MLP style of the
 	// paper's §8 related work, Taft's OVERFLOW-MLP): zones advance
 	// concurrently, each on its own team running the loop-level regions.
@@ -33,16 +31,15 @@ type CacheOptions struct {
 	// Profiler, when set, is charged the wall-clock time of every phase
 	// (per zone), keyed "zone/phase" — the prof-style measurement the
 	// paper's incremental workflow starts from. Phases the shape joins
-	// into one region are charged together: "rhs" for the unfissioned
-	// pair, "step" for a Merged step. Not supported together
+	// into one region are charged together: "rhs" for the two RHS
+	// passes, "step" for a Merged step. Not supported together
 	// with ZoneTeams (phases of different zones overlap in time).
 	Profiler *analyze.Profiler
 	// PhaseTrace, when non-empty, relabels the team's tracer around
 	// each phase as "<PhaseTrace>/<phase>", so a traced run ranks the
-	// step's phases as separate loops — the per-loop evidence the
-	// pipeline plans from. The caller's label is restored after each
-	// step. Not supported together with ZoneTeams (phases of different
-	// zones overlap).
+	// step's phases as separate loops in /analyze and tracetool. The
+	// caller's label is restored after each step. Not supported together
+	// with ZoneTeams (phases of different zones overlap).
 	PhaseTrace string
 }
 

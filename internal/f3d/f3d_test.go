@@ -28,10 +28,10 @@ func newCache(t *testing.T, cfg Config, opts CacheOptions) *CacheSolver {
 
 // mergedCfg returns the production shape, merged into one region per
 // zone step when merged is set.
-func mergedCfg(merged bool) *ShapeCfg {
+func mergedCfg(merged bool) *StepShape {
 	sh := DefaultShape()
 	sh.Merged = merged
-	return NewShapeCfg(sh)
+	return &sh
 }
 
 func newVector(t *testing.T, cfg Config) *VectorSolver {
@@ -148,17 +148,17 @@ func TestIncrementalParallelizationPreservesResults(t *testing.T) {
 	}
 	phaseSets := []StepShape{
 		{},
-		{RHSJK: true, RHSL: true},
-		{RHSJK: true, RHSL: true, SweepJK: true},
+		{RHS: true},
+		{RHS: true, SweepJK: true},
 		DefaultShape(),
-		{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true},
+		{RHS: true, SweepJK: true, SweepL: true, BC: true},
 		{BC: true},
 		{SweepL: true},
 	}
 	team := parloop.NewTeam(3)
 	defer team.Close()
 	for _, ph := range phaseSets {
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(ph)})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: &ph})
 		InitPulse(s, 0.02)
 		for i := 0; i < 4; i++ {
 			s.Step()

@@ -14,14 +14,12 @@ import (
 // admit) and cancellation take effect — between parallel regions, as
 // parloop.Team.Resize requires.
 type Job struct {
-	name   string
-	cfg    Config
-	steps  int
-	pulse  float64
-	hook   func(step int) error
-	final  func(s Solver)
-	shape  *ShapeCfg
-	prefix string
+	name  string
+	cfg   Config
+	steps int
+	pulse float64
+	hook  func(step int) error
+	final func(s Solver)
 
 	mu   sync.Mutex
 	hist History
@@ -37,7 +35,7 @@ func NewJob(name string, cfg Config, steps int, pulse float64) (*Job, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("f3d: job needs steps >= 1, got %d", steps)
 	}
-	return &Job{name: name, cfg: cfg, steps: steps, pulse: pulse, shape: NewShapeCfg(DefaultShape())}, nil
+	return &Job{name: name, cfg: cfg, steps: steps, pulse: pulse}, nil
 }
 
 // WithStepHook installs a callback invoked after each time step's
@@ -60,46 +58,23 @@ func (j *Job) WithFinalHook(final func(s Solver)) *Job {
 	return j
 }
 
-// WithShape runs the job's solver under the given step shape instead
-// of DefaultShape: the application half of the auto-parallelization
-// pipeline, where a plan produced from run N's trace reconfigures run
-// N+1. Must not be called once the job is submitted.
-func (j *Job) WithShape(sh StepShape) *Job {
-	j.shape.Store(sh)
-	return j
-}
-
-// Shape returns the cell the job's solver reads its step shape from
-// (DefaultShape unless WithShape replaced it). It may be retargeted
-// between steps while the job runs.
-func (j *Job) Shape() *ShapeCfg { return j.shape }
-
-// WithPhaseTrace labels the solver's phases "<prefix>/<phase>" on the
-// granted team's tracer, so a traced run yields per-phase loop
-// evidence for the planner. Must not be called once the job is
-// submitted.
-func (j *Job) WithPhaseTrace(prefix string) *Job {
-	j.prefix = prefix
-	return j
-}
-
 // Name implements sched.Job.
 func (j *Job) Name() string { return j.name }
 
 // Parallelism implements sched.Job: the M the step's work pays for
-// (model.StepProfile.MaxParallelism) — the units of the widest loop the
-// step shape splits (K−2 rows or L−2 planes, never J) among those whose
+// (model.StepProfile.MaxParallelism) — the units of the widest loop
+// DefaultShape splits (K−2 rows or L−2 planes, never J) among those whose
 // work per region pays for a fork; 1 when none does. The paper (§5) locates the useful processor
 // plateaus at roughly M/5, M/4, M/3, M/2 and M — exactly the grant
 // sizes the scheduler will consider.
 func (j *Job) Parallelism() int {
-	sp := StepProfileFor(j.cfg.Case, j.shape.Load())
+	sp := StepProfileFor(j.cfg.Case, DefaultShape())
 	return sp.MaxParallelism()
 }
 
 // Run implements sched.Job.
 func (j *Job) Run(g *sched.Grant) error {
-	s, err := NewCacheSolver(j.cfg, CacheOptions{Team: g.Team(), Shape: j.shape, PhaseTrace: j.prefix})
+	s, err := NewCacheSolver(j.cfg, CacheOptions{Team: g.Team()})
 	if err != nil {
 		return err
 	}

@@ -12,11 +12,19 @@ import (
 	"repro/internal/sched"
 )
 
-// TestJobParallelismFollowsShape: a job's M is the widest loop its step
-// shape splits, so the scheduler plans its grants on that loop's stair.
-// Paper1M's largest dimension is J = 89, but the default shape splits
-// only the K−2 = 73 rows and L−2 = 68 planes.
+// TestJobParallelismFollowsShape: a step's M is the widest loop its
+// shape splits, so the scheduler plans a job's grants on that loop's
+// stair; a job runs DefaultShape, and its M is that shape's. Paper1M's
+// largest dimension is J = 89, but the default shape splits only the
+// K−2 = 73 rows and L−2 = 68 planes.
 func TestJobParallelismFollowsShape(t *testing.T) {
+	job, err := NewJob("default", DefaultConfig(grid.Paper1M()), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := job.Parallelism(); m != 73 {
+		t.Errorf("job Parallelism = %d, want DefaultShape's 73", m)
+	}
 	for _, tc := range []struct {
 		name    string
 		shape   StepShape
@@ -26,11 +34,8 @@ func TestJobParallelismFollowsShape(t *testing.T) {
 		{"serial", StepShape{}, 1, 1},
 		{"sweep-jk only", StepShape{SweepJK: true}, 68, 23},
 	} {
-		job, err := NewJob(tc.name, DefaultConfig(grid.Paper1M()), 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := job.WithShape(tc.shape).Parallelism()
+		sp := StepProfileFor(grid.Paper1M(), tc.shape)
+		m := sp.MaxParallelism()
 		if m != tc.m {
 			t.Errorf("%s: Parallelism = %d, want %d", tc.name, m, tc.m)
 		}
@@ -152,7 +157,7 @@ func TestCacheSolverSurvivesTeamResize(t *testing.T) {
 }
 
 // TestJobDefaultShapeCostsFourSyncsPerZoneStep pins the served
-// structure: a job nobody reshaped runs DefaultShape, and on a
+// structure: a job runs DefaultShape, and on a
 // two-worker grant each zone step is exactly four synchronization
 // events (RHS region + its barrier, two sweep regions) — the
 // benchmark's parloop.sync_events_per_step, held here in tier-1 — and
@@ -165,14 +170,12 @@ func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Shape().Load(); got != DefaultShape() {
-		t.Fatalf("unshaped job reports %+v, want DefaultShape %+v", got, DefaultShape())
-	}
 	var workers int
 	var syncs uint64
+	var shape StepShape
 	job.WithFinalHook(func(s Solver) {
 		team := s.(*CacheSolver).Team()
-		workers, syncs = team.Workers(), team.SyncEvents()
+		workers, syncs, shape = team.Workers(), team.SyncEvents(), s.(*CacheSolver).Shape()
 	})
 	s := sched.New(sched.Config{Procs: 2})
 	defer s.Close()
@@ -187,6 +190,9 @@ func TestJobDefaultShapeCostsFourSyncsPerZoneStep(t *testing.T) {
 	}
 	if workers != 2 {
 		t.Fatalf("job ran on %d workers, want the 2-processor grant", workers)
+	}
+	if shape != DefaultShape() {
+		t.Fatalf("job ran %+v, want DefaultShape %+v", shape, DefaultShape())
 	}
 	if want := uint64(4*len(c.Zones)*steps + 2*len(c.Zones)); syncs != want {
 		t.Errorf("%d zones × %d steps cost %d sync events, want %d (4 per zone step, 2 per zone setup)",

@@ -144,10 +144,8 @@ func TestEmptySlabsFillEveryPlaneOnce(t *testing.T) {
 	cfg := testConfig(9, 8, 7) // 5 interior L planes
 	team := parloop.NewTeam(8)
 	defer team.Close()
-	fission := DefaultShape()
-	fission.FissionRHS = true
-	for name, shc := range map[string]*ShapeCfg{
-		"default": NewShapeCfg(DefaultShape()), "merged": mergedCfg(true), "fission-rhs": NewShapeCfg(fission),
+	for name, shc := range map[string]*StepShape{
+		"default": mergedCfg(false), "merged": mergedCfg(true), "parallel-bc": {RHS: true, SweepJK: true, SweepL: true, BC: true},
 	} {
 		ref := scalarSolver(t, cfg)
 		s := newCache(t, cfg, CacheOptions{Team: team, Shape: shc})

@@ -30,6 +30,7 @@ const (
 //
 //   - rhs-jk:   J+K RHS passes, partitioned over L     (1 sync/zone)
 //   - rhs-l:    L RHS pass, partitioned over K         (1 sync/zone)
+//     (one region with a barrier between them, split when sh.RHS is)
 //   - sweep-jk: J+K implicit sweeps, partitioned over L (1 sync/zone)
 //   - sweep-l:  L sweep + update, partitioned over K   (1 sync/zone)
 //   - bc:       boundary conditions (serial by default)

@@ -8,6 +8,45 @@ import (
 	"repro/internal/parloop"
 )
 
+// StepShape is the one description of how the cache solver's time step
+// is parallelized — the paper's §4 decision, loop by loop: which phases
+// run inside parallel regions, and whether the whole step is hoisted
+// into one merged region (Example 3). f3dd serves DefaultShape; cmd/f3d's
+// -merged/-parbc flags and the tests write the others. Phases left
+// serial still execute, just on the calling goroutine. Every shape
+// computes the identical per-element operation order, so residual
+// histories stay bitwise equal to the serial reference —
+// TestShapedStepsMatchSerialBitwise checks all 2⁵ values.
+type StepShape struct {
+	// RHS parallelizes the right-hand-side region: the J/K passes, a
+	// barrier, then the L pass.
+	RHS bool
+	// SweepJK parallelizes the J and K implicit sweeps (both are
+	// partitioned over L, so they share one region with no internal
+	// barrier — the paper's Example 2); SweepL the L sweep and the
+	// solution update.
+	SweepJK bool
+	SweepL  bool
+	// BC parallelizes the boundary-condition routines. The paper leaves
+	// these serial because their loops are too cheap to amortize a
+	// synchronization (§3); DefaultShape follows suit.
+	BC bool
+	// Merged hoists the step into a single region with barriers
+	// between phases (Example 3: parallelize the parent subroutine),
+	// amortizing the fork-join cost across every phase; the per-phase
+	// parallel flags are then subsumed except BC, which still selects
+	// worker-partitioned vs worker-0-serial boundary conditions.
+	Merged bool
+}
+
+// DefaultShape returns the production step structure, the one every
+// served job runs: RHS and both sweeps parallel, boundary conditions
+// serial, one region per phase (four synchronization events per zone
+// per step).
+func DefaultShape() StepShape {
+	return StepShape{RHS: true, SweepJK: true, SweepL: true}
+}
+
 // The zone step is declared once, as an ordered list of phases, and a
 // StepShape is lowered onto it in one place (lowerShape); runGroup is
 // the only code in the package that opens a region or a barrier. The
@@ -45,14 +84,10 @@ type group struct {
 }
 
 var (
-	// One region per phase; the two RHS passes share theirs (the seed).
+	// One region per phase; the two RHS passes share theirs.
 	groupsSeed = []group{
 		{"bc", phBC, phRHSJK}, {"rhs", phRHSJK, phResidual}, {"residual", phResidual, phSweepJK},
 		{"sweep-jk", phSweepJK, phSweepL}, {"sweep-l", phSweepL, numPhases},
-	}
-	groupsFissioned = []group{
-		{"bc", phBC, phRHSJK}, {"rhs-jk", phRHSJK, phRHSL}, {"rhs-l", phRHSL, phResidual},
-		{"residual", phResidual, phSweepJK}, {"sweep-jk", phSweepJK, phSweepL}, {"sweep-l", phSweepL, numPhases},
 	}
 	groupsMerged = []group{{"step", phBC, numPhases}}
 )
@@ -67,19 +102,14 @@ type lowering struct {
 // lowerShape is the one rule from shape to region structure. Merged
 // joins every phase and splits every pass (BC still chooses split or
 // worker-0 boundary conditions); otherwise each phase is its own group,
-// except that an unfissioned RHS joins its two passes and splits them
-// only together. The residual is never split.
+// except that the RHS joins its two passes and splits them together.
+// The residual is never split.
 func lowerShape(sh StepShape) lowering {
-	split := [numPhases]bool{phBC: sh.BC, phRHSJK: sh.RHSJK, phRHSL: sh.RHSL, phSweepJK: sh.SweepJK, phSweepL: sh.SweepL}
-	switch {
-	case sh.Merged:
-		return lowering{[numPhases]bool{phBC: sh.BC, phRHSJK: true, phRHSL: true, phSweepJK: true, phSweepL: true}, groupsMerged}
-	case sh.FissionRHS:
-		return lowering{split, groupsFissioned}
+	groups := groupsSeed
+	if sh.Merged {
+		sh.RHS, sh.SweepJK, sh.SweepL, groups = true, true, true, groupsMerged
 	}
-	rhs := sh.RHSJK && sh.RHSL
-	split[phRHSJK], split[phRHSL] = rhs, rhs
-	return lowering{split, groupsSeed}
+	return lowering{[numPhases]bool{phBC: sh.BC, phRHSJK: sh.RHS, phRHSL: sh.RHS, phSweepJK: sh.SweepJK, phSweepL: sh.SweepL}, groups}
 }
 
 // runGroup executes one group on team. With nothing split, or no team
@@ -153,9 +183,8 @@ type stepCore struct {
 	// order bitwise (ZoneResiduals).
 	zoneRes []ZoneResidual
 
-	// shape is the step shape loaded at Step entry and low is its lowering,
-	// held constant for the whole step so a concurrent ShapeCfg.Store
-	// cannot tear a step across two shapes.
+	// shape is the step shape every step runs and low its lowering, both
+	// fixed when the solver is built.
 	shape StepShape
 	low   lowering
 
@@ -166,10 +195,12 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 	if err := cfg.Validate(); err != nil {
 		return stepCore{}, err
 	}
-	c := stepCore{cfg: cfg, opts: opts, team: opts.Team, newScratch: newScratch}
-	if c.opts.Shape == nil {
-		c.opts.Shape = NewShapeCfg(DefaultShape())
+	shape := DefaultShape()
+	if opts.Shape != nil {
+		shape = *opts.Shape
 	}
+	c := stepCore{cfg: cfg, opts: opts, team: opts.Team, newScratch: newScratch, shape: shape, low: lowerShape(shape),
+		zoneRes: make([]ZoneResidual, len(cfg.Case.Zones))}
 	if c.team == nil {
 		c.team = parloop.NewTeam(1)
 		c.ownedTeam = true
@@ -202,18 +233,12 @@ func (c *stepCore) Team() *parloop.Team { return c.team }
 func (c *stepCore) Steps() int { return c.steps }
 
 // ZoneResiduals returns the per-zone residual parts of the most recent
-// Step, indexed like Zones(). It returns nil before the first step;
+// Step, indexed like Zones(). It holds zeros before the first step;
 // the slice is reused by the next Step.
 func (c *stepCore) ZoneResiduals() []ZoneResidual { return c.zoneRes }
 
-// Shape returns the shape the most recent step ran under (before the
-// first step: the shape the next step would load).
-func (c *stepCore) Shape() StepShape {
-	if c.steps == 0 {
-		return c.opts.Shape.Load()
-	}
-	return c.shape
-}
+// Shape returns the shape every step of the solver runs.
+func (c *stepCore) Shape() StepShape { return c.shape }
 
 // grow extends a per-worker scratch set to the given team size.
 func (c *stepCore) grow(set []*cacheScratch, workers, nmax int) []*cacheScratch {
@@ -223,17 +248,12 @@ func (c *stepCore) grow(set []*cacheScratch, workers, nmax int) []*cacheScratch 
 	return set
 }
 
-// begin opens a time step: it loads and lowers the shape, sizes the
-// scratch to the team, captures the local links' donor planes and
-// consumes the remote links' received ones.
+// begin opens a time step: it sizes the scratch to the team, captures
+// the local links' donor planes and consumes the remote links' received
+// ones.
 func (c *stepCore) begin() {
 	captureLinks(c.links, c.zones)
-	c.shape = c.opts.Shape.Load()
-	c.low = lowerShape(c.shape)
 	c.scratch = c.grow(c.scratch, c.team.Workers(), c.cfg.Case.MaxDim())
-	if c.zoneRes == nil {
-		c.zoneRes = make([]ZoneResidual, len(c.zones))
-	}
 }
 
 // stepZone advances zone zi on team with the given per-worker scratch

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/parloop"
 )
 
@@ -38,17 +40,13 @@ func b2i(b bool) int {
 	return 0
 }
 
-// closedFormSyncs is the count the three hand-written drivers this one
-// replaced produced, shape by shape (checked against them for all 128).
+// closedFormSyncs is the count the hand-written drivers this one
+// replaced produced, shape by shape.
 func closedFormSyncs(sh StepShape) int {
 	if sh.Merged {
 		return 6
 	}
-	n := b2i(sh.BC) + b2i(sh.SweepJK) + b2i(sh.SweepL)
-	if sh.FissionRHS {
-		return n + b2i(sh.RHSJK) + b2i(sh.RHSL)
-	}
-	return n + 2*b2i(sh.RHSJK && sh.RHSL)
+	return b2i(sh.BC) + b2i(sh.SweepJK) + b2i(sh.SweepL) + 2*b2i(sh.RHS)
 }
 
 // The executor synchronizes exactly as often as the lowering says, and
@@ -57,13 +55,13 @@ func TestStepSyncEventsMatchLowering(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
 	team := parloop.NewTeam(2)
 	defer team.Close()
-	for bits := 0; bits < 1<<7; bits++ {
+	for bits := range numShapes {
 		sh := shapeFromBits(bits)
 		want := closedFormSyncs(sh)
 		if got := loweredSyncs(lowerShape(sh), false); got != want {
 			t.Fatalf("%+v: lowering counts %d sync events, closed form %d", sh, got, want)
 		}
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: &sh})
 		InitPulse(s, 0.01)
 		team.ResetSyncEvents()
 		s.Step()
@@ -81,13 +79,13 @@ func TestStepSyncEventsWithExchange(t *testing.T) {
 	cfg.Interfaces = []Interface{{Left: 0, Right: Remote}}
 	team := parloop.NewTeam(2)
 	defer team.Close()
-	for bits := 0; bits < 1<<7; bits++ {
+	for bits := range numShapes {
 		sh := shapeFromBits(bits)
 		want := closedFormSyncs(sh) + b2i(sh.Merged && sh.BC)
 		if got := loweredSyncs(lowerShape(sh), true); got != want {
 			t.Fatalf("%+v: lowering counts %d sync events with an exchange, want %d", sh, got, want)
 		}
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: &sh})
 		InitPulse(s, 0.01)
 		receiveOwnPlane(t, s)
 		team.ResetSyncEvents()
@@ -148,10 +146,10 @@ func TestShapedStepsWithExchangeMatchSerialBitwise(t *testing.T) {
 
 	team := parloop.NewTeam(3)
 	defer team.Close()
-	for bits := 0; bits < 1<<7; bits++ {
+	for bits := range numShapes {
 		sh := shapeFromBits(bits)
-		s := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
-		fed := newCache(t, shard, CacheOptions{Team: team, Shape: NewShapeCfg(sh)})
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: &sh})
+		fed := newCache(t, shard, CacheOptions{Team: team, Shape: &sh})
 		InitPulse(s, 0.02)
 		InitPulse(fed, 0.02)
 		for i := range refStats {
@@ -217,9 +215,9 @@ func TestResidualFacesStayZero(t *testing.T) {
 	}
 	for _, cfg := range []Config{zcfg, scfg} {
 		check(cfg.Case.Name+" reference", scalarSolver(t, cfg))
-		for bits := 0; bits < 1<<7; bits++ {
+		for bits := range numShapes {
 			sh := shapeFromBits(bits)
-			opts := CacheOptions{Team: team, Shape: NewShapeCfg(sh)}
+			opts := CacheOptions{Team: team, Shape: &sh}
 			check(fmt.Sprintf("%s cache %+v", cfg.Case.Name, sh), newCache(t, cfg, opts))
 			check(fmt.Sprintf("%s block %+v", cfg.Case.Name, sh), newBlock(t, cfg, opts))
 		}
@@ -227,11 +225,10 @@ func TestResidualFacesStayZero(t *testing.T) {
 }
 
 // The performance model marks a phase parallel exactly when the driver
-// splits it: it reads the same lowering. (Its own rule used to model a
-// fissioned half-parallel RHS as serial while the solver split it.)
+// splits it: it reads the same lowering.
 func TestStepProfileFollowsLowering(t *testing.T) {
 	c := grid.Single(12, 10, 9)
-	for bits := 0; bits < 1<<7; bits++ {
+	for bits := range numShapes {
 		sh := shapeFromBits(bits)
 		lw := lowerShape(sh)
 		parallel := map[string]bool{}
@@ -246,5 +243,143 @@ func TestStepProfileFollowsLowering(t *testing.T) {
 		if lw.split[phResidual] || parallel[c.Zones[0].Name+"/residual"] {
 			t.Errorf("%+v: the residual is never split", sh)
 		}
+	}
+}
+
+// numShapes is the number of StepShape values: one bit per field.
+const numShapes = 1 << 5
+
+// shapeFromBits enumerates StepShape: bit i of bits sets the i-th
+// field, so 0..numShapes-1 covers every value of the type.
+func shapeFromBits(bits int) StepShape {
+	on := func(i int) bool { return bits&(1<<i) != 0 }
+	return StepShape{RHS: on(0), SweepJK: on(1), SweepL: on(2), BC: on(3), Merged: on(4)}
+}
+
+// Every one of the 2⁵ step shapes — each phase parallel or serial,
+// merged or not — must reproduce the serial run's residual history,
+// MaxDelta and flow state bitwise, on both solvers the step driver
+// serves. internal/check's f3d cells prove this for the served and
+// merged shapes across their full matrix; this is the solver-local
+// exhaustive version.
+func TestShapedStepsMatchSerialBitwise(t *testing.T) {
+	cfg := testConfig(10, 9, 8)
+	type stepper interface {
+		Solver
+		Close()
+	}
+	for _, v := range []struct {
+		name string
+		new  func(CacheOptions) (stepper, error)
+	}{
+		{"cache", func(o CacheOptions) (stepper, error) { return NewCacheSolver(cfg, o) }},
+		{"block", func(o CacheOptions) (stepper, error) { return NewBlockSolver(cfg, o) }},
+	} {
+		ref := mustSolver(v.new(CacheOptions{}))
+		defer ref.Close()
+		InitPulse(ref, 0.01)
+		refStats := make([]StepStats, 4)
+		for i := range refStats {
+			refStats[i] = ref.Step()
+		}
+		for _, workers := range []int{2, 4} {
+			team := parloop.NewTeam(workers)
+			for bits := range numShapes {
+				sh := shapeFromBits(bits)
+				s := mustSolver(v.new(CacheOptions{Team: team, Shape: &sh}))
+				InitPulse(s, 0.01)
+				for i := range refStats {
+					if st := s.Step(); st != refStats[i] {
+						t.Fatalf("%s %+v workers=%d step %d: history drifted: %+v vs %+v",
+							v.name, sh, workers, i, st, refStats[i])
+					}
+				}
+				if d := MaxPointwiseDiff(s, ref); d != 0 {
+					t.Fatalf("%s %+v workers=%d: final state differs by %g", v.name, sh, workers, d)
+				}
+				s.Close()
+			}
+			team.Close()
+		}
+	}
+}
+
+// Shape reports the shape the solver was built with, the same before
+// and after its steps; a nil CacheOptions.Shape is DefaultShape.
+func TestSolverShapeReportsCurrentStep(t *testing.T) {
+	cfg := testConfig(6, 5, 4)
+	team := parloop.NewTeam(2)
+	defer team.Close()
+	for _, sh := range []*StepShape{nil, {RHS: true}, mergedCfg(true)} {
+		want := DefaultShape()
+		if sh != nil {
+			want = *sh
+		}
+		s := newCache(t, cfg, CacheOptions{Team: team, Shape: sh})
+		InitPulse(s, 0.01)
+		for i := range 2 {
+			if got := s.Shape(); got != want {
+				t.Fatalf("shape %v before step %d: Shape() = %+v, want %+v", sh, i, got, want)
+			}
+			s.Step()
+		}
+	}
+}
+
+// PhaseTrace labels each phase "<prefix>/<phase>" on the team's tracer
+// and restores the team label afterwards, so a traced run ranks the
+// phases as separate loops.
+func TestPhaseTraceLabelsPhases(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	tr := obs.NewTracer(1<<14, nil)
+	tr.Enable()
+	team := parloop.NewTeam(3)
+	defer team.Close()
+	team.SetTracer(tr, "jobX")
+	s := newCache(t, cfg, CacheOptions{Team: team, PhaseTrace: "jobX"})
+	InitPulse(s, 0.01)
+	for range 2 {
+		s.Step()
+	}
+	if got := team.Label(); got != "jobX" {
+		t.Fatalf("team label not restored after step: %q", got)
+	}
+	seen := map[string]bool{}
+	for _, e := range tr.Events() {
+		if strings.HasPrefix(e.Name, "jobX/") {
+			seen[strings.TrimPrefix(e.Name, "jobX/")] = true
+		}
+	}
+	// bc is absent: DefaultShape leaves it serial (§3, too cheap to
+	// amortize a region), and serial phases emit no region events.
+	for _, phase := range []string{"rhs", "sweep-jk", "sweep-l"} {
+		if !seen[phase] {
+			t.Errorf("phase %q not traced (saw %v)", phase, seen)
+		}
+	}
+	if seen["bc"] {
+		t.Error("serial bc phase emitted region events")
+	}
+}
+
+// A merged step traces as one "step" loop.
+func TestPhaseTraceMergedStep(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	tr := obs.NewTracer(1<<14, nil)
+	tr.Enable()
+	team := parloop.NewTeam(3)
+	defer team.Close()
+	team.SetTracer(tr, "jobZ")
+	s := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(true), PhaseTrace: "jobZ"})
+	InitPulse(s, 0.01)
+	s.Step()
+	found := false
+	for _, e := range tr.Events() {
+		if e.Name == "jobZ/step" {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("merged step not traced as jobZ/step")
 	}
 }

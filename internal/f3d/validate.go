@@ -84,7 +84,7 @@ func CrossValidate(cfg Config, steps, workers int) (ValidationReport, error) {
 	defer par.Close()
 	mergedShape := DefaultShape()
 	mergedShape.Merged = true
-	merged, err := NewCacheSolver(cfg, CacheOptions{Team: team, Shape: NewShapeCfg(mergedShape)})
+	merged, err := NewCacheSolver(cfg, CacheOptions{Team: team, Shape: &mergedShape})
 	if err != nil {
 		return rep, err
 	}

@@ -142,7 +142,7 @@ func TestWallBCVariantsAgreeBitwise(t *testing.T) {
 	vs := newVector(t, cfg)
 	team := parloop.NewTeam(3)
 	defer team.Close()
-	ps := newCache(t, cfg, CacheOptions{Team: team, Shape: NewShapeCfg(StepShape{RHSJK: true, RHSL: true, SweepJK: true, SweepL: true, BC: true})})
+	ps := newCache(t, cfg, CacheOptions{Team: team, Shape: &StepShape{RHS: true, SweepJK: true, SweepL: true, BC: true}})
 	InitUniform(cs)
 	InitUniform(vs)
 	InitUniform(ps)

@@ -39,9 +39,6 @@ func TestSchedulerForgetsOldestFinishedJobs(t *testing.T) {
 		if err := s.Cancel(h.ID()); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Cancel(%d) of a forgotten job: err = %v, want ErrNotFound", h.ID(), err)
 		}
-		if s.Submitted(h.ID()) != nil {
-			t.Fatalf("Submitted(%d) still returns the forgotten job", h.ID())
-		}
 	}
 	if st := handles[0].Status(); st.State != StateDone {
 		t.Fatalf("held handle to a forgotten job reports %v, want done", st.State)

@@ -519,12 +519,7 @@ func (s *Scheduler) Cancel(id uint64) error {
 	}
 	switch rec.state {
 	case StateQueued:
-		for i, q := range s.queue {
-			if q == rec {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
+		s.queue = slices.DeleteFunc(s.queue, func(q *record) bool { return q == rec })
 		s.cancelQueuedLocked(rec)
 		s.dispatchLocked()
 		s.cond.Broadcast()
@@ -583,19 +578,6 @@ func (s *Scheduler) Job(id uint64) (JobStatus, error) {
 		return JobStatus{}, ErrNotFound
 	}
 	return rec.snapshotLocked(s.clock.Now()), nil
-}
-
-// Submitted returns the job object submitted under the given ID, or nil
-// for an unknown ID. This table is the daemon's only index of jobs by
-// ID: per-job state that outlives a request (a cached plan) lives on
-// the job object and is reached through here.
-func (s *Scheduler) Submitted(id uint64) Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		return rec.job
-	}
-	return nil
 }
 
 // Jobs returns snapshots of all jobs in submission order.

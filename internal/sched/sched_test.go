@@ -385,14 +385,6 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if err := s.Cancel(9999); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Cancel(9999) = %v, want ErrNotFound", err)
 	}
-	// The job table outlives the run: the submitted object stays
-	// reachable by ID after a terminal state, unknown IDs give nil.
-	if got := s.Submitted(ha.ID()); got != Job(a) {
-		t.Fatalf("Submitted(%d) = %v, want job a", ha.ID(), got)
-	}
-	if got := s.Submitted(9999); got != nil {
-		t.Fatalf("Submitted(9999) = %v, want nil", got)
-	}
 }
 
 func TestJobPanicBecomesFailure(t *testing.T) {

@@ -1,14 +1,17 @@
 #!/bin/sh
 # Code layout of the benchmark's two binaries: the address, and the
 # address mod 64, of the host meter's compute kernel
-# (main.(*hostMeter).sample, f3dbench only) and of the served f3d
-# kernels (sweepLineModeTuned, rhsPassJK, loadLine, fillPlane; in both).
+# (main.(*hostMeter).sample, f3dbench only), of the served f3d kernels
+# (sweepLineModeTuned, rhsPassJK, loadLine, fillPlane) and of parloop's
+# two polling loops (poll, the helpers' wait for a region, and
+# (*barrier).wait; in both).
 #
 # Where the linker places a hot loop relative to a 64-byte boundary
 # moves its speed: on a 2-core x86-64 host the host meter reads ≈ 5.8 ms
 # at address mod 64 = 0 and ≈ 8.5 ms at 32, and the served kernels move
-# serve_* the same way. Any size change in a package linked below them
-# (sched, model, euler, and f3d's own first functions) can shift them,
+# serve_* the same way, and so do the polling loops that start a region's
+# helpers. Any size change in a package linked below them (model, obs,
+# sched, euler, and f3d's own first functions) can shift them,
 # so compare the two sides of a parent/change benchmark pair here before
 # trusting its ratios.
 #
@@ -26,7 +29,7 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
     echo "usage: lint/layout.sh DIR [DIR2]" >&2
     exit 2
 fi
-kernels='repro/internal/f3d.sweepLineModeTuned repro/internal/f3d.rhsPassJK repro/internal/f3d.loadLine repro/internal/f3d.(*ZoneState).fillPlane'
+kernels='repro/internal/parloop.poll repro/internal/parloop.(*barrier).wait repro/internal/f3d.sweepLineModeTuned repro/internal/f3d.rhsPassJK repro/internal/f3d.loadLine repro/internal/f3d.(*ZoneState).fillPlane'
 
 # layout DIR prints "binary symbol address mod64" for every watched
 # symbol, with "- -" for a missing one.
