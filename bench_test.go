@@ -380,32 +380,6 @@ func BenchmarkExample4(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: scheduling policies on a ragged (triangular) workload.
-
-func BenchmarkSchedules(b *testing.B) {
-	const n = 2048
-	team := parloop.NewTeam(runtime.GOMAXPROCS(0))
-	defer team.Close()
-	var sink atomic.Int64
-	ragged := func(lo, hi int) {
-		s := int64(0)
-		for i := lo; i < hi; i++ {
-			for k := 0; k < i; k++ { // cost grows with index
-				s += int64(k)
-			}
-		}
-		sink.Add(s)
-	}
-	for _, sched := range []parloop.Schedule{parloop.Static, parloop.StaticCyclic, parloop.Dynamic, parloop.Guided} {
-		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				team.ForSched(n, sched, 32, ragged)
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Ablation: parallelizing the boundary-condition loops vs leaving them
 // serial (the paper's §3 trade-off).
 

@@ -1,11 +1,10 @@
 // Command checktool runs the correctness-verification subsystem from
 // the command line: the differential conformance harness (every
-// registered kernel over the {schedule} × {team size} × {chunk} ×
-// {mid-run resize} matrix, compared against its serial reference) and
-// the dynamic loop-dependence checker (shipped kernels' tracked
-// variants must be race-free). The matrix always includes an adaptive
-// column: every kernel also runs under a seeded script that re-picks
-// schedule, chunk and team size at step boundaries.
+// registered kernel on teams of each -teams size, plus a mid-run
+// Team.Resize cell per size above one for multi-step kernels, compared
+// against its serial reference and rerun for bitwise reproducibility)
+// and the dynamic loop-dependence checker (shipped kernels' tracked
+// variants must be race-free).
 //
 // With -selftest it also verifies the machinery bites: the
 // deliberately seeded loop-carried dependence must fail the harness
@@ -13,8 +12,8 @@
 //
 // Usage:
 //
-//	checktool [-teams 1,2,3,4,6,8] [-chunks 1,3,16] [-resize]
-//	          [-deps] [-depworkers 4] [-kernel substr] [-selftest] [-v]
+//	checktool [-teams 1,2,3,4,6,8] [-deps] [-depworkers 4]
+//	          [-kernel substr] [-selftest] [-v]
 //
 // Exit status 0 when every obligation holds, 1 otherwise.
 package main
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,8 +38,6 @@ func run(out, errw io.Writer, args []string) int {
 	fs := flag.NewFlagSet("checktool", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	teams := fs.String("teams", "1,2,3,4,6,8", "comma-separated team sizes")
-	chunks := fs.String("chunks", "1,3,16", "comma-separated chunk sizes for the chunked schedules")
-	resize := fs.Bool("resize", true, "include the mid-run Team.Resize column for multi-step kernels")
 	deps := fs.Bool("deps", true, "run the dynamic loop-dependence checker over the tracked kernels")
 	depWorkers := fs.Int("depworkers", 4, "team size for the dependence checker")
 	kernel := fs.String("kernel", "", "run only kernels whose name contains this substring")
@@ -49,14 +47,9 @@ func run(out, errw io.Writer, args []string) int {
 		return 2
 	}
 
-	m := check.Matrix{Resize: *resize, Adaptive: true}
-	var err error
-	if m.TeamSizes, err = parseInts(*teams); err != nil {
+	teamSizes, err := parseInts(*teams)
+	if err != nil {
 		fmt.Fprintf(errw, "checktool: -teams: %v\n", err)
-		return 2
-	}
-	if m.Chunks, err = parseInts(*chunks); err != nil {
-		fmt.Fprintf(errw, "checktool: -chunks: %v\n", err)
 		return 2
 	}
 
@@ -76,13 +69,13 @@ func run(out, errw io.Writer, args []string) int {
 	}
 	if *verbose {
 		for _, k := range kernels {
-			fmt.Fprintf(out, "kernel %-20s n=%d steps=%d maxulps=%d schedules=%d tracked=%v\n",
-				k.Name, k.N, k.Steps, k.MaxULPs, len(k.Schedules), k.Tracked != nil)
+			fmt.Fprintf(out, "kernel %-20s n=%d steps=%d maxulps=%d tracked=%v\n",
+				k.Name, k.N, k.Steps, k.MaxULPs, k.Tracked != nil)
 		}
 	}
 
 	failed := false
-	rep := check.Run(kernels, m)
+	rep := check.Run(kernels, teamSizes)
 	fmt.Fprint(out, rep)
 	if !rep.OK() {
 		failed = true
@@ -102,7 +95,7 @@ func run(out, errw io.Writer, args []string) int {
 		}
 	}
 
-	if *selftest && !runSelftest(out, m, *depWorkers) {
+	if *selftest && !runSelftest(out, teamSizes, *depWorkers) {
 		failed = true
 	}
 
@@ -117,17 +110,12 @@ func run(out, errw io.Writer, args []string) int {
 // runSelftest proves the machinery has teeth: the seeded loop-carried
 // dependence must fail the conformance harness on some multi-worker
 // cell and be flagged by the dependence checker.
-func runSelftest(out io.Writer, m check.Matrix, depWorkers int) bool {
+func runSelftest(out io.Writer, teamSizes []int, depWorkers int) bool {
 	seeded := []check.Kernel{check.SeededDependence()}
 	ok := true
 
-	rep := check.Run(seeded, m)
-	multi := false
-	for _, w := range m.TeamSizes {
-		if w > 1 {
-			multi = true
-		}
-	}
+	rep := check.Run(seeded, teamSizes)
+	multi := slices.ContainsFunc(teamSizes, func(w int) bool { return w > 1 })
 	if rep.OK() && multi {
 		fmt.Fprintln(out, "selftest: conformance harness MISSED the seeded dependence")
 		ok = false

@@ -10,7 +10,7 @@ import (
 // the dependence scan, and the tool exits 0.
 func TestRunCleanRegistry(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run(&out, &errw, []string{"-teams", "1,2,3", "-chunks", "1,5", "-depworkers", "3"})
+	code := run(&out, &errw, []string{"-teams", "1,2,3", "-depworkers", "3"})
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, errw.String(), out.String())
 	}
@@ -27,7 +27,7 @@ func TestRunCleanRegistry(t *testing.T) {
 func TestRunSelftest(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run(&out, &errw, []string{
-		"-teams", "1,2", "-chunks", "1", "-kernel", "saxpy", "-selftest",
+		"-teams", "1,2", "-kernel", "saxpy", "-selftest",
 	})
 	if code != 0 {
 		t.Fatalf("exit %d, stdout:\n%s", code, out.String())
@@ -50,7 +50,7 @@ func TestRunKernelFilter(t *testing.T) {
 	}
 	out.Reset()
 	errw.Reset()
-	code := run(&out, &errw, []string{"-teams", "2", "-chunks", "1", "-kernel", "sum-int", "-deps=false", "-v"})
+	code := run(&out, &errw, []string{"-teams", "2", "-kernel", "sum-int", "-deps=false", "-v"})
 	if code != 0 {
 		t.Fatalf("filtered run failed: %s", out.String())
 	}
@@ -67,7 +67,7 @@ func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-teams", "zero"},
 		{"-teams", "0"},
-		{"-chunks", ""},
+		{"-teams", ""},
 		{"-not-a-flag"},
 	} {
 		var out, errw bytes.Buffer

@@ -28,6 +28,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"kind":"adaptive","parallelism":96,"steps":120}`,
 		`{"kind":"bogus"}`, `{"kind":"euler","bogus":1}`, `{"timeout_sec":-1,"kind":"euler"}`,
 		`{"kind":"f3d","dims":"6x5x4","timeout_sec":1e10}`,
+		`{"kind":"f3d","dims":"6x5x4","pulse":-2}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -61,6 +62,9 @@ func FuzzSubmitRequest(f *testing.F) {
 		if strings.EqualFold(req.Kind, "synthetic") &&
 			(req.SyncEvents > maxParallelism || req.WorkCycles*req.WorkScale >= maxSpin || req.SerialCycles*req.WorkScale >= maxSpin) {
 			t.Fatalf("accepted synthetic job past its bounds: %+v", req)
+		}
+		if strings.EqualFold(req.Kind, "f3d") && !(req.Pulse > -1) {
+			t.Fatalf("accepted f3d pulse %v: the pulse centre's density is not positive", req.Pulse)
 		}
 	})
 }

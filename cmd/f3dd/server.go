@@ -212,7 +212,11 @@ func buildJob(req *submitRequest) (sched.Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		return f3d.NewJob(req.Name, f3d.DefaultConfig(grid.Single(j, k, l)), req.Steps, req.Pulse)
+		job, err := f3d.NewJob(req.Name, f3d.DefaultConfig(grid.Single(j, k, l)), req.Steps, req.Pulse)
+		if err != nil {
+			return nil, err // not a typed-nil sched.Job
+		}
+		return job, nil
 	case "euler":
 		if req.Points == 0 {
 			req.Points = 1024

@@ -272,6 +272,10 @@ func TestBadRequestsOverHTTP(t *testing.T) {
 		{"bad points", map[string]any{"kind": "euler", "points": maxPoints + 1}},
 		// The trace-driven planner is gone: plan_from is an unknown field.
 		{"retired plan_from", map[string]any{"kind": "f3d", "dims": "6x5x4", "plan_from": 1}},
+		// At pulse <= -1 the pulse centre's density rho*(1+pulse) is not
+		// positive: the job would fail in the solver after taking a grant.
+		{"pulse -1", map[string]any{"kind": "f3d", "dims": "17x13x11", "pulse": -1}},
+		{"pulse -2", map[string]any{"kind": "f3d", "dims": "6x5x4", "pulse": -2}},
 	}
 	for _, tc := range cases {
 		var errBody map[string]string

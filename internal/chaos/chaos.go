@@ -398,7 +398,9 @@ func (m *SyncMem) Data() []float64 {
 // owns without a barrier between them — the loop-carried dependence
 // internal/check's Tracker flags when m is a tracked array.
 func RacyStep(t *parloop.Team, m Mem, n int) {
-	t.ForSchedW(n, parloop.Static, 0, func(w, lo, hi int) {
+	t.Region(func(ctx *parloop.WorkerCtx) {
+		w := ctx.ID()
+		lo, hi := ctx.Range(n)
 		for i := lo; i < hi; i++ {
 			v := 1.0
 			if i > 0 {

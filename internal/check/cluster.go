@@ -15,8 +15,7 @@ import (
 // must reproduce the single-node residual history bitwise — and must
 // keep reproducing it when a worker dies mid-solve and the engine
 // fails over. The matrix's team-size axis is reinterpreted as the
-// worker-daemon count; schedules do not apply (the shard plan is the
-// plateau rule). The shards run the production (tuned) kernels serially
+// worker-daemon count (the shard plan is the plateau rule). The shards run the production (tuned) kernels serially
 // inside each worker while the single-node reference runs the scalar
 // kernels, so the cells prove the distributed tuned solve against
 // scalar-serial bits.

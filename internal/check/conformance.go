@@ -8,42 +8,23 @@ import (
 	"repro/internal/parloop"
 )
 
-// AllSchedules is the full schedule axis of the conformance matrix.
-var AllSchedules = []parloop.Schedule{
-	parloop.Static, parloop.StaticCyclic, parloop.Dynamic, parloop.Guided,
-}
-
 // Spec is one conformance run's parameters, handed to a kernel's
 // Parallel function.
 type Spec struct {
 	// N is the problem size.
 	N int
-	// Sched and Chunk select the loop schedule. Kernels whose
-	// parallel structure is fixed (the f3d solver partitions
-	// statically inside) may ignore them.
-	Sched parloop.Schedule
-	Chunk int
 	// StepHook, if non-nil, must be called by multi-step kernels
 	// between fork-join regions, once per step. The driver uses it to
 	// apply mid-run Team.Resize exactly where the scheduler would: at
 	// a step boundary.
 	StepHook func(step int)
-	// AdaptHook, if non-nil, runs after StepHook with the spec itself:
-	// the adaptive column's script retargets Sched and Chunk here (and
-	// resizes the team), so the next region runs under a new
-	// configuration — the mid-flight re-pick whose conformance the
-	// adaptive matrix column proves.
-	AdaptHook func(step int, spec *Spec)
 }
 
-// Step invokes the spec's step hooks, if any. Kernels with Steps > 0
+// Step invokes the spec's step hook, if any. Kernels with Steps > 0
 // call it before each step's parallel region.
 func (s *Spec) Step(step int) {
 	if s.StepHook != nil {
 		s.StepHook(step)
-	}
-	if s.AdaptHook != nil {
-		s.AdaptHook(step, s)
 	}
 }
 
@@ -63,12 +44,8 @@ type Kernel struct {
 	// reference: 0 demands bitwise identity (order-invariant kernels:
 	// elementwise maps, max reductions, integer-valued sums, the f3d
 	// solver), a positive bound admits the regrouping error of
-	// floating-point sums under chunked schedules.
+	// floating-point sums across team sizes.
 	MaxULPs uint64
-	// Schedules lists the schedules the kernel honors; nil means the
-	// kernel's parallel structure is fixed and it runs once per team
-	// size (as Static).
-	Schedules []parloop.Schedule
 	// Serial computes the reference output for size n on one thread.
 	Serial func(n int) []float64
 	// Parallel computes the output on the team under the spec.
@@ -79,54 +56,17 @@ type Kernel struct {
 	Tracked func(tk *Tracker, t *parloop.Team, n int) []float64
 }
 
-// Matrix is the conformance test matrix.
-type Matrix struct {
-	// TeamSizes is the team-size axis.
-	TeamSizes []int
-	// Chunks is the chunk-size axis for the chunked schedules.
-	Chunks []int
-	// Resize adds a column where the team is resized between steps
-	// (multi-step kernels only).
-	Resize bool
-	// Adaptive adds a column where every kernel runs under a seeded
-	// script (adaptScript): the initial {schedule, chunk} is the
-	// script's first pick and, for multi-step kernels, every step
-	// boundary re-picks schedule, chunk and team size per the script.
-	// Conformance vs. serial must survive all of it.
-	Adaptive bool
-}
-
-// DefaultMatrix covers team sizes through 8 (including sizes that do
-// not divide typical loop counts), three chunk sizes, mid-run resizes
-// and the adaptive column.
-func DefaultMatrix() Matrix {
-	return Matrix{
-		TeamSizes: []int{1, 2, 3, 4, 6, 8},
-		Chunks:    []int{1, 3, 16},
-		Resize:    true,
-		Adaptive:  true,
-	}
-}
-
-// Case identifies one cell of the matrix.
+// Case identifies one cell of the matrix: a team size, and whether the
+// team is resized between steps.
 type Case struct {
 	Workers int
-	Sched   parloop.Schedule
-	Chunk   int
 	Resized bool
-	// Adaptive marks a scripted cell; Seed is its script
-	// seed (Sched and Chunk then record the script's first pick).
-	Adaptive bool
-	Seed     int64
 }
 
 func (c Case) String() string {
-	s := fmt.Sprintf("workers=%d sched=%v chunk=%d", c.Workers, c.Sched, c.Chunk)
+	s := fmt.Sprintf("workers=%d", c.Workers)
 	if c.Resized {
 		s += " resize"
-	}
-	if c.Adaptive {
-		s += fmt.Sprintf(" adaptive(seed=%d)", c.Seed)
 	}
 	return s
 }
@@ -178,69 +118,47 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Run executes every kernel over the matrix and returns the report.
-// The serial reference is computed once per kernel and size; each
-// failing cell is shrunk to a minimized repro case.
-func Run(kernels []Kernel, m Matrix) *Report {
+// Run executes every kernel on teams of each of the given sizes and
+// returns the report. Every multi-step kernel also gets a resize cell
+// per team size above one. The serial reference is computed once per
+// kernel and size; each failing cell is shrunk to a minimized repro
+// case.
+func Run(kernels []Kernel, teams []int) *Report {
 	rep := &Report{}
 	for _, k := range kernels {
 		rep.Kernels++
-		cases, fails := runKernel(k, m)
+		cases, fails := runKernel(k, teams)
 		rep.Cases += cases
 		rep.Failures = append(rep.Failures, fails...)
 	}
 	return rep
 }
 
-func runKernel(k Kernel, m Matrix) (cases int, fails []Failure) {
+func runKernel(k Kernel, teams []int) (cases int, fails []Failure) {
 	ref := k.Serial(k.N)
-	scheds := k.Schedules
-	if len(scheds) == 0 {
-		scheds = []parloop.Schedule{parloop.Static}
-	}
-	for _, workers := range m.TeamSizes {
+	for _, workers := range teams {
 		team := parloop.NewTeam(workers)
-		for _, sched := range scheds {
-			chunks := m.Chunks
-			if sched == parloop.Static || len(chunks) == 0 {
-				chunks = []int{1} // Static ignores the chunk size
-			}
-			for _, chunk := range chunks {
-				variants := []bool{false}
-				if m.Resize && k.Steps > 0 && workers > 1 {
-					variants = append(variants, true)
-				}
-				for _, resized := range variants {
-					cases++
-					c := Case{Workers: workers, Sched: sched, Chunk: chunk, Resized: resized}
-					if f, ok := runCase(k, c, team, k.N, ref); !ok {
-						fails = append(fails, minimize(k, c, f))
-						continue
-					}
-					// Reruns under the deterministic schedules must
-					// reproduce bit-for-bit — the property the paper
-					// relies on for debugging parallel runs.
-					if sched == parloop.Static || sched == parloop.StaticCyclic {
-						out1 := runParallel(k, c, team, k.N)
-						out2 := runParallel(k, c, team, k.N)
-						if idx, ok := firstBitDiff(out1, out2); !ok {
-							detail := "nondeterministic rerun: output length changed"
-							if idx >= 0 {
-								detail = fmt.Sprintf("nondeterministic rerun at out[%d]: %v vs %v", idx, out1[idx], out2[idx])
-							}
-							fails = append(fails, Failure{Kernel: k.Name, Case: c, N: k.N, Detail: detail})
-						}
-					}
-				}
-			}
+		variants := []bool{false}
+		if k.Steps > 0 && workers > 1 {
+			variants = append(variants, true)
 		}
-		// The adaptive column: one cell per team size, schedule and
-		// chunk driven by the script instead of the axes.
-		if m.Adaptive {
+		for _, resized := range variants {
 			cases++
-			c := adaptiveCase(k, workers)
+			c := Case{Workers: workers, Resized: resized}
 			if f, ok := runCase(k, c, team, k.N, ref); !ok {
 				fails = append(fails, minimize(k, c, f))
+				continue
+			}
+			// Reruns must reproduce bit-for-bit — the property the
+			// paper relies on for debugging parallel runs.
+			out1 := runParallel(k, c, team, k.N)
+			out2 := runParallel(k, c, team, k.N)
+			if idx, ok := firstBitDiff(out1, out2); !ok {
+				detail := "nondeterministic rerun: output length changed"
+				if idx >= 0 {
+					detail = fmt.Sprintf("nondeterministic rerun at out[%d]: %v vs %v", idx, out1[idx], out2[idx])
+				}
+				fails = append(fails, Failure{Kernel: k.Name, Case: c, N: k.N, Detail: detail})
 			}
 		}
 		team.Close()
@@ -248,73 +166,11 @@ func runKernel(k Kernel, m Matrix) (cases int, fails []Failure) {
 	return cases, fails
 }
 
-// adaptiveCase builds the scripted cell for a kernel at a
-// team size. The seed is a stable hash of the kernel name and team
-// size, so every kernel explores a different but reproducible decision
-// path.
-func adaptiveCase(k Kernel, workers int) Case {
-	seed := int64(1469598103934665603) // FNV-1a offset basis
-	for _, b := range []byte(k.Name) {
-		seed = (seed ^ int64(b)) * 1099511628211
-	}
-	seed ^= int64(workers) * 0x9e3779b9
-	script := adaptScript(k, workers, seed)
-	return Case{
-		Workers:  workers,
-		Sched:    script[0].Sched,
-		Chunk:    script[0].Chunk,
-		Adaptive: true,
-		Seed:     seed,
-	}
-}
-
-// choice is one step of an adaptive cell's script: the schedule, chunk
-// and team size the next region runs under.
-type choice struct {
-	Sched   parloop.Schedule
-	Chunk   int
-	Workers int
-}
-
-// adaptScript returns an adaptive cell's per-step picks: a seeded
-// splitmix64 walk over the kernel's legal schedules, the matrix chunks
-// and team sizes 1..workers. Step 0 runs on the cell's whole team; every
-// later step moves to a different {schedule, chunk} pair and draws a
-// fresh team size, so each step boundary re-picks what a runtime
-// controller could.
-func adaptScript(k Kernel, workers int, seed int64) []choice {
-	scheds := k.Schedules
-	if len(scheds) == 0 {
-		scheds = []parloop.Schedule{parloop.Static}
-	}
-	chunks := DefaultMatrix().Chunks
-	pairs := len(scheds) * len(chunks)
-	state := uint64(seed)
-	next := func(n int) int {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		return int((z ^ z>>31) % uint64(n))
-	}
-	pair := next(pairs)
-	script := make([]choice, max(k.Steps, 1))
-	for s := range script {
-		w := workers
-		if s > 0 {
-			pair = (pair + 1 + next(pairs-1)) % pairs
-			w = 1 + next(workers)
-		}
-		script[s] = choice{Sched: scheds[pair/len(chunks)], Chunk: chunks[pair%len(chunks)], Workers: w}
-	}
-	return script
-}
-
 // runParallel executes one parallel run of the kernel for the case,
 // wiring the resize cycle through the step hook and restoring the team
 // size afterwards.
 func runParallel(k Kernel, c Case, team *parloop.Team, n int) []float64 {
-	spec := Spec{N: n, Sched: c.Sched, Chunk: c.Chunk}
+	spec := Spec{N: n}
 	if c.Resized {
 		// Cycle the team through shrink, grow and restore at step
 		// boundaries — the resize pattern a space-sharing scheduler
@@ -322,21 +178,6 @@ func runParallel(k Kernel, c Case, team *parloop.Team, n int) []float64 {
 		sizes := []int{1, c.Workers + 2, maxInt(1, c.Workers-1), c.Workers}
 		spec.StepHook = func(step int) {
 			team.Resize(sizes[step%len(sizes)])
-		}
-	}
-	if c.Adaptive {
-		// Replay the script: the initial pick is the
-		// script's first choice (already in c.Sched/c.Chunk via
-		// adaptiveCase) and each step boundary re-picks schedule,
-		// chunk and — when the team is resizable mid-run — team size.
-		script := adaptScript(k, c.Workers, c.Seed)
-		spec.Sched, spec.Chunk = script[0].Sched, script[0].Chunk
-		spec.AdaptHook = func(step int, sp *Spec) {
-			ch := script[step%len(script)]
-			sp.Sched, sp.Chunk = ch.Sched, ch.Chunk
-			if k.Steps > 0 && team.Workers() != ch.Workers {
-				team.Resize(ch.Workers)
-			}
 		}
 	}
 	out := k.Parallel(team, spec)

@@ -9,13 +9,12 @@ import (
 )
 
 // TestRegistryPassesReducedMatrix runs every shipped kernel over a
-// reduced matrix (the full DefaultMatrix runs in CI via checktool).
-// Team size 5 divides none of the kernel sizes, so remainder handling
-// is on the path; Resize exercises mid-run team changes at step
+// reduced matrix (the full one runs in CI via checktool). Team size 5
+// divides none of the kernel sizes, so remainder handling is on the
+// path; the resize cells exercise mid-run team changes at step
 // boundaries.
 func TestRegistryPassesReducedMatrix(t *testing.T) {
-	m := Matrix{TeamSizes: []int{1, 2, 3, 5}, Chunks: []int{1, 5}, Resize: true}
-	rep := Run(Registry(), m)
+	rep := Run(Registry(), []int{1, 2, 3, 5})
 	if !rep.OK() {
 		t.Fatalf("conformance failures:\n%s", rep)
 	}
@@ -32,8 +31,7 @@ func TestRegistryPassesReducedMatrix(t *testing.T) {
 // repro to the smallest failing configuration.
 func TestSeededDependenceCaughtAndMinimized(t *testing.T) {
 	k := SeededDependence()
-	m := Matrix{TeamSizes: []int{1, 2, 4}, Chunks: []int{1}}
-	rep := Run([]Kernel{k}, m)
+	rep := Run([]Kernel{k}, []int{1, 2, 4})
 	if rep.OK() {
 		t.Fatal("seeded loop-carried dependence passed the harness")
 	}
@@ -76,7 +74,7 @@ func TestLengthMismatchReported(t *testing.T) {
 			return make([]float64, spec.N-1)
 		},
 	}
-	rep := Run([]Kernel{k}, Matrix{TeamSizes: []int{2}})
+	rep := Run([]Kernel{k}, []int{2})
 	if rep.OK() {
 		t.Fatal("length mismatch not reported")
 	}
@@ -85,16 +83,14 @@ func TestLengthMismatchReported(t *testing.T) {
 	}
 }
 
-// TestNondeterministicRerunCaught: under the deterministic schedules
-// (Static, StaticCyclic) the harness reruns each cell and demands
-// bit-identical output — the reproducibility the paper relies on for
-// debugging parallel runs.
+// TestNondeterministicRerunCaught: the harness reruns each cell and
+// demands bit-identical output — the reproducibility the paper relies
+// on for debugging parallel runs.
 func TestNondeterministicRerunCaught(t *testing.T) {
 	calls := 0
 	k := Kernel{
 		Name: "flaky", N: 8, MinN: 1,
-		Schedules: []parloop.Schedule{parloop.Static},
-		Serial:    func(n int) []float64 { return []float64{1} },
+		Serial: func(n int) []float64 { return []float64{1} },
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			calls++
 			if calls == 1 {
@@ -103,7 +99,7 @@ func TestNondeterministicRerunCaught(t *testing.T) {
 			return []float64{float64(calls)} // ...then drifts per call
 		},
 	}
-	rep := Run([]Kernel{k}, Matrix{TeamSizes: []int{2}})
+	rep := Run([]Kernel{k}, []int{2})
 	if rep.OK() {
 		t.Fatal("nondeterministic rerun not caught")
 	}
@@ -124,10 +120,10 @@ func TestULPBoundAdmitsRegrouping(t *testing.T) {
 			},
 		}
 	}
-	if rep := Run([]Kernel{mk(1)}, Matrix{TeamSizes: []int{2}}); !rep.OK() {
+	if rep := Run([]Kernel{mk(1)}, []int{2}); !rep.OK() {
 		t.Errorf("1-ulp error rejected under MaxULPs=1:\n%s", rep)
 	}
-	rep := Run([]Kernel{mk(0)}, Matrix{TeamSizes: []int{2}})
+	rep := Run([]Kernel{mk(0)}, []int{2})
 	if rep.OK() {
 		t.Fatal("1-ulp error accepted under exact comparison")
 	}
@@ -186,12 +182,12 @@ func TestResizeVariantResizesTheTeam(t *testing.T) {
 			for s := 0; s < 4; s++ {
 				spec.Step(s)
 				seen[t.Workers()] = true
-				t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {})
+				t.ForChunked(spec.N, func(lo, hi int) {})
 			}
 			return out
 		},
 	}
-	rep := Run([]Kernel{k}, Matrix{TeamSizes: []int{4}, Resize: true})
+	rep := Run([]Kernel{k}, []int{4})
 	if !rep.OK() {
 		t.Fatalf("unexpected failures:\n%s", rep)
 	}

@@ -16,11 +16,10 @@ import (
 // cache-tuned solver with one fork-join per phase, the merged
 // (Example 3: parallelize the parent) variant with barriers between
 // phases, and the served configuration — exactly what a kind:"f3d"
-// submission to f3dd runs. The solver partitions its loops statically
-// inside, so the schedule axis does not apply; the team-size and
-// mid-run-resize axes do, and the paper's §5 claim — identical answers
-// and convergence behaviour at every processor count — must hold
-// bitwise over the full residual history and the final flow state.
+// submission to f3dd runs. Over the team-size and mid-run-resize axes
+// the paper's §5 claim — identical answers and convergence behaviour at
+// every processor count — must hold bitwise over the full residual
+// history and the final flow state.
 //
 // The serial reference always runs the scalar kernels
 // (f3d.NewReferenceSolver) while every parallel body runs the tuned
@@ -45,8 +44,8 @@ func f3dKernels() []Kernel {
 	}
 	// The served cell reinterprets the team-size axis as the scheduler's
 	// processor budget (the job's team is whatever plateau the scheduler
-	// grants under it) and the resize and adaptive columns as a
-	// scheduler-driven shrink and regrow of that grant mid-run. n = 10
+	// grants under it) and the resize column as a scheduler-driven
+	// shrink and regrow of that grant mid-run. n = 10
 	// (12×11×10, M = 8) is a case whose work pays for a fork.
 	ks = append(ks, Kernel{
 		Name: "f3d-served", N: 10, MinN: 10, Steps: f3dSteps,
@@ -54,7 +53,7 @@ func f3dKernels() []Kernel {
 			return servedView(runF3DReference(n))
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
-			return runF3DServed(spec.N, t.Workers(), spec.StepHook != nil || spec.AdaptHook != nil)
+			return runF3DServed(spec.N, t.Workers(), spec.StepHook != nil)
 		},
 	})
 	return ks

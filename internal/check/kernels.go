@@ -41,7 +41,7 @@ func inputF64(n int, seed float64) []float64 {
 
 // inputInt fills integer-valued float64 data. Sums of these are exact
 // in float64 (well under 2^53), so any regrouping of the addition —
-// any schedule, any team size — must produce identical bits.
+// any team size — must produce identical bits.
 func inputInt(n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -51,7 +51,7 @@ func inputInt(n int) []float64 {
 }
 
 // saxpyKernel is the paper's Example 1 shape: a single vectorizable
-// loop parallelized directly. Elementwise, so every schedule must be
+// loop parallelized directly. Elementwise, so every team size must be
 // bitwise identical to serial.
 func saxpyKernel() Kernel {
 	const a = 1.25
@@ -62,7 +62,6 @@ func saxpyKernel() Kernel {
 	}
 	return Kernel{
 		Name: "saxpy", N: 4096, MinN: 1,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			x, y := inputF64(n, 1.0), inputF64(n, 2.0)
 			out := make([]float64, n)
@@ -72,7 +71,7 @@ func saxpyKernel() Kernel {
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			x, y := inputF64(spec.N, 1.0), inputF64(spec.N, 2.0)
 			out := make([]float64, spec.N)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
+			t.ForChunked(spec.N, func(lo, hi int) {
 				body(x, y, out, lo, hi)
 			})
 			return out
@@ -81,7 +80,9 @@ func saxpyKernel() Kernel {
 			x := tk.Track("saxpy.x", inputF64(n, 1.0))
 			y := tk.Track("saxpy.y", inputF64(n, 2.0))
 			out := tk.Float64s("saxpy.out", n)
-			t.ForSchedW(n, parloop.Dynamic, 7, func(w, lo, hi int) {
+			t.Region(func(ctx *parloop.WorkerCtx) {
+				w := ctx.ID()
+				lo, hi := ctx.Range(n)
 				for i := lo; i < hi; i++ {
 					out.Store(w, i, a*x.Load(w, i)+y.Load(w, i))
 				}
@@ -93,7 +94,7 @@ func saxpyKernel() Kernel {
 
 // stencilKernel is a multi-step ping-pong Jacobi smoother: each step
 // one parallel region reading the previous buffer and writing the
-// next. Elementwise per step, so exact under every schedule; the step
+// next. Elementwise per step, so exact at every team size; the step
 // structure gives the driver resize boundaries, and the tracked
 // variant proves the cross-step reads are barrier-ordered (a new
 // region per step).
@@ -113,7 +114,6 @@ func stencilKernel() Kernel {
 	}
 	return Kernel{
 		Name: "stencil3", N: 2048, MinN: 1, Steps: steps,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			cur, next := inputF64(n, 3.0), make([]float64, n)
 			for s := 0; s < steps; s++ {
@@ -127,7 +127,7 @@ func stencilKernel() Kernel {
 			cur, next := inputF64(n, 3.0), make([]float64, n)
 			for s := 0; s < steps; s++ {
 				spec.Step(s)
-				t.ForSched(n, spec.Sched, spec.Chunk, func(lo, hi int) {
+				t.ForChunked(n, func(lo, hi int) {
 					stepBody(cur, next, n, lo, hi)
 				})
 				cur, next = next, cur
@@ -138,7 +138,9 @@ func stencilKernel() Kernel {
 			cur := tk.Track("stencil3.a", inputF64(n, 3.0))
 			next := tk.Track("stencil3.b", make([]float64, n))
 			for s := 0; s < steps; s++ {
-				t.ForSchedW(n, parloop.Static, 0, func(w, lo, hi int) {
+				t.Region(func(ctx *parloop.WorkerCtx) {
+					w := ctx.ID()
+					lo, hi := ctx.Range(n)
 					for i := lo; i < hi; i++ {
 						l, r := i-1, i+1
 						if l < 0 {
@@ -183,9 +185,6 @@ func mergedPhasesKernel() Kernel {
 	}
 	return Kernel{
 		Name: "merged-phases", N: 1536, MinN: 1, Steps: steps,
-		// The phases partition with the worker's static range inside
-		// one region; chunked schedules do not apply.
-		Schedules: []parloop.Schedule{parloop.Static},
 		Serial: func(n int) []float64 {
 			a, b := inputF64(n, 4.0), make([]float64, n)
 			for s := 0; s < steps; s++ {
@@ -236,22 +235,20 @@ func mergedPhasesKernel() Kernel {
 	}
 }
 
-// reduceWith runs a schedule-driven reduction: per-worker partials
-// folded over the dealt chunks, merged in ascending worker order. The
-// partition varies with the schedule, so the merge tree varies — which
-// is exactly what the integer kernel proves harmless and the FP kernel
+// reduceWith runs a Static reduction: per-worker partials folded over
+// each worker's range, merged in ascending worker order. The partition
+// varies with the team size, so the merge tree varies — which is
+// exactly what the integer kernel proves harmless and the FP kernel
 // bounds in ULPs.
-func reduceWith(t *parloop.Team, spec Spec, x []float64, identity float64, fold func(acc, v float64) float64) float64 {
+func reduceWith(t *parloop.Team, x []float64, identity float64, fold func(acc, v float64) float64) float64 {
 	partials := make([]float64, t.Workers())
-	for w := range partials {
-		partials[w] = identity
-	}
-	t.ForSchedW(spec.N, spec.Sched, spec.Chunk, func(w, lo, hi int) {
-		acc := partials[w]
+	t.Region(func(ctx *parloop.WorkerCtx) {
+		lo, hi := ctx.Range(len(x))
+		acc := identity
 		for i := lo; i < hi; i++ {
 			acc = fold(acc, x[i])
 		}
-		partials[w] = acc
+		partials[ctx.ID()] = acc
 	})
 	acc := identity
 	for _, p := range partials {
@@ -262,12 +259,11 @@ func reduceWith(t *parloop.Team, spec Spec, x []float64, identity float64, fold 
 
 // sumIntKernel: ordered reduction over integer-valued data. Integer
 // sums are exact in float64, so the result must be bit-identical to
-// the serial fold for every schedule, chunk and team size — the
+// the serial fold for every team size — the
 // "exact for ordered Reduce" cell of the matrix.
 func sumIntKernel() Kernel {
 	return Kernel{
 		Name: "sum-int-exact", N: 4096, MinN: 1,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			acc := 0.0
 			for _, v := range inputInt(n) {
@@ -277,20 +273,19 @@ func sumIntKernel() Kernel {
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			x := inputInt(spec.N)
-			return []float64{reduceWith(t, spec, x, 0, func(a, v float64) float64 { return a + v })}
+			return []float64{reduceWith(t, x, 0, func(a, v float64) float64 { return a + v })}
 		},
 	}
 }
 
-// sumFPKernel: the same reduction over real-valued data. Chunked
-// schedules regroup the additions, so the serial comparison is
+// sumFPKernel: the same reduction over real-valued data. Each team
+// size regroups the additions, so the serial comparison is
 // ULP-bounded rather than exact; the bound still catches lost or
 // double-counted chunks outright (those move the sum by far more).
 func sumFPKernel() Kernel {
 	return Kernel{
 		Name: "sum-fp-ulp", N: 4096, MinN: 1,
-		MaxULPs:   1 << 16,
-		Schedules: AllSchedules,
+		MaxULPs: 1 << 16,
 		Serial: func(n int) []float64 {
 			acc := 0.0
 			for _, v := range inputF64(n, 5.0) {
@@ -300,13 +295,13 @@ func sumFPKernel() Kernel {
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			x := inputF64(spec.N, 5.0)
-			return []float64{reduceWith(t, spec, x, 0, func(a, v float64) float64 { return a + v })}
+			return []float64{reduceWith(t, x, 0, func(a, v float64) float64 { return a + v })}
 		},
 	}
 }
 
 // dotKernel: a two-array FP reduction (the residual-norm shape of the
-// solvers), ULP-bounded like sumFP.
+// solvers, summed by parloop.SumFloat64), ULP-bounded like sumFP.
 func dotKernel() Kernel {
 	gen := func(n int) (x, y []float64) {
 		x = inputF64(n, 6.0)
@@ -318,8 +313,7 @@ func dotKernel() Kernel {
 	}
 	return Kernel{
 		Name: "dot-ulp", N: 4096, MinN: 1,
-		MaxULPs:   1 << 16,
-		Schedules: AllSchedules,
+		MaxULPs: 1 << 16,
 		Serial: func(n int) []float64 {
 			x, y := gen(n)
 			acc := 0.0
@@ -330,30 +324,17 @@ func dotKernel() Kernel {
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			x, y := gen(spec.N)
-			partials := make([]float64, t.Workers())
-			t.ForSchedW(spec.N, spec.Sched, spec.Chunk, func(w, lo, hi int) {
-				acc := partials[w]
-				for i := lo; i < hi; i++ {
-					acc += x[i] * y[i]
-				}
-				partials[w] = acc
-			})
-			acc := 0.0
-			for _, p := range partials {
-				acc += p
-			}
-			return []float64{acc}
+			return []float64{parloop.SumFloat64(t, spec.N, func(i int) float64 { return x[i] * y[i] })}
 		},
 	}
 }
 
 // maxKernel: a max reduction. Max is insensitive to grouping (the
-// result is one of the inputs), so every schedule must be bitwise
+// result is one of the inputs), so every team size must be bitwise
 // identical to serial — no ULP allowance.
 func maxKernel() Kernel {
 	return Kernel{
 		Name: "max-exact", N: 4096, MinN: 1,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			acc := math.Inf(-1)
 			for _, v := range inputF64(n, 7.0) {
@@ -365,7 +346,7 @@ func maxKernel() Kernel {
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			x := inputF64(spec.N, 7.0)
-			return []float64{reduceWith(t, spec, x, math.Inf(-1), math.Max)}
+			return []float64{reduceWith(t, x, math.Inf(-1), math.Max)}
 		},
 	}
 }
@@ -373,7 +354,7 @@ func maxKernel() Kernel {
 // eulerPointKernel sweeps the euler package's per-point kernels —
 // directional eigensystem, flux and spectral radius — over a batch of
 // varied physical states, writing a per-point checksum. Pure per-point
-// arithmetic: exact under every schedule.
+// arithmetic: exact at every team size.
 func eulerPointKernel() Kernel {
 	kx, ky, kz := 1/math.Sqrt(3), 1/math.Sqrt(3), 1/math.Sqrt(3)
 	point := func(i, n int) float64 {
@@ -395,7 +376,6 @@ func eulerPointKernel() Kernel {
 	}
 	return Kernel{
 		Name: "euler-point", N: 1024, MinN: 1,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			out := make([]float64, n)
 			for i := range out {
@@ -405,7 +385,7 @@ func eulerPointKernel() Kernel {
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			out := make([]float64, spec.N)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
+			t.ForChunked(spec.N, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = point(i, spec.N)
 				}
@@ -426,12 +406,11 @@ func eulerPointKernel() Kernel {
 // detector. The Tracked variant commits the true cross-worker
 // recurrence through lock-synchronized shadow memory; the dependence
 // checker must flag it on every execution, whatever the interleaving —
-// the case `go test -race` misses when the schedule happens not to
+// the case `go test -race` misses when the workers happen not to
 // interleave. It is not part of Registry.
 func SeededDependence() Kernel {
 	return Kernel{
 		Name: "seeded-loop-carried", N: 1024, MinN: 2,
-		Schedules: []parloop.Schedule{parloop.Static},
 		Serial: func(n int) []float64 {
 			a := make([]float64, n)
 			for i := 0; i < n; i++ {
@@ -446,7 +425,7 @@ func SeededDependence() Kernel {
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			prev := make([]float64, spec.N) // stale snapshot: all zeros
 			a := make([]float64, spec.N)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
+			t.ForChunked(spec.N, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := 1.0
 					if i == lo && i > 0 {
@@ -461,7 +440,9 @@ func SeededDependence() Kernel {
 		},
 		Tracked: func(tk *Tracker, t *parloop.Team, n int) []float64 {
 			a := tk.Float64s("seeded.a", n)
-			t.ForSchedW(n, parloop.Static, 0, func(w, lo, hi int) {
+			t.Region(func(ctx *parloop.WorkerCtx) {
+				w := ctx.ID()
+				lo, hi := ctx.Range(n)
 				for i := lo; i < hi; i++ {
 					v := 1.0
 					if i > 0 {

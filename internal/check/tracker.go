@@ -8,11 +8,10 @@
 //   - The differential conformance harness (conformance.go) runs every
 //     registered kernel — f3d solver steps, euler sweeps, reductions,
 //     the paper's Example 1–3 loop structures — across the full matrix
-//     of {Schedule} × {team size} × {mid-run Resize} and compares the
-//     output against the serial reference: bitwise for order-invariant
-//     kernels, ULP-bounded where regrouping legitimately reorders
-//     floating-point sums. Failures are shrunk to minimized repro
-//     cases.
+//     of {team size} × {mid-run Resize} and compares the output against
+//     the serial reference: bitwise for order-invariant kernels,
+//     ULP-bounded where regrouping legitimately reorders floating-point
+//     sums. Failures are shrunk to minimized repro cases.
 //
 //   - The dynamic loop-dependence checker (this file) is a
 //     happens-before race detector specialized to the fork-join/
@@ -22,7 +21,7 @@
 //     from different workers in the same epoch — at least one a write
 //     — are a loop-carried dependence that the C$doacross-style
 //     parallelization missed. Unlike go test -race, detection does not
-//     depend on the racy schedule actually interleaving: any execution
+//     depend on the racy workers actually interleaving: any execution
 //     of the racy loop is flagged.
 package check
 
@@ -179,9 +178,8 @@ type cell struct {
 const trackShards = 64
 
 // TrackedF64 is a dependence-instrumented float64 array. Every access
-// names the worker performing it (parloop.Team.ForSchedW and
-// WorkerCtx.ID supply the index); serial code between regions accesses
-// as worker 0.
+// names the worker performing it (WorkerCtx.ID supplies the index);
+// serial code between regions accesses as worker 0.
 type TrackedF64 struct {
 	tk    *Tracker
 	name  string

@@ -163,15 +163,19 @@ func TestJoinOrdersConflict(t *testing.T) {
 	defer team.Close()
 	tk := NewTracker(team, 0)
 	a := tk.Float64s("a", 64)
-	team.ForSchedW(64, parloop.Static, 0, func(w, lo, hi int) {
+	team.Region(func(ctx *parloop.WorkerCtx) {
+		w := ctx.ID()
+		lo, hi := ctx.Range(64)
 		for i := lo; i < hi; i++ {
 			a.Store(w, i, float64(i))
 		}
 	})
 	var sums [3]float64
-	team.ForSchedW(64, parloop.StaticCyclic, 5, func(w, lo, hi int) {
+	team.Region(func(ctx *parloop.WorkerCtx) {
+		w := ctx.ID()
+		lo, hi := ctx.Range(64)
 		for i := lo; i < hi; i++ {
-			sums[w] += a.Load(w, i) // different partition: cross-worker reads
+			sums[w] += a.Load(w, 63-i) // mirrored partition: cross-worker reads
 		}
 	})
 	if races := tk.Races(); len(races) != 0 {
@@ -196,9 +200,10 @@ func TestTrackerResetClearsState(t *testing.T) {
 	}
 	// A clean run after Reset stays clean (shadow cells were cleared,
 	// so the pre-Reset writes cannot conflict with new accesses).
-	team.ForSchedW(4, parloop.Static, 0, func(w, lo, hi int) {
+	team.Region(func(ctx *parloop.WorkerCtx) {
+		lo, hi := ctx.Range(4)
 		for i := lo; i < hi; i++ {
-			a.Store(w, i, 2)
+			a.Store(ctx.ID(), i, 2)
 		}
 	})
 	if races := tk.Races(); len(races) != 0 {

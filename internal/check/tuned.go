@@ -25,11 +25,10 @@ func tunedKernels() []Kernel {
 // perItemKernel is the shape the next three kernels share: n
 // independent items of per outputs each, item i computed by the scalar
 // reference form in the serial run and by the tuned form, dealt to the
-// team by the schedule, in the parallel one. Bitwise.
+// team Static, in the parallel one. Bitwise.
 func perItemKernel(name string, n, per int, item func(i int, tuned bool, out []float64)) Kernel {
 	return Kernel{
 		Name: name, N: n, MinN: 1,
-		Schedules: AllSchedules,
 		Serial: func(n int) []float64 {
 			out := make([]float64, n*per)
 			for i := 0; i < n; i++ {
@@ -39,7 +38,7 @@ func perItemKernel(name string, n, per int, item func(i int, tuned bool, out []f
 		},
 		Parallel: func(t *parloop.Team, spec Spec) []float64 {
 			out := make([]float64, spec.N*per)
-			t.ForSched(spec.N, spec.Sched, spec.Chunk, func(lo, hi int) {
+			t.ForChunked(spec.N, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					item(i, true, out[i*per:])
 				}
@@ -118,7 +117,7 @@ func tridiagBands(batch, m int) (a, b, c, d [linalg.Lanes][]float64) {
 // serial reference solves every lane with the scalar Thomas solver;
 // the parallel body deals batches to workers and solves each with the
 // lane-batched SolveTridiag5. Interleaving lanes reorders nothing
-// within a lane, so every schedule must reproduce the serial bits.
+// within a lane, so every team size must reproduce the serial bits.
 func tridiagBatchKernel() Kernel {
 	solve := func(batch int, batched bool, out []float64) {
 		a, b, c, d := tridiagBands(batch, batchOrder)

@@ -272,6 +272,9 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	if req.Lo < 0 || req.Hi > len(req.Zones) || req.Lo >= req.Hi {
 		return CreateShardResponse{}, fmt.Errorf("cluster: shard range [%d, %d) of %d zones", req.Lo, req.Hi, len(req.Zones))
 	}
+	if err := f3d.ValidatePulse(req.PulseAmp); err != nil {
+		return CreateShardResponse{}, err
+	}
 	cfg := req.Config
 	cfg.Case = grid.Case{
 		Name:  fmt.Sprintf("%s-shard-%d-%d", req.Job, req.Lo, req.Hi),

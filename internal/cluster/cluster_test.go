@@ -290,6 +290,34 @@ func TestSolveSpecValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "Dt") {
 		t.Errorf("Dt=0: err %v", err)
 	}
+	// A non-physical pulse is the spec's fault, not the worker's: the
+	// solve refuses it before any shard create could mark a worker lost.
+	if _, err := c.Solve(SolveSpec{Job: "x", Zones: zones, Interfaces: ifaces, Config: cfg, PulseAmp: -2, Steps: 1}); err == nil ||
+		!strings.Contains(err.Error(), "pulse") {
+		t.Errorf("pulse -2: err %v", err)
+	}
+	if live := c.Live(); len(live) != 1 {
+		t.Errorf("live workers after a rejected spec: %v, want 1", live)
+	}
+}
+
+// TestHostCreateRejectsNonPhysicalPulse: at pulse_amp <= -1 (or NaN) the
+// pulse centre's density is not positive and the shard's first step
+// would panic in the solver, so Create answers an error and keeps no
+// shard.
+func TestHostCreateRejectsNonPhysicalPulse(t *testing.T) {
+	zones, ifaces, cfg, _ := testCase()
+	h := NewHost()
+	defer h.Close()
+	for _, amp := range []float64{-1, -2, math.NaN()} {
+		_, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp})
+		if err == nil || !strings.Contains(err.Error(), "pulse") {
+			t.Errorf("pulse_amp %v: err %v, want a pulse error", amp, err)
+		}
+	}
+	if n := h.ShardCount(); n != 0 {
+		t.Errorf("rejected creates left %d shards", n)
+	}
 }
 
 // TestHeartbeatTTL: workers expire off the live set when their

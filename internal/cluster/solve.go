@@ -99,6 +99,10 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if spec.Config.Dt <= 0 {
 		return SolveResult{}, fmt.Errorf("cluster: solve needs Config.Dt > 0 (shards must share the global time step)")
 	}
+	// A shard create rejecting the pulse would read as a lost worker.
+	if err := f3d.ValidatePulse(spec.PulseAmp); err != nil {
+		return SolveResult{}, err
+	}
 	if spec.CheckpointEvery == 0 {
 		spec.CheckpointEvery = 1
 	}

@@ -35,6 +35,9 @@ func NewJob(name string, cfg Config, steps int, pulse float64) (*Job, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("f3d: job needs steps >= 1, got %d", steps)
 	}
+	if err := ValidatePulse(pulse); err != nil {
+		return nil, err
+	}
 	return &Job{name: name, cfg: cfg, steps: steps, pulse: pulse}, nil
 }
 

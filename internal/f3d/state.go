@@ -262,6 +262,17 @@ func MaxPointwiseDiff(a, b Solver) float64 {
 	return maxd
 }
 
+// ValidatePulse rejects an amplitude InitPulse cannot start from: at
+// amp <= -1 the pulse centre's density rho*(1+amp) is not positive and
+// the solver fails on its first step. NaN is rejected too. Large
+// positive amplitudes are physical and pass.
+func ValidatePulse(amp float64) error {
+	if !(amp > -1) {
+		return fmt.Errorf("f3d: pulse amplitude %v must be > -1 (the pulse centre's density rho*(1+amp) must stay positive)", amp)
+	}
+	return nil
+}
+
 // InitUniform initializes every zone of the solver to freestream and
 // applies boundary conditions.
 func InitUniform(s Solver) { InitPulse(s, 0) }

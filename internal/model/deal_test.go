@@ -9,47 +9,43 @@ import (
 	"repro/internal/parloop"
 )
 
-// TestDealMatchesForSchedW: the Static deal the model charges
+// TestDealMatchesRegionRange: the Static deal the model charges
 // (parloop.StaticRange, whose busiest worker holds MaxUnitsPerProcessor
-// units) is exactly the deal Team.ForSchedW executes: each worker runs
-// its StaticRange, the chunk argument is ignored, and every unit runs
-// once.
-func TestDealMatchesForSchedW(t *testing.T) {
+// units) is exactly the deal a region executes: each worker runs its
+// ctx.Range and every unit runs once.
+func TestDealMatchesRegionRange(t *testing.T) {
 	for _, team := range []int{1, 2, 3, 8} {
 		tm := parloop.NewTeam(team)
 		for _, n := range []int{0, 1, 7, 100, 257} {
-			for _, chunk := range []int{0, 1, 3, 64} {
-				name := fmt.Sprintf("n%d/c%d/w%d", n, chunk, team)
-				var mu sync.Mutex
-				units := make([]int, team)
-				ran := make([]int, n)
-				tm.ForSchedW(n, parloop.Static, chunk, func(w, lo, hi int) {
-					mu.Lock()
-					defer mu.Unlock()
-					if wlo, whi := parloop.StaticRange(n, team, w); lo < wlo || hi > whi {
-						t.Errorf("%s: worker %d ran [%d,%d) outside its StaticRange [%d,%d)", name, w, lo, hi, wlo, whi)
-					}
-					units[w] += hi - lo
-					for i := lo; i < hi; i++ {
-						ran[i]++
-					}
-				})
-				busiest := 0
-				for w, u := range units {
-					lo, hi := parloop.StaticRange(n, team, w)
-					if u != hi-lo {
-						t.Fatalf("%s: worker %d ran %d units, StaticRange deals it %d", name, w, u, hi-lo)
-					}
-					busiest = max(busiest, u)
+			name := fmt.Sprintf("n%d/w%d", n, team)
+			var mu sync.Mutex
+			units := make([]int, team)
+			ran := make([]int, n)
+			tm.Region(func(ctx *parloop.WorkerCtx) {
+				w := ctx.ID()
+				lo, hi := ctx.Range(n)
+				mu.Lock()
+				defer mu.Unlock()
+				units[w] += hi - lo
+				for i := lo; i < hi; i++ {
+					ran[i]++
 				}
-				for i, c := range ran {
-					if c != 1 {
-						t.Fatalf("%s: unit %d ran %d times", name, i, c)
-					}
+			})
+			busiest := 0
+			for w, u := range units {
+				lo, hi := parloop.StaticRange(n, team, w)
+				if u != hi-lo {
+					t.Fatalf("%s: worker %d ran %d units, StaticRange deals it %d", name, w, u, hi-lo)
 				}
-				if n > 0 && busiest != MaxUnitsPerProcessor(n, team) {
-					t.Fatalf("%s: busiest worker ran %d units, MaxUnitsPerProcessor %d", name, busiest, MaxUnitsPerProcessor(n, team))
+				busiest = max(busiest, u)
+			}
+			for i, c := range ran {
+				if c != 1 {
+					t.Fatalf("%s: unit %d ran %d times", name, i, c)
 				}
+			}
+			if n > 0 && busiest != MaxUnitsPerProcessor(n, team) {
+				t.Fatalf("%s: busiest worker ran %d units, MaxUnitsPerProcessor %d", name, busiest, MaxUnitsPerProcessor(n, team))
 			}
 		}
 		tm.Close()

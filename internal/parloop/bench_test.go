@@ -43,28 +43,6 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulesUniform compares schedules on uniform iterations,
-// where Static should win on overhead.
-func BenchmarkSchedulesUniform(b *testing.B) {
-	tm := NewTeam(runtime.GOMAXPROCS(0))
-	defer tm.Close()
-	const n = 1 << 14
-	data := make([]float64, n)
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = v*v + 1
-		}
-	}
-	for _, sched := range []Schedule{Static, StaticCyclic, Dynamic, Guided} {
-		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tm.ForSched(n, sched, 64, body)
-			}
-		})
-	}
-}
-
 func BenchmarkSumFloat64(b *testing.B) {
 	tm := NewTeam(runtime.GOMAXPROCS(0))
 	defer tm.Close()

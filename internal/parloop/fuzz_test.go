@@ -53,8 +53,8 @@ func FuzzStaticRange(f *testing.F) {
 	})
 }
 
-// fuzzTeams caches teams per worker count so schedule-cover fuzzing
-// does not start and stop goroutines on every input.
+// fuzzTeams caches teams per worker count so cover fuzzing does not
+// start and stop goroutines on every input.
 var fuzzTeams sync.Map // int -> *Team
 
 func fuzzTeam(workers int) *Team {
@@ -65,30 +65,37 @@ func fuzzTeam(workers int) *Team {
 	return tm.(*Team)
 }
 
-// FuzzScheduleCover is the partition property test for every Schedule:
-// executed on a real team, each schedule must visit every iteration of
-// [0, n) exactly once for all (n, workers, chunk) — no index dropped,
-// none double-dealt, whichever worker picks up each chunk.
-func FuzzScheduleCover(f *testing.F) {
-	f.Add(uint16(0), uint8(1), uint8(0), uint8(0))
-	f.Add(uint16(1), uint8(3), uint8(1), uint8(1))
-	f.Add(uint16(100), uint8(4), uint8(3), uint8(2))
-	f.Add(uint16(255), uint8(7), uint8(16), uint8(3))
-	f.Add(uint16(97), uint8(2), uint8(13), uint8(2))
-	f.Fuzz(func(t *testing.T, nRaw uint16, wRaw, chunkRaw, schedRaw uint8) {
+// FuzzForChunkedCover is the partition property test of the loop deal
+// executed on a real team: for all (n, workers) ForChunked must visit
+// every iteration of [0, n) exactly once, each chunk being one in-range
+// worker's StaticRange, dealt at most once — the n <= 1 serial fallback
+// included.
+func FuzzForChunkedCover(f *testing.F) {
+	f.Add(uint16(0), uint8(1))
+	f.Add(uint16(1), uint8(3))
+	f.Add(uint16(100), uint8(4))
+	f.Add(uint16(255), uint8(7))
+	f.Add(uint16(97), uint8(2))
+	f.Fuzz(func(t *testing.T, nRaw uint16, wRaw uint8) {
 		n := int(nRaw) % 512
 		workers := 1 + int(wRaw)%8
-		chunk := int(chunkRaw) % 32 // 0 exercises the default
-		sched := Schedule(int(schedRaw) % 4)
 		tm := fuzzTeam(workers)
 		visits := make([]int32, n)
-		tm.ForSchedW(n, sched, chunk, func(w, lo, hi int) {
-			if w < 0 || w >= workers {
-				t.Errorf("%v: worker %d out of range [0,%d)", sched, w, workers)
+		dealt := make([]int32, workers)
+		tm.ForChunked(n, func(lo, hi int) {
+			w := 0
+			for w < workers {
+				if wlo, whi := StaticRange(n, workers, w); wlo == lo && whi == hi {
+					break
+				}
+				w++
 			}
-			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("%v: chunk [%d,%d) outside [0,%d)", sched, lo, hi, n)
+			if w == workers || lo >= hi {
+				t.Errorf("n=%d workers=%d: chunk [%d,%d) is no worker's StaticRange", n, workers, lo, hi)
 				return
+			}
+			if atomic.AddInt32(&dealt[w], 1) > 1 {
+				t.Errorf("n=%d workers=%d: worker %d's chunk [%d,%d) dealt twice", n, workers, w, lo, hi)
 			}
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&visits[i], 1)
@@ -96,8 +103,7 @@ func FuzzScheduleCover(f *testing.F) {
 		})
 		for i, v := range visits {
 			if v != 1 {
-				t.Fatalf("%v n=%d workers=%d chunk=%d: index %d visited %d times, want 1",
-					sched, n, workers, chunk, i, v)
+				t.Fatalf("n=%d workers=%d: index %d visited %d times, want 1", n, workers, i, v)
 			}
 		}
 	})

@@ -4,9 +4,10 @@
 //
 // A Team is a set of persistent worker goroutines (the OpenMP "thread
 // team"). Parallel loops are fork-join regions executed by the team:
-// the caller becomes worker 0, the iteration space is divided according
-// to a Schedule, and the region ends with one synchronization event —
-// the cost the paper's Table 1 budgets against.
+// the caller becomes worker 0, the iteration space is dealt once, up
+// front, in contiguous Static blocks (StaticRange), and the region ends
+// with one synchronization event — the cost the paper's Table 1 budgets
+// against.
 //
 // The API mirrors the transformations of the paper's §4:
 //
@@ -37,46 +38,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// Schedule selects how a loop's iteration space is dealt to workers,
-// mirroring the OpenMP schedule kinds.
-type Schedule int
-
-const (
-	// Static deals contiguous blocks of roughly n/workers iterations,
-	// assigned once before the loop runs. Lowest overhead; the paper's
-	// stair-step model (Table 3) describes exactly this schedule: the
-	// critical path holds ceil(n/workers) units of work.
-	Static Schedule = iota
-	// StaticCyclic deals fixed-size chunks round-robin (OpenMP
-	// "schedule(static, chunk)"). Useful when iteration cost varies
-	// smoothly with the index.
-	StaticCyclic
-	// Dynamic deals fixed-size chunks from a shared counter as workers
-	// become free. Tolerates ragged iteration costs at the price of one
-	// atomic operation per chunk.
-	Dynamic
-	// Guided deals shrinking chunks (half the remaining work divided by
-	// the team size, but at least the chunk size), approximating
-	// dynamic's balance with fewer atomic operations.
-	Guided
-)
-
-// String returns the OpenMP-style name of the schedule.
-func (s Schedule) String() string {
-	switch s {
-	case Static:
-		return "static"
-	case StaticCyclic:
-		return "static-cyclic"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	default:
-		return fmt.Sprintf("Schedule(%d)", int(s))
-	}
-}
 
 // PanicError is the value a fork-join region re-raises on the caller
 // when a worker panicked inside the region. It preserves the original
@@ -175,8 +136,8 @@ type Team struct {
 
 	// inRegion is an advisory guard marking a fork-join region open on
 	// the team. Resize and a second concurrent region check it to turn
-	// the silent corruption of a contract violation (Resize racing an
-	// in-flight ForSched's dynamic counter, two regions sharing one
+	// the silent corruption of a contract violation (Resize closing the
+	// command channels of an in-flight region, two regions sharing one
 	// barrier) into an immediate panic.
 	inRegion atomic.Bool
 
@@ -252,9 +213,9 @@ func (t *Team) helper(worker int, ch chan func(int)) {
 //
 // Resize detects the most dangerous misuse — running while a region is
 // in flight — and panics instead of corrupting the region: a resize
-// racing an open ForSched would close the command channels workers are
-// being dispatched on and change the worker count that the dynamic and
-// guided chunk calculations read mid-loop, silently skipping or
+// racing an open region would close the command channels workers are
+// being dispatched on and change the worker count that the barrier and
+// each worker's StaticRange read mid-loop, silently skipping or
 // double-running iterations. The check is advisory (a narrow race
 // window remains), but it converts every deterministic interleaving of
 // the misuse into an immediate, attributable failure.
@@ -458,9 +419,8 @@ func (t *Team) ForChunked(n int, body func(lo, hi int)) {
 	t.forChunkedW(n, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// forChunkedW is the Static-schedule core shared by ForChunked and
-// ForSchedW: it additionally hands the body the executing worker's
-// index.
+// forChunkedW is ForChunked's core: it additionally hands the body the
+// executing worker's index.
 func (t *Team) forChunkedW(n int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -497,88 +457,6 @@ func (t *Team) runChunk(w, lo, hi int, body func(lo, hi int)) {
 	body(lo, hi)
 	end := tr.Now()
 	tr.Emit(obs.Event{Kind: obs.KindChunk, At: end, Name: t.label, Worker: w, Dur: end.Sub(start), A: int64(lo), B: int64(hi)})
-}
-
-// ForSched executes body(lo, hi) over chunks of [0, n) under the given
-// schedule. chunk is the chunk size for StaticCyclic and Dynamic and
-// the minimum chunk for Guided; it is ignored by Static. chunk <= 0
-// defaults to 1.
-func (t *Team) ForSched(n int, sched Schedule, chunk int, body func(lo, hi int)) {
-	t.ForSchedW(n, sched, chunk, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForSchedW is ForSched with the executing worker's index passed to the
-// body. The index is what dependence-instrumented kernels (internal/
-// check) record with every shadow-memory access, and what per-worker
-// accumulator reductions index their partials with; bodies that need
-// neither should use ForSched.
-func (t *Team) ForSchedW(n int, sched Schedule, chunk int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	switch sched {
-	case Static:
-		t.forChunkedW(n, body)
-	case StaticCyclic:
-		t.fork(func(w int) {
-			wb := func(lo, hi int) { body(w, lo, hi) }
-			for lo := w * chunk; lo < n; lo += t.workers * chunk {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				t.runChunk(w, lo, hi, wb)
-			}
-		})
-	case Dynamic:
-		var next atomic.Int64
-		t.fork(func(w int) {
-			wb := func(lo, hi int) { body(w, lo, hi) }
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				t.runChunk(w, lo, hi, wb)
-			}
-		})
-	case Guided:
-		var next atomic.Int64
-		t.fork(func(w int) {
-			wb := func(lo, hi int) { body(w, lo, hi) }
-			for {
-				cur := next.Load()
-				for {
-					if int(cur) >= n {
-						return
-					}
-					c := guidedChunk(n-int(cur), t.workers, chunk)
-					if next.CompareAndSwap(cur, cur+int64(c)) {
-						t.runChunk(w, int(cur), int(cur)+c, wb)
-						break
-					}
-					cur = next.Load()
-				}
-			}
-		})
-	default:
-		panic(fmt.Sprintf("parloop: unknown schedule %v", sched))
-	}
-}
-
-// guidedChunk returns the size of the next chunk the Guided schedule
-// deals when remaining iterations are left on workers workers: half the
-// remaining work divided by the team size, but at least minChunk and at
-// most remaining.
-func guidedChunk(remaining, workers, minChunk int) int {
-	return min(max(remaining/(2*workers), minChunk), remaining)
 }
 
 // StaticRange returns the half-open range [lo, hi) of iterations

@@ -55,30 +55,6 @@ func TestForChunkedCoversDisjointRanges(t *testing.T) {
 	}
 }
 
-func TestForSchedAllSchedules(t *testing.T) {
-	scheds := []Schedule{Static, StaticCyclic, Dynamic, Guided}
-	for _, tm := range teams(t) {
-		for _, sched := range scheds {
-			for _, n := range []int{0, 1, 7, 64, 333} {
-				for _, chunk := range []int{0, 1, 3, 16, 1000} {
-					hits := make([]int32, n)
-					tm.ForSched(n, sched, chunk, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&hits[i], 1)
-						}
-					})
-					for i, h := range hits {
-						if h != 1 {
-							t.Fatalf("workers=%d sched=%v n=%d chunk=%d: index %d hit %d times",
-								tm.Workers(), sched, n, chunk, i, h)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestStaticRangePartitionProperties(t *testing.T) {
 	// Property: ranges are ascending, disjoint, cover [0,n), and the
 	// largest share equals ceil(n/workers) when n >= workers (the
@@ -288,29 +264,4 @@ func TestCloseIdempotentAndUseAfterClosePanics(t *testing.T) {
 		}
 	}()
 	tm.For(10, func(int) {})
-}
-
-func TestScheduleString(t *testing.T) {
-	for s, want := range map[Schedule]string{
-		Static:       "static",
-		StaticCyclic: "static-cyclic",
-		Dynamic:      "dynamic",
-		Guided:       "guided",
-		Schedule(9):  "Schedule(9)",
-	} {
-		if got := s.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
-		}
-	}
-}
-
-func TestForSchedUnknownPanics(t *testing.T) {
-	tm := NewTeam(2)
-	defer tm.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown schedule should panic")
-		}
-	}()
-	tm.ForSched(10, Schedule(42), 1, func(int, int) {})
 }

@@ -106,11 +106,11 @@ func TestResizeAfterClosePanics(t *testing.T) {
 }
 
 // TestResizeDuringOpenRegionPanics is the regression test for the
-// Resize-vs-in-flight-ForSched audit: a resize landing while a region
-// is open would close the helper channels mid-dispatch and change the
-// worker count the dynamic/guided chunk math reads mid-loop. The team
-// must refuse with a panic instead of corrupting the loop, and stay
-// usable afterwards.
+// Resize-vs-in-flight-region audit: a resize landing while a ForChunked
+// region is open would close the helper channels mid-dispatch and
+// change the worker count the barrier and the Static deal read. The
+// team must refuse with a panic instead of corrupting the loop, and
+// stay usable afterwards.
 func TestResizeDuringOpenRegionPanics(t *testing.T) {
 	tm := NewTeam(3)
 	defer tm.Close()
@@ -120,7 +120,7 @@ func TestResizeDuringOpenRegionPanics(t *testing.T) {
 	go func() {
 		defer close(done)
 		var once sync.Once
-		tm.ForSched(64, Dynamic, 4, func(lo, hi int) {
+		tm.ForChunked(64, func(lo, hi int) {
 			once.Do(func() { close(inRegion) })
 			<-release
 		})
@@ -134,7 +134,7 @@ func TestResizeDuringOpenRegionPanics(t *testing.T) {
 	close(release)
 	<-done
 	if !panicked {
-		t.Fatal("Resize during an open ForSched did not panic")
+		t.Fatal("Resize during an open ForChunked region did not panic")
 	}
 	if got := tm.Workers(); got != 3 {
 		t.Fatalf("rejected Resize changed Workers() to %d", got)

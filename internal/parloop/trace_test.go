@@ -73,26 +73,6 @@ func TestTracerBarrierEvents(t *testing.T) {
 	}
 }
 
-func TestTracerSchedulesEmitChunks(t *testing.T) {
-	for _, sched := range []Schedule{StaticCyclic, Dynamic, Guided} {
-		tr := obs.NewTracer(4096, nil)
-		tr.Enable()
-		team := NewTeam(4)
-		team.SetTracer(tr, "sched")
-		covered := 0
-		team.ForSched(100, sched, 8, func(lo, hi int) {})
-		for _, e := range tr.Events() {
-			if e.Kind == obs.KindChunk {
-				covered += int(e.B - e.A)
-			}
-		}
-		team.Close()
-		if covered != 100 {
-			t.Errorf("%v: chunk spans cover %d iterations, want 100", sched, covered)
-		}
-	}
-}
-
 // TestTracerRegionLoopAndReduceChunks: loop phases inside a merged
 // region (ctx.For) and reduction folds carry per-worker chunk spans
 // with index ranges, so the analyzer can attribute their work.
