@@ -153,7 +153,7 @@ func run(out io.Writer, o options) error {
 	}
 	if !o.quiet {
 		log.Printf("solving %q: %d zones x %d steps over %d/%d workers",
-			o.job, len(spec.Zones), o.steps, len(workers), len(urls))
+			o.job, len(spec.Config.Case.Zones), o.steps, len(workers), len(urls))
 	}
 	if o.trace {
 		col.SyncClocks()
@@ -189,7 +189,7 @@ func run(out io.Writer, o options) error {
 		Job   string `json:"job"`
 		Zones int    `json:"zones"`
 		cluster.SolveResult
-	}{Job: o.job, Zones: len(spec.Zones), SolveResult: res}); err != nil {
+	}{Job: o.job, Zones: len(spec.Config.Case.Zones), SolveResult: res}); err != nil {
 		return err
 	}
 
@@ -211,11 +211,11 @@ func buildSpec(o options) (cluster.SolveSpec, error) {
 		return cluster.SolveSpec{}, err
 	}
 	c, ifaces := f3d.StackAlongJ(o.job, o.n, o.kmax, o.lmax, cuts)
+	cfg := f3d.DefaultConfig(c)
+	cfg.Interfaces = ifaces
 	return cluster.SolveSpec{
 		Job:             o.job,
-		Zones:           c.Zones,
-		Interfaces:      ifaces,
-		Config:          f3d.DefaultConfig(c),
+		Config:          cfg,
 		PulseAmp:        o.pulse,
 		Steps:           o.steps,
 		CheckpointEvery: o.ckpt,

@@ -104,14 +104,12 @@ func TestClusterSolveOverDaemons(t *testing.T) {
 
 	c, ifaces := f3d.StackAlongJ("daemon", 20, 6, 5, []int{6, 12})
 	cfg := f3d.DefaultConfig(c)
+	cfg.Interfaces = ifaces
 	const pulse, steps = 0.02, 4
 
 	// Single-node reference.
 	ref := func() []f3d.StepStats {
-		rcfg := cfg
-		rcfg.Case = c
-		rcfg.Interfaces = ifaces
-		s, err := f3d.NewCacheSolver(rcfg, f3d.CacheOptions{})
+		s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
 		if err != nil {
 			t.Fatalf("reference solver: %v", err)
 		}
@@ -131,8 +129,7 @@ func TestClusterSolveOverDaemons(t *testing.T) {
 		}
 	}
 	res, err := coord.Solve(cluster.SolveSpec{
-		Job: "daemon-solve", Zones: c.Zones, Interfaces: ifaces,
-		Config: cfg, PulseAmp: pulse, Steps: steps,
+		Job: "daemon-solve", Config: cfg, PulseAmp: pulse, Steps: steps,
 	})
 	if err != nil {
 		t.Fatalf("sharded solve over daemons: %v", err)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tracetool analyze [-label L] [-json] [-o report.json] trace.jsonl
-//	tracetool convert -format speedscope|chrome [-o out.json] trace.jsonl
+//	tracetool convert [-o out.json] trace.jsonl
 //	tracetool diff [-tol PCT] old-report.json new-report.json
 //	tracetool cluster [-coord TAG] [-json] [-o report.json]
 //	                  [NAME=]fleet.jsonl...
@@ -14,8 +14,9 @@
 // analyze prints the human-readable diagnosis (critical path, Amdahl
 // attribution, stair-step plateaus, sync-budget verdicts at Table 1's
 // break-even with the host's model.RegionNs) and with -o also writes
-// the JSON report for later diffing. convert renders the
-// trace for speedscope.app or chrome://tracing. diff compares two
+// the JSON report for later diffing. convert renders the trace in the
+// Chrome trace-event format, which chrome://tracing, Perfetto and
+// speedscope.app all open. diff compares two
 // analyze reports and exits 1 when the new one regresses beyond -tol,
 // so CI can gate on trace-derived facts. cluster merges node-tagged
 // fleet timelines (f3dc -trace-out, per-daemon /trace dumps) and
@@ -118,9 +119,7 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 func cmdConvert(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracetool convert", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "speedscope", "output format: speedscope or chrome")
 	outPath := fs.String("o", "", "output path (default stdout)")
-	name := fs.String("name", "trace", "profile name embedded in the output")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -144,16 +143,7 @@ func cmdConvert(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		defer f.Close()
 		out = f
 	}
-	switch *format {
-	case "speedscope":
-		err = analyze.WriteSpeedscope(out, events, *name)
-	case "chrome":
-		err = analyze.WriteChromeTrace(out, events)
-	default:
-		fmt.Fprintf(stderr, "tracetool convert: unknown format %q (want speedscope or chrome)\n", *format)
-		return 2
-	}
-	if err != nil {
+	if err := analyze.WriteChromeTrace(out, events); err != nil {
 		fmt.Fprintf(stderr, "tracetool convert: %v\n", err)
 		return 2
 	}

@@ -110,35 +110,32 @@ func TestConvertCommand(t *testing.T) {
 	writeTrace(t, trace, []int{5}, time.Millisecond)
 
 	var out, errb bytes.Buffer
-	if code := run([]string{"convert", "-format", "speedscope", trace}, nil, &out, &errb); code != 0 {
-		t.Fatalf("convert speedscope exit %d: %s", code, errb.String())
+	if code := run([]string{"convert", trace}, nil, &out, &errb); code != 0 {
+		t.Fatalf("convert exit %d: %s", code, errb.String())
 	}
-	var ss map[string]any
-	if err := json.Unmarshal(out.Bytes(), &ss); err != nil {
-		t.Fatalf("speedscope output: %v", err)
+	var ct map[string]any
+	if err := json.Unmarshal(out.Bytes(), &ct); err != nil {
+		t.Fatalf("convert output: %v", err)
 	}
-	if ss["$schema"] != "https://www.speedscope.app/file-format-schema.json" {
-		t.Errorf("$schema = %v", ss["$schema"])
+	if _, ok := ct["traceEvents"].([]any); !ok {
+		t.Errorf("convert output has no traceEvents array: %v", ct)
 	}
 
 	chromePath := filepath.Join(dir, "chrome.json")
-	if code := run([]string{"convert", "-format", "chrome", "-o", chromePath, trace}, nil, &out, &errb); code != 0 {
-		t.Fatalf("convert chrome exit %d: %s", code, errb.String())
+	if code := run([]string{"convert", "-o", chromePath, trace}, nil, &out, &errb); code != 0 {
+		t.Fatalf("convert -o exit %d: %s", code, errb.String())
 	}
 	blob, err := os.ReadFile(chromePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ct map[string]any
-	if err := json.Unmarshal(blob, &ct); err != nil {
-		t.Fatalf("chrome output: %v", err)
-	}
-	if _, ok := ct["traceEvents"].([]any); !ok {
-		t.Errorf("chrome output has no traceEvents array: %v", ct)
+	if !bytes.Equal(blob, out.Bytes()) {
+		t.Error("convert -o wrote other bytes than convert to stdout")
 	}
 
-	if code := run([]string{"convert", "-format", "bogus", trace}, nil, &out, &errb); code != 2 {
-		t.Errorf("bogus format exit %d, want 2", code)
+	// The format is no longer a choice.
+	if code := run([]string{"convert", "-format", "chrome", trace}, nil, &out, &errb); code != 2 {
+		t.Errorf("-format exit %d, want 2 (unknown flag)", code)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/simclock"
@@ -182,8 +181,9 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 	// on a single node.
 	c, ifaces := f3d.StackAlongJ("soak", 20, 6, 5, []int{6, 12})
 	solveCfg := f3d.DefaultConfig(c)
+	solveCfg.Interfaces = ifaces
 	const pulse = 0.02
-	ref, err := singleNodeHistory(c, ifaces, solveCfg, pulse, cfg.Steps)
+	ref, err := singleNodeHistory(solveCfg, pulse, cfg.Steps)
 	if err != nil {
 		return nil, err
 	}
@@ -216,8 +216,7 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 
 		job := fmt.Sprintf("soak-job-%02d", j)
 		out, err := runSolveAdvancing(coord, clk, cluster.SolveSpec{
-			Job: job, Zones: c.Zones, Interfaces: ifaces,
-			Config: solveCfg, PulseAmp: pulse, Steps: cfg.Steps,
+			Job: job, Config: solveCfg, PulseAmp: pulse, Steps: cfg.Steps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: job %s: %w", job, err)
@@ -365,9 +364,7 @@ func runSolveAdvancing(coord *cluster.Coordinator, clk *simclock.Virtual, spec c
 }
 
 // singleNodeHistory computes the serial reference for the soak case.
-func singleNodeHistory(c grid.Case, ifaces []f3d.Interface, cfg f3d.Config, pulse float64, steps int) ([]cluster.StepStat, error) {
-	cfg.Case = c
-	cfg.Interfaces = ifaces
+func singleNodeHistory(cfg f3d.Config, pulse float64, steps int) ([]cluster.StepStat, error) {
 	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
-	"repro/internal/grid"
 	"repro/internal/parloop"
 )
 
@@ -46,8 +45,9 @@ const clusterSteps = 4
 
 // clusterCase builds the conformance case: a n×6×5 box stacked into
 // three zones along J (cuts clamped so every zone keeps at least four
-// J-planes, which holds down to n = 8, the kernels' MinN).
-func clusterCase(n int) (grid.Case, []f3d.Interface, f3d.Config) {
+// J-planes, which holds down to n = 8, the kernels' MinN), as the
+// config of the coupled solve.
+func clusterCase(n int) f3d.Config {
 	c1 := n / 3
 	if c1 < 2 {
 		c1 = 2
@@ -60,7 +60,9 @@ func clusterCase(n int) (grid.Case, []f3d.Interface, f3d.Config) {
 		c2 = c1 + 2
 	}
 	c, ifaces := f3d.StackAlongJ("chk", n, 6, 5, []int{c1, c2})
-	return c, ifaces, f3d.DefaultConfig(c)
+	cfg := f3d.DefaultConfig(c)
+	cfg.Interfaces = ifaces
+	return cfg
 }
 
 // clusterPulse is the conformance initial-condition amplitude.
@@ -69,10 +71,7 @@ const clusterPulse = 0.02
 // runClusterSerial runs the single-node reference and returns the
 // observable output: per-step residual, max-delta and flops.
 func runClusterSerial(n int) []float64 {
-	c, ifaces, cfg := clusterCase(n)
-	cfg.Case = c
-	cfg.Interfaces = ifaces
-	s, err := f3d.NewReferenceSolver(cfg)
+	s, err := f3d.NewReferenceSolver(clusterCase(n))
 	if err != nil {
 		panic(fmt.Sprintf("check: cluster reference solver: %v", err))
 	}
@@ -117,10 +116,8 @@ func runClusterSharded(n, workers int, loss bool) []float64 {
 			panic(fmt.Sprintf("check: register: %v", err))
 		}
 	}
-	c, ifaces, cfg := clusterCase(n)
 	res, err := coord.Solve(cluster.SolveSpec{
-		Job: "check", Zones: c.Zones, Interfaces: ifaces,
-		Config: cfg, PulseAmp: clusterPulse, Steps: clusterSteps,
+		Job: "check", Config: clusterCase(n), PulseAmp: clusterPulse, Steps: clusterSteps,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("check: sharded solve (%d workers, loss=%v): %v", workers, loss, err))

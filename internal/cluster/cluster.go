@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/euler"
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -64,26 +65,23 @@ type WorkerClient interface {
 }
 
 // CreateShardRequest describes one shard of a sharded solve: the full
-// global case geometry plus the contiguous zone range this worker
-// owns. Shipping the whole geometry keeps workers stateless — each
-// rebuilds exactly the zones it needs and knows which of its faces
-// are fed by remote planes.
+// global case plus the contiguous zone range this worker owns. Shipping
+// the whole geometry keeps workers stateless — each rebuilds exactly
+// the zones it needs and knows which of its faces are fed by remote
+// planes.
 type CreateShardRequest struct {
 	// Job is the workload key; it labels the shard in traces and
 	// scopes shard ids.
 	Job string `json:"job"`
-	// Zones is the global zone list of the case.
-	Zones []grid.Zone `json:"zones"`
-	// Interfaces couples the global zones along J (global indices).
-	Interfaces []f3d.Interface `json:"interfaces,omitempty"`
-	// Lo, Hi bound this shard's zones: global indices [Lo, Hi).
+	// Lo, Hi bound this shard's zones: global indices [Lo, Hi) of
+	// Config.Case.Zones.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Config carries the solver parameters. Its Case and Interfaces
-	// fields are ignored — the worker derives its sub-case from
-	// Zones[Lo:Hi] — but Dt must be the global time step, never
-	// re-estimated per shard, or the shards diverge from the
-	// single-node solve.
+	// Config is the global solve: Case.Zones is the global zone list
+	// and Interfaces couples it along J (global indices). The worker
+	// derives its sub-case from Case.Zones[Lo:Hi]. Dt must be the
+	// global time step, never re-estimated per shard, or the shards
+	// diverge from the single-node solve.
 	Config f3d.Config `json:"config"`
 	// PulseAmp is the initial-condition pulse amplitude (InitPulse).
 	PulseAmp float64 `json:"pulse_amp"`
@@ -208,7 +206,8 @@ type shard struct {
 }
 
 // close frees the shard's solver once no step is running on it. The
-// caller has already unlinked the shard from the host, so it runs once.
+// caller has already unlinked the shard from the host. A step whose
+// solver failed may have closed it first; closing twice is harmless.
 func (sh *shard) close() {
 	sh.mu.Lock()
 	sh.solver.Close()
@@ -263,22 +262,32 @@ func (h *Host) Close() {
 	}
 }
 
-// Create builds a shard from the request: the sub-case Zones[Lo:Hi),
-// whose cross-shard interfaces keep their local side and turn the other
-// into f3d.Remote (fed by the planes each step carries) plus a capture
-// spec, the solver initialized exactly as the single-node solve (shared
-// Dt, same pulse), optionally overwritten from checkpoint snapshots.
+// Create builds a shard from the request: the sub-case
+// Config.Case.Zones[Lo:Hi), whose cross-shard interfaces keep their
+// local side and turn the other into f3d.Remote (fed by the planes each
+// step carries) plus a capture spec, the solver initialized exactly as
+// the single-node solve (shared Dt, same pulse), optionally overwritten
+// from checkpoint snapshots. The request comes off the wire, so the
+// global config is validated and the shard's size bounded before
+// anything is allocated for it.
 func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
-	if req.Lo < 0 || req.Hi > len(req.Zones) || req.Lo >= req.Hi {
-		return CreateShardResponse{}, fmt.Errorf("cluster: shard range [%d, %d) of %d zones", req.Lo, req.Hi, len(req.Zones))
+	zones := req.Config.Case.Zones
+	if req.Lo < 0 || req.Hi > len(zones) || req.Lo >= req.Hi {
+		return CreateShardResponse{}, fmt.Errorf("cluster: shard range [%d, %d) of %d zones", req.Lo, req.Hi, len(zones))
 	}
 	if err := f3d.ValidatePulse(req.PulseAmp); err != nil {
+		return CreateShardResponse{}, err
+	}
+	if err := req.Config.Validate(); err != nil {
+		return CreateShardResponse{}, fmt.Errorf("cluster: shard config: %w", err)
+	}
+	if err := checkShardSize(zones[req.Lo:req.Hi]); err != nil {
 		return CreateShardResponse{}, err
 	}
 	cfg := req.Config
 	cfg.Case = grid.Case{
 		Name:  fmt.Sprintf("%s-shard-%d-%d", req.Job, req.Lo, req.Hi),
-		Zones: append([]grid.Zone(nil), req.Zones[req.Lo:req.Hi]...),
+		Zones: append([]grid.Zone(nil), zones[req.Lo:req.Hi]...),
 	}
 	cfg.Interfaces = nil
 	sh := &shard{job: req.Job, lo: req.Lo, hi: req.Hi, step: req.Step}
@@ -288,7 +297,7 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 		}
 		return zone - req.Lo
 	}
-	for _, f := range req.Interfaces {
+	for _, f := range req.Config.Interfaces {
 		l := f3d.Interface{Left: local(f.Left), Right: local(f.Right)}
 		switch {
 		case l.Left == f3d.Remote && l.Right == f3d.Remote:
@@ -325,6 +334,28 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	return CreateShardResponse{ID: id, Planes: planes}, nil
 }
 
+// checkShardSize refuses zones whose snapshot, 8·NC bytes a point,
+// would not fit one maxShardBody frame: a failover could never restore
+// them. The zones have passed f3d.Config.Validate, so each dimension is
+// at least 3 and each partial product bounds the zone's size from below.
+func checkShardSize(zones []grid.Zone) error {
+	const maxPoints = maxShardBody / (8 * euler.NC)
+	total := 0
+	for _, z := range zones {
+		n := 1
+		for _, d := range []int{z.JMax, z.KMax, z.LMax} {
+			// n and d are at most maxPoints here: n*d cannot overflow.
+			if d > maxPoints || n*d > maxPoints-total {
+				return fmt.Errorf("cluster: shard exceeds %d grid points at zone %v (its snapshot must fit one %d-byte frame)",
+					maxPoints, z, maxShardBody)
+			}
+			n *= d
+		}
+		total += n
+	}
+	return nil
+}
+
 // capturePlanes snapshots every donor plane of the shard at the
 // current time level, addressed to its global receiver zone.
 func (sh *shard) capturePlanes() ([][]byte, error) {
@@ -351,8 +382,10 @@ func (sh *shard) capturePlanes() ([][]byte, error) {
 // planes, exactly one per Remote face, and hand them to the solver's
 // Receive, step the solver, report per-zone residual parts and the donor
 // planes for the next step. A step refused midway may leave planes
-// staged; the coordinator treats any failed step as a lost worker and
-// re-shards.
+// staged; the coordinator fails the solve on any error a host answers.
+// A solver that panics — a diverged solution the scheme cannot advance
+// — leaves its state unusable, so the step reports the panic as an
+// error and drops the shard.
 //
 // When a tracer is attached and enabled (SetObs), the handler emits
 // two spans stamped with the request's solve id and step epoch: a
@@ -401,7 +434,15 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	if traced {
 		tDecoded = tr.Now()
 	}
-	stats := sh.solver.Step()
+	stats, err := sh.stepSolver()
+	if err != nil {
+		h.mu.Lock()
+		delete(h.shards, req.ID) // ids are never reused
+		h.mu.Unlock()
+		sh.solver.Close()
+		sh.closed = true
+		return StepResponse{}, err
+	}
 	if traced {
 		tStepped = tr.Now()
 	}
@@ -437,6 +478,17 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 			A:   int64(req.Step), B: int64(len(req.Planes) + len(resp.Planes))})
 	}
 	return resp, nil
+}
+
+// stepSolver advances the shard's solver one step, turning a solver
+// panic into an error.
+func (sh *shard) stepSolver() (stats f3d.StepStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cluster: shard solver failed at step %d: %v", sh.step, r)
+		}
+	}()
+	return sh.solver.Step(), nil
 }
 
 // Release frees one shard (unknown ids are an error, so lockstep

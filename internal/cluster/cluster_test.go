@@ -17,21 +17,20 @@ import (
 )
 
 // testCase builds the 3-zone case the cluster tests shard: a 20×6×5
-// box stacked into three zones along J, with the matching solver
-// config (shared Dt) and pulse amplitude.
-func testCase() ([]grid.Zone, []f3d.Interface, f3d.Config, float64) {
+// box stacked into three zones along J, as the config of the coupled
+// solve (shared Dt), and the pulse amplitude.
+func testCase() (f3d.Config, float64) {
 	c, ifaces := f3d.StackAlongJ("c3", 20, 6, 5, []int{6, 12})
 	cfg := f3d.DefaultConfig(c)
-	return c.Zones, ifaces, cfg, 0.02
+	cfg.Interfaces = ifaces
+	return cfg, 0.02
 }
 
 // referenceHistory runs the single-node coupled solve and returns the
 // per-step stats.
 func referenceHistory(t *testing.T, steps int) []StepStat {
 	t.Helper()
-	zones, ifaces, cfg, amp := testCase()
-	cfg.Case = grid.Case{Name: "ref", Zones: zones}
-	cfg.Interfaces = ifaces
+	cfg, amp := testCase()
 	s, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
 	if err != nil {
 		t.Fatalf("reference solver: %v", err)
@@ -87,9 +86,9 @@ func TestShardedSolveMatchesSingleNode(t *testing.T) {
 	want := referenceHistory(t, steps)
 	for _, nw := range []int{1, 2, 3} {
 		c, workers := newTestCluster(t, nw, nil)
-		zones, ifaces, cfg, amp := testCase()
+		cfg, amp := testCase()
 		res, err := c.Solve(SolveSpec{
-			Job: "conf", Zones: zones, Interfaces: ifaces,
+			Job:    "conf",
 			Config: cfg, PulseAmp: amp, Steps: steps,
 		})
 		if err != nil {
@@ -132,7 +131,7 @@ func TestFailoverReproducesHistory(t *testing.T) {
 	tracer := obs.NewTracer(256, clock)
 	tracer.Enable()
 	c := New(Config{Clock: clock, Tracer: tracer})
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 
 	good := make([]*LocalWorker, 2)
 	for i, id := range []string{"alpha", "beta"} {
@@ -147,7 +146,7 @@ func TestFailoverReproducesHistory(t *testing.T) {
 	}
 
 	res, err := c.Solve(SolveSpec{
-		Job: "failover", Zones: zones, Interfaces: ifaces,
+		Job:    "failover",
 		Config: cfg, PulseAmp: amp, Steps: steps,
 	})
 	if err != nil {
@@ -204,8 +203,9 @@ func TestCheckpointBuffersAlternate(t *testing.T) {
 	if err := c.Register("solo", rec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	zones, ifaces, cfg, amp := testCase()
-	res, err := c.Solve(SolveSpec{Job: "alt", Zones: zones, Interfaces: ifaces,
+	cfg, amp := testCase()
+	zones := cfg.Case.Zones
+	res, err := c.Solve(SolveSpec{Job: "alt",
 		Config: cfg, PulseAmp: amp, Steps: steps})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -239,9 +239,9 @@ func TestFailoverWithSparseCheckpoints(t *testing.T) {
 		if err := c.Register("zeta", flaky); err != nil {
 			t.Fatalf("register: %v", err)
 		}
-		zones, ifaces, cfg, amp := testCase()
+		cfg, amp := testCase()
 		res, err := c.Solve(SolveSpec{
-			Job: "sparse", Zones: zones, Interfaces: ifaces,
+			Job:    "sparse",
 			Config: cfg, PulseAmp: amp, Steps: steps, CheckpointEvery: every,
 		})
 		if err != nil {
@@ -264,9 +264,9 @@ func TestSolveFailsWithNoSurvivors(t *testing.T) {
 	if err := c.Register("solo", flaky); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 	_, err := c.Solve(SolveSpec{
-		Job: "doomed", Zones: zones, Interfaces: ifaces,
+		Job:    "doomed",
 		Config: cfg, PulseAmp: amp, Steps: 6,
 	})
 	if err == nil {
@@ -277,22 +277,30 @@ func TestSolveFailsWithNoSurvivors(t *testing.T) {
 // TestSolveSpecValidation covers the rejected specs.
 func TestSolveSpecValidation(t *testing.T) {
 	c, _ := newTestCluster(t, 1, nil)
-	zones, ifaces, cfg, amp := testCase()
-	if _, err := c.Solve(SolveSpec{Job: "x", Zones: zones, Interfaces: ifaces, Config: cfg, PulseAmp: amp}); err == nil {
+	cfg, amp := testCase()
+	if _, err := c.Solve(SolveSpec{Job: "x", Config: cfg, PulseAmp: amp}); err == nil {
 		t.Error("Steps=0 accepted")
 	}
-	if _, err := c.Solve(SolveSpec{Job: "x", Config: cfg, Steps: 1}); err == nil {
+	if _, err := c.Solve(SolveSpec{Job: "x", Config: f3d.Config{Dt: cfg.Dt}, Steps: 1}); err == nil {
 		t.Error("no zones accepted")
 	}
 	bad := cfg
 	bad.Dt = 0
-	if _, err := c.Solve(SolveSpec{Job: "x", Zones: zones, Interfaces: ifaces, Config: bad, Steps: 1}); err == nil ||
+	if _, err := c.Solve(SolveSpec{Job: "x", Config: bad, Steps: 1}); err == nil ||
 		!strings.Contains(err.Error(), "Dt") {
 		t.Errorf("Dt=0: err %v", err)
 	}
+	// So is a zone geometry no solver can run on.
+	bad = cfg
+	bad.Case.Zones = slices.Clone(cfg.Case.Zones)
+	bad.Case.Zones[1].KMax = 2
+	if _, err := c.Solve(SolveSpec{Job: "x", Config: bad, Steps: 1}); err == nil ||
+		!strings.Contains(err.Error(), "dims") {
+		t.Errorf("KMax=2: err %v", err)
+	}
 	// A non-physical pulse is the spec's fault, not the worker's: the
 	// solve refuses it before any shard create could mark a worker lost.
-	if _, err := c.Solve(SolveSpec{Job: "x", Zones: zones, Interfaces: ifaces, Config: cfg, PulseAmp: -2, Steps: 1}); err == nil ||
+	if _, err := c.Solve(SolveSpec{Job: "x", Config: cfg, PulseAmp: -2, Steps: 1}); err == nil ||
 		!strings.Contains(err.Error(), "pulse") {
 		t.Errorf("pulse -2: err %v", err)
 	}
@@ -306,17 +314,100 @@ func TestSolveSpecValidation(t *testing.T) {
 // would panic in the solver, so Create answers an error and keeps no
 // shard.
 func TestHostCreateRejectsNonPhysicalPulse(t *testing.T) {
-	zones, ifaces, cfg, _ := testCase()
+	cfg, _ := testCase()
 	h := NewHost()
 	defer h.Close()
-	for _, amp := range []float64{-1, -2, math.NaN()} {
-		_, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp})
+	for _, amp := range []float64{-1, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp})
 		if err == nil || !strings.Contains(err.Error(), "pulse") {
 			t.Errorf("pulse_amp %v: err %v, want a pulse error", amp, err)
 		}
 	}
 	if n := h.ShardCount(); n != 0 {
 		t.Errorf("rejected creates left %d shards", n)
+	}
+}
+
+// TestHostCreateRejectsBadGeometry: the zones of a create request come
+// off the wire, so a geometry the solver cannot run on — or a shard
+// whose snapshot could never cross back in one frame — is an error
+// before anything is allocated, not a panic in Create or in the first
+// Step. Over HTTP that is a 400 from a worker that goes on serving.
+func TestHostCreateRejectsBadGeometry(t *testing.T) {
+	cfg, amp := testCase()
+	zone := func(j, k, l int) grid.Zone {
+		return grid.Zone{Name: "z", JMax: j, KMax: k, LMax: l, DJ: 0.1, DK: 0.1, DL: 0.1}
+	}
+	nanSpacing := zone(5, 5, 5)
+	nanSpacing.DK = math.NaN()
+	shortCoords := zone(6, 5, 5)
+	shortCoords.XJ = make([]float64, 5)
+	for _, tc := range []struct {
+		name string
+		z    grid.Zone
+		want string
+	}{
+		{"negative dim", zone(-4, 5, 5), "dims must be >= 3"},
+		{"zero dim", zone(0, 5, 5), "dims must be >= 3"},
+		{"dim of 2", zone(5, 2, 5), "dims must be >= 3"},
+		{"NaN spacing", nanSpacing, "K spacing"},
+		{"short coordinates", shortCoords, "5 J coordinates for 6 points"},
+		{"oversize", zone(2000, 2000, 2000), "exceeds"},
+		{"oversize dim", zone(1<<40, 3, 3), "exceeds"},
+	} {
+		bad := cfg
+		bad.Case = grid.Case{Name: "bad", Zones: []grid.Zone{tc.z}}
+		bad.Interfaces = nil
+		h := NewHost()
+		_, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad, PulseAmp: amp})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+		if n := h.ShardCount(); n != 0 {
+			t.Errorf("%s: rejected create left %d shards", tc.name, n)
+		}
+		h.Close()
+	}
+
+	h := NewHost()
+	defer h.Close()
+	srv := httptest.NewServer(NewShardServer(h))
+	defer srv.Close()
+	client := &HTTPClient{BaseURL: srv.URL, Client: srv.Client()}
+	bad := cfg
+	bad.Case.Zones = slices.Clone(cfg.Case.Zones)
+	bad.Case.Zones[0].JMax = -4
+	_, err := client.CreateShard(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad, PulseAmp: amp})
+	if err == nil || errors.Is(err, ErrWorkerDown) || !strings.Contains(err.Error(), "400") {
+		t.Errorf("negative dims over HTTP: err %v, want a 400 answer", err)
+	}
+	if _, err := client.CreateShard(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp}); err != nil {
+		t.Errorf("create after the rejected one: %v", err)
+	}
+}
+
+// TestDivergingSolveFailsWithoutFailover: a pulse the scheme cannot
+// advance makes the shard solvers panic mid-solve. The host answers
+// that as an error and drops the shard; the coordinator fails the solve
+// with it instead of failing over, since every survivor would replay
+// the same divergence, and every worker stays live.
+func TestDivergingSolveFailsWithoutFailover(t *testing.T) {
+	c, workers := newTestCluster(t, 3, nil)
+	cfg, _ := testCase()
+	_, err := c.Solve(SolveSpec{Job: "diverge", Config: cfg, PulseAmp: 1e300, Steps: 6})
+	if err == nil || !strings.Contains(err.Error(), "solver failed") {
+		t.Fatalf("solve: err %v, want the shard solver's failure", err)
+	}
+	if n := c.ctrFailovers.Value(); n != 0 {
+		t.Errorf("%d failovers, want 0", n)
+	}
+	if live := c.Live(); len(live) != len(workers) {
+		t.Errorf("live workers %v, want all %d", live, len(workers))
+	}
+	for _, w := range workers {
+		if n := w.Host().ShardCount(); n != 0 {
+			t.Errorf("%s still holds %d shards", w.ID(), n)
+		}
 	}
 }
 
@@ -419,9 +510,9 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 			t.Fatalf("register: %v", err)
 		}
 	}
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 	res, err := c.Solve(SolveSpec{
-		Job: "http", Zones: zones, Interfaces: ifaces,
+		Job:    "http",
 		Config: cfg, PulseAmp: amp, Steps: steps,
 	})
 	if err != nil {
@@ -445,23 +536,24 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 
 // TestHostErrors covers the host's validation paths.
 func TestHostErrors(t *testing.T) {
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
+	zones := cfg.Case.Zones
 	h := NewHost()
 	defer h.Close()
 
-	if _, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 2, Hi: 1, Config: cfg}); err == nil {
+	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 2, Hi: 1, Config: cfg}); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 0, Hi: 9, Config: cfg}); err == nil {
+	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 9, Config: cfg}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 	bad := cfg
 	bad.Dt = -1
-	if _, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 0, Hi: 1, Config: bad}); err == nil {
+	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad}); err == nil {
 		t.Error("invalid config accepted")
 	}
 
-	resp, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 0, Hi: 2, Config: cfg, PulseAmp: amp})
+	resp, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 2, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -473,7 +565,7 @@ func TestHostErrors(t *testing.T) {
 	}
 	// resp's shard [0, 2) couples zones 0 and 1 locally and has one Remote
 	// face, zone 1's J-max; mid's shard [1, 2) has two, both of zone 1.
-	mid, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 1, Hi: 2, Config: cfg, PulseAmp: amp})
+	mid, err := h.Create(CreateShardRequest{Job: "j", Lo: 1, Hi: 2, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -508,7 +600,7 @@ func TestHostErrors(t *testing.T) {
 		}
 	}
 	// Zone 2's shard donates exactly the plane resp's shard is missing.
-	last, err := h.Create(CreateShardRequest{Job: "j", Zones: zones, Interfaces: ifaces, Lo: 2, Hi: 3, Config: cfg, PulseAmp: amp})
+	last, err := h.Create(CreateShardRequest{Job: "j", Lo: 2, Hi: 3, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -533,7 +625,7 @@ func TestSlowLinkDelaysButCompletes(t *testing.T) {
 	c, workers := newTestCluster(t, 2, clock)
 	workers[1].SetDelay(200 * time.Millisecond)
 
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 	type out struct {
 		res SolveResult
 		err error
@@ -541,7 +633,7 @@ func TestSlowLinkDelaysButCompletes(t *testing.T) {
 	done := make(chan out, 1)
 	go func() {
 		res, err := c.Solve(SolveSpec{
-			Job: "slow", Zones: zones, Interfaces: ifaces,
+			Job:    "slow",
 			Config: cfg, PulseAmp: amp, Steps: steps,
 		})
 		done <- out{res, err}

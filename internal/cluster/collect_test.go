@@ -85,9 +85,9 @@ func TestCollectorEndToEndClosure(t *testing.T) {
 	for i, w := range workers {
 		w.SetDelay(time.Duration(i+1) * 10 * time.Millisecond)
 	}
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 	res := solveAdvancing(t, c, clk, SolveSpec{
-		Job: "obs", Zones: zones, Interfaces: ifaces,
+		Job:    "obs",
 		Config: cfg, PulseAmp: amp, Steps: steps,
 	})
 	if res.Trace == "" {
@@ -177,9 +177,9 @@ func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 	for i, w := range workers {
 		w.SetDelay(time.Duration(i+1) * 10 * time.Millisecond)
 	}
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
 	solveAdvancing(t, c, clk, SolveSpec{
-		Job: "wrap", Zones: zones, Interfaces: ifaces,
+		Job:    "wrap",
 		Config: cfg, PulseAmp: amp, Steps: steps,
 	})
 	for _, w := range workers {

@@ -14,7 +14,8 @@ import (
 // payloads, real snapshot bits.
 func realFrames(t testing.TB) []any {
 	t.Helper()
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
+	zones := cfg.Case.Zones
 	h := NewHost()
 	defer h.Close()
 	// One shard per zone; the middle one is the fixture, fed by the
@@ -23,7 +24,7 @@ func realFrames(t testing.TB) []any {
 	var created CreateShardResponse
 	var inbox [][]byte
 	for lo := range zones {
-		req := CreateShardRequest{Job: "frames", Zones: zones, Interfaces: ifaces,
+		req := CreateShardRequest{Job: "frames",
 			Lo: lo, Hi: lo + 1, Config: cfg, PulseAmp: amp, Trace: "frames#1"}
 		resp, err := h.Create(req)
 		if err != nil {

@@ -70,7 +70,9 @@ func (c *HTTPClient) postJSON(path string, in any) error {
 }
 
 // postFrame sends in as one frame and decodes the framed response into
-// out, refusing a response larger than maxShardBody.
+// out, refusing a response larger than maxShardBody. A 2xx response
+// that does not decode — cut off by a daemon dying mid-answer, or
+// malformed — is a transport failure, like an unreachable daemon.
 func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 	var body bytes.Buffer
 	if err := writeFrame(&body, in, func(n int64) { body.Grow(int(n)) }); err != nil {
@@ -78,7 +80,7 @@ func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 	}
 	return c.post(path, frameContentType, body.Bytes(), func(resp *http.Response) error {
 		if err := readFrame(resp.Body, maxShardBody, resp.ContentLength, out, reuse); err != nil {
-			return fmt.Errorf("cluster: decode %s response: %w", path, err)
+			return fmt.Errorf("%w: decode %s response: %w", ErrWorkerDown, path, err)
 		}
 		return nil
 	})

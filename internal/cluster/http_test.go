@@ -126,8 +126,11 @@ func TestHTTPClientResponseCap(t *testing.T) {
 	}
 	past := rawFrame(`{"msg":{"id":"x"},"planes":[4096]}`, make([]byte, 8))
 	body.Store(&past)
-	if _, err := c.CreateShard(CreateShardRequest{}); err == nil || !strings.Contains(err.Error(), "runs past") {
-		t.Errorf("response with a plane past its body: err %v", err)
+	// A response cut off mid-frame is a transport failure: the engine
+	// fails over instead of failing the solve.
+	if _, err := c.CreateShard(CreateShardRequest{}); err == nil || !strings.Contains(err.Error(), "runs past") ||
+		!errors.Is(err, ErrWorkerDown) {
+		t.Errorf("response with a plane past its body: err %v, want ErrWorkerDown", err)
 	}
 	fine := rawFrame(`{"msg":{"id":"x"},"planes":[8]}`, make([]byte, 8))
 	body.Store(&fine)
@@ -204,9 +207,10 @@ func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 			t.Fatalf("register: %v", err)
 		}
 	}
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
+	zones := cfg.Case.Zones
 	res, err := c.Solve(SolveSpec{
-		Job: "wire", Zones: zones, Interfaces: ifaces,
+		Job:    "wire",
 		Config: cfg, PulseAmp: amp, Steps: steps, CheckpointEvery: 1,
 	})
 	if err != nil {
@@ -234,10 +238,11 @@ func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 // racing the steps waits for the one that is running. Run under -race.
 func TestHostConcurrentSteps(t *testing.T) {
 	want := referenceHistory(t, 2)
-	zones, ifaces, cfg, amp := testCase()
+	cfg, amp := testCase()
+	zones := cfg.Case.Zones
 	h := NewHost()
 	defer h.Close()
-	created, err := h.Create(CreateShardRequest{Job: "race", Zones: zones, Interfaces: ifaces,
+	created, err := h.Create(CreateShardRequest{Job: "race",
 		Lo: 0, Hi: len(zones), Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -269,7 +274,7 @@ func TestHostConcurrentSteps(t *testing.T) {
 		for i, err := range errs {
 			if err == nil {
 				won++
-				st, ferr := foldStep(SolveSpec{Zones: zones}, resps[i:i+1])
+				st, ferr := foldStep(SolveSpec{Config: cfg}, resps[i:i+1])
 				if ferr != nil {
 					t.Fatalf("fold: %v", ferr)
 				}

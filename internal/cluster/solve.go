@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/f3d"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -19,13 +19,11 @@ type SolveSpec struct {
 	// it and the shards go to the first ones, so the same job lands on
 	// the same workers while membership is stable.
 	Job string
-	// Zones and Interfaces are the global case (f3d.StackAlongJ
-	// produces matched pairs).
-	Zones      []grid.Zone
-	Interfaces []f3d.Interface
-	// Config carries the solver parameters. Dt must be set (the
-	// shards never re-estimate it — a per-shard CFL estimate would
-	// diverge from the single-node solve).
+	// Config is the global solve: Case.Zones and Interfaces are the
+	// global case (f3d.StackAlongJ produces matched pairs) and the
+	// rest the solver parameters. Dt must be set (the shards never
+	// re-estimate it — a per-shard CFL estimate would diverge from the
+	// single-node solve).
 	Config f3d.Config
 	// PulseAmp is the initial-condition amplitude (f3d.InitPulse).
 	PulseAmp float64
@@ -93,13 +91,10 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if spec.Steps < 1 {
 		return SolveResult{}, fmt.Errorf("cluster: solve needs Steps >= 1, got %d", spec.Steps)
 	}
-	if len(spec.Zones) == 0 {
-		return SolveResult{}, fmt.Errorf("cluster: solve needs zones")
+	// A shard create rejecting the spec would read as a lost worker.
+	if err := spec.Config.Validate(); err != nil {
+		return SolveResult{}, fmt.Errorf("cluster: solve config: %w", err)
 	}
-	if spec.Config.Dt <= 0 {
-		return SolveResult{}, fmt.Errorf("cluster: solve needs Config.Dt > 0 (shards must share the global time step)")
-	}
-	// A shard create rejecting the pulse would read as a lost worker.
 	if err := f3d.ValidatePulse(spec.PulseAmp); err != nil {
 		return SolveResult{}, err
 	}
@@ -107,7 +102,7 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 		spec.CheckpointEvery = 1
 	}
 
-	flops := float64(interiorPoints(spec.Zones)) * f3d.FlopsPerPoint()
+	flops := float64(interiorPoints(spec.Config.Case.Zones)) * f3d.FlopsPerPoint()
 	trace := fmt.Sprintf("%s#%d", spec.Job, c.solveSeq.Add(1))
 	result := SolveResult{Trace: trace, History: make([]StepStat, spec.Steps)}
 	ckpt := checkpoint{step: 0}
@@ -158,6 +153,14 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 		}
 		wg.Wait()
 
+		// A worker that answers an error is alive: its solver failed on
+		// this state, and any survivor would fail the same replay.
+		for i, err := range errs {
+			if err != nil && !errors.Is(err, ErrWorkerDown) {
+				c.releaseShards(spec, shards, trace, s)
+				return SolveResult{}, fmt.Errorf("cluster: step %d on %q: %w", s, shards[i].worker, err)
+			}
+		}
 		if lost := workersWithErrors(shards, errs); len(lost) > 0 {
 			result.Failovers++
 			if result.Failovers > maxFailovers {
@@ -256,20 +259,21 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("cluster: no live workers")
 	}
-	granted := sched.PlateauGrant(len(spec.Zones), len(ranked))
+	nz := len(spec.Config.Case.Zones)
+	granted := sched.PlateauGrant(nz, len(ranked))
 	workers := ranked[:granted]
 	// k zones per shard is the stair-step plateau: the lockstep wall
 	// time is the slowest shard's, so only the max group size matters,
 	// exactly as ceil(m/p) governs a loop's chunks.
-	k := (len(spec.Zones) + granted - 1) / granted
+	k := (nz + granted - 1) / granted
 
 	shards := make([]*runShard, 0, granted)
 	initPlanes := make([]StepResponse, 0, granted)
 	for i, w := range workers {
 		lo := i * k
 		hi := lo + k
-		if hi > len(spec.Zones) {
-			hi = len(spec.Zones)
+		if hi > nz {
+			hi = nz
 		}
 		client, err := c.client(w)
 		if err != nil {
@@ -283,16 +287,14 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 			}
 		}
 		resp, err := client.CreateShard(CreateShardRequest{
-			Job:        spec.Job,
-			Zones:      spec.Zones,
-			Interfaces: spec.Interfaces,
-			Lo:         lo,
-			Hi:         hi,
-			Config:     spec.Config,
-			PulseAmp:   spec.PulseAmp,
-			Restore:    restore,
-			Step:       ckpt.step,
-			Trace:      trace,
+			Job:      spec.Job,
+			Lo:       lo,
+			Hi:       hi,
+			Config:   spec.Config,
+			PulseAmp: spec.PulseAmp,
+			Restore:  restore,
+			Step:     ckpt.step,
+			Trace:    trace,
 		})
 		if err != nil {
 			c.MarkLost(w)
@@ -359,7 +361,7 @@ func (c *Coordinator) releaseShards(spec SolveSpec, shards []*runShard, trace st
 // single-node summation order — grouping partial sums per shard would
 // change the float result), max-delta as a max.
 func foldStep(spec SolveSpec, resps []StepResponse) (StepStat, error) {
-	parts := make([]*ZonePart, len(spec.Zones))
+	parts := make([]*ZonePart, len(spec.Config.Case.Zones))
 	maxDelta := 0.0
 	for i := range resps {
 		for j := range resps[i].Zones {

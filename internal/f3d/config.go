@@ -190,6 +190,11 @@ func (cfg *Config) Validate() error {
 	if len(cfg.Case.Zones) == 0 {
 		return fmt.Errorf("f3d: config has no zones")
 	}
+	for _, z := range cfg.Case.Zones {
+		if err := z.Validate(); err != nil {
+			return err
+		}
+	}
 	if cfg.Dt <= 0 {
 		return fmt.Errorf("f3d: Dt must be > 0, got %g", cfg.Dt)
 	}

@@ -207,29 +207,30 @@ func (p *BoundaryPlane) UnmarshalBinary(b []byte) error {
 }
 
 // AppendZoneState appends zone zi's conserved field to dst as packed
-// big-endian IEEE-754 bits, in the zone's native storage order — the
-// checkpoint payload the cluster engine ships so a lost worker's zones
-// can be restored on a survivor. Like the plane encoding it is exact.
-// Appending lets a caller encode every checkpoint into one reused
-// buffer.
+// big-endian IEEE-754 bits in point order — the components of point 0,
+// then point 1, … in Zone.Index order — whatever the solver's storage
+// layout. It is the one zone-state codec: the cluster engine ships it
+// so a lost worker's zones can be restored on a survivor, and each zone
+// of a checkpoint file (SaveCheckpoint) is this payload. Like the plane
+// encoding it is exact. Appending lets a caller encode every checkpoint
+// into one reused buffer.
 func AppendZoneState(dst []byte, s Solver, zi int) ([]byte, error) {
 	zones := s.Zones()
 	if zi < 0 || zi >= len(zones) {
 		return dst, fmt.Errorf("f3d: AppendZoneState zone %d of %d", zi, len(zones))
 	}
 	q := &zones[zi].Q
+	if q.Layout != grid.PointMajor {
+		pm := grid.NewStateField(q.Zone, q.NC, grid.PointMajor)
+		pm.CopyFrom(q)
+		q = &pm
+	}
 	off := len(dst)
 	dst = slices.Grow(dst, 8*fieldValues(q))[:off+8*fieldValues(q)]
-	put := func(v float64) {
-		binary.BigEndian.PutUint64(dst[off:], math.Float64bits(v))
-		off += 8
-	}
-	for _, v := range q.Data {
-		put(v)
-	}
 	for i := range q.Vec {
 		for _, v := range &q.Vec[i] {
-			put(v)
+			binary.BigEndian.PutUint64(dst[off:], math.Float64bits(v))
+			off += 8
 		}
 	}
 	return dst, nil
@@ -239,7 +240,8 @@ func AppendZoneState(dst []byte, s Solver, zi int) ([]byte, error) {
 func fieldValues(f *grid.StateField) int { return f.NC * f.Zone.Points() }
 
 // RestoreZoneState writes AppendZoneState bits back onto zone zi of the
-// solver. The payload must match the zone's storage size exactly.
+// solver, in whichever layout it stores them. The payload must match
+// the zone's size exactly.
 func RestoreZoneState(s Solver, zi int, b []byte) error {
 	zones := s.Zones()
 	if zi < 0 || zi >= len(zones) {
@@ -250,17 +252,19 @@ func RestoreZoneState(s Solver, zi int, b []byte) error {
 		return fmt.Errorf("f3d: zone state of %d bytes onto zone %q storage of %d values",
 			len(b), zones[zi].Zone.Name, fieldValues(q))
 	}
-	get := func(v *float64) {
-		*v = math.Float64frombits(binary.BigEndian.Uint64(b))
-		b = b[8:]
+	pm := q
+	if q.Layout != grid.PointMajor {
+		f := grid.NewStateField(q.Zone, q.NC, grid.PointMajor)
+		pm = &f
 	}
-	for i := range q.Data {
-		get(&q.Data[i])
-	}
-	for i := range q.Vec {
-		for c := range q.Vec[i] {
-			get(&q.Vec[i][c])
+	for i := range pm.Vec {
+		for c := range pm.Vec[i] {
+			pm.Vec[i][c] = math.Float64frombits(binary.BigEndian.Uint64(b))
+			b = b[8:]
 		}
+	}
+	if q.Layout != grid.PointMajor {
+		q.CopyFrom(pm)
 	}
 	return nil
 }

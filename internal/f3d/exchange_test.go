@@ -326,6 +326,36 @@ func TestZoneStateRestore(t *testing.T) {
 	}
 }
 
+// TestZoneStateComponentMajor: a VectorSolver (component-major storage)
+// encodes its zone state in point order — the very bytes a CacheSolver
+// encodes for the same state — and restores it bit for bit.
+func TestZoneStateComponentMajor(t *testing.T) {
+	cfg := testConfig(7, 6, 5)
+	v := newVector(t, cfg)
+	c := newCache(t, cfg, CacheOptions{})
+	InitPulse(v, 0.03)
+	InitPulse(c, 0.03)
+	v.Step()
+	c.Step()
+	state, err := AppendZoneState(nil, v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := AppendZoneState(nil, c, 0); !bytes.Equal(state, want) {
+		t.Fatal("vector and cache zone states of one solution differ")
+	}
+	before := slices.Clone(v.Zones()[0].Q.Data)
+	v.Step()
+	if err := RestoreZoneState(v, 0, state); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range v.Zones()[0].Q.Data {
+		if math.Float64bits(x) != math.Float64bits(before[i]) {
+			t.Fatalf("restored value %d = %v, want %v", i, x, before[i])
+		}
+	}
+}
+
 // TestRemoteLinksReproduceZonalSolve is the keystone: driving two
 // single-zone solvers whose facing sides are Remote, coupled through
 // CapturePlane and Receive, must reproduce the coupled two-zone solver

@@ -7,20 +7,22 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-
-	"repro/internal/euler"
+	"math/bits"
+	"slices"
 )
 
 // Solution checkpointing. Production CFD runs save and restart —
 // the paper's 59-million-point case at 2.3 steps/hour could not have
-// been run any other way. The format is a small self-describing binary:
-// header, per-zone dimensions, conserved fields in point-major order,
-// and a CRC so a torn write is detected rather than silently restarted
-// from garbage.
+// been run any other way. The format is a small self-describing binary,
+// all big-endian: a header (magic, version, step count, zone count),
+// then per zone its three dimensions and its AppendZoneState payload —
+// the bits a cluster shard ships as a snapshot — and a CRC so a torn
+// write is detected rather than silently restarted from garbage. Files
+// are written and read one zone at a time, never whole.
 
 const (
 	checkpointMagic   = 0x46334443 // "F3DC"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // SaveCheckpoint writes the solver's solution (all zones' conserved
@@ -29,55 +31,30 @@ func SaveCheckpoint(w io.Writer, s Solver, steps int) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	out := io.MultiWriter(bw, crc)
-
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := out.Write(buf[:])
-		return err
-	}
-	if err := writeU64(checkpointMagic); err != nil {
+	zones := s.Zones()
+	header := []uint64{checkpointMagic, checkpointVersion, uint64(steps), uint64(len(zones))}
+	if err := binary.Write(out, binary.BigEndian, header); err != nil {
 		return fmt.Errorf("f3d: checkpoint header: %w", err)
 	}
-	if err := writeU64(checkpointVersion); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(steps)); err != nil {
-		return err
-	}
-	zones := s.Zones()
-	if err := writeU64(uint64(len(zones))); err != nil {
-		return err
-	}
-	var buf [euler.NC]float64
-	for _, zs := range zones {
+	var state []byte
+	for zi, zs := range zones {
 		z := zs.Zone
-		for _, d := range []int{z.JMax, z.KMax, z.LMax} {
-			if err := writeU64(uint64(d)); err != nil {
-				return err
-			}
+		if err := binary.Write(out, binary.BigEndian, []uint64{uint64(z.JMax), uint64(z.KMax), uint64(z.LMax)}); err != nil {
+			return fmt.Errorf("f3d: checkpoint zone %d: %w", zi, err)
 		}
-		for l := 0; l < z.LMax; l++ {
-			for k := 0; k < z.KMax; k++ {
-				for j := 0; j < z.JMax; j++ {
-					zs.Q.Point(j, k, l, buf[:])
-					for c := 0; c < euler.NC; c++ {
-						if err := writeU64(math.Float64bits(buf[c])); err != nil {
-							return err
-						}
-					}
-				}
-			}
+		var err error
+		if state, err = AppendZoneState(state[:0], s, zi); err != nil {
+			return err
+		}
+		if _, err := out.Write(state); err != nil {
+			return fmt.Errorf("f3d: checkpoint zone %d: %w", zi, err)
 		}
 	}
 	// Trailing CRC (of everything before it), written directly.
-	sum := crc.Sum32()
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	if _, err := w.Write(tail[:]); err != nil {
+	if err := binary.Write(w, binary.BigEndian, crc.Sum32()); err != nil {
 		return fmt.Errorf("f3d: checkpoint crc: %w", err)
 	}
 	return nil
@@ -91,77 +68,48 @@ func LoadCheckpoint(r io.Reader, s Solver) (steps int, err error) {
 	br := bufio.NewReader(r)
 	crc := crc32.NewIEEE()
 	in := io.TeeReader(br, crc)
-
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(in, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
-	magic, err := readU64()
-	if err != nil {
+	zones := s.Zones()
+	var header [4]uint64 // magic, version, steps, zone count
+	if err := binary.Read(in, binary.BigEndian, header[:]); err != nil {
 		return 0, fmt.Errorf("f3d: checkpoint header: %w", err)
 	}
-	if magic != checkpointMagic {
+	switch magic, version := header[0], header[1]; {
+	case magic == bits.ReverseBytes64(checkpointMagic): // version 1 wrote its header little-endian
+		return 0, fmt.Errorf("f3d: unsupported checkpoint version %d (little-endian header)", bits.ReverseBytes64(version))
+	case magic != checkpointMagic:
 		return 0, fmt.Errorf("f3d: not a checkpoint (magic %#x)", magic)
-	}
-	version, err := readU64()
-	if err != nil {
-		return 0, err
-	}
-	if version != checkpointVersion {
+	case version != checkpointVersion:
 		return 0, fmt.Errorf("f3d: unsupported checkpoint version %d", version)
+	case header[2] > math.MaxInt:
+		return 0, fmt.Errorf("f3d: checkpoint step count %d out of range", header[2])
+	case header[3] != uint64(len(zones)):
+		return 0, fmt.Errorf("f3d: checkpoint has %d zones, solver has %d", header[3], len(zones))
 	}
-	stepsU, err := readU64()
-	if err != nil {
-		return 0, err
-	}
-	if stepsU > math.MaxInt {
-		return 0, fmt.Errorf("f3d: checkpoint step count %d out of range", stepsU)
-	}
-	nz, err := readU64()
-	if err != nil {
-		return 0, err
-	}
-	zones := s.Zones()
-	if int(nz) != len(zones) {
-		return 0, fmt.Errorf("f3d: checkpoint has %d zones, solver has %d", nz, len(zones))
-	}
-	var buf [euler.NC]float64
-	for _, zs := range zones {
-		z := zs.Zone
-		for _, want := range []int{z.JMax, z.KMax, z.LMax} {
-			d, err := readU64()
-			if err != nil {
-				return 0, err
-			}
-			if int(d) != want {
-				return 0, fmt.Errorf("f3d: checkpoint zone dims mismatch (%d vs %d)", d, want)
-			}
+	var state []byte
+	for zi, zs := range zones {
+		var dims [3]uint64
+		if err := binary.Read(in, binary.BigEndian, dims[:]); err != nil {
+			return 0, fmt.Errorf("f3d: checkpoint truncated: %w", err)
 		}
-		for l := 0; l < z.LMax; l++ {
-			for k := 0; k < z.KMax; k++ {
-				for j := 0; j < z.JMax; j++ {
-					for c := 0; c < euler.NC; c++ {
-						bits, err := readU64()
-						if err != nil {
-							return 0, fmt.Errorf("f3d: checkpoint truncated: %w", err)
-						}
-						buf[c] = math.Float64frombits(bits)
-					}
-					zs.Q.SetPoint(j, k, l, buf[:])
-				}
-			}
+		if z := zs.Zone; dims != [3]uint64{uint64(z.JMax), uint64(z.KMax), uint64(z.LMax)} {
+			return 0, fmt.Errorf("f3d: checkpoint zone %d is %v, the solver's %v", zi, dims, z)
+		}
+		n := 8 * fieldValues(&zs.Q)
+		state = slices.Grow(state[:0], n)[:n]
+		if _, err := io.ReadFull(in, state); err != nil {
+			return 0, fmt.Errorf("f3d: checkpoint truncated: %w", err)
+		}
+		if err := RestoreZoneState(s, zi, state); err != nil {
+			return 0, err
 		}
 	}
 	wantSum := crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
+	var sum uint32
+	if err := binary.Read(br, binary.BigEndian, &sum); err != nil {
 		return 0, fmt.Errorf("f3d: checkpoint crc missing: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != wantSum {
-		return 0, fmt.Errorf("f3d: checkpoint corrupt (crc %#x, want %#x)", got, wantSum)
+	if sum != wantSum {
+		return 0, fmt.Errorf("f3d: checkpoint corrupt (crc %#x, want %#x)", sum, wantSum)
 	}
-	return int(stepsU), nil
+	return int(header[2]), nil
 }

@@ -2,6 +2,8 @@ package f3d
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -40,26 +42,74 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointCrossVariantRestart(t *testing.T) {
-	// A checkpoint written by the cache solver restarts the vector
-	// solver (the formats are layout-independent) — and the two then
-	// step identically.
+	// A checkpoint written by either solver restarts the other (the
+	// format is layout-independent) — and the two then step
+	// identically.
 	cfg := testConfig(10, 9, 8)
-	a := newCache(t, cfg, CacheOptions{})
-	InitPulse(a, 0.02)
-	a.Step()
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, a, 1); err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, cfg, CacheOptions{})
 	v := newVector(t, cfg)
-	InitUniform(v)
-	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), v); err != nil {
-		t.Fatal(err)
+	for _, dir := range []struct {
+		name     string
+		from, to Solver
+	}{{"cache to vector", c, v}, {"vector to cache", v, c}} {
+		InitPulse(dir.from, 0.02)
+		dir.from.Step()
+		var buf bytes.Buffer
+		if err := SaveCheckpoint(&buf, dir.from, 1); err != nil {
+			t.Fatal(err)
+		}
+		InitUniform(dir.to)
+		if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), dir.to); err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		if rf, rt := dir.from.Step(), dir.to.Step(); rf.Residual != rt.Residual {
+			t.Errorf("%s: restart diverges: %.17g vs %.17g", dir.name, rf.Residual, rt.Residual)
+		}
 	}
-	ra := a.Step()
-	rv := v.Step()
-	if ra.Residual != rv.Residual {
-		t.Errorf("cross-variant restart diverges")
+}
+
+// TestCheckpointIsZoneStates pins the one zone-state codec: after the
+// header, each zone of a checkpoint file is its three dimensions and
+// then, byte for byte, its AppendZoneState payload — from the cache
+// and the vector solver alike, whose payloads are the same bytes.
+func TestCheckpointIsZoneStates(t *testing.T) {
+	c, ifaces := SplitAlongJ("ckpt", 12, 5, 4, 5)
+	cfg := DefaultConfig(c)
+	cfg.Interfaces = ifaces
+	cache := newCache(t, cfg, CacheOptions{})
+	vec := newVector(t, cfg)
+	var files [2][]byte
+	for i, s := range []Solver{cache, vec} {
+		InitPulse(s, 0.03)
+		s.Step()
+		var buf bytes.Buffer
+		if err := SaveCheckpoint(&buf, s, 1); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = buf.Bytes()
+		rest := files[i][32:] // magic, version, steps, zone count
+		for zi, zs := range s.Zones() {
+			state, err := AppendZoneState(nil, s, zi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dims := rest[:24]
+			for d, want := range []int{zs.Zone.JMax, zs.Zone.KMax, zs.Zone.LMax} {
+				if got := binary.BigEndian.Uint64(dims[8*d:]); got != uint64(want) {
+					t.Fatalf("%T zone %d dim %d = %d, want %d", s, zi, d, got, want)
+				}
+			}
+			if !bytes.Equal(rest[24:24+len(state)], state) {
+				t.Fatalf("%T zone %d: checkpoint payload is not its AppendZoneState bits", s, zi)
+			}
+			rest = rest[24+len(state):]
+		}
+		if len(rest) != 4 {
+			t.Fatalf("%T: %d bytes after the last zone, want the 4-byte CRC", s, len(rest))
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("cache and vector checkpoints of one state differ")
 	}
 }
 
@@ -78,6 +128,13 @@ func TestCheckpointErrors(t *testing.T) {
 	bad[0] ^= 0xFF
 	if _, err := LoadCheckpoint(bytes.NewReader(bad), s); err == nil {
 		t.Error("corrupt magic accepted")
+	}
+	// A version-1 header: magic and version, little-endian.
+	v1 := binary.LittleEndian.AppendUint64(nil, checkpointMagic)
+	v1 = binary.LittleEndian.AppendUint64(v1, 1)
+	if _, err := LoadCheckpoint(bytes.NewReader(append(v1, good[16:]...)), s); err == nil ||
+		!strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+		t.Errorf("version-1 header: err = %v, want unsupported version 1", err)
 	}
 	// Flipped payload bit → CRC failure.
 	bad = append([]byte(nil), good...)

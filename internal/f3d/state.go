@@ -264,11 +264,12 @@ func MaxPointwiseDiff(a, b Solver) float64 {
 
 // ValidatePulse rejects an amplitude InitPulse cannot start from: at
 // amp <= -1 the pulse centre's density rho*(1+amp) is not positive and
-// the solver fails on its first step. NaN is rejected too. Large
-// positive amplitudes are physical and pass.
+// the solver fails on its first step. NaN and ±Inf are rejected too.
+// Large finite amplitudes pass; one too large for the scheme diverges
+// within a few steps, which the solver reports when it happens.
 func ValidatePulse(amp float64) error {
-	if !(amp > -1) {
-		return fmt.Errorf("f3d: pulse amplitude %v must be > -1 (the pulse centre's density rho*(1+amp) must stay positive)", amp)
+	if !(amp > -1 && amp <= math.MaxFloat64) {
+		return fmt.Errorf("f3d: pulse amplitude %v must be finite and > -1 (the pulse centre's density rho*(1+amp) must stay positive)", amp)
 	}
 	return nil
 }

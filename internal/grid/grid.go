@@ -11,7 +11,10 @@
 // RISC code would use.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Zone is one block of a multi-zone structured grid: a JMax×KMax×LMax
 // box of points with uniform spacing in each direction. The solver
@@ -31,16 +34,38 @@ type Zone struct {
 // scaled so the zone spans [0,1] in each direction. Dimensions must be
 // at least 3 (one interior point between two boundary points).
 func NewZone(name string, jmax, kmax, lmax int) Zone {
-	if jmax < 3 || kmax < 3 || lmax < 3 {
-		panic(fmt.Sprintf("grid: zone %q dims must be >= 3, got %d×%d×%d", name, jmax, kmax, lmax))
-	}
-	return Zone{
+	z := Zone{
 		Name: name,
 		JMax: jmax, KMax: kmax, LMax: lmax,
 		DJ: 1 / float64(jmax-1),
 		DK: 1 / float64(kmax-1),
 		DL: 1 / float64(lmax-1),
 	}
+	if err := z.Validate(); err != nil {
+		panic(err.Error())
+	}
+	return z
+}
+
+// Validate checks the rule every zone the solver runs on obeys: each
+// dimension at least 3, each spacing finite and positive, and each
+// coordinate array nil or one entry per point along its direction.
+// NewZone and StretchedZone build only such zones; a zone decoded from
+// outside the program need not be one.
+func (z *Zone) Validate() error {
+	dims := [3]int{z.JMax, z.KMax, z.LMax}
+	if min(dims[0], dims[1], dims[2]) < 3 {
+		return fmt.Errorf("grid: zone %q dims must be >= 3, got %d×%d×%d", z.Name, z.JMax, z.KMax, z.LMax)
+	}
+	for i, coords := range [3][]float64{z.XJ, z.XK, z.XL} {
+		if h := [3]float64{z.DJ, z.DK, z.DL}[i]; !(h > 0 && h <= math.MaxFloat64) {
+			return fmt.Errorf("grid: zone %q %c spacing %v must be finite and > 0", z.Name, "JKL"[i], h)
+		}
+		if coords != nil && len(coords) != dims[i] {
+			return fmt.Errorf("grid: zone %q has %d %c coordinates for %d points", z.Name, len(coords), "JKL"[i], dims[i])
+		}
+	}
+	return nil
 }
 
 // Points returns the number of grid points in the zone.

@@ -4,188 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Trace exporters: the same obs.Event stream rendered for two
-// ubiquitous flame-chart viewers. Speedscope's evented format gets one
-// time-ordered lane per worker (chunk and barrier spans) plus a
-// control lane of region spans; the Chrome trace-event format
-// ("catapult", chrome://tracing / Perfetto) gets complete ("X") spans
-// on per-worker threads and instant ("i") marks for scheduler events.
+// Trace export: the obs.Event stream rendered in the Chrome trace-event
+// format ("catapult"). chrome://tracing and Perfetto open the file, and
+// speedscope imports the format.
 
-// lane is the pseudo-thread used for events without a worker (region
-// begin/end, scheduler events).
-const controlLane = -1
-
-// traceSpan is a span event normalized for export.
-type traceSpan struct {
-	name       string
-	worker     int
-	start, end time.Time
-	cat        string
-	lo, hi     int64
-}
-
-// collectSpans normalizes span-shaped events, returning them with the
-// earliest start. Non-span events are skipped.
-func collectSpans(events []obs.Event) (spans []traceSpan, epoch time.Time) {
-	have := false
-	for _, e := range events {
-		var s traceSpan
-		switch e.Kind {
-		case obs.KindRegionEnd:
-			s = traceSpan{name: e.Name, worker: controlLane, cat: "region"}
-		case obs.KindBarrier:
-			s = traceSpan{name: e.Name + "/barrier", worker: e.Worker, cat: "barrier"}
-		case obs.KindChunk:
-			s = traceSpan{name: e.Name + "/chunk", worker: e.Worker, cat: "chunk", lo: e.A, hi: e.B}
-		default:
-			continue
-		}
-		if s.name == "/barrier" || s.name == "/chunk" {
-			s.name = "region" + s.name
-		} else if s.name == "" {
-			s.name = "region"
-		}
-		s.start = e.At.Add(-e.Dur)
-		s.end = e.At
-		spans = append(spans, s)
-		if !have || s.start.Before(epoch) {
-			epoch = s.start
-			have = true
-		}
-	}
-	return spans, epoch
-}
-
-// speedscope evented-profile JSON shapes.
-type ssFile struct {
-	Schema             string      `json:"$schema"`
-	Name               string      `json:"name"`
-	ActiveProfileIndex int         `json:"activeProfileIndex"`
-	Shared             ssShared    `json:"shared"`
-	Profiles           []ssProfile `json:"profiles"`
-}
-
-type ssShared struct {
-	Frames []ssFrame `json:"frames"`
-}
-
-type ssFrame struct {
-	Name string `json:"name"`
-}
-
-type ssProfile struct {
-	Type       string    `json:"type"`
-	Name       string    `json:"name"`
-	Unit       string    `json:"unit"`
-	StartValue int64     `json:"startValue"`
-	EndValue   int64     `json:"endValue"`
-	Events     []ssEvent `json:"events"`
-}
-
-type ssEvent struct {
-	Type  string `json:"type"` // "O" open, "C" close
-	Frame int    `json:"frame"`
-	At    int64  `json:"at"`
-}
-
-// WriteSpeedscope renders the trace as a speedscope evented profile
-// (https://www.speedscope.app/file-format-schema.json): one profile
-// per worker lane in nanoseconds since the first span. Spans on a lane
-// are flattened — if truncation or clock skew makes two spans on one
-// lane overlap, the later span is clamped to start where the earlier
-// ended, keeping the open/close stream monotone as the format
-// requires.
-func WriteSpeedscope(w io.Writer, events []obs.Event, name string) error {
-	spans, epoch := collectSpans(events)
-
-	frameIdx := map[string]int{}
-	var frames []ssFrame
-	frame := func(name string) int {
-		i, ok := frameIdx[name]
-		if !ok {
-			i = len(frames)
-			frameIdx[name] = i
-			frames = append(frames, ssFrame{Name: name})
-		}
-		return i
-	}
-
-	byLane := map[int][]traceSpan{}
-	for _, s := range spans {
-		byLane[s.worker] = append(byLane[s.worker], s)
-	}
-	lanes := make([]int, 0, len(byLane))
-	for l := range byLane {
-		lanes = append(lanes, l)
-	}
-	sort.Ints(lanes)
-
-	var profiles []ssProfile
-	for _, l := range lanes {
-		ls := byLane[l]
-		sort.SliceStable(ls, func(i, j int) bool {
-			if !ls[i].start.Equal(ls[j].start) {
-				return ls[i].start.Before(ls[j].start)
-			}
-			return ls[i].end.Before(ls[j].end)
-		})
-		p := ssProfile{Type: "evented", Unit: "nanoseconds"}
-		if l == controlLane {
-			p.Name = "regions"
-		} else {
-			p.Name = fmt.Sprintf("worker %d", l)
-		}
-		var cursor int64
-		for _, s := range ls {
-			at := s.start.Sub(epoch).Nanoseconds()
-			end := s.end.Sub(epoch).Nanoseconds()
-			if at < cursor {
-				at = cursor // flatten overlap
-			}
-			if end <= at {
-				continue
-			}
-			f := frame(s.name)
-			p.Events = append(p.Events,
-				ssEvent{Type: "O", Frame: f, At: at},
-				ssEvent{Type: "C", Frame: f, At: end})
-			cursor = end
-		}
-		p.EndValue = cursor
-		if len(p.Events) > 0 {
-			profiles = append(profiles, p)
-		}
-	}
-	if profiles == nil {
-		profiles = []ssProfile{}
-	}
-	if frames == nil {
-		frames = []ssFrame{}
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(ssFile{
-		Schema:   "https://www.speedscope.app/file-format-schema.json",
-		Name:     name,
-		Shared:   ssShared{Frames: frames},
-		Profiles: profiles,
-	})
-}
-
-// chromeEvent is one entry of the Chrome trace-event format (the
-// JSON-array flavor). Timestamps and durations are in microseconds.
+// chromeEvent is one entry of the Chrome trace-event format.
+// Timestamps and durations are in microseconds.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
+	Dur  float64        `json:"dur"` // required on "X" spans, even when 0
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	S    string         `json:"s,omitempty"`
@@ -195,73 +30,79 @@ type chromeEvent struct {
 // chromeFile is the object form with a traceEvents array, which both
 // chrome://tracing and Perfetto accept.
 type chromeFile struct {
-	TraceEvents []chromeEvent  `json:"traceEvents"`
-	Metadata    map[string]any `json:"otherData,omitempty"`
+	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
-// WriteChromeTrace renders the trace in Chrome trace-event format:
-// complete ("X") spans for regions, chunks and barrier waits on
-// per-worker threads, and global instant ("i") marks for scheduler
-// grant/resize/preempt events and drop markers.
+// chromeOf converts one event to its trace-event form, Ts not yet set,
+// and returns the time it starts at. Regions, chunks and barrier waits
+// become complete ("X") spans — regions on thread 0, a worker's chunks
+// and waits on thread worker+1, chunks carrying their bounds; scheduler
+// grant/resize/preempt events and drop markers become global instant
+// ("i") marks. ok is false for an event the format does not show.
+func chromeOf(e obs.Event) (ev chromeEvent, start time.Time, ok bool) {
+	loop := e.Name
+	if loop == "" {
+		loop = "region"
+	}
+	ev = chromeEvent{Name: loop, Ph: "X", Dur: float64(e.Dur.Nanoseconds()) / 1e3, Pid: 1, Tid: e.Worker + 1}
+	switch e.Kind {
+	case obs.KindRegionEnd:
+		ev.Cat, ev.Tid = "region", 0
+		return ev, e.At.Add(-e.Dur), true
+	case obs.KindBarrier:
+		ev.Name, ev.Cat = loop+"/barrier", "barrier"
+		return ev, e.At.Add(-e.Dur), true
+	case obs.KindChunk:
+		ev.Name, ev.Cat, ev.Args = loop+"/chunk", "chunk", map[string]any{"lo": e.A, "hi": e.B}
+		return ev, e.At.Add(-e.Dur), true
+	case obs.KindGrant:
+		ev.Args = map[string]any{"granted": e.A, "requested": e.B}
+	case obs.KindResize:
+		ev.Args = map[string]any{"from": e.A, "to": e.B, "requested": e.C}
+	case obs.KindPreempt:
+		ev.Args = map[string]any{"cur": e.A, "lower": e.B, "requested": e.C}
+	case obs.KindTraceDropped:
+		ev.Args = map[string]any{"dropped": e.A}
+	default:
+		return chromeEvent{}, time.Time{}, false
+	}
+	ev.Name = e.Kind.String()
+	if e.Name != "" {
+		ev.Name += ":" + e.Name
+	}
+	ev.Cat, ev.Ph, ev.Dur, ev.Tid, ev.S = "sched", "i", 0, 0, "g"
+	return ev, e.At, true
+}
+
+// WriteChromeTrace renders the trace in Chrome trace-event format (see
+// chromeOf), timed from the earliest event it shows, with each thread
+// named: "regions" and "worker N".
 func WriteChromeTrace(w io.Writer, events []obs.Event) error {
-	spans, epoch := collectSpans(events)
-	if epoch.IsZero() {
-		// No spans: anchor instants at the first event.
-		for _, e := range events {
-			epoch = e.At
-			break
+	var epoch time.Time
+	for _, e := range events {
+		if _, start, ok := chromeOf(e); ok && (epoch.IsZero() || start.Before(epoch)) {
+			epoch = start
 		}
 	}
-	us := func(t time.Time) float64 { return float64(t.Sub(epoch).Nanoseconds()) / 1e3 }
-	tid := func(worker int) int { return worker + 1 } // control lane -1 -> tid 0
-
 	out := chromeFile{TraceEvents: []chromeEvent{
 		{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]any{"name": "trace"}},
 		{Name: "thread_name", Ph: "M", Pid: 1, Tid: 0, Args: map[string]any{"name": "regions"}},
 	}}
 	named := map[int]bool{0: true}
-
-	for _, s := range spans {
-		t := tid(s.worker)
-		if !named[t] {
-			named[t] = true
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: 1, Tid: t,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", s.worker)},
-			})
+	for _, e := range events {
+		ev, start, ok := chromeOf(e)
+		if !ok {
+			continue
 		}
-		ev := chromeEvent{Name: s.name, Cat: s.cat, Ph: "X",
-			Ts: us(s.start), Dur: float64(s.end.Sub(s.start).Nanoseconds()) / 1e3,
-			Pid: 1, Tid: t}
-		if s.cat == "chunk" {
-			ev.Args = map[string]any{"lo": s.lo, "hi": s.hi}
+		ev.Ts = float64(start.Sub(epoch).Nanoseconds()) / 1e3
+		if !named[ev.Tid] {
+			named[ev.Tid] = true
+			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: 1, Tid: ev.Tid,
+				Args: map[string]any{"name": fmt.Sprintf("worker %d", ev.Tid-1)},
+			})
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}
-
-	for _, e := range events {
-		var args map[string]any
-		switch e.Kind {
-		case obs.KindGrant:
-			args = map[string]any{"granted": e.A, "requested": e.B}
-		case obs.KindResize:
-			args = map[string]any{"from": e.A, "to": e.B, "requested": e.C}
-		case obs.KindPreempt:
-			args = map[string]any{"cur": e.A, "lower": e.B, "requested": e.C}
-		case obs.KindTraceDropped:
-			args = map[string]any{"dropped": e.A}
-		default:
-			continue
-		}
-		name := e.Kind.String()
-		if e.Name != "" {
-			name += ":" + e.Name
-		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: name, Cat: "sched", Ph: "i", Ts: us(e.At), Pid: 1, Tid: 0, S: "g",
-			Args: args,
-		})
-	}
-
 	return json.NewEncoder(w).Encode(out)
 }

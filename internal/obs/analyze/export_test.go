@@ -3,65 +3,19 @@ package analyze
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-func TestWriteSpeedscope(t *testing.T) {
-	events := StairStepTrace("zone", 15, []int{1, 5, 8}, time.Millisecond, 100*time.Microsecond, base)
-	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second), time.Nanosecond))...)
-
-	var buf bytes.Buffer
-	if err := WriteSpeedscope(&buf, events, "test"); err != nil {
-		t.Fatal(err)
-	}
-	var f ssFile
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("speedscope output is not valid JSON: %v", err)
-	}
-	if f.Schema != "https://www.speedscope.app/file-format-schema.json" {
-		t.Errorf("$schema = %q", f.Schema)
-	}
-	// Lanes: regions (control) plus workers 0..7 from the P=8 sweep.
-	if len(f.Profiles) < 2 {
-		t.Fatalf("profiles = %d, want at least control + worker lanes", len(f.Profiles))
-	}
-	for _, p := range f.Profiles {
-		if p.Type != "evented" || p.Unit != "nanoseconds" {
-			t.Errorf("profile %q type/unit = %s/%s", p.Name, p.Type, p.Unit)
-		}
-		// Open/close events must be balanced, monotone and in-range.
-		depth := 0
-		last := int64(-1)
-		for _, e := range p.Events {
-			if e.At < last {
-				t.Fatalf("profile %q: events not monotone (%d after %d)", p.Name, e.At, last)
-			}
-			last = e.At
-			if e.Frame < 0 || e.Frame >= len(f.Shared.Frames) {
-				t.Fatalf("profile %q: frame %d out of range", p.Name, e.Frame)
-			}
-			switch e.Type {
-			case "O":
-				depth++
-			case "C":
-				depth--
-			default:
-				t.Fatalf("profile %q: bad event type %q", p.Name, e.Type)
-			}
-			if depth < 0 {
-				t.Fatalf("profile %q: close before open", p.Name)
-			}
-		}
-		if depth != 0 {
-			t.Errorf("profile %q: %d unclosed frames", p.Name, depth)
-		}
-		if p.EndValue < last {
-			t.Errorf("profile %q: endValue %d before last event %d", p.Name, p.EndValue, last)
-		}
-	}
-}
-
+// TestWriteChromeTrace checks what a trace viewer reads: the object
+// form with a traceEvents array, an "X" span with ts and dur for every
+// region, chunk and barrier wait — each worker's on its own named
+// thread, chunks carrying their bounds — and an "i" instant for each
+// scheduler event.
 func TestWriteChromeTrace(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5}, time.Millisecond, 0, base)
 	events = append(events, seqTrace(barrierRegionEvents("mix", base.Add(time.Second), time.Nanosecond))...)
@@ -70,37 +24,75 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := WriteChromeTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	var f chromeFile
+	var f map[string][]map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("chrome trace output is not valid JSON: %v", err)
+		t.Fatalf("chrome trace output is not a JSON object of arrays: %v", err)
 	}
-	var spans, instants, meta int
-	for _, e := range f.TraceEvents {
-		switch e.Ph {
+	out, ok := f["traceEvents"]
+	if !ok {
+		t.Fatal("no traceEvents array")
+	}
+	// Spans expected per thread: tid 0 holds the regions, tid w+1
+	// worker w's chunks and barrier waits.
+	want := map[float64]int{}
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindRegionEnd:
+			want[0]++
+		case obs.KindChunk, obs.KindBarrier:
+			want[float64(e.Worker+1)]++
+		}
+	}
+	got := map[float64]int{}
+	threads := map[float64]string{}
+	instants := 0
+	for _, e := range out {
+		tid, _ := e["tid"].(float64)
+		switch e["ph"] {
 		case "X":
-			spans++
-			if e.Dur < 0 || e.Ts < 0 {
-				t.Errorf("span %q has negative ts/dur", e.Name)
+			got[tid]++
+			ts, okTs := e["ts"].(float64)
+			dur, okDur := e["dur"].(float64)
+			if !okTs || !okDur || ts < 0 || dur < 0 {
+				t.Errorf("span %v: ts/dur missing or negative", e)
+			}
+			if e["cat"] == "chunk" {
+				args, _ := e["args"].(map[string]any)
+				if lo, hi := args["lo"], args["hi"]; lo == nil || hi == nil || lo.(float64) >= hi.(float64) {
+					t.Errorf("chunk span %v: bad lo/hi args", e)
+				}
 			}
 		case "i":
 			instants++
+			if e["cat"] != "sched" || e["s"] != "g" {
+				t.Errorf("instant %v: want a global sched mark", e)
+			}
 		case "M":
-			meta++
+			if e["name"] == "thread_name" {
+				name, _ := e["args"].(map[string]any)["name"].(string)
+				threads[tid] = name
+			}
 		default:
-			t.Errorf("unexpected phase %q", e.Ph)
+			t.Errorf("unexpected phase %v", e["ph"])
 		}
 	}
 	// P=5 stair-step region: 1 region span + 5 chunks; barrier region:
 	// 1 region + 4 chunks + 2 barrier waits (the 0-duration wait is
-	// still emitted). Instants: 1 grant.
-	if spans != 13 {
-		t.Errorf("spans = %d, want 13", spans)
+	// still emitted).
+	if !maps.Equal(got, want) || len(want) != 6 {
+		t.Errorf("spans per tid = %v, want %v", got, want)
+	}
+	for tid := range want {
+		name := "regions"
+		if tid > 0 {
+			name = fmt.Sprintf("worker %d", int(tid)-1)
+		}
+		if threads[tid] != name {
+			t.Errorf("tid %v named %q, want %q", tid, threads[tid], name)
+		}
 	}
 	if instants != 1 {
 		t.Errorf("instants = %d, want 1 (the grant)", instants)
-	}
-	if meta < 2 {
-		t.Errorf("metadata events = %d, want process + thread names", meta)
 	}
 }
 
