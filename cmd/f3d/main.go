@@ -13,6 +13,8 @@
 //
 // The paper's full-size cases are enormous for a laptop; use -scale to
 // run a geometrically similar case (e.g. -case 1m -scale 0.25).
+// -pulse must be finite and > -1 (exit 2); a diverged run stops with
+// f3d.ErrDiverged, naming the step (exit 1).
 package main
 
 import (
@@ -54,10 +56,10 @@ func main() {
 	flag.Parse()
 
 	c, err := buildCase(*caseName, *scale, *dims)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "f3d:", err)
-		os.Exit(2)
+	if err == nil {
+		err = f3d.ValidatePulse(*pulse)
 	}
+	exitOn(err, 2)
 	if *stretch > 0 {
 		for i := range c.Zones {
 			z := &c.Zones[i]
@@ -83,10 +85,7 @@ func main() {
 
 	if *validate {
 		rep, err := f3d.CrossValidate(cfg, *steps, max(2, *workers))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		fmt.Print(rep.String())
 		if !rep.OK() {
 			os.Exit(1)
@@ -122,10 +121,7 @@ func main() {
 	switch *variant {
 	case "cache":
 		s, err := f3d.NewCacheSolver(cfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		defer s.Close()
 		solver = s
 	case "vector":
@@ -133,17 +129,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "f3d: the vector variant is serial (that is the point); ignoring -workers")
 		}
 		s, err := f3d.NewVectorSolver(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		solver = s
 	case "block":
 		s, err := f3d.NewBlockSolver(cfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		defer s.Close()
 		solver = s
 	default:
@@ -160,16 +150,10 @@ func main() {
 	restartSteps := 0
 	if *loadFile != "" {
 		f, err := os.Open(*loadFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		restartSteps, err = f3d.LoadCheckpoint(f, solver)
 		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		fmt.Printf("restarted from %s at step %d\n", *loadFile, restartSteps)
 	} else {
 		f3d.InitPulse(solver, *pulse) // pulse 0: uniform flow
@@ -179,7 +163,8 @@ func main() {
 	var flops float64
 	stepsRun := 0
 	if *converge > 0 {
-		h := f3d.RunToSteady(solver, 1 / *converge, *steps)
+		h, err := f3d.RunToSteady(solver, 1 / *converge, *steps)
+		exitOn(err, 1)
 		stepsRun = h.Steps()
 		flops = h.Flops
 		if !*quiet {
@@ -195,7 +180,10 @@ func main() {
 			h.Converged, h.Steps(), h.ReductionOrders())
 	} else {
 		for i := 0; i < *steps; i++ {
-			st := solver.Step()
+			st, err := f3d.TryStep(solver)
+			if err != nil {
+				exitOn(fmt.Errorf("step %d: %w", i+1, err), 1)
+			}
 			flops += st.Flops
 			if !*quiet {
 				if *hexres {
@@ -223,19 +211,22 @@ func main() {
 	}
 	if *saveFile != "" {
 		f, err := os.Create(*saveFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		err = f3d.SaveCheckpoint(f, solver, restartSteps+stepsRun)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "f3d:", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		fmt.Printf("checkpoint written to %s (step %d)\n", *saveFile, restartSteps+stepsRun)
+	}
+}
+
+// exitOn ends the run with status code when err is not nil: 2 for a
+// bad input, 1 for a run that failed.
+func exitOn(err error, code int) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "f3d:", err)
+		os.Exit(code)
 	}
 }
 

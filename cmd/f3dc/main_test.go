@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
+	"repro/internal/sched"
 )
 
 // fakeDaemon serves the two daemon surfaces f3dc touches — the
@@ -19,7 +20,9 @@ import (
 // cmd/f3dd mounts them.
 func fakeDaemon(t *testing.T) (*httptest.Server, *cluster.Host) {
 	t.Helper()
-	host := cluster.NewHost()
+	s := sched.New(sched.Config{})
+	t.Cleanup(s.Close)
+	host := cluster.NewHost(s, "")
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/serve"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -23,9 +24,10 @@ import (
 // cmd/f3dd mounts them — and a /healthz that reports its clock.
 func fakeTracedDaemon(t *testing.T, id string) (*httptest.Server, *obs.Tracer) {
 	t.Helper()
-	host := cluster.NewHost()
 	tracer := obs.NewTracer(4096, simclock.Real{})
-	host.SetObs(id, tracer)
+	s := sched.New(sched.Config{Tracer: tracer})
+	t.Cleanup(s.Close)
+	host := cluster.NewHost(s, id)
 	reg := obs.NewRegistry()
 	reg.Counter("daemon_requests_total", "Requests served.").Inc()
 

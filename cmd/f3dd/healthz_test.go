@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
@@ -163,5 +165,65 @@ func TestClusterSolveOverDaemons(t *testing.T) {
 	client := &cluster.HTTPClient{BaseURL: b.ts.URL, Client: b.ts.Client()}
 	if err := client.Ping(); err == nil {
 		t.Error("Ping succeeded against a draining daemon; coordinators would keep routing to it")
+	}
+}
+
+// TestShardsAreJobs: a hosted shard is a job of the daemon's scheduler —
+// listed by GET /jobs, waited for by a drain that refuses new shard
+// creates with 503, and finished (its processors back) by its release.
+func TestShardsAreJobs(t *testing.T) {
+	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 2}, serverConfig{})
+	client := &cluster.HTTPClient{BaseURL: ts.ts.URL, Client: ts.ts.Client()}
+	c, ifaces := f3d.StackAlongJ("jobs", 20, 6, 5, []int{6, 12})
+	cfg := f3d.DefaultConfig(c)
+	cfg.Interfaces = ifaces
+	req := cluster.CreateShardRequest{Job: "jobs", Lo: 0, Hi: 3, Config: cfg, PulseAmp: 0.02}
+	created, err := client.CreateShard(req)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var jobs []sched.JobStatus
+	if code := ts.do("GET", "/jobs", nil, &jobs); code != http.StatusOK || len(jobs) != 1 ||
+		jobs[0].Name != "shard jobs" || jobs[0].State != sched.StateRunning {
+		t.Fatalf("GET /jobs = %d %+v, want the one running shard job", code, jobs)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- ts.s.Drain(context.Background()) }()
+	eventually(t, "the drain to begin", ts.s.Draining)
+	if _, err := client.CreateShard(req); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Errorf("create during a drain: err %v, want a 503 refusal", err)
+	}
+	if _, err := client.StepShard(cluster.StepRequest{Job: "jobs", ID: created.ID}); err != nil {
+		t.Errorf("step during a drain: %v", err)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) with a shard still live", err)
+	default:
+	}
+	if err := client.ReleaseShard(cluster.ReleaseRequest{Job: "jobs", ID: created.ID}); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	var h healthzReply
+	ts.do("GET", "/healthz", nil, &h)
+	if h.Shards != 0 || h.InUse != 0 {
+		t.Errorf("after the release: %d shards, %d processors in use, want 0 and 0", h.Shards, h.InUse)
+	}
+	if m := ts.s.Metrics(); m.Completed != 1 || m.Canceled != 0 {
+		t.Errorf("after the release: %d jobs done, %d canceled; want the released shard done", m.Completed, m.Canceled)
+	}
+}
+
+// eventually polls cond until it holds, failing after ten seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

@@ -16,7 +16,7 @@
 // Endpoints:
 //
 //	POST   /jobs             submit a job (JSON body; see server.go)
-//	GET    /jobs             list all jobs
+//	GET    /jobs             list all jobs, cluster shards included
 //	GET    /jobs/{id}        one job's status
 //	GET    /jobs/{id}/result outcome as HTTP status (200 done, 500
 //	                         failed, 504 timed out, 409 canceled,
@@ -37,13 +37,14 @@
 //	                         draining so coordinators stop routing
 //	                         new work here
 //	POST   /shards/create    cluster shard API: host one shard of a
-//	POST   /shards/step      sharded multi-zone solve, driven in
-//	POST   /shards/release   lockstep by f3dc. create and step take and
-//	                         answer a binary frame (JSON header + raw
-//	                         plane/snapshot blobs; layout in
+//	POST   /shards/step      sharded multi-zone solve as a job, driven
+//	POST   /shards/release   in lockstep by f3dc. create and step take
+//	                         and answer a binary frame (JSON header +
+//	                         raw plane/snapshot blobs; layout in
 //	                         internal/cluster/frame.go), capped at
 //	                         256 MiB -> 413, malformed or JSON -> 400;
-//	                         release is plain JSON
+//	                         release is plain JSON; a shard whose job
+//	                         has ended -> 410
 //
 // Every f3d job runs the solver's one served step shape,
 // f3d.DefaultShape(): rhs and both sweeps split across the granted
@@ -55,17 +56,17 @@
 //
 // Jobs may carry a run deadline: -job-timeout sets the default and a
 // submission's timeout_sec overrides it (negative opts out; a positive
-// value must lie in [1e-9, 1e9] seconds). A job
-// past its deadline is canceled, reported as timed-out, and its
-// processors return to the pool. Queue-full submissions are retried
-// -submit-retries times with doubling -retry-backoff before the
-// client sees 429.
+// value must lie in [1e-9, 1e9] seconds). A shard's is -job-timeout
+// from its last command; between commands it holds no processor. A job past its deadline is canceled, reported
+// as timed-out, and its processors return to the pool. Queue-full
+// submissions are retried -submit-retries times with doubling
+// -retry-backoff before the client sees 429.
 //
 // On SIGINT/SIGTERM the daemon flips /healthz to 503 and drains the
-// scheduler (waits for queued and running jobs up to -drain-timeout,
-// refusing new submissions but still serving status reads and shard
-// steps), then cancels whatever remains, closes the listener and
-// exits.
+// scheduler (waits for queued and running jobs, live shards included,
+// up to -drain-timeout, refusing new submissions and shard creates but
+// still serving status reads and shard steps), then cancels whatever
+// remains, closes the listener and exits.
 package main
 
 import (
@@ -103,15 +104,14 @@ func main() {
 	if *trace {
 		tracer.Enable()
 	}
-	schedCfg := sched.Config{
+	s := sched.New(sched.Config{
 		Procs:          *procs,
 		QueueDepth:     *queue,
 		Clock:          simclock.Real{},
 		DefaultTimeout: *jobTimeout,
 		Tracer:         tracer,
 		Metrics:        obs.NewRegistry(),
-	}
-	s := sched.New(schedCfg)
+	})
 	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
 		clock:         simclock.Real{},
 		submitRetries: *submitRetries,
@@ -150,6 +150,6 @@ func main() {
 		log.Printf("f3dd: http shutdown: %v", err)
 	}
 	m := s.Metrics()
-	log.Printf("f3dd: exit: %d completed, %d failed, %d canceled, %d rejected, peak %d/%d procs",
-		m.Completed, m.Failed, m.Canceled, m.Rejected, m.MaxInUse, m.Procs)
+	log.Printf("f3dd: exit: %d completed, %d failed, %d canceled, %d timed out, %d rejected, peak %d/%d procs",
+		m.Completed, m.Failed, m.Canceled, m.TimedOut, m.Rejected, m.MaxInUse, m.Procs)
 }

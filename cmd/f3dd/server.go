@@ -72,16 +72,20 @@ func (c serverConfig) withDefaults() serverConfig {
 // result statuses (200 done, 500 failed, 504 timed out, 409 canceled).
 type server struct {
 	sched  *sched.Scheduler
-	shards *cluster.ShardServer
+	shards *cluster.Host
 	cfg    serverConfig
 	mux    *http.ServeMux
 }
 
 func newServer(s *sched.Scheduler, cfg serverConfig) *server {
+	cfg = cfg.withDefaults()
 	sv := &server{
-		sched:  s,
-		shards: cluster.NewShardServer(cluster.NewHost()),
-		cfg:    cfg.withDefaults(),
+		sched: s,
+		// Shards run as jobs of s, and their step and exchange spans go
+		// into its tracer under this daemon's node tag, so a cluster
+		// coordinator's collector can attribute lockstep steps to it.
+		shards: cluster.NewHost(s, cfg.node),
+		cfg:    cfg,
 		mux:    http.NewServeMux(),
 	}
 	sv.mux.HandleFunc("POST /jobs", sv.handleSubmit)
@@ -95,11 +99,7 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 		Analyze: sv.analyzeReport,
 	}.Mount(sv.mux)
 	sv.mux.HandleFunc("GET /healthz", sv.handleHealthz)
-	sv.mux.Handle("POST /shards/", sv.shards)
-	// Shard-step and exchange handling report into the scheduler's
-	// tracer under this daemon's node tag, so a cluster coordinator's
-	// collector can attribute lockstep steps to it.
-	sv.shards.Host().SetObs(sv.cfg.node, s.Tracer())
+	sv.mux.Handle("POST /shards/", cluster.NewShardServer(sv.shards))
 	serve.TracerGauges(s.Registry(), s.Tracer())
 	return sv
 }
@@ -329,16 +329,9 @@ func (sv *server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, ok := jobID(w, r)
-	if !ok {
-		return
+	if st, ok := sv.job(w, r); ok {
+		serve.WriteJSON(w, http.StatusOK, st)
 	}
-	st, err := sv.sched.Job(id)
-	if err != nil {
-		serve.Error(w, http.StatusNotFound, err.Error())
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleResult reports a job's outcome with the terminal state encoded
@@ -346,13 +339,8 @@ func (sv *server) handleJob(w http.ResponseWriter, r *http.Request) {
 // parsing: 200 done, 500 failed, 504 timed out, 409 canceled, and 202
 // while the job is still queued or running.
 func (sv *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id, ok := jobID(w, r)
+	st, ok := sv.job(w, r)
 	if !ok {
-		return
-	}
-	st, err := sv.sched.Job(id)
-	if err != nil {
-		serve.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	code := http.StatusAccepted
@@ -370,26 +358,19 @@ func (sv *server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, ok := jobID(w, r)
+	st, ok := sv.job(w, r)
 	if !ok {
 		return
 	}
-	if err := sv.sched.Cancel(id); err != nil {
-		// A finished job cannot be canceled: that is a state conflict,
-		// not a missing resource.
-		if errors.Is(err, sched.ErrTerminal) {
-			serve.Error(w, http.StatusConflict, err.Error())
-			return
-		}
-		serve.Error(w, http.StatusNotFound, err.Error())
+	// A finished job cannot be canceled: that is a state conflict, not a
+	// missing resource.
+	if err := sv.sched.Cancel(st.ID); errors.Is(err, sched.ErrTerminal) {
+		serve.Error(w, http.StatusConflict, err.Error())
 		return
 	}
-	st, err := sv.sched.Job(id)
-	if err != nil {
-		serve.Error(w, http.StatusNotFound, err.Error())
-		return
+	if st, ok = sv.job(w, r); ok {
+		serve.WriteJSON(w, http.StatusOK, st)
 	}
-	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // healthzReply is the GET /healthz body: a readiness snapshot a
@@ -423,7 +404,7 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Running:      m.Running,
 		InUse:        m.InUse,
 		Procs:        m.Procs,
-		Shards:       sv.shards.Host().ShardCount(),
+		Shards:       sv.shards.ShardCount(),
 		TraceTotal:   tr.Total(),
 		TraceDropped: tr.Dropped(),
 		NowNs:        sv.cfg.clock.Now().UnixNano(),
@@ -436,11 +417,18 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, code, reply)
 }
 
-func jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+// job answers for the job the path names: its status, or a 400 (bad
+// ID) or 404 (no such job) already written.
+func (sv *server) job(w http.ResponseWriter, r *http.Request) (sched.JobStatus, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		serve.Error(w, http.StatusBadRequest, "bad job id "+strconv.Quote(r.PathValue("id")))
-		return 0, false
+		return sched.JobStatus{}, false
 	}
-	return id, true
+	st, err := sv.sched.Job(id)
+	if err != nil {
+		serve.Error(w, http.StatusNotFound, err.Error())
+		return sched.JobStatus{}, false
+	}
+	return st, true
 }

@@ -243,16 +243,13 @@ const (
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
-	switch s {
-	case Innermost:
-		return "innermost"
-	case Outermost:
-		return "outermost"
-	case CostGuided:
-		return "cost-guided"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
+	names := [...]string{
+		"innermost", "outermost", "cost-guided",
 	}
+	if s >= 0 && int(s) < len(names) {
+		return names[s]
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
 // Plan is the decision for one nest.

@@ -53,14 +53,13 @@ const (
 
 // String implements fmt.Stringer.
 func (d Discipline) String() string {
-	switch d {
-	case PlaneScratch:
-		return "plane-scratch (vector)"
-	case PencilScratch:
-		return "pencil-scratch (cache-tuned)"
-	default:
-		return fmt.Sprintf("Discipline(%d)", int(d))
+	names := [...]string{
+		"plane-scratch (vector)", "pencil-scratch (cache-tuned)",
 	}
+	if d >= 0 && int(d) < len(names) {
+		return names[d]
+	}
+	return fmt.Sprintf("Discipline(%d)", int(d))
 }
 
 // ScratchReport summarizes a scratch-discipline trace.

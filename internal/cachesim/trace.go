@@ -23,16 +23,14 @@ const (
 
 // String implements fmt.Stringer.
 func (o Ordering) String() string {
-	switch o {
-	case OrderingIdeal:
-		return "ideal (4a: doacross L, loops L-K-J)"
-	case OrderingAcceptable:
-		return "acceptable (4b: doacross K, loops K-L-J)"
-	case OrderingUnacceptable:
-		return "unacceptable (4c: doacross J, STRIDE-N gather)"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
+	names := [...]string{
+		"ideal (4a: doacross L, loops L-K-J)", "acceptable (4b: doacross K, loops K-L-J)",
+		"unacceptable (4c: doacross J, STRIDE-N gather)",
 	}
+	if o >= 0 && int(o) < len(names) {
+		return names[o]
+	}
+	return fmt.Sprintf("Ordering(%d)", int(o))
 }
 
 // TraceConfig sets up an Example 4 trace.

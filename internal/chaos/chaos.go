@@ -68,26 +68,13 @@ const (
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindPanicWorker:
-		return "panic-worker"
-	case KindJobError:
-		return "job-error"
-	case KindHang:
-		return "hang"
-	case KindStall:
-		return "stall"
-	case KindRace:
-		return "race"
-	case KindNodeLoss:
-		return "node-loss"
-	case KindSlowLink:
-		return "slow-link"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	names := [...]string{
+		"none", "panic-worker", "job-error", "hang", "stall", "race", "node-loss", "slow-link",
 	}
+	if k >= 0 && int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Fault is one planned fault: what goes wrong, at which step of the

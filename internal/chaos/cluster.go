@@ -11,6 +11,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -164,12 +165,16 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 	workers := make([]*chaosWorker, cfg.Workers)
 	for i := range workers {
 		id := fmt.Sprintf("w%02d", i)
-		workers[i] = &chaosWorker{LocalWorker: cluster.NewLocalWorker(id, clk)}
+		wcfg := sched.Config{Clock: clk}
+		if cfg.Trace {
+			wcfg.Tracer = obs.NewTracer(cfg.TraceBuf, clk)
+			wcfg.Tracer.Enable()
+		}
+		workers[i] = &chaosWorker{LocalWorker: cluster.NewLocalWorker(id, wcfg)}
 		if err := coord.Register(id, workers[i]); err != nil {
 			return nil, err
 		}
 		if cfg.Trace {
-			workers[i].EnableTrace(cfg.TraceBuf)
 			col.AddWorker(id, workers[i].LocalWorker)
 		}
 	}

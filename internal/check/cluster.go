@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/f3d"
 	"repro/internal/parloop"
+	"repro/internal/sched"
 )
 
 // clusterKernels adapt the sharded-solve engine to the conformance
@@ -108,7 +109,7 @@ func runClusterSharded(n, workers int, loss bool) []float64 {
 	coord := cluster.New(cluster.Config{})
 	for i := 0; i < workers; i++ {
 		id := fmt.Sprintf("w%02d", i)
-		var client cluster.WorkerClient = cluster.NewLocalWorker(id, nil)
+		var client cluster.WorkerClient = cluster.NewLocalWorker(id, sched.Config{})
 		if loss && workers >= 2 && i == 0 {
 			client = &lossyClient{WorkerClient: client}
 		}

@@ -33,8 +33,11 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,6 +45,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // ErrWorkerDown is the error transports return when the worker is
@@ -188,89 +192,73 @@ type captureSpec struct {
 	recvGlobal int
 }
 
-// shard is one hosted piece of a sharded solve. mu serializes
-// everything that touches the solver: it is held across a whole Step,
-// so a duplicate in-flight step waits and then fails the lockstep
-// check, and a release waits for the running step before closing.
+// shard is one hosted piece of a sharded solve, run as one sched job
+// whose Run owns the solver and runs the commands of Create, Step and
+// Release on it one at a time. The scheduler keeps a finished job's
+// record, so nothing here may hold the solver or the checkpoint
+// (restore) past Run.
 type shard struct {
-	job    string
-	lo, hi int
+	host    *Host
+	job     string
+	lo, hi  int
+	cfg     f3d.Config // the sub-case Config.Case.Zones[lo:hi)
+	pulse   float64
+	restore []SnapshotWire
 	// captures has one entry per cross-shard interface, so its length is
 	// also the number of Remote faces: the planes every step must carry.
 	captures []captureSpec
-
-	mu     sync.Mutex
-	solver *f3d.CacheSolver
-	step   int
-	closed bool // released while a step was waiting on mu
+	// id and handle are set by Create under the host lock. cmds is
+	// unbuffered, so no abandoned command is left in it; a nil command
+	// is a release.
+	id     string
+	handle *sched.Handle
+	cmds   chan func(*f3d.CacheSolver) error
+	step   int // owned by Run
 }
 
-// close frees the shard's solver once no step is running on it. The
-// caller has already unlinked the shard from the host. A step whose
-// solver failed may have closed it first; closing twice is harmless.
-func (sh *shard) close() {
-	sh.mu.Lock()
-	sh.solver.Close()
-	sh.closed = true
-	sh.mu.Unlock()
-}
-
-// Host runs shards on a worker. It is the worker-side half of every
-// transport: LocalWorker wraps one directly, ShardServer exposes one
-// over HTTP inside f3dd.
+// Host runs shards on a worker, each as a job of the worker's scheduler
+// (a grant while it computes, the job deadline, a line in its job
+// list). It is the worker-side half of every transport: LocalWorker
+// wraps one directly, ShardServer exposes one over HTTP inside f3dd.
 type Host struct {
+	sched *sched.Scheduler
+	node  string
+
 	mu     sync.Mutex
-	next   int
 	shards map[string]*shard
-	node   string
-	tracer *obs.Tracer
 }
 
-// NewHost creates an empty shard host.
-func NewHost() *Host {
-	return &Host{shards: make(map[string]*shard)}
+// NewHost creates an empty shard host whose shards run as jobs of s.
+// node tags the spans they emit into s's tracer (shard-step compute,
+// boundary exchange).
+func NewHost(s *sched.Scheduler, node string) *Host {
+	return &Host{sched: s, node: node, shards: make(map[string]*shard)}
 }
 
-// SetObs attaches the worker-side tracer and the node name stamped on
-// every span the host emits (shard-step compute, boundary exchange).
-// A nil or disabled tracer keeps stepping zero-cost: the host then
-// pays one atomic load per Step and reads no timestamps.
-func (h *Host) SetObs(node string, tr *obs.Tracer) {
-	h.mu.Lock()
-	h.node = node
-	h.tracer = tr
-	h.mu.Unlock()
-}
-
-// ShardCount returns the number of live shards (exported to metrics
-// and the daemon's healthz).
+// ShardCount returns the number of live shard jobs (exported to the
+// daemon's healthz).
 func (h *Host) ShardCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.shards)
 }
 
-// Close releases every shard, waiting out any step still running. The
-// host lock is dropped first so a long step never blocks the host.
-func (h *Host) Close() {
+// shard returns the live shard id names, or nil.
+func (h *Host) shard(id string) *shard {
 	h.mu.Lock()
-	shards := h.shards
-	h.shards = make(map[string]*shard)
-	h.mu.Unlock()
-	for _, sh := range shards {
-		sh.close()
-	}
+	defer h.mu.Unlock()
+	return h.shards[id]
 }
 
-// Create builds a shard from the request: the sub-case
-// Config.Case.Zones[Lo:Hi), whose cross-shard interfaces keep their
-// local side and turn the other into f3d.Remote (fed by the planes each
-// step carries) plus a capture spec, the solver initialized exactly as
-// the single-node solve (shared Dt, same pulse), optionally overwritten
-// from checkpoint snapshots. The request comes off the wire, so the
-// global config is validated and the shard's size bounded before
-// anything is allocated for it.
-func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
+// Create submits the shard's job and returns once it is granted and
+// built: the sub-case Config.Case.Zones[Lo:Hi), whose cross-shard
+// interfaces keep their local side and turn the other into f3d.Remote
+// (fed by the planes each step carries) plus a capture spec, the solver
+// initialized exactly as the single-node solve (shared Dt, same pulse),
+// optionally overwritten from checkpoint snapshots. The request comes
+// off the wire, so it is validated and bounded before anything is
+// allocated. A caller that gives up (ctx) withdraws the queued job.
+func (h *Host) Create(ctx context.Context, req CreateShardRequest) (CreateShardResponse, error) {
 	zones := req.Config.Case.Zones
 	if req.Lo < 0 || req.Hi > len(zones) || req.Lo >= req.Hi {
 		return CreateShardResponse{}, fmt.Errorf("cluster: shard range [%d, %d) of %d zones", req.Lo, req.Hi, len(zones))
@@ -284,13 +272,13 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 	if err := checkShardSize(zones[req.Lo:req.Hi]); err != nil {
 		return CreateShardResponse{}, err
 	}
-	cfg := req.Config
-	cfg.Case = grid.Case{
+	sh := &shard{host: h, job: req.Job, lo: req.Lo, hi: req.Hi, cfg: req.Config, pulse: req.PulseAmp,
+		restore: req.Restore, step: req.Step, cmds: make(chan func(*f3d.CacheSolver) error)}
+	sh.cfg.Case = grid.Case{
 		Name:  fmt.Sprintf("%s-shard-%d-%d", req.Job, req.Lo, req.Hi),
 		Zones: append([]grid.Zone(nil), zones[req.Lo:req.Hi]...),
 	}
-	cfg.Interfaces = nil
-	sh := &shard{job: req.Job, lo: req.Lo, hi: req.Hi, step: req.Step}
+	sh.cfg.Interfaces = nil
 	local := func(zone int) int {
 		if zone < req.Lo || zone >= req.Hi {
 			return f3d.Remote
@@ -307,31 +295,84 @@ func (h *Host) Create(req CreateShardRequest) (CreateShardResponse, error) {
 		case l.Left == f3d.Remote:
 			sh.captures = append(sh.captures, captureSpec{local: l.Right, face: f3d.FaceJMin, recvGlobal: f.Left})
 		}
-		cfg.Interfaces = append(cfg.Interfaces, l)
-	}
-	solver, err := f3d.NewCacheSolver(cfg, f3d.CacheOptions{})
-	if err != nil {
-		return CreateShardResponse{}, fmt.Errorf("cluster: shard solver: %w", err)
-	}
-	sh.solver = solver
-	f3d.InitPulse(solver, req.PulseAmp)
-	for _, w := range req.Restore {
-		if err := f3d.RestoreZoneState(solver, w.Zone-req.Lo, w.Data); err != nil {
-			solver.Close()
-			return CreateShardResponse{}, fmt.Errorf("cluster: restore: %w", err)
-		}
-	}
-	planes, err := sh.capturePlanes()
-	if err != nil {
-		solver.Close()
-		return CreateShardResponse{}, err
+		sh.cfg.Interfaces = append(sh.cfg.Interfaces, l)
 	}
 	h.mu.Lock()
-	h.next++
-	id := fmt.Sprintf("%s-%d", req.Job, h.next)
-	h.shards[id] = sh
+	hd, err := h.sched.Submit(sh)
+	if err == nil {
+		sh.id, sh.handle = strconv.FormatUint(hd.ID(), 10), hd
+		h.shards[sh.id] = sh
+	}
 	h.mu.Unlock()
-	return CreateShardResponse{ID: id, Planes: planes}, nil
+	if err != nil {
+		return CreateShardResponse{}, fmt.Errorf("cluster: shard job: %w", err)
+	}
+	var planes [][]byte
+	if err := h.call(ctx, sh, func(s *f3d.CacheSolver) (err error) {
+		planes, err = sh.capturePlanes(s)
+		return err
+	}); err != nil {
+		hd.Cancel()
+		h.forget(sh) // a job withdrawn from the queue never runs
+		return CreateShardResponse{}, err
+	}
+	return CreateShardResponse{ID: sh.id, Planes: planes}, nil
+}
+
+// forget drops sh from the map. sh.id is read under the lock: Create
+// sets it, under the lock, only after Run may have started.
+func (h *Host) forget(sh *shard) {
+	h.mu.Lock()
+	delete(h.shards, sh.id)
+	h.mu.Unlock()
+}
+
+// Name implements sched.Job.
+func (sh *shard) Name() string { return "shard " + sh.job }
+
+// Parallelism implements sched.Job as f3d.Job does.
+func (sh *shard) Parallelism() int {
+	sp := f3d.StepProfileFor(sh.cfg.Case, f3d.DefaultShape())
+	return sp.MaxParallelism()
+}
+
+// Run implements sched.Job: it builds the solver on the granted team,
+// then runs commands. Between them it parks, holding no processor, and
+// each command takes a fresh grant (Checkpoint), which restarts the
+// job's deadline. A release, the deadline or a diverged step ends the job,
+// and the solver and the host's entry go with it.
+func (sh *shard) Run(g *sched.Grant) error {
+	defer sh.host.forget(sh)
+	solver, err := f3d.NewCacheSolver(sh.cfg, f3d.CacheOptions{Team: g.Team()})
+	if err != nil {
+		return fmt.Errorf("cluster: shard solver: %w", err)
+	}
+	defer solver.Close()
+	f3d.InitPulse(solver, sh.pulse)
+	restore := sh.restore
+	sh.restore = nil
+	for _, w := range restore {
+		if err := f3d.RestoreZoneState(solver, w.Zone-sh.lo, w.Data); err != nil {
+			return fmt.Errorf("cluster: restore: %w", err)
+		}
+	}
+	for {
+		select {
+		case cmd := <-sh.cmds:
+			if cmd == nil {
+				return nil
+			}
+			if err := g.Checkpoint(); err != nil {
+				return err
+			}
+			if err := cmd(solver); errors.Is(err, f3d.ErrDiverged) {
+				return err
+			}
+			g.Park()
+		case <-g.Context().Done():
+			return context.Cause(g.Context())
+		}
+	}
 }
 
 // checkShardSize refuses zones whose snapshot, 8·NC bytes a point,
@@ -358,13 +399,13 @@ func checkShardSize(zones []grid.Zone) error {
 
 // capturePlanes snapshots every donor plane of the shard at the
 // current time level, addressed to its global receiver zone.
-func (sh *shard) capturePlanes() ([][]byte, error) {
+func (sh *shard) capturePlanes(solver *f3d.CacheSolver) ([][]byte, error) {
 	if len(sh.captures) == 0 {
 		return nil, nil
 	}
 	out := make([][]byte, 0, len(sh.captures))
 	for _, c := range sh.captures {
-		p, err := f3d.CapturePlane(sh.solver, c.local, c.face)
+		p, err := f3d.CapturePlane(solver, c.local, c.face)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: capture: %w", err)
 		}
@@ -378,34 +419,71 @@ func (sh *shard) capturePlanes() ([][]byte, error) {
 	return out, nil
 }
 
-// Step advances one shard one lockstep time step: decode the incoming
-// planes, exactly one per Remote face, and hand them to the solver's
-// Receive, step the solver, report per-zone residual parts and the donor
-// planes for the next step. A step refused midway may leave planes
-// staged; the coordinator fails the solve on any error a host answers.
-// A solver that panics — a diverged solution the scheme cannot advance
-// — leaves its state unusable, so the step reports the panic as an
-// error and drops the shard.
-//
-// When a tracer is attached and enabled (SetObs), the handler emits
-// two spans stamped with the request's solve id and step epoch: a
-// KindShardStep span covering the solver step (compute) and a
-// KindExchange span covering everything else in the handler — plane
-// decode, donor-plane capture and checkpoint snapshots — so the two
-// durations sum to the worker's whole handling time.
+// call runs fn on the shard's job and returns its error; when the job
+// ends first, gone's; when ctx ends before the job takes fn, ctx's.
+func (h *Host) call(ctx context.Context, sh *shard, fn func(*f3d.CacheSolver) error) error {
+	done := make(chan error, 1)
+	select {
+	case sh.cmds <- func(s *f3d.CacheSolver) error { err := fn(s); done <- err; return err }:
+	case <-sh.handle.Done():
+		return h.gone(sh.id)
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: shard %q: %w", sh.id, ctx.Err())
+	}
+	select {
+	case err := <-done:
+		return err
+	case <-sh.handle.Done():
+		return h.gone(sh.id)
+	}
+}
+
+// Step advances one shard one lockstep time step on its job.
+// Concurrent steps for one shard queue there, so a duplicate fails the
+// lockstep check.
 func (h *Host) Step(req StepRequest) (StepResponse, error) {
-	h.mu.Lock()
-	sh, ok := h.shards[req.ID]
-	node, tr := h.node, h.tracer
-	h.mu.Unlock()
-	if !ok {
-		return StepResponse{}, fmt.Errorf("cluster: no shard %q", req.ID)
+	sh := h.shard(req.ID)
+	if sh == nil {
+		return StepResponse{}, h.gone(req.ID)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return StepResponse{}, fmt.Errorf("cluster: no shard %q", req.ID)
+	var resp StepResponse
+	err := h.call(context.Background(), sh, func(s *f3d.CacheSolver) (err error) {
+		resp, err = sh.serve(s, req)
+		return err
+	})
+	return resp, err
+}
+
+// gone answers for a shard the host does not hold. One whose job ended
+// without failing (deadline, release, restart) answers ErrWorkerDown,
+// so the coordinator restores from its checkpoint instead of failing
+// the solve; a failed one answers its failure; any other id is unknown.
+func (h *Host) gone(id string) error {
+	jid, _ := strconv.ParseUint(id, 10, 64) // no job has ID 0
+	st, err := h.sched.Job(jid)
+	switch {
+	case err != nil || !strings.HasPrefix(st.Name, "shard "):
+		return fmt.Errorf("cluster: no shard %q", id)
+	case st.State == sched.StateFailed:
+		return fmt.Errorf("cluster: shard %q: %s", id, st.Err)
 	}
+	return fmt.Errorf("%w: no shard %q: its job is %s", ErrWorkerDown, id, st.State)
+}
+
+// serve advances the shard one lockstep time step on Run's goroutine:
+// decode the incoming planes, exactly one per Remote face, and hand
+// them to the solver's Receive, step the solver, report per-zone
+// residual parts and the donor planes for the next step. A step refused
+// midway may leave planes staged; the coordinator fails the solve on any
+// error a host answers. A diverged step (f3d.ErrDiverged) is answered
+// before anything is encoded, and ends the job.
+//
+// With the scheduler's tracer enabled, the step emits two spans stamped
+// with the solve id and step epoch: KindShardStep for the solver step
+// and KindExchange for the rest (plane decode, capture, snapshots), so
+// the two sum to the worker's handling time.
+func (sh *shard) serve(solver *f3d.CacheSolver, req StepRequest) (StepResponse, error) {
+	tr := sh.host.sched.Tracer()
 	traced := tr.Enabled()
 	var t0, tDecoded, tStepped time.Time
 	if traced {
@@ -427,32 +505,27 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 			return StepResponse{}, fmt.Errorf("cluster: plane for zone %d outside shard [%d, %d)", p.Zone, sh.lo, sh.hi)
 		}
 		p.Zone -= sh.lo
-		if err := sh.solver.Receive(&p); err != nil {
+		if err := solver.Receive(&p); err != nil {
 			return StepResponse{}, fmt.Errorf("cluster: receive plane: %w", err)
 		}
 	}
 	if traced {
 		tDecoded = tr.Now()
 	}
-	stats, err := sh.stepSolver()
+	stats, err := f3d.TryStep(solver)
 	if err != nil {
-		h.mu.Lock()
-		delete(h.shards, req.ID) // ids are never reused
-		h.mu.Unlock()
-		sh.solver.Close()
-		sh.closed = true
-		return StepResponse{}, err
+		return StepResponse{}, fmt.Errorf("cluster: shard solver failed at step %d: %w", sh.step, err)
 	}
 	if traced {
 		tStepped = tr.Now()
 	}
 	sh.step++
-	zres := sh.solver.ZoneResiduals()
+	zres := solver.ZoneResiduals()
 	resp := StepResponse{MaxDelta: stats.MaxDelta, Zones: make([]ZonePart, len(zres))}
 	for i, zr := range zres {
 		resp.Zones[i] = ZonePart{Zone: sh.lo + i, SumSq: zr.SumSq, Points: zr.Points}
 	}
-	planes, err := sh.capturePlanes()
+	planes, err := sh.capturePlanes(solver)
 	if err != nil {
 		return StepResponse{}, err
 	}
@@ -460,7 +533,7 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	if req.Checkpoint {
 		resp.Snapshots = make([]SnapshotWire, 0, sh.hi-sh.lo)
 		for zi := 0; zi < sh.hi-sh.lo; zi++ {
-			data, err := f3d.AppendZoneState(takeBuf(&req.Reuse), sh.solver, zi)
+			data, err := f3d.AppendZoneState(takeBuf(&req.Reuse), solver, zi)
 			if err != nil {
 				return StepResponse{}, err
 			}
@@ -469,6 +542,7 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	}
 	if traced {
 		tEnd := tr.Now()
+		node := sh.host.node
 		tr.Emit(obs.Event{Kind: obs.KindShardStep, Name: req.Job, Worker: -1,
 			Node: node, Trace: req.Trace, Epoch: int64(req.Step), At: tStepped,
 			Dur: tStepped.Sub(tDecoded), A: int64(req.Step), B: int64(sh.hi - sh.lo)})
@@ -480,28 +554,19 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 	return resp, nil
 }
 
-// stepSolver advances the shard's solver one step, turning a solver
-// panic into an error.
-func (sh *shard) stepSolver() (stats f3d.StepStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: shard solver failed at step %d: %v", sh.step, r)
-		}
-	}()
-	return sh.solver.Step(), nil
-}
-
-// Release frees one shard (unknown ids are an error, so lockstep
-// bookkeeping bugs surface).
+// Release ends a shard's job, which finishes done, and returns once
+// the job has. An id the host does not hold is an error (gone), so
+// lockstep bookkeeping bugs surface.
 func (h *Host) Release(req ReleaseRequest) error {
-	h.mu.Lock()
-	sh, ok := h.shards[req.ID]
-	delete(h.shards, req.ID)
-	h.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: no shard %q", req.ID)
+	sh := h.shard(req.ID)
+	if sh == nil {
+		return h.gone(req.ID)
 	}
-	sh.close()
+	select {
+	case sh.cmds <- nil:
+	case <-sh.handle.Done():
+	}
+	<-sh.handle.Done()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/f3d"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -45,6 +47,14 @@ func referenceHistory(t *testing.T, steps int) []StepStat {
 	return hist
 }
 
+// newTestHost returns a host whose shards run on a procs-processor
+// scheduler that closes with the test.
+func newTestHost(t testing.TB, procs int) *Host {
+	s := sched.New(sched.Config{Procs: procs})
+	t.Cleanup(s.Close)
+	return NewHost(s, "test")
+}
+
 // newTestCluster registers n in-process workers on a coordinator.
 func newTestCluster(t *testing.T, n int, clock simclock.Clock) (*Coordinator, []*LocalWorker) {
 	t.Helper()
@@ -52,7 +62,7 @@ func newTestCluster(t *testing.T, n int, clock simclock.Clock) (*Coordinator, []
 	workers := make([]*LocalWorker, n)
 	for i := range workers {
 		id := string(rune('a'+i)) + "-worker"
-		workers[i] = NewLocalWorker(id, clock)
+		workers[i] = NewLocalWorker(id, sched.Config{Clock: clock})
 		if err := c.Register(id, workers[i]); err != nil {
 			t.Fatalf("register %s: %v", id, err)
 		}
@@ -135,12 +145,12 @@ func TestFailoverReproducesHistory(t *testing.T) {
 
 	good := make([]*LocalWorker, 2)
 	for i, id := range []string{"alpha", "beta"} {
-		good[i] = NewLocalWorker(id, clock)
+		good[i] = NewLocalWorker(id, sched.Config{Clock: clock})
 		if err := c.Register(id, good[i]); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 	}
-	flaky := &failAfter{WorkerClient: NewLocalWorker("gamma", clock), n: 3}
+	flaky := &failAfter{WorkerClient: NewLocalWorker("gamma", sched.Config{Clock: clock}), n: 3}
 	if err := c.Register("gamma", flaky); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -199,7 +209,7 @@ func TestCheckpointBuffersAlternate(t *testing.T) {
 	const steps = 7
 	want := referenceHistory(t, steps)
 	c := New(Config{})
-	rec := &snapRecorder{WorkerClient: NewLocalWorker("solo", nil), bufs: map[int][]*byte{}}
+	rec := &snapRecorder{WorkerClient: NewLocalWorker("solo", sched.Config{}), bufs: map[int][]*byte{}}
 	if err := c.Register("solo", rec); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -235,7 +245,7 @@ func TestFailoverWithSparseCheckpoints(t *testing.T) {
 	want := referenceHistory(t, steps)
 	for _, every := range []int{-1, 4} {
 		c, _ := newTestCluster(t, 1, nil)
-		flaky := &failAfter{WorkerClient: NewLocalWorker("zeta", nil), n: 4}
+		flaky := &failAfter{WorkerClient: NewLocalWorker("zeta", sched.Config{}), n: 4}
 		if err := c.Register("zeta", flaky); err != nil {
 			t.Fatalf("register: %v", err)
 		}
@@ -260,7 +270,7 @@ func TestFailoverWithSparseCheckpoints(t *testing.T) {
 // a hang.
 func TestSolveFailsWithNoSurvivors(t *testing.T) {
 	c := New(Config{})
-	flaky := &failAfter{WorkerClient: NewLocalWorker("solo", nil), n: 2}
+	flaky := &failAfter{WorkerClient: NewLocalWorker("solo", sched.Config{}), n: 2}
 	if err := c.Register("solo", flaky); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -315,10 +325,9 @@ func TestSolveSpecValidation(t *testing.T) {
 // shard.
 func TestHostCreateRejectsNonPhysicalPulse(t *testing.T) {
 	cfg, _ := testCase()
-	h := NewHost()
-	defer h.Close()
+	h := newTestHost(t, 1)
 	for _, amp := range []float64{-1, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp})
+		_, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: cfg, PulseAmp: amp})
 		if err == nil || !strings.Contains(err.Error(), "pulse") {
 			t.Errorf("pulse_amp %v: err %v, want a pulse error", amp, err)
 		}
@@ -358,19 +367,17 @@ func TestHostCreateRejectsBadGeometry(t *testing.T) {
 		bad := cfg
 		bad.Case = grid.Case{Name: "bad", Zones: []grid.Zone{tc.z}}
 		bad.Interfaces = nil
-		h := NewHost()
-		_, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad, PulseAmp: amp})
+		h := newTestHost(t, 1)
+		_, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad, PulseAmp: amp})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
 		}
 		if n := h.ShardCount(); n != 0 {
 			t.Errorf("%s: rejected create left %d shards", tc.name, n)
 		}
-		h.Close()
 	}
 
-	h := NewHost()
-	defer h.Close()
+	h := newTestHost(t, 1)
 	srv := httptest.NewServer(NewShardServer(h))
 	defer srv.Close()
 	client := &HTTPClient{BaseURL: srv.URL, Client: srv.Client()}
@@ -416,7 +423,7 @@ func TestDivergingSolveFailsWithoutFailover(t *testing.T) {
 func TestHeartbeatTTL(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	c := New(Config{Clock: clock, HeartbeatTTL: 10 * time.Second})
-	w := NewLocalWorker("w1", clock)
+	w := NewLocalWorker("w1", sched.Config{Clock: clock})
 	if err := c.Register("w1", w); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -503,7 +510,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	c := New(Config{})
 	hosts := make([]*Host, 2)
 	for i, id := range []string{"http-a", "http-b"} {
-		hosts[i] = NewHost()
+		hosts[i] = newTestHost(t, 1)
 		srv := httptest.NewServer(NewShardServer(hosts[i]))
 		t.Cleanup(srv.Close)
 		if err := c.Register(id, &HTTPClient{BaseURL: srv.URL, Client: srv.Client()}); err != nil {
@@ -538,22 +545,21 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 func TestHostErrors(t *testing.T) {
 	cfg, amp := testCase()
 	zones := cfg.Case.Zones
-	h := NewHost()
-	defer h.Close()
+	h := newTestHost(t, 3) // holds three shards at once
 
-	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 2, Hi: 1, Config: cfg}); err == nil {
+	if _, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 2, Hi: 1, Config: cfg}); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 9, Config: cfg}); err == nil {
+	if _, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 0, Hi: 9, Config: cfg}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 	bad := cfg
 	bad.Dt = -1
-	if _, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad}); err == nil {
+	if _, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 0, Hi: 1, Config: bad}); err == nil {
 		t.Error("invalid config accepted")
 	}
 
-	resp, err := h.Create(CreateShardRequest{Job: "j", Lo: 0, Hi: 2, Config: cfg, PulseAmp: amp})
+	resp, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 0, Hi: 2, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -565,7 +571,7 @@ func TestHostErrors(t *testing.T) {
 	}
 	// resp's shard [0, 2) couples zones 0 and 1 locally and has one Remote
 	// face, zone 1's J-max; mid's shard [1, 2) has two, both of zone 1.
-	mid, err := h.Create(CreateShardRequest{Job: "j", Lo: 1, Hi: 2, Config: cfg, PulseAmp: amp})
+	mid, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 1, Hi: 2, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -600,7 +606,7 @@ func TestHostErrors(t *testing.T) {
 		}
 	}
 	// Zone 2's shard donates exactly the plane resp's shard is missing.
-	last, err := h.Create(CreateShardRequest{Job: "j", Lo: 2, Hi: 3, Config: cfg, PulseAmp: amp})
+	last, err := h.Create(context.Background(), CreateShardRequest{Job: "j", Lo: 2, Hi: 3, Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -43,18 +44,20 @@ func solveAdvancing(t *testing.T, c *Coordinator, clk *simclock.Virtual, spec So
 }
 
 // newTracedCluster builds a virtual-clock cluster with tracing on
-// everywhere: n traced local workers plus a traced coordinator.
-func newTracedCluster(t *testing.T, n, ringCap int) (*Coordinator, []*LocalWorker, *simclock.Virtual) {
+// everywhere: one traced local worker per ring capacity plus a traced
+// coordinator.
+func newTracedCluster(t *testing.T, ringCaps ...int) (*Coordinator, []*LocalWorker, *simclock.Virtual) {
 	t.Helper()
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	tracer := obs.NewTracer(4096, clk)
 	tracer.Enable()
 	c := New(Config{Clock: clk, Tracer: tracer, HeartbeatTTL: time.Hour})
-	workers := make([]*LocalWorker, n)
+	workers := make([]*LocalWorker, len(ringCaps))
 	for i := range workers {
 		id := fmt.Sprintf("w%02d", i+1)
-		workers[i] = NewLocalWorker(id, clk)
-		workers[i].EnableTrace(ringCap)
+		ring := obs.NewTracer(ringCaps[i], clk)
+		ring.Enable()
+		workers[i] = NewLocalWorker(id, sched.Config{Clock: clk, Tracer: ring})
 		if err := c.Register(id, workers[i]); err != nil {
 			t.Fatalf("register %s: %v", id, err)
 		}
@@ -65,7 +68,7 @@ func newTracedCluster(t *testing.T, n, ringCap int) (*Coordinator, []*LocalWorke
 // newTestCollector wires a collector to the coordinator and its
 // workers, sharing the coordinator's clock and tracer.
 func newTestCollector(c *Coordinator, workers []*LocalWorker) *Collector {
-	col := NewCollector(CollectorConfig{Clock: c.Clock(), Coord: c.Tracer(), Node: c.Node()})
+	col := NewCollector(CollectorConfig{Clock: c.clock, Coord: c.Tracer(), Node: c.Node()})
 	for _, w := range workers {
 		col.AddWorker(w.ID(), w)
 	}
@@ -81,7 +84,7 @@ func newTestCollector(c *Coordinator, workers []*LocalWorker) *Collector {
 // the analyze unit tests — pin exact identities.)
 func TestCollectorEndToEndClosure(t *testing.T) {
 	const steps = 4
-	c, workers, clk := newTracedCluster(t, 3, 1024)
+	c, workers, clk := newTracedCluster(t, 1024, 1024, 1024)
 	for i, w := range workers {
 		w.SetDelay(time.Duration(i+1) * 10 * time.Millisecond)
 	}
@@ -171,9 +174,8 @@ func TestCollectorEndToEndClosure(t *testing.T) {
 // mis-closing.
 func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 	const steps = 6
-	c, workers, clk := newTracedCluster(t, 3, 1024)
 	// w01's ring holds only 3 events; a 6-step solve emits 12 on it.
-	workers[0].EnableTrace(3)
+	c, workers, clk := newTracedCluster(t, 3, 1024, 1024)
 	for i, w := range workers {
 		w.SetDelay(time.Duration(i+1) * 10 * time.Millisecond)
 	}
@@ -232,7 +234,7 @@ func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 // flowing, keep the failed worker's cursor, and resume it after
 // revival without duplicating or corrupting the timeline.
 func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
-	c, workers, _ := newTracedCluster(t, 3, 1024)
+	c, workers, _ := newTracedCluster(t, 1024, 1024, 1024)
 	col := newTestCollector(c, workers)
 	for _, w := range workers {
 		w.Tracer().Emit(obs.Event{Kind: obs.KindHeartbeat, Name: "before", Worker: -1})
@@ -292,9 +294,8 @@ func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
 // emitting: no event may be duplicated or lost. Run under -race this
 // is the collector's concurrency gate.
 func TestCollectorConcurrentPulls(t *testing.T) {
-	const emitters = 3
-	const perWorker = 200
-	c, workers, _ := newTracedCluster(t, emitters, 4*perWorker)
+	const perWorker = 200 // on each of three workers
+	c, workers, _ := newTracedCluster(t, 4*perWorker, 4*perWorker, 4*perWorker)
 	col := newTestCollector(c, workers)
 
 	var wg sync.WaitGroup
@@ -408,7 +409,7 @@ func TestCollectorRTTMidpoint(t *testing.T) {
 // TestCollectorEmitsCollectAndClockSync checks the collector's own
 // spans land in the coordinator tracer and the merged timeline.
 func TestCollectorEmitsCollectAndClockSync(t *testing.T) {
-	c, workers, _ := newTracedCluster(t, 2, 64)
+	c, workers, _ := newTracedCluster(t, 64, 64)
 	col := newTestCollector(c, workers)
 	workers[0].Tracer().Emit(obs.Event{Kind: obs.KindHeartbeat, Name: "hb", Worker: -1})
 	col.SyncClocks()

@@ -103,9 +103,6 @@ func (c *Coordinator) Tracer() *obs.Tracer { return c.cfg.Tracer }
 // Node returns the coordinator's node tag.
 func (c *Coordinator) Node() string { return c.cfg.Node }
 
-// Clock returns the coordinator's clock.
-func (c *Coordinator) Clock() simclock.Clock { return c.clock }
-
 // Register adds a worker under the given id. Re-registering a live id
 // is an error; re-registering a lost id replaces its client (the
 // restarted-daemon case) and revives it.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -16,8 +17,7 @@ func realFrames(t testing.TB) []any {
 	t.Helper()
 	cfg, amp := testCase()
 	zones := cfg.Case.Zones
-	h := NewHost()
-	defer h.Close()
+	h := newTestHost(t, 3)
 	// One shard per zone; the middle one is the fixture, fed by the
 	// planes its two neighbours donate at creation.
 	var create CreateShardRequest
@@ -26,7 +26,7 @@ func realFrames(t testing.TB) []any {
 	for lo := range zones {
 		req := CreateShardRequest{Job: "frames",
 			Lo: lo, Hi: lo + 1, Config: cfg, PulseAmp: amp, Trace: "frames#1"}
-		resp, err := h.Create(req)
+		resp, err := h.Create(context.Background(), req)
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}

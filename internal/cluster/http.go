@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
+	"repro/internal/sched"
 )
 
 // HTTPClient is the WorkerClient a coordinator uses to drive a remote
@@ -30,33 +32,34 @@ type HTTPClient struct {
 	Client *http.Client
 }
 
-func (c *HTTPClient) httpClient() *http.Client {
-	if c.Client != nil {
-		return c.Client
+// do sends one request, a GET when body is nil, and returns the
+// response when its status is 2xx or also. Transport failures map to
+// ErrWorkerDown, so the engine's failover treats an unreachable daemon
+// like a dead one. Any other status is an error carrying the server's
+// text on one line; 410 Gone (a shard the worker no longer holds) is
+// ErrWorkerDown too.
+func (c *HTTPClient) do(path, contentType string, body []byte, also int) (*http.Response, error) {
+	url, hc := strings.TrimRight(c.BaseURL, "/")+path, cmp.Or(c.Client, http.DefaultClient)
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = hc.Get(url)
+	} else {
+		resp, err = hc.Post(url, contentType, bytes.NewReader(body))
 	}
-	return http.DefaultClient
-}
-
-// post sends one request body and, on a 2xx answer, hands the response
-// to read (nil discards it). Non-2xx responses become errors carrying
-// the server's error text; transport-level failures map to
-// ErrWorkerDown so the engine's failover treats an unreachable daemon
-// like a dead one.
-func (c *HTTPClient) post(path, contentType string, body []byte, read func(*http.Response) error) error {
-	url := strings.TrimRight(c.BaseURL, "/") + path
-	resp, err := c.httpClient().Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrWorkerDown, err)
+		return nil, fmt.Errorf("%w: %v", ErrWorkerDown, err)
+	}
+	if resp.StatusCode/100 == 2 || resp.StatusCode == also {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	err = fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.Join(bytes.Fields(msg), []byte(" ")))
+	if resp.StatusCode == http.StatusGone {
+		err = fmt.Errorf("%w: %w", ErrWorkerDown, err) // the shard's state died there
 	}
-	if read == nil {
-		return nil
-	}
-	return read(resp)
+	return nil, err
 }
 
 // postJSON sends a small JSON request whose response body nobody needs
@@ -66,7 +69,11 @@ func (c *HTTPClient) postJSON(path string, in any) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
-	return c.post(path, "application/json", body, nil)
+	resp, err := c.do(path, "application/json", body, 0)
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
 }
 
 // postFrame sends in as one frame and decodes the framed response into
@@ -78,29 +85,27 @@ func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 	if err := writeFrame(&body, in, func(n int64) { body.Grow(int(n)) }); err != nil {
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
-	return c.post(path, frameContentType, body.Bytes(), func(resp *http.Response) error {
-		if err := readFrame(resp.Body, maxShardBody, resp.ContentLength, out, reuse); err != nil {
-			return fmt.Errorf("%w: decode %s response: %w", ErrWorkerDown, path, err)
-		}
-		return nil
-	})
+	resp, err := c.do(path, frameContentType, body.Bytes(), 0)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if err := readFrame(resp.Body, maxShardBody, resp.ContentLength, out, reuse); err != nil {
+		return fmt.Errorf("%w: decode %s response: %w", ErrWorkerDown, path, err)
+	}
+	return nil
 }
 
 // Ping implements WorkerClient via the daemon's readiness endpoint: a
 // draining daemon answers 503, which correctly reads as "do not route
 // new work here".
 func (c *HTTPClient) Ping() error {
-	url := strings.TrimRight(c.BaseURL, "/") + "/healthz"
-	resp, err := c.httpClient().Get(url)
+	resp, err := c.do("/healthz", "", nil, 0)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrWorkerDown, err)
+		return err
 	}
-	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: healthz: %s", resp.Status)
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // FetchTrace implements TraceSource over the daemon's GET
@@ -109,16 +114,11 @@ func (c *HTTPClient) Ping() error {
 // serve.MaxTraceBody is an error, so the collector keeps its cursor.
 // Transport failures map to ErrWorkerDown, like every other worker call.
 func (c *HTTPClient) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, error) {
-	url := strings.TrimRight(c.BaseURL, "/") + serve.PathTrace + "?since=" + strconv.FormatUint(since, 10)
-	resp, err := c.httpClient().Get(url)
+	resp, err := c.do(serve.PathTrace+"?since="+strconv.FormatUint(since, 10), "", nil, 0)
 	if err != nil {
-		return nil, since, 0, fmt.Errorf("%w: %v", ErrWorkerDown, err)
+		return nil, since, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, since, 0, fmt.Errorf("cluster: %s: %s: %s", serve.PathTrace, resp.Status, bytes.TrimSpace(msg))
-	}
 	events, next, dropped, err := serve.ReadTrace(resp, since)
 	if err != nil {
 		return nil, since, 0, fmt.Errorf("cluster: %w", err)
@@ -131,18 +131,13 @@ func (c *HTTPClient) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, erro
 // draining daemon (503) still reports its clock — readiness and
 // timekeeping are independent.
 func (c *HTTPClient) ClockProbe() (time.Time, time.Duration, error) {
-	url := strings.TrimRight(c.BaseURL, "/") + "/healthz"
 	t0 := time.Now()
-	resp, err := c.httpClient().Get(url)
+	resp, err := c.do("/healthz", "", nil, http.StatusServiceUnavailable)
 	rtt := time.Since(t0)
 	if err != nil {
-		return time.Time{}, 0, fmt.Errorf("%w: %v", ErrWorkerDown, err)
+		return time.Time{}, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return time.Time{}, 0, fmt.Errorf("cluster: /healthz: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var body struct {
 		NowNs int64 `json:"now_ns"`
 	}
@@ -158,18 +153,14 @@ func (c *HTTPClient) ClockProbe() (time.Time, time.Duration, error) {
 // FetchMetrics returns the daemon's raw Prometheus exposition (GET
 // /metrics), for the coordinator's fleet rollup.
 func (c *HTTPClient) FetchMetrics() (string, error) {
-	url := strings.TrimRight(c.BaseURL, "/") + serve.PathMetrics
-	resp, err := c.httpClient().Get(url)
+	resp, err := c.do(serve.PathMetrics, "", nil, 0)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrWorkerDown, err)
+		return "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
 		return "", fmt.Errorf("cluster: read %s body: %w", serve.PathMetrics, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("cluster: %s: %s: %s", serve.PathMetrics, resp.Status, bytes.TrimSpace(body))
 	}
 	return string(body), nil
 }
@@ -213,13 +204,10 @@ type ShardServer struct {
 // NewShardServer wraps a host.
 func NewShardServer(h *Host) *ShardServer { return &ShardServer{host: h, maxBody: maxShardBody} }
 
-// Host returns the served host.
-func (s *ShardServer) Host() *Host { return s.host }
-
 // ServeHTTP implements http.Handler.
 func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpJSONError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.Error(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	switch r.URL.Path {
@@ -228,7 +216,7 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if !s.decodeFrame(w, r, &req) {
 			return
 		}
-		resp, err := s.host.Create(req)
+		resp, err := s.host.Create(r.Context(), req)
 		writeShardResult(w, &resp, err)
 	case "/shards/step":
 		var req StepRequest
@@ -256,7 +244,7 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeShardResult(w, nil, s.host.Release(req))
 	default:
-		httpJSONError(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %q", r.URL.Path))
+		serve.Error(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %q", r.URL.Path))
 	}
 }
 
@@ -278,7 +266,7 @@ func (s *ShardServer) decode(w http.ResponseWriter, r *http.Request, parse func(
 		if errors.As(err, &tooBig) || errors.Is(err, errFrameTooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		httpJSONError(w, code, fmt.Sprintf("bad request body: %v", err))
+		serve.Error(w, code, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
@@ -306,12 +294,18 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 // writeShardResult answers with the framed response (an empty JSON
-// object when there is none) or maps the host error to a status:
-// unknown shards/endpoints are 404-shaped conflicts (409 for lockstep
-// mismatches would overfit; 400 carries the message fine).
+// object when there is none) or maps the host error to a status: 410
+// for a shard whose job has ended (ErrWorkerDown), 503 for a create the
+// scheduler refuses (draining, queue full), 400 for everything else.
 func writeShardResult(w http.ResponseWriter, resp any, err error) {
 	if err != nil {
-		httpJSONError(w, http.StatusBadRequest, err.Error())
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrWorkerDown) {
+			code = http.StatusGone
+		} else if errors.Is(err, sched.ErrDraining) || errors.Is(err, sched.ErrQueueFull) {
+			code = http.StatusServiceUnavailable
+		}
+		serve.Error(w, code, err.Error())
 		return
 	}
 	if resp == nil {
@@ -326,16 +320,9 @@ func writeShardResult(w http.ResponseWriter, resp any, err error) {
 		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	})
 	if err != nil && !started {
-		// The header failed to encode (a NaN residual, say) before a
-		// byte went out. Once started, a write error means the
-		// coordinator hung up; it sees that as a lost worker.
-		httpJSONError(w, http.StatusInternalServerError, err.Error())
+		// The header failed to encode before a byte went out. Once
+		// started, a write error means the coordinator hung up; it sees
+		// that as a lost worker.
+		serve.Error(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-// httpJSONError answers an error as {"error": ...}.
-func httpJSONError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -21,9 +22,7 @@ import (
 // 413 before it is buffered; one under it reaches the host (and fails
 // there, with the host's 400, for naming no shard).
 func TestShardServerBodyCap(t *testing.T) {
-	h := NewHost()
-	defer h.Close()
-	sv := NewShardServer(h)
+	sv := NewShardServer(newTestHost(t, 1))
 	if sv.maxBody != maxShardBody {
 		t.Fatalf("default body cap %d, want %d", sv.maxBody, maxShardBody)
 	}
@@ -192,9 +191,7 @@ func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 	doomed := &killAfter{n: 3}
 	var taps []*restoreTap
 	for i, id := range []string{"wire-a", "wire-b", "wire-c"} {
-		host := NewHost()
-		t.Cleanup(host.Close)
-		tap := &restoreTap{h: NewShardServer(host)}
+		tap := &restoreTap{h: NewShardServer(newTestHost(t, 1))}
 		taps = append(taps, tap)
 		var h http.Handler = tap
 		if i == 2 {
@@ -233,16 +230,15 @@ func TestHTTPFailoverRestoresOverTheWire(t *testing.T) {
 }
 
 // TestHostConcurrentSteps: racing /shards/step calls for one shard and
-// one step index are serialized by the shard's lock, so exactly one
+// one step index queue on the shard's job, so exactly one
 // advances the solver and the rest fail the lockstep check; a release
 // racing the steps waits for the one that is running. Run under -race.
 func TestHostConcurrentSteps(t *testing.T) {
 	want := referenceHistory(t, 2)
 	cfg, amp := testCase()
 	zones := cfg.Case.Zones
-	h := NewHost()
-	defer h.Close()
-	created, err := h.Create(CreateShardRequest{Job: "race",
+	h := newTestHost(t, 1)
+	created, err := h.Create(context.Background(), CreateShardRequest{Job: "race",
 		Lo: 0, Hi: len(zones), Config: cfg, PulseAmp: amp})
 	if err != nil {
 		t.Fatalf("create: %v", err)

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -20,53 +22,42 @@ import (
 // clock first (a slow link), which under a simclock.Virtual blocks
 // until the test advances time.
 type LocalWorker struct {
-	id    string
-	host  *Host
-	clock simclock.Clock
+	id  string
+	cfg sched.Config
 
-	mu     sync.Mutex
-	down   bool
-	delay  time.Duration
-	tracer *obs.Tracer
+	mu    sync.Mutex
+	host  *Host
+	down  bool
+	delay time.Duration
 }
 
-// NewLocalWorker creates an in-process worker with an empty shard
-// host. clock gates injected slow links; nil defaults to the wall
-// clock.
-func NewLocalWorker(id string, clock simclock.Clock) *LocalWorker {
-	if clock == nil {
-		clock = simclock.Real{}
+// NewLocalWorker creates an in-process worker whose shards run as jobs
+// of its own scheduler, built from cfg: Procs bounds its concurrent
+// shards, DefaultTimeout is the shard deadline, Clock (nil: the wall
+// clock) also times slow links, and Tracer (nil: a disabled 4096-event
+// ring) takes the shard spans and outlives Recover.
+func NewLocalWorker(id string, cfg sched.Config) *LocalWorker {
+	if cfg.Clock == nil {
+		cfg.Clock = simclock.Real{}
 	}
-	return &LocalWorker{id: id, host: NewHost(), clock: clock}
+	if cfg.Tracer == nil {
+		cfg.Tracer = obs.NewTracer(4096, cfg.Clock)
+	}
+	return &LocalWorker{id: id, cfg: cfg, host: NewHost(sched.New(cfg), id)}
 }
 
 // ID returns the worker's id.
 func (w *LocalWorker) ID() string { return w.id }
 
-// Host exposes the underlying shard host (tests inspect shard
-// counts; Close releases everything).
-func (w *LocalWorker) Host() *Host { return w.host }
-
-// EnableTrace attaches an enabled tracer of the given ring capacity
-// to the worker's shard host, timestamped by the worker's clock, and
-// returns it. The worker then serves the TraceSource interface, so a
-// Collector can pull its events like a remote daemon's.
-func (w *LocalWorker) EnableTrace(capacity int) *obs.Tracer {
-	tr := obs.NewTracer(capacity, w.clock)
-	tr.Enable()
-	w.mu.Lock()
-	w.tracer = tr
-	w.mu.Unlock()
-	w.host.SetObs(w.id, tr)
-	return tr
-}
-
-// Tracer returns the worker's tracer (nil until EnableTrace).
-func (w *LocalWorker) Tracer() *obs.Tracer {
+// Host exposes the underlying shard host (tests inspect shard counts).
+func (w *LocalWorker) Host() *Host {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tracer
+	return w.host
 }
+
+// Tracer returns the worker's tracer, which a Collector pulls.
+func (w *LocalWorker) Tracer() *obs.Tracer { return w.cfg.Tracer }
 
 // FetchTrace implements TraceSource over the in-process transport:
 // the worker's ring events with Seq >= since, subject to the same
@@ -76,10 +67,7 @@ func (w *LocalWorker) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, err
 	if err := w.gate(); err != nil {
 		return nil, since, 0, err
 	}
-	w.mu.Lock()
-	tr := w.tracer
-	w.mu.Unlock()
-	events, dropped := tr.EventsSince(since)
+	events, dropped := w.cfg.Tracer.EventsSince(since)
 	return events, obs.NextCursor(events, since), dropped, nil
 }
 
@@ -91,7 +79,7 @@ func (w *LocalWorker) ClockProbe() (time.Time, time.Duration, error) {
 	if err := w.gate(); err != nil {
 		return time.Time{}, 0, err
 	}
-	return w.clock.Now(), 0, nil
+	return w.cfg.Clock.Now(), 0, nil
 }
 
 // Fail injects node loss: every call from now on returns
@@ -102,13 +90,16 @@ func (w *LocalWorker) Fail() {
 	w.mu.Unlock()
 }
 
-// Recover clears an injected failure. The worker's shards are gone
-// (its host is cleared, as a restarted daemon's would be).
+// Recover clears an injected failure and restarts the worker as a
+// daemon restarts: its scheduler is closed, which ends every shard job,
+// and a fresh one with an empty host takes its place.
 func (w *LocalWorker) Recover() {
 	w.mu.Lock()
+	old := w.host
+	w.host = NewHost(sched.New(w.cfg), w.id)
 	w.down = false
 	w.mu.Unlock()
-	w.host.Close()
+	old.sched.Close()
 }
 
 // SetDelay injects a slow link: every call first sleeps d on the
@@ -129,7 +120,7 @@ func (w *LocalWorker) gate() error {
 		return ErrWorkerDown
 	}
 	if delay > 0 {
-		w.clock.Sleep(delay)
+		w.cfg.Clock.Sleep(delay)
 		// Loss during the delay still fails the call, like a timeout.
 		w.mu.Lock()
 		down = w.down
@@ -144,12 +135,13 @@ func (w *LocalWorker) gate() error {
 // Ping implements WorkerClient.
 func (w *LocalWorker) Ping() error { return w.gate() }
 
-// CreateShard implements WorkerClient.
+// CreateShard implements WorkerClient. An in-process caller never gives
+// up, so the create waits for its grant until the worker restarts.
 func (w *LocalWorker) CreateShard(req CreateShardRequest) (CreateShardResponse, error) {
 	if err := w.gate(); err != nil {
 		return CreateShardResponse{}, err
 	}
-	return w.host.Create(req)
+	return w.Host().Create(context.Background(), req)
 }
 
 // StepShard implements WorkerClient.
@@ -157,7 +149,7 @@ func (w *LocalWorker) StepShard(req StepRequest) (StepResponse, error) {
 	if err := w.gate(); err != nil {
 		return StepResponse{}, err
 	}
-	return w.host.Step(req)
+	return w.Host().Step(req)
 }
 
 // ReleaseShard implements WorkerClient.
@@ -165,5 +157,5 @@ func (w *LocalWorker) ReleaseShard(req ReleaseRequest) error {
 	if err := w.gate(); err != nil {
 		return err
 	}
-	return w.host.Release(req)
+	return w.Host().Release(req)
 }

@@ -115,10 +115,6 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if err != nil {
 		return SolveResult{}, err
 	}
-	result.Workers = len(shards)
-	for _, sh := range shards {
-		result.Groups = append(result.Groups, [2]int{sh.lo, sh.hi})
-	}
 
 	s := ckpt.step
 	for s < spec.Steps {
@@ -167,17 +163,17 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 				return SolveResult{}, fmt.Errorf("cluster: solve %q gave up after %d failovers (last lost: %v)",
 					spec.Job, result.Failovers-1, lost)
 			}
-			c.failover(spec, shards, lost, trace, s)
+			// Nothing on the survivors is worth keeping: the solve rolls
+			// back to the checkpoint. The failover trace events follow
+			// the re-shard, so their span covers the whole recovery.
+			for _, w := range lost {
+				c.MarkLost(w)
+			}
+			c.releaseShards(spec, shards, trace, s)
+			c.ctrFailovers.Add(uint64(len(lost)))
 			shards, err = c.createShards(spec, ckpt, trace)
 			if err != nil {
 				return SolveResult{}, fmt.Errorf("cluster: re-shard after losing %v: %w", lost, err)
-			}
-			// The rolled-back state replays deterministically, so
-			// history entries below ckpt.step stay valid as computed.
-			result.Workers = len(shards)
-			result.Groups = result.Groups[:0]
-			for _, sh := range shards {
-				result.Groups = append(result.Groups, [2]int{sh.lo, sh.hi})
 			}
 			if traced {
 				now := c.cfg.Tracer.Now()
@@ -194,6 +190,8 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 					Node: c.cfg.Node, Trace: trace, Epoch: int64(ckpt.step),
 					Dur: now.Sub(start), A: int64(ckpt.step), B: int64(len(lost))})
 			}
+			// The rolled-back state replays deterministically, so
+			// history entries below ckpt.step stay valid as computed.
 			s = ckpt.step
 			continue
 		}
@@ -246,6 +244,10 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 
 	c.releaseShards(spec, shards, trace, spec.Steps)
 	c.ctrSolves.Inc()
+	result.Workers = len(shards) // the last plan's
+	for _, sh := range shards {
+		result.Groups = append(result.Groups, [2]int{sh.lo, sh.hi})
+	}
 	return result, nil
 }
 
@@ -329,19 +331,6 @@ func workersWithErrors(shards []*runShard, errs []error) []string {
 		}
 	}
 	return out
-}
-
-// failover marks the lost workers and releases every surviving shard
-// (state is rolled back to the checkpoint, so nothing on the
-// survivors is worth keeping). The failover trace events are emitted
-// by Solve after the re-shard completes, so the span covers the whole
-// recovery.
-func (c *Coordinator) failover(spec SolveSpec, shards []*runShard, lost []string, trace string, epoch int) {
-	for _, w := range lost {
-		c.MarkLost(w)
-	}
-	c.releaseShards(spec, shards, trace, epoch)
-	c.ctrFailovers.Add(uint64(len(lost)))
 }
 
 // releaseShards frees the shards best-effort (lost workers will

@@ -21,6 +21,12 @@ const Gamma = 1.4
 // NC is the number of conserved variables.
 const NC = 5
 
+// NonPhysical is the panic value of a state with non-positive density
+// or pressure, a diverged solution; f3d.TryStep recovers it.
+type NonPhysical string
+
+func (e NonPhysical) Error() string { return string(e) }
+
 // Axis identifies a coordinate direction.
 type Axis int
 
@@ -32,16 +38,10 @@ const (
 
 // String implements fmt.Stringer.
 func (a Axis) String() string {
-	switch a {
-	case X:
-		return "x"
-	case Y:
-		return "y"
-	case Z:
-		return "z"
-	default:
-		return fmt.Sprintf("Axis(%d)", int(a))
+	if names := [...]string{"x", "y", "z"}; a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
+	return fmt.Sprintf("Axis(%d)", int(a))
 }
 
 // Unit returns the unit vector along the axis.
@@ -70,8 +70,7 @@ func (p Prim) Cons() linalg.Vec5 {
 }
 
 // PrimFromCons converts a conserved vector to primitive variables.
-// It panics if density is not positive (an invalid state is a solver
-// bug, not a recoverable condition).
+// It panics with a NonPhysical if density is not positive.
 func PrimFromCons(u linalg.Vec5) (p Prim) {
 	p.fromCons(&u)
 	return p
@@ -81,7 +80,7 @@ func PrimFromCons(u linalg.Vec5) (p Prim) {
 func (p *Prim) fromCons(u *linalg.Vec5) {
 	rho := u[0]
 	if rho <= 0 || math.IsNaN(rho) {
-		panic(fmt.Sprintf("euler: non-positive density %g", rho))
+		panic(NonPhysical(fmt.Sprintf("euler: non-positive density %g", rho)))
 	}
 	inv := 1 / rho
 	vu, vv, vw := u[1]*inv, u[2]*inv, u[3]*inv
@@ -95,7 +94,7 @@ func (p Prim) SoundSpeed() float64 { return soundSpeed(p.Rho, p.P) }
 
 func soundSpeed(rho, p float64) float64 {
 	if p <= 0 || rho <= 0 {
-		panic(fmt.Sprintf("euler: non-physical state rho=%g p=%g", rho, p))
+		panic(NonPhysical(fmt.Sprintf("euler: non-physical state rho=%g p=%g", rho, p)))
 	}
 	return math.Sqrt(Gamma * p / rho)
 }

@@ -56,18 +56,13 @@ const (
 
 // String implements fmt.Stringer.
 func (b BCKind) String() string {
-	switch b {
-	case BCFreestream:
-		return "freestream"
-	case BCExtrapolate:
-		return "extrapolate"
-	case BCSlipWall:
-		return "slip-wall"
-	case BCNoSlipWall:
-		return "no-slip-wall"
-	default:
-		return fmt.Sprintf("BCKind(%d)", int(b))
+	names := [...]string{
+		"freestream", "extrapolate", "slip-wall", "no-slip-wall",
 	}
+	if b >= 0 && int(b) < len(names) {
+		return names[b]
+	}
+	return fmt.Sprintf("BCKind(%d)", int(b))
 }
 
 // Face identifies one of a zone's six boundary faces.
@@ -85,22 +80,13 @@ const (
 
 // String implements fmt.Stringer.
 func (f Face) String() string {
-	switch f {
-	case FaceJMin:
-		return "j-min"
-	case FaceJMax:
-		return "j-max"
-	case FaceKMin:
-		return "k-min"
-	case FaceKMax:
-		return "k-max"
-	case FaceLMin:
-		return "l-min"
-	case FaceLMax:
-		return "l-max"
-	default:
-		return fmt.Sprintf("Face(%d)", int(f))
+	names := [...]string{
+		"j-min", "j-max", "k-min", "k-max", "l-min", "l-max",
 	}
+	if f >= 0 && int(f) < len(names) {
+		return names[f]
+	}
+	return fmt.Sprintf("Face(%d)", int(f))
 }
 
 // Config holds the numerical parameters of a solver run. The zero value

@@ -30,7 +30,10 @@ func Example() {
 
 	f3d.InitPulse(serial, 0.05)
 	f3d.InitPulse(parallel, 0.05)
-	h := f3d.RunToSteady(serial, 1e-2, 200)
+	h, err := f3d.RunToSteady(serial, 1e-2, 200)
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < h.Steps(); i++ {
 		parallel.Step()
 	}

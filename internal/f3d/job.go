@@ -82,11 +82,7 @@ func (j *Job) Run(g *sched.Grant) error {
 		return err
 	}
 	defer s.Close()
-	if j.pulse != 0 {
-		InitPulse(s, j.pulse)
-	} else {
-		InitUniform(s)
-	}
+	InitPulse(s, j.pulse) // pulse 0 is InitUniform
 	for i := 0; i < j.steps; i++ {
 		if err := g.Checkpoint(); err != nil {
 			return err
@@ -96,7 +92,10 @@ func (j *Job) Run(g *sched.Grant) error {
 				return err
 			}
 		}
-		st := s.Step()
+		st, err := TryStep(s)
+		if err != nil {
+			return fmt.Errorf("f3d: step %d: %w", i+1, err)
+		}
 		j.mu.Lock()
 		j.hist.Residuals = append(j.hist.Residuals, st.Residual)
 		j.hist.Flops += st.Flops

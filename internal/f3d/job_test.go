@@ -2,8 +2,10 @@ package f3d
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,4 +240,65 @@ func TestParallelInitMatchesSerialBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestJobDivergesAsError: a pulse the scheme cannot advance fails the
+// served job with ErrDiverged, as a solver error — not as a panic —
+// and names the step.
+func TestJobDivergesAsError(t *testing.T) {
+	s := sched.New(sched.Config{Procs: 1})
+	defer s.Close()
+	job, err := NewJob("diverge", DefaultConfig(grid.Single(9, 8, 7)), 3, 1e300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = h.Wait(context.Background())
+	if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "step 1") {
+		t.Fatalf("err %v, want ErrDiverged at step 1", err)
+	}
+	if st := h.Status(); st.State != sched.StateFailed || st.Cause != sched.CauseError {
+		t.Errorf("job %s with cause %s, want failed with cause error", st.State, st.Cause)
+	}
+}
+
+// FuzzJobRun drives the solver's front door — a served job built from
+// zone dims (3 to 12 a side), a pulse and up to 3 steps: Run never
+// panics, and every residual it records is finite unless it ends in
+// ErrDiverged. Inputs NewJob refuses (a pulse ≤ −1, NaN or ±Inf) never
+// run.
+func FuzzJobRun(f *testing.F) {
+	f.Add(uint8(6), uint8(5), uint8(4), 0.05, uint8(1))
+	f.Add(uint8(0), uint8(0), uint8(0), 0.5, uint8(2))
+	f.Add(uint8(9), uint8(9), uint8(9), 1e300, uint8(2))
+	f.Add(uint8(3), uint8(7), uint8(1), -0.999, uint8(2))
+	f.Add(uint8(2), uint8(2), uint8(2), math.Inf(1), uint8(0))
+	s := sched.New(sched.Config{Procs: 2})
+	f.Cleanup(s.Close)
+	f.Fuzz(func(t *testing.T, j, k, l uint8, pulse float64, steps uint8) {
+		dim := func(d uint8) int { return 3 + int(d)%10 }
+		job, err := NewJob("fuzz", DefaultConfig(grid.Single(dim(j), dim(k), dim(l))), 1+int(steps)%3, pulse)
+		if err != nil {
+			return
+		}
+		h, err := s.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = h.Wait(context.Background())
+		if st := h.Status(); st.Cause == sched.CausePanic {
+			t.Fatalf("Run panicked: %v", err)
+		}
+		if err != nil && !errors.Is(err, ErrDiverged) {
+			t.Fatalf("Run: %v", err)
+		}
+		for i, r := range job.History().Residuals {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				t.Fatalf("step %d residual %v recorded (run err %v)", i+1, r, err)
+			}
+		}
+	})
 }

@@ -14,7 +14,10 @@ func TestRunToSteadyConverges(t *testing.T) {
 	cfg := testConfig(11, 10, 9)
 	s := newCache(t, cfg, CacheOptions{})
 	InitPulse(s, 0.05)
-	h := RunToSteady(s, 1e-3, 500)
+	h, err := RunToSteady(s, 1e-3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !h.Converged {
 		t.Fatalf("did not converge in %d steps (last residual %g)",
 			h.Steps(), h.Residuals[len(h.Residuals)-1])
@@ -32,7 +35,10 @@ func TestRunToSteadyUniformImmediate(t *testing.T) {
 	cfg := testConfig(8, 8, 8)
 	s := newCache(t, cfg, CacheOptions{})
 	InitUniform(s)
-	h := RunToSteady(s, 1e-6, 100)
+	h, err := RunToSteady(s, 1e-6, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !h.Converged || h.Steps() != 1 {
 		t.Errorf("uniform flow should converge at step 1: %+v", h)
 	}
@@ -45,7 +51,10 @@ func TestRunToSteadyMaxStepsCap(t *testing.T) {
 	cfg := testConfig(10, 9, 8)
 	s := newCache(t, cfg, CacheOptions{})
 	InitPulse(s, 0.05)
-	h := RunToSteady(s, 1e-12, 5)
+	h, err := RunToSteady(s, 1e-12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Converged {
 		t.Error("cannot reach 1e-12 in 5 steps")
 	}
@@ -207,7 +216,10 @@ func TestIntegrationMidScalePaperCase(t *testing.T) {
 	// And the pulse problem converges on it.
 	s := newCache(t, cfg, CacheOptions{})
 	InitPulse(s, 0.03)
-	h := RunToSteady(s, 1e-2, 150)
+	h, err := RunToSteady(s, 1e-2, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !h.Converged {
 		t.Errorf("mid-scale case did not converge in %d steps", h.Steps())
 	}

@@ -27,14 +27,10 @@ const (
 
 // String implements fmt.Stringer.
 func (l Layout) String() string {
-	switch l {
-	case ComponentMajor:
-		return "component-major"
-	case PointMajor:
-		return "point-major"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
+	if names := [...]string{"component-major", "point-major"}; l >= 0 && int(l) < len(names) {
+		return names[l]
 	}
+	return fmt.Sprintf("Layout(%d)", int(l))
 }
 
 // Field is a scalar field on a zone, stored flat in J-fastest order.

@@ -78,12 +78,9 @@ func (z *Zone) Stretched() bool {
 	return z.XJ != nil || z.XK != nil || z.XL != nil
 }
 
-// CoordsJ returns the J coordinates (materializing uniform spacing when
+// CoordsK returns the K coordinates (materializing uniform spacing when
 // no stretch array is present). The result must be treated as
 // read-only.
-func (z *Zone) CoordsJ() []float64 { return z.coords(z.XJ, z.JMax, z.DJ) }
-
-// CoordsK returns the K coordinates.
 func (z *Zone) CoordsK() []float64 { return z.coords(z.XK, z.KMax, z.DK) }
 
 // CoordsL returns the L coordinates.

@@ -90,20 +90,14 @@ const (
 
 // String returns the Table 2 row label for the placement.
 func (p LoopPlacement) String() string {
-	switch p {
-	case InnerLoop:
-		return "inner loop"
-	case MiddleLoop:
-		return "middle loop"
-	case OuterLoop:
-		return "outer loop"
-	case BoundaryInner:
-		return "boundary condition - inner loop"
-	case BoundaryOuter:
-		return "boundary condition - outer loop"
-	default:
-		return fmt.Sprintf("LoopPlacement(%d)", int(p))
+	names := [...]string{
+		"inner loop", "middle loop", "outer loop", "boundary condition - inner loop",
+		"boundary condition - outer loop",
 	}
+	if p >= 0 && int(p) < len(names) {
+		return names[p]
+	}
+	return fmt.Sprintf("LoopPlacement(%d)", int(p))
 }
 
 // WorkPerSyncEvent returns the available amount of work (in cycles) per

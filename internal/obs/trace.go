@@ -109,62 +109,33 @@ const (
 	KindClockSync
 
 	// kindCount sentinels the enum: every Kind below it must have a
-	// String mapping and an entry in kinds, which the exhaustive
-	// round-trip test enforces.
+	// name in kinds, which the exhaustive round-trip test enforces.
 	kindCount
 )
 
-// String returns the snake_case name used in JSONL export.
-func (k Kind) String() string {
-	switch k {
-	case KindRegionBegin:
-		return "region_begin"
-	case KindRegionEnd:
-		return "region_end"
-	case KindBarrier:
-		return "barrier"
-	case KindChunk:
-		return "chunk"
-	case KindGrant:
-		return "grant"
-	case KindResize:
-		return "resize"
-	case KindPreempt:
-		return "preempt"
-	case KindTraceDropped:
-		return "trace_dropped"
-	case KindHeartbeat:
-		return "heartbeat"
-	case KindShardStep:
-		return "shard_step"
-	case KindExchange:
-		return "exchange"
-	case KindFailover:
-		return "failover"
-	case KindStepRPC:
-		return "step_rpc"
-	case KindCollect:
-		return "collect"
-	case KindClockSync:
-		return "clock_sync"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
+// kinds names every Kind: the snake_case name used in JSONL export.
+var kinds = [kindCount]string{
+	KindRegionBegin: "region_begin", KindRegionEnd: "region_end", KindBarrier: "barrier",
+	KindChunk: "chunk", KindGrant: "grant", KindResize: "resize", KindPreempt: "preempt",
+	KindTraceDropped: "trace_dropped", KindHeartbeat: "heartbeat", KindShardStep: "shard_step",
+	KindExchange: "exchange", KindFailover: "failover", KindStepRPC: "step_rpc",
+	KindCollect: "collect", KindClockSync: "clock_sync",
 }
 
-// kinds lists every named Kind, for ParseKind.
-var kinds = []Kind{
-	KindRegionBegin, KindRegionEnd, KindBarrier, KindChunk,
-	KindGrant, KindResize, KindPreempt, KindTraceDropped,
-	KindHeartbeat, KindShardStep, KindExchange, KindFailover,
-	KindStepRPC, KindCollect, KindClockSync,
+// String returns the snake_case name used in JSONL export, or Kind(n)
+// for a kind with none.
+func (k Kind) String() string {
+	if k < kindCount && kinds[k] != "" {
+		return kinds[k]
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind inverts Kind.String, so JSONL traces can be read back.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
+	for k, name := range kinds {
+		if name == s && s != "" {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)

@@ -13,15 +13,19 @@
 // parloop teams created per grant, and may be resized while running:
 // the scheduler revises a job's grant (growing it as the queue drains,
 // shrinking it to admit new work) and the job applies the revision
-// cooperatively at its next Checkpoint, between parallel regions. Jackson & Agathokleous's dynamic loop parallelisation
-// (PAPERS.md) is the precedent: runtime-adaptive thread counts beat
-// static ones when the machine is shared.
+// cooperatively at its next Checkpoint, between parallel regions. A job
+// that serves requests parks between them (Grant.Park), holding no
+// processor until its next Checkpoint re-queues it. Jackson &
+// Agathokleous's dynamic loop parallelisation (PAPERS.md) is the
+// precedent: runtime-adaptive thread counts beat static ones when the
+// machine is shared.
 package sched
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -61,6 +65,25 @@ type Grant struct {
 // across checkpoints.
 func (g *Grant) Team() *parloop.Team { return g.team }
 
+// Park returns the job's processors to the pool while it waits for
+// work, as a served shard does between its requests; it keeps its state
+// and context. It must open no region on its team until its next
+// Checkpoint, which queues it, behind the jobs already waiting, for a
+// fresh grant and returns once it has one. The run deadline restarts
+// then, so it bounds a served job's time since its last request.
+func (g *Grant) Park() {
+	s, rec := g.s, g.rec
+	s.mu.Lock()
+	if rec.wake == nil { // parking twice changes nothing
+		s.free += rec.acct()
+		rec.granted, rec.target = 0, 0
+		rec.wake = make(chan struct{})
+		s.dispatchLocked()
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
 // Context returns the job's cancellation context. It is canceled by
 // Scheduler.Cancel and by Scheduler.Close.
 func (g *Grant) Context() context.Context { return g.rec.ctx }
@@ -78,6 +101,22 @@ func (g *Grant) Checkpoint() error {
 	s := g.s
 	s.mu.Lock()
 	rec := g.rec
+	if wake := rec.wake; wake != nil {
+		s.queue = append(s.queue, rec)
+		s.dispatchLocked()
+		s.mu.Unlock()
+		select {
+		case <-wake:
+		case <-rec.ctx.Done():
+			s.mu.Lock()
+			s.queue = slices.DeleteFunc(s.queue, func(q *record) bool { return q == rec })
+			s.mu.Unlock()
+			return context.Cause(rec.ctx)
+		}
+		s.mu.Lock()
+		g.team.Resize(rec.granted)
+		rec.deadline = s.clock.Now().Add(rec.timeout)
+	}
 	if rec.target != rec.granted {
 		old := rec.granted
 		// Resize between regions is safe: Checkpoint runs on the job's
@@ -119,25 +158,10 @@ const (
 	StateTimedOut
 )
 
+var stateNames = []string{"queued", "running", "done", "failed", "canceled", "timed-out"}
+
 // String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCanceled:
-		return "canceled"
-	case StateTimedOut:
-		return "timed-out"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
+func (s State) String() string { return enumName(stateNames, int(s), "State") }
 
 // MarshalJSON encodes the state as its string name.
 func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
@@ -145,17 +169,7 @@ func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 // UnmarshalJSON decodes a state from its string name, so JobStatus
 // round-trips through the daemon's JSON API.
 func (s *State) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for _, c := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateTimedOut} {
-		if c.String() == name {
-			*s = c
-			return nil
-		}
-	}
-	return fmt.Errorf("sched: unknown state %q", name)
+	return unmarshalEnum(b, stateNames, (*int)(s), "state")
 }
 
 // Terminal reports whether the state is final.
@@ -187,42 +201,40 @@ const (
 	CauseCanceledRunning
 )
 
+var causeNames = []string{"none", "error", "panic", "timeout", "canceled-queued", "canceled-running"}
+
 // String implements fmt.Stringer.
-func (c Cause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseError:
-		return "error"
-	case CausePanic:
-		return "panic"
-	case CauseTimeout:
-		return "timeout"
-	case CauseCanceledQueued:
-		return "canceled-queued"
-	case CauseCanceledRunning:
-		return "canceled-running"
-	default:
-		return fmt.Sprintf("Cause(%d)", int(c))
-	}
-}
+func (c Cause) String() string { return enumName(causeNames, int(c), "Cause") }
 
 // MarshalJSON encodes the cause as its string name.
 func (c Cause) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
 
 // UnmarshalJSON decodes a cause from its string name.
 func (c *Cause) UnmarshalJSON(b []byte) error {
+	return unmarshalEnum(b, causeNames, (*int)(c), "cause")
+}
+
+// enumName returns names[i], or kind(i) for a value with no name.
+func enumName(names []string, i int, kind string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s(%d)", kind, i)
+}
+
+// unmarshalEnum decodes a JSON string that is one of names into *v, its
+// index.
+func unmarshalEnum(b []byte, names []string, v *int, what string) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	for _, k := range []Cause{CauseNone, CauseError, CausePanic, CauseTimeout, CauseCanceledQueued, CauseCanceledRunning} {
-		if k.String() == name {
-			*c = k
-			return nil
-		}
+	i := slices.Index(names, name)
+	if i < 0 {
+		return fmt.Errorf("sched: unknown %s %q", what, name)
 	}
-	return fmt.Errorf("sched: unknown cause %q", name)
+	*v = i
+	return nil
 }
 
 // JobStatus is a point-in-time snapshot of a job's lifecycle and
@@ -268,6 +280,10 @@ type record struct {
 	target    int // desired grant; != granted means a resize is pending
 	resizes   int
 	timeout   time.Duration // run deadline; 0 means none
+	deadline  time.Time     // started + timeout, restarted when a parked job resumes
+	// wake is set while the job is parked (granted 0, still running);
+	// dispatch closes it with the fresh grant.
+	wake chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc

@@ -71,19 +71,21 @@ func TestPreemptEmitsEventAndCounter(t *testing.T) {
 	s := New(Config{Procs: 4, QueueDepth: 8, Tracer: tr})
 	defer s.Close()
 
-	release := make(chan struct{})
+	// The big job issues regions until it has been shrunk, then waits to
+	// be released, so its chunk spans cannot wrap the ring and drop the
+	// one preempt event. It starts once the small job is queued: before
+	// that, nothing would end its regions.
+	queued, release := make(chan struct{}), make(chan struct{})
 	big, err := s.Submit(NewFuncJob("big", 4, func(g *Grant) error {
-		for {
-			select {
-			case <-release:
-				return nil
-			default:
-			}
+		<-queued
+		for g.Team().Workers() == 4 {
+			g.Team().For(4, func(i int) {})
 			if err := g.Checkpoint(); err != nil {
 				return err
 			}
-			g.Team().For(4, func(i int) {})
 		}
+		<-release
+		return nil
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +95,7 @@ func TestPreemptEmitsEventAndCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(queued)
 	if err := small.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +125,9 @@ func TestPreemptEmitsEventAndCounter(t *testing.T) {
 	}
 	if preempts == 0 || resizes == 0 {
 		t.Errorf("trace: %d preempts, %d resizes, want both > 0", preempts, resizes)
+	}
+	if n := tr.Dropped(); n != 0 {
+		t.Errorf("trace ring dropped %d events: its counts above are not the whole run", n)
 	}
 }
 

@@ -155,31 +155,20 @@ func (s *Scheduler) registerMetrics() {
 	r.GaugeFunc("sched_procs", "Processor budget space-shared across jobs.", func() float64 {
 		return float64(s.cfg.Procs)
 	})
-	r.GaugeFunc("sched_free_procs", "Processors not accounted to any job.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.free)
-	})
-	r.GaugeFunc("sched_inuse_procs", "Processors accounted to running jobs (including pending grows).", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.inUseLocked())
-	})
-	r.GaugeFunc("sched_queue_depth", "Jobs admitted and waiting for processors.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.queue))
-	})
-	r.GaugeFunc("sched_running_jobs", "Jobs currently holding processors.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.running))
-	})
-	r.GaugeFunc("sched_sync_events_total", "Synchronization events across finished and running jobs' teams.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.syncEventsLocked())
-	})
+	// locked reads, at scrape time, a value s.mu guards.
+	locked := func(f func() int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(f())
+		}
+	}
+	r.GaugeFunc("sched_free_procs", "Processors not accounted to any job.", locked(func() int { return s.free }))
+	r.GaugeFunc("sched_inuse_procs", "Processors accounted to running jobs (including pending grows).", locked(s.inUseLocked))
+	r.GaugeFunc("sched_queue_depth", "Jobs admitted and waiting for processors.", locked(func() int { return len(s.queue) }))
+	r.GaugeFunc("sched_running_jobs", "Jobs currently holding processors.", locked(func() int { return len(s.running) }))
+	r.GaugeFunc("sched_sync_events_total", "Synchronization events across finished and running jobs' teams.",
+		locked(func() int { return int(s.syncEventsLocked()) }))
 }
 
 // emit records a scheduler trace event when tracing is enabled. c
@@ -330,11 +319,17 @@ func (s *Scheduler) dispatchLocked() {
 		s.queue = s.queue[1:]
 		s.free -= p
 		rec.granted, rec.target = p, p
-		rec.state = StateRunning
-		rec.started = s.clock.Now()
-		s.running[rec.id] = rec
 		s.emit(obs.KindGrant, rec.job.Name(), int64(p), int64(rec.requested), 0)
 		s.hGrant.Observe(float64(p))
+		if rec.wake != nil { // a parked job resumes on its own goroutine
+			close(rec.wake)
+			rec.wake = nil
+			continue
+		}
+		rec.state = StateRunning
+		rec.started = s.clock.Now()
+		rec.deadline = rec.started.Add(rec.timeout)
+		s.running[rec.id] = rec
 		s.wg.Add(1)
 		go s.runJob(rec)
 	}
@@ -365,7 +360,7 @@ func (s *Scheduler) growLocked() {
 		for _, id := range ids {
 			rec := s.running[id]
 			cur := rec.acct()
-			if cur >= rec.requested {
+			if cur >= rec.requested || rec.wake != nil {
 				continue
 			}
 			p := PlateauGrant(rec.requested, cur+s.free)
@@ -419,16 +414,7 @@ func (s *Scheduler) runJob(rec *record) {
 	s.mu.Unlock()
 
 	if rec.timeout > 0 {
-		// The deadline watcher cancels the job with ErrTimeout when the
-		// clock (virtual in tests) reaches the deadline. It exits as
-		// soon as the job finishes.
-		go func() {
-			select {
-			case <-s.clock.After(rec.timeout):
-				rec.cancel(ErrTimeout)
-			case <-rec.done:
-			}
-		}()
+		go s.watchDeadline(rec)
 	}
 
 	g := &Grant{s: s, rec: rec, team: team}
@@ -484,6 +470,23 @@ func (s *Scheduler) runJob(rec *record) {
 	s.dispatchLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
+
+// watchDeadline cancels the job with ErrTimeout once the clock passes
+// its deadline, re-arming for the rest when a resume moved it. It
+// exits as soon as the job finishes.
+func (s *Scheduler) watchDeadline(rec *record) {
+	for wait := rec.timeout; wait > 0; {
+		select {
+		case <-s.clock.After(wait):
+		case <-rec.done:
+			return
+		}
+		s.mu.Lock()
+		wait = rec.deadline.Sub(s.clock.Now())
+		s.mu.Unlock()
+	}
+	rec.cancel(ErrTimeout)
 }
 
 // runSafely invokes Run, converting a panic into an error so one bad
@@ -703,11 +706,12 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.draining = true
-	for len(s.queue) > 0 {
-		rec := s.queue[0]
-		s.queue = s.queue[1:]
-		s.cancelQueuedLocked(rec)
+	for _, rec := range s.queue {
+		if rec.state == StateQueued { // not a parked job
+			s.cancelQueuedLocked(rec)
+		}
 	}
+	s.queue = nil
 	for _, rec := range s.running {
 		rec.cancel(nil)
 	}

@@ -609,3 +609,64 @@ func TestSubmitClampsParallelism(t *testing.T) {
 		t.Fatalf("requested %d, want clamped to 1", st.Requested)
 	}
 }
+
+// TestParkReturnsProcessors: a parked job stays running with a grant of
+// 0, so a job needing the whole budget runs beside it. The parked job's
+// next Checkpoint queues behind that job and resumes on a fresh grant
+// once it finishes; a cancel ends such a wait, and the budget holds
+// throughout.
+func TestParkReturnsProcessors(t *testing.T) {
+	s := New(Config{Procs: 2})
+	defer s.Close()
+	requests, workers := make(chan struct{}), make(chan int)
+	server, err := s.Submit(NewFuncJob("server", 2, func(g *Grant) error {
+		for {
+			g.Park()
+			select {
+			case <-requests:
+			case <-g.Context().Done():
+				return context.Cause(g.Context())
+			}
+			if err := g.Checkpoint(); err != nil {
+				return err
+			}
+			workers <- g.Team().Workers()
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, server, func(st JobStatus) bool { return st.Granted == 0 }, "the server to park")
+	for round := 0; round < 2; round++ {
+		hog := newGate("hog", 2)
+		h, err := s.Submit(hog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, h, func(st JobStatus) bool { return st.Granted == 2 }, "the hog to hold both processors")
+		requests <- struct{}{}
+		for s.Metrics().Queued != 1 {
+			time.Sleep(time.Millisecond)
+		}
+		checkBudget(t, s)
+		if round == 1 {
+			server.Cancel()
+			if err := waitDone(t, server); !errors.Is(err, context.Canceled) {
+				t.Errorf("server canceled while it waits for a grant: err %v, want context.Canceled", err)
+			}
+		}
+		hog.finish <- nil
+		if err := waitDone(t, h); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if w := <-workers; w != 2 {
+				t.Errorf("resumed server has a team of %d, want a fresh grant of 2", w)
+			}
+			waitStatus(t, server, func(st JobStatus) bool { return st.Granted == 0 }, "the server to park again")
+		}
+	}
+	if m := checkBudget(t, s); m.InUse != 0 || m.Queued != 0 || m.Running != 0 {
+		t.Errorf("after the cancel: %d in use, %d queued, %d running; want none", m.InUse, m.Queued, m.Running)
+	}
+}
