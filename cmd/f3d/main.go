@@ -182,7 +182,7 @@ func main() {
 		for i := 0; i < *steps; i++ {
 			st, err := f3d.TryStep(solver)
 			if err != nil {
-				exitOn(fmt.Errorf("step %d: %w", i+1, err), 1)
+				exitOn(fmt.Errorf("step %d: %s", i+1, strings.TrimPrefix(err.Error(), prefix)), 1)
 			}
 			flops += st.Flops
 			if !*quiet {
@@ -221,11 +221,15 @@ func main() {
 	}
 }
 
+// prefix starts every error line, and already starts the text of the
+// f3d package's own errors.
+const prefix = "f3d: "
+
 // exitOn ends the run with status code when err is not nil: 2 for a
-// bad input, 1 for a run that failed.
+// bad input, 1 for a run that failed. The line carries one prefix.
 func exitOn(err error, code int) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "f3d:", err)
+		fmt.Fprintln(os.Stderr, prefix+strings.TrimPrefix(err.Error(), prefix))
 		os.Exit(code)
 	}
 }

@@ -15,11 +15,14 @@
 // The case is an n×kmax×lmax box stacked into zones along J at the
 // given cut planes (two-point overlap, as F3D zones share boundary
 // planes). Each worker URL is the root of an f3dd daemon; the
-// coordinator probes /healthz before planning, so draining daemons
-// are never routed to, then drives POST /shards/{create,step,release}
-// in lockstep. Worker loss mid-solve triggers checkpoint rollback and
-// re-sharding over the survivors; the history still reproduces the
-// single-node solve bitwise.
+// coordinator probes /healthz once and registers only the daemons that
+// answer, so a draining one is never routed to, then drives POST
+// /shards/{create,step,release} in lockstep. A worker is lost when a
+// create or a step finds it down (unreachable, its shard gone, or no
+// answer within -timeout): the solve rolls back to its checkpoint and
+// re-shards over the survivors, and the history still reproduces the
+// single-node solve bitwise. Any other error a worker answers fails the
+// solve.
 //
 // The result is printed as JSON on stdout: the per-step history plus
 // the shard plan and failover count. Exit status 1 means the solve

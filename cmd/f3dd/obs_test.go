@@ -100,7 +100,7 @@ sched_inuse_procs 0
 # HELP sched_queue_depth Jobs admitted and waiting for processors.
 # TYPE sched_queue_depth gauge
 sched_queue_depth 0
-# HELP sched_running_jobs Jobs currently holding processors.
+# HELP sched_running_jobs Jobs started and not yet ended, parked jobs (which hold no processors) included.
 # TYPE sched_running_jobs gauge
 sched_running_jobs 0
 # HELP sched_sync_events_total Synchronization events across finished and running jobs' teams.

@@ -156,7 +156,7 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		tracer = obs.NewTracer(cfg.TraceBuf, clk)
 		tracer.Enable()
 	}
-	coord := cluster.New(cluster.Config{Clock: clk, HeartbeatTTL: time.Hour, Tracer: tracer})
+	coord := cluster.New(cluster.Config{Tracer: tracer})
 	var col *cluster.Collector
 	if cfg.Trace {
 		col = cluster.NewCollector(cluster.CollectorConfig{Clock: clk, Coord: tracer, Node: coord.Node()})
@@ -277,7 +277,7 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		// over the full fleet again.
 		if fired {
 			workers[lossIdx].Recover()
-			if err := coord.Heartbeat(workers[lossIdx].ID()); err != nil {
+			if err := coord.Register(workers[lossIdx].ID(), workers[lossIdx]); err != nil {
 				return nil, fmt.Errorf("chaos: revive %s: %w", workers[lossIdx].ID(), err)
 			}
 		}

@@ -48,17 +48,18 @@ import (
 	"repro/internal/sched"
 )
 
-// ErrWorkerDown is the error transports return when the worker is
-// unreachable or has been failed by fault injection. The engine treats
-// any transport error as a loss; this sentinel makes tests precise.
+// ErrWorkerDown is the error a transport returns when the worker is
+// unreachable, has lost the shard's state, or has been failed by fault
+// injection. It is the coordinator's one sign of a dead worker: a create
+// or a step that answers it marks the worker lost and fails over, while
+// any other error is the worker's answer and fails the solve.
 var ErrWorkerDown = errors.New("cluster: worker down")
 
-// WorkerClient is the coordinator's view of one worker daemon. An
-// implementation carries requests over some transport: LocalWorker
-// in-process, HTTPClient over HTTP to a f3dd.
+// WorkerClient is the coordinator's view of one worker daemon: the three
+// shard RPCs a solve makes. An implementation carries them over some
+// transport (LocalWorker in-process, HTTPClient over HTTP to an f3dd)
+// and answers ErrWorkerDown when the worker cannot be reached.
 type WorkerClient interface {
-	// Ping checks liveness (used for registration and heartbeats).
-	Ping() error
 	// CreateShard builds a shard on the worker and returns its id and
 	// the donor planes captured from the shard's initial state.
 	CreateShard(req CreateShardRequest) (CreateShardResponse, error)

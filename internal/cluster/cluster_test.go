@@ -58,7 +58,7 @@ func newTestHost(t testing.TB, procs int) *Host {
 // newTestCluster registers n in-process workers on a coordinator.
 func newTestCluster(t *testing.T, n int, clock simclock.Clock) (*Coordinator, []*LocalWorker) {
 	t.Helper()
-	c := New(Config{Clock: clock})
+	c := New(Config{})
 	workers := make([]*LocalWorker, n)
 	for i := range workers {
 		id := string(rune('a'+i)) + "-worker"
@@ -140,7 +140,7 @@ func TestFailoverReproducesHistory(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	tracer := obs.NewTracer(256, clock)
 	tracer.Enable()
-	c := New(Config{Clock: clock, Tracer: tracer})
+	c := New(Config{Tracer: tracer})
 	cfg, amp := testCase()
 
 	good := make([]*LocalWorker, 2)
@@ -264,6 +264,177 @@ func TestFailoverWithSparseCheckpoints(t *testing.T) {
 		}
 		assertHistoryBitwise(t, res.History, want)
 	}
+}
+
+// hangThenDown wraps a client whose n-th StepShard call hangs for hang
+// on clock and then answers ErrWorkerDown: a worker its caller gave up
+// waiting for (f3dc's -timeout).
+type hangThenDown struct {
+	WorkerClient
+	clock    simclock.Clock
+	hang     time.Duration
+	calls, n int
+}
+
+func (h *hangThenDown) StepShard(req StepRequest) (StepResponse, error) {
+	h.calls++
+	if h.calls >= h.n {
+		h.clock.Sleep(h.hang)
+		return StepResponse{}, ErrWorkerDown
+	}
+	return h.WorkerClient.StepShard(req)
+}
+
+// downOnCreate wraps a client that answers err to its n-th and every
+// later CreateShard call.
+type downOnCreate struct {
+	WorkerClient
+	err      error
+	calls, n int
+}
+
+func (d *downOnCreate) CreateShard(req CreateShardRequest) (CreateShardResponse, error) {
+	d.calls++
+	if d.calls >= d.n {
+		return CreateShardResponse{}, d.err
+	}
+	return d.WorkerClient.CreateShard(req)
+}
+
+// wrappedCluster registers alpha, beta and gamma on a virtual clock,
+// each worker's client passed through its wrapper (nil: none).
+func wrappedCluster(t *testing.T, clock *simclock.Virtual, tracer *obs.Tracer, wrap map[string]func(WorkerClient) WorkerClient) (*Coordinator, []*LocalWorker) {
+	t.Helper()
+	c := New(Config{Tracer: tracer})
+	var workers []*LocalWorker
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		w := NewLocalWorker(id, sched.Config{Clock: clock})
+		workers = append(workers, w)
+		var client WorkerClient = w
+		if f := wrap[id]; f != nil {
+			client = f(w)
+		}
+		if err := c.Register(id, client); err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
+	}
+	return c, workers
+}
+
+func assertNoShards(t *testing.T, workers []*LocalWorker) {
+	t.Helper()
+	for _, w := range workers {
+		if n := w.Host().ShardCount(); n != 0 {
+			t.Errorf("%s still holds %d shards", w.ID(), n)
+		}
+	}
+}
+
+// TestFailoverAfterLongHang: a worker that hangs far longer than any
+// step and then answers ErrWorkerDown is the one loss; the survivors
+// stay live however long the hang was, and the solve replays on them
+// bit for bit.
+func TestFailoverAfterLongHang(t *testing.T) {
+	const steps = 6
+	want := referenceHistory(t, steps)
+	for _, hang := range []time.Duration{6 * time.Second, 30 * time.Second} {
+		clock := simclock.NewVirtual(time.Unix(0, 0))
+		var hung *hangThenDown
+		c, workers := wrappedCluster(t, clock, nil, map[string]func(WorkerClient) WorkerClient{
+			"gamma": func(w WorkerClient) WorkerClient {
+				hung = &hangThenDown{WorkerClient: w, clock: clock, hang: hang, n: 3}
+				return hung
+			},
+		})
+		cfg, amp := testCase()
+		res := solveAdvancing(t, c, clock, SolveSpec{Job: "hang", Config: cfg, PulseAmp: amp, Steps: steps})
+		if hung.calls < hung.n {
+			t.Fatalf("hang %v: the hanging worker was never reached (%d calls)", hang, hung.calls)
+		}
+		if res.Failovers != 1 || res.Workers != 2 {
+			t.Errorf("hang %v: %d failovers on %d workers, want 1 on the 2 survivors", hang, res.Failovers, res.Workers)
+		}
+		assertHistoryBitwise(t, res.History, want)
+		if live := c.Live(); !slices.Equal(live, []string{"alpha", "beta"}) {
+			t.Errorf("hang %v: live workers %v, want [alpha beta]", hang, live)
+		}
+		assertNoShards(t, workers)
+	}
+}
+
+// TestFailoverOnCreate: a create that answers ErrWorkerDown follows the
+// step rule — the worker is marked lost, the event counts as a
+// failover, and the solve re-plans over the survivors — whether it is
+// the solve's first create or a re-shard's after a step lost another
+// worker.
+func TestFailoverOnCreate(t *testing.T) {
+	const steps = 6
+	want := referenceHistory(t, steps)
+	down := func(n int) func(WorkerClient) WorkerClient {
+		return func(w WorkerClient) WorkerClient { return &downOnCreate{WorkerClient: w, err: ErrWorkerDown, n: n} }
+	}
+	for _, tc := range []struct {
+		name      string
+		wrap      map[string]func(WorkerClient) WorkerClient
+		failovers int
+		live      []string
+	}{
+		{"first create", map[string]func(WorkerClient) WorkerClient{"beta": down(1)}, 1, []string{"alpha", "gamma"}},
+		{"re-shard create", map[string]func(WorkerClient) WorkerClient{
+			"beta":  down(2),
+			"gamma": func(w WorkerClient) WorkerClient { return &failAfter{WorkerClient: w, n: 3} },
+		}, 2, []string{"alpha"}},
+	} {
+		clock := simclock.NewVirtual(time.Unix(0, 0))
+		tracer := obs.NewTracer(1024, clock)
+		tracer.Enable()
+		c, workers := wrappedCluster(t, clock, tracer, tc.wrap)
+		cfg, amp := testCase()
+		res := solveAdvancing(t, c, clock, SolveSpec{Job: "create", Config: cfg, PulseAmp: amp, Steps: steps})
+		if res.Failovers != tc.failovers || res.Workers != len(tc.live) {
+			t.Errorf("%s: %d failovers on %d workers, want %d on %d", tc.name, res.Failovers, res.Workers, tc.failovers, len(tc.live))
+		}
+		assertHistoryBitwise(t, res.History, want)
+		if live := c.Live(); !slices.Equal(live, tc.live) {
+			t.Errorf("%s: live workers %v, want %v", tc.name, live, tc.live)
+		}
+		if n := c.ctrFailovers.Value(); n != uint64(tc.failovers) {
+			t.Errorf("%s: cluster_failovers_total %d, want %d", tc.name, n, tc.failovers)
+		}
+		lost := map[string]bool{}
+		for _, e := range tracer.Events() {
+			if e.Kind == obs.KindFailover && e.Dur == 0 {
+				lost[e.Name] = true
+			}
+		}
+		if !lost["beta"] {
+			t.Errorf("%s: no failover trace event for beta (events name %v)", tc.name, lost)
+		}
+		assertNoShards(t, workers)
+	}
+}
+
+// TestCreateErrorFailsSolve: an error a worker answers to a create that
+// is not ErrWorkerDown is the worker's word on the request, as it is for
+// a step: the solve fails without failover and the worker stays live.
+func TestCreateErrorFailsSolve(t *testing.T) {
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	refused := errors.New("cluster: /shards/create: 400 Bad Request: refused")
+	c, workers := wrappedCluster(t, clock, nil, map[string]func(WorkerClient) WorkerClient{
+		"beta": func(w WorkerClient) WorkerClient { return &downOnCreate{WorkerClient: w, err: refused, n: 1} },
+	})
+	cfg, amp := testCase()
+	_, err := c.Solve(SolveSpec{Job: "refused", Config: cfg, PulseAmp: amp, Steps: 6})
+	if !errors.Is(err, refused) || !strings.Contains(err.Error(), `"beta"`) {
+		t.Fatalf("solve: err %v, want beta's refusal", err)
+	}
+	if n := c.ctrFailovers.Value(); n != 0 {
+		t.Errorf("%d failovers, want 0", n)
+	}
+	if live := c.Live(); len(live) != 3 {
+		t.Errorf("live workers %v, want all 3", live)
+	}
+	assertNoShards(t, workers)
 }
 
 // TestSolveFailsWithNoSurvivors: losing every worker is an error, not
@@ -418,40 +589,31 @@ func TestDivergingSolveFailsWithoutFailover(t *testing.T) {
 	}
 }
 
-// TestHeartbeatTTL: workers expire off the live set when their
-// heartbeats stop, and a late heartbeat revives a lost worker.
-func TestHeartbeatTTL(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	c := New(Config{Clock: clock, HeartbeatTTL: 10 * time.Second})
-	w := NewLocalWorker("w1", sched.Config{Clock: clock})
+// TestMembership: a registered worker is live until MarkLost (an RPC
+// that answered ErrWorkerDown) takes it out of the live set;
+// re-registering the lost id revives it, re-registering a live one is
+// an error.
+func TestMembership(t *testing.T) {
+	c := New(Config{})
+	w := NewLocalWorker("w1", sched.Config{})
 	if err := c.Register("w1", w); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	if live := c.Live(); len(live) != 1 {
 		t.Fatalf("fresh worker not live: %v", live)
 	}
-	clock.Advance(11 * time.Second)
-	if live := c.Live(); len(live) != 0 {
-		t.Fatalf("expired worker still live: %v", live)
-	}
-	if err := c.Heartbeat("w1"); err != nil {
-		t.Fatalf("heartbeat: %v", err)
-	}
-	if live := c.Live(); len(live) != 1 {
-		t.Fatalf("heartbeat did not restore liveness: %v", live)
+	if err := c.Register("w1", w); err == nil {
+		t.Error("re-registering a live worker accepted")
 	}
 	c.MarkLost("w1")
 	if live := c.Live(); len(live) != 0 {
 		t.Fatalf("lost worker still live: %v", live)
 	}
-	if err := c.Heartbeat("w1"); err != nil {
-		t.Fatalf("revival heartbeat: %v", err)
+	if err := c.Register("w1", w); err != nil {
+		t.Fatalf("re-register a lost worker: %v", err)
 	}
 	if live := c.Live(); len(live) != 1 || live[0] != "w1" {
 		t.Fatalf("revived worker not live: %v", live)
-	}
-	if err := c.Heartbeat("ghost"); err == nil {
-		t.Error("heartbeat from unregistered worker accepted")
 	}
 }
 

@@ -51,7 +51,7 @@ func newTracedCluster(t *testing.T, ringCaps ...int) (*Coordinator, []*LocalWork
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	tracer := obs.NewTracer(4096, clk)
 	tracer.Enable()
-	c := New(Config{Clock: clk, Tracer: tracer, HeartbeatTTL: time.Hour})
+	c := New(Config{Tracer: tracer})
 	workers := make([]*LocalWorker, len(ringCaps))
 	for i := range workers {
 		id := fmt.Sprintf("w%02d", i+1)
@@ -65,10 +65,10 @@ func newTracedCluster(t *testing.T, ringCaps ...int) (*Coordinator, []*LocalWork
 	return c, workers, clk
 }
 
-// newTestCollector wires a collector to the coordinator and its
-// workers, sharing the coordinator's clock and tracer.
-func newTestCollector(c *Coordinator, workers []*LocalWorker) *Collector {
-	col := NewCollector(CollectorConfig{Clock: c.clock, Coord: c.Tracer(), Node: c.Node()})
+// newTestCollector wires a collector on clk to the coordinator and its
+// workers, sharing the coordinator's tracer.
+func newTestCollector(c *Coordinator, clk simclock.Clock, workers []*LocalWorker) *Collector {
+	col := NewCollector(CollectorConfig{Clock: clk, Coord: c.Tracer(), Node: c.Node()})
 	for _, w := range workers {
 		col.AddWorker(w.ID(), w)
 	}
@@ -102,7 +102,7 @@ func TestCollectorEndToEndClosure(t *testing.T) {
 	for _, w := range workers {
 		w.SetDelay(0)
 	}
-	col := newTestCollector(c, workers)
+	col := newTestCollector(c, clk, workers)
 	if n := col.SyncClocks(); n != 3 {
 		t.Fatalf("SyncClocks reached %d workers, want 3", n)
 	}
@@ -187,7 +187,7 @@ func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 	for _, w := range workers {
 		w.SetDelay(0)
 	}
-	col := newTestCollector(c, workers)
+	col := newTestCollector(c, clk, workers)
 	col.SyncClocks()
 	col.Pull()
 
@@ -234,10 +234,10 @@ func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 // flowing, keep the failed worker's cursor, and resume it after
 // revival without duplicating or corrupting the timeline.
 func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
-	c, workers, _ := newTracedCluster(t, 1024, 1024, 1024)
-	col := newTestCollector(c, workers)
+	c, workers, clk := newTracedCluster(t, 1024, 1024, 1024)
+	col := newTestCollector(c, clk, workers)
 	for _, w := range workers {
-		w.Tracer().Emit(obs.Event{Kind: obs.KindHeartbeat, Name: "before", Worker: -1})
+		w.Tracer().Emit(obs.Event{Kind: obs.KindGrant, Name: "before", Worker: -1})
 	}
 	if added := col.Pull(); added != 3 {
 		t.Fatalf("first pull added %d, want 3", added)
@@ -245,7 +245,7 @@ func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
 
 	workers[1].Fail()
 	for _, w := range workers {
-		w.Tracer().Emit(obs.Event{Kind: obs.KindHeartbeat, Name: "during", Worker: -1})
+		w.Tracer().Emit(obs.Event{Kind: obs.KindGrant, Name: "during", Worker: -1})
 	}
 	if added := col.Pull(); added != 2 {
 		t.Fatalf("pull with w02 down added %d, want 2 (survivors only)", added)
@@ -270,7 +270,7 @@ func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
 	seen := map[string]map[uint64]int{}
 	perNode := map[string]int{}
 	for _, e := range col.Timeline() {
-		if e.Kind != obs.KindHeartbeat {
+		if e.Kind != obs.KindGrant {
 			continue
 		}
 		if seen[e.Node] == nil {
@@ -284,7 +284,7 @@ func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
 	}
 	for _, id := range []string{"w01", "w02", "w03"} {
 		if perNode[id] != 2 {
-			t.Errorf("%s: %d heartbeats in timeline, want 2", id, perNode[id])
+			t.Errorf("%s: %d filler events in timeline, want 2", id, perNode[id])
 		}
 	}
 }
@@ -295,8 +295,8 @@ func TestCollectorSurvivesNodeLossMidPull(t *testing.T) {
 // is the collector's concurrency gate.
 func TestCollectorConcurrentPulls(t *testing.T) {
 	const perWorker = 200 // on each of three workers
-	c, workers, _ := newTracedCluster(t, 4*perWorker, 4*perWorker, 4*perWorker)
-	col := newTestCollector(c, workers)
+	c, workers, clk := newTracedCluster(t, 4*perWorker, 4*perWorker, 4*perWorker)
+	col := newTestCollector(c, clk, workers)
 
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -369,7 +369,7 @@ func TestCollectorClockAlignment(t *testing.T) {
 	trueAt := clk.Now().Add(5 * time.Millisecond)
 	const skew = 250 * time.Millisecond
 	src := &skewedSource{clk: clk, skew: skew, events: []obs.Event{
-		{Seq: 0, Kind: obs.KindHeartbeat, Name: "hb", Worker: -1, At: trueAt.Add(skew)},
+		{Seq: 0, Kind: obs.KindGrant, Name: "filler", Worker: -1, At: trueAt.Add(skew)},
 	}}
 	col := NewCollector(CollectorConfig{Clock: clk, Node: "coord"})
 	col.AddWorker("w01", src)
@@ -409,9 +409,9 @@ func TestCollectorRTTMidpoint(t *testing.T) {
 // TestCollectorEmitsCollectAndClockSync checks the collector's own
 // spans land in the coordinator tracer and the merged timeline.
 func TestCollectorEmitsCollectAndClockSync(t *testing.T) {
-	c, workers, _ := newTracedCluster(t, 64, 64)
-	col := newTestCollector(c, workers)
-	workers[0].Tracer().Emit(obs.Event{Kind: obs.KindHeartbeat, Name: "hb", Worker: -1})
+	c, workers, clk := newTracedCluster(t, 64, 64)
+	col := newTestCollector(c, clk, workers)
+	workers[0].Tracer().Emit(obs.Event{Kind: obs.KindGrant, Name: "filler", Worker: -1})
 	col.SyncClocks()
 	col.Pull()
 	var sync, collect int

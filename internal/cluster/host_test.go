@@ -30,7 +30,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // and so its shards, the deadline d.
 func deadlineCluster(t *testing.T, clock *simclock.Virtual, d time.Duration, wrap ...func(WorkerClient) WorkerClient) (*Coordinator, []*LocalWorker) {
 	t.Helper()
-	c := New(Config{Clock: clock, HeartbeatTTL: time.Hour})
+	c := New(Config{})
 	workers := make([]*LocalWorker, len(wrap))
 	for i, w := range wrap {
 		id := string(rune('a'+i)) + "-worker"
@@ -57,7 +57,7 @@ func TestHostExpiresAbandonedShards(t *testing.T) {
 	c, workers := deadlineCluster(t, clock, d, direct, direct, direct)
 	cfg, amp := testCase()
 	spec := SolveSpec{Job: "abandoned", Config: cfg, PulseAmp: amp, Steps: 4}
-	shards, err := c.createShards(spec, checkpoint{}, "abandoned#1")
+	shards, _, err := c.createShards(spec, checkpoint{}, "abandoned#1")
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}

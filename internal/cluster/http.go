@@ -96,8 +96,8 @@ func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 	return nil
 }
 
-// Ping implements WorkerClient via the daemon's readiness endpoint: a
-// draining daemon answers 503, which correctly reads as "do not route
+// Ping probes the daemon's readiness endpoint before it is registered:
+// a draining daemon answers 503, which correctly reads as "do not route
 // new work here".
 func (c *HTTPClient) Ping() error {
 	resp, err := c.do("/healthz", "", nil, 0)

@@ -132,9 +132,6 @@ func (w *LocalWorker) gate() error {
 	return nil
 }
 
-// Ping implements WorkerClient.
-func (w *LocalWorker) Ping() error { return w.gate() }
-
 // CreateShard implements WorkerClient. An in-process caller never gives
 // up, so the create waits for its grant until the worker restarts.
 func (w *LocalWorker) CreateShard(req CreateShardRequest) (CreateShardResponse, error) {

@@ -84,14 +84,17 @@ type runShard struct {
 // Solve runs the spec across the live workers: plan zone groups with
 // the plateau grant rule (sched.PlateauGrant), create one shard per
 // granted worker, then advance all shards in lockstep, exchanging
-// boundary planes between steps. Worker loss triggers
-// checkpoint-rollback failover onto the survivors. The returned history
-// is bitwise the single-node history for the same case and config.
+// boundary planes between steps. One rule decides a worker's loss, for
+// a create as for a step: an RPC that answers ErrWorkerDown marks the
+// worker lost, and the solve re-plans over the survivors from the last
+// checkpoint and replays. Any other error a worker answers fails the
+// solve and leaves the worker live. The returned history is bitwise the
+// single-node history for the same case and config.
 func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	if spec.Steps < 1 {
 		return SolveResult{}, fmt.Errorf("cluster: solve needs Steps >= 1, got %d", spec.Steps)
 	}
-	// A shard create rejecting the spec would read as a lost worker.
+	// A spec every shard create would refuse fails before any is sent.
 	if err := spec.Config.Validate(); err != nil {
 		return SolveResult{}, fmt.Errorf("cluster: solve config: %w", err)
 	}
@@ -110,17 +113,74 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 	// any more, so its buffers take the next checkpoint: two sets
 	// alternate and a steady-state step allocates no snapshot storage.
 	var spare []SnapshotWire
+	// shards is the current plan, nil while the next one is to be
+	// created. lost lists the workers lost since the last plan was
+	// created, lostAt the start of the round that lost the first.
+	var shards []*runShard
+	var lost []string
+	var lostAt time.Time
+	s := ckpt.step
 
-	shards, err := c.createShards(spec, ckpt, trace)
-	if err != nil {
-		return SolveResult{}, err
+	// failover applies the loss rule to a round in which down answered
+	// ErrWorkerDown. Nothing on the survivors is worth keeping: the
+	// solve rolls back to the checkpoint, and the next round re-plans.
+	failover := func(down []string, start time.Time) error {
+		c.releaseShards(spec, shards, trace, s)
+		shards = nil
+		for _, w := range down {
+			c.MarkLost(w)
+		}
+		result.Failovers++
+		if result.Failovers > maxFailovers {
+			return fmt.Errorf("cluster: solve %q gave up after %d failovers (last lost: %v)",
+				spec.Job, result.Failovers-1, down)
+		}
+		c.ctrFailovers.Add(uint64(len(down)))
+		if len(lost) == 0 {
+			lostAt = start
+		}
+		lost = append(lost, down...)
+		// The rolled-back state replays deterministically, so history
+		// entries below ckpt.step stay valid as computed.
+		s = ckpt.step
+		return nil
 	}
 
-	s := ckpt.step
 	for s < spec.Steps {
-		wantCkpt := spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0
 		traced := c.cfg.Tracer.Enabled()
 		start := c.cfg.Tracer.Now()
+		if shards == nil {
+			var w string
+			var err error
+			shards, w, err = c.createShards(spec, ckpt, trace)
+			switch {
+			case errors.Is(err, ErrWorkerDown):
+				if err := failover([]string{w}, start); err != nil {
+					return SolveResult{}, err
+				}
+			case err != nil && len(lost) > 0:
+				return SolveResult{}, fmt.Errorf("cluster: re-shard after losing %v: %w", lost, err)
+			case err != nil:
+				return SolveResult{}, err
+			case len(lost) > 0:
+				// The recovery is over. One event per lost worker, then
+				// one span from the start of the round that lost the
+				// first, which the cluster analyzer charges to the step
+				// that replays.
+				for _, w := range lost {
+					c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: w, Worker: -1,
+						Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+						A: int64(s), B: int64(len(c.Live()))})
+				}
+				c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: spec.Job, Worker: -1,
+					Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+					Dur: c.cfg.Tracer.Now().Sub(lostAt), A: int64(s), B: int64(len(lost))})
+				lost = nil
+			}
+			continue
+		}
+
+		wantCkpt := spec.CheckpointEvery > 0 && (s+1)%spec.CheckpointEvery == 0
 		resps := make([]StepResponse, len(shards))
 		errs := make([]error, len(shards))
 		rpcDur := make([]time.Duration, len(shards))
@@ -149,50 +209,24 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 		}
 		wg.Wait()
 
-		// A worker that answers an error is alive: its solver failed on
-		// this state, and any survivor would fail the same replay.
+		var down []string
 		for i, err := range errs {
-			if err != nil && !errors.Is(err, ErrWorkerDown) {
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrWorkerDown):
+				down = append(down, shards[i].worker)
+			default:
+				// A worker that answers an error is alive: its solver
+				// failed on this state, and any survivor would fail the
+				// same replay.
 				c.releaseShards(spec, shards, trace, s)
 				return SolveResult{}, fmt.Errorf("cluster: step %d on %q: %w", s, shards[i].worker, err)
 			}
 		}
-		if lost := workersWithErrors(shards, errs); len(lost) > 0 {
-			result.Failovers++
-			if result.Failovers > maxFailovers {
-				return SolveResult{}, fmt.Errorf("cluster: solve %q gave up after %d failovers (last lost: %v)",
-					spec.Job, result.Failovers-1, lost)
+		if len(down) > 0 {
+			if err := failover(down, start); err != nil {
+				return SolveResult{}, err
 			}
-			// Nothing on the survivors is worth keeping: the solve rolls
-			// back to the checkpoint. The failover trace events follow
-			// the re-shard, so their span covers the whole recovery.
-			for _, w := range lost {
-				c.MarkLost(w)
-			}
-			c.releaseShards(spec, shards, trace, s)
-			c.ctrFailovers.Add(uint64(len(lost)))
-			shards, err = c.createShards(spec, ckpt, trace)
-			if err != nil {
-				return SolveResult{}, fmt.Errorf("cluster: re-shard after losing %v: %w", lost, err)
-			}
-			if traced {
-				now := c.cfg.Tracer.Now()
-				for _, w := range lost {
-					c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: w, Worker: -1,
-						Node: c.cfg.Node, Trace: trace, Epoch: int64(ckpt.step),
-						A: int64(ckpt.step), B: int64(len(c.Live()))})
-				}
-				// One span-shaped failover event per failed round: its
-				// duration (the failed fan-out plus the re-shard) is the
-				// failover time the cluster analyzer charges to the step
-				// that now replays.
-				c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: spec.Job, Worker: -1,
-					Node: c.cfg.Node, Trace: trace, Epoch: int64(ckpt.step),
-					Dur: now.Sub(start), A: int64(ckpt.step), B: int64(len(lost))})
-			}
-			// The rolled-back state replays deterministically, so
-			// history entries below ckpt.step stay valid as computed.
-			s = ckpt.step
 			continue
 		}
 
@@ -203,11 +237,6 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 		}
 		stat.Flops = flops
 		result.History[s] = stat
-
-		// Successful lockstep RPCs are proof of life.
-		for _, sh := range shards {
-			_ = c.Heartbeat(sh.worker)
-		}
 
 		planes := 0
 		if err := routePlanes(shards, resps); err != nil {
@@ -255,11 +284,12 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 // and creates one shard per group, restoring the checkpoint state when
 // one exists. Initial donor planes come back with creation and are
 // routed into the shards' inboxes, so the first lockstep step needs no
-// extra round-trip.
-func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string) ([]*runShard, error) {
+// extra round-trip. A create that fails releases the shards made so far
+// and returns the worker that answered it with its error.
+func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string) ([]*runShard, string, error) {
 	ranked := c.rank(spec.Job)
 	if len(ranked) == 0 {
-		return nil, fmt.Errorf("cluster: no live workers")
+		return nil, "", fmt.Errorf("cluster: no live workers")
 	}
 	nz := len(spec.Config.Case.Zones)
 	granted := sched.PlateauGrant(nz, len(ranked))
@@ -280,7 +310,7 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 		client, err := c.client(w)
 		if err != nil {
 			c.releaseShards(spec, shards, trace, ckpt.step)
-			return nil, err
+			return nil, w, err
 		}
 		var restore []SnapshotWire
 		for _, snap := range ckpt.snaps {
@@ -299,9 +329,8 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 			Trace:    trace,
 		})
 		if err != nil {
-			c.MarkLost(w)
 			c.releaseShards(spec, shards, trace, ckpt.step)
-			return nil, fmt.Errorf("cluster: create shard on %q: %w", w, err)
+			return nil, w, fmt.Errorf("cluster: create shard on %q: %w", w, err)
 		}
 		shards = append(shards, &runShard{worker: w, client: client, id: resp.ID, lo: lo, hi: hi})
 		initPlanes = append(initPlanes, StepResponse{Planes: resp.Planes})
@@ -310,27 +339,9 @@ func (c *Coordinator) createShards(spec SolveSpec, ckpt checkpoint, trace string
 	// they are the exchange input of the first lockstep step.
 	if err := routePlanes(shards, initPlanes); err != nil {
 		c.releaseShards(spec, shards, trace, ckpt.step)
-		return nil, err
+		return nil, "", err
 	}
-	return shards, nil
-}
-
-// workersWithErrors returns the distinct workers whose lockstep call
-// failed, in shard order.
-func workersWithErrors(shards []*runShard, errs []error) []string {
-	var out []string
-	seen := map[string]struct{}{}
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		w := shards[i].worker
-		if _, dup := seen[w]; !dup {
-			seen[w] = struct{}{}
-			out = append(out, w)
-		}
-	}
-	return out
+	return shards, "", nil
 }
 
 // releaseShards frees the shards best-effort (lost workers will

@@ -73,10 +73,6 @@ const (
 	// built from truncated traces instead of silently mis-attributing
 	// time.
 	KindTraceDropped
-	// KindHeartbeat is a cluster worker heartbeat observed by the
-	// coordinator. Name carries the worker id; A is 1 when the
-	// heartbeat revived a worker previously marked lost.
-	KindHeartbeat
 	// KindShardStep is one lockstep time step of a sharded solve; Dur
 	// spans the slowest worker's step. A carries the step index, B the
 	// number of live shards.
@@ -88,9 +84,11 @@ const (
 	// KindFailover is a re-shard after a worker loss. Name carries the
 	// lost worker's id, A the checkpoint step rolled back to, B the
 	// number of surviving workers. The coordinator additionally emits
-	// one span-shaped failover event per failed round (Name = job,
-	// Dur = the failed round plus the re-shard) so the cluster
-	// analyzer can charge failover time to the step that replays.
+	// one span-shaped failover event per recovery (Name = job, B = the
+	// workers lost, Dur = from the start of the round that lost the
+	// first of them to the end of the re-shard that replaces them) so
+	// the cluster analyzer can charge failover time to the step that
+	// replays.
 	KindFailover
 	// KindStepRPC is the coordinator-side span of one worker's
 	// lockstep StepShard RPC: Node carries the worker id, Dur the
@@ -117,7 +115,7 @@ const (
 var kinds = [kindCount]string{
 	KindRegionBegin: "region_begin", KindRegionEnd: "region_end", KindBarrier: "barrier",
 	KindChunk: "chunk", KindGrant: "grant", KindResize: "resize", KindPreempt: "preempt",
-	KindTraceDropped: "trace_dropped", KindHeartbeat: "heartbeat", KindShardStep: "shard_step",
+	KindTraceDropped: "trace_dropped", KindShardStep: "shard_step",
 	KindExchange: "exchange", KindFailover: "failover", KindStepRPC: "step_rpc",
 	KindCollect: "collect", KindClockSync: "clock_sync",
 }

@@ -166,7 +166,7 @@ func (s *Scheduler) registerMetrics() {
 	r.GaugeFunc("sched_free_procs", "Processors not accounted to any job.", locked(func() int { return s.free }))
 	r.GaugeFunc("sched_inuse_procs", "Processors accounted to running jobs (including pending grows).", locked(s.inUseLocked))
 	r.GaugeFunc("sched_queue_depth", "Jobs admitted and waiting for processors.", locked(func() int { return len(s.queue) }))
-	r.GaugeFunc("sched_running_jobs", "Jobs currently holding processors.", locked(func() int { return len(s.running) }))
+	r.GaugeFunc("sched_running_jobs", "Jobs started and not yet ended, parked jobs (which hold no processors) included.", locked(func() int { return len(s.running) }))
 	r.GaugeFunc("sched_sync_events_total", "Synchronization events across finished and running jobs' teams.",
 		locked(func() int { return int(s.syncEventsLocked()) }))
 }
