@@ -174,12 +174,13 @@ func TestDrainingReturns503(t *testing.T) {
 
 // TestResultStatusMapping drives one job into each terminal state and
 // checks GET /jobs/{id}/result encodes it in the HTTP status: 200
-// done, 500 failed, 504 timed out, 409 canceled, 202 in flight, 404
-// unknown. Failure and hang jobs are injected directly through the
-// scheduler — the HTTP surface under test is the result mapping.
+// done, 500 failed, 504 timed out, 409 canceled, 202 still in flight
+// once the result wait's bound passes, 404 unknown. Failure and hang
+// jobs are injected directly through the scheduler — the HTTP surface
+// under test is the result mapping.
 func TestResultStatusMapping(t *testing.T) {
 	clk := simclock.NewVirtual(time.Unix(0, 0))
-	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8, Clock: clk}, serverConfig{})
+	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8, Clock: clk}, serverConfig{clock: clk})
 
 	result := func(id uint64) int {
 		var st sched.JobStatus
@@ -240,7 +241,12 @@ func TestResultStatusMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.waitState(live.ID(), sched.StateRunning)
-	if code := result(live.ID()); code != http.StatusAccepted {
+	// The request is held on the clock (the hung job's deadline watcher
+	// has fired and gone, so the one waiter is the request) until the
+	// bound passes.
+	held := heldResult(ts, clk, live.ID())
+	clk.Advance(resultWait)
+	if code := answer(t, held); code != http.StatusAccepted {
 		t.Errorf("result(running) = %d, want 202", code)
 	}
 	if err := ts.s.Cancel(live.ID()); err != nil {

@@ -19,8 +19,8 @@
 //	GET    /jobs             list all jobs, cluster shards included
 //	GET    /jobs/{id}        one job's status
 //	GET    /jobs/{id}/result outcome as HTTP status (200 done, 500
-//	                         failed, 504 timed out, 409 canceled,
-//	                         202 still in flight)
+//	                         failed, 504 timed out, 409 canceled); waits
+//	                         for the job up to 10 s, then 202 still in flight
 //	POST   /jobs/{id}/cancel cancel; the record stays readable
 //	GET    /metrics          Prometheus text: counters, gauges, grant
 //	                         histogram, tracer accounting

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,7 +42,7 @@ const (
 // serverConfig tunes the HTTP layer's fault handling. The clock is
 // injectable so retry backoff is testable on virtual time.
 type serverConfig struct {
-	// clock times retry backoff. nil defaults to the real clock.
+	// clock times retry backoff and resultWait. nil: the real clock.
 	clock simclock.Clock
 	// submitRetries is how many times a queue-full submission is
 	// retried in-handler before surfacing 429 to the client.
@@ -329,48 +330,54 @@ func (sv *server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if st, ok := sv.job(w, r); ok {
-		serve.WriteJSON(w, http.StatusOK, st)
+	if h, ok := sv.handle(w, r); ok {
+		serve.WriteJSON(w, http.StatusOK, h.Status())
 	}
 }
 
-// handleResult reports a job's outcome with the terminal state encoded
-// in the HTTP status, so curl -f and retrying clients need no JSON
-// parsing: 200 done, 500 failed, 504 timed out, 409 canceled, and 202
-// while the job is still queued or running.
+const resultWait = 10 * time.Second // well under common client timeouts
+
+// resultCode encodes a terminal state in GET /jobs/{id}/result's status.
+var resultCode = map[sched.State]int{
+	sched.StateDone:     http.StatusOK,
+	sched.StateFailed:   http.StatusInternalServerError,
+	sched.StateTimedOut: http.StatusGatewayTimeout,
+	sched.StateCanceled: http.StatusConflict,
+}
+
+// handleResult reports a job's outcome in the HTTP status (resultCode),
+// so curl -f and retrying clients need no JSON parsing. A queued or
+// running job is waited for until it ends, the client hangs up or
+// resultWait passes (then 202): one request, not polls that each
+// preempt the job's team (DESIGN §15).
 func (sv *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := sv.job(w, r)
+	h, ok := sv.handle(w, r)
 	if !ok {
 		return
 	}
-	code := http.StatusAccepted
-	switch st.State {
-	case sched.StateDone:
-		code = http.StatusOK
-	case sched.StateFailed:
-		code = http.StatusInternalServerError
-	case sched.StateTimedOut:
-		code = http.StatusGatewayTimeout
-	case sched.StateCanceled:
-		code = http.StatusConflict
+	bound, stop := sv.cfg.clock.Timer(resultWait)
+	select {
+	case <-h.Done():
+	case <-bound:
+	case <-r.Context().Done():
 	}
-	serve.WriteJSON(w, code, st)
+	stop()
+	st := h.Status()
+	serve.WriteJSON(w, cmp.Or(resultCode[st.State], http.StatusAccepted), st)
 }
 
 func (sv *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := sv.job(w, r)
+	h, ok := sv.handle(w, r)
 	if !ok {
 		return
 	}
 	// A finished job cannot be canceled: that is a state conflict, not a
 	// missing resource.
-	if err := sv.sched.Cancel(st.ID); errors.Is(err, sched.ErrTerminal) {
+	if err := sv.sched.Cancel(h.ID()); errors.Is(err, sched.ErrTerminal) {
 		serve.Error(w, http.StatusConflict, err.Error())
 		return
 	}
-	if st, ok = sv.job(w, r); ok {
-		serve.WriteJSON(w, http.StatusOK, st)
-	}
+	serve.WriteJSON(w, http.StatusOK, h.Status())
 }
 
 // healthzReply is the GET /healthz body: a readiness snapshot a
@@ -417,18 +424,18 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, code, reply)
 }
 
-// job answers for the job the path names: its status, or a 400 (bad
-// ID) or 404 (no such job) already written.
-func (sv *server) job(w http.ResponseWriter, r *http.Request) (sched.JobStatus, bool) {
+// handle answers for the job the path names: a handle, which outlives
+// the table's entry, or a 400 (bad ID) or 404 (no such job) written.
+func (sv *server) handle(w http.ResponseWriter, r *http.Request) (*sched.Handle, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		serve.Error(w, http.StatusBadRequest, "bad job id "+strconv.Quote(r.PathValue("id")))
-		return sched.JobStatus{}, false
+		return nil, false
 	}
-	st, err := sv.sched.Job(id)
+	h, err := sv.sched.Handle(id)
 	if err != nil {
 		serve.Error(w, http.StatusNotFound, err.Error())
-		return sched.JobStatus{}, false
+		return nil, false
 	}
-	return st, true
+	return h, true
 }

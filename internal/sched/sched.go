@@ -76,7 +76,6 @@ type Scheduler struct {
 	queue   []*record // FIFO of admitted, not-yet-running jobs
 	running map[uint64]*record
 	jobs    map[uint64]*record
-	order   []uint64 // submission order, for listing
 	retired []uint64 // terminal jobs still in the table, oldest finish first
 	nextID  uint64
 
@@ -298,7 +297,6 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 		submitted: s.clock.Now(),
 	}
 	s.jobs[rec.id] = rec
-	s.order = append(s.order, rec.id)
 	s.queue = append(s.queue, rec)
 	s.ctrSubmitted.Inc()
 	s.dispatchLocked()
@@ -561,14 +559,9 @@ const maxRetired = 4096
 // Caller holds s.mu.
 func (s *Scheduler) retireLocked(rec *record) {
 	s.retired = append(s.retired, rec.id)
-	if len(s.retired) <= maxRetired {
-		return
-	}
-	old := s.retired[0]
-	s.retired = s.retired[1:]
-	delete(s.jobs, old)
-	if i := slices.Index(s.order, old); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1)
+	if len(s.retired) > maxRetired {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
 	}
 }
 
@@ -583,15 +576,27 @@ func (s *Scheduler) Job(id uint64) (JobStatus, error) {
 	return rec.snapshotLocked(s.clock.Now()), nil
 }
 
-// Jobs returns snapshots of all jobs in submission order.
-func (s *Scheduler) Jobs() []JobStatus {
+// Handle returns a handle on job id; it outlives the table's entry.
+func (s *Scheduler) Handle(id uint64) (*Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock.Now()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].snapshotLocked(now))
+	rec, ok := s.jobs[id]
+	if !ok {
+		return nil, ErrNotFound
 	}
+	return &Handle{s: s, rec: rec}, nil
+}
+
+// Jobs returns snapshots of all jobs in submission (that is, ID) order.
+func (s *Scheduler) Jobs() []JobStatus {
+	s.mu.Lock()
+	now := s.clock.Now()
+	out := make([]JobStatus, 0, len(s.jobs))
+	for _, rec := range s.jobs {
+		out = append(out, rec.snapshotLocked(now))
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

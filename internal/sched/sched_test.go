@@ -670,3 +670,46 @@ func TestParkReturnsProcessors(t *testing.T) {
 		t.Errorf("after the cancel: %d in use, %d queued, %d running; want none", m.InUse, m.Queued, m.Running)
 	}
 }
+
+// Handle finds a job by ID: it sees the job end through Done and
+// Status, and an ID never issued is ErrNotFound. Jobs lists in
+// submission order even when the jobs finish in another.
+func TestHandleByIDAndListingOrder(t *testing.T) {
+	s := New(Config{Procs: 2})
+	defer s.Close()
+	slow := newGate("slow", 1)
+	first, err := s.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-slow.started
+	quick, err := s.Submit(NewFuncJob("quick", 1, func(*Grant) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitDone(t, quick); err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := s.Handle(first.ID())
+	if err != nil || h.ID() != first.ID() {
+		t.Fatalf("Handle(%d) = %v, %v", first.ID(), h, err)
+	}
+	slow.finish <- nil
+	select {
+	case <-h.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Done never closed")
+	}
+	if st := h.Status(); st.State != StateDone {
+		t.Fatalf("Status after Done = %v, want done", st.State)
+	}
+	if _, err := s.Handle(99); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Handle(99): err = %v, want ErrNotFound", err)
+	}
+
+	jobs := s.Jobs()
+	if len(jobs) != 2 || jobs[0].ID != first.ID() || jobs[1].ID != quick.ID() {
+		t.Fatalf("Jobs() = %+v, want the slow job, then the quick one", jobs)
+	}
+}

@@ -11,17 +11,19 @@
 package simclock
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Clock is the time source the scheduler stack depends on. Now reports
-// the current instant, After returns a channel that delivers one value
-// once the given duration has elapsed, and Sleep blocks for it.
+// Clock is the time source the scheduler stack depends on: Now, After
+// (one value once d has elapsed), Timer (After with a stop, so a waiter
+// that leaves early leaves no live timer) and Sleep.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time
+	Timer(d time.Duration) (c <-chan time.Time, stop func())
 	Sleep(d time.Duration)
 }
 
@@ -33,6 +35,12 @@ func (Real) Now() time.Time { return time.Now() }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// Timer implements Clock.
+func (Real) Timer(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTimer(d)
+	return t.C, func() { t.Stop() }
+}
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
@@ -81,6 +89,16 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	v.seq++
 	v.timers = append(v.timers, &vtimer{at: v.now.Add(d), seq: v.seq, ch: ch})
 	return ch
+}
+
+// Timer implements Clock; stop takes the timer out of Waiters' count.
+func (v *Virtual) Timer(d time.Duration) (<-chan time.Time, func()) {
+	c := v.After(d)
+	return c, func() {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		v.timers = slices.DeleteFunc(v.timers, func(t *vtimer) bool { return t.ch == c })
+	}
 }
 
 // Sleep implements Clock: it blocks until the virtual clock has been

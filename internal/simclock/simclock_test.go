@@ -125,3 +125,30 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("Real.After never fired")
 	}
 }
+
+func TestVirtualTimerStop(t *testing.T) {
+	v := NewVirtual(time.Unix(0, 0))
+	c, stop := v.Timer(5 * time.Second)
+	kept, stopKept := v.Timer(time.Second)
+	if v.Waiters() != 2 {
+		t.Fatalf("Waiters() = %d, want 2", v.Waiters())
+	}
+	stop()
+	stop()
+	if v.Waiters() != 1 {
+		t.Fatalf("after stop: Waiters() = %d, want 1", v.Waiters())
+	}
+	if n := v.Advance(10 * time.Second); n != 1 {
+		t.Fatalf("Advance fired %d, want only the timer left running", n)
+	}
+	<-kept
+	stopKept() // a fired timer: nothing to take out
+	select {
+	case <-c:
+		t.Fatal("a stopped timer fired")
+	default:
+	}
+	if v.Waiters() != 0 {
+		t.Fatalf("Waiters() = %d, want 0", v.Waiters())
+	}
+}
