@@ -9,7 +9,7 @@
 //	f3dc -workers URL[,URL...] [-n 33] [-kmax 25] [-lmax 21]
 //	     [-cuts 11,22] [-steps 10] [-pulse 0.02] [-job NAME]
 //	     [-checkpoint-every N] [-timeout D] [-q]
-//	     [-trace] [-trace-buf N] [-trace-out FILE] [-node TAG]
+//	     [-trace] [-trace-buf N] [-trace-out FILE]
 //	     [-serve HOST:PORT]
 //
 // The case is an n×kmax×lmax box stacked into zones along J at the
@@ -32,9 +32,11 @@
 // every worker's ring on for a clean window, and after the solve pulls
 // each worker's trace over the /trace cursor API, aligns clocks from
 // probe RTT midpoints, and merges everything into one node-tagged
-// fleet timeline (-trace-out writes it as JSONL; feed it to
-// `tracetool cluster` for the cross-node critical path). With -serve
-// the process stays up after the solve and exposes the fleet rollup:
+// fleet timeline: a worker's events are tagged with its URL as given
+// to -workers, the coordinator's own with `coord` (obs.CoordNode).
+// -trace-out writes it as JSONL; feed it to `tracetool cluster` for
+// the cross-node critical path. With -serve the process stays up
+// after the solve and exposes the fleet rollup:
 // GET /metrics (coordinator counters plus every worker's scrape,
 // relabeled worker="<id>"), GET /trace (merged timeline; it has no
 // cursor, so ?since= is a 400), GET /analyze (cluster critical-path
@@ -76,7 +78,6 @@ type options struct {
 	trace    bool
 	traceBuf int
 	traceOut string
-	node     string
 	serve    string
 }
 
@@ -99,7 +100,6 @@ func main() {
 	flag.BoolVar(&o.trace, "trace", false, "trace the solve: enable worker tracing, collect the fleet timeline")
 	flag.IntVar(&o.traceBuf, "trace-buf", 65536, "coordinator trace ring capacity (events)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the merged node-tagged fleet timeline (JSONL) here")
-	flag.StringVar(&o.node, "node", "coord", "node tag on the coordinator's own trace events")
 	flag.StringVar(&o.serve, "serve", "", "after the solve, serve /metrics /trace /analyze /dash on this address")
 	flag.Parse()
 
@@ -125,8 +125,8 @@ func run(out io.Writer, o options) error {
 			tracer.Enable()
 		}
 	}
-	coord := cluster.New(cluster.Config{Tracer: tracer, Node: o.node})
-	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer, Node: o.node})
+	coord := cluster.New(cluster.Config{Tracer: tracer})
+	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
 	httpc := &http.Client{Timeout: o.timeout}
 	var workers []workerRef
 	for _, u := range urls {
@@ -180,7 +180,7 @@ func run(out io.Writer, o options) error {
 			}
 		}
 		if !o.quiet {
-			rep := analyze.ClusterAnalyze(col.Timeline(), analyze.ClusterConfig{CoordNode: o.node})
+			rep := analyze.ClusterAnalyze(col.Timeline())
 			log.Printf("trace %s: closed=%v exchange+barrier share %.1f%%",
 				res.Trace, rep.Closed, 100*rep.ExchangeBarrierShare)
 		}

@@ -22,7 +22,7 @@ func fakeDaemon(t *testing.T) (*httptest.Server, *cluster.Host) {
 	t.Helper()
 	s := sched.New(sched.Config{})
 	t.Cleanup(s.Close)
-	host := cluster.NewHost(s, "")
+	host := cluster.NewHost(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

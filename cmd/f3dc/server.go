@@ -46,7 +46,7 @@ func newObsServer(coord *cluster.Coordinator, col *cluster.Collector, workers []
 		},
 		Timeline: timeline,
 		Analyze: func(*http.Request) any {
-			return analyze.ClusterAnalyze(timeline(), analyze.ClusterConfig{CoordNode: coord.Node()})
+			return analyze.ClusterAnalyze(timeline())
 		},
 	}.Mount(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,12 +23,12 @@ import (
 // surface f3dc's collector and metrics rollup scrape — the shared
 // internal/obs/serve routes over its own tracer and registry, as
 // cmd/f3dd mounts them — and a /healthz that reports its clock.
-func fakeTracedDaemon(t *testing.T, id string) (*httptest.Server, *obs.Tracer) {
+func fakeTracedDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
 	tracer := obs.NewTracer(4096, simclock.Real{})
 	s := sched.New(sched.Config{Tracer: tracer})
 	t.Cleanup(s.Close)
-	host := cluster.NewHost(s, id)
+	host := cluster.NewHost(s)
 	reg := obs.NewRegistry()
 	reg.Counter("daemon_requests_total", "Requests served.").Inc()
 
@@ -43,23 +44,24 @@ func fakeTracedDaemon(t *testing.T, id string) (*httptest.Server, *obs.Tracer) {
 	mux.Handle("POST /shards/", cluster.NewShardServer(host))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts, tracer
+	return ts
 }
 
 // TestRunTraceCollectsTimeline drives the CLI path with -trace
 // -trace-out against two traced fake daemons: the merged timeline must
-// land on disk as parseable JSONL, every event node-tagged, and the
-// cluster critical-path report over it must close exactly.
+// land on disk as parseable JSONL, every event node-tagged, its nodes
+// exactly the coordinator and the two worker URLs, and the cluster
+// critical-path report over it must close exactly with every step's
+// worker spans on their lanes (confirmed, not plausible).
 func TestRunTraceCollectsTimeline(t *testing.T) {
-	a, _ := fakeTracedDaemon(t, "a")
-	b, _ := fakeTracedDaemon(t, "b")
+	a := fakeTracedDaemon(t)
+	b := fakeTracedDaemon(t)
 
 	out := filepath.Join(t.TempDir(), "fleet.jsonl")
 	o := caseOpts(a.URL + "," + b.URL)
 	o.trace = true
 	o.traceBuf = 4096
 	o.traceOut = out
-	o.node = "coord"
 	res := runJSON(t, o)
 	if res.Trace == "" {
 		t.Fatal("traced solve reported no trace id")
@@ -90,12 +92,22 @@ func TestRunTraceCollectsTimeline(t *testing.T) {
 		}
 	}
 
-	rep := analyze.ClusterAnalyze(events, analyze.ClusterConfig{CoordNode: "coord"})
+	rep := analyze.ClusterAnalyze(events)
 	if err := analyze.CheckClusterClosure(rep); err != nil {
 		t.Errorf("cluster attribution does not close: %v", err)
 	}
+	want := []string{obs.CoordNode, a.URL, b.URL}
+	slices.Sort(want)
+	if !slices.Equal(rep.Nodes, want) {
+		t.Errorf("report nodes = %v, want %v", rep.Nodes, want)
+	}
 	if len(rep.Solves) != 1 || rep.Solves[0].Trace != res.Trace {
-		t.Errorf("report solves = %+v, want exactly the solve %q", rep.Solves, res.Trace)
+		t.Fatalf("report solves = %+v, want exactly the solve %q", rep.Solves, res.Trace)
+	}
+	for _, st := range rep.Solves[0].Steps {
+		if st.Verdict != "confirmed" {
+			t.Errorf("step %d verdict %q, want confirmed (workers %+v)", st.Step, st.Verdict, st.Workers)
+		}
 	}
 }
 
@@ -103,11 +115,11 @@ func TestRunTraceCollectsTimeline(t *testing.T) {
 // metrics rollup with per-worker relabeling, merged /trace, /analyze
 // closure, the dashboard, and /healthz.
 func TestObsServerEndpoints(t *testing.T) {
-	a, _ := fakeTracedDaemon(t, "")
+	a := fakeTracedDaemon(t)
 	tracer := obs.NewTracer(4096, simclock.Real{})
 	tracer.Enable()
-	coord := cluster.New(cluster.Config{Tracer: tracer, Node: "coord"})
-	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer, Node: "coord"})
+	coord := cluster.New(cluster.Config{Tracer: tracer})
+	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
 
 	client := &cluster.HTTPClient{BaseURL: a.URL, Client: a.Client()}
 	if err := coord.Register(a.URL, client); err != nil {

@@ -146,6 +146,63 @@ func TestSubmitRetryAbsorbsTransientQueueFull(t *testing.T) {
 	}
 }
 
+// TestSubmitHangUpDuringBackoffStopsTimer: a client that hangs up
+// while its queue-full submission backs off leaves no backoff timer
+// behind.
+func TestSubmitHangUpDuringBackoffStopsTimer(t *testing.T) {
+	clk := simclock.NewVirtual(time.Unix(0, 0))
+	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 1},
+		serverConfig{clock: clk, submitRetries: 3, retryBackoff: time.Second})
+
+	long := map[string]any{
+		"kind": "synthetic", "parallelism": 1,
+		"steps": maxSteps, "work_cycles": 1000000.0,
+	}
+	var running, queued sched.JobStatus
+	if code := ts.do("POST", "/jobs", long, &running); code != http.StatusAccepted {
+		t.Fatalf("first POST = %d", code)
+	}
+	ts.waitState(running.ID, sched.StateRunning)
+	if code := ts.do("POST", "/jobs", long, &queued); code != http.StatusAccepted {
+		t.Fatalf("second POST = %d", code)
+	}
+	defer func() {
+		for _, id := range []uint64{queued.ID, running.ID} {
+			_ = ts.s.Cancel(id)
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.ts.URL+"/jobs",
+		strings.NewReader(`{"kind":"synthetic","parallelism":1,"steps":1,"work_cycles":1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := ts.ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for clk.Waiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("retrying handler never parked on the clock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	deadline = time.Now().Add(5 * time.Second)
+	for clk.Waiters() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d backoff timer(s) outlive the hung-up request, want 0", clk.Waiters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDrainingReturns503: once the scheduler starts draining,
 // submissions are refused with 503 immediately — no retry loop, the
 // condition is not transient.

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/sched"
+	"repro/internal/simclock"
 )
 
 // TestHealthzReadiness: /healthz reports live queue depth and flips to
@@ -165,6 +169,57 @@ func TestClusterSolveOverDaemons(t *testing.T) {
 	client := &cluster.HTTPClient{BaseURL: b.ts.URL, Client: b.ts.Client()}
 	if err := client.Ping(); err == nil {
 		t.Error("Ping succeeded against a draining daemon; coordinators would keep routing to it")
+	}
+}
+
+// TestFleetTimelineOverDaemons: a traced solve over two f3dd daemons,
+// each registered under its URL as f3dc registers it, pulled through
+// the collector. The fleet timeline names exactly the coordinator and
+// the two URLs, so each daemon's shard spans join the lane its step
+// RPCs time: every step is confirmed, with its exchange measured.
+func TestFleetTimelineOverDaemons(t *testing.T) {
+	tracer := obs.NewTracer(4096, simclock.Real{})
+	tracer.Enable()
+	coord := cluster.New(cluster.Config{Tracer: tracer})
+	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
+	nodes := []string{obs.CoordNode}
+	for i := 0; i < 2; i++ {
+		ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 2}, serverConfig{})
+		url := ts.ts.URL
+		client := &cluster.HTTPClient{BaseURL: url, Client: ts.ts.Client()}
+		if err := client.SetTrace(true, true); err != nil {
+			t.Fatalf("enable trace on %s: %v", url, err)
+		}
+		if err := coord.Register(url, client); err != nil {
+			t.Fatalf("register %s: %v", url, err)
+		}
+		col.AddWorker(url, client)
+		nodes = append(nodes, url)
+	}
+	slices.Sort(nodes)
+
+	c, ifaces := f3d.StackAlongJ("fleet", 20, 6, 5, []int{6, 12})
+	cfg := f3d.DefaultConfig(c)
+	cfg.Interfaces = ifaces
+	const steps = 3
+	if _, err := coord.Solve(cluster.SolveSpec{Job: "fleet", Config: cfg, PulseAmp: 0.02, Steps: steps}); err != nil {
+		t.Fatalf("traced solve over daemons: %v", err)
+	}
+	col.SyncClocks()
+	col.Pull()
+
+	rep := analyze.ClusterAnalyze(col.Timeline())
+	if !slices.Equal(rep.Nodes, nodes) {
+		t.Errorf("timeline nodes = %v, want %v", rep.Nodes, nodes)
+	}
+	if len(rep.Solves) != 1 || len(rep.Solves[0].Steps) != steps {
+		t.Fatalf("report solves = %+v, want one solve of %d steps", rep.Solves, steps)
+	}
+	for _, st := range rep.Solves[0].Steps {
+		if st.Verdict != "confirmed" || st.ExchangeNs == 0 {
+			t.Errorf("step %d: verdict %q, exchange %d ns, want confirmed with its exchange measured (workers %+v)",
+				st.Step, st.Verdict, st.ExchangeNs, st.Workers)
+		}
 	}
 }
 

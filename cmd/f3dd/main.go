@@ -11,7 +11,7 @@
 //
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N] [-drain-timeout D]
 //	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
-//	     [-trace] [-trace-buf N] [-node TAG]
+//	     [-trace] [-trace-buf N]
 //
 // Endpoints:
 //
@@ -67,6 +67,10 @@
 // up to -drain-timeout, refusing new submissions and shard creates but
 // still serving status reads and shard steps), then cancels whatever
 // remains, closes the listener and exits.
+//
+// Trace events carry no node tag. A coordinator that pulls this
+// daemon's /trace into a fleet timeline tags them with the ID it
+// registered the daemon under (f3dc: the worker URL).
 package main
 
 import (
@@ -94,11 +98,7 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "first retry wait; doubles per attempt")
 	traceBuf := flag.Int("trace-buf", 65536, "sync-event trace ring capacity (events)")
 	trace := flag.Bool("trace", false, "start with sync-event tracing enabled")
-	node := flag.String("node", "", "node tag on this daemon's trace events (default: the listen address)")
 	flag.Parse()
-	if *node == "" {
-		*node = *addr
-	}
 
 	tracer := obs.NewTracer(*traceBuf, simclock.Real{})
 	if *trace {
@@ -116,7 +116,6 @@ func main() {
 		clock:         simclock.Real{},
 		submitRetries: *submitRetries,
 		retryBackoff:  *retryBackoff,
-		node:          *node,
 	}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

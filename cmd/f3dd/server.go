@@ -50,9 +50,6 @@ type serverConfig struct {
 	// retryBackoff is the first retry's wait; it doubles per attempt.
 	// <= 0 with retries enabled defaults to 50ms.
 	retryBackoff time.Duration
-	// node tags this daemon's trace events in merged fleet timelines
-	// (the -node flag; the listen address by default).
-	node string
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -83,9 +80,9 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv := &server{
 		sched: s,
 		// Shards run as jobs of s, and their step and exchange spans go
-		// into its tracer under this daemon's node tag, so a cluster
-		// coordinator's collector can attribute lockstep steps to it.
-		shards: cluster.NewHost(s, cfg.node),
+		// into its tracer, whose events a cluster coordinator's
+		// collector tags with this daemon's worker ID.
+		shards: cluster.NewHost(s),
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 	}
@@ -316,10 +313,12 @@ func (sv *server) submitWithRetry(r *http.Request, job sched.Job, opts sched.Sub
 		if err == nil || !errors.Is(err, sched.ErrQueueFull) || attempt >= sv.cfg.submitRetries {
 			return h, err
 		}
+		fired, stop := sv.cfg.clock.Timer(backoff)
 		select {
-		case <-sv.cfg.clock.After(backoff):
+		case <-fired:
 			backoff *= 2
 		case <-r.Context().Done():
+			stop()
 			return nil, r.Context().Err()
 		}
 	}

@@ -20,15 +20,16 @@ import (
 // the straggler tally, and the exchange+barrier headline — the
 // distributed analogue of the paper's synchronization overhead.
 //
-// Each argument is a JSONL path, plain or NAME=path; the NAME form
-// tags events whose Node field is empty (a single-daemon /trace dump
-// predating node tags) so they still attribute to a lane. Exit 1
+// Each argument is a JSONL path, plain or NAME=path. The NAME form
+// tags events whose Node field is empty: a daemon's own /trace dump
+// carries none, and NAME must be the ID the coordinator registered it
+// under (f3dc: the worker URL), the name its step_rpc spans carry.
+// The coordinator's events are the ones tagged obs.CoordNode. Exit 1
 // means the attribution identity failed to close — time the
 // coordinator cannot account for — which CI treats as a regression.
 func cmdCluster(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracetool cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	coord := fs.String("coord", "coord", "node tag of the coordinator's events")
 	jsonOut := fs.Bool("json", false, "print the JSON report instead of the human-readable view")
 	outPath := fs.String("o", "", "also write the JSON report to this path")
 	if err := fs.Parse(args); err != nil {
@@ -60,7 +61,7 @@ func cmdCluster(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		events = append(events, batch...)
 	}
 
-	rep := analyze.ClusterAnalyze(events, analyze.ClusterConfig{CoordNode: *coord})
+	rep := analyze.ClusterAnalyze(events)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {

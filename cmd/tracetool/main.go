@@ -8,8 +8,7 @@
 //	tracetool analyze [-label L] [-json] [-o report.json] trace.jsonl
 //	tracetool convert [-o out.json] trace.jsonl
 //	tracetool diff [-tol PCT] old-report.json new-report.json
-//	tracetool cluster [-coord TAG] [-json] [-o report.json]
-//	                  [NAME=]fleet.jsonl...
+//	tracetool cluster [-json] [-o report.json] [NAME=]fleet.jsonl...
 //
 // analyze prints the human-readable diagnosis (critical path, Amdahl
 // attribution, stair-step plateaus, sync-budget verdicts at Table 1's
@@ -19,8 +18,9 @@
 // speedscope.app all open. diff compares two
 // analyze reports and exits 1 when the new one regresses beyond -tol,
 // so CI can gate on trace-derived facts. cluster merges node-tagged
-// fleet timelines (f3dc -trace-out, per-daemon /trace dumps) and
-// prints the cross-node critical path — per-step attribution,
+// fleet timelines (f3dc -trace-out, per-daemon /trace dumps named by
+// the worker ID f3dc registered, its URL) and prints the cross-node
+// critical path — per-step attribution,
 // straggler tally, exchange+barrier share — exiting 1 when the
 // attribution identity fails to close. A "-" input path reads stdin.
 // Exit 2 means the tool could not run (bad flags, unreadable input).

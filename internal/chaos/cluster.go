@@ -159,7 +159,7 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 	coord := cluster.New(cluster.Config{Tracer: tracer})
 	var col *cluster.Collector
 	if cfg.Trace {
-		col = cluster.NewCollector(cluster.CollectorConfig{Clock: clk, Coord: tracer, Node: coord.Node()})
+		col = cluster.NewCollector(cluster.CollectorConfig{Clock: clk, Coord: tracer})
 	}
 
 	workers := make([]*chaosWorker, cfg.Workers)
@@ -311,13 +311,13 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 			if e.Kind == obs.KindTraceDropped {
 				continue
 			}
-			k := key{e.Node == coord.Node() || e.Kind == obs.KindStepRPC, e.Node, e.Seq}
+			k := key{e.Node == obs.CoordNode || e.Kind == obs.KindStepRPC, e.Node, e.Seq}
 			if seen[k] {
 				return nil, fmt.Errorf("chaos: duplicate event (%s, %v, seq %d) in merged timeline", e.Node, e.Kind, e.Seq)
 			}
 			seen[k] = true
 		}
-		rep := analyze.ClusterAnalyze(tl, analyze.ClusterConfig{CoordNode: coord.Node()})
+		rep := analyze.ClusterAnalyze(tl)
 		if err := analyze.CheckClusterClosure(rep); err != nil {
 			return nil, fmt.Errorf("chaos: cluster attribution: %w", err)
 		}

@@ -223,17 +223,16 @@ type shard struct {
 // wraps one directly, ShardServer exposes one over HTTP inside f3dd.
 type Host struct {
 	sched *sched.Scheduler
-	node  string
 
 	mu     sync.Mutex
 	shards map[string]*shard
 }
 
-// NewHost creates an empty shard host whose shards run as jobs of s.
-// node tags the spans they emit into s's tracer (shard-step compute,
-// boundary exchange).
-func NewHost(s *sched.Scheduler, node string) *Host {
-	return &Host{sched: s, node: node, shards: make(map[string]*shard)}
+// NewHost creates an empty shard host whose shards run as jobs of s
+// and emit their spans (shard-step compute, boundary exchange) into
+// s's tracer.
+func NewHost(s *sched.Scheduler) *Host {
+	return &Host{sched: s, shards: make(map[string]*shard)}
 }
 
 // ShardCount returns the number of live shard jobs (exported to the
@@ -461,9 +460,13 @@ func (h *Host) Step(req StepRequest) (StepResponse, error) {
 // the solve; a failed one answers its failure; any other id is unknown.
 func (h *Host) gone(id string) error {
 	jid, _ := strconv.ParseUint(id, 10, 64) // no job has ID 0
-	st, err := h.sched.Job(jid)
+	// st stays unnamed for an id the scheduler does not know.
+	var st sched.JobStatus
+	if j, err := h.sched.Handle(jid); err == nil {
+		st = j.Status()
+	}
 	switch {
-	case err != nil || !strings.HasPrefix(st.Name, "shard "):
+	case !strings.HasPrefix(st.Name, "shard "):
 		return fmt.Errorf("cluster: no shard %q", id)
 	case st.State == sched.StateFailed:
 		return fmt.Errorf("cluster: shard %q: %s", id, st.Err)
@@ -543,12 +546,11 @@ func (sh *shard) serve(solver *f3d.CacheSolver, req StepRequest) (StepResponse, 
 	}
 	if traced {
 		tEnd := tr.Now()
-		node := sh.host.node
 		tr.Emit(obs.Event{Kind: obs.KindShardStep, Name: req.Job, Worker: -1,
-			Node: node, Trace: req.Trace, Epoch: int64(req.Step), At: tStepped,
+			Trace: req.Trace, Epoch: int64(req.Step), At: tStepped,
 			Dur: tStepped.Sub(tDecoded), A: int64(req.Step), B: int64(sh.hi - sh.lo)})
 		tr.Emit(obs.Event{Kind: obs.KindExchange, Name: req.Job, Worker: -1,
-			Node: node, Trace: req.Trace, Epoch: int64(req.Step), At: tEnd,
+			Trace: req.Trace, Epoch: int64(req.Step), At: tEnd,
 			Dur: tDecoded.Sub(t0) + tEnd.Sub(tStepped),
 			A:   int64(req.Step), B: int64(len(req.Planes) + len(resp.Planes))})
 	}

@@ -52,7 +52,7 @@ func referenceHistory(t *testing.T, steps int) []StepStat {
 func newTestHost(t testing.TB, procs int) *Host {
 	s := sched.New(sched.Config{Procs: procs})
 	t.Cleanup(s.Close)
-	return NewHost(s, "test")
+	return NewHost(s)
 }
 
 // newTestCluster registers n in-process workers on a coordinator.

@@ -37,9 +37,6 @@ type CollectorConfig struct {
 	// collector's own collect / clock_sync events, and its ring — the
 	// coordinator's solve spans — is merged into Timeline.
 	Coord *obs.Tracer
-	// Node tags events that arrive without a node (and the Coord
-	// tracer's, if unset there). Default "coord".
-	Node string
 }
 
 // WorkerTraceStat is one worker's collection state.
@@ -97,15 +94,13 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	if cfg.Node == "" {
-		cfg.Node = "coord"
-	}
 	return &Collector{cfg: cfg, byID: make(map[string]*collectorWorker)}
 }
 
-// AddWorker registers a worker's trace source under its node id.
-// Adding an id again rebinds its source (the restarted-daemon case)
-// but keeps the cursor and collected events.
+// AddWorker registers a worker's trace source under the ID the
+// coordinator registered the worker under; every event pulled from it
+// is tagged with that ID. Adding an id again rebinds its source (the
+// restarted-daemon case) but keeps the cursor and collected events.
 func (c *Collector) AddWorker(id string, src TraceSource) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,7 +156,7 @@ func (c *Collector) SyncClocks() int {
 			n.Add(1)
 			if c.cfg.Coord.Enabled() {
 				c.cfg.Coord.Emit(obs.Event{Kind: obs.KindClockSync, Name: w.id, Worker: -1,
-					Node: c.cfg.Node, A: int64(offset), B: int64(rtt)})
+					Node: obs.CoordNode, A: int64(offset), B: int64(rtt)})
 			}
 		}(w)
 	}
@@ -210,9 +205,7 @@ func (c *Collector) pullWorker(w *collectorWorker) int {
 		return 0
 	}
 	for i := range events {
-		if events[i].Node == "" {
-			events[i].Node = w.id
-		}
+		events[i].Node = w.id
 		if synced && offset != 0 {
 			events[i].At = events[i].At.Add(-offset)
 		}
@@ -225,7 +218,7 @@ func (c *Collector) pullWorker(w *collectorWorker) int {
 	w.mu.Unlock()
 	if c.cfg.Coord.Enabled() {
 		c.cfg.Coord.Emit(obs.Event{Kind: obs.KindCollect, Name: w.id, Worker: -1,
-			Node: c.cfg.Node, Dur: pull, A: int64(len(events)), B: int64(dropped)})
+			Node: obs.CoordNode, Dur: pull, A: int64(len(events)), B: int64(dropped)})
 	}
 	return len(events)
 }
@@ -260,12 +253,7 @@ func (c *Collector) Timeline() []obs.Event {
 		w.mu.Unlock()
 	}
 	if c.cfg.Coord != nil {
-		for _, e := range c.cfg.Coord.Events() {
-			if e.Node == "" {
-				e.Node = c.cfg.Node
-			}
-			out = append(out, e)
-		}
+		out = append(out, c.cfg.Coord.Events()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -68,7 +68,7 @@ func newTracedCluster(t *testing.T, ringCaps ...int) (*Coordinator, []*LocalWork
 // newTestCollector wires a collector on clk to the coordinator and its
 // workers, sharing the coordinator's tracer.
 func newTestCollector(c *Coordinator, clk simclock.Clock, workers []*LocalWorker) *Collector {
-	col := NewCollector(CollectorConfig{Clock: clk, Coord: c.Tracer(), Node: c.Node()})
+	col := NewCollector(CollectorConfig{Clock: clk, Coord: c.Tracer()})
 	for _, w := range workers {
 		col.AddWorker(w.ID(), w)
 	}
@@ -129,7 +129,7 @@ func TestCollectorEndToEndClosure(t *testing.T) {
 		}
 	}
 
-	rep := analyze.ClusterAnalyze(timeline, analyze.ClusterConfig{})
+	rep := analyze.ClusterAnalyze(timeline)
 	if len(rep.Solves) != 1 {
 		t.Fatalf("want 1 solve in report, got %d", len(rep.Solves))
 	}
@@ -201,7 +201,7 @@ func TestCollectorDropMarkerDegradesToPartial(t *testing.T) {
 		t.Fatal("merged timeline has no node-tagged trace_dropped marker for w01")
 	}
 
-	rep := analyze.ClusterAnalyze(col.Timeline(), analyze.ClusterConfig{})
+	rep := analyze.ClusterAnalyze(col.Timeline())
 	if !rep.Truncated || rep.DroppedEvents["w01"] == 0 {
 		t.Fatalf("report does not surface the wrap: %+v", rep)
 	}
@@ -371,7 +371,7 @@ func TestCollectorClockAlignment(t *testing.T) {
 	src := &skewedSource{clk: clk, skew: skew, events: []obs.Event{
 		{Seq: 0, Kind: obs.KindGrant, Name: "filler", Worker: -1, At: trueAt.Add(skew)},
 	}}
-	col := NewCollector(CollectorConfig{Clock: clk, Node: "coord"})
+	col := NewCollector(CollectorConfig{Clock: clk})
 	col.AddWorker("w01", src)
 	if n := col.SyncClocks(); n != 1 {
 		t.Fatalf("SyncClocks reached %d, want 1", n)
@@ -393,12 +393,31 @@ func TestCollectorClockAlignment(t *testing.T) {
 	}
 }
 
+// TestCollectorNamesWorkersByID: the collector is the one writer of a
+// worker's name in the fleet timeline. A pulled event is tagged with
+// the ID the worker was added under, whatever Node it arrived with.
+func TestCollectorNamesWorkersByID(t *testing.T) {
+	clk := simclock.NewVirtual(time.Unix(0, 0))
+	src := &skewedSource{clk: clk, events: []obs.Event{
+		{Seq: 0, Kind: obs.KindShardStep, Name: "job", Worker: -1},
+		{Seq: 1, Kind: obs.KindExchange, Name: "job", Worker: -1, Node: "127.0.0.1:8091"},
+	}}
+	col := NewCollector(CollectorConfig{Clock: clk})
+	col.AddWorker("http://127.0.0.1:8091", src)
+	col.Pull()
+	for _, e := range col.Timeline() {
+		if e.Node != "http://127.0.0.1:8091" {
+			t.Errorf("%v event tagged %q, want the worker's ID", e.Kind, e.Node)
+		}
+	}
+}
+
 // TestCollectorRTTMidpoint checks the offset estimator's RTT
 // handling: offset = remote - (local + rtt/2).
 func TestCollectorRTTMidpoint(t *testing.T) {
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	src := &skewedSource{clk: clk, skew: 100 * time.Millisecond, rtt: 40 * time.Millisecond}
-	col := NewCollector(CollectorConfig{Clock: clk, Node: "coord"})
+	col := NewCollector(CollectorConfig{Clock: clk})
 	col.AddWorker("w01", src)
 	col.SyncClocks()
 	if got, want := col.Stats()[0].Offset, 80*time.Millisecond; got != want {

@@ -16,10 +16,6 @@ type Config struct {
 	// events and stamps them with its own clock. nil disables tracing
 	// (obs tracers are nil-safe).
 	Tracer *obs.Tracer
-	// Node tags the coordinator's own events in merged fleet
-	// timelines (default "coord"), distinguishing them from
-	// worker-side spans.
-	Node string
 	// Metrics is the registry for the coordinator's counters and
 	// gauges. nil creates a private registry.
 	Metrics *obs.Registry
@@ -46,9 +42,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.Node == "" {
-		cfg.Node = "coord"
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		workers: make(map[string]WorkerClient),
@@ -69,9 +62,6 @@ func (c *Coordinator) Metrics() *obs.Registry { return c.cfg.Metrics }
 
 // Tracer returns the coordinator's tracer (nil when tracing is off).
 func (c *Coordinator) Tracer() *obs.Tracer { return c.cfg.Tracer }
-
-// Node returns the coordinator's node tag.
-func (c *Coordinator) Node() string { return c.cfg.Node }
 
 // Register adds a live worker under the given id. It stays live until
 // one of its RPCs answers ErrWorkerDown (MarkLost). Registering a live

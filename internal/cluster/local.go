@@ -43,7 +43,7 @@ func NewLocalWorker(id string, cfg sched.Config) *LocalWorker {
 	if cfg.Tracer == nil {
 		cfg.Tracer = obs.NewTracer(4096, cfg.Clock)
 	}
-	return &LocalWorker{id: id, cfg: cfg, host: NewHost(sched.New(cfg), id)}
+	return &LocalWorker{id: id, cfg: cfg, host: NewHost(sched.New(cfg))}
 }
 
 // ID returns the worker's id.
@@ -96,7 +96,7 @@ func (w *LocalWorker) Fail() {
 func (w *LocalWorker) Recover() {
 	w.mu.Lock()
 	old := w.host
-	w.host = NewHost(sched.New(w.cfg), w.id)
+	w.host = NewHost(sched.New(w.cfg))
 	w.down = false
 	w.mu.Unlock()
 	old.sched.Close()

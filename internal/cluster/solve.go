@@ -169,11 +169,11 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 				// that replays.
 				for _, w := range lost {
 					c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: w, Worker: -1,
-						Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+						Node: obs.CoordNode, Trace: trace, Epoch: int64(s),
 						A: int64(s), B: int64(len(c.Live()))})
 				}
 				c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindFailover, Name: spec.Job, Worker: -1,
-					Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+					Node: obs.CoordNode, Trace: trace, Epoch: int64(s),
 					Dur: c.cfg.Tracer.Now().Sub(lostAt), A: int64(s), B: int64(len(lost))})
 				lost = nil
 			}
@@ -258,10 +258,10 @@ func (c *Coordinator) Solve(spec SolveSpec) (SolveResult, error) {
 					Dur: rpcDur[i], A: int64(s), B: int64(len(shards))})
 			}
 			c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindShardStep, Name: spec.Job, Worker: -1,
-				Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+				Node: obs.CoordNode, Trace: trace, Epoch: int64(s),
 				Dur: now.Sub(start), A: int64(s), B: int64(len(shards))})
 			c.cfg.Tracer.Emit(obs.Event{Kind: obs.KindExchange, Name: spec.Job, Worker: -1,
-				Node: c.cfg.Node, Trace: trace, Epoch: int64(s),
+				Node: obs.CoordNode, Trace: trace, Epoch: int64(s),
 				A: int64(s), B: int64(planes)})
 		}
 

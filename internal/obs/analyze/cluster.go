@@ -7,23 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// ClusterConfig tunes the cluster analysis.
-type ClusterConfig struct {
-	// CoordNode is the node tag of the coordinator's own events, which
-	// separates the per-step wall spans from worker-side spans in a
-	// merged timeline. Empty defaults to "coord" (the cluster
-	// package's default).
-	CoordNode string `json:"coord_node"`
-}
-
-// Defaults returns c with zero fields replaced by defaults.
-func (c ClusterConfig) Defaults() ClusterConfig {
-	if c.CoordNode == "" {
-		c.CoordNode = "coord"
-	}
-	return c
-}
-
 // ClusterWorkerStep is one worker's lane in one lockstep step.
 type ClusterWorkerStep struct {
 	// Node is the worker's node tag.
@@ -145,8 +128,7 @@ type clusterLaneKey struct {
 // Failover replays make a (worker, step) pair appear more than once;
 // the last occurrence wins, matching the state the surviving history
 // was computed from.
-func ClusterAnalyze(events []obs.Event, cfg ClusterConfig) *ClusterReport {
-	cfg = cfg.Defaults()
+func ClusterAnalyze(events []obs.Event) *ClusterReport {
 	rep := &ClusterReport{Schema: Schema, Events: len(events), Closed: true}
 
 	nodes := map[string]struct{}{}
@@ -176,7 +158,7 @@ func ClusterAnalyze(events []obs.Event, cfg ClusterConfig) *ClusterReport {
 		if e.Kind == obs.KindTraceDropped {
 			node := e.Node
 			if node == "" {
-				node = cfg.CoordNode
+				node = obs.CoordNode
 			}
 			dropped[node] += uint64(e.A)
 			continue
@@ -188,7 +170,7 @@ func ClusterAnalyze(events []obs.Event, cfg ClusterConfig) *ClusterReport {
 		lk := clusterLaneKey{e.Trace, e.Epoch, e.Node}
 		switch e.Kind {
 		case obs.KindShardStep:
-			if e.Node == cfg.CoordNode {
+			if e.Node == obs.CoordNode {
 				seenTrace(e.Trace, e.Name)
 				if _, ok := walls[sk]; !ok {
 					stepsSeen[e.Trace] = append(stepsSeen[e.Trace], e.Epoch)
@@ -198,7 +180,7 @@ func ClusterAnalyze(events []obs.Event, cfg ClusterConfig) *ClusterReport {
 				compute[lk] = int64(e.Dur)
 			}
 		case obs.KindExchange:
-			if e.Node != cfg.CoordNode {
+			if e.Node != obs.CoordNode {
 				exchange[lk] = int64(e.Dur)
 			}
 		case obs.KindStepRPC:

@@ -37,7 +37,7 @@ func TestClusterAnalyzeClosureAndStraggler(t *testing.T) {
 		"w02": {20, 17, 2},
 		"w03": {30, 26, 3},
 	})
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	if len(rep.Solves) != 1 || len(rep.Solves[0].Steps) != 1 {
 		t.Fatalf("want 1 solve with 1 step, got %+v", rep)
 	}
@@ -87,7 +87,7 @@ func TestClusterAnalyzeRoundingAbsorbedByCollect(t *testing.T) {
 		"w02": {13, 9, 1},
 		"w03": {17, 12, 2},
 	})
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
 	if !st.Closed {
 		t.Fatalf("step not closed: %+v", st)
@@ -106,7 +106,7 @@ func TestClusterAnalyzeStragglerTieBreak(t *testing.T) {
 		"w01": {30, 26, 3},
 		"w03": {10, 8, 1},
 	})
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	if got := rep.Solves[0].Steps[0].Straggler; got != "w01" {
 		t.Errorf("straggler = %q, want lexicographically first of the tied slowest (w01)", got)
 	}
@@ -126,7 +126,7 @@ func TestClusterAnalyzeFailoverCharge(t *testing.T) {
 		obs.Event{Kind: obs.KindFailover, Name: "job", Worker: -1, Node: "coord",
 			Trace: "job#1", Epoch: 2, At: base, Dur: 25 * time.Millisecond, A: 2, B: 1},
 	)
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
 	if st.FailoverNs != ms(25) {
 		t.Errorf("failover = %d, want %d", st.FailoverNs, ms(25))
@@ -151,7 +151,7 @@ func TestClusterAnalyzeOrphanFailoverInTotals(t *testing.T) {
 	// completed: the time still belongs to the solve's totals.
 	events = append(events, obs.Event{Kind: obs.KindFailover, Name: "job", Worker: -1,
 		Node: "coord", Trace: "job#1", Epoch: 5, At: base, Dur: 30 * time.Millisecond, A: 5, B: 1})
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	s := rep.Solves[0]
 	if len(s.Steps) != 1 {
 		t.Fatalf("want 1 step, got %d", len(s.Steps))
@@ -186,7 +186,7 @@ func TestClusterAnalyzePartialDegradation(t *testing.T) {
 			events[i].Node = "w02"
 		}
 	}
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
 	if !st.Partial || st.Verdict != "plausible" {
 		t.Errorf("want plausible partial step, got %+v", st)
@@ -218,7 +218,7 @@ func TestClusterAnalyzeNegativeResidualNotClosed(t *testing.T) {
 	events := clusterStepEvents("job#1", 0, 10, map[string][3]int64{
 		"w01": {50, 45, 4},
 	})
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
 	if st.Closed || st.ResidualNs >= 0 {
 		t.Errorf("want unclosed step with negative residual, got %+v", st)
@@ -238,7 +238,7 @@ func TestClusterAnalyzeIgnoresUntracedEvents(t *testing.T) {
 		{Kind: obs.KindShardStep, Name: "job", Worker: -1, Node: "coord", At: base,
 			Dur: 30 * time.Millisecond}, // no Trace: single-node span
 	}
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	if len(rep.Solves) != 0 {
 		t.Errorf("untraced events must not form solves: %+v", rep.Solves)
 	}
@@ -253,7 +253,7 @@ func TestClusterAnalyzeLastWinsOnReplay(t *testing.T) {
 	first := clusterStepEvents("job#1", 0, 40, map[string][3]int64{"w01": {25, 20, 2}})
 	second := clusterStepEvents("job#1", 0, 30, map[string][3]int64{"w01": {10, 8, 1}})
 	events := append(first, second...)
-	rep := ClusterAnalyze(events, ClusterConfig{})
+	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
 	if st.WallNs != ms(30) || st.ComputeNs != ms(8) {
 		t.Errorf("replay must win: %+v", st)

@@ -139,6 +139,10 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
+// CoordNode is the Node of a cluster coordinator's own events in a
+// fleet timeline.
+const CoordNode = "coord"
+
 // Event is one trace record. It is a plain value: emitting one
 // allocates nothing beyond the ring slot it is copied into.
 type Event struct {
@@ -156,10 +160,12 @@ type Event struct {
 	// Worker is the emitting worker's index, or -1 for team- and
 	// scheduler-level events.
 	Worker int
-	// Node identifies the machine (cluster worker daemon or
-	// coordinator) that emitted the event. Empty for single-node
-	// traces; the fleet collector tags pulled events with the worker
-	// id so a merged timeline stays attributable.
+	// Node identifies the process of a fleet timeline the event
+	// belongs to. A worker daemon never sets it, so single-node traces
+	// leave it empty: the cluster collector tags every event it pulls
+	// with the ID the coordinator registered the worker under, and the
+	// coordinator stamps its own events CoordNode (its step_rpc spans
+	// carry the ID of the worker they time).
 	Node string
 	// Trace is the coordinator-assigned solve id correlating events
 	// across nodes: every shard RPC carries it, so worker-side spans

@@ -279,3 +279,28 @@ func TestDefaultTimeoutAppliesAndOptOut(t *testing.T) {
 		t.Fatalf("metrics %+v, want TimedOut 1 / Completed 1", m)
 	}
 }
+
+// TestFinishedJobsLeaveNoDeadlineTimer: a job that ends before its
+// deadline stops the deadline's timer, so a daemon with a job timeout
+// does not hold one live timer per finished job until its deadline.
+func TestFinishedJobsLeaveNoDeadlineTimer(t *testing.T) {
+	clk := simclock.NewVirtual(time.Unix(0, 0))
+	s := New(Config{Procs: 2, QueueDepth: 4, Clock: clk, DefaultTimeout: time.Hour})
+	defer s.Close()
+	for i := 0; i < 100; i++ {
+		h, err := s.Submit(NewFuncJob("trivial", 1, func(*Grant) error { return nil }))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if err := waitDone(t, h); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.Waiters() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d deadline timers outlive their finished jobs, want 0", clk.Waiters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

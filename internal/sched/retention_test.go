@@ -33,8 +33,8 @@ func TestSchedulerForgetsOldestFinishedJobs(t *testing.T) {
 	}
 
 	for _, h := range handles[:extra] {
-		if _, err := s.Job(h.ID()); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("Job(%d) of a forgotten job: err = %v, want ErrNotFound", h.ID(), err)
+		if _, err := s.Handle(h.ID()); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Handle(%d) of a forgotten job: err = %v, want ErrNotFound", h.ID(), err)
 		}
 		if err := s.Cancel(h.ID()); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Cancel(%d) of a forgotten job: err = %v, want ErrNotFound", h.ID(), err)
@@ -63,10 +63,10 @@ func TestSchedulerForgetsOldestFinishedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The table was full, so retiring the live job forgets one more.
-	if _, err := s.Job(handles[extra].ID()); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Handle(handles[extra].ID()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("oldest retained job survived a further finish: %v", err)
 	}
-	if _, err := s.Job(liveH.ID()); err != nil {
+	if _, err := s.Handle(liveH.ID()); err != nil {
 		t.Fatalf("just-finished job: %v", err)
 	}
 }

@@ -472,12 +472,14 @@ func (s *Scheduler) runJob(rec *record) {
 
 // watchDeadline cancels the job with ErrTimeout once the clock passes
 // its deadline, re-arming for the rest when a resume moved it. It
-// exits as soon as the job finishes.
+// exits as soon as the job finishes, stopping its timer.
 func (s *Scheduler) watchDeadline(rec *record) {
 	for wait := rec.timeout; wait > 0; {
+		fired, stop := s.clock.Timer(wait)
 		select {
-		case <-s.clock.After(wait):
+		case <-fired:
 		case <-rec.done:
+			stop()
 			return
 		}
 		s.mu.Lock()
@@ -563,17 +565,6 @@ func (s *Scheduler) retireLocked(rec *record) {
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
 	}
-}
-
-// Job returns a snapshot of the job with the given ID.
-func (s *Scheduler) Job(id uint64) (JobStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, ErrNotFound
-	}
-	return rec.snapshotLocked(s.clock.Now()), nil
 }
 
 // Handle returns a handle on job id; it outlives the table's entry.

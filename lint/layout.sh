@@ -2,16 +2,19 @@
 # Code layout of the benchmark's two binaries: the address, and the
 # address mod 64, of the host meter's compute kernel
 # (main.(*hostMeter).sample, f3dbench only), of the served f3d kernels
-# (sweepLineModeTuned, rhsPassJK, loadLine, fillPlane) and of parloop's
+# (sweepLineModeTuned, rhsPassJK, loadLine, fillPlane), of parloop's
 # two polling loops (poll, the helpers' wait for a region, and
-# (*barrier).wait; in both).
+# (*barrier).wait; in both) and of the Go runtime's scheduler loop and
+# allocator (runtime.schedule, runtime.mallocgc; f3dd only).
 #
 # Where the linker places a hot loop relative to a 64-byte boundary
 # moves its speed: on a 2-core x86-64 host the host meter reads ≈ 5.8 ms
 # at address mod 64 = 0 and ≈ 8.5 ms at 32, and the served kernels move
 # serve_* the same way, and so do the polling loops that start a region's
 # helpers. Any size change in a package linked below them (model, obs,
-# sched, euler, and f3d's own first functions) can shift them,
+# sched, euler, and f3d's own first functions) can shift them, and so
+# can a runtime function the linker stops linking, which moves the
+# runtime after it,
 # so compare the two sides of a parent/change benchmark pair here before
 # trusting its ratios.
 #
@@ -35,7 +38,7 @@ kernels='repro/internal/parloop.poll repro/internal/parloop.(*barrier).wait repr
 # symbol, with "- -" for a missing one.
 layout() {
     for bin in f3dd f3dbench; do
-        want=$kernels
+        want="$kernels runtime.schedule runtime.mallocgc"
         if [ "$bin" = f3dbench ]; then
             want="main.(*hostMeter).sample $kernels"
         fi
