@@ -10,7 +10,6 @@
 //	     [-cuts 11,22] [-steps 10] [-pulse 0.02] [-job NAME]
 //	     [-checkpoint-every N] [-timeout D] [-q]
 //	     [-trace] [-trace-buf N] [-trace-out FILE]
-//	     [-serve HOST:PORT]
 //
 // The case is an n×kmax×lmax box stacked into zones along J at the
 // given cut planes (two-point overlap, as F3D zones share boundary
@@ -34,13 +33,10 @@
 // probe RTT midpoints, and merges everything into one node-tagged
 // fleet timeline: a worker's events are tagged with its URL as given
 // to -workers, the coordinator's own with `coord` (obs.CoordNode).
-// -trace-out writes it as JSONL; feed it to `tracetool cluster` for
-// the cross-node critical path. With -serve the process stays up
-// after the solve and exposes the fleet rollup:
-// GET /metrics (coordinator counters plus every worker's scrape,
-// relabeled worker="<id>"), GET /trace (merged timeline; it has no
-// cursor, so ?since= is a 400), GET /analyze (cluster critical-path
-// report), GET /dash (the dashboard f3dd serves, over that report).
+// -trace-out writes it as JSONL, the one place a finished fleet solve
+// is read from: `tracetool cluster FILE` prints its cross-node
+// critical path (-json for the report). f3dc exits when the solve
+// ends; a live worker's ring is read from its own /trace cursor.
 package main
 
 import (
@@ -78,7 +74,6 @@ type options struct {
 	trace    bool
 	traceBuf int
 	traceOut string
-	serve    string
 }
 
 func main() {
@@ -100,7 +95,6 @@ func main() {
 	flag.BoolVar(&o.trace, "trace", false, "trace the solve: enable worker tracing, collect the fleet timeline")
 	flag.IntVar(&o.traceBuf, "trace-buf", 65536, "coordinator trace ring capacity (events)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the merged node-tagged fleet timeline (JSONL) here")
-	flag.StringVar(&o.serve, "serve", "", "after the solve, serve /metrics /trace /analyze /dash on this address")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -119,16 +113,14 @@ func run(out io.Writer, o options) error {
 	}
 
 	var tracer *obs.Tracer
-	if o.trace || o.serve != "" {
+	if o.trace {
 		tracer = obs.NewTracer(o.traceBuf, simclock.Real{})
-		if o.trace {
-			tracer.Enable()
-		}
+		tracer.Enable()
 	}
 	coord := cluster.New(cluster.Config{Tracer: tracer})
 	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
 	httpc := &http.Client{Timeout: o.timeout}
-	var workers []workerRef
+	workers := 0
 	for _, u := range urls {
 		client := &cluster.HTTPClient{BaseURL: u, Client: httpc}
 		if err := client.Ping(); err != nil {
@@ -147,16 +139,16 @@ func run(out io.Writer, o options) error {
 			if err := client.SetTrace(true, true); err != nil && !o.quiet {
 				log.Printf("worker %s: enabling trace: %v", u, err)
 			}
+			col.AddWorker(u, client)
 		}
-		col.AddWorker(u, client)
-		workers = append(workers, workerRef{id: u, client: client})
+		workers++
 	}
-	if len(workers) == 0 {
+	if workers == 0 {
 		return fmt.Errorf("none of the %d workers answered /healthz", len(urls))
 	}
 	if !o.quiet {
 		log.Printf("solving %q: %d zones x %d steps over %d/%d workers",
-			o.job, len(spec.Config.Case.Zones), o.steps, len(workers), len(urls))
+			o.job, len(spec.Config.Case.Zones), o.steps, workers, len(urls))
 	}
 	if o.trace {
 		col.SyncClocks()
@@ -188,22 +180,11 @@ func run(out io.Writer, o options) error {
 
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
+	return enc.Encode(struct {
 		Job   string `json:"job"`
 		Zones int    `json:"zones"`
 		cluster.SolveResult
-	}{Job: o.job, Zones: len(spec.Config.Case.Zones), SolveResult: res}); err != nil {
-		return err
-	}
-
-	if o.serve != "" {
-		sv := newObsServer(coord, col, workers)
-		if !o.quiet {
-			log.Printf("serving /metrics /trace /analyze /dash on %s", o.serve)
-		}
-		return cluster.NewHTTPServer(o.serve, sv).ListenAndServe()
-	}
-	return nil
+	}{Job: o.job, Zones: len(spec.Config.Case.Zones), SolveResult: res})
 }
 
 // buildSpec turns the flag set into the sharded solve spec: the

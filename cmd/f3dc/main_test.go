@@ -6,13 +6,20 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/f3d"
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
+	"repro/internal/obs/serve"
 	"repro/internal/sched"
+	"repro/internal/simclock"
 )
 
 // fakeDaemon serves the two daemon surfaces f3dc touches — the
@@ -135,6 +142,98 @@ func TestRunErrors(t *testing.T) {
 		err := run(&bytes.Buffer{}, tc.o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// fakeTracedDaemon is a fakeDaemon that also serves the observability
+// surface f3dc's collector pulls — the shared
+// internal/obs/serve routes over its own tracer and registry, as
+// cmd/f3dd mounts them — and a /healthz that reports its clock.
+func fakeTracedDaemon(t *testing.T) *httptest.Server {
+	t.Helper()
+	tracer := obs.NewTracer(4096, simclock.Real{})
+	s := sched.New(sched.Config{Tracer: tracer})
+	t.Cleanup(s.Close)
+	host := cluster.NewHost(s)
+	reg := obs.NewRegistry()
+	reg.Counter("daemon_requests_total", "Requests served.").Inc()
+
+	mux := http.NewServeMux()
+	serve.Surface{Metrics: reg.WritePrometheus, Tracer: tracer}.Mount(mux)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{
+			"status": "ok", "now_ns": simclock.Real{}.Now().UnixNano(),
+			"trace_total": tracer.Total(), "trace_dropped": tracer.Dropped(),
+		})
+	})
+	mux.Handle("POST /shards/", cluster.NewShardServer(host))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRunTraceCollectsTimeline drives the CLI path with -trace
+// -trace-out against two traced fake daemons: the merged timeline must
+// land on disk as parseable JSONL, every event node-tagged, its nodes
+// exactly the coordinator and the two worker URLs, and the cluster
+// critical-path report over it must close exactly with every step's
+// worker spans on their lanes (confirmed, not plausible).
+func TestRunTraceCollectsTimeline(t *testing.T) {
+	a := fakeTracedDaemon(t)
+	b := fakeTracedDaemon(t)
+
+	out := filepath.Join(t.TempDir(), "fleet.jsonl")
+	o := caseOpts(a.URL + "," + b.URL)
+	o.trace = true
+	o.traceBuf = 4096
+	o.traceOut = out
+	res := runJSON(t, o)
+	if res.Trace == "" {
+		t.Fatal("traced solve reported no trace id")
+	}
+
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatalf("trace-out not written: %v", err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatalf("trace-out is not JSONL: %v", err)
+	}
+	if len(events) == 0 {
+		t.Fatal("merged timeline is empty")
+	}
+	nodes := map[string]bool{}
+	for i, e := range events {
+		if e.Node == "" {
+			t.Fatalf("event %d (%v) has no node tag; fleet timelines must attribute every span", i, e.Kind)
+		}
+		nodes[e.Node] = true
+	}
+	for _, want := range []string{"coord", a.URL, b.URL} {
+		if !nodes[want] {
+			t.Errorf("timeline has no events from %q (nodes seen: %v)", want, nodes)
+		}
+	}
+
+	rep := analyze.ClusterAnalyze(events)
+	if err := analyze.CheckClusterClosure(rep); err != nil {
+		t.Errorf("cluster attribution does not close: %v", err)
+	}
+	want := []string{obs.CoordNode, a.URL, b.URL}
+	slices.Sort(want)
+	if !slices.Equal(rep.Nodes, want) {
+		t.Errorf("report nodes = %v, want %v", rep.Nodes, want)
+	}
+	if len(rep.Solves) != 1 || rep.Solves[0].Trace != res.Trace {
+		t.Fatalf("report solves = %+v, want exactly the solve %q", rep.Solves, res.Trace)
+	}
+	for _, st := range rep.Solves[0].Steps {
+		if st.Verdict != "confirmed" {
+			t.Errorf("step %d verdict %q, want confirmed (workers %+v)", st.Step, st.Verdict, st.Workers)
 		}
 	}
 }

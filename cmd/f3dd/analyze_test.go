@@ -1,15 +1,12 @@
 package main
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -53,8 +50,8 @@ func (ts *testServer) getFull(path string) (int, http.Header, string) {
 }
 
 // TestTraceCursorAndHeaders: /trace honors ?since= and reports the
-// next cursor and drop count in headers, sharing semantics with the
-// SSE stream.
+// next cursor and drop count in headers — the protocol the collector
+// and the dashboard's live tail both read.
 func TestTraceCursorAndHeaders(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8}, serverConfig{})
 	runTracedJob(t, ts)
@@ -149,93 +146,6 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceStreamSSE: the SSE tail replays the ring from a cursor
-// with ids and JSON payloads, and honors Last-Event-ID.
-func TestTraceStreamSSE(t *testing.T) {
-	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8}, serverConfig{})
-	runTracedJob(t, ts)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.ts.URL+"/trace/stream?poll_ms=10", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /trace/stream = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	// Read the first two events: "id: N" then "data: {...}".
-	sc := bufio.NewScanner(resp.Body)
-	var ids []uint64
-	var kinds []string
-	for sc.Scan() && len(ids) < 2 {
-		line := sc.Text()
-		if id, ok := strings.CutPrefix(line, "id: "); ok {
-			n, err := strconv.ParseUint(id, 10, 64)
-			if err != nil {
-				t.Fatalf("bad SSE id %q", id)
-			}
-			ids = append(ids, n)
-			continue
-		}
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var e map[string]any
-			if err := json.Unmarshal([]byte(data), &e); err != nil {
-				t.Fatalf("SSE data %q: %v", data, err)
-			}
-			kinds = append(kinds, e["kind"].(string))
-		}
-	}
-	cancel()
-	if len(ids) < 2 || ids[1] != ids[0]+1 {
-		t.Fatalf("SSE ids = %v, want consecutive sequences", ids)
-	}
-	if len(kinds) == 0 {
-		t.Fatal("no SSE data lines")
-	}
-
-	// Last-Event-ID resumes after the given sequence.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	req2, err := http.NewRequestWithContext(ctx2, "GET", ts.ts.URL+"/trace/stream?poll_ms=10", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req2.Header.Set("Last-Event-ID", strconv.FormatUint(ids[0], 10))
-	resp2, err := ts.ts.Client().Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	sc2 := bufio.NewScanner(resp2.Body)
-	for sc2.Scan() {
-		if id, ok := strings.CutPrefix(sc2.Text(), "id: "); ok {
-			if id != strconv.FormatUint(ids[0]+1, 10) {
-				t.Errorf("resumed stream starts at id %s, want %d", id, ids[0]+1)
-			}
-			break
-		}
-	}
-	cancel2()
-
-	// Garbage cursors are rejected before the stream starts.
-	if code, _ := ts.get("/trace/stream?since=banana"); code != http.StatusBadRequest {
-		t.Errorf("bad since = %d, want 400", code)
-	}
-	if code, _, _ := ts.getFull("/trace/stream?since=0&poll_ms=banana"); code != http.StatusBadRequest {
-		t.Errorf("bad poll_ms = %d, want 400", code)
-	}
-}
-
 // TestDashServed: the dashboard ships as one self-contained page.
 func TestDashServed(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 2, QueueDepth: 4}, serverConfig{})
@@ -246,7 +156,7 @@ func TestDashServed(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	for _, want := range []string{"<!DOCTYPE html>", "trace/stream", "analyze", "EventSource"} {
+	for _, want := range []string{"<!DOCTYPE html>", "trace?since=", "analyze", "X-Trace-Next"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)
 		}

@@ -25,13 +25,15 @@
 //	GET    /metrics          Prometheus text: counters, gauges, grant
 //	                         histogram, tracer accounting
 //	GET    /trace            sync-event trace ring as JSONL; ?since=
-//	                         resumes from a cursor (internal/obs/serve)
-//	GET    /trace/stream     SSE live tail of the same ring
+//	                         resumes from the X-Trace-Next cursor
+//	                         (internal/obs/serve), the one way the
+//	                         ring is read
 //	POST   /trace/enable     toggle tracing ({"enabled":bool,
 //	                         "reset":bool}; empty body enables)
 //	GET    /analyze          trace-analysis report (internal/obs/analyze;
 //	                         ?label= stamps it for diffing)
-//	GET    /dash             HTML dashboard over /analyze and the tail
+//	GET    /dash             HTML dashboard over /analyze, with a live
+//	                         tail that polls /trace?since=
 //	GET    /healthz          readiness: queue depth, processors in
 //	                         use, hosted shard count; 503 while
 //	                         draining so coordinators stop routing

@@ -210,6 +210,11 @@ func TestTraceEndpoints(t *testing.T) {
 	if code := ts.do("POST", "/trace/enable", map[string]any{"bogus": 1}, &errBody); code != http.StatusBadRequest {
 		t.Errorf("POST /trace/enable with bogus field = %d, want 400", code)
 	}
+
+	// The ring is read by its cursor only: there is no SSE tail.
+	if code, _ := ts.get("/trace/stream"); code != http.StatusNotFound {
+		t.Errorf("GET /trace/stream = %d, want 404", code)
+	}
 }
 
 // TestConcurrentScrapes hammers every read endpoint while jobs run;

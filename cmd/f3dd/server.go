@@ -79,8 +79,8 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	cfg = cfg.withDefaults()
 	sv := &server{
 		sched: s,
-		// Shards run as jobs of s, and their step and exchange spans go
-		// into its tracer, whose events a cluster coordinator's
+		// Shards run as jobs of s, and their solver step spans go into
+		// its tracer, whose events a cluster coordinator's
 		// collector tags with this daemon's worker ID.
 		shards: cluster.NewHost(s),
 		cfg:    cfg,

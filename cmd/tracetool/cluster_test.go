@@ -14,9 +14,9 @@ import (
 )
 
 // writeFleetTrace writes one lockstep step's merged timeline as JSONL:
-// a coordinator wall span plus per-worker rpc/compute/exchange spans
-// (milliseconds). With openWall true the coordinator wall is too short
-// for the worker spans, so the attribution identity cannot close.
+// a coordinator wall span plus per-worker rpc/compute spans
+// (milliseconds). With openWall true the coordinator wall is shorter
+// than the slowest RPC, so the attribution identity cannot close.
 func writeFleetTrace(t *testing.T, path string, openWall bool) {
 	t.Helper()
 	base := time.Unix(0, 0)
@@ -30,8 +30,8 @@ func writeFleetTrace(t *testing.T, path string, openWall bool) {
 	}
 	events := []obs.Event{
 		mk(obs.KindShardStep, "coord", wall),
-		mk(obs.KindStepRPC, "w01", 10), mk(obs.KindShardStep, "w01", 8), mk(obs.KindExchange, "w01", 1),
-		mk(obs.KindStepRPC, "w02", 30), mk(obs.KindShardStep, "w02", 26), mk(obs.KindExchange, "w02", 3),
+		mk(obs.KindStepRPC, "w01", 10), mk(obs.KindShardStep, "w01", 8),
+		mk(obs.KindStepRPC, "w02", 30), mk(obs.KindShardStep, "w02", 26),
 	}
 	var buf bytes.Buffer
 	if err := obs.WriteEventsJSONL(&buf, events); err != nil {
@@ -84,8 +84,8 @@ func TestClusterCommand(t *testing.T) {
 	}
 }
 
-// TestClusterCommandClosureFailure: a timeline whose worker spans
-// exceed the coordinator wall cannot close the identity — exit 1, the
+// TestClusterCommandClosureFailure: a timeline whose slowest RPC
+// exceeds the coordinator wall cannot close the identity — exit 1, the
 // CI gate.
 func TestClusterCommandClosureFailure(t *testing.T) {
 	dir := t.TempDir()
@@ -125,7 +125,6 @@ func TestClusterCommandNameTagging(t *testing.T) {
 	})
 	write(workerPath, []obs.Event{
 		{Kind: obs.KindShardStep, Name: "job", Worker: -1, Trace: "job#1", At: base, Dur: 8 * time.Millisecond},
-		{Kind: obs.KindExchange, Name: "job", Worker: -1, Trace: "job#1", At: base, Dur: 1 * time.Millisecond},
 	})
 
 	var out, errb bytes.Buffer

@@ -482,17 +482,11 @@ func (h *Host) gone(id string) error {
 // error a host answers. A diverged step (f3d.ErrDiverged) is answered
 // before anything is encoded, and ends the job.
 //
-// With the scheduler's tracer enabled, the step emits two spans stamped
-// with the solve id and step epoch: KindShardStep for the solver step
-// and KindExchange for the rest (plane decode, capture, snapshots), so
-// the two sum to the worker's handling time.
+// With the scheduler's tracer enabled, the solver step emits one
+// KindShardStep span stamped with the solve id and step epoch. The rest
+// of the step RPC, wire and plane handling alike, is the exchange the
+// cluster analyzer charges against the coordinator's RPC span.
 func (sh *shard) serve(solver *f3d.CacheSolver, req StepRequest) (StepResponse, error) {
-	tr := sh.host.sched.Tracer()
-	traced := tr.Enabled()
-	var t0, tDecoded, tStepped time.Time
-	if traced {
-		t0 = tr.Now()
-	}
 	if req.Step != sh.step {
 		return StepResponse{}, fmt.Errorf("cluster: shard %q at step %d, request for step %d", req.ID, sh.step, req.Step)
 	}
@@ -513,15 +507,21 @@ func (sh *shard) serve(solver *f3d.CacheSolver, req StepRequest) (StepResponse, 
 			return StepResponse{}, fmt.Errorf("cluster: receive plane: %w", err)
 		}
 	}
+	tr := sh.host.sched.Tracer()
+	traced := tr.Enabled()
+	var t0 time.Time
 	if traced {
-		tDecoded = tr.Now()
+		t0 = tr.Now()
 	}
 	stats, err := f3d.TryStep(solver)
 	if err != nil {
 		return StepResponse{}, fmt.Errorf("cluster: shard solver failed at step %d: %w", sh.step, err)
 	}
 	if traced {
-		tStepped = tr.Now()
+		now := tr.Now()
+		tr.Emit(obs.Event{Kind: obs.KindShardStep, Name: req.Job, Worker: -1,
+			Trace: req.Trace, Epoch: int64(req.Step), At: now,
+			Dur: now.Sub(t0), A: int64(req.Step), B: int64(sh.hi - sh.lo)})
 	}
 	sh.step++
 	zres := solver.ZoneResiduals()
@@ -543,16 +543,6 @@ func (sh *shard) serve(solver *f3d.CacheSolver, req StepRequest) (StepResponse, 
 			}
 			resp.Snapshots = append(resp.Snapshots, SnapshotWire{Zone: sh.lo + zi, Data: data})
 		}
-	}
-	if traced {
-		tEnd := tr.Now()
-		tr.Emit(obs.Event{Kind: obs.KindShardStep, Name: req.Job, Worker: -1,
-			Trace: req.Trace, Epoch: int64(req.Step), At: tStepped,
-			Dur: tStepped.Sub(tDecoded), A: int64(req.Step), B: int64(sh.hi - sh.lo)})
-		tr.Emit(obs.Event{Kind: obs.KindExchange, Name: req.Job, Worker: -1,
-			Trace: req.Trace, Epoch: int64(req.Step), At: tEnd,
-			Dur: tDecoded.Sub(t0) + tEnd.Sub(tStepped),
-			A:   int64(req.Step), B: int64(len(req.Planes) + len(resp.Planes))})
 	}
 	return resp, nil
 }

@@ -150,21 +150,6 @@ func (c *HTTPClient) ClockProbe() (time.Time, time.Duration, error) {
 	return time.Unix(0, body.NowNs), rtt, nil
 }
 
-// FetchMetrics returns the daemon's raw Prometheus exposition (GET
-// /metrics), for the coordinator's fleet rollup.
-func (c *HTTPClient) FetchMetrics() (string, error) {
-	resp, err := c.do(serve.PathMetrics, "", nil, 0)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return "", fmt.Errorf("cluster: read %s body: %w", serve.PathMetrics, err)
-	}
-	return string(body), nil
-}
-
 // SetTrace toggles the daemon's tracer (POST /trace/enable), so a
 // coordinator starting a traced solve can switch its workers' rings
 // on first.
@@ -284,11 +269,12 @@ func (s *ShardServer) decodeFrame(w http.ResponseWriter, r *http.Request, req an
 // cannot pin connections forever.
 const readHeaderTimeout = 10 * time.Second
 
-// NewHTTPServer returns the http.Server both daemons listen with
-// (f3dd, and f3dc -serve). It sets only ReadHeaderTimeout: request
-// bodies are bounded by size (maxShardBody), and a ReadTimeout or
-// WriteTimeout would cut the long-lived SSE /trace/stream and long
-// shard steps.
+// NewHTTPServer returns the http.Server f3dd listens with. It sets
+// only ReadHeaderTimeout: request bodies are bounded by size
+// (maxShardBody), and a ReadTimeout or WriteTimeout would cut the
+// requests that legitimately wait — a long shard step, a shard create
+// waiting for its grant, and GET /jobs/{id}/result's 10 s wait for its
+// job.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

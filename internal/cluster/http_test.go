@@ -309,14 +309,14 @@ func TestHostConcurrentSteps(t *testing.T) {
 
 // TestHTTPServerHeaderTimeout: the daemons' server drops a connection
 // that never finishes its request headers, and sets no read or write
-// deadline that would cut a long-lived stream.
+// deadline that would cut a request that legitimately waits.
 func TestHTTPServerHeaderTimeout(t *testing.T) {
 	srv := NewHTTPServer("", http.NotFoundHandler())
 	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
 	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
-		t.Fatalf("ReadTimeout %v / WriteTimeout %v set: would cut /trace/stream", srv.ReadTimeout, srv.WriteTimeout)
+		t.Fatalf("ReadTimeout %v / WriteTimeout %v set: would cut long shard steps and held results", srv.ReadTimeout, srv.WriteTimeout)
 	}
 
 	srv.ReadHeaderTimeout = 50 * time.Millisecond // keep the test fast

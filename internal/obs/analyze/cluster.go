@@ -16,8 +16,10 @@ type ClusterWorkerStep struct {
 	RPCNs int64 `json:"rpc_ns"`
 	// ComputeNs is the worker-reported solver step time.
 	ComputeNs int64 `json:"compute_ns"`
-	// ExchangeNs is the worker-reported exchange handling time
-	// (plane decode, boundary capture, checkpoint snapshots).
+	// ExchangeNs is the rest of the RPC, RPCNs − ComputeNs: the planes
+	// and snapshots on the wire both ways (HTTP, framing) and the
+	// worker's handling of them (plane decode, boundary capture,
+	// checkpoint snapshots).
 	ExchangeNs int64 `json:"exchange_ns"`
 	// Partial marks a lane whose worker-side spans were missing from
 	// the timeline (ring wraparound, failed pull): ComputeNs then
@@ -30,13 +32,15 @@ type ClusterWorkerStep struct {
 //	WallNs = ComputeNs + ExchangeNs + StragglerNs + FailoverNs + CollectNs
 //
 // ComputeNs and ExchangeNs are per-worker means (the work everyone
-// did in parallel), StragglerNs is how far the slowest worker ran
-// past the mean RPC (the lockstep barrier's load imbalance),
-// FailoverNs is recovery time charged to steps that replayed, and
-// CollectNs is the coordinator-side remainder (fold, plane routing,
-// RPC fan-out overhead) — defined as the remainder, so the identity
-// closes exactly unless it would go negative, which is reported as
-// Closed=false with the deficit in ResidualNs.
+// did in parallel; a lane's two sum to its RPC), StragglerNs is how
+// far the slowest worker's RPC ran past the mean RPC (the lockstep
+// barrier's load imbalance), FailoverNs is recovery time charged to
+// steps that replayed, and CollectNs is the coordinator's step wall
+// minus its slowest RPC: its own fan-out, fold and plane routing. It
+// is defined as the remainder, so the identity closes exactly unless
+// it would go negative (a coordinator wall shorter than an RPC it
+// timed), which is reported as Closed=false with the deficit in
+// ResidualNs.
 type ClusterStep struct {
 	Step        int64               `json:"step"`
 	WallNs      int64               `json:"wall_ns"`
@@ -132,13 +136,12 @@ func ClusterAnalyze(events []obs.Event) *ClusterReport {
 	rep := &ClusterReport{Schema: Schema, Events: len(events), Closed: true}
 
 	nodes := map[string]struct{}{}
-	walls := map[clusterStepKey]int64{}    // coordinator step span
-	jobs := map[string]string{}            // trace -> job name
-	order := []string{}                    // traces in first-appearance order
-	stepsSeen := map[string][]int64{}      // trace -> step numbers in order
-	rpc := map[clusterLaneKey]int64{}      // coordinator-observed RPC per worker
-	compute := map[clusterLaneKey]int64{}  // worker-side solver span
-	exchange := map[clusterLaneKey]int64{} // worker-side exchange span
+	walls := map[clusterStepKey]int64{}   // coordinator step span
+	jobs := map[string]string{}           // trace -> job name
+	order := []string{}                   // traces in first-appearance order
+	stepsSeen := map[string][]int64{}     // trace -> step numbers in order
+	rpc := map[clusterLaneKey]int64{}     // coordinator-observed RPC per worker
+	compute := map[clusterLaneKey]int64{} // worker-side solver span
 	laneOrder := map[clusterStepKey][]string{}
 	failover := map[clusterStepKey]int64{} // recovery time charged to the replayed step
 	orphanFailover := map[string]int64{}   // failover with no surviving step (aborted solves)
@@ -179,10 +182,6 @@ func ClusterAnalyze(events []obs.Event) *ClusterReport {
 			} else {
 				compute[lk] = int64(e.Dur)
 			}
-		case obs.KindExchange:
-			if e.Node != obs.CoordNode {
-				exchange[lk] = int64(e.Dur)
-			}
 		case obs.KindStepRPC:
 			seenTrace(e.Trace, e.Name)
 			if _, ok := rpc[lk]; !ok {
@@ -214,7 +213,7 @@ func ClusterAnalyze(events []obs.Event) *ClusterReport {
 		counts := map[string]*StragglerCount{}
 		for _, s := range steps {
 			sk := clusterStepKey{trace, s}
-			st := attributeStep(sk, walls[sk], failover[sk], laneOrder[sk], rpc, compute, exchange)
+			st := attributeStep(sk, walls[sk], failover[sk], laneOrder[sk], rpc, compute)
 			if c, ok := counts[st.Straggler]; ok {
 				c.Steps++
 				c.StragglerNs += st.StragglerNs
@@ -279,7 +278,7 @@ func ClusterAnalyze(events []obs.Event) *ClusterReport {
 
 // attributeStep builds one step's exact-sum attribution.
 func attributeStep(sk clusterStepKey, wall, failoverNs int64, lanes []string,
-	rpc, compute, exchange map[clusterLaneKey]int64) ClusterStep {
+	rpc, compute map[clusterLaneKey]int64) ClusterStep {
 
 	st := ClusterStep{Step: sk.step, WallNs: wall + failoverNs, FailoverNs: failoverNs}
 
@@ -290,8 +289,11 @@ func attributeStep(sk clusterStepKey, wall, failoverNs int64, lanes []string,
 		lk := clusterLaneKey{sk.trace, sk.step, node}
 		lane := ClusterWorkerStep{Node: node, RPCNs: rpc[lk]}
 		if c, ok := compute[lk]; ok {
+			// Whatever of the RPC the solver did not spend is the
+			// exchange, wire included. A solver span longer than its
+			// RPC (clocks at odd rates) exchanges nothing.
 			lane.ComputeNs = c
-			lane.ExchangeNs = exchange[lk]
+			lane.ExchangeNs = max(0, lane.RPCNs-c)
 		} else {
 			// The worker's own spans never arrived (ring wrap, failed
 			// pull): fall back to charging its whole RPC as compute —
@@ -300,10 +302,7 @@ func attributeStep(sk clusterStepKey, wall, failoverNs int64, lanes []string,
 			lane.Partial = true
 			st.Partial = true
 		}
-		busy := lane.RPCNs
-		if busy == 0 {
-			busy = lane.ComputeNs + lane.ExchangeNs
-		}
+		busy := lane.ComputeNs + lane.ExchangeNs // the RPC, or the longer solver span
 		sumCompute += lane.ComputeNs
 		sumExchange += lane.ExchangeNs
 		sumBusy += busy
@@ -322,9 +321,10 @@ func attributeStep(sk clusterStepKey, wall, failoverNs int64, lanes []string,
 		st.StragglerNs = maxBusy - sumBusy/w
 	}
 	// Collect is the remainder, so the five-term identity closes
-	// exactly by construction; a negative remainder (worker clocks
-	// claiming more time than the coordinator observed) is the one
-	// way closure fails, and is surfaced rather than clamped away.
+	// exactly by construction; a negative remainder (RPCs or worker
+	// spans claiming more time than the coordinator's step wall) is
+	// the one way closure fails, and is surfaced rather than clamped
+	// away.
 	rem := st.WallNs - st.ComputeNs - st.ExchangeNs - st.StragglerNs - st.FailoverNs
 	if rem >= 0 {
 		st.CollectNs = rem

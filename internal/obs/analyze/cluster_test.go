@@ -7,10 +7,10 @@ import (
 	"repro/internal/obs"
 )
 
-// clusterEvents builds the merged timeline of one coordinator step:
-// a coordinator wall span plus per-worker RPC / compute / exchange
+// clusterStepEvents builds the merged timeline of one coordinator step:
+// a coordinator wall span plus per-worker RPC and solver (compute)
 // spans, in milliseconds.
-func clusterStepEvents(trace string, step int64, wallMs int64, workers map[string][3]int64) []obs.Event {
+func clusterStepEvents(trace string, step int64, wallMs int64, workers map[string][2]int64) []obs.Event {
 	base := time.Unix(0, 0)
 	var out []obs.Event
 	for node, d := range workers {
@@ -19,8 +19,6 @@ func clusterStepEvents(trace string, step int64, wallMs int64, workers map[strin
 				Trace: trace, Epoch: step, At: base, Dur: time.Duration(d[0]) * time.Millisecond, A: step},
 			obs.Event{Kind: obs.KindShardStep, Name: "job", Worker: -1, Node: node,
 				Trace: trace, Epoch: step, At: base, Dur: time.Duration(d[1]) * time.Millisecond, A: step},
-			obs.Event{Kind: obs.KindExchange, Name: "job", Worker: -1, Node: node,
-				Trace: trace, Epoch: step, At: base, Dur: time.Duration(d[2]) * time.Millisecond, A: step},
 		)
 	}
 	out = append(out, obs.Event{Kind: obs.KindShardStep, Name: "job", Worker: -1, Node: "coord",
@@ -31,11 +29,11 @@ func clusterStepEvents(trace string, step int64, wallMs int64, workers map[strin
 func ms(n int64) int64 { return n * int64(time.Millisecond) }
 
 func TestClusterAnalyzeClosureAndStraggler(t *testing.T) {
-	// Three workers: rpc/compute/exchange (ms). w03 is the straggler.
-	events := clusterStepEvents("job#1", 0, 40, map[string][3]int64{
-		"w01": {10, 8, 1},
-		"w02": {20, 17, 2},
-		"w03": {30, 26, 3},
+	// Three workers: rpc/compute (ms). w03 is the straggler.
+	events := clusterStepEvents("job#1", 0, 40, map[string][2]int64{
+		"w01": {10, 8},
+		"w02": {20, 17},
+		"w03": {30, 26},
 	})
 	rep := ClusterAnalyze(events)
 	if len(rep.Solves) != 1 || len(rep.Solves[0].Steps) != 1 {
@@ -45,9 +43,10 @@ func TestClusterAnalyzeClosureAndStraggler(t *testing.T) {
 	if st.WallNs != ms(40) {
 		t.Errorf("wall = %d, want %d", st.WallNs, ms(40))
 	}
-	// compute mean = (8+17+26)/3 = 17, exchange mean = 2,
-	// straggler = max rpc 30 - mean rpc 20 = 10, collect = 40-17-2-10 = 11.
-	if st.ComputeNs != ms(17) || st.ExchangeNs != ms(2) || st.StragglerNs != ms(10) || st.CollectNs != ms(11) {
+	// compute mean = (8+17+26)/3 = 17, exchange = rpc - compute, mean
+	// (2+3+4)/3 = 3, straggler = max rpc 30 - mean rpc 20 = 10,
+	// collect = wall 40 - max rpc 30 = 10.
+	if st.ComputeNs != ms(17) || st.ExchangeNs != ms(3) || st.StragglerNs != ms(10) || st.CollectNs != ms(10) {
 		t.Errorf("attribution = compute %d exchange %d straggler %d collect %d",
 			st.ComputeNs, st.ExchangeNs, st.StragglerNs, st.CollectNs)
 	}
@@ -67,8 +66,8 @@ func TestClusterAnalyzeClosureAndStraggler(t *testing.T) {
 	if len(s.Stragglers) == 0 || s.Stragglers[0].Node != "w03" || s.Stragglers[0].Steps != 1 {
 		t.Errorf("straggler tally = %+v", s.Stragglers)
 	}
-	// share = (2 + 10) / 40
-	if want := 12.0 / 40.0; s.ExchangeBarrierShare != want {
+	// share = (3 + 10) / 40
+	if want := 13.0 / 40.0; s.ExchangeBarrierShare != want {
 		t.Errorf("share = %g, want %g", s.ExchangeBarrierShare, want)
 	}
 	if !rep.Closed || rep.Truncated {
@@ -79,13 +78,54 @@ func TestClusterAnalyzeClosureAndStraggler(t *testing.T) {
 	}
 }
 
+// TestClusterAnalyzeExchangeIncludesWire: a lane's exchange is its RPC
+// minus its solver span, so the wire time of the planes is exchange,
+// whatever the worker's own handling span says, and collect is only
+// the coordinator's wall past its slowest RPC.
+func TestClusterAnalyzeExchangeIncludesWire(t *testing.T) {
+	base := time.Unix(0, 0)
+	var events []obs.Event
+	for _, l := range []struct {
+		node                       string
+		rpcMs, computeMs, handleMs int64
+	}{
+		{"w01", 10, 6, 1}, // 3 ms on the wire beyond compute + handling
+		{"w02", 14, 7, 2}, // 5 ms
+	} {
+		span := func(kind obs.Kind, ms int64) obs.Event {
+			return obs.Event{Kind: kind, Name: "job", Worker: -1, Node: l.node,
+				Trace: "job#1", At: base, Dur: time.Duration(ms) * time.Millisecond}
+		}
+		events = append(events, span(obs.KindStepRPC, l.rpcMs),
+			span(obs.KindShardStep, l.computeMs), span(obs.KindExchange, l.handleMs))
+	}
+	events = append(events, obs.Event{Kind: obs.KindShardStep, Name: "job", Worker: -1,
+		Node: obs.CoordNode, Trace: "job#1", At: base, Dur: 17 * time.Millisecond})
+
+	st := ClusterAnalyze(events).Solves[0].Steps[0]
+	for _, w := range st.Workers {
+		if w.ExchangeNs != w.RPCNs-w.ComputeNs {
+			t.Errorf("lane %s: exchange %d, want rpc %d - compute %d", w.Node, w.ExchangeNs, w.RPCNs, w.ComputeNs)
+		}
+	}
+	// compute mean 6.5, exchange mean (4+7)/2 = 5.5, straggler
+	// 14 - 12 = 2, collect = wall 17 - slowest rpc 14 = 3.
+	if st.ComputeNs != 6_500_000 || st.ExchangeNs != 5_500_000 || st.StragglerNs != ms(2) || st.CollectNs != ms(3) {
+		t.Errorf("attribution = compute %d exchange %d straggler %d collect %d, want 6.5/5.5/2/3 ms",
+			st.ComputeNs, st.ExchangeNs, st.StragglerNs, st.CollectNs)
+	}
+	if !st.Closed || st.Verdict != "confirmed" {
+		t.Errorf("step not cleanly closed: %+v", st)
+	}
+}
+
 func TestClusterAnalyzeRoundingAbsorbedByCollect(t *testing.T) {
 	// Sums that do not divide evenly by 3: remainder must land in
 	// collect, keeping the identity exact.
-	events := clusterStepEvents("job#1", 0, 50, map[string][3]int64{
-		"w01": {11, 7, 1},
-		"w02": {13, 9, 1},
-		"w03": {17, 12, 2},
+	events := clusterStepEvents("job#1", 0, 50, map[string][2]int64{
+		"w01": {11, 7},
+		"w02": {13, 9},
+		"w03": {17, 12},
 	})
 	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
@@ -101,10 +141,10 @@ func TestClusterAnalyzeRoundingAbsorbedByCollect(t *testing.T) {
 }
 
 func TestClusterAnalyzeStragglerTieBreak(t *testing.T) {
-	events := clusterStepEvents("job#1", 0, 40, map[string][3]int64{
-		"w02": {30, 26, 3},
-		"w01": {30, 26, 3},
-		"w03": {10, 8, 1},
+	events := clusterStepEvents("job#1", 0, 40, map[string][2]int64{
+		"w02": {30, 26},
+		"w01": {30, 26},
+		"w03": {10, 8},
 	})
 	rep := ClusterAnalyze(events)
 	if got := rep.Solves[0].Steps[0].Straggler; got != "w01" {
@@ -113,9 +153,9 @@ func TestClusterAnalyzeStragglerTieBreak(t *testing.T) {
 }
 
 func TestClusterAnalyzeFailoverCharge(t *testing.T) {
-	events := clusterStepEvents("job#1", 2, 40, map[string][3]int64{
-		"w01": {10, 8, 1},
-		"w02": {20, 17, 2},
+	events := clusterStepEvents("job#1", 2, 40, map[string][2]int64{
+		"w01": {10, 8},
+		"w02": {20, 17},
 	})
 	base := time.Unix(0, 0)
 	// A failed round at epoch 2 replayed after 25ms of recovery; the
@@ -143,8 +183,8 @@ func TestClusterAnalyzeFailoverCharge(t *testing.T) {
 }
 
 func TestClusterAnalyzeOrphanFailoverInTotals(t *testing.T) {
-	events := clusterStepEvents("job#1", 0, 40, map[string][3]int64{
-		"w01": {10, 8, 1},
+	events := clusterStepEvents("job#1", 0, 40, map[string][2]int64{
+		"w01": {10, 8},
 	})
 	base := time.Unix(0, 0)
 	// Recovery at epoch 5, but the solve aborted before epoch 5 ever
@@ -172,8 +212,6 @@ func TestClusterAnalyzePartialDegradation(t *testing.T) {
 			At: base, Dur: 10 * time.Millisecond, A: 0},
 		{Kind: obs.KindShardStep, Name: "job", Worker: -1, Node: "w01", Trace: "job#1", Epoch: 0,
 			At: base, Dur: 8 * time.Millisecond, A: 0},
-		{Kind: obs.KindExchange, Name: "job", Worker: -1, Node: "w01", Trace: "job#1", Epoch: 0,
-			At: base, Dur: time.Millisecond, A: 0},
 		{Kind: obs.KindStepRPC, Name: "job", Node: "w02", Trace: "job#1", Epoch: 0,
 			At: base, Dur: 20 * time.Millisecond, A: 0},
 		obs.DropMarker(0, 7, base),
@@ -212,11 +250,11 @@ func TestClusterAnalyzePartialDegradation(t *testing.T) {
 }
 
 func TestClusterAnalyzeNegativeResidualNotClosed(t *testing.T) {
-	// Worker-side spans claim more time than the coordinator's wall:
-	// mis-aligned clocks. The analyzer must refuse to close rather
+	// The worker's RPC and solver span claim more time than the
+	// coordinator's wall: mis-aligned clocks. The analyzer must refuse to close rather
 	// than hide the deficit.
-	events := clusterStepEvents("job#1", 0, 10, map[string][3]int64{
-		"w01": {50, 45, 4},
+	events := clusterStepEvents("job#1", 0, 10, map[string][2]int64{
+		"w01": {50, 45},
 	})
 	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]
@@ -250,8 +288,8 @@ func TestClusterAnalyzeIgnoresUntracedEvents(t *testing.T) {
 func TestClusterAnalyzeLastWinsOnReplay(t *testing.T) {
 	// The same (worker, step) appears twice — a replay after
 	// failover. The later spans win.
-	first := clusterStepEvents("job#1", 0, 40, map[string][3]int64{"w01": {25, 20, 2}})
-	second := clusterStepEvents("job#1", 0, 30, map[string][3]int64{"w01": {10, 8, 1}})
+	first := clusterStepEvents("job#1", 0, 40, map[string][2]int64{"w01": {25, 20}})
+	second := clusterStepEvents("job#1", 0, 30, map[string][2]int64{"w01": {10, 8}})
 	events := append(first, second...)
 	rep := ClusterAnalyze(events)
 	st := rep.Solves[0].Steps[0]

@@ -1,12 +1,12 @@
-// Package serve is the observability surface of the daemons, written
-// once: GET /metrics (Prometheus text), GET /trace (JSONL with a cursor),
-// GET /trace/stream (its SSE tail), POST /trace/enable (the tracer
-// toggle), GET /analyze (a JSON report) and GET /dash (a dashboard over
-// them). A daemon describes what it serves as a Surface and mounts it:
-// cmd/f3dd every route over its scheduler's tracer, cmd/f3dc -serve its
-// fleet metrics rollup, merged timeline and cluster report.
-// cluster.HTTPClient reads the routes back through the names, types and
-// decoder declared here.
+// Package serve is the daemon's observability surface, written once:
+// GET /metrics (Prometheus text), GET /trace (JSONL with a cursor),
+// POST /trace/enable (the tracer toggle), GET /analyze (a JSON report)
+// and GET /dash (a dashboard over them). A daemon describes what it
+// serves as a Surface and mounts it; cmd/f3dd mounts every route over
+// its scheduler's tracer. cluster.HTTPClient reads the trace routes
+// back through the names, types and decoder declared here. A finished
+// fleet solve is read from its file (f3dc -trace-out, then tracetool
+// cluster), not served.
 //
 // The package sits beside internal/obs rather than inside it: parloop
 // and sched import obs, so every solver binary links it, and handlers
@@ -22,14 +22,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 )
 
 // The routes a coordinator reads from its workers.
 const (
-	PathMetrics     = "/metrics"
 	PathTrace       = "/trace"
 	PathTraceEnable = "/trace/enable"
 )
@@ -47,27 +45,15 @@ const (
 // its coordinator buffer.
 const MaxTraceBody = 64 << 20
 
-// streamPollDefault is how often the SSE tail polls the ring for new
-// events; ?poll_ms= overrides within [streamPollMin, streamPollMax].
-const (
-	streamPollDefault = 250 * time.Millisecond
-	streamPollMin     = 10 * time.Millisecond
-	streamPollMax     = 10 * time.Second
-)
-
 // Surface is what one daemon serves. Mount installs a route for every
 // field that is set, plus the dashboard.
 type Surface struct {
 	// Metrics writes the exposition served at GET /metrics. Concurrent
 	// scrapes call it concurrently.
 	Metrics func(io.Writer) error
-	// Tracer's ring is served at GET /trace with the cursor protocol,
-	// tailed at GET /trace/stream and toggled at POST /trace/enable.
+	// Tracer's ring is served at GET /trace with the cursor protocol
+	// and toggled at POST /trace/enable.
 	Tracer *obs.Tracer
-	// Timeline, for a daemon without a ring of its own, is served whole
-	// at GET /trace: it has no cursor, so ?since is a 400 rather than a
-	// cursor into the wrong sequence. Set Tracer or Timeline, not both.
-	Timeline func() []obs.Event
 	// Analyze builds the report served at GET /analyze.
 	Analyze func(*http.Request) any
 }
@@ -75,15 +61,11 @@ type Surface struct {
 // Mount installs the surface's routes on mux.
 func (s Surface) Mount(mux *http.ServeMux) {
 	if s.Metrics != nil {
-		mux.HandleFunc("GET "+PathMetrics, s.serveMetrics)
+		mux.HandleFunc("GET /metrics", s.serveMetrics)
 	}
 	if s.Tracer != nil {
 		mux.HandleFunc("GET "+PathTrace, s.serveTrace)
-		mux.HandleFunc("GET /trace/stream", s.serveTraceStream)
 		mux.HandleFunc("POST "+PathTraceEnable, s.serveTraceEnable)
-	}
-	if s.Timeline != nil {
-		mux.HandleFunc("GET "+PathTrace, s.serveTimeline)
 	}
 	if analyze := s.Analyze; analyze != nil {
 		mux.HandleFunc("GET /analyze", func(w http.ResponseWriter, r *http.Request) {
@@ -123,7 +105,8 @@ func (s Surface) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // X-Trace-Next value. If wraparound dropped events from the requested
 // window, the first line is a synthetic trace_dropped marker and
 // X-Trace-Dropped carries the count — a fixed-capacity ring cannot
-// answer arbitrarily old cursors exactly.
+// answer arbitrarily old cursors exactly. The dashboard's live tail
+// polls this route the same way.
 func (s Surface) serveTrace(w http.ResponseWriter, r *http.Request) {
 	since, ok := cursor(w, r)
 	if !ok {
@@ -132,36 +115,20 @@ func (s Surface) serveTrace(w http.ResponseWriter, r *http.Request) {
 	events, dropped := s.Tracer.EventsSince(since)
 	w.Header().Set(headerTraceDropped, strconv.FormatUint(dropped, 10))
 	w.Header().Set(headerTraceNext, strconv.FormatUint(obs.NextCursor(events, since), 10))
-	writeJSONL(w, events)
-}
-
-func (s Surface) serveTimeline(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Has("since") {
-		Error(w, http.StatusBadRequest, "this /trace is a merged timeline without a cursor: omit since")
-		return
-	}
-	writeJSONL(w, s.Timeline())
-}
-
-func writeJSONL(w http.ResponseWriter, events []obs.Event) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = obs.WriteEventsJSONL(w, events) // an error means the reader hung up
 }
 
-// cursor parses the ?since= cursor, 0 when absent.
+// cursor parses the ?since= cursor, 0 when absent, replying 400 on
+// garbage.
 func cursor(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	return uintParam(w, "since cursor", r.URL.Query().Get("since"), 64)
-}
-
-// uintParam parses an unsigned request parameter named label (0 when
-// empty), replying 400 on garbage.
-func uintParam(w http.ResponseWriter, label, s string, bits int) (uint64, bool) {
-	if s == "" {
+	q := r.URL.Query().Get("since")
+	if q == "" {
 		return 0, true
 	}
-	v, err := strconv.ParseUint(s, 10, bits)
+	v, err := strconv.ParseUint(q, 10, 64)
 	if err != nil {
-		Error(w, http.StatusBadRequest, "bad "+label+" "+strconv.Quote(s))
+		Error(w, http.StatusBadRequest, "bad since cursor "+strconv.Quote(q))
 		return 0, false
 	}
 	return v, true
@@ -189,73 +156,6 @@ func ReadTrace(resp *http.Response, since uint64) (events []obs.Event, next, dro
 	// still reports the loss.
 	dropped, _ = strconv.ParseUint(resp.Header.Get(headerTraceDropped), 10, 64)
 	return events, next, dropped, nil
-}
-
-// serveTraceStream tails the ring as Server-Sent Events: one `data:`
-// line per event (the JSONL object), with the event's sequence as the
-// SSE id so EventSource reconnection resumes via Last-Event-ID. The
-// explicit ?since= cursor wins over Last-Event-ID; with neither, the
-// stream starts at the oldest held event. Drop markers are sent as
-// `event: trace_dropped` without an id, so they never regress the
-// client's cursor.
-func (s Surface) serveTraceStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		Error(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	next, ok := cursor(w, r)
-	if !ok {
-		return
-	}
-	if lastID := r.Header.Get("Last-Event-ID"); lastID != "" && r.URL.Query().Get("since") == "" {
-		id, ok := uintParam(w, "Last-Event-ID", lastID, 64)
-		if !ok {
-			return
-		}
-		next = id + 1
-	}
-	poll := streamPollDefault
-	if p := r.URL.Query().Get("poll_ms"); p != "" {
-		ms, ok := uintParam(w, "poll_ms", p, 32)
-		if !ok {
-			return
-		}
-		poll = min(max(time.Duration(ms)*time.Millisecond, streamPollMin), streamPollMax)
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		events, _ := s.Tracer.EventsSince(next)
-		for _, e := range events {
-			blob, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			head := "event: trace_dropped"
-			if e.Kind != obs.KindTraceDropped {
-				head, next = "id: "+strconv.FormatUint(e.Seq, 10), e.Seq+1
-			}
-			if _, err := fmt.Fprintf(w, "%s\ndata: %s\n\n", head, blob); err != nil {
-				return
-			}
-		}
-		if len(events) > 0 {
-			fl.Flush()
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
 }
 
 // TraceEnable is the POST /trace/enable body. An empty body means
@@ -295,10 +195,10 @@ func (s Surface) serveTraceEnable(w http.ResponseWriter, r *http.Request) {
 }
 
 // dashHTML is the self-contained diagnosis dashboard: one HTML file, no
-// external assets, so it works from an air-gapped host. It renders
-// whichever report /analyze returns — per-loop for a node, per-step
-// critical path for a cluster — and shows the live tail and the tracing
-// toggle only where /trace/stream and the trace_enabled gauge exist.
+// external assets, so it works from an air-gapped host. It renders the
+// per-loop report /analyze returns, tails the ring by polling /trace
+// from its X-Trace-Next cursor, and shows the tracing toggle only where
+// the trace_enabled gauge exists.
 //
 //go:embed dash.html
 var dashHTML []byte

@@ -36,31 +36,10 @@ func wrappedTracer() *obs.Tracer {
 
 func TestTraceRejectsBadCursor(t *testing.T) {
 	s := Surface{Tracer: wrappedTracer()}
-	for _, target := range []string{"/trace?since=abc", "/trace?since=-1", "/trace/stream?since=x"} {
+	for _, target := range []string{"/trace?since=abc", "/trace?since=-1"} {
 		if rec := do(s, "GET", target, ""); rec.Code != http.StatusBadRequest {
 			t.Errorf("GET %s: %d, want 400", target, rec.Code)
 		}
-	}
-}
-
-func TestTimelineRejectsCursor(t *testing.T) {
-	s := Surface{Timeline: func() []obs.Event {
-		return []obs.Event{{Seq: 3, Kind: obs.KindChunk, Name: "merged"}}
-	}}
-	if rec := do(s, "GET", "/trace?since=1", ""); rec.Code != http.StatusBadRequest {
-		t.Errorf("GET /trace?since=1 on a timeline: %d, want 400", rec.Code)
-	}
-	rec := do(s, "GET", "/trace", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /trace on a timeline: %d", rec.Code)
-	}
-	events, err := obs.ReadJSONL(rec.Body)
-	if err != nil || len(events) != 1 || events[0].Name != "merged" {
-		t.Errorf("timeline body = %v, %v", events, err)
-	}
-	// A timeline has no ring to toggle.
-	if rec := do(s, "POST", PathTraceEnable, ""); rec.Code == http.StatusOK {
-		t.Errorf("POST %s on a timeline surface answered 200", PathTraceEnable)
 	}
 }
 

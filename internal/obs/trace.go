@@ -73,13 +73,15 @@ const (
 	// built from truncated traces instead of silently mis-attributing
 	// time.
 	KindTraceDropped
-	// KindShardStep is one lockstep time step of a sharded solve; Dur
-	// spans the slowest worker's step. A carries the step index, B the
-	// number of live shards.
+	// KindShardStep is one lockstep time step of a sharded solve. The
+	// coordinator's (Node CoordNode) spans the whole step, the slowest
+	// worker's RPC included; a worker's spans its solver step alone. A
+	// carries the step index, B the number of live shards (on a
+	// worker's, the zones its shard holds).
 	KindShardStep
-	// KindExchange is one boundary-plane exchange round between
-	// lockstep steps. A carries the step index, B the number of planes
-	// routed.
+	// KindExchange is the coordinator's record of one boundary-plane
+	// exchange round between lockstep steps. A carries the step index,
+	// B the number of planes routed.
 	KindExchange
 	// KindFailover is a re-shard after a worker loss. Name carries the
 	// lost worker's id, A the checkpoint step rolled back to, B the
