@@ -21,11 +21,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/f3d"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
@@ -94,28 +96,33 @@ func main() {
 	}
 
 	var solver f3d.Solver
-	var team *parloop.Team
 	// The cache and block variants run the same step driver, so they
-	// take the same shape, profiler and team(s). A profiler with -mlp is
-	// the constructor's error, not silently dropped.
+	// take the same shape and team(s). -profile attaches one local tracer
+	// to the team, or to every -mlp zone team: the profile is the
+	// step's phase spans, one per zone and group.
 	var opts f3d.CacheOptions
+	var prof *obs.Tracer
 	if *variant != "vector" {
 		shape := f3d.DefaultShape()
 		shape.Merged, shape.BC = *merged, *parbc
 		opts.Shape = &shape
-		if *profileFlag {
-			opts.Profiler = analyze.NewProfiler()
-		}
+		var teams []*parloop.Team
 		if *mlp {
 			for range c.Zones {
-				tm := parloop.NewTeam(*workers)
-				defer tm.Close()
-				opts.ZoneTeams = append(opts.ZoneTeams, tm)
+				teams = append(teams, parloop.NewTeam(*workers))
 			}
-		} else if *workers > 1 {
-			team = parloop.NewTeam(*workers)
-			defer team.Close()
-			opts.Team = team
+			opts.ZoneTeams = teams
+		} else if *workers > 1 || *profileFlag {
+			opts.Team = parloop.NewTeam(*workers)
+			teams = append(teams, opts.Team)
+		}
+		if *profileFlag {
+			prof = obs.NewTracer(profileEvents(*steps, len(c.Zones), *workers), nil)
+			prof.Enable()
+		}
+		for _, tm := range teams {
+			defer tm.Close()
+			tm.SetTracer(prof, "")
 		}
 	}
 	switch *variant {
@@ -200,14 +207,18 @@ func main() {
 	fmt.Printf("%d steps in %v (%v/step)\n", stepsRun, elapsed.Round(time.Millisecond), perStep.Round(time.Millisecond))
 	fmt.Printf("time steps/hour: %.1f\n", 3600/perStep.Seconds())
 	fmt.Printf("delivered MFLOPS (estimated): %.1f\n", flops/elapsed.Seconds()/1e6)
-	if team != nil {
+	if team := opts.Team; team != nil && *workers > 1 {
 		fmt.Printf("synchronization events: %d (%.1f per step)\n",
 			team.SyncEvents(), float64(team.SyncEvents())/float64(stepsRun))
 	}
-	if opts.Profiler != nil {
+	if prof != nil {
+		if d := prof.Dropped(); d > 0 {
+			exitOn(fmt.Errorf("-profile: the trace ring lost %d events, so the profile would be truncated", d), 1)
+		}
+		phases := slices.DeleteFunc(prof.Events(), func(e obs.Event) bool { return e.Kind != obs.KindPhase })
 		fmt.Println()
 		fmt.Println("per-phase profile (prof-style):")
-		fmt.Print(analyze.FormatRanked(opts.Profiler.Entries(), 12))
+		fmt.Print(analyze.FormatRanked(analyze.Analyze(phases).Ranked, 12))
 	}
 	if *saveFile != "" {
 		f, err := os.Create(*saveFile)
@@ -219,6 +230,13 @@ func main() {
 		exitOn(err, 1)
 		fmt.Printf("checkpoint written to %s (step %d)\n", *saveFile, restartSteps+stepsRun)
 	}
+}
+
+// profileEvents sizes the -profile trace ring: a zone step on a team of
+// workers emits at most 5 phase spans, 4 regions' begin and end events
+// and 6 barrier waits a worker (a merged step with exchange tails).
+func profileEvents(steps, zones, workers int) int {
+	return steps * zones * (13 + 6*workers)
 }
 
 // prefix starts every error line, and already starts the text of the

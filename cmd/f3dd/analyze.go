@@ -7,8 +7,7 @@ import (
 )
 
 // analyzeReport is the daemon's GET /analyze: internal/obs/analyze over
-// the trace ring. The optional label parameter stamps the report for
-// later diffing.
+// the trace ring. The optional label parameter stamps the report.
 func (sv *server) analyzeReport(r *http.Request) any {
 	// EventsSince(0) rather than Events(): the cursor read prepends
 	// the drop marker when the ring has wrapped, so the report is

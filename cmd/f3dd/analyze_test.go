@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -118,10 +120,20 @@ func TestTraceDroppedHeader(t *testing.T) {
 }
 
 // TestAnalyzeEndpoint: /analyze returns a decodable report built from
-// the live ring, stamped with its label.
+// the live ring, stamped with its label. A traced served f3d job adds
+// one phase span per zone and step group: the report ranks them as
+// "<job>/<zone>/<group>" rows and attributes exactly what it would
+// without them.
 func TestAnalyzeEndpoint(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8}, serverConfig{})
 	name := runTracedJob(t, ts)
+	var st sched.JobStatus
+	if code := ts.do("POST", "/jobs", map[string]any{
+		"kind": "f3d", "name": "phased", "dims": "12x11x10", "steps": 3, "pulse": 0.05,
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d", code)
+	}
+	ts.waitState(st.ID, sched.StateDone)
 
 	code, body := ts.get("/analyze?label=pr4")
 	if code != http.StatusOK {
@@ -143,6 +155,31 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	if len(rep.Grants) == 0 {
 		t.Error("no grant buckets from a scheduled job")
+	}
+
+	events, dropped := ts.s.Tracer().EventsSince(0)
+	if dropped != 0 {
+		t.Fatalf("the ring dropped %d events", dropped)
+	}
+	want := analyze.Analyze(slices.DeleteFunc(events, func(e obs.Event) bool { return e.Kind == obs.KindPhase }))
+	if !reflect.DeepEqual(rep.Loops, want.Loops) || rep.Totals != want.Totals ||
+		!reflect.DeepEqual(rep.Occupancy, want.Occupancy) || !reflect.DeepEqual(rep.Grants, want.Grants) {
+		t.Errorf("phase spans changed the attribution:\n got %+v\nwant %+v", rep, want)
+	}
+	if r := rep.Totals.ResidualNs; r < -3*int64(len(rep.Loops)) || r > 3*int64(len(rep.Loops)) {
+		t.Errorf("attribution residual %d ns over %d loops, want rounding only", r, len(rep.Loops))
+	}
+	if !slices.ContainsFunc(rep.Loops, func(l analyze.Loop) bool { return l.Name == "phased" && l.Regions > 0 }) {
+		t.Errorf("loops %+v hold no regions of the f3d job", rep.Loops)
+	}
+	ranked := map[string]int{}
+	for _, e := range rep.Ranked {
+		ranked[e.Name] = e.Calls
+	}
+	for _, g := range []string{"bc", "rhs", "residual", "sweep-jk", "sweep-l"} {
+		if calls := ranked["phased/zone1/"+g]; calls != 3 {
+			t.Errorf("ranked phased/zone1/%s has %d calls, want one a step (ranked %v)", g, calls, ranked)
+		}
 	}
 }
 

@@ -5,22 +5,19 @@
 //
 // Usage:
 //
-//	tracetool analyze [-label L] [-json] [-o report.json] trace.jsonl
+//	tracetool analyze [-label L] [-json] trace.jsonl
 //	tracetool convert [-o out.json] trace.jsonl
-//	tracetool diff [-tol PCT] old-report.json new-report.json
 //	tracetool cluster [-json] [-o report.json] [NAME=]fleet.jsonl...
 //
 // analyze prints the human-readable diagnosis (critical path, Amdahl
 // attribution, stair-step plateaus, sync-budget verdicts at Table 1's
-// break-even with the host's model.RegionNs) and with -o also writes
-// the JSON report for later diffing. convert renders the trace in the
-// Chrome trace-event format, which chrome://tracing, Perfetto and
-// speedscope.app all open. diff compares two
-// analyze reports and exits 1 when the new one regresses beyond -tol,
-// so CI can gate on trace-derived facts. cluster merges node-tagged
-// fleet timelines (f3dc -trace-out, per-daemon /trace dumps named by
-// the worker ID f3dc registered, its URL) and prints the cross-node
-// critical path — per-step attribution,
+// break-even with the host's model.RegionNs, the ranked profile with
+// the solver step's phase spans) or, with -json, the JSON report.
+// convert renders the trace in the Chrome trace-event format, which
+// chrome://tracing, Perfetto and speedscope.app all open. cluster
+// merges node-tagged fleet timelines (f3dc -trace-out, per-daemon
+// /trace dumps named by the worker ID f3dc registered, its URL) and
+// prints the cross-node critical path — per-step attribution,
 // straggler tally, exchange+barrier share — exiting 1 when the
 // attribution identity fails to close. A "-" input path reads stdin.
 // Exit 2 means the tool could not run (bad flags, unreadable input).
@@ -44,7 +41,7 @@ func main() {
 // in-process.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert, diff or cluster")
+		fmt.Fprintln(stderr, "tracetool: need a subcommand: analyze, convert or cluster")
 		return 2
 	}
 	switch args[0] {
@@ -52,12 +49,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdAnalyze(args[1:], stdin, stdout, stderr)
 	case "convert":
 		return cmdConvert(args[1:], stdin, stdout, stderr)
-	case "diff":
-		return cmdDiff(args[1:], stdout, stderr)
 	case "cluster":
 		return cmdCluster(args[1:], stdin, stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert, diff or cluster)\n", args[0])
+		fmt.Fprintf(stderr, "tracetool: unknown subcommand %q (want analyze, convert or cluster)\n", args[0])
 		return 2
 	}
 }
@@ -83,7 +78,6 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	label := fs.String("label", "", "label stamped into the report")
 	jsonOut := fs.Bool("json", false, "print the JSON report instead of the human-readable view")
-	outPath := fs.String("o", "", "also write the JSON report to this path")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -98,13 +92,6 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	rep := analyze.Analyze(events)
 	rep.Label = *label
-
-	if *outPath != "" {
-		if err := writeReport(*outPath, rep); err != nil {
-			fmt.Fprintf(stderr, "tracetool analyze: %v\n", err)
-			return 2
-		}
-	}
 	if *jsonOut {
 		if err := encodeReport(stdout, rep); err != nil {
 			fmt.Fprintf(stderr, "tracetool analyze: %v\n", err)
@@ -147,42 +134,5 @@ func cmdConvert(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracetool convert: %v\n", err)
 		return 2
 	}
-	return 0
-}
-
-func cmdDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracetool diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	tol := fs.Float64("tol", 1, "tolerance in percent (relative for speedups, points for fractions)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "tracetool diff: need exactly two report paths (old new)")
-		return 2
-	}
-	oldR, err := loadReport(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracetool diff: %v\n", err)
-		return 2
-	}
-	newR, err := loadReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracetool diff: %v\n", err)
-		return 2
-	}
-	deltas := analyze.Diff(oldR, newR, *tol)
-	regressions := 0
-	for _, d := range deltas {
-		fmt.Fprintln(stdout, d.String())
-		if d.Severity == analyze.SevRegression {
-			regressions++
-		}
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "%d regression(s) beyond %.3g%% tolerance\n", regressions, *tol)
-		return 1
-	}
-	fmt.Fprintf(stdout, "no regressions (%d delta(s) within tolerance)\n", len(deltas))
 	return 0
 }

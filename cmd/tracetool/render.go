@@ -4,44 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs/analyze"
 )
 
-// writeReport atomically-ish writes the JSON report (truncate-then-
-// write is fine for CI artifacts).
-func writeReport(path string, rep *analyze.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := encodeReport(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
+// encodeReport writes the report as indented JSON.
 func encodeReport(w io.Writer, rep *analyze.Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// loadReport reads a JSON report written by -o or GET /analyze.
-func loadReport(path string) (*analyze.Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep analyze.Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }
 
 // renderReport prints the human-readable diagnosis: per-loop critical

@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
@@ -30,15 +32,24 @@ func main() {
 	cfg := f3d.DefaultConfig(c)
 	fmt.Printf("case: %d zones, %d points\n\n", len(c.Zones), c.Points())
 
-	// Stage 0: profile the serial solver phase by phase.
-	prof := analyze.NewProfiler()
-	serial := mustCache(cfg, f3d.CacheOptions{Profiler: prof})
+	// Stage 0: profile the serial solver phase by phase. A traced team
+	// emits one phase span per zone and step group; serial, it emits
+	// nothing else.
+	prof := obs.NewTracer(steps*len(c.Zones)*5, nil)
+	prof.Enable()
+	one := parloop.NewTeam(1)
+	defer one.Close()
+	one.SetTracer(prof, "")
+	serial := mustCache(cfg, f3d.CacheOptions{Team: one})
 	defer serial.Close()
 	f3d.InitPulse(serial, 0.02)
 	for i := 0; i < steps; i++ {
 		serial.Step()
 	}
-	entries := prof.Entries()
+	if d := prof.Dropped(); d > 0 {
+		fail("the profile's trace ring lost %d events", d)
+	}
+	entries := analyze.Analyze(prof.Events()).Ranked
 	fmt.Println("serial profile (prof-style):")
 	fmt.Print(analyze.FormatRanked(entries, 8))
 
@@ -60,8 +71,8 @@ func main() {
 		sgi.Name, sgi.SyncCostCycles(64))
 	advise(entries, sgi.ClockMHz, sgi.SyncCostCycles(64), 64)
 
-	// Stages 1..3: enable one phase at a time, checking the answer.
-	reference := snapshot(serial)
+	// Stages 1..3: enable one phase at a time, checking the answer
+	// against the serial run's.
 	stages := []struct {
 		name  string
 		shape f3d.StepShape
@@ -79,7 +90,7 @@ func main() {
 			s.Step()
 		}
 		elapsed := time.Since(start)
-		diff := maxDiffFrom(reference, s)
+		diff := f3d.MaxPointwiseDiff(serial, s)
 		// The step profile's work is in flops, the unit model.ForkCycles
 		// prices a fork in.
 		sp := f3d.StepProfileFor(c, st.shape)
@@ -87,6 +98,9 @@ func main() {
 		fmt.Printf("  stage %d (%-16s): %8v for %d steps, predicted speedup %.1fx, |Δanswer| = %g\n",
 			k+1, st.name, elapsed.Round(time.Millisecond), steps, pred, diff)
 		s.Close()
+		if diff != 0 {
+			fail("stage %d (%s) changed the answer by %g", k+1, st.name, diff)
+		}
 	}
 	fmt.Println("\nanswer unchanged at every stage — the paper's validation loop in miniature.")
 }
@@ -106,17 +120,16 @@ func advise(entries []analyze.Entry, clockMHz, syncCycles float64, procs int) {
 	}
 }
 
+// fail reports why the workflow stopped and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "incremental: "+format+"\n", args...)
+	os.Exit(1)
+}
+
 func mustCache(cfg f3d.Config, opts f3d.CacheOptions) *f3d.CacheSolver {
 	s, err := f3d.NewCacheSolver(cfg, opts)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// snapshot runs the reference solver's state out to a comparable form.
-func snapshot(s *f3d.CacheSolver) *f3d.CacheSolver { return s }
-
-func maxDiffFrom(ref *f3d.CacheSolver, s *f3d.CacheSolver) float64 {
-	return f3d.MaxPointwiseDiff(ref, s)
 }

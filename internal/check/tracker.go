@@ -224,7 +224,7 @@ func (a *TrackedF64) Store(worker, i int, v float64) {
 // shard lock.
 func (a *TrackedF64) note(worker, i int, write bool) {
 	c := &a.cells[i]
-	phase := a.tk.team.Phase()
+	phase := a.tk.team.Epoch()
 	cur := Access{Worker: worker, Phase: phase, Write: write}
 	if write {
 		switch {

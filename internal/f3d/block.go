@@ -49,9 +49,9 @@ func newBlockScratch(nmax int) *cacheScratch {
 }
 
 // NewBlockSolver builds the block-implicit solver. It runs the same
-// step driver as CacheSolver — every StepShape, Profiler, PhaseTrace and
-// Remote link included — with the block sweeps in place of the
-// diagonalized ones. ZoneTeams is not supported.
+// step driver as CacheSolver — every StepShape, phase span and Remote
+// link included — with the block sweeps in place of the diagonalized
+// ones. ZoneTeams is not supported.
 func NewBlockSolver(cfg Config, opts CacheOptions) (*BlockSolver, error) {
 	if cfg.ImplicitDissip4 {
 		return nil, fmt.Errorf("f3d: BlockSolver does not support ImplicitDissip4 (block-tridiagonal factors)")

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
 
@@ -185,18 +183,13 @@ func TestBlockTeamResizeMidRun(t *testing.T) {
 	}
 }
 
-// Profiler, PhaseTrace and Remote links reach the block solver through
-// the shared driver instead of being dropped.
+// Phase spans and Remote links reach the block solver through the
+// shared driver instead of being dropped.
 func TestBlockSolverHonoursDriverOptions(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
 	cfg.Interfaces = []Interface{{Left: 0, Right: Remote}}
-	prof := analyze.NewProfiler()
-	tr := obs.NewTracer(1<<12, nil)
-	tr.Enable()
-	team := parloop.NewTeam(2)
-	defer team.Close()
-	team.SetTracer(tr, "blk")
-	s := newBlock(t, cfg, CacheOptions{Team: team, Profiler: prof, PhaseTrace: "blk"})
+	team, tr := tracedTeam(t, 2, "blk")
+	s := newBlock(t, cfg, CacheOptions{Team: team})
 	InitPulse(s, 0.01)
 	receiveOwnPlane(t, s)
 	want := make([]float64, len(s.links[0].plane))
@@ -207,15 +200,9 @@ func TestBlockSolverHonoursDriverOptions(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Error("the received plane is not on the Remote J-max face after the step")
 	}
-	if got := len(prof.Entries()); got != 5 {
-		t.Errorf("profiler has %d entries, want the 5 groups of the default shape: %v", got, prof.Entries())
-	}
-	traced := false
-	for _, e := range tr.Events() {
-		traced = traced || e.Name == "blk/sweep-jk"
-	}
-	if !traced || team.Label() != "blk" {
-		t.Errorf("phase trace: sweep-jk traced=%v, label after step %q", traced, team.Label())
+	spans := phaseSpans(tr.Events())
+	if len(spans) != 5 || spans["blk/"+cfg.Case.Zones[0].Name+"/sweep-jk"].calls != 1 {
+		t.Errorf("phase spans %v, want the 5 groups of the default shape, sweep-jk among them", spans)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/linalg"
-	"repro/internal/obs/analyze"
 	"repro/internal/parloop"
 )
 
@@ -28,19 +27,6 @@ type CacheOptions struct {
 	// independent within a step (interface data is captured up front),
 	// so results remain bitwise identical to the serial ordering.
 	ZoneTeams []*parloop.Team
-	// Profiler, when set, is charged the wall-clock time of every phase
-	// (per zone), keyed "zone/phase" — the prof-style measurement the
-	// paper's incremental workflow starts from. Phases the shape joins
-	// into one region are charged together: "rhs" for the two RHS
-	// passes, "step" for a Merged step. Not supported together
-	// with ZoneTeams (phases of different zones overlap in time).
-	Profiler *analyze.Profiler
-	// PhaseTrace, when non-empty, relabels the team's tracer around
-	// each phase as "<PhaseTrace>/<phase>", so a traced run ranks the
-	// step's phases as separate loops in /analyze and tracetool. The
-	// caller's label is restored after each step. Not supported together
-	// with ZoneTeams (phases of different zones overlap).
-	PhaseTrace string
 }
 
 // cacheScratch is one worker's private working set: a pencil plus flux
@@ -102,9 +88,6 @@ func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolve
 		if len(opts.ZoneTeams) != len(cfg.Case.Zones) {
 			return nil, fmt.Errorf("f3d: ZoneTeams has %d teams for %d zones",
 				len(opts.ZoneTeams), len(cfg.Case.Zones))
-		}
-		if opts.Profiler != nil || opts.PhaseTrace != "" {
-			return nil, fmt.Errorf("f3d: Profiler and PhaseTrace are not supported with ZoneTeams (phases overlap)")
 		}
 	}
 	core, err := newStepCore(cfg, opts, kern.points, func(nmax int) *cacheScratch { return newCacheScratch(nmax, kern) })

@@ -83,7 +83,7 @@ func (j *Job) Run(g *sched.Grant) error {
 	}
 	defer s.Close()
 	InitPulse(s, j.pulse) // pulse 0 is InitUniform
-	for i := 0; i < j.steps; i++ {
+	for i := range j.steps {
 		if err := g.Checkpoint(); err != nil {
 			return err
 		}

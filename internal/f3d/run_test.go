@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/obs/analyze"
 )
 
 func TestRunToSteadyConverges(t *testing.T) {
@@ -138,29 +137,37 @@ func TestCrossValidateViscousZonal(t *testing.T) {
 	}
 }
 
+// TestProfilerHook: a traced run is the step's profile — one phase
+// span per (zone, group) a step, on one team or on one team per zone.
 func TestProfilerHook(t *testing.T) {
 	cfg := DefaultConfig(grid.Scaled(grid.Paper1M(), 0.12))
 	const steps = 3
-	profile := func() []analyze.Entry {
-		prof := analyze.NewProfiler()
-		s := newCache(t, cfg, CacheOptions{Profiler: prof})
+	profile := func(zoneTeams bool) map[string]phaseTally {
+		team, tr := tracedTeam(t, 1, "")
+		opts := CacheOptions{Team: team}
+		if zoneTeams {
+			opts.ZoneTeams = newZoneTeams(t, len(cfg.Case.Zones), 1)
+			for _, zt := range opts.ZoneTeams {
+				zt.SetTracer(tr, "")
+			}
+		}
+		s := newCache(t, cfg, opts)
 		InitPulse(s, 0.02)
 		for i := 0; i < steps; i++ {
 			s.Step()
 		}
-		return prof.Entries()
+		return phaseSpans(tr.Events())
 	}
-	entries := profile()
-	// 5 phases × 3 zones.
-	if len(entries) != 15 {
-		t.Fatalf("profiler has %d entries, want 15: %v", len(entries), entries)
-	}
-	for _, e := range entries {
-		if e.Calls != steps {
-			t.Errorf("entry %s has %d calls, want %d", e.Name, e.Calls, steps)
+	for _, zoneTeams := range []bool{false, true} {
+		spans := profile(zoneTeams)
+		// 5 groups × 3 zones.
+		if len(spans) != 15 {
+			t.Fatalf("ZoneTeams %v: %d phase span names, want 15: %v", zoneTeams, len(spans), spans)
 		}
-		if e.Total <= 0 {
-			t.Errorf("entry %s has no charged time", e.Name)
+		for name, p := range spans {
+			if p.calls != steps || p.total <= 0 {
+				t.Errorf("ZoneTeams %v: %s has %d spans over %v, want %d with time charged", zoneTeams, name, p.calls, p.total, steps)
+			}
 		}
 	}
 	// The sweeps dominate the RHS, which dominates BC — the profile
@@ -169,30 +176,15 @@ func TestProfilerHook(t *testing.T) {
 	// sweep out-costs BC shows the shape; a loaded host can hide it from
 	// a single run.
 	z := cfg.Case.Zones[2].Name // largest zone
-	total := func(entries []analyze.Entry, name string) time.Duration {
-		for _, e := range entries {
-			if e.Name == name {
-				return e.Total
-			}
-		}
-		return 0
-	}
 	var sweep, bc time.Duration
 	for run := 0; run < 5; run++ {
-		if run > 0 {
-			entries = profile()
-		}
-		if sweep, bc = total(entries, z+"/sweep-jk"), total(entries, z+"/bc"); sweep > bc {
+		spans := profile(false)
+		if sweep, bc = spans[z+"/sweep-jk"].total, spans[z+"/bc"].total; sweep > bc {
 			break
 		}
 	}
 	if sweep <= bc {
 		t.Errorf("sweeps should out-cost boundary conditions: sweep-jk %v, bc %v in the last of 5 runs", sweep, bc)
-	}
-	// Profiler + ZoneTeams is rejected.
-	teams := newZoneTeams(t, 3, 1)
-	if _, err := NewCacheSolver(cfg, CacheOptions{Profiler: analyze.NewProfiler(), ZoneTeams: teams}); err == nil {
-		t.Error("Profiler with ZoneTeams accepted")
 	}
 }
 

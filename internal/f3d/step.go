@@ -77,7 +77,8 @@ type phase struct {
 
 // group is a run of consecutive phases [first, end) executed as one
 // unit: one region when any of its phases is split, with a barrier
-// between phases. Profiler and PhaseTrace see a group under its name.
+// between phases. A traced step emits one phase span per group,
+// named "<zone>/<group>" (parloop.Team.Phase).
 type group struct {
 	name       string
 	first, end int
@@ -184,9 +185,12 @@ type stepCore struct {
 	zoneRes []ZoneResidual
 
 	// shape is the step shape every step runs and low its lowering, both
-	// fixed when the solver is built.
+	// fixed when the solver is built; spans[zi][gi] names zone zi's
+	// group gi for its phase span, "<zone>/<group>", built once so a step
+	// allocates no names.
 	shape StepShape
 	low   lowering
+	spans [][]string
 
 	steps int
 }
@@ -207,6 +211,11 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 	}
 	for i := range cfg.Case.Zones {
 		c.zones = append(c.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, points))
+		names := make([]string, len(c.low.groups))
+		for gi, g := range c.low.groups {
+			names[gi] = cfg.Case.Zones[i].Name + "/" + g.name
+		}
+		c.spans = append(c.spans, names)
 	}
 	c.links = newLinks(cfg.Case, cfg.Interfaces)
 	return c, nil
@@ -279,27 +288,11 @@ func (c *stepCore) stepZone(zi int, team *parloop.Team, scratch []*cacheScratch,
 		phSweepJK:  {1, z.LMax - 2, func(w, lo, hi int) { sweepJK(zs, scratch[w], lo, hi) }, nil},
 		phSweepL:   {1, z.KMax - 2, func(w, lo, hi int) { sweepL(zs, scratch[w], lo, hi) }, nil},
 	}
-	for _, g := range c.low.groups {
-		c.observed(team, z.Name, g.name, func() {
+	for gi, g := range c.low.groups {
+		team.Phase(c.spans[zi][gi], func() {
 			runGroup(team, phases[g.first:g.end], c.low.split[g.first:g.end])
 		})
 	}
-}
-
-// observed runs one group under its name: the team's tracer is
-// relabelled "<PhaseTrace>/<name>" for its regions, so a traced run
-// ranks the groups as separate loops, and its wall-clock time is
-// charged to the Profiler as "<zone>/<name>".
-func (c *stepCore) observed(team *parloop.Team, zone, name string, fn func()) {
-	if c.opts.PhaseTrace != "" {
-		defer team.SetLabel(team.Label())
-		team.SetLabel(c.opts.PhaseTrace + "/" + name)
-	}
-	if c.opts.Profiler == nil {
-		fn()
-		return
-	}
-	c.opts.Profiler.Time(zone+"/"+name, fn)
 }
 
 // finish closes the step: the zones' residual shares fold in zone order

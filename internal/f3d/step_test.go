@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
@@ -326,60 +326,76 @@ func TestSolverShapeReportsCurrentStep(t *testing.T) {
 	}
 }
 
-// PhaseTrace labels each phase "<prefix>/<phase>" on the team's tracer
-// and restores the team label afterwards, so a traced run ranks the
-// phases as separate loops.
-func TestPhaseTraceLabelsPhases(t *testing.T) {
-	cfg := testConfig(8, 7, 6)
+// phaseTally is one phase span name's share of a trace.
+type phaseTally struct {
+	calls int
+	total time.Duration
+}
+
+// phaseSpans tallies a trace's phase spans by name.
+func phaseSpans(events []obs.Event) map[string]phaseTally {
+	out := map[string]phaseTally{}
+	for _, e := range events {
+		if e.Kind == obs.KindPhase {
+			p := out[e.Name]
+			p.calls++
+			p.total += e.Dur
+			out[e.Name] = p
+		}
+	}
+	return out
+}
+
+// tracedTeam is a team of n workers with an enabled tracer attached
+// under label.
+func tracedTeam(t *testing.T, n int, label string) (*parloop.Team, *obs.Tracer) {
+	t.Helper()
 	tr := obs.NewTracer(1<<14, nil)
 	tr.Enable()
-	team := parloop.NewTeam(3)
-	defer team.Close()
-	team.SetTracer(tr, "jobX")
-	s := newCache(t, cfg, CacheOptions{Team: team, PhaseTrace: "jobX"})
+	team := parloop.NewTeam(n)
+	t.Cleanup(team.Close)
+	team.SetTracer(tr, label)
+	return team, tr
+}
+
+// Every group of a traced step is one phase span "<label>/<zone>/<group>"
+// a step, serial bc and residual included, and the team's regions keep
+// the team's own label.
+func TestPhaseTraceLabelsPhases(t *testing.T) {
+	cfg := testConfig(8, 7, 6)
+	team, tr := tracedTeam(t, 3, "jobX")
+	s := newCache(t, cfg, CacheOptions{Team: team})
 	InitPulse(s, 0.01)
 	for range 2 {
 		s.Step()
 	}
-	if got := team.Label(); got != "jobX" {
-		t.Fatalf("team label not restored after step: %q", got)
+	spans := phaseSpans(tr.Events())
+	zone := cfg.Case.Zones[0].Name
+	for _, g := range []string{"bc", "rhs", "residual", "sweep-jk", "sweep-l"} {
+		if p := spans["jobX/"+zone+"/"+g]; p.calls != 2 {
+			t.Errorf("phase %s: %d spans, want one a step (saw %v)", g, p.calls, spans)
+		}
 	}
-	seen := map[string]bool{}
+	if len(spans) != 5 {
+		t.Errorf("phase spans %v, want the 5 groups of the default shape", spans)
+	}
 	for _, e := range tr.Events() {
-		if strings.HasPrefix(e.Name, "jobX/") {
-			seen[strings.TrimPrefix(e.Name, "jobX/")] = true
+		if e.Kind != obs.KindPhase && e.Name != "jobX" {
+			t.Fatalf("%v event named %q, want the team label jobX", e.Kind, e.Name)
 		}
-	}
-	// bc is absent: DefaultShape leaves it serial (§3, too cheap to
-	// amortize a region), and serial phases emit no region events.
-	for _, phase := range []string{"rhs", "sweep-jk", "sweep-l"} {
-		if !seen[phase] {
-			t.Errorf("phase %q not traced (saw %v)", phase, seen)
-		}
-	}
-	if seen["bc"] {
-		t.Error("serial bc phase emitted region events")
 	}
 }
 
-// A merged step traces as one "step" loop.
+// A merged step is one phase span, "<zone>/step".
 func TestPhaseTraceMergedStep(t *testing.T) {
 	cfg := testConfig(8, 7, 6)
-	tr := obs.NewTracer(1<<14, nil)
-	tr.Enable()
-	team := parloop.NewTeam(3)
-	defer team.Close()
-	team.SetTracer(tr, "jobZ")
-	s := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(true), PhaseTrace: "jobZ"})
+	team, tr := tracedTeam(t, 3, "jobZ")
+	s := newCache(t, cfg, CacheOptions{Team: team, Shape: mergedCfg(true)})
 	InitPulse(s, 0.01)
 	s.Step()
-	found := false
-	for _, e := range tr.Events() {
-		if e.Name == "jobZ/step" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("merged step not traced as jobZ/step")
+	spans := phaseSpans(tr.Events())
+	name := "jobZ/" + cfg.Case.Zones[0].Name + "/step"
+	if len(spans) != 1 || spans[name].calls != 1 {
+		t.Errorf("phase spans %v, want one %s", spans, name)
 	}
 }

@@ -30,9 +30,12 @@
 // Work and costs are nanoseconds as measured; the fields named *Cycles
 // count one cycle per nanosecond, the unit of model.RegionNs.
 //
+// Phase spans (obs.KindPhase, one per solver step group) are ranked
+// under their names but open no loop: they contain the regions a loop
+// is built from, and charging them again would break the exact sum.
+//
 // Reports are plain JSON-serializable values: cmd/f3dd serves them at
-// GET /analyze, cmd/tracetool renders them offline, and Diff compares
-// two of them for regressions.
+// GET /analyze and cmd/tracetool renders them offline.
 package analyze
 
 import (
@@ -45,7 +48,7 @@ import (
 )
 
 // Schema versions the Report JSON shape (bumped on incompatible
-// change); tracetool diff refuses mismatched schemas.
+// change), so a reader can tell reports of different shapes apart.
 const Schema = 2
 
 // plateauTolPct is the relative tolerance (percent) within which two
@@ -235,9 +238,9 @@ type Report struct {
 	Grants            []GrantBucket `json:"grants,omitempty"`
 	PlateauEfficiency float64       `json:"plateau_efficiency"`
 
-	// Ranked is the prof-style ranked loop profile (region, barrier
-	// and chunk charges, see rank) — the paper's §4 ranked-loop view of
-	// the same trace.
+	// Ranked is the prof-style ranked loop profile (region, barrier,
+	// chunk and phase charges, see rank) — the paper's §4 ranked-loop
+	// view of the same trace.
 	Ranked []Entry `json:"ranked,omitempty"`
 }
 
@@ -346,6 +349,10 @@ func Analyze(events []obs.Event) *Report {
 			// A shrink *request*; the applied resize follows at the
 			// victim's checkpoint. Only bounds time.
 			bound(e.At, e.At)
+			continue
+		case obs.KindPhase:
+			// Ranked, never attributed: its regions already are.
+			bound(e.At.Add(-e.Dur), e.At)
 			continue
 		}
 

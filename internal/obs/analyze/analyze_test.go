@@ -3,6 +3,7 @@ package analyze
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,8 +282,40 @@ func TestRankedProfileEmbedded(t *testing.T) {
 	}
 }
 
+// TestPhaseSpansRankedNotAttributed: phase spans around a loop's
+// regions leave its loops, totals and occupancy as they were — they
+// contain the regions already charged — and only add ranked rows.
+func TestPhaseSpansRankedNotAttributed(t *testing.T) {
+	plain := StairStepTrace("zone", 15, []int{5, 8}, time.Millisecond, time.Microsecond, base)
+	var phased []obs.Event
+	var begin time.Time
+	for _, e := range plain {
+		phased = append(phased, e)
+		switch e.Kind {
+		case obs.KindRegionBegin:
+			begin = e.At
+		case obs.KindRegionEnd:
+			phased = append(phased, obs.Event{At: e.At, Kind: obs.KindPhase, Name: "zone/z1/rhs", Worker: -1, Dur: e.At.Sub(begin), A: e.A})
+		}
+	}
+	want, got := Analyze(plain), Analyze(phased)
+	if !reflect.DeepEqual(got.Loops, want.Loops) || got.Totals != want.Totals ||
+		!reflect.DeepEqual(got.Occupancy, want.Occupancy) || got.WallNs != want.WallNs {
+		t.Errorf("phase spans changed the attribution:\n got %+v %+v\nwant %+v %+v", got.Loops, got.Totals, want.Loops, want.Totals)
+	}
+	var phase Entry
+	for _, e := range got.Ranked {
+		if e.Name == "zone/z1/rhs" {
+			phase = e
+		}
+	}
+	if phase.Calls != 2 || len(got.Ranked) != len(want.Ranked)+1 {
+		t.Errorf("ranked %+v, want the rows of %+v plus zone/z1/rhs over 2 calls", got.Ranked, want.Ranked)
+	}
+}
+
 // TestReportJSONRoundTrip: reports survive the JSON encoding served
-// by f3dd /analyze and consumed by tracetool diff.
+// by f3dd /analyze and printed by tracetool analyze -json.
 func TestReportJSONRoundTrip(t *testing.T) {
 	events := StairStepTrace("zone", 15, []int{5, 8}, time.Millisecond, time.Microsecond, base)
 	r := Analyze(events)

@@ -34,11 +34,11 @@ type chromeFile struct {
 }
 
 // chromeOf converts one event to its trace-event form, Ts not yet set,
-// and returns the time it starts at. Regions, chunks and barrier waits
-// become complete ("X") spans — regions on thread 0, a worker's chunks
-// and waits on thread worker+1, chunks carrying their bounds; scheduler
-// grant/resize/preempt events and drop markers become global instant
-// ("i") marks. ok is false for an event the format does not show.
+// and returns the time it starts at. Regions, phases, chunks and barrier
+// waits become complete ("X") spans — regions and phases on thread 0, a
+// worker's chunks and waits on thread worker+1, chunks carrying their
+// bounds; scheduler grant/resize/preempt events and drop markers become
+// global instant ("i") marks. ok is false for an event the format does not show.
 func chromeOf(e obs.Event) (ev chromeEvent, start time.Time, ok bool) {
 	loop := e.Name
 	if loop == "" {
@@ -48,6 +48,9 @@ func chromeOf(e obs.Event) (ev chromeEvent, start time.Time, ok bool) {
 	switch e.Kind {
 	case obs.KindRegionEnd:
 		ev.Cat, ev.Tid = "region", 0
+		return ev, e.At.Add(-e.Dur), true
+	case obs.KindPhase:
+		ev.Cat, ev.Tid = "phase", 0
 		return ev, e.At.Add(-e.Dur), true
 	case obs.KindBarrier:
 		ev.Name, ev.Cat = loop+"/barrier", "barrier"

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // Entry is one loop (or routine) of a prof-style profile — the paper's
-// §6 prof/pixie stand-in: a Profiler's charge (f3d.CacheOptions.Profiler
-// times every phase) or a traced span (Report.Ranked). The JSON shape
-// (total in integer nanoseconds) is part of the Report schema.
+// §6 prof/pixie stand-in: one name's charge from a traced run's spans
+// (Report.Ranked). The JSON shape (total in integer nanoseconds) is part
+// of the Report schema.
 type Entry struct {
 	Name  string        `json:"name"`
 	Calls int           `json:"calls"`
@@ -28,72 +27,25 @@ func (e Entry) Mean() time.Duration {
 	return e.Total / time.Duration(e.Calls)
 }
 
-// Profiler accumulates loop timings. It is safe for concurrent use.
-type Profiler struct {
-	mu      sync.Mutex
-	entries map[string]Entry
-}
-
-// NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{entries: make(map[string]Entry)}
-}
-
-// Time runs fn and charges its wall-clock duration to name.
-func (p *Profiler) Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	p.Add(name, time.Since(start))
-}
-
-// Add charges one call of duration d to name.
-func (p *Profiler) Add(name string, d time.Duration) {
-	p.mu.Lock()
-	e := p.entries[name]
-	e.Name = name
-	e.Calls++
-	e.Total += d
-	p.entries[name] = e
-	p.mu.Unlock()
-}
-
-// Entries returns all entries sorted by total time, most expensive
-// first (ties broken by name for determinism).
-func (p *Profiler) Entries() []Entry {
-	p.mu.Lock()
-	out := make([]Entry, 0, len(p.entries))
-	for _, e := range p.entries {
-		out = append(out, e)
-	}
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// Total returns the sum of all charged durations.
-func (p *Profiler) Total() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t time.Duration
-	for _, e := range p.entries {
-		t += e.Total
-	}
-	return t
-}
-
-// rank charges the span-shaped events of a trace (region end, barrier
-// wait, chunk execution) to a fresh profiler and returns its ranking.
-// Regions are charged under their label (unlabeled ones as "region"),
-// barrier waits and chunks under "<label>/barrier" and "<label>/chunk",
-// so the ranking separates useful work from synchronization cost — the
-// split the paper's §4 workflow reads off prof output.
+// rank charges the span-shaped events of a trace and returns the
+// entries sorted by total time, most expensive first (ties broken by
+// name). Regions are charged under their label (unlabeled ones as
+// "region"), barrier waits and chunks under "<label>/barrier" and
+// "<label>/chunk", and phase spans under their own name
+// ("<label>/<zone>/<group>" for a solver step), so the ranking
+// separates useful work from synchronization cost and names the step's
+// phases — the split the paper's §4 workflow reads off prof output.
 func rank(events []obs.Event) []Entry {
-	p := NewProfiler()
+	byName := map[string]*Entry{}
+	charge := func(name string, d time.Duration) {
+		e := byName[name]
+		if e == nil {
+			e = &Entry{Name: name}
+			byName[name] = e
+		}
+		e.Calls++
+		e.Total += d
+	}
 	for _, e := range events {
 		name := e.Name
 		if name == "" {
@@ -101,14 +53,26 @@ func rank(events []obs.Event) []Entry {
 		}
 		switch e.Kind {
 		case obs.KindRegionEnd:
-			p.Add(name, e.Dur)
+			charge(name, e.Dur)
 		case obs.KindBarrier:
-			p.Add(name+"/barrier", e.Dur)
+			charge(name+"/barrier", e.Dur)
 		case obs.KindChunk:
-			p.Add(name+"/chunk", e.Dur)
+			charge(name+"/chunk", e.Dur)
+		case obs.KindPhase:
+			charge(e.Name, e.Dur)
 		}
 	}
-	return p.Entries()
+	out := make([]Entry, 0, len(byName))
+	for _, e := range byName {
+		out = append(out, *e)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
 }
 
 // FormatRanked renders a prof-style table of the top n entries (n <= 0

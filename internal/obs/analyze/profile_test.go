@@ -2,65 +2,12 @@ package analyze
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parloop"
 )
-
-func TestAddAndEntries(t *testing.T) {
-	p := NewProfiler()
-	p.Add("rhs", 100*time.Millisecond)
-	p.Add("rhs", 200*time.Millisecond)
-	p.Add("bc", 5*time.Millisecond)
-	p.Add("sweep", 350*time.Millisecond)
-	es := p.Entries()
-	if len(es) != 3 {
-		t.Fatalf("entries = %d, want 3", len(es))
-	}
-	if es[0].Name != "sweep" || es[1].Name != "rhs" || es[2].Name != "bc" {
-		t.Errorf("wrong order: %v, %v, %v", es[0].Name, es[1].Name, es[2].Name)
-	}
-	if es[1].Calls != 2 || es[1].Total != 300*time.Millisecond {
-		t.Errorf("rhs entry wrong: %+v", es[1])
-	}
-	if es[1].Mean() != 150*time.Millisecond {
-		t.Errorf("rhs mean = %v", es[1].Mean())
-	}
-	if p.Total() != 655*time.Millisecond {
-		t.Errorf("Total = %v", p.Total())
-	}
-}
-
-func TestTimeChargesDuration(t *testing.T) {
-	p := NewProfiler()
-	p.Time("work", func() { time.Sleep(5 * time.Millisecond) })
-	es := p.Entries()
-	if len(es) != 1 || es[0].Total < 4*time.Millisecond {
-		t.Errorf("Time charged %v", es)
-	}
-}
-
-func TestProfilerConcurrentUse(t *testing.T) {
-	p := NewProfiler()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				p.Add("loop", time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	es := p.Entries()
-	if es[0].Calls != 800 {
-		t.Errorf("calls = %d, want 800", es[0].Calls)
-	}
-}
 
 func TestMeanEmptyEntry(t *testing.T) {
 	if (Entry{}).Mean() != 0 {
@@ -94,8 +41,8 @@ func TestFormatRanked(t *testing.T) {
 }
 
 // TestRankedChargesSpans: Report.Ranked charges region ends under their
-// label, barrier waits and chunks under "/barrier" and "/chunk", and
-// ignores events that are not spans.
+// label, barrier waits and chunks under "/barrier" and "/chunk", phase
+// spans under their own name, and ignores events that are not spans.
 func TestRankedChargesSpans(t *testing.T) {
 	events := []obs.Event{
 		{Kind: obs.KindRegionEnd, Name: "rhs", Dur: 10 * time.Millisecond},
@@ -105,14 +52,19 @@ func TestRankedChargesSpans(t *testing.T) {
 		{Kind: obs.KindChunk, Name: "rhs", Worker: 0, Dur: 9 * time.Millisecond},
 		{Kind: obs.KindRegionEnd, Name: "", Dur: time.Millisecond},
 		{Kind: obs.KindGrant, Name: "rhs", A: 4, B: 8}, // not a span: ignored
+		{Kind: obs.KindPhase, Name: "job/z1/rhs", Worker: -1, Dur: 11 * time.Millisecond},
+		{Kind: obs.KindPhase, Name: "job/z1/rhs", Worker: -1, Dur: 31 * time.Millisecond},
 	}
 	entries := Analyze(events).Ranked
-	if len(entries) != 5 {
-		t.Fatalf("got %d entries, want 5: %+v", len(entries), entries)
+	if len(entries) != 6 {
+		t.Fatalf("got %d entries, want 6: %+v", len(entries), entries)
 	}
-	// Sorted by total: rhs (40ms) first.
-	if entries[0].Name != "rhs" || entries[0].Total != 40*time.Millisecond || entries[0].Calls != 2 {
-		t.Errorf("top entry = %+v, want rhs 40ms over 2 calls", entries[0])
+	// Sorted by total: the rhs phase (42ms) first, then its regions.
+	if entries[0].Name != "job/z1/rhs" || entries[0].Total != 42*time.Millisecond || entries[0].Calls != 2 {
+		t.Errorf("top entry = %+v, want job/z1/rhs 42ms over 2 calls", entries[0])
+	}
+	if entries[1].Name != "rhs" || entries[1].Total != 40*time.Millisecond || entries[1].Calls != 2 {
+		t.Errorf("second entry = %+v, want rhs 40ms over 2 calls", entries[1])
 	}
 	byName := make(map[string]Entry)
 	for _, e := range entries {

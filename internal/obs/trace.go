@@ -107,6 +107,12 @@ const (
 	// nanoseconds (worker clock minus coordinator clock), B the probe
 	// round-trip time in nanoseconds.
 	KindClockSync
+	// KindPhase is one named phase of a team's work (a solver step's
+	// group: "<zone>/<group>"), spanning the regions it opens or the
+	// serial code it runs. Name is "<label>/<phase>", Worker -1, Dur
+	// the phase, A the team size. Analysis ranks phase spans but never
+	// counts them in a loop's attribution: they contain its regions.
+	KindPhase
 
 	// kindCount sentinels the enum: every Kind below it must have a
 	// name in kinds, which the exhaustive round-trip test enforces.
@@ -119,7 +125,7 @@ var kinds = [kindCount]string{
 	KindChunk: "chunk", KindGrant: "grant", KindResize: "resize", KindPreempt: "preempt",
 	KindTraceDropped: "trace_dropped", KindShardStep: "shard_step",
 	KindExchange: "exchange", KindFailover: "failover", KindStepRPC: "step_rpc",
-	KindCollect: "collect", KindClockSync: "clock_sync",
+	KindCollect: "collect", KindClockSync: "clock_sync", KindPhase: "phase",
 }
 
 // String returns the snake_case name used in JSONL export, or Kind(n)

@@ -124,8 +124,8 @@ type Team struct {
 	// team's waiters park at once, leaving processors to teammates.
 	spins atomic.Bool
 
-	// tracer receives region/barrier/chunk span events labeled with
-	// label. A nil or disabled tracer costs one atomic load per site
+	// tracer receives region/barrier/chunk/phase span events labeled
+	// with label. A nil or disabled tracer costs one atomic load per site
 	// and allocates nothing (the obs package's always-attached
 	// contract).
 	tracer *obs.Tracer
@@ -141,13 +141,13 @@ type Team struct {
 	// barrier) into an immediate panic.
 	inRegion atomic.Bool
 
-	// phase is the barrier-epoch counter the dynamic loop-dependence
+	// epoch is the barrier-epoch counter the dynamic loop-dependence
 	// checker (internal/check) keys its happens-before relation on: it
 	// is bumped when a region forks, when a region joins, and when a
 	// region barrier releases. Two memory accesses can race only if
-	// they observe the same phase from different workers — accesses in
-	// different phases are separated by a fork, join or barrier.
-	phase atomic.Uint64
+	// they observe the same epoch from different workers — accesses in
+	// different epochs are separated by a fork, join or barrier.
+	epoch atomic.Uint64
 
 	// panicMu collects the first panic raised inside a region so it can
 	// be re-raised on the caller's goroutine after the join.
@@ -275,24 +275,33 @@ func (t *Team) abortRegion(r any, worker int) {
 
 // SetTracer attaches tr to the team; subsequent regions emit
 // region-begin/end spans, barrier waits and per-worker chunk spans
-// tagged with label (typically the job name). Like Resize, SetTracer
+// tagged with label (typically the job name), and Phase its spans. Like Resize, SetTracer
 // must only be called between regions. A nil tracer detaches.
 func (t *Team) SetTracer(tr *obs.Tracer, label string) {
 	t.tracer = tr
 	t.label = label
 }
 
-// SetLabel changes the label on subsequent trace events without
-// detaching the tracer. Multi-phase solvers relabel around each phase
-// so one traced run yields per-phase loops in the profile rankings
-// (the evidence the auto-parallelization pipeline plans from) instead
-// of a single aggregate. Like SetTracer, SetLabel must only be called
-// between regions.
-func (t *Team) SetLabel(label string) { t.label = label }
-
-// Label returns the current trace label, so a solver that relabels
-// phases can restore the caller's label afterwards.
-func (t *Team) Label() string { return t.label }
+// Phase runs fn, one named phase of the caller's work, which may open
+// regions or run serial code. With the team's tracer enabled it emits
+// one KindPhase span over the call: Name "<label>/<name>" (name alone on
+// an unlabeled team), Worker -1, A the team size. Disabled, it costs one
+// atomic load and a direct call. Like a region, Phase runs on the
+// goroutine that owns the team.
+func (t *Team) Phase(name string, fn func()) {
+	tr := t.tracer
+	if !tr.Enabled() {
+		fn()
+		return
+	}
+	if t.label != "" {
+		name = t.label + "/" + name
+	}
+	start := tr.Now()
+	fn()
+	end := tr.Now()
+	tr.Emit(obs.Event{Kind: obs.KindPhase, At: end, Name: name, Worker: -1, Dur: end.Sub(start), A: int64(t.workers)})
+}
 
 // Tracer returns the attached tracer (nil when detached).
 func (t *Team) Tracer() *obs.Tracer { return t.tracer }
@@ -308,16 +317,16 @@ func (t *Team) SyncEvents() uint64 { return t.regions.Load() }
 // ResetSyncEvents zeroes the synchronization-event counter.
 func (t *Team) ResetSyncEvents() { t.regions.Store(0) }
 
-// Phase returns the team's barrier-epoch counter: a monotone value
+// Epoch returns the team's barrier-epoch counter: a monotone value
 // bumped at every region fork, region join and barrier release. All
 // accesses a worker performs between two consecutive bumps observe the
-// same phase; accesses in different phases are ordered by the fork,
+// same epoch; accesses in different epochs are ordered by the fork,
 // join or barrier between them. The dynamic loop-dependence checker
 // (internal/check) uses this as the happens-before relation of the
 // fork-join/barrier execution model: two accesses to the same element
-// by different workers in the same phase, at least one a write, are a
+// by different workers in the same epoch, at least one a write, are a
 // loop-carried-dependence race. A one-worker team never bumps.
-func (t *Team) Phase() uint64 { return t.phase.Load() }
+func (t *Team) Epoch() uint64 { return t.epoch.Load() }
 
 // Close stops the helper goroutines. The team must not be used after
 // Close. Close is idempotent.
@@ -363,7 +372,7 @@ func (t *Team) fork(body func(worker int)) {
 	}
 	defer t.inRegion.Store(false)
 	t.regions.Add(1)
-	t.phase.Add(1) // fork: the region body is a new epoch
+	t.epoch.Add(1) // fork: the region body is a new epoch
 	tr := t.tracer
 	traced := tr.Enabled()
 	var start time.Time
@@ -382,7 +391,7 @@ func (t *Team) fork(body func(worker int)) {
 	recv(t.done, t.spins.Load(), func() bool {
 		return !slices.ContainsFunc(t.cmds, func(ch chan func(int)) bool { return len(ch) > 0 })
 	})
-	t.phase.Add(1) // join: code after the region is a new epoch
+	t.epoch.Add(1) // join: code after the region is a new epoch
 	if traced {
 		end := tr.Now()
 		tr.Emit(obs.Event{Kind: obs.KindRegionEnd, At: end, Name: t.label, Worker: -1, Dur: end.Sub(start), A: int64(t.workers)})
@@ -583,10 +592,10 @@ type barrier struct {
 }
 
 // newBarrier builds a barrier for the team's workers whose release
-// bumps the team's phase counter, so barrier-separated loop phases are
+// bumps the team's epoch counter, so barrier-separated loop phases are
 // distinct epochs for the dependence checker.
 func (t *Team) newBarrier() *barrier {
-	b := &barrier{n: t.workers, spin: t.spins.Load(), onRelease: func() { t.phase.Add(1) }}
+	b := &barrier{n: t.workers, spin: t.spins.Load(), onRelease: func() { t.epoch.Add(1) }}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }

@@ -16,8 +16,8 @@ func TestPhaseSerialTeamNeverBumps(t *testing.T) {
 		ctx.Barrier()
 		ctx.For(5, func(int) {})
 	})
-	if got := tm.Phase(); got != 0 {
-		t.Errorf("serial team Phase() = %d, want 0", got)
+	if got := tm.Epoch(); got != 0 {
+		t.Errorf("serial team Epoch() = %d, want 0", got)
 	}
 }
 
@@ -26,16 +26,16 @@ func TestPhaseSerialTeamNeverBumps(t *testing.T) {
 func TestPhaseForkJoinBumpsTwice(t *testing.T) {
 	tm := NewTeam(3)
 	defer tm.Close()
-	if got := tm.Phase(); got != 0 {
-		t.Fatalf("fresh team Phase() = %d, want 0", got)
+	if got := tm.Epoch(); got != 0 {
+		t.Fatalf("fresh team Epoch() = %d, want 0", got)
 	}
 	tm.For(30, func(int) {})
-	if got := tm.Phase(); got != 2 {
-		t.Errorf("after one region Phase() = %d, want 2 (fork + join)", got)
+	if got := tm.Epoch(); got != 2 {
+		t.Errorf("after one region Epoch() = %d, want 2 (fork + join)", got)
 	}
 	tm.For(30, func(int) {})
-	if got := tm.Phase(); got != 4 {
-		t.Errorf("after two regions Phase() = %d, want 4", got)
+	if got := tm.Epoch(); got != 4 {
+		t.Errorf("after two regions Epoch() = %d, want 4", got)
 	}
 }
 
@@ -51,12 +51,12 @@ func TestPhaseBarrierSeparatesEpochs(t *testing.T) {
 	pre := make(map[uint64]bool)
 	post := make(map[uint64]bool)
 	tm.Region(func(ctx *WorkerCtx) {
-		p := tm.Phase()
+		p := tm.Epoch()
 		mu.Lock()
 		pre[p] = true
 		mu.Unlock()
 		ctx.Barrier()
-		q := tm.Phase()
+		q := tm.Epoch()
 		mu.Lock()
 		post[q] = true
 		mu.Unlock()
@@ -76,21 +76,21 @@ func TestPhaseBarrierSeparatesEpochs(t *testing.T) {
 	}
 	// Region fork bumped once (phase 1 inside), barrier once (2), join
 	// once (3).
-	if got := tm.Phase(); got != 3 {
-		t.Errorf("after region with one barrier Phase() = %d, want 3", got)
+	if got := tm.Epoch(); got != 3 {
+		t.Errorf("after region with one barrier Epoch() = %d, want 3", got)
 	}
 }
 
 // TestPhaseSurvivesResizeAndPanic: the barrier installed by Resize and
 // the replacement barrier installed after a worker panic must both stay
-// wired to the phase counter.
+// wired to the epoch counter.
 func TestPhaseSurvivesResizeAndPanic(t *testing.T) {
 	tm := NewTeam(2)
 	defer tm.Close()
 	tm.Resize(3)
-	start := tm.Phase()
+	start := tm.Epoch()
 	tm.Region(func(ctx *WorkerCtx) { ctx.Barrier() })
-	if got := tm.Phase(); got != start+3 {
+	if got := tm.Epoch(); got != start+3 {
 		t.Fatalf("after resize, region with barrier moved phase %d -> %d, want +3", start, got)
 	}
 	func() {
@@ -102,9 +102,9 @@ func TestPhaseSurvivesResizeAndPanic(t *testing.T) {
 			ctx.Barrier()
 		})
 	}()
-	start = tm.Phase()
+	start = tm.Epoch()
 	tm.Region(func(ctx *WorkerCtx) { ctx.Barrier() })
-	if got := tm.Phase(); got != start+3 {
+	if got := tm.Epoch(); got != start+3 {
 		t.Errorf("after panic recovery, region with barrier moved phase %d -> %d, want +3", start, got)
 	}
 }

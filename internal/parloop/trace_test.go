@@ -116,6 +116,62 @@ func TestTracerRegionLoopAndReduceChunks(t *testing.T) {
 	}
 }
 
+// TestPhaseEmitsOneSpan: Phase wraps its call in one phase span named
+// under the team's label, after the regions it opened, and a serial
+// phase gets one too.
+func TestPhaseEmitsOneSpan(t *testing.T) {
+	tr := obs.NewTracer(1024, nil)
+	tr.Enable()
+	team := NewTeam(3)
+	defer team.Close()
+	team.SetTracer(tr, "job")
+
+	team.Phase("z/rhs", func() { team.For(9, func(int) {}) })
+	team.Phase("z/bc", func() {})
+	events := tr.Events()
+	var spans []obs.Event
+	for _, e := range events {
+		if e.Kind == obs.KindPhase {
+			spans = append(spans, e)
+		}
+	}
+	if len(spans) != 2 || spans[0].Name != "job/z/rhs" || spans[1].Name != "job/z/bc" {
+		t.Fatalf("phase spans %+v, want job/z/rhs then job/z/bc", spans)
+	}
+	if spans[0].Worker != -1 || spans[0].A != 3 {
+		t.Errorf("phase span worker %d, team size %d, want -1 and 3", spans[0].Worker, spans[0].A)
+	}
+	// The rhs span holds its region: it starts before the fork and
+	// ends after the join.
+	begin, end := events[0], events[len(events)-3]
+	if begin.Kind != obs.KindRegionBegin || end.Kind != obs.KindRegionEnd {
+		t.Fatalf("event order %v ... %v, want region begin first and its end before the spans", begin.Kind, end.Kind)
+	}
+	if s := spans[0]; s.At.Add(-s.Dur).After(begin.At) || s.At.Before(end.At) {
+		t.Errorf("rhs span [%v, %v] does not contain its region [%v, %v]", s.At.Add(-s.Dur), s.At, begin.At, end.At)
+	}
+
+	// An unlabeled team names the span by the phase alone.
+	tr.Reset()
+	team.SetTracer(tr, "")
+	team.Phase("z/sweep-l", func() {})
+	if ev := tr.Events(); len(ev) != 1 || ev[0].Name != "z/sweep-l" {
+		t.Errorf("unlabeled phase events %+v, want one named z/sweep-l", ev)
+	}
+
+	// Disabled, Phase still runs its call, emits nothing and allocates
+	// nothing.
+	tr.Disable()
+	tr.Reset()
+	ran := 0
+	if allocs := testing.AllocsPerRun(100, func() { team.Phase("z/bc", func() { ran++ }) }); allocs != 0 {
+		t.Errorf("disabled Phase allocates %v per call", allocs)
+	}
+	if ran == 0 || tr.Len() != 0 {
+		t.Errorf("disabled Phase ran its call %d times and recorded %d events", ran, tr.Len())
+	}
+}
+
 func TestDisabledTracerEmitsNothingAndAddsNoAllocs(t *testing.T) {
 	tr := obs.NewTracer(64, nil)
 	team := NewTeam(4)
