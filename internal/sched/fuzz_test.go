@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -58,6 +60,9 @@ func FuzzAllocator(f *testing.F) {
 	f.Add(uint8(6), []byte{0x15, 0x3f, 0x04, 0x81, 0x22, 0xf0, 0x07})
 	f.Add(uint8(3), []byte{0x01, 0x01, 0x01, 0x80, 0x80, 0x80})
 	f.Add(uint8(16), []byte{0xff, 0x00, 0x42, 0x9a, 0x33, 0x77, 0xc8, 0x11})
+	// On 2 processors: a (M=2) is shrunk to admit b (M=1); b's end
+	// promises a its second processor; c (M=1) must take it back.
+	f.Add(uint8(1), []byte{0x01, 0x00, 0xc0, 0x81, 0x00})
 	f.Fuzz(func(t *testing.T, procsByte uint8, ops []byte) {
 		procs := 1 + int(procsByte)%16
 		if len(ops) > 48 {
@@ -80,6 +85,16 @@ func FuzzAllocator(f *testing.F) {
 			if m.MaxInUse > m.Procs {
 				t.Fatalf("budget exceeded: MaxInUse %d > Procs %d", m.MaxInUse, m.Procs)
 			}
+			// A queued job never waits on a grow that was not applied.
+			s.mu.Lock()
+			for _, rec := range s.running {
+				if len(s.queue) > 0 && rec.target > rec.granted {
+					s.mu.Unlock()
+					t.Fatalf("job %d holds an unapplied grow %d -> %d while %d jobs queue",
+						rec.id, rec.granted, rec.target, len(s.queue))
+				}
+			}
+			s.mu.Unlock()
 			for _, sl := range live {
 				st := sl.h.Status()
 				if st.State != StateRunning {
@@ -127,11 +142,18 @@ func FuzzAllocator(f *testing.F) {
 				live = append(live, slot{j, h})
 			case 2: // finish a running job
 				finishRunning(int(op & 0x3f))
-			case 3: // step every live job so pending resizes apply
+			case 3: // step every running job and wait until its pending resize applied
 				for _, sl := range live {
-					select {
-					case sl.j.step <- struct{}{}:
-					default:
+					if sl.h.Status().State != StateRunning {
+						continue
+					}
+					n, deadline := sl.j.stepped.Load(), time.Now().Add(10*time.Second)
+					sl.j.step <- struct{}{}
+					for sl.j.stepped.Load() == n {
+						if time.Now().After(deadline) {
+							t.Fatalf("job %d did not return from its Checkpoint", sl.h.ID())
+						}
+						runtime.Gosched()
 					}
 				}
 			}

@@ -13,7 +13,9 @@
 // parloop teams created per grant, and may be resized while running:
 // the scheduler revises a job's grant (growing it as the queue drains,
 // shrinking it to admit new work) and the job applies the revision
-// cooperatively at its next Checkpoint, between parallel regions. A job
+// cooperatively at its next Checkpoint, between parallel regions. A
+// grow is a promise until then: a job queued before the Checkpoint
+// takes the promised processors back, so it never waits on a grow. A job
 // that serves requests parks between them (Grant.Park), holding no
 // processor until its next Checkpoint re-queues it. Jackson &
 // Agathokleous's dynamic loop parallelisation (PAPERS.md) is the
@@ -117,6 +119,8 @@ func (g *Grant) Checkpoint() error {
 		g.team.Resize(rec.granted)
 		rec.deadline = s.clock.Now().Add(rec.timeout)
 	}
+	// A grow still pending here was not taken back by a queued job
+	// (dispatchLocked), so its processors are this job's to apply.
 	if rec.target != rec.granted {
 		old := rec.granted
 		// Resize between regions is safe: Checkpoint runs on the job's
@@ -299,9 +303,10 @@ type record struct {
 }
 
 // acct returns the processors accounted against the budget for this
-// record: a pending grow is deducted from the pool at decision time, a
-// pending shrink is credited only once applied, so the accounted value
-// is the max of the two.
+// record: a pending grow is deducted from the pool at decision time
+// (and credited back if a queued job takes it back before it is
+// applied), a pending shrink is credited only once applied, so the
+// accounted value is the max of the two.
 func (r *record) acct() int {
 	if r.target > r.granted {
 		return r.target

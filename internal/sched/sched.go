@@ -309,8 +309,20 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 // queue blocked and no processor free it asks the largest running job
 // to drop one plateau, so queued work is admitted instead of starving;
 // with the queue empty and processors idle it grows running jobs to
-// higher plateaus. Caller holds s.mu.
+// higher plateaus. A grow is a promise until the job's Checkpoint
+// applies it, so a non-empty queue first takes back every unapplied
+// grow: that costs the job nothing, where a shrink costs it a resize,
+// and growLocked grants it again once the queue drains. Caller holds
+// s.mu.
 func (s *Scheduler) dispatchLocked() {
+	if len(s.queue) > 0 {
+		for _, rec := range s.running {
+			if rec.target > rec.granted {
+				s.free += rec.target - rec.granted
+				rec.target = rec.granted
+			}
+		}
+	}
 	for len(s.queue) > 0 && s.free > 0 {
 		rec := s.queue[0]
 		p := PlateauGrant(rec.requested, s.free)
@@ -345,8 +357,10 @@ func (s *Scheduler) dispatchLocked() {
 // growLocked raises running jobs' targets to higher plateaus while
 // idle processors allow, in submission order. A job is only grown when
 // the extra processors actually reach the next stair-step — growing
-// within a plateau would burn budget for zero speedup. Caller holds
-// s.mu.
+// within a plateau would burn budget for zero speedup. The grow is
+// only promised: the processors leave the pool now, but the job takes
+// them at its next Checkpoint, and a job queued before then takes them
+// back (dispatchLocked). Caller holds s.mu.
 func (s *Scheduler) growLocked() {
 	ids := make([]uint64, 0, len(s.running))
 	for id := range s.running {
@@ -380,12 +394,14 @@ func (s *Scheduler) growLocked() {
 // requestShrinkLocked asks the running job with the largest settled
 // grant to drop one plateau so the queue head can be admitted. The
 // shrink is cooperative: it takes effect (and frees processors) at the
-// victim's next Checkpoint. Caller holds s.mu.
+// victim's next Checkpoint. It is the last resort: dispatchLocked has
+// already taken back every unapplied grow, so a job whose target
+// differs from its grant here is shrinking already. Caller holds s.mu.
 func (s *Scheduler) requestShrinkLocked() {
 	var victim *record
 	for _, rec := range s.running {
 		if rec.target != rec.granted || rec.granted <= 1 {
-			continue // resize already pending, or nothing to give
+			continue // shrink already pending, or nothing to give
 		}
 		if victim == nil || rec.granted > victim.granted ||
 			(rec.granted == victim.granted && rec.id < victim.id) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ type gateJob struct {
 	started chan struct{}
 	step    chan struct{}
 	finish  chan error
+	stepped atomic.Int64 // Checkpoints returned
 }
 
 func newGate(name string, m int) *gateJob {
@@ -41,6 +43,7 @@ func (j *gateJob) Run(g *Grant) error {
 			if err := g.Checkpoint(); err != nil {
 				return err
 			}
+			j.stepped.Add(1)
 		case err := <-j.finish:
 			return err
 		case <-g.Context().Done():
@@ -668,6 +671,134 @@ func TestParkReturnsProcessors(t *testing.T) {
 	}
 	if m := checkBudget(t, s); m.InUse != 0 || m.Queued != 0 || m.Running != 0 {
 		t.Errorf("after the cancel: %d in use, %d queued, %d running; want none", m.InUse, m.Queued, m.Running)
+	}
+}
+
+// TestQueuedJobTakesBackPendingGrow: a grow is a promise until the job's
+// Checkpoint applies it. a is shrunk to admit b; b's end grows a back to
+// 2 on paper; c, submitted before a checkpoints again, takes that grow
+// back and starts at once instead of waiting for a to return.
+func TestQueuedJobTakesBackPendingGrow(t *testing.T) {
+	s := New(Config{Procs: 2})
+	defer s.Close()
+
+	a := newGate("a", 2)
+	ha, _ := s.Submit(a)
+	b := newGate("b", 1)
+	hb, _ := s.Submit(b)
+	a.step <- struct{}{}
+	waitStatus(t, hb, func(st JobStatus) bool { return st.State == StateRunning }, "b admitted by a's shrink")
+	b.finish <- nil
+	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
+	}
+	if m := checkBudget(t, s); m.InUse != 2 || m.Free != 0 {
+		t.Fatalf("after b: InUse %d, Free %d; want a's pending grow to hold both", m.InUse, m.Free)
+	}
+	before := ha.Status()
+	if before.Granted != 1 {
+		t.Fatalf("a before its checkpoint: %+v, want grant 1", before)
+	}
+
+	c := newGate("c", 1)
+	hc, err := s.Submit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := hc.Status(); st.State != StateRunning || st.Granted != 1 {
+		t.Fatalf("c: %+v, want running on 1 processor before a checkpoints", st)
+	}
+	if st := ha.Status(); st.Granted != 1 || st.Resizes != before.Resizes {
+		t.Fatalf("a after c's admission: %+v, want grant 1 and %d resizes", st, before.Resizes)
+	}
+	checkBudget(t, s)
+
+	c.finish <- nil
+	if err := waitDone(t, hc); err != nil {
+		t.Fatal(err)
+	}
+	a.step <- struct{}{}
+	st := waitStatus(t, ha, func(st JobStatus) bool { return st.Granted == 2 }, "a grown to 2")
+	if st.Resizes != before.Resizes+1 {
+		t.Fatalf("a resizes = %d, want %d (the grow applied once)", st.Resizes, before.Resizes+1)
+	}
+	a.finish <- nil
+	if err := waitDone(t, ha); err != nil {
+		t.Fatal(err)
+	}
+	if m := checkBudget(t, s); m.InUse != 0 {
+		t.Fatalf("after all jobs: %d in use, want 0", m.InUse)
+	}
+}
+
+// TestParkedJobResumesIntoPendingGrow: a parked job's Checkpoint queues
+// it, and it resumes at once on the processor another job was promised
+// but has not taken — a shard hosted beside a served job on a 2-processor
+// worker does not wait for that job to return.
+func TestParkedJobResumesIntoPendingGrow(t *testing.T) {
+	s := New(Config{Procs: 2})
+	defer s.Close()
+	requests, workers := make(chan struct{}), make(chan int)
+	server, err := s.Submit(NewFuncJob("server", 1, func(g *Grant) error {
+		for {
+			g.Park()
+			select {
+			case <-requests:
+			case <-g.Context().Done():
+				return context.Cause(g.Context())
+			}
+			if err := g.Checkpoint(); err != nil {
+				return err
+			}
+			workers <- g.Team().Workers()
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, server, func(st JobStatus) bool { return st.Granted == 0 }, "the server to park")
+
+	b := newGate("b", 1)
+	hb, _ := s.Submit(b)
+	a := newGate("a", 2)
+	ha, _ := s.Submit(a)
+	if st := ha.Status(); st.State != StateRunning || st.Granted != 1 {
+		t.Fatalf("a: %+v, want running on the 1 processor b left", st)
+	}
+	b.finish <- nil
+	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
+	}
+	if m := checkBudget(t, s); m.Free != 0 {
+		t.Fatalf("after b: %d free, want a's pending grow to hold it", m.Free)
+	}
+
+	requests <- struct{}{}
+	select {
+	case w := <-workers:
+		if w != 1 {
+			t.Errorf("resumed server has a team of %d, want 1", w)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server did not resume while a held an unapplied grow")
+	}
+	if st := ha.Status(); st.Granted != 1 || st.Resizes != 0 {
+		t.Errorf("a after the server resumed: %+v, want grant 1 and no resize", st)
+	}
+	checkBudget(t, s)
+
+	server.Cancel()
+	if err := waitDone(t, server); !errors.Is(err, context.Canceled) {
+		t.Errorf("server: err %v, want context.Canceled", err)
+	}
+	a.step <- struct{}{}
+	waitStatus(t, ha, func(st JobStatus) bool { return st.Granted == 2 }, "a grown to 2 once the server parked")
+	a.finish <- nil
+	if err := waitDone(t, ha); err != nil {
+		t.Fatal(err)
+	}
+	if m := checkBudget(t, s); m.InUse != 0 || m.Running != 0 {
+		t.Errorf("after all jobs: %d in use, %d running; want none", m.InUse, m.Running)
 	}
 }
 
