@@ -94,7 +94,7 @@ sched_procs 4
 # HELP sched_free_procs Processors not accounted to any job.
 # TYPE sched_free_procs gauge
 sched_free_procs 4
-# HELP sched_inuse_procs Processors accounted to running jobs (including pending grows).
+# HELP sched_inuse_procs Processors granted to running jobs.
 # TYPE sched_inuse_procs gauge
 sched_inuse_procs 0
 # HELP sched_queue_depth Jobs admitted and waiting for processors.

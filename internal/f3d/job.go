@@ -10,7 +10,7 @@ import (
 // Job adapts a CacheSolver run to the sched.Job interface so F3D steps
 // can be space-shared with other work by the scheduler daemon. The
 // solver runs on the granted team and checkpoints once per time step,
-// which is where grant resizes (grow as the queue drains, shrink to
+// which is where grant resizes (grow onto idle processors, shrink to
 // admit) and cancellation take effect — between parallel regions, as
 // parloop.Team.Resize requires.
 type Job struct {

@@ -11,11 +11,11 @@
 //
 // Jobs are queued FIFO with a bounded queue (backpressure), run on
 // parloop teams created per grant, and may be resized while running:
-// the scheduler revises a job's grant (growing it as the queue drains,
-// shrinking it to admit new work) and the job applies the revision
-// cooperatively at its next Checkpoint, between parallel regions. A
-// grow is a promise until then: a job queued before the Checkpoint
-// takes the promised processors back, so it never waits on a grow. A job
+// a job asked to shrink to admit new work applies the shrink
+// cooperatively at its next Checkpoint, between parallel regions, and a
+// job that reaches its Checkpoint while the queue is empty takes the
+// idle processors that complete its next plateau there. A grow is never
+// pending, so a queued job never waits on one. A job
 // that serves requests parks between them (Grant.Park), holding no
 // processor until its next Checkpoint re-queues it. Jackson &
 // Agathokleous's dynamic loop parallelisation (PAPERS.md) is the
@@ -30,6 +30,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parloop"
 )
@@ -77,7 +78,7 @@ func (g *Grant) Park() {
 	s, rec := g.s, g.rec
 	s.mu.Lock()
 	if rec.wake == nil { // parking twice changes nothing
-		s.free += rec.acct()
+		s.free += rec.granted
 		rec.granted, rec.target = 0, 0
 		rec.wake = make(chan struct{})
 		s.dispatchLocked()
@@ -90,7 +91,8 @@ func (g *Grant) Park() {
 // Scheduler.Cancel and by Scheduler.Close.
 func (g *Grant) Context() context.Context { return g.rec.ctx }
 
-// Checkpoint applies any pending grant resize to the team and reports
+// Checkpoint applies a requested shrink to the team, or grows the team
+// onto idle processors while no job is queued, and reports
 // cancellation. It must be called between parallel regions (never
 // while a region is in flight on the team). On cancellation it returns
 // the cancellation cause (ErrTimeout when the job's deadline expired,
@@ -119,8 +121,13 @@ func (g *Grant) Checkpoint() error {
 		g.team.Resize(rec.granted)
 		rec.deadline = s.clock.Now().Add(rec.timeout)
 	}
-	// A grow still pending here was not taken back by a queued job
-	// (dispatchLocked), so its processors are this job's to apply.
+	// Idle processors go to the first job to checkpoint whose next
+	// plateau they complete; growing within a plateau buys no speedup.
+	if len(s.queue) == 0 && s.free > 0 && rec.granted < rec.requested {
+		if p := PlateauGrant(rec.requested, rec.granted+s.free); p > rec.granted {
+			rec.target = p
+		}
+	}
 	if rec.target != rec.granted {
 		old := rec.granted
 		// Resize between regions is safe: Checkpoint runs on the job's
@@ -131,12 +138,11 @@ func (g *Grant) Checkpoint() error {
 		s.ctrResizes.Inc()
 		s.emit(obs.KindResize, rec.job.Name(), int64(old), int64(rec.granted), int64(rec.requested))
 		s.hGrant.Observe(float64(rec.granted))
-		if rec.granted < old {
-			// A shrink returns processors to the pool only once applied;
-			// the freed capacity can admit the queue head right away.
-			s.free += old - rec.granted
-			s.dispatchLocked()
-		}
+		// A resize moves processors between the job and the pool as it
+		// is applied: a shrink's can admit the queue head right away, and
+		// dispatch raises the high-water mark after a grow.
+		s.free += old - rec.granted
+		s.dispatchLocked()
 	}
 	s.mu.Unlock()
 	return nil
@@ -281,7 +287,7 @@ type record struct {
 	cause     Cause
 	requested int
 	granted   int // applied grant (0 while queued)
-	target    int // desired grant; != granted means a resize is pending
+	target    int // grant after a requested shrink; == granted when none is pending
 	resizes   int
 	timeout   time.Duration // run deadline; 0 means none
 	deadline  time.Time     // started + timeout, restarted when a parked job resumes
@@ -302,18 +308,6 @@ type record struct {
 	err        error
 }
 
-// acct returns the processors accounted against the budget for this
-// record: a pending grow is deducted from the pool at decision time
-// (and credited back if a queued job takes it back before it is
-// applied), a pending shrink is credited only once applied, so the
-// accounted value is the max of the two.
-func (r *record) acct() int {
-	if r.target > r.granted {
-		return r.target
-	}
-	return r.granted
-}
-
 // snapshotLocked builds a JobStatus; caller holds Scheduler.mu.
 func (r *record) snapshotLocked(now time.Time) JobStatus {
 	st := JobStatus{
@@ -326,7 +320,7 @@ func (r *record) snapshotLocked(now time.Time) JobStatus {
 		Resizes:   r.resizes,
 	}
 	if r.granted >= 1 {
-		st.Speedup = float64(r.requested) / float64((r.requested+r.granted-1)/r.granted)
+		st.Speedup = model.StairStepSpeedup(r.requested, r.granted)
 	}
 	switch {
 	case r.state == StateQueued:

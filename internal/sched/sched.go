@@ -163,7 +163,7 @@ func (s *Scheduler) registerMetrics() {
 		}
 	}
 	r.GaugeFunc("sched_free_procs", "Processors not accounted to any job.", locked(func() int { return s.free }))
-	r.GaugeFunc("sched_inuse_procs", "Processors accounted to running jobs (including pending grows).", locked(s.inUseLocked))
+	r.GaugeFunc("sched_inuse_procs", "Processors granted to running jobs.", locked(s.inUseLocked))
 	r.GaugeFunc("sched_queue_depth", "Jobs admitted and waiting for processors.", locked(func() int { return len(s.queue) }))
 	r.GaugeFunc("sched_running_jobs", "Jobs started and not yet ended, parked jobs (which hold no processors) included.", locked(func() int { return len(s.running) }))
 	r.GaugeFunc("sched_sync_events_total", "Synchronization events across finished and running jobs' teams.",
@@ -194,7 +194,7 @@ func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 func (s *Scheduler) inUseLocked() int {
 	inUse := 0
 	for _, rec := range s.running {
-		inUse += rec.acct()
+		inUse += rec.granted
 	}
 	return inUse
 }
@@ -305,24 +305,12 @@ func (s *Scheduler) SubmitWithOptions(j Job, opts SubmitOptions) (*Handle, error
 }
 
 // dispatchLocked starts queued jobs while free processors remain,
-// granting each the largest plateau that fits, then resizes: with the
-// queue blocked and no processor free it asks the largest running job
-// to drop one plateau, so queued work is admitted instead of starving;
-// with the queue empty and processors idle it grows running jobs to
-// higher plateaus. A grow is a promise until the job's Checkpoint
-// applies it, so a non-empty queue first takes back every unapplied
-// grow: that costs the job nothing, where a shrink costs it a resize,
-// and growLocked grants it again once the queue drains. Caller holds
-// s.mu.
+// granting each the largest plateau that fits; with the queue still
+// blocked and no processor free it asks the largest running job to drop
+// one plateau, so queued work is admitted instead of starving. It never
+// grows a job: idle processors are taken at a job's own Checkpoint.
+// Caller holds s.mu.
 func (s *Scheduler) dispatchLocked() {
-	if len(s.queue) > 0 {
-		for _, rec := range s.running {
-			if rec.target > rec.granted {
-				s.free += rec.target - rec.granted
-				rec.target = rec.granted
-			}
-		}
-	}
 	for len(s.queue) > 0 && s.free > 0 {
 		rec := s.queue[0]
 		p := PlateauGrant(rec.requested, s.free)
@@ -346,57 +334,16 @@ func (s *Scheduler) dispatchLocked() {
 	if len(s.queue) > 0 && s.free == 0 {
 		s.requestShrinkLocked()
 	}
-	if len(s.queue) == 0 && s.free > 0 {
-		s.growLocked()
-	}
 	if used := s.cfg.Procs - s.free; float64(used) > s.gMaxInUse.Value() {
 		s.gMaxInUse.Set(float64(used))
-	}
-}
-
-// growLocked raises running jobs' targets to higher plateaus while
-// idle processors allow, in submission order. A job is only grown when
-// the extra processors actually reach the next stair-step — growing
-// within a plateau would burn budget for zero speedup. The grow is
-// only promised: the processors leave the pool now, but the job takes
-// them at its next Checkpoint, and a job queued before then takes them
-// back (dispatchLocked). Caller holds s.mu.
-func (s *Scheduler) growLocked() {
-	ids := make([]uint64, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for s.free > 0 {
-		grew := false
-		for _, id := range ids {
-			rec := s.running[id]
-			cur := rec.acct()
-			if cur >= rec.requested || rec.wake != nil {
-				continue
-			}
-			p := PlateauGrant(rec.requested, cur+s.free)
-			if p > cur {
-				s.free -= p - cur
-				rec.target = p
-				grew = true
-				if s.free == 0 {
-					break
-				}
-			}
-		}
-		if !grew {
-			return
-		}
 	}
 }
 
 // requestShrinkLocked asks the running job with the largest settled
 // grant to drop one plateau so the queue head can be admitted. The
 // shrink is cooperative: it takes effect (and frees processors) at the
-// victim's next Checkpoint. It is the last resort: dispatchLocked has
-// already taken back every unapplied grow, so a job whose target
-// differs from its grant here is shrinking already. Caller holds s.mu.
+// victim's next Checkpoint. A job whose target differs from its grant
+// is shrinking already. Caller holds s.mu.
 func (s *Scheduler) requestShrinkLocked() {
 	var victim *record
 	for _, rec := range s.running {
@@ -437,11 +384,9 @@ func (s *Scheduler) runJob(rec *record) {
 	team.Close()
 
 	s.mu.Lock()
-	s.free += rec.acct()
-	// Keep granted at its final value for status reporting; settle any
-	// never-applied resize so acct() stays consistent (the record is no
-	// longer in running, so it is out of the budget either way).
-	rec.target = rec.granted
+	// A shrink never applied was never credited; granted stays at its
+	// final value for status reporting.
+	s.free += rec.granted
 	rec.finished = s.clock.Now()
 	rec.syncEvents = sync
 	s.ctrDoneSyncEvents.Add(sync)
@@ -609,9 +554,8 @@ func (s *Scheduler) Jobs() []JobStatus {
 
 // Metrics is a point-in-time view of the scheduler's accounting.
 type Metrics struct {
-	// Procs is the budget; InUse the processors accounted to running
-	// jobs (including pending grows); Free the remainder. InUse + Free
-	// == Procs always.
+	// Procs is the budget; InUse the processors granted to running
+	// jobs; Free the remainder. InUse + Free == Procs always.
 	Procs int `json:"procs"`
 	InUse int `json:"in_use"`
 	Free  int `json:"free"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,6 +73,19 @@ func waitDone(t *testing.T, h *Handle) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return h.Wait(ctx)
+}
+
+// checkpoint steps j once and waits until its Checkpoint has returned.
+func checkpoint(t *testing.T, j *gateJob) {
+	t.Helper()
+	n, deadline := j.stepped.Load(), time.Now().Add(10*time.Second)
+	j.step <- struct{}{}
+	for j.stepped.Load() == n {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %q did not return from its Checkpoint", j.name)
+		}
+		runtime.Gosched()
+	}
 }
 
 // checkBudget asserts the accounting invariant InUse + Free == Procs
@@ -188,17 +202,15 @@ func TestGrowAsQueueDrains(t *testing.T) {
 		t.Fatalf("a: %+v, want running with grant 3", st)
 	}
 
-	// b completes; the queue is empty, so the scheduler offers a the
-	// freed processors: PlateauGrant(8, 3+5) = 8, a full-plateau grow.
+	// b completes with the queue empty. Its processors stay in the pool
+	// until a checkpoints and takes them: PlateauGrant(8, 3+5) = 8, a
+	// full-plateau grow.
 	b.finish <- nil
 	if err := waitDone(t, hb); err != nil {
 		t.Fatal(err)
 	}
-	// The grow is pending until a checkpoints; the budget already
-	// accounts for it.
-	m := checkBudget(t, s)
-	if m.InUse != 8 {
-		t.Fatalf("pending grow not accounted: InUse %d, want 8", m.InUse)
+	if m := checkBudget(t, s); m.InUse != 3 || m.Free != 5 {
+		t.Fatalf("before a's checkpoint: InUse %d, Free %d; want 3 and 5 (a grow is never promised)", m.InUse, m.Free)
 	}
 	a.step <- struct{}{}
 	st := waitStatus(t, ha, func(st JobStatus) bool { return st.Granted == 8 }, "a grown to 8")
@@ -674,10 +686,11 @@ func TestParkReturnsProcessors(t *testing.T) {
 	}
 }
 
-// TestQueuedJobTakesBackPendingGrow: a grow is a promise until the job's
-// Checkpoint applies it. a is shrunk to admit b; b's end grows a back to
-// 2 on paper; c, submitted before a checkpoints again, takes that grow
-// back and starts at once instead of waiting for a to return.
+// TestQueuedJobTakesBackPendingGrow: a grow is taken at the job's own
+// Checkpoint, never promised before it. a is shrunk to admit b; b's end
+// leaves its processor in the pool; c, submitted before a checkpoints
+// again, starts on it at once instead of waiting for a to return, and a
+// grows only once c is gone.
 func TestQueuedJobTakesBackPendingGrow(t *testing.T) {
 	s := New(Config{Procs: 2})
 	defer s.Close()
@@ -692,8 +705,8 @@ func TestQueuedJobTakesBackPendingGrow(t *testing.T) {
 	if err := waitDone(t, hb); err != nil {
 		t.Fatal(err)
 	}
-	if m := checkBudget(t, s); m.InUse != 2 || m.Free != 0 {
-		t.Fatalf("after b: InUse %d, Free %d; want a's pending grow to hold both", m.InUse, m.Free)
+	if m := checkBudget(t, s); m.InUse != 1 || m.Free != 1 {
+		t.Fatalf("after b: InUse %d, Free %d; want b's processor back in the pool", m.InUse, m.Free)
 	}
 	before := ha.Status()
 	if before.Granted != 1 {
@@ -732,9 +745,10 @@ func TestQueuedJobTakesBackPendingGrow(t *testing.T) {
 }
 
 // TestParkedJobResumesIntoPendingGrow: a parked job's Checkpoint queues
-// it, and it resumes at once on the processor another job was promised
-// but has not taken — a shard hosted beside a served job on a 2-processor
-// worker does not wait for that job to return.
+// it, and it resumes at once on the idle processor a running job could
+// grow onto but has not taken at a checkpoint — a shard hosted beside a
+// served job on a 2-processor worker does not wait for that job to
+// return.
 func TestParkedJobResumesIntoPendingGrow(t *testing.T) {
 	s := New(Config{Procs: 2})
 	defer s.Close()
@@ -769,8 +783,8 @@ func TestParkedJobResumesIntoPendingGrow(t *testing.T) {
 	if err := waitDone(t, hb); err != nil {
 		t.Fatal(err)
 	}
-	if m := checkBudget(t, s); m.Free != 0 {
-		t.Fatalf("after b: %d free, want a's pending grow to hold it", m.Free)
+	if m := checkBudget(t, s); m.Free != 1 {
+		t.Fatalf("after b: %d free, want b's processor idle until a checkpoints", m.Free)
 	}
 
 	requests <- struct{}{}
@@ -780,7 +794,7 @@ func TestParkedJobResumesIntoPendingGrow(t *testing.T) {
 			t.Errorf("resumed server has a team of %d, want 1", w)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the server did not resume while a held an unapplied grow")
+		t.Fatal("the server did not resume on the processor a had not taken")
 	}
 	if st := ha.Status(); st.Granted != 1 || st.Resizes != 0 {
 		t.Errorf("a after the server resumed: %+v, want grant 1 and no resize", st)
@@ -799,6 +813,79 @@ func TestParkedJobResumesIntoPendingGrow(t *testing.T) {
 	}
 	if m := checkBudget(t, s); m.InUse != 0 || m.Running != 0 {
 		t.Errorf("after all jobs: %d in use, %d running; want none", m.InUse, m.Running)
+	}
+}
+
+// TestMaxInUseSeesGrow: a grow applied at a Checkpoint raises the
+// high-water mark of processors in use.
+func TestMaxInUseSeesGrow(t *testing.T) {
+	s := New(Config{Procs: 4})
+	defer s.Close()
+	b := newGate("b", 1)
+	hb, _ := s.Submit(b)
+	a := newGate("a", 4)
+	ha, _ := s.Submit(a)
+	if st := ha.Status(); st.Granted != 2 {
+		t.Fatalf("a: %+v, want grant 2 (PlateauGrant(4, 3))", st)
+	}
+	b.finish <- nil
+	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(t, a)
+	if st := ha.Status(); st.Granted != 4 {
+		t.Fatalf("a after its checkpoint: %+v, want grown to 4", st)
+	}
+	if m := checkBudget(t, s); m.MaxInUse != 4 {
+		t.Fatalf("MaxInUse %d after a grew to the whole budget, want 4", m.MaxInUse)
+	}
+	a.finish <- nil
+	if err := waitDone(t, ha); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrowGoesToTheJobThatCheckpoints: idle processors go to the first
+// running job that checkpoints and whose next plateau they complete,
+// not to the oldest job.
+func TestGrowGoesToTheJobThatCheckpoints(t *testing.T) {
+	s := New(Config{Procs: 4})
+	defer s.Close()
+	a := newGate("a", 4)
+	ha, _ := s.Submit(a)
+	b := newGate("b", 3)
+	hb, _ := s.Submit(b)
+	checkpoint(t, a) // a drops to 2 to admit b on PlateauGrant(3, 2) = 2
+	if st := hb.Status(); st.State != StateRunning || st.Granted != 2 {
+		t.Fatalf("b: %+v, want running on 2", st)
+	}
+	c := newGate("c", 1)
+	hc, _ := s.Submit(c)
+	checkpoint(t, a) // a, the older of two 2-processor jobs, drops to 1 to admit c
+	if st := hc.Status(); st.State != StateRunning || st.Granted != 1 {
+		t.Fatalf("c: %+v, want running on 1", st)
+	}
+	c.finish <- nil
+	if err := waitDone(t, hc); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(t, b) // PlateauGrant(3, 2+1) = 3
+	if st := hb.Status(); st.Granted != 3 {
+		t.Fatalf("b after its checkpoint: %+v, want grown to 3 on c's processor", st)
+	}
+	if st := ha.Status(); st.Granted != 1 || st.Resizes != 2 {
+		t.Fatalf("a: %+v, want grant 1 after its 2 shrinks", st)
+	}
+	if m := checkBudget(t, s); m.Free != 0 {
+		t.Fatalf("free = %d, want 0", m.Free)
+	}
+	a.finish <- nil
+	b.finish <- nil
+	if err := waitDone(t, ha); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitDone(t, hb); err != nil {
+		t.Fatal(err)
 	}
 }
 
