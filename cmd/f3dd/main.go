@@ -70,6 +70,10 @@
 // still serving status reads and shard steps), then cancels whatever
 // remains, closes the listener and exits.
 //
+// The trace ring holds -trace-buf events and is allocated when tracing
+// is first enabled (-trace at start, or POST /trace/enable): a daemon
+// that never traces never touches its pages.
+//
 // Trace events carry no node tag. A coordinator that pulls this
 // daemon's /trace into a fleet timeline tags them with the ID it
 // registered the daemon under (f3dc: the worker URL).
@@ -98,7 +102,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "default run deadline per job (0 = none; timeout_sec overrides)")
 	submitRetries := flag.Int("submit-retries", 3, "in-handler retries for queue-full submissions before 429")
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "first retry wait; doubles per attempt")
-	traceBuf := flag.Int("trace-buf", 65536, "sync-event trace ring capacity (events)")
+	traceBuf := flag.Int("trace-buf", 65536, "sync-event trace ring capacity (events), allocated when tracing is first enabled")
 	trace := flag.Bool("trace", false, "start with sync-event tracing enabled")
 	flag.Parse()
 

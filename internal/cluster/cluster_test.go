@@ -186,6 +186,32 @@ func TestFailoverReproducesHistory(t *testing.T) {
 	}
 }
 
+// TestReuseThenFailoverRestoreIsBitwise: shards built on the zone
+// storage an earlier solve at another pulse released, the re-sharded
+// ones restored from the checkpoint included, still deliver the
+// single-node history bitwise.
+func TestReuseThenFailoverRestoreIsBitwise(t *testing.T) {
+	const steps = 6
+	want := referenceHistory(t, steps)
+	c, _ := newTestCluster(t, 2, nil)
+	cfg, amp := testCase()
+	if _, err := c.Solve(SolveSpec{Job: "warm", Config: cfg, PulseAmp: 0.3, Steps: steps}); err != nil {
+		t.Fatalf("warm-up solve: %v", err)
+	}
+	flaky := &failAfter{WorkerClient: NewLocalWorker("gamma", sched.Config{}), n: 3}
+	if err := c.Register("gamma", flaky); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	res, err := c.Solve(SolveSpec{Job: "reuse", Config: cfg, PulseAmp: amp, Steps: steps})
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if flaky.calls <= flaky.n || res.Failovers < 1 {
+		t.Fatalf("flaky worker took %d calls, %d failovers: the restore path went untested", flaky.calls, res.Failovers)
+	}
+	assertHistoryBitwise(t, res.History, want)
+}
+
 // snapRecorder notes which buffer each zone's checkpoint came back in,
 // step by step.
 type snapRecorder struct {

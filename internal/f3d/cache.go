@@ -95,21 +95,12 @@ func newCacheSolver(cfg Config, opts CacheOptions, kern *kernelSet) (*CacheSolve
 		return nil, err
 	}
 	s := &CacheSolver{stepCore: core}
-	if len(opts.ZoneTeams) > 0 {
-		s.outer = parloop.NewTeam(len(cfg.Case.Zones))
-		s.zoneScratch = make([][]*cacheScratch, len(opts.ZoneTeams))
+	if n := len(opts.ZoneTeams); n > 0 {
+		s.outer = parloop.NewTeam(n)
+		s.owned = append(s.owned, s.outer)
+		s.zoneScratch = make([][]*cacheScratch, n)
 	}
 	return s, nil
-}
-
-// Close releases the solver's private teams (the default one-worker
-// team when no Team was supplied, and the zone-level outer team of the
-// MLP mode). Caller-supplied teams are left open.
-func (s *CacheSolver) Close() {
-	s.stepCore.Close()
-	if s.outer != nil {
-		s.outer.Close()
-	}
 }
 
 // ZoneResidual is one zone's share of a step's residual: the

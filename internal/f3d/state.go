@@ -3,6 +3,7 @@ package f3d
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/euler"
 	"repro/internal/grid"
@@ -28,19 +29,111 @@ type ZoneState struct {
 	pts []euler.PointState
 }
 
-// newZoneState allocates solution storage for z in the given layout,
+// newZoneState builds zeroed solution storage for z in the given layout,
 // with the per-point records the tuned kernels read when points is set.
+// Point-major storage comes from the zone store: a closed solver's, when
+// one of the same shape is held (release gives it back).
 func newZoneState(z *grid.Zone, layout grid.Layout, points bool) *ZoneState {
-	zs := &ZoneState{
-		Zone: z,
-		Q:    grid.NewStateField(z, euler.NC, layout),
-		R:    grid.NewStateField(z, euler.NC, layout),
-		geom: newZoneGeom(z),
+	zs := &ZoneState{Zone: z, geom: newZoneGeom(z)}
+	if layout != grid.PointMajor {
+		zs.Q, zs.R = grid.NewStateField(z, euler.NC, layout), grid.NewStateField(z, euler.NC, layout)
+		return zs
 	}
-	if points {
-		zs.pts = make([]euler.PointState, z.Points())
-	}
+	b := takeZoneBuf(z.Points(), points)
+	zs.Q = grid.StateField{Zone: z, NC: euler.NC, Layout: layout, Vec: b.q}
+	zs.R = grid.StateField{Zone: z, NC: euler.NC, Layout: layout, Vec: b.r}
+	zs.pts = b.pts
 	return zs
+}
+
+// release hands a point-major zone's storage to the zone store and
+// leaves the zone without it, so a use after release panics instead of
+// reading the next solver's state. Releasing twice is a no-op.
+func (zs *ZoneState) release() {
+	if zs.Q.Vec != nil {
+		giveZoneBuf(zoneBuf{zs.Q.Vec, zs.R.Vec, zs.pts})
+		zs.Q.Vec, zs.R.Vec, zs.pts = nil, nil, nil
+	}
+}
+
+// The zone store keeps the storage of closed solvers for the next
+// solver of the same shape, so a daemon serving a repeated job shape
+// touches its pages once instead of once per job (DESIGN "Pages are
+// touched only when used"). It holds at most zoneStoreSlots buffers and
+// zoneStoreBytes bytes, evicting the oldest first; a buffer is taken
+// out while a solver uses it, so two live solvers never share one. The
+// store is process-wide, as a sync.Pool would be, because the next
+// solver of a shape may come from any caller: an f3d.Job, a cluster
+// shard, cmd/f3d.
+const (
+	zoneStoreSlots = 16
+	zoneStoreBytes = 32 << 20
+)
+
+// zoneBuf is one point-major zone's storage: Q, R and, for the tuned
+// kernels, the point records.
+type zoneBuf struct {
+	q, r []linalg.Vec5
+	pts  []euler.PointState
+}
+
+// size is the buffer's footprint in bytes: 40 per state vector, 48 per
+// point record.
+func (b zoneBuf) size() int { return 80*len(b.q) + 48*len(b.pts) }
+
+var zoneStore struct {
+	sync.Mutex
+	held  []zoneBuf // oldest first
+	bytes int
+}
+
+// takeZoneBuf returns zeroed storage for a zone of n points: the most
+// recently released buffer of that shape, cleared, or a new one.
+func takeZoneBuf(n int, points bool) zoneBuf {
+	zoneStore.Lock()
+	for i := len(zoneStore.held) - 1; i >= 0; i-- {
+		if b := zoneStore.held[i]; len(b.q) == n && (b.pts != nil) == points {
+			dropHeldLocked(i)
+			zoneStore.Unlock()
+			clear(b.q)
+			clear(b.r)
+			clear(b.pts)
+			return b
+		}
+	}
+	zoneStore.Unlock()
+	b := zoneBuf{q: make([]linalg.Vec5, n), r: make([]linalg.Vec5, n)}
+	if points {
+		b.pts = make([]euler.PointState, n)
+	}
+	return b
+}
+
+// giveZoneBuf puts b in the zone store, evicting the oldest buffers it
+// no longer has room for; a buffer larger than the whole store is
+// dropped.
+func giveZoneBuf(b zoneBuf) {
+	if b.size() > zoneStoreBytes {
+		return
+	}
+	zoneStore.Lock()
+	defer zoneStore.Unlock()
+	for len(zoneStore.held) == zoneStoreSlots || zoneStore.bytes+b.size() > zoneStoreBytes {
+		dropHeldLocked(0)
+	}
+	zoneStore.held = append(zoneStore.held, b)
+	zoneStore.bytes += b.size()
+}
+
+// dropHeldLocked removes held[i], zeroing the vacated slot so the store
+// keeps no reference to a buffer it no longer holds. The caller holds
+// the store's lock.
+func dropHeldLocked(i int) {
+	h := zoneStore.held
+	zoneStore.bytes -= h[i].size()
+	copy(h[i:], h[i+1:])
+	h[len(h)-1] = zoneBuf{}
+	zoneStore.held = h[:len(h)-1]
 }
 
 // initPlanes writes the initial state of the L planes [l0, l1):

@@ -161,11 +161,11 @@ func runGroup(team *parloop.Team, phases []phase, split []bool) {
 // BlockSolver embed it and differ only in the two sweep passes they hand
 // to stepZone (and in what newScratch builds for them).
 type stepCore struct {
-	cfg       Config
-	zones     []*ZoneState
-	opts      CacheOptions
-	team      *parloop.Team
-	ownedTeam bool
+	cfg   Config
+	zones []*ZoneState
+	opts  CacheOptions
+	team  *parloop.Team
+	owned []*parloop.Team // the teams the solver made, which Close closes
 
 	// scratch is the primary team's per-worker working sets, grown to
 	// the team size at every step entry: a scheduler may grow the team
@@ -207,7 +207,7 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 		zoneRes: make([]ZoneResidual, len(cfg.Case.Zones))}
 	if c.team == nil {
 		c.team = parloop.NewTeam(1)
-		c.ownedTeam = true
+		c.owned = append(c.owned, c.team)
 	}
 	for i := range cfg.Case.Zones {
 		c.zones = append(c.zones, newZoneState(&cfg.Case.Zones[i], grid.PointMajor, points))
@@ -221,11 +221,19 @@ func newStepCore(cfg Config, opts CacheOptions, points bool, newScratch func(nma
 	return c, nil
 }
 
-// Close releases the solver's private one-worker team, if no Team was
-// supplied. A caller-supplied team is left open.
+// Close releases the teams the solver made (the one-worker team when
+// no Team was supplied, the zone-level outer team of the MLP mode;
+// caller-supplied teams are left open) and hands its zone storage to
+// the next solver of the same shape: the zones' Q, R and point records
+// are invalid after Close, and reading them panics (a slice of them
+// kept from before Close is another solver's storage).
 func (c *stepCore) Close() {
-	if c.ownedTeam {
-		c.team.Close()
+	for _, tm := range c.owned {
+		tm.Close()
+	}
+	c.owned = nil
+	for _, zs := range c.zones {
+		zs.release()
 	}
 }
 

@@ -16,7 +16,9 @@
 //     one atomic load and allocates nothing (Event is a value type and
 //     no timestamp is read).
 //   - Enabled, events go into a fixed-capacity ring buffer (oldest
-//     overwritten) under a single mutex; export is JSONL.
+//     overwritten) under a single mutex; export is JSONL. The ring is
+//     allocated when tracing is first enabled, so a tracer that is
+//     never enabled holds no event storage.
 //   - Timestamps come from a simclock.Clock, so traces taken under the
 //     virtual clock of the deterministic test harness carry simulated
 //     time, exactly like the scheduler's own accounting.
@@ -198,22 +200,21 @@ type Tracer struct {
 	enabled atomic.Bool
 	clock   simclock.Clock
 
-	mu  sync.Mutex
-	buf []Event // ring storage, len(buf) == capacity
-	n   uint64  // total events ever emitted
+	mu       sync.Mutex
+	capacity int
+	buf      []Event // ring storage, nil until the first Enable, then len(buf) == capacity
+	n        uint64  // total events ever emitted
 }
 
 // NewTracer creates a disabled tracer holding up to capacity events
 // (capacity < 1 is clamped to 1). clock stamps events; nil defaults to
-// the wall clock.
+// the wall clock. The ring is allocated at the first Enable: a tracer
+// that is never enabled costs a few words, however large its capacity.
 func NewTracer(capacity int, clock simclock.Clock) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	return &Tracer{clock: clock, buf: make([]Event, capacity)}
+	return &Tracer{clock: clock, capacity: max(capacity, 1)}
 }
 
 // Enabled reports whether the tracer is recording. A nil tracer is
@@ -222,11 +223,18 @@ func NewTracer(capacity int, clock simclock.Clock) *Tracer {
 // path allocation-free.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
-// Enable starts recording.
+// Enable starts recording, allocating the ring the first time. Events
+// held from an earlier enabled window are kept.
 func (t *Tracer) Enable() {
-	if t != nil {
-		t.enabled.Store(true)
+	if t == nil {
+		return
 	}
+	t.mu.Lock()
+	if t.buf == nil {
+		t.buf = make([]Event, t.capacity)
+	}
+	t.mu.Unlock()
+	t.enabled.Store(true)
 }
 
 // Disable stops recording. Events emitted by sites that passed their
@@ -258,7 +266,7 @@ func (t *Tracer) Emit(e Event) {
 	}
 	t.mu.Lock()
 	e.Seq = t.n
-	t.buf[t.n%uint64(len(t.buf))] = e
+	t.buf[t.n%uint64(t.capacity)] = e
 	t.n++
 	t.mu.Unlock()
 }
@@ -271,10 +279,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n < uint64(len(t.buf)) {
-		return int(t.n)
-	}
-	return len(t.buf)
+	return int(min(t.n, uint64(t.capacity)))
 }
 
 // Total returns the number of events ever emitted, including those
@@ -295,10 +300,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n <= uint64(len(t.buf)) {
-		return 0
-	}
-	return t.n - uint64(len(t.buf))
+	return t.n - min(t.n, uint64(t.capacity))
 }
 
 // Reset discards all recorded events and restarts the sequence
@@ -389,7 +391,7 @@ func DropMarker(since, dropped uint64, at time.Time) Event {
 // snapshotLocked copies the live ring contents in order; caller holds
 // t.mu.
 func (t *Tracer) snapshotLocked() []Event {
-	capacity := uint64(len(t.buf))
+	capacity := uint64(t.capacity)
 	if t.n == 0 {
 		return nil
 	}

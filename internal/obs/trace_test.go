@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,94 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 	tr.Emit(Event{Kind: KindRegionBegin})
 	if tr.Len() != 0 {
 		t.Fatalf("disabled tracer recorded %d events", tr.Len())
+	}
+}
+
+// A tracer that is never enabled holds no ring: building one with
+// f3dd's default capacity allocates a few words, not 65 536 events.
+func TestNewTracerAllocatesNoRing(t *testing.T) {
+	const n = 100
+	keep := make([]*Tracer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewTracer(1<<16, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("NewTracer(1<<16) allocates %d B, want < 1 KiB", per)
+	}
+	runtime.KeepAlive(keep)
+}
+
+// A never-enabled tracer answers every query as an empty ring does.
+func TestNeverEnabledTracerAnswers(t *testing.T) {
+	tr := NewTracer(1<<16, nil)
+	tr.Emit(Event{Kind: KindGrant})
+	tr.Reset()
+	if tr.Enabled() || tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 {
+		t.Fatalf("never-enabled tracer: enabled %v, Len %d, Total %d, Dropped %d; want false, 0, 0, 0",
+			tr.Enabled(), tr.Len(), tr.Total(), tr.Dropped())
+	}
+	if ev := tr.Events(); ev != nil {
+		t.Fatalf("Events() = %v, want nil", ev)
+	}
+	if ev, dropped := tr.EventsSince(0); ev != nil || dropped != 0 {
+		t.Fatalf("EventsSince(0) = %v, %d; want nil, 0", ev, dropped)
+	}
+}
+
+// Enable allocates the ring once: the first call allocates, later ones
+// do not, and a Disable/Enable cycle keeps the events held.
+func TestTracerEnableAllocatesOnce(t *testing.T) {
+	fresh := make([]*Tracer, 11) // AllocsPerRun's warm-up call plus 10
+	for i := range fresh {
+		fresh[i] = NewTracer(64, nil)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(10, func() { fresh[i].Enable(); i++ }); a != 1 {
+		t.Fatalf("first Enable allocates %v objects, want 1 (the ring)", a)
+	}
+	tr := fresh[0]
+	for i := range 3 {
+		tr.Emit(Event{Kind: KindChunk, A: int64(i), At: time.Unix(0, 1)})
+	}
+	if a := testing.AllocsPerRun(10, func() { tr.Disable(); tr.Enable() }); a != 0 {
+		t.Fatalf("Disable+Enable allocates %v objects, want 0", a)
+	}
+	ev := tr.Events()
+	if len(ev) != 3 || ev[2].A != 2 {
+		t.Fatalf("after Disable+Enable: %+v, want the 3 held events", ev)
+	}
+}
+
+// Emit racing the first Enable: a site that sees the tracer enabled
+// finds its ring allocated. With -race this checks the lazy
+// allocation is published before the enabled flag.
+func TestTracerEmitRacesFirstEnable(t *testing.T) {
+	for range 20 {
+		tr := NewTracer(32, nil)
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 200 {
+					tr.Emit(Event{Kind: KindChunk, Worker: g, A: int64(i), At: time.Unix(0, 1)})
+				}
+			}()
+		}
+		tr.Enable()
+		wg.Wait()
+		ev := tr.Events()
+		if uint64(len(ev)) != min(tr.Total(), 32) {
+			t.Fatalf("held %d events of %d emitted, want min(total, 32)", len(ev), tr.Total())
+		}
+		for i := 1; i < len(ev); i++ {
+			if ev[i].Seq != ev[i-1].Seq+1 {
+				t.Fatalf("events out of order: Seq %d follows %d", ev[i].Seq, ev[i-1].Seq)
+			}
+		}
 	}
 }
 

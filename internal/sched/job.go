@@ -91,13 +91,14 @@ func (g *Grant) Park() {
 // Scheduler.Cancel and by Scheduler.Close.
 func (g *Grant) Context() context.Context { return g.rec.ctx }
 
-// Checkpoint applies a requested shrink to the team, or grows the team
-// onto idle processors while no job is queued, and reports
-// cancellation. It must be called between parallel regions (never
-// while a region is in flight on the team). On cancellation it returns
-// the cancellation cause (ErrTimeout when the job's deadline expired,
-// context.Canceled for an explicit cancel); jobs should return that
-// error from Run.
+// Checkpoint applies a requested shrink to the team while a job is
+// queued, or grows the team onto idle processors while none is (a
+// shrink requested for a job that has since left the queue is
+// dropped), and reports cancellation. It must be called between
+// parallel regions (never while a region is in flight on the team).
+// On cancellation it returns the cancellation cause (ErrTimeout when
+// the job's deadline expired, context.Canceled for an explicit cancel);
+// jobs should return that error from Run.
 func (g *Grant) Checkpoint() error {
 	if g.rec.ctx.Err() != nil {
 		return context.Cause(g.rec.ctx)
@@ -121,11 +122,17 @@ func (g *Grant) Checkpoint() error {
 		g.team.Resize(rec.granted)
 		rec.deadline = s.clock.Now().Add(rec.timeout)
 	}
-	// Idle processors go to the first job to checkpoint whose next
-	// plateau they complete; growing within a plateau buys no speedup.
-	if len(s.queue) == 0 && s.free > 0 && rec.granted < rec.requested {
-		if p := PlateauGrant(rec.requested, rec.granted+s.free); p > rec.granted {
-			rec.target = p
+	if len(s.queue) == 0 {
+		// A shrink was requested to admit a job that has since left the
+		// queue (canceled, or admitted as another job ended): nothing
+		// needs it any more.
+		rec.target = rec.granted
+		// Idle processors go to the first job to checkpoint whose next
+		// plateau they complete; growing within a plateau buys no speedup.
+		if s.free > 0 && rec.granted < rec.requested {
+			if p := PlateauGrant(rec.requested, rec.granted+s.free); p > rec.granted {
+				rec.target = p
+			}
 		}
 	}
 	if rec.target != rec.granted {

@@ -889,6 +889,40 @@ func TestGrowGoesToTheJobThatCheckpoints(t *testing.T) {
 	}
 }
 
+// A shrink requested to admit a queued job is dropped when that job
+// leaves the queue first: the victim's next checkpoint, with the queue
+// empty, keeps its grant instead of shrinking and growing back.
+func TestUnneededShrinkIsDropped(t *testing.T) {
+	s := New(Config{Procs: 4})
+	defer s.Close()
+	a := newGate("a", 4)
+	ha, _ := s.Submit(a)
+	b := newGate("b", 2)
+	hb, _ := s.Submit(b) // queued; a is asked to shrink to 2
+	if st := hb.Status(); st.State != StateQueued {
+		t.Fatalf("b: %+v, want queued", st)
+	}
+	if err := s.Cancel(hb.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitDone(t, hb); !errors.Is(err, context.Canceled) {
+		t.Fatalf("b err = %v, want context.Canceled", err)
+	}
+	for range 2 {
+		checkpoint(t, a)
+		if st := ha.Status(); st.Granted != 4 || st.Resizes != 0 {
+			t.Fatalf("a: %+v, want grant 4 with 0 resizes", st)
+		}
+	}
+	if m := checkBudget(t, s); m.Free != 0 {
+		t.Fatalf("free = %d, want 0", m.Free)
+	}
+	a.finish <- nil
+	if err := waitDone(t, ha); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Handle finds a job by ID: it sees the job end through Done and
 // Status, and an ID never issued is ErrNotFound. Jobs lists in
 // submission order even when the jobs finish in another.
