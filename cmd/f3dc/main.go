@@ -28,11 +28,14 @@
 // (or a flag) failed.
 //
 // With -trace the coordinator traces its side of the solve, switches
-// every worker's ring on for a clean window, and after the solve pulls
-// each worker's trace over the /trace cursor API, aligns clocks from
-// probe RTT midpoints, and merges everything into one node-tagged
-// fleet timeline: a worker's events are tagged with its URL as given
-// to -workers, the coordinator's own with `coord` (obs.CoordNode).
+// every worker's ring on for a clean window, and after the solve reads
+// each worker's whole ring once over GET /trace and merges everything
+// into one node-tagged fleet timeline (cluster.ReadTimeline): a
+// worker's events are tagged with its URL as given to -workers, the
+// coordinator's own with `coord` (obs.CoordNode). Each process's
+// timestamps stay on its own clock: the report is built from durations.
+// A worker whose ring cannot be read is logged and left out; its steps
+// read plausible.
 // -trace-out writes it as JSONL, the one place a finished fleet solve
 // is read from: `tracetool cluster FILE` prints its cross-node
 // critical path (-json for the report). f3dc exits when the solve
@@ -118,7 +121,7 @@ func run(out io.Writer, o options) error {
 		tracer.Enable()
 	}
 	coord := cluster.New(cluster.Config{Tracer: tracer})
-	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
+	sources := map[string]cluster.TraceSource{}
 	httpc := &http.Client{Timeout: o.timeout}
 	workers := 0
 	for _, u := range urls {
@@ -139,7 +142,7 @@ func run(out io.Writer, o options) error {
 			if err := client.SetTrace(true, true); err != nil && !o.quiet {
 				log.Printf("worker %s: enabling trace: %v", u, err)
 			}
-			col.AddWorker(u, client)
+			sources[u] = client
 		}
 		workers++
 	}
@@ -149,9 +152,6 @@ func run(out io.Writer, o options) error {
 	if !o.quiet {
 		log.Printf("solving %q: %d zones x %d steps over %d/%d workers",
 			o.job, len(spec.Config.Case.Zones), o.steps, workers, len(urls))
-	}
-	if o.trace {
-		col.SyncClocks()
 	}
 
 	res, err := coord.Solve(spec)
@@ -164,15 +164,17 @@ func run(out io.Writer, o options) error {
 	}
 
 	if o.trace {
-		col.SyncClocks()
-		col.Pull()
+		timeline, err := cluster.ReadTimeline(tracer, sources)
+		if err != nil && !o.quiet {
+			log.Print(err)
+		}
 		if o.traceOut != "" {
-			if err := writeTimeline(o.traceOut, col.Timeline()); err != nil {
+			if err := writeTimeline(o.traceOut, timeline); err != nil {
 				return err
 			}
 		}
 		if !o.quiet {
-			rep := analyze.ClusterAnalyze(col.Timeline())
+			rep := analyze.ClusterAnalyze(timeline)
 			log.Printf("trace %s: closed=%v exchange+barrier share %.1f%%",
 				res.Trace, rep.Closed, 100*rep.ExchangeBarrierShare)
 		}

@@ -147,9 +147,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // fakeTracedDaemon is a fakeDaemon that also serves the observability
-// surface f3dc's collector pulls — the shared
-// internal/obs/serve routes over its own tracer and registry, as
-// cmd/f3dd mounts them — and a /healthz that reports its clock.
+// surface f3dc reads its ring from — the shared internal/obs/serve
+// routes over its own tracer and registry, as cmd/f3dd mounts them.
 func fakeTracedDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
 	tracer := obs.NewTracer(4096, simclock.Real{})
@@ -164,8 +163,7 @@ func fakeTracedDaemon(t *testing.T) *httptest.Server {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
-			"status": "ok", "now_ns": simclock.Real{}.Now().UnixNano(),
-			"trace_total": tracer.Total(), "trace_dropped": tracer.Dropped(),
+			"status": "ok", "trace_total": tracer.Total(), "trace_dropped": tracer.Dropped(),
 		})
 	})
 	mux.Handle("POST /shards/", cluster.NewShardServer(host))

@@ -52,8 +52,8 @@ func (ts *testServer) getFull(path string) (int, http.Header, string) {
 }
 
 // TestTraceCursorAndHeaders: /trace honors ?since= and reports the
-// next cursor and drop count in headers — the protocol the collector
-// and the dashboard's live tail both read.
+// next cursor and drop count in headers — the protocol the dashboard's
+// live tail reads.
 func TestTraceCursorAndHeaders(t *testing.T) {
 	ts := newTestServer(t, sched.Config{Procs: 4, QueueDepth: 8}, serverConfig{})
 	runTracedJob(t, ts)

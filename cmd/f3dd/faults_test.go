@@ -84,131 +84,10 @@ func TestMalformedBodiesOverHTTP(t *testing.T) {
 	}
 }
 
-// TestSubmitRetryAbsorbsTransientQueueFull: with in-handler retries
-// configured, a submission that first hits a full queue is admitted
-// once the backlog clears during backoff — the client sees 202, never
-// the transient 429. The backoff runs on the virtual clock, so the
-// test controls time.
-func TestSubmitRetryAbsorbsTransientQueueFull(t *testing.T) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 1},
-		serverConfig{clock: clk, submitRetries: 3, retryBackoff: time.Second})
-
-	long := map[string]any{
-		"kind": "synthetic", "parallelism": 1,
-		"steps": maxSteps, "work_cycles": 1000000.0,
-	}
-	var running, queued sched.JobStatus
-	if code := ts.do("POST", "/jobs", long, &running); code != http.StatusAccepted {
-		t.Fatalf("first POST = %d", code)
-	}
-	ts.waitState(running.ID, sched.StateRunning)
-	if code := ts.do("POST", "/jobs", long, &queued); code != http.StatusAccepted {
-		t.Fatalf("second POST = %d", code)
-	}
-
-	// Third submission fills no slot: the handler parks in backoff on
-	// the virtual clock.
-	type result struct {
-		code int
-		st   sched.JobStatus
-	}
-	resc := make(chan result, 1)
-	go func() {
-		var st sched.JobStatus
-		code := ts.do("POST", "/jobs", long, &st)
-		resc <- result{code, st}
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for clk.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("retrying handler never parked on the clock")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Free the queue slot, then let the backoff expire: the retry must
-	// now be admitted.
-	if err := ts.s.Cancel(queued.ID); err != nil {
-		t.Fatal(err)
-	}
-	ts.waitState(queued.ID, sched.StateCanceled)
-	clk.Advance(time.Second)
-	res := <-resc
-	if res.code != http.StatusAccepted {
-		t.Fatalf("retried POST = %d, want 202 after the queue cleared", res.code)
-	}
-	if err := ts.s.Cancel(res.st.ID); err != nil {
-		t.Fatal(err)
-	}
-	ts.waitState(res.st.ID, sched.StateCanceled)
-	if err := ts.s.Cancel(running.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubmitHangUpDuringBackoffStopsTimer: a client that hangs up
-// while its queue-full submission backs off leaves no backoff timer
-// behind.
-func TestSubmitHangUpDuringBackoffStopsTimer(t *testing.T) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 1},
-		serverConfig{clock: clk, submitRetries: 3, retryBackoff: time.Second})
-
-	long := map[string]any{
-		"kind": "synthetic", "parallelism": 1,
-		"steps": maxSteps, "work_cycles": 1000000.0,
-	}
-	var running, queued sched.JobStatus
-	if code := ts.do("POST", "/jobs", long, &running); code != http.StatusAccepted {
-		t.Fatalf("first POST = %d", code)
-	}
-	ts.waitState(running.ID, sched.StateRunning)
-	if code := ts.do("POST", "/jobs", long, &queued); code != http.StatusAccepted {
-		t.Fatalf("second POST = %d", code)
-	}
-	defer func() {
-		for _, id := range []uint64{queued.ID, running.ID} {
-			_ = ts.s.Cancel(id)
-		}
-	}()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "POST", ts.ts.URL+"/jobs",
-		strings.NewReader(`{"kind":"synthetic","parallelism":1,"steps":1,"work_cycles":1000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if resp, err := ts.ts.Client().Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for clk.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("retrying handler never parked on the clock")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
-	deadline = time.Now().Add(5 * time.Second)
-	for clk.Waiters() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d backoff timer(s) outlive the hung-up request, want 0", clk.Waiters())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestDrainingReturns503: once the scheduler starts draining,
-// submissions are refused with 503 immediately — no retry loop, the
-// condition is not transient.
+// submissions are refused with 503 immediately.
 func TestDrainingReturns503(t *testing.T) {
-	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 4},
-		serverConfig{submitRetries: 5, retryBackoff: time.Hour})
+	ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 4}, serverConfig{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

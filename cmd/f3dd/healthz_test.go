@@ -31,9 +31,6 @@ func TestHealthzReadiness(t *testing.T) {
 	if h.Status != "ok" || h.Procs != 1 || h.Queued != 0 || h.Running != 0 || h.Shards != 0 {
 		t.Errorf("idle healthz = %+v, want ok with empty queue", h)
 	}
-	if h.NowNs == 0 {
-		t.Error("healthz reports no clock (now_ns = 0); trace collectors cannot estimate this daemon's offset")
-	}
 	if h.TraceTotal != 0 || h.TraceDropped != 0 {
 		t.Errorf("idle healthz trace counters = %d/%d, want 0/0", h.TraceTotal, h.TraceDropped)
 	}
@@ -173,15 +170,16 @@ func TestClusterSolveOverDaemons(t *testing.T) {
 }
 
 // TestFleetTimelineOverDaemons: a traced solve over two f3dd daemons,
-// each registered under its URL as f3dc registers it, pulled through
-// the collector. The fleet timeline names exactly the coordinator and
-// the two URLs, so each daemon's shard spans join the lane its step
-// RPCs time: every step is confirmed, with its exchange measured.
+// each registered under its URL as f3dc registers it, read once
+// through cluster.ReadTimeline. The fleet timeline names exactly the
+// coordinator and the two URLs, so each daemon's shard spans join the
+// lane its step RPCs time: every step is confirmed, with its exchange
+// measured.
 func TestFleetTimelineOverDaemons(t *testing.T) {
 	tracer := obs.NewTracer(4096, simclock.Real{})
 	tracer.Enable()
 	coord := cluster.New(cluster.Config{Tracer: tracer})
-	col := cluster.NewCollector(cluster.CollectorConfig{Coord: tracer})
+	sources := map[string]cluster.TraceSource{}
 	nodes := []string{obs.CoordNode}
 	for i := 0; i < 2; i++ {
 		ts := newTestServer(t, sched.Config{Procs: 1, QueueDepth: 2}, serverConfig{})
@@ -193,7 +191,7 @@ func TestFleetTimelineOverDaemons(t *testing.T) {
 		if err := coord.Register(url, client); err != nil {
 			t.Fatalf("register %s: %v", url, err)
 		}
-		col.AddWorker(url, client)
+		sources[url] = client
 		nodes = append(nodes, url)
 	}
 	slices.Sort(nodes)
@@ -205,10 +203,12 @@ func TestFleetTimelineOverDaemons(t *testing.T) {
 	if _, err := coord.Solve(cluster.SolveSpec{Job: "fleet", Config: cfg, PulseAmp: 0.02, Steps: steps}); err != nil {
 		t.Fatalf("traced solve over daemons: %v", err)
 	}
-	col.SyncClocks()
-	col.Pull()
+	timeline, err := cluster.ReadTimeline(tracer, sources)
+	if err != nil {
+		t.Fatalf("read timeline: %v", err)
+	}
 
-	rep := analyze.ClusterAnalyze(col.Timeline())
+	rep := analyze.ClusterAnalyze(timeline)
 	if !slices.Equal(rep.Nodes, nodes) {
 		t.Errorf("timeline nodes = %v, want %v", rep.Nodes, nodes)
 	}

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	f3dd [-addr HOST:PORT] [-procs N] [-queue N] [-drain-timeout D]
-//	     [-job-timeout D] [-submit-retries N] [-retry-backoff D]
-//	     [-trace] [-trace-buf N]
+//	     [-job-timeout D] [-trace] [-trace-buf N]
 //
 // Endpoints:
 //
@@ -60,9 +59,8 @@
 // submission's timeout_sec overrides it (negative opts out; a positive
 // value must lie in [1e-9, 1e9] seconds). A shard's is -job-timeout
 // from its last command; between commands it holds no processor. A job past its deadline is canceled, reported
-// as timed-out, and its processors return to the pool. Queue-full
-// submissions are retried -submit-retries times with doubling
-// -retry-backoff before the client sees 429.
+// as timed-out, and its processors return to the pool. A submission
+// that finds the queue full is answered 429 at once.
 //
 // On SIGINT/SIGTERM the daemon flips /healthz to 503 and drains the
 // scheduler (waits for queued and running jobs, live shards included,
@@ -74,7 +72,7 @@
 // is first enabled (-trace at start, or POST /trace/enable): a daemon
 // that never traces never touches its pages.
 //
-// Trace events carry no node tag. A coordinator that pulls this
+// Trace events carry no node tag. A coordinator that reads this
 // daemon's /trace into a fleet timeline tags them with the ID it
 // registered the daemon under (f3dc: the worker URL).
 package main
@@ -100,8 +98,6 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job limit; submits beyond it get HTTP 429")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	jobTimeout := flag.Duration("job-timeout", 0, "default run deadline per job (0 = none; timeout_sec overrides)")
-	submitRetries := flag.Int("submit-retries", 3, "in-handler retries for queue-full submissions before 429")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "first retry wait; doubles per attempt")
 	traceBuf := flag.Int("trace-buf", 65536, "sync-event trace ring capacity (events), allocated when tracing is first enabled")
 	trace := flag.Bool("trace", false, "start with sync-event tracing enabled")
 	flag.Parse()
@@ -118,11 +114,7 @@ func main() {
 		Tracer:         tracer,
 		Metrics:        obs.NewRegistry(),
 	})
-	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{
-		clock:         simclock.Real{},
-		submitRetries: *submitRetries,
-		retryBackoff:  *retryBackoff,
-	}))
+	srv := cluster.NewHTTPServer(*addr, newServer(s, serverConfig{clock: simclock.Real{}}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -2,7 +2,6 @@ package main
 
 import (
 	"cmp"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,35 +38,26 @@ const (
 	maxSpin = 1 << 53
 )
 
-// serverConfig tunes the HTTP layer's fault handling. The clock is
-// injectable so retry backoff is testable on virtual time.
+// serverConfig tunes the HTTP layer. The clock is injectable so the
+// result wait is testable on virtual time.
 type serverConfig struct {
-	// clock times retry backoff and resultWait. nil: the real clock.
+	// clock times resultWait. nil: the real clock.
 	clock simclock.Clock
-	// submitRetries is how many times a queue-full submission is
-	// retried in-handler before surfacing 429 to the client.
-	submitRetries int
-	// retryBackoff is the first retry's wait; it doubles per attempt.
-	// <= 0 with retries enabled defaults to 50ms.
-	retryBackoff time.Duration
 }
 
 func (c serverConfig) withDefaults() serverConfig {
 	if c.clock == nil {
 		c.clock = simclock.Real{}
 	}
-	if c.retryBackoff <= 0 {
-		c.retryBackoff = 50 * time.Millisecond
-	}
 	return c
 }
 
 // server is the HTTP surface of the f3dd daemon. Every route is a thin
 // translation between JSON and the scheduler: admission errors map to
-// backpressure status codes (429 queue full after bounded in-handler
-// retries, 503 draining) so clients can retry instead of piling work
-// up inside the process, and terminal job states map to distinct
-// result statuses (200 done, 500 failed, 504 timed out, 409 canceled).
+// backpressure status codes at once (429 queue full, 503 draining), so
+// clients decide whether to retry instead of piling work up inside the
+// process, and terminal job states map to distinct result statuses
+// (200 done, 500 failed, 504 timed out, 409 canceled).
 type server struct {
 	sched  *sched.Scheduler
 	shards *cluster.Host
@@ -80,8 +70,8 @@ func newServer(s *sched.Scheduler, cfg serverConfig) *server {
 	sv := &server{
 		sched: s,
 		// Shards run as jobs of s, and their solver step spans go into
-		// its tracer, whose events a cluster coordinator's
-		// collector tags with this daemon's worker ID.
+		// its tracer, whose events a cluster coordinator tags with
+		// this daemon's worker ID when it reads them.
 		shards: cluster.NewHost(s),
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
@@ -279,7 +269,7 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, err := sv.submitWithRetry(r, job, sched.SubmitOptions{Timeout: req.timeout()})
+	h, err := sv.sched.SubmitWithOptions(job, sched.SubmitOptions{Timeout: req.timeout()})
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
 		serve.Error(w, http.StatusTooManyRequests, err.Error())
@@ -287,41 +277,11 @@ func (sv *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, sched.ErrDraining):
 		serve.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Client went away mid-backoff; nobody is reading the reply.
-		serve.Error(w, statusClientClosedRequest, err.Error())
-		return
 	case err != nil:
 		serve.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	serve.WriteJSON(w, http.StatusAccepted, h.Status())
-}
-
-// statusClientClosedRequest is nginx's non-standard 499: the client
-// abandoned the request while we were still backing off.
-const statusClientClosedRequest = 499
-
-// submitWithRetry absorbs transient queue-full rejections with bounded
-// exponential backoff before giving the client its 429. Draining is
-// not transient — it surfaces immediately — and the client hanging up
-// cancels the wait.
-func (sv *server) submitWithRetry(r *http.Request, job sched.Job, opts sched.SubmitOptions) (*sched.Handle, error) {
-	backoff := sv.cfg.retryBackoff
-	for attempt := 0; ; attempt++ {
-		h, err := sv.sched.SubmitWithOptions(job, opts)
-		if err == nil || !errors.Is(err, sched.ErrQueueFull) || attempt >= sv.cfg.submitRetries {
-			return h, err
-		}
-		fired, stop := sv.cfg.clock.Timer(backoff)
-		select {
-		case <-fired:
-			backoff *= 2
-		case <-r.Context().Done():
-			stop()
-			return nil, r.Context().Err()
-		}
-	}
 }
 
 func (sv *server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -391,14 +351,10 @@ type healthzReply struct {
 	Procs   int    `json:"procs"`
 	Shards  int    `json:"shards"`
 	// TraceTotal / TraceDropped are the tracer ring's lifetime
-	// counters, so a trace collector can tell how far behind its
-	// cursor is without a /trace round-trip.
+	// counters, so a reader can tell whether the ring has wrapped
+	// without a /trace round-trip.
 	TraceTotal   uint64 `json:"trace_total"`
 	TraceDropped uint64 `json:"trace_dropped"`
-	// NowNs is the daemon's clock at reply time (UnixNano); a
-	// coordinator estimates this daemon's clock offset from it and
-	// the probe's round-trip midpoint.
-	NowNs int64 `json:"now_ns"`
 }
 
 func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -413,7 +369,6 @@ func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Shards:       sv.shards.ShardCount(),
 		TraceTotal:   tr.Total(),
 		TraceDropped: tr.Dropped(),
-		NowNs:        sv.cfg.clock.Now().UnixNano(),
 	}
 	code := http.StatusOK
 	if sv.sched.Draining() {

@@ -34,10 +34,10 @@ type ClusterSoakConfig struct {
 	// (defaults 0.5 and 0.5; a job can suffer both).
 	NodeLoss, SlowLink float64
 	// Trace turns fleet tracing on: every worker and the coordinator
-	// record spans, and a collector pulls them between jobs — also
-	// while a lost worker is still down, which is the fault the
-	// collector itself must survive. The merged timeline and its
-	// cluster report land in the result.
+	// record spans, and after the last job, every lost worker revived,
+	// each ring is read once into the fleet timeline. A worker's ring
+	// outlives its Recover, so the read covers every job. The merged
+	// timeline and its cluster report land in the result.
 	Trace bool
 	// TraceBuf is each trace ring's capacity (default 8192).
 	TraceBuf int
@@ -81,10 +81,9 @@ type ClusterSoakResult struct {
 	Timeline []obs.Event
 	// TraceReport is the cluster critical-path report over Timeline.
 	TraceReport *analyze.ClusterReport
-	// PullErrors counts collector fetches that failed against a down
-	// worker — expected under node loss; the collector records them
-	// and keeps its cursor instead of wedging or duplicating events.
-	PullErrors int
+	// Dropped is each ring's Dropped() at the read, keyed by node: the
+	// events wraparound lost before the timeline was read (Trace only).
+	Dropped map[string]uint64
 }
 
 // chaosWorker wraps an in-process worker with a scripted node loss: on
@@ -143,10 +142,9 @@ func (w *chaosWorker) StepShard(req cluster.StepRequest) (cluster.StepResponse, 
 //   - rebalancing: revived workers rejoin before the next job and the
 //     planner uses them again;
 //   - no shard leaks: after each job every reachable host is empty;
-//   - collector survival (Trace): pulling the fleet's trace rings
-//     while a lost node is down records an error and keeps the cursor
-//     — the merged timeline stays duplicate-free and node-tagged, and
-//     its cross-node attribution closes for every job.
+//   - one trace read (Trace): the fleet timeline read once after the
+//     last job is node-tagged and duplicate-free, and its cross-node
+//     attribution closes for every job.
 func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -157,10 +155,6 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		tracer.Enable()
 	}
 	coord := cluster.New(cluster.Config{Tracer: tracer})
-	var col *cluster.Collector
-	if cfg.Trace {
-		col = cluster.NewCollector(cluster.CollectorConfig{Clock: clk, Coord: tracer})
-	}
 
 	workers := make([]*chaosWorker, cfg.Workers)
 	for i := range workers {
@@ -174,12 +168,6 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		if err := coord.Register(id, workers[i]); err != nil {
 			return nil, err
 		}
-		if cfg.Trace {
-			col.AddWorker(id, workers[i].LocalWorker)
-		}
-	}
-	if cfg.Trace {
-		col.SyncClocks()
 	}
 
 	// One canonical 3-zone case; the reference history is computed once
@@ -248,22 +236,6 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		if slowIdx >= 0 {
 			res.SlowLinks++
 		}
-		// Pull the fleet's spans now, with the lost worker still down:
-		// the collector must record the failed fetch and keep its
-		// cursor — not wedge the merge, and not duplicate events when
-		// the post-revival pull drains the survivor's ring.
-		if cfg.Trace {
-			for _, w := range workers {
-				// A virtual-clock link delay would park this pull on an
-				// unadvanced clock; the next job re-arms delays anyway.
-				w.SetDelay(0)
-			}
-			before := collectorErrors(col)
-			col.Pull()
-			if fired && collectorErrors(col) <= before {
-				return nil, fmt.Errorf("chaos: job %s: pull against down worker %s recorded no error", job, workers[lossIdx].ID())
-			}
-		}
 		// No shard leaks on any reachable host.
 		for i, w := range workers {
 			if i == lossIdx && fired {
@@ -287,13 +259,22 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 	}
 
 	// The merged timeline must be coherent after all that: every event
-	// node-tagged, no (node, seq) duplicated by the retried pulls, and
-	// the cross-node attribution identity closed for every job —
-	// node-loss chaos during collection may cost events (reported as
-	// plausible lanes), never corrupt the merge.
+	// node-tagged, no (node, seq) duplicated, and the cross-node
+	// attribution identity closed for every job.
 	if cfg.Trace {
-		col.Pull()
-		tl := col.Timeline()
+		sources := make(map[string]cluster.TraceSource, len(workers))
+		res.Dropped = map[string]uint64{obs.CoordNode: tracer.Dropped()}
+		for _, w := range workers {
+			// A virtual-clock link delay would park the read on an
+			// unadvanced clock.
+			w.SetDelay(0)
+			sources[w.ID()] = w.LocalWorker
+			res.Dropped[w.ID()] = w.Tracer().Dropped()
+		}
+		tl, err := cluster.ReadTimeline(tracer, sources)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
 		// Seq is unique per emitting ring, and each ring must surface
 		// exactly once. step_rpc spans are coordinator-emitted but
 		// carry the worker lane's node tag, so origin — not the tag —
@@ -326,18 +307,8 @@ func ClusterSoak(cfg ClusterSoakConfig) (*ClusterSoakResult, error) {
 		}
 		res.Timeline = tl
 		res.TraceReport = rep
-		res.PullErrors = collectorErrors(col)
 	}
 	return res, nil
-}
-
-// collectorErrors sums the per-worker failed-fetch counters.
-func collectorErrors(col *cluster.Collector) int {
-	n := 0
-	for _, st := range col.Stats() {
-		n += st.Errors
-	}
-	return n
 }
 
 // runSolveAdvancing runs a solve in a goroutine while advancing the

@@ -18,9 +18,9 @@ var clusterTraceOut = flag.String("cluster-trace-out", "", "write the traced clu
 // sequence of jobs with guaranteed node losses and probable slow
 // links: every job must finish with the single-node history bitwise
 // (ClusterSoak checks that internally) and every fired loss must have
-// produced a failover. Tracing is on, so the soak also proves the
-// collector survives pulling from a down node and that the merged
-// timeline's cross-node attribution closes for every job.
+// produced a failover. Tracing is on, so the soak also proves that one
+// read of every ring after the last job covers all the jobs, and that
+// the merged timeline's cross-node attribution closes for every one.
 func TestClusterSoak(t *testing.T) {
 	res, err := ClusterSoak(ClusterSoakConfig{Seed: 7, NodeLoss: 1, Trace: true})
 	if err != nil {
@@ -35,18 +35,14 @@ func TestClusterSoak(t *testing.T) {
 	if res.Failovers < res.Losses {
 		t.Errorf("failovers %d < fired losses %d", res.Failovers, res.Losses)
 	}
-	if res.PullErrors < res.Losses {
-		t.Errorf("collector recorded %d pull errors over %d losses — the down-node pulls went unexercised",
-			res.PullErrors, res.Losses)
-	}
 	if res.TraceReport == nil || !res.TraceReport.Closed {
 		t.Fatalf("traced soak report missing or open: %+v", res.TraceReport)
 	}
 	if len(res.Timeline) == 0 {
 		t.Fatal("traced soak produced an empty timeline")
 	}
-	t.Logf("soak: %d jobs, %d losses, %d slow links, %d failovers, %d events, %d pull errors",
-		res.Jobs, res.Losses, res.SlowLinks, res.Failovers, len(res.Timeline), res.PullErrors)
+	t.Logf("soak: %d jobs, %d losses, %d slow links, %d failovers, %d events, ring drops %v",
+		res.Jobs, res.Losses, res.SlowLinks, res.Failovers, len(res.Timeline), res.Dropped)
 
 	if *clusterTraceOut != "" {
 		f, err := os.Create(*clusterTraceOut)

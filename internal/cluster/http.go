@@ -33,12 +33,12 @@ type HTTPClient struct {
 }
 
 // do sends one request, a GET when body is nil, and returns the
-// response when its status is 2xx or also. Transport failures map to
+// response when its status is 2xx. Transport failures map to
 // ErrWorkerDown, so the engine's failover treats an unreachable daemon
 // like a dead one. Any other status is an error carrying the server's
 // text on one line; 410 Gone (a shard the worker no longer holds) is
 // ErrWorkerDown too.
-func (c *HTTPClient) do(path, contentType string, body []byte, also int) (*http.Response, error) {
+func (c *HTTPClient) do(path, contentType string, body []byte) (*http.Response, error) {
 	url, hc := strings.TrimRight(c.BaseURL, "/")+path, cmp.Or(c.Client, http.DefaultClient)
 	var resp *http.Response
 	var err error
@@ -50,7 +50,7 @@ func (c *HTTPClient) do(path, contentType string, body []byte, also int) (*http.
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWorkerDown, err)
 	}
-	if resp.StatusCode/100 == 2 || resp.StatusCode == also {
+	if resp.StatusCode/100 == 2 {
 		return resp, nil
 	}
 	defer resp.Body.Close()
@@ -69,7 +69,7 @@ func (c *HTTPClient) postJSON(path string, in any) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
-	resp, err := c.do(path, "application/json", body, 0)
+	resp, err := c.do(path, "application/json", body)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 	if err := writeFrame(&body, in, func(n int64) { body.Grow(int(n)) }); err != nil {
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
-	resp, err := c.do(path, frameContentType, body.Bytes(), 0)
+	resp, err := c.do(path, frameContentType, body.Bytes())
 	if err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func (c *HTTPClient) postFrame(path string, in, out any, reuse [][]byte) error {
 // a draining daemon answers 503, which correctly reads as "do not route
 // new work here".
 func (c *HTTPClient) Ping() error {
-	resp, err := c.do("/healthz", "", nil, 0)
+	resp, err := c.do("/healthz", "", nil)
 	if err != nil {
 		return err
 	}
@@ -108,46 +108,21 @@ func (c *HTTPClient) Ping() error {
 	return resp.Body.Close()
 }
 
-// FetchTrace implements TraceSource over the daemon's GET
-// /trace?since= cursor API, decoded by serve.ReadTrace: the events, the
-// cursor to resume from and the daemon ring's drop count. A body over
-// serve.MaxTraceBody is an error, so the collector keeps its cursor.
-// Transport failures map to ErrWorkerDown, like every other worker call.
-func (c *HTTPClient) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, error) {
-	resp, err := c.do(serve.PathTrace+"?since="+strconv.FormatUint(since, 10), "", nil, 0)
+// FetchTrace implements TraceSource over the daemon's GET /trace,
+// decoded by serve.ReadTrace. A body over serve.MaxTraceBody is an
+// error, never a shortened ring. Transport failures map to
+// ErrWorkerDown, like every other worker call.
+func (c *HTTPClient) FetchTrace() ([]obs.Event, error) {
+	resp, err := c.do(serve.PathTrace, "", nil)
 	if err != nil {
-		return nil, since, 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	events, next, dropped, err := serve.ReadTrace(resp, since)
+	events, err := serve.ReadTrace(resp)
 	if err != nil {
-		return nil, since, 0, fmt.Errorf("cluster: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return events, next, dropped, nil
-}
-
-// ClockProbe implements TraceSource: the daemon's clock as reported
-// by /healthz (now_ns), plus the locally measured round-trip. A
-// draining daemon (503) still reports its clock — readiness and
-// timekeeping are independent.
-func (c *HTTPClient) ClockProbe() (time.Time, time.Duration, error) {
-	t0 := time.Now()
-	resp, err := c.do("/healthz", "", nil, http.StatusServiceUnavailable)
-	rtt := time.Since(t0)
-	if err != nil {
-		return time.Time{}, 0, err
-	}
-	defer resp.Body.Close()
-	var body struct {
-		NowNs int64 `json:"now_ns"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
-		return time.Time{}, 0, fmt.Errorf("cluster: decode /healthz body: %w", err)
-	}
-	if body.NowNs == 0 {
-		return time.Time{}, 0, fmt.Errorf("cluster: /healthz reports no clock (now_ns missing)")
-	}
-	return time.Unix(0, body.NowNs), rtt, nil
+	return events, nil
 }
 
 // SetTrace toggles the daemon's tracer (POST /trace/enable), so a

@@ -351,8 +351,8 @@ func TestHTTPServerHeaderTimeout(t *testing.T) {
 
 // TestFetchTraceBodyCap: a worker whose /trace body runs past
 // serve.MaxTraceBody — here one that never ends — costs the coordinator
-// a failed fetch, not unbounded memory or a shortened batch: the
-// collector records the error and keeps the cursor it had.
+// a failed read, not unbounded memory or a shortened batch: the
+// timeline holds none of its events and the error names the cap.
 func TestFetchTraceBodyCap(t *testing.T) {
 	line := []byte(`{"seq":7,"at":"2001-01-01T00:00:00Z","kind":"chunk","worker":0}` + "\n")
 	pad := append(bytes.Repeat([]byte(" "), 64<<10-1), '\n') // blank lines: read, then skipped
@@ -368,19 +368,18 @@ func TestFetchTraceBodyCap(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	col := NewCollector(CollectorConfig{})
-	col.AddWorker("w", &HTTPClient{BaseURL: ts.URL, Client: ts.Client()})
+	workers := map[string]TraceSource{"w": &HTTPClient{BaseURL: ts.URL, Client: ts.Client()}}
 
-	if n := col.Pull(); n != 1 || col.Stats()[0].Cursor != 8 {
-		t.Fatalf("well-formed pull: %d events, stats %+v", n, col.Stats()[0])
+	if tl, err := ReadTimeline(nil, workers); err != nil || len(tl) != 1 || tl[0].Seq != 7 || tl[0].Node != "w" {
+		t.Fatalf("well-formed read: %v, err %v, want the one event tagged w", tl, err)
 	}
 	endless.Store(true)
-	if n := col.Pull(); n != 0 {
-		t.Errorf("oversize pull added %d events", n)
+	tl, err := ReadTimeline(nil, workers)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("oversize read: err %v, want one naming the cap", err)
 	}
-	st := col.Stats()[0]
-	if st.Cursor != 8 || st.Errors != 1 || st.Events != 1 || !strings.Contains(st.LastErr, "exceeds") {
-		t.Errorf("after an oversize body: %+v, want cursor 8, 1 error naming the cap, 1 event", st)
+	if len(tl) != 0 {
+		t.Errorf("oversize read kept %d events, want none", len(tl))
 	}
 	if got := streamed.Load(); got < serve.MaxTraceBody {
 		t.Errorf("worker streamed %d bytes before the refusal, want past the %d cap", got, serve.MaxTraceBody)

@@ -56,30 +56,18 @@ func (w *LocalWorker) Host() *Host {
 	return w.host
 }
 
-// Tracer returns the worker's tracer, which a Collector pulls.
+// Tracer returns the worker's tracer, which ReadTimeline reads.
 func (w *LocalWorker) Tracer() *obs.Tracer { return w.cfg.Tracer }
 
-// FetchTrace implements TraceSource over the in-process transport:
-// the worker's ring events with Seq >= since, subject to the same
-// injected faults as every other call — a failed node refuses, like
-// an unreachable daemon mid-pull.
-func (w *LocalWorker) FetchTrace(since uint64) ([]obs.Event, uint64, uint64, error) {
+// FetchTrace implements TraceSource over the in-process transport: the
+// worker's whole ring, subject to the same injected faults as every
+// other call — a failed node refuses, like an unreachable daemon.
+func (w *LocalWorker) FetchTrace() ([]obs.Event, error) {
 	if err := w.gate(); err != nil {
-		return nil, since, 0, err
+		return nil, err
 	}
-	events, dropped := w.cfg.Tracer.EventsSince(since)
-	return events, obs.NextCursor(events, since), dropped, nil
-}
-
-// ClockProbe implements TraceSource: the worker's current clock with
-// zero round-trip (in-process), still subject to injected faults.
-// Under a shared simclock.Virtual the collector's offset estimate for
-// this worker is therefore exactly zero.
-func (w *LocalWorker) ClockProbe() (time.Time, time.Duration, error) {
-	if err := w.gate(); err != nil {
-		return time.Time{}, 0, err
-	}
-	return w.cfg.Clock.Now(), 0, nil
+	events, _ := w.cfg.Tracer.EventsSince(0)
+	return events, nil
 }
 
 // Fail injects node loss: every call from now on returns

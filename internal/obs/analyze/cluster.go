@@ -125,7 +125,7 @@ type clusterLaneKey struct {
 }
 
 // ClusterAnalyze reconstructs per-step cross-node attribution from a
-// merged fleet timeline (a Collector's Timeline, or node-tagged JSONL
+// merged fleet timeline (cluster.ReadTimeline's, or node-tagged JSONL
 // merged offline). Only events carrying a Trace correlation id
 // participate; single-node traces yield an empty report.
 //

@@ -218,7 +218,7 @@ func TestClusterAnalyzePartialDegradation(t *testing.T) {
 		{Kind: obs.KindShardStep, Name: "job", Worker: -1, Node: "coord", Trace: "job#1", Epoch: 0,
 			At: base, Dur: 30 * time.Millisecond, A: 0},
 	}
-	// Node-tag the marker as the collector would.
+	// Node-tag the marker as cluster.ReadTimeline would.
 	for i := range events {
 		if events[i].Kind == obs.KindTraceDropped {
 			events[i].Node = "w02"

@@ -134,28 +134,20 @@ func cursor(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	return v, true
 }
 
-// ReadTrace decodes a /trace response to a request from since: the
-// events, the cursor to resume from (X-Trace-Next when present, else
-// derived from the batch) and X-Trace-Dropped. A body over MaxTraceBody
-// is an error, never a shortened batch: a cursor taken past a cut body
-// would skip the events cut off.
-func ReadTrace(resp *http.Response, since uint64) (events []obs.Event, next, dropped uint64, err error) {
+// ReadTrace decodes a /trace response. A body over MaxTraceBody is an
+// error, never a shortened batch: the events cut off would be lost
+// without a drop marker. A loss to wraparound arrives in-band as the
+// batch's leading trace_dropped marker.
+func ReadTrace(resp *http.Response) ([]obs.Event, error) {
 	body := &io.LimitedReader{R: resp.Body, N: MaxTraceBody + 1}
-	events, err = obs.ReadJSONL(body)
+	events, err := obs.ReadJSONL(body)
 	if body.N == 0 {
-		return nil, since, 0, fmt.Errorf("%s body exceeds %d bytes", PathTrace, MaxTraceBody)
+		return nil, fmt.Errorf("%s body exceeds %d bytes", PathTrace, MaxTraceBody)
 	}
 	if err != nil {
-		return nil, since, 0, fmt.Errorf("decode %s body: %w", PathTrace, err)
+		return nil, fmt.Errorf("decode %s body: %w", PathTrace, err)
 	}
-	next = obs.NextCursor(events, since)
-	if v, perr := strconv.ParseUint(resp.Header.Get(headerTraceNext), 10, 64); perr == nil {
-		next = v
-	}
-	// Absent or malformed reads as nothing dropped; the in-band marker
-	// still reports the loss.
-	dropped, _ = strconv.ParseUint(resp.Header.Get(headerTraceDropped), 10, 64)
-	return events, next, dropped, nil
+	return events, nil
 }
 
 // TraceEnable is the POST /trace/enable body. An empty body means

@@ -100,15 +100,6 @@ const (
 	// B the number of live shards. The per-step straggler is the
 	// worker whose StepRPC span is longest.
 	KindStepRPC
-	// KindCollect is one collector pull of a worker's trace ring:
-	// Name carries the worker id, Dur the pull duration, A the number
-	// of events fetched, B the number dropped to ring wraparound.
-	KindCollect
-	// KindClockSync is one collector clock-offset estimate for a
-	// worker: Name carries the worker id, A the estimated offset in
-	// nanoseconds (worker clock minus coordinator clock), B the probe
-	// round-trip time in nanoseconds.
-	KindClockSync
 	// KindPhase is one named phase of a team's work (a solver step's
 	// group: "<zone>/<group>"), spanning the regions it opens or the
 	// serial code it runs. Name is "<label>/<phase>", Worker -1, Dur
@@ -127,7 +118,7 @@ var kinds = [kindCount]string{
 	KindChunk: "chunk", KindGrant: "grant", KindResize: "resize", KindPreempt: "preempt",
 	KindTraceDropped: "trace_dropped", KindShardStep: "shard_step",
 	KindExchange: "exchange", KindFailover: "failover", KindStepRPC: "step_rpc",
-	KindCollect: "collect", KindClockSync: "clock_sync", KindPhase: "phase",
+	KindPhase: "phase",
 }
 
 // String returns the snake_case name used in JSONL export, or Kind(n)
@@ -172,10 +163,10 @@ type Event struct {
 	Worker int
 	// Node identifies the process of a fleet timeline the event
 	// belongs to. A worker daemon never sets it, so single-node traces
-	// leave it empty: the cluster collector tags every event it pulls
-	// with the ID the coordinator registered the worker under, and the
-	// coordinator stamps its own events CoordNode (its step_rpc spans
-	// carry the ID of the worker they time).
+	// leave it empty: cluster.ReadTimeline tags every event it reads
+	// from a worker with the ID the coordinator registered the worker
+	// under, and the coordinator stamps its own events CoordNode (its
+	// step_rpc spans carry the ID of the worker they time).
 	Node string
 	// Trace is the coordinator-assigned solve id correlating events
 	// across nodes: every shard RPC carries it, so worker-side spans
